@@ -115,9 +115,14 @@ def load_daily_csv(
                 ) from None
             raw_count = (row[count_col] or "").strip()
             try:
-                count = int(float(raw_count))
+                value = float(raw_count)
             except ValueError:
                 raise ValueError(f"{path}: row {rowno}: bad count {raw_count!r}") from None
+            if not value.is_integer():
+                raise ValueError(
+                    f"{path}: row {rowno}: count {raw_count!r} is not a finite whole number"
+                )
+            count = int(value)
             rows.append((date, count, rowno))
     if not rows:
         target = f" for region {region!r}" if region else ""

@@ -8,22 +8,26 @@ infected and susceptible vertices, and the infection of a vertex of
 degree d changes that rate by d - 2*(already-infected neighbors): a lone
 high-degree vertex produces a detectable upward rate jump.
 
-The simulator is event-driven: clocks are drawn lazily when an edge first
-becomes active, which is equivalent in law to pre-drawing all clocks
-(memorylessness), and stale heap entries are skipped on pop.
+The simulator is first-passage percolation: it draws one Exponential
+weight per edge up front, and a vertex's infection time is its
+shortest-path distance from the source under those weights.  This is
+equal in law to running the clocks.  An edge's clock matters only from
+the moment its first endpoint is infected, and then only until it rings,
+and by memorylessness its remaining wait at that moment is again
+Exponential and independent of the past, just like a weight drawn in
+advance.  So the infection time of v is the minimum over paths of the
+summed weights, which Dijkstra computes.
 """
 
 from __future__ import annotations
 
 import csv
-import heapq
-import math
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .process import EventTimes
 from .seeding import generator
@@ -44,63 +48,80 @@ __all__ = [
 
 
 class Graph:
-    """Undirected simple connected graph stored as adjacency lists.
+    """Undirected simple connected graph stored as CSR arrays.
 
-    The constructor validates simplicity (no self-loops, no parallel
-    edges), symmetry, and connectivity; it takes ownership of the passed
-    adjacency lists without copying.
+    Every edge {u, v} appears as the two arcs u -> v and v -> u; the
+    neighbors of v are ``indices[indptr[v]:indptr[v + 1]]``.  Build one from
+    adjacency lists with ``Graph(adjacency)`` or from arc arrays with
+    ``Graph.from_arcs``.  Both validate simplicity (no self-loops, no
+    parallel edges), symmetry, and connectivity.
     """
 
     def __init__(self, adjacency, hub: "int | None" = None):
-        self.adjacency = adjacency
-        self.hub = hub
-        self._validate()
+        n = len(adjacency)
+        lengths = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
+        src = np.repeat(np.arange(n, dtype=np.int64), lengths)
+        dst = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64, count=src.size)
+        self._set_arcs(n, src, dst, hub)
 
-    @property
-    def n(self) -> int:
-        return len(self.adjacency)
+    @classmethod
+    def from_arcs(cls, n: int, src, dst, hub: "int | None" = None) -> "Graph":
+        """Graph on vertices 0..n-1 with one arc src[i] -> dst[i] per entry."""
+        graph = cls.__new__(cls)
+        graph._set_arcs(n, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64), hub)
+        return graph
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    @property
-    def n_edges(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
-
-    def edges(self):
-        """Yield each undirected edge once as (u, v) with u < v."""
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                if u < v:
-                    yield (u, v)
-
-    def _validate(self) -> None:
-        n = self.n
+    def _set_arcs(self, n: int, src: np.ndarray, dst: np.ndarray, hub) -> None:
         if n == 0:
             raise ValueError("graph must have at least one vertex")
-        lengths = np.fromiter((len(a) for a in self.adjacency), dtype=np.int64, count=n)
-        total = int(lengths.sum())
-        src = np.repeat(np.arange(n, dtype=np.int64), lengths)
-        dst = np.fromiter(chain.from_iterable(self.adjacency), dtype=np.int64, count=total)
-        if total:
-            if dst.min() < 0 or dst.max() >= n:
+        if src.size:
+            if min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n:
                 raise ValueError("adjacency references a vertex id out of range")
-            if np.any(src == dst):
-                v = int(src[np.argmax(src == dst)])
-                raise ValueError(f"self-loop at vertex {v}")
-            key_fwd = src * n + dst
-            uniq = np.unique(key_fwd)
-            if uniq.size != total:
+            loops = src == dst
+            if loops.any():
+                raise ValueError(f"self-loop at vertex {int(src[np.argmax(loops)])}")
+            key_fwd = np.sort(src * n + dst)
+            if np.any(key_fwd[1:] == key_fwd[:-1]):
                 raise ValueError("parallel edge: some neighbor is listed twice")
-            if not np.array_equal(uniq, np.sort(dst * n + src)):
+            if not np.array_equal(key_fwd, np.sort(dst * n + src)):
                 raise ValueError("adjacency is not symmetric")
+        self.hub = hub
+        self.indices = dst[np.argsort(src, kind="stable")]
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
         if n > 1:
             mat = csr_matrix(
-                (np.ones(total, dtype=np.int8), (src, dst)), shape=(n, n)
+                (np.ones(src.size, dtype=np.int8), self.indices, self.indptr), shape=(n, n)
             )
             n_comp, _ = connected_components(mat, directed=False)
             if n_comp != 1:
                 raise ValueError(f"graph must be connected; found {n_comp} components")
+
+    @property
+    def n(self) -> int:
+        return self.indptr.size - 1
+
+    def neighbors(self, v: int) -> np.ndarray:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for {self.n} vertices")
+        return self.indices[self.indptr[v]:self.indptr[v + 1]]
+
+    def degree(self, v: int) -> int:
+        return len(self.neighbors(v))
+
+    @property
+    def n_edges(self) -> int:
+        return self.indices.size // 2
+
+    def _upper_arcs(self):
+        """Arrays (u, v) of the arcs with u < v, one per edge, in CSR order."""
+        src = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        upper = src < self.indices
+        return src[upper], self.indices[upper]
+
+    def edges(self):
+        """Iterate over each undirected edge once as (u, v) with u < v."""
+        u, v = self._upper_arcs()
+        return zip(u.tolist(), v.tolist())
 
 
 @dataclass(frozen=True)
@@ -144,22 +165,12 @@ def build_tree_with_hub(height: int, extra_leaves: int) -> Graph:
     n_tree = 2 ** (height + 1) - 1
     hub = 2 ** (height - 1) - 1
     n = n_tree + extra_leaves
-    adjacency = [[] for _ in range(n)]
-    for i in range(n_tree):
-        if i > 0:
-            adjacency[i].append((i - 1) // 2)
-        c1, c2 = 2 * i + 1, 2 * i + 2
-        if c1 < n_tree:
-            adjacency[i].append(c1)
-        if c2 < n_tree:
-            adjacency[i].append(c2)
-    for leaf in range(n_tree, n):
-        adjacency[leaf].append(hub)
-        adjacency[hub].append(leaf)
-    return Graph(adjacency, hub=hub)
-
-
-_EXP_BUFFER = 1 << 14
+    # every vertex but the root hangs off one parent: its heap parent, or the hub
+    child = np.arange(1, n, dtype=np.int64)
+    parent = np.where(child < n_tree, (child - 1) // 2, hub)
+    return Graph.from_arcs(
+        n, np.concatenate((child, parent)), np.concatenate((parent, child)), hub=hub
+    )
 
 
 def simulate_si(graph: Graph, source: int, seed, rate: float = 1.0) -> CascadeTrace:
@@ -174,39 +185,31 @@ def simulate_si(graph: Graph, source: int, seed, rate: float = 1.0) -> CascadeTr
     if not (rate > 0):
         raise ValueError(f"rate must be positive, got {rate}")
     rng = seed if isinstance(seed, np.random.Generator) else generator(seed)
-    adjacency = graph.adjacency
-    scale = 1.0 / float(rate)
-    times = [math.inf] * n
-    infected = bytearray(n)
-    heap = [(0.0, source)]
-    pop = heapq.heappop
-    push = heapq.heappush
-    buf = rng.exponential(scale, _EXP_BUFFER).tolist()
-    pos = 0
-    buflen = len(buf)
-    remaining = n
-    while heap:
-        t, v = pop(heap)
-        if infected[v]:
-            continue  # stale entry: v was reached by an earlier clock
-        infected[v] = 1
-        times[v] = t
-        remaining -= 1
-        if not remaining:
-            break
-        for u in adjacency[v]:
-            if not infected[u]:
-                if pos == buflen:
-                    buf = rng.exponential(scale, _EXP_BUFFER).tolist()
-                    pos = 0
-                push(heap, (t + buf[pos], u))
-                pos += 1
-    if remaining:
+    weights = rng.exponential(1.0 / float(rate), graph.n_edges)
+    return CascadeTrace(times=_first_passage(graph, weights, source), source=source)
+
+
+def _first_passage(graph: Graph, weights: np.ndarray, source: int) -> np.ndarray:
+    """Shortest-path distances from ``source`` when the i-th edge of
+    ``graph.edges()`` has length ``weights[i]``.
+
+    Each edge is one entry (u, v), u < v, of an upper-triangular matrix that
+    the undirected search reads both ways.  A weight of exactly 0.0 stays an
+    explicit entry, so the edge still joins its endpoints; an edge lost as
+    an implicit zero would leave a vertex at distance inf, which raises.
+    """
+    n = graph.n
+    u, v = graph._upper_arcs()
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(u, minlength=n))))
+    matrix = csr_matrix((weights, v, indptr), shape=(n, n))
+    times = dijkstra(matrix, directed=False, indices=source)
+    unreached = int(np.count_nonzero(np.isinf(times)))
+    if unreached:
         raise RuntimeError(
-            f"cascade stalled with {remaining} vertices never infected; "
+            f"cascade stalled with {unreached} vertices never infected; "
             "the graph is not connected"
         )
-    return CascadeTrace(times=np.asarray(times), source=source)
+    return times
 
 
 def infection_count_process(trace: CascadeTrace) -> EventTimes:
@@ -218,12 +221,7 @@ def infection_count_process(trace: CascadeTrace) -> EventTimes:
 def rate_at(graph: Graph, infected) -> int:
     """Size of the cut between ``infected`` and the rest = current infection rate."""
     infected = set(infected)
-    cut = 0
-    for v in infected:
-        for u in graph.adjacency[v]:
-            if u not in infected:
-                cut += 1
-    return cut
+    return sum(u not in infected for v in infected for u in graph.neighbors(v).tolist())
 
 
 def jump_at_infection(graph: Graph, infected, v: int) -> int:
@@ -234,10 +232,11 @@ def jump_at_infection(graph: Graph, infected, v: int) -> int:
     infected = set(infected)
     if v in infected:
         raise ValueError(f"vertex {v} is already infected")
-    overlap = sum(1 for u in graph.adjacency[v] if u in infected)
+    neighbors = graph.neighbors(v).tolist()
+    overlap = sum(u in infected for u in neighbors)
     if overlap == 0:
         raise ValueError(f"vertex {v} has no infected neighbor, so it cannot be next")
-    return graph.degree(v) - 2 * overlap
+    return len(neighbors) - 2 * overlap
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +269,8 @@ def load_edge_list(path) -> Graph:
             max_v = max(max_v, u, v)
     if max_v < 0:
         raise ValueError(f"{path}: no edges")
-    adjacency = [[] for _ in range(max_v + 1)]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    return Graph(adjacency)
+    ends = np.asarray(edges, dtype=np.int64)
+    return Graph.from_arcs(max_v + 1, ends.ravel(), ends[:, ::-1].ravel())
 
 
 def save_edge_list(graph: Graph, path) -> None:

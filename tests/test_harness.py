@@ -8,6 +8,7 @@ from ratejump.harness import (
     ExperimentSpec,
     Preset,
     RampScenario,
+    Realization,
     SITreeScenario,
     SmoothJumpScenario,
     false_alarm_study,
@@ -105,6 +106,21 @@ def test_heatmap_cell_failure_recorded_not_fatal():
     assert result.counts[1, 1] == 0
     assert result.counts[0, 0] == 2
     assert any("k=6" in d for d in result.diagnostics)
+
+
+def test_heatmap_programming_error_propagates():
+    # only a ValueError (empty or invalid window) is a per-cell failure
+    class NoCountAtScenario:
+        analysis_window = None
+
+        def realize(self, seed):
+            return Realization(events=np.arange(5.0), truth=1.0, checksum=(5, 10.0))
+
+    spec = ExperimentSpec(
+        scenario=NoCountAtScenario(), k_grid=(1, 2), delta_grid=(0.5,), trials=2
+    )
+    with pytest.raises(TypeError, match="count_at"):
+        run_heatmap(spec)
 
 
 def test_const_null_mean_error_near_span_third():

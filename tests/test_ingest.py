@@ -90,6 +90,18 @@ def test_load_errors_name_rows(tmp_path):
         load_daily_csv(p)
 
 
+@pytest.mark.parametrize("raw", ["3.7", "-0.5", "inf", "-inf", "nan", "1e400"])
+def test_non_integral_or_non_finite_count_names_row(tmp_path, raw):
+    p = write(tmp_path, f"date,cases\n2020-03-01,2\n2020-03-02,{raw}\n")
+    with pytest.raises(ValueError, match="row 3.*not a finite whole number"):
+        load_daily_csv(p)
+
+
+def test_integral_float_count_accepted(tmp_path):
+    p = write(tmp_path, "date,cases\n2020-03-01,100.0\n2020-03-02,5\n")
+    assert load_daily_csv(p).counts.tolist() == [100, 5]
+
+
 def test_analyze_constant_is_zero():
     counts = np.full(30, 7)
     analysis = analyze_binned(counts, k=2, delta_days=1)

@@ -20,6 +20,7 @@ from ratejump.si import (
     save_trace_csv,
     simulate_si,
 )
+from ratejump.si import _first_passage
 
 
 def path_graph(n):
@@ -65,6 +66,19 @@ def test_graph_validation():
         Graph([[1], [0], [3], [2]])
     with pytest.raises(ValueError, match="at least one vertex"):
         Graph([])
+    with pytest.raises(ValueError, match="out of range"):
+        Graph([[1], [0, 2]])
+    # arc arrays go through the same checks
+    with pytest.raises(ValueError, match="symmetric"):
+        Graph.from_arcs(2, [0], [1])
+    with pytest.raises(ValueError, match="parallel"):
+        Graph.from_arcs(2, [0, 1, 0, 1], [1, 0, 1, 0])
+    with pytest.raises(ValueError, match="out of range"):
+        Graph.from_arcs(2, [0, 2], [2, 0])
+    with pytest.raises(ValueError, match="connected"):
+        Graph.from_arcs(3, [0, 1], [1, 0])
+    with pytest.raises(ValueError, match="out of range"):
+        triangle().neighbors(-1)
 
 
 def test_build_tree_no_extras():
@@ -89,7 +103,33 @@ def test_build_tree_benchmark_shape():
     assert g.hub == 2**5 - 1
     assert g.degree(g.hub) == 43
     # planted leaves hang off the hub
-    assert all(g.adjacency[v] == [g.hub] for v in range(2**7 - 1, g.n))
+    assert all(g.neighbors(v).tolist() == [g.hub] for v in range(2**7 - 1, g.n))
+
+
+def loop_built_tree(height, extra_leaves):
+    """The tree built with Python lists, vertex by vertex."""
+    n_tree = 2 ** (height + 1) - 1
+    hub = 2 ** (height - 1) - 1
+    adjacency = [[] for _ in range(n_tree + extra_leaves)]
+    for i in range(n_tree):
+        if i > 0:
+            adjacency[i].append((i - 1) // 2)
+        for c in (2 * i + 1, 2 * i + 2):
+            if c < n_tree:
+                adjacency[i].append(c)
+    for leaf in range(n_tree, n_tree + extra_leaves):
+        adjacency[leaf].append(hub)
+        adjacency[hub].append(leaf)
+    return Graph(adjacency, hub=hub)
+
+
+@pytest.mark.parametrize("height,extra_leaves", [(1, 0), (1, 3), (2, 5), (5, 0), (7, 60)])
+def test_build_tree_matches_loop_build(height, extra_leaves):
+    g = build_tree_with_hub(height, extra_leaves)
+    ref = loop_built_tree(height, extra_leaves)
+    assert g.hub == ref.hub
+    assert g.n == ref.n
+    assert sorted(g.edges()) == sorted(ref.edges())
 
 
 def test_build_tree_validation():
@@ -213,7 +253,7 @@ def exact_order_distribution(graph, source):
         weights = {}
         for v in range(n):
             if v not in infected:
-                c = sum(1 for u in graph.adjacency[v] if u in infected)
+                c = sum(1 for u in graph.neighbors(v) if u in infected)
                 if c:
                     weights[v] = c
         cut = sum(weights.values())
@@ -283,6 +323,34 @@ def test_adding_edge_never_slows_first_passage():
         weights[extra] = float(rng.exponential(1.0))
         faster = first_passage_times(n, tree_edges + [extra], weights, source=0)
         assert all(f <= b + 1e-12 for f, b in zip(faster, base))
+
+
+def test_first_passage_matches_reference_dijkstra():
+    # fixed weights, some exactly 0.0: a zero edge must still join its ends
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        g = random_connected_graph(rng, int(rng.integers(2, 12)))
+        edges = list(g.edges())
+        weights = rng.exponential(1.0, len(edges))
+        weights[rng.random(len(edges)) < 0.3] = 0.0
+        source = int(rng.integers(0, g.n))
+        got = _first_passage(g, weights, source)
+        want = first_passage_times(g.n, edges, dict(zip(edges, weights.tolist())), source)
+        assert got.tolist() == want
+
+
+def test_first_passage_zero_weight_bridges():
+    g = path_graph(4)
+    times = _first_passage(g, np.array([0.0, 0.0, 0.5]), 3)
+    assert times.tolist() == [0.5, 0.5, 0.5, 0.0]
+    # every edge of weight 0.0: the whole graph is infected at once
+    times = _first_passage(star_graph(5), np.zeros(5), 0)
+    assert times.tolist() == [0.0] * 6
+
+
+def test_first_passage_unreachable_vertex_raises():
+    with pytest.raises(RuntimeError, match="not connected"):
+        _first_passage(path_graph(3), np.array([0.5, np.inf]), 0)
 
 
 # ---------------------------------------------------------------------------
