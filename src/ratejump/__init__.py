@@ -17,6 +17,7 @@ from .derivative import (
     DerivativeStencil,
     annihilation_check,
     derivative_profile,
+    derivative_profiles,
     discrete_derivative,
 )
 from .detector import (
@@ -60,6 +61,7 @@ __all__ = [
     "DerivativeStencil",
     "annihilation_check",
     "derivative_profile",
+    "derivative_profiles",
     "discrete_derivative",
     "ChangePointReport",
     "DetectorConfig",

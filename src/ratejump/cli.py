@@ -5,7 +5,7 @@ Every subcommand is reproducible: it honors ``--seed`` and writes a
 all resolved parameters, input and output paths, the tool version, and
 wall time.  Exit codes: 0 success, 2 usage error (bad flags or missing
 input file, message on stderr), 1 runtime failure (diagnostic names the
-failing module).
+module whose call from the subcommand failed).
 """
 
 from __future__ import annotations
@@ -304,12 +304,14 @@ def cmd_heatmap(args):
         outputs.append(out_long)
     k_best, d_best, err_best = result.argmin
     print(f"argmin cell: k={k_best} delta={d_best} mean_error={err_best}")
+    print(f"failed cells: {result.failed_cells}")
     if result.diagnostics:
         print(f"{len(result.diagnostics)} cell failures; first: {result.diagnostics[0]}")
     return out_matrix, [], outputs, {
         "argmin_k": k_best,
         "argmin_delta": repr(d_best),
         "argmin_error": repr(err_best),
+        "failed_cells": result.failed_cells,
     }
 
 
@@ -622,14 +624,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _failing_module(exc) -> str:
+    """The ratejump module whose call from the subcommand raised ``exc``."""
     tb = exc.__traceback__
-    last = "cli"
     while tb is not None:
         mod = tb.tb_frame.f_globals.get("__name__", "")
-        if mod.startswith("ratejump."):
-            last = mod.split(".", 1)[1]
+        if mod.startswith("ratejump.") and mod != __name__:
+            return mod.split(".", 1)[1]
         tb = tb.tb_next
-    return last
+    return "cli"
 
 
 def main(argv=None) -> int:

@@ -11,11 +11,22 @@ N(t+delta) - 2 N(t) + N(t-delta).  Applied to a polynomial of degree < l
 the stencil returns exactly zero, which is what makes high orders blind
 to smooth trends while a rate jump of size A still shows up at scale
 A * delta.
+
+Profiles share one sampling of N.  When delta = m * grid_step for an
+integer m, every stencil point of every grid time lies on one lattice
+b + p*grid_step, and with F[p] = N(b + p*grid_step) the order-l value at
+a grid time is the l-fold lag-m difference (Delta_m^l F)[p0], where
+(Delta_m F)[p] = F[p+m] - F[p] and p0 indexes the stencil's first point.
+``derivative_profiles`` therefore samples N once per lattice origin b and
+gets each order from the previous one by one more difference: b = 0 for
+orders whose grid starts at (l-1)*delta, and b = the window's lower end
+for the orders a window clips.  A non-integer delta/grid_step puts the
+stencil points on no common lattice; that one fallback evaluates each
+grid time from its own l+1 samples.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -27,9 +38,8 @@ __all__ = [
     "DerivativeProfile",
     "discrete_derivative",
     "derivative_profile",
+    "derivative_profiles",
     "annihilation_check",
-    "save_profile_csv",
-    "load_profile_csv",
 ]
 
 # Binomial stencil weights grow like 2^order, so the statistical value of
@@ -73,11 +83,6 @@ class DerivativeStencil:
     def offsets(self) -> np.ndarray:
         """Sample-point offsets relative to t: (j - order + 1) * delta."""
         return (np.arange(self.order + 1) - self.order + 1) * self.delta
-
-    @property
-    def window(self) -> tuple:
-        """(earliest, latest) offset touched by the stencil."""
-        return (-(self.order - 1) * self.delta, self.delta)
 
 
 def _as_counting(N, horizon):
@@ -145,6 +150,15 @@ class DerivativeProfile:
         """Iterate (time, value) in time order."""
         return zip(self.times.tolist(), self.values.tolist())
 
+    def argmax(self) -> int:
+        """Index of the largest |value|, the earliest on ties; ValueError if empty."""
+        if len(self) == 0:
+            raise ValueError(
+                f"no valid grid points: window {self.window} is empty for "
+                f"k={self.order}, delta={self.delta}"
+            )
+        return int(np.argmax(np.abs(self.values)))
+
 
 def derivative_profile(
     N,
@@ -154,58 +168,79 @@ def derivative_profile(
     window: "tuple | None" = None,
     horizon=None,
 ) -> DerivativeProfile:
-    """Evaluate the discrete derivative on an evenly spaced grid.
+    """The order-``order`` profile of ``derivative_profiles``."""
+    return derivative_profiles(N, [order], delta, grid_step, window, horizon)[0]
 
-    The grid covers the requested ``window`` (default: everything) clipped
-    to the valid range [(order-1)*delta, horizon - delta].  ``grid_step``
+
+def derivative_profiles(
+    N,
+    orders,
+    delta: float,
+    grid_step: "float | None" = None,
+    window: "tuple | None" = None,
+    horizon=None,
+) -> list:
+    """Evaluate the discrete derivative of each order on an evenly spaced grid.
+
+    Returns one profile per entry of ``orders``.  Each grid covers the
+    requested ``window`` (default: everything) clipped to that order's
+    valid range [(order-1)*delta, horizon - delta].  ``grid_step``
     defaults to delta/10 and must not exceed delta.  A window that clips
     to nothing yields an empty profile with ``empty_window=True`` rather
     than an error.
     """
-    order = _check_order(order)
+    orders = [_check_order(order) for order in orders]
     delta = _check_delta(delta)
-    if grid_step is None:
-        grid_step = delta / 10.0
-    grid_step = float(grid_step)
+    grid_step = delta / 10.0 if grid_step is None else float(grid_step)
     if not (0 < grid_step <= delta * (1 + 1e-12)):
         raise ValueError(f"grid_step must be in (0, delta={delta}], got {grid_step}")
     fn, T = _as_counting(N, horizon)
     if not math.isfinite(T):
         raise ValueError("horizon is required to build a profile (none known for this N)")
+    w_lo, w_hi = (-math.inf, math.inf) if window is None else (float(window[0]), float(window[1]))
+    if w_lo > w_hi:
+        raise ValueError(f"window must satisfy lo <= hi, got {window}")
 
-    lo = (order - 1) * delta
-    hi = T - delta
-    if window is not None:
-        w_lo, w_hi = float(window[0]), float(window[1])
-        if w_lo > w_hi:
-            raise ValueError(f"window must satisfy lo <= hi, got {window}")
-        lo, hi = max(lo, w_lo), min(hi, w_hi)
-    if lo > hi:
-        return DerivativeProfile(
-            times=np.empty(0),
-            values=np.empty(0),
-            order=order,
-            delta=delta,
-            grid_step=grid_step,
-            window=(lo, hi),
-            empty_window=True,
-        )
+    ratio = delta / grid_step
+    lag = round(ratio) if abs(ratio - round(ratio)) <= 1e-12 * ratio else None
+    grids, lattices = [], {}
+    for order in orders:
+        lo, hi = max((order - 1) * delta, w_lo), min(T - delta, w_hi)
+        n = int(math.floor((hi - lo) / grid_step + 1e-9)) + 1 if lo <= hi else 0
+        grids.append((order, lo, hi, n))
+        if n and lag:
+            origin = lo if w_lo > (order - 1) * delta else 0.0
+            lattices.setdefault(origin, {})[len(grids) - 1] = grids[-1]
+    values = {}
+    for origin, members in lattices.items():
+        values.update(_lattice_values(fn, origin, grid_step, lag, members))
+    profiles = []
+    for i, (order, lo, hi, n) in enumerate(grids):
+        times = lo + np.arange(n) * grid_step
+        if i not in values:  # the fallback, or an empty grid: each time's own samples
+            stencil = DerivativeStencil.of_order(order, delta)
+            samples = np.asarray(fn(times[None, :] + stencil.offsets()[:, None]), dtype=np.float64)
+            values[i] = np.asarray(stencil.coefficients, dtype=np.float64) @ samples
+        profiles.append(DerivativeProfile(times, values[i], order, delta, grid_step, (lo, hi), n == 0))
+    return profiles
 
-    n = int(math.floor((hi - lo) / grid_step + 1e-9)) + 1
-    grid = lo + np.arange(n) * grid_step
-    stencil = DerivativeStencil.of_order(order, delta)
-    pts = grid[None, :] + stencil.offsets()[:, None]
-    vals = np.asarray(fn(pts), dtype=np.float64)
-    values = np.asarray(stencil.coefficients, dtype=np.float64) @ vals
-    return DerivativeProfile(
-        times=grid,
-        values=values,
-        order=order,
-        delta=delta,
-        grid_step=grid_step,
-        window=(lo, hi),
-        empty_window=False,
-    )
+
+def _lattice_values(fn, origin: float, step: float, lag: int, grids: dict) -> dict:
+    """Values of every grid from one sampling of N at origin + p*step.
+
+    Grid point i of an order-l grid starting at lo reads its stencil from
+    the samples first + i + j*lag, j = 0..l, where first is lo's lattice
+    index less (l-1)*lag; so its value is the l-fold lag difference there.
+    """
+    first = {i: round((lo - origin) / step) - (order - 1) * lag
+             for i, (order, lo, _, _) in grids.items()}
+    p_lo = min(first.values())
+    p_hi = max(first[i] + n + order * lag for i, (order, _, _, n) in grids.items())
+    diff = np.asarray(fn(origin + np.arange(p_lo, p_hi) * step), dtype=np.float64)
+    levels = {}
+    for order in range(1, max(grid[0] for grid in grids.values()) + 1):
+        diff = levels[order] = diff[lag:] - diff[:-lag]
+    return {i: levels[order][first[i] - p_lo:][:n] for i, (order, _, _, n) in grids.items()}
 
 
 def annihilation_check(order: int, delta: float, poly_coeffs, t: float) -> float:
@@ -221,28 +256,3 @@ def annihilation_check(order: int, delta: float, poly_coeffs, t: float) -> float
     pts = float(t) + stencil.offsets()
     vals = np.polynomial.polynomial.polyval(pts, np.asarray(poly_coeffs, dtype=np.float64))
     return float(np.dot(stencil.coefficients, vals))
-
-
-def save_profile_csv(profile: DerivativeProfile, path) -> None:
-    """Write a profile as CSV with header ``t,value``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "value"])
-        for t, v in profile.pairs():
-            writer.writerow([repr(t), repr(v)])
-
-
-def load_profile_csv(path) -> tuple:
-    """Read back a ``t,value`` CSV as (times, values) arrays."""
-    times, values = [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["t", "value"]:
-            raise ValueError(f"{path}: expected header 't,value', got {header}")
-        for row in reader:
-            if not row:
-                continue
-            times.append(float(row[0]))
-            values.append(float(row[1]))
-    return np.asarray(times), np.asarray(values)

@@ -42,7 +42,7 @@ class DetectorConfig:
     ``threshold`` is the expected jump size A (> 0); grid points scoring
     at least A/2 become candidates.  ``threshold=None`` selects
     exploratory mode: report only the single highest-scoring grid point.
-    ``grid_step`` defaults to delta/10 and must not exceed delta.
+    ``grid_step`` (default: the profile's, delta/10) must not exceed delta.
     """
 
     k: int
@@ -69,10 +69,6 @@ class DetectorConfig:
             raise ValueError(
                 f"grid_step must be in (0, delta={self.delta}], got {self.grid_step}"
             )
-
-    @property
-    def resolved_grid_step(self) -> float:
-        return self.delta / 10.0 if self.grid_step is None else float(self.grid_step)
 
     @property
     def min_sep(self) -> float:
@@ -132,11 +128,17 @@ def threshold_candidates(profile, delta: float, threshold: float) -> list:
     """
     if not (threshold > 0):
         raise ValueError(f"threshold must be positive, got {threshold}")
-    if len(profile.times) == 0:
-        return []
-    scores = np.abs(profile.values) / delta
-    keep = scores >= threshold / 2.0
+    scores, keep = _candidates(profile, delta, threshold)
     return list(zip(profile.times[keep].tolist(), scores[keep].tolist()))
+
+
+def _candidates(profile, delta: float, threshold: "float | None"):
+    """Scores |value|/delta and the indices of the candidate grid points:
+    those clearing threshold/2, or with no threshold the single best."""
+    scores = np.abs(profile.values) / delta
+    if threshold is None:
+        return scores, np.asarray([profile.argmax()] if len(profile) else [], dtype=np.int64)
+    return scores, np.flatnonzero(scores >= threshold / 2.0)
 
 
 def _packing_indices(times: np.ndarray, scores: np.ndarray, min_sep: float) -> list:
@@ -205,44 +207,18 @@ def detect(N, config: DetectorConfig) -> ChangePointReport:
         N,
         config.k,
         config.delta,
-        grid_step=config.resolved_grid_step,
+        grid_step=config.grid_step,
         window=config.window,
         horizon=config.horizon,
     )
-    if profile.empty_window or len(profile) == 0:
-        return ChangePointReport(
-            estimates=(),
-            k=config.k,
-            delta=config.delta,
-            grid_step=profile.grid_step,
-            window=profile.window,
-            threshold=config.threshold,
-            min_sep=config.min_sep,
-            n_grid=len(profile),
-            candidate_count=0,
-            empty_window=True,
-        )
-    scores = np.abs(profile.values) / config.delta
-    if config.threshold is None:
-        i = int(np.argmax(scores))  # earliest grid point on ties
-        estimates = (
-            Estimate(float(profile.times[i]), float(scores[i]), float(profile.values[i])),
-        )
-        candidate_count = 1
-    else:
-        keep = np.flatnonzero(scores >= config.threshold / 2.0)
-        candidate_count = int(keep.size)
-        idx = _packing_indices(profile.times[keep], scores[keep], config.min_sep)
-        estimates = tuple(
-            Estimate(
-                float(profile.times[keep[i]]),
-                float(scores[keep[i]]),
-                float(profile.values[keep[i]]),
-            )
-            for i in idx
-        )
+    scores, keep = _candidates(profile, config.delta, config.threshold)
+    chosen = keep if config.threshold is None else keep[
+        _packing_indices(profile.times[keep], scores[keep], config.min_sep)]
     return ChangePointReport(
-        estimates=estimates,
+        estimates=tuple(
+            Estimate(float(profile.times[i]), float(scores[i]), float(profile.values[i]))
+            for i in chosen
+        ),
         k=config.k,
         delta=config.delta,
         grid_step=profile.grid_step,
@@ -250,7 +226,8 @@ def detect(N, config: DetectorConfig) -> ChangePointReport:
         threshold=config.threshold,
         min_sep=config.min_sep,
         n_grid=len(profile),
-        candidate_count=candidate_count,
+        candidate_count=int(keep.size),
+        empty_window=profile.empty_window,
     )
 
 
@@ -264,12 +241,7 @@ def argmax_single(
 ) -> float:
     """Time of the largest |order-k derivative| on the grid (earliest on ties)."""
     profile = derivative_profile(N, k, delta, grid_step=grid_step, window=window, horizon=horizon)
-    if profile.empty_window or len(profile) == 0:
-        raise ValueError(
-            f"no valid grid points: window {profile.window} is empty for "
-            f"k={k}, delta={delta}"
-        )
-    return float(profile.times[int(np.argmax(np.abs(profile.values)))])
+    return float(profile.times[profile.argmax()])
 
 
 def d_max(estimates, truths) -> float:

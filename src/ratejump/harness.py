@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .derivative import _check_order, derivative_profiles
 from .detector import DetectorConfig, argmax_single, detect
 from .poisson import (
     Constant,
@@ -210,6 +211,11 @@ class HeatmapResult:
     diagnostics: tuple
     metadata: dict = field(default_factory=dict)
 
+    @property
+    def failed_cells(self) -> int:
+        """Trial cells that aborted: the NaN entries of ``errors``."""
+        return int(self.errors.size - self.counts.sum())
+
     def cell(self, k: int, delta: float) -> float:
         i = self.k_grid.index(k)
         j = self.delta_grid.index(delta)
@@ -230,24 +236,36 @@ def run_trial(scenario, k: int, delta: float, seed, grid_step_fraction: float = 
 
 
 def _trial_errors(spec: ExperimentSpec, trial: int):
-    """Errors of every cell on trial ``trial``'s shared realization."""
+    """Errors of every cell on trial ``trial``'s shared realization, from one
+    ``derivative_profiles`` call per delta.  A ValueError aborts only the
+    cells it concerns (an invalid order its row, an invalid delta its
+    column, an empty window its cell) and is recorded; the run continues."""
     realization = spec.scenario.realize(SimSeed(spec.base_seed, trial))
-    n_k, n_d = len(spec.k_grid), len(spec.delta_grid)
-    errors = np.full((n_k, n_d), np.nan)
-    diagnostics = []
+    errors = np.full((len(spec.k_grid), len(spec.delta_grid)), np.nan)
+    failures = {}  # (i, j) -> the ValueError that aborted cell (k_grid[i], delta_grid[j])
+    rows = {}  # i -> k_grid[i], for the valid orders
     for i, k in enumerate(spec.k_grid):
-        for j, delta in enumerate(spec.delta_grid):
+        try:
+            rows[i] = _check_order(k)
+        except ValueError as exc:
+            failures.update({(i, j): exc for j in range(len(spec.delta_grid))})
+    for j, delta in enumerate(spec.delta_grid):
+        try:
+            profiles = derivative_profiles(
+                realization.events, list(rows.values()), delta,
+                grid_step=delta * spec.grid_step_fraction, window=spec.scenario.analysis_window)
+        except ValueError as exc:
+            failures.update({(i, j): exc for i in rows})
+            continue
+        for i, profile in zip(rows, profiles):
             try:
-                t_hat = argmax_single(
-                    realization.events,
-                    k,
-                    delta,
-                    grid_step=delta * spec.grid_step_fraction,
-                    window=spec.scenario.analysis_window,
-                )
-                errors[i, j] = abs(t_hat - realization.truth)
-            except ValueError as exc:  # empty or invalid window: cell aborts, run continues
-                diagnostics.append(f"trial {trial} cell (k={k}, delta={delta}): {exc}")
+                errors[i, j] = abs(profile.times[profile.argmax()] - realization.truth)
+            except ValueError as exc:
+                failures[i, j] = exc
+    diagnostics = [
+        f"trial {trial} cell (k={spec.k_grid[i]}, delta={spec.delta_grid[j]}): {exc}"
+        for (i, j), exc in sorted(failures.items())
+    ]
     return errors, realization.checksum, diagnostics
 
 

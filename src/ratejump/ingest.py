@@ -229,10 +229,8 @@ def analyze_binned(series, k: int, delta_days: int = 1) -> BinnedAnalysis:
         )
     binned = BinnedSeries(bin_width=1.0, counts=counts, start_time=0.0)
     counting = from_binned(binned)
-    profile = derivative_profile(
-        counting, k, float(delta_days), grid_step=1.0, horizon=float(n_days)
-    )
-    i = int(np.argmax(np.abs(profile.values)))
+    profile = derivative_profile(counting, k, float(delta_days), grid_step=1.0)
+    i = profile.argmax()
     return BinnedAnalysis(
         profile=profile,
         argmax_day=int(round(float(profile.times[i]))),

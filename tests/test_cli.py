@@ -192,7 +192,9 @@ def test_heatmap_custom_grids(tmp_path, capsys):
     long_lines = (tmp_path / "heatmap_long.csv").read_text().splitlines()
     assert long_lines[0] == "k,delta,trial,error"
     assert len(long_lines) == 1 + 2 * 2 * 2
-    assert (tmp_path / "heatmap.csv.manifest").exists()
+    manifest = (tmp_path / "heatmap.csv.manifest").read_text().splitlines()
+    assert "result.failed_cells=0" in manifest
+    assert "failed cells: 0" in out
 
 
 def test_heatmap_preset_with_small_overrides(tmp_path, capsys):

@@ -9,11 +9,10 @@ from ratejump.derivative import (
     DerivativeStencil,
     annihilation_check,
     derivative_profile,
+    derivative_profiles,
     discrete_derivative,
-    load_profile_csv,
-    save_profile_csv,
 )
-from ratejump.process import EventTimes
+from ratejump.process import BinnedCounting, BinnedSeries, EventTimes
 
 
 def brute_force(N, order, delta, t):
@@ -155,14 +154,74 @@ def test_profile_grid_step_validation():
         derivative_profile(e, 1, 0.5, grid_step=0.7)
 
 
-def test_profile_csv_round_trip(tmp_path):
-    e = EventTimes(times=np.array([0.5, 1.25, 2.0, 2.1]), horizon=3.0)
-    prof = derivative_profile(e, 2, 0.4, grid_step=0.2)
-    path = tmp_path / "profile.csv"
-    save_profile_csv(prof, path)
-    times, values = load_profile_csv(path)
-    assert np.array_equal(times, prof.times)
-    assert np.array_equal(values, prof.values)
+def assert_profiles_match_pointwise(N, orders, delta, grid_step, window):
+    profiles = derivative_profiles(N, orders, delta, grid_step=grid_step, window=window)
+    assert [p.order for p in profiles] == orders
+    for p in profiles:
+        single = derivative_profile(N, p.order, delta, grid_step=grid_step, window=window)
+        assert np.array_equal(p.times, single.times)
+        assert p.window == single.window and p.empty_window == single.empty_window
+        reference = [discrete_derivative(N, p.order, delta, t) for t in p.times.tolist()]
+        assert p.values.tolist() == reference
+
+
+PATHS = ["lattice", "fallback"]  # integer delta/grid_step, or the direct stencil
+
+
+@pytest.mark.parametrize("path", PATHS)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    orders=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
+    delta=st.floats(min_value=0.1, max_value=2.0),
+    m=st.integers(min_value=1, max_value=6),
+    frac=st.floats(min_value=0.1, max_value=0.9),
+    window=st.tuples(st.floats(min_value=0, max_value=10), st.floats(min_value=0, max_value=10)),
+)
+@settings(max_examples=40, deadline=None)
+def test_profiles_match_pointwise_on_event_times(path, seed, orders, delta, m, frac, window):
+    # event times from a seeded generator: no event sits on a sample point, so
+    # the float rounding of lattice and stencil points cannot split a count
+    rng = np.random.default_rng(seed)
+    e = EventTimes(times=np.sort(rng.uniform(0, 10, 150)), horizon=10.0)
+    grid_step = delta / m if path == "lattice" else delta / (m + frac)
+    for w in (None, tuple(sorted(window))):
+        assert_profiles_match_pointwise(e, orders, delta, grid_step, w)
+
+
+@pytest.mark.parametrize("path", PATHS)
+@given(
+    counts=st.lists(st.integers(min_value=0, max_value=1000), min_size=30, max_size=80),
+    orders=st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4),
+    step=st.integers(min_value=2, max_value=3),
+    m=st.integers(min_value=1, max_value=3),
+    window=st.tuples(st.integers(min_value=0, max_value=60), st.integers(min_value=0, max_value=60)),
+)
+@settings(max_examples=40, deadline=None)
+def test_profiles_match_pointwise_on_daily_bins(path, counts, orders, step, m, window):
+    # whole-day samples of a binned series: every value is an exact integer
+    N = BinnedCounting(BinnedSeries(bin_width=1.0, counts=np.asarray(counts)))
+    delta = step * m if path == "lattice" else step * m + 1
+    for w in (None, tuple(float(x) for x in sorted(window))):
+        assert_profiles_match_pointwise(N, orders, float(delta), float(step), w)
+
+
+def test_profiles_sample_once_per_lattice_origin():
+    rng = np.random.default_rng(2)
+    e = EventTimes(times=np.sort(rng.uniform(0, 20, 400)), horizon=20.0)
+    calls = []
+
+    def N(t):
+        calls.append(np.shape(t))
+        return e.count_at(t)
+
+    orders = [1, 2, 3, 4, 5, 6]
+    for window, samplings in ((None, 1), ((5.0, 15.0), 1), ((0.5, 15.0), 2)):
+        calls.clear()
+        derivative_profiles(N, orders, 0.3, grid_step=0.03, window=window, horizon=20.0)
+        assert len(calls) == samplings  # (0.5, 15) clips orders 1-2 only
+    calls.clear()
+    derivative_profiles(N, orders, 0.3, grid_step=0.07, horizon=20.0)
+    assert len(calls) == len(orders)  # non-integer delta/grid_step: the fallback
 
 
 def test_callable_counting_function():

@@ -1,7 +1,9 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from ratejump.detector import DetectorConfig
+from ratejump.detector import DetectorConfig, argmax_single
 from ratejump.harness import (
     PRESETS,
     ConstNullScenario,
@@ -11,6 +13,7 @@ from ratejump.harness import (
     Realization,
     SITreeScenario,
     SmoothJumpScenario,
+    _trial_errors,
     false_alarm_study,
     get_preset,
     heatmap_spec_from_preset,
@@ -105,7 +108,65 @@ def test_heatmap_cell_failure_recorded_not_fatal():
     assert np.isnan(result.errors[:, 1, 1]).all()
     assert result.counts[1, 1] == 0
     assert result.counts[0, 0] == 2
+    assert result.failed_cells == 2
     assert any("k=6" in d for d in result.diagnostics)
+
+
+@dataclass(frozen=True)
+class ClippedLowOrders(SmoothJumpScenario):
+    """A window that clips orders 1-2 at delta 0.3 but not the higher ones,
+    so their profiles sit on lattices with different origins."""
+
+    analysis_window = (0.5, 15.0)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        SmoothJumpScenario(base=300.0, jump=400.0),
+        ConstNullScenario(base=300.0),
+        ClippedLowOrders(base=300.0, jump=400.0),
+    ],
+    ids=["smooth-jump", "const-null-window", "window-clips-some-orders"],
+)
+def test_trial_errors_match_per_cell_argmax(scenario):
+    # one profile per delta for every order gives the cells argmax_single gives
+    spec = ExperimentSpec(
+        scenario=scenario,
+        k_grid=tuple(range(1, 7)),
+        delta_grid=(0.05, 0.1, 0.3, 0.7, 1.3, 3.5),
+        trials=1,
+        base_seed=3,
+    )
+    errors, checksum, diagnostics = _trial_errors(spec, 0)
+    realization = scenario.realize(SimSeed(3, 0))
+    assert checksum == realization.checksum
+    expected_failures = []
+    for i, k in enumerate(spec.k_grid):
+        for j, delta in enumerate(spec.delta_grid):
+            try:
+                t_hat = argmax_single(
+                    realization.events, k, delta, grid_step=delta * 0.1,
+                    window=scenario.analysis_window,
+                )
+            except ValueError as exc:
+                assert np.isnan(errors[i, j])
+                expected_failures.append(f"trial 0 cell (k={k}, delta={delta}): {exc}")
+                continue
+            assert errors[i, j] == abs(t_hat - realization.truth)
+    assert diagnostics == expected_failures
+    assert expected_failures  # k=6 at delta=3.5 leaves no grid point on [0, 20]
+
+
+def test_heatmap_invalid_order_fails_only_its_row():
+    scenario = SmoothJumpScenario(base=300.0, jump=400.0)
+    spec = ExperimentSpec(
+        scenario=scenario, k_grid=(2, 21), delta_grid=(0.2, 0.4), trials=1, base_seed=0
+    )
+    result = run_heatmap(spec)
+    assert result.counts.tolist() == [[1, 1], [0, 0]]
+    assert result.failed_cells == 2
+    assert all("k=21" in d and "order must be <= 20" in d for d in result.diagnostics)
 
 
 def test_heatmap_programming_error_propagates():
