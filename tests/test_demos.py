@@ -11,8 +11,10 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = [
     "01_stencils_and_annihilation.py",
     "02_poisson_jump_detection.py",
+    "03_epidemic_hub_cascade.py",
     "04_error_heatmap.py",
     "05_order_baselines.py",
+    "06_multicascade_intersection.py",
     "07_binned_daily_series.py",
 ]
 

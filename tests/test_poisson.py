@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from ratejump.poisson import (
@@ -68,12 +69,49 @@ def test_rate_upper_bound_dominates():
 def test_rate_upper_bound_shapes():
     assert rate_upper_bound(const_spec(50.0), (3.0, 4.0)) == 50.0
     sin = RateSpec(components=(JumpComponent(10.0, 0.0, Sinusoid(offset=2.0, omega=1.0)),))
-    assert rate_upper_bound(sin, (0.0, 1.0)) == 30.0  # A * (offset + 1)
+    assert rate_upper_bound(sin, (0.0, 1.0)) == 10.0 * (2.0 + math.sin(1.0))  # no crest inside
     dec = RateSpec(components=(JumpComponent(10.0, 5.0, ExpDecay(rate=1.0)),))
     assert rate_upper_bound(dec, (5.0, 6.0)) == 10.0  # value at the onset
     assert rate_upper_bound(dec, (4.0, 4.5)) == 0.0  # not yet active
     poly = RateSpec(components=(JumpComponent(1.0, 0.0, Polynomial(coeffs=(1.0, -2.0, 3.0))),))
-    assert rate_upper_bound(poly, (0.0, 2.0)) == 1 + 4 + 12  # coefficient-norm bound
+    assert rate_upper_bound(poly, (0.0, 2.0)) == 9.0  # x(2); the critical point 1/3 is a minimum
+
+
+def _second_derivative_bound(shape, u):
+    """max |x''| over the sample points u."""
+    if isinstance(shape, Sinusoid):
+        return shape.omega**2
+    if isinstance(shape, ExpDecay):
+        return shape.rate**2 * math.exp(-shape.rate * u[0])
+    if isinstance(shape, Polynomial):
+        P = np.polynomial.polynomial
+        return float(np.abs(P.polyval(u, P.polyder(shape.coeffs, 2))).max())
+    return 0.0
+
+
+_SHAPES = st.one_of(
+    st.just(Constant()),
+    st.builds(Sinusoid, offset=st.floats(-2, 2), omega=st.floats(-20, 20),
+              phase=st.floats(-10, 10)),
+    st.builds(ExpDecay, rate=st.floats(0.01, 10)),
+    st.builds(Polynomial, coeffs=st.lists(st.floats(-10, 10), min_size=1, max_size=5).map(tuple)),
+)
+
+
+@given(shape=_SHAPES, u0=st.floats(0, 10), width=st.floats(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_shape_bounds_are_exact_extrema(shape, u0, width):
+    u1 = u0 + width
+    n = 20_000
+    u = np.linspace(u0, u1, n + 1)
+    vals = shape.value(u)
+    upper, lower = shape.upper_bound(u0, u1), shape.lower_bound(u0, u1)
+    rounding = 1e-12 * (1.0 + np.abs(vals).max())
+    # between grid points an interior extremum exceeds the grid by at most
+    # h**2/8 * max|x''|; a looser bound than that fails
+    miss = 2 * (width / n) ** 2 / 8 * _second_derivative_bound(shape, u) + rounding
+    assert vals.max() - rounding <= upper <= vals.max() + miss
+    assert vals.min() - miss <= lower <= vals.min() + rounding
 
 
 def test_component_validation():
@@ -110,6 +148,9 @@ def test_simulate_envelope_consistency_guard():
         def upper_bound(self, u0, u1):
             return 1.0  # wrong on purpose: claims less than the true value
 
+        def lower_bound(self, u0, u1):
+            return 5.0
+
         def params(self):
             return ()
 
@@ -118,11 +159,119 @@ def test_simulate_envelope_consistency_guard():
         simulate(spec, 2.0, 0)
 
 
+def test_simulate_negative_rate_guard_never_clamps():
+    class LyingShape:
+        name = "constant"
+
+        def value(self, u):
+            return -np.ones_like(np.asarray(u, dtype=float))
+
+        def value_at_zero(self):
+            return -1.0
+
+        def upper_bound(self, u0, u1):
+            return 1.0
+
+        def lower_bound(self, u0, u1):
+            return 1.0  # wrong on purpose: certifies a negative shape
+
+        def params(self):
+            return ()
+
+    spec = RateSpec(components=(JumpComponent(100.0, 0.0, LyingShape()),))
+    with pytest.raises(RuntimeError, match="negative"):
+        simulate(spec, 2.0, 0)
+
+
+def test_simulate_rejects_narrow_negative_dip():
+    # 1e4*((u - 10.02)**2 - 1e-8) dips to -1e-4 on |u - 10.02| < 1e-4, far
+    # narrower than any fixed sampling grid
+    c = 10.02
+    spec = RateSpec(components=(JumpComponent(1e4, 0.0, Polynomial((c * c - 1e-8, -2 * c, 1.0))),))
+    with pytest.raises(ValueError, match=r"negative on \[10.0, 11.0\): Lambda\(10.02"):
+        simulate(spec, 20.0, 0)
+
+
+def test_simulate_uncertifiable_window_named():
+    # u**2 + (1 - 2u) = (u - 1)**2 touches zero at 1 through cancellation
+    # between two components, so windows near 1 cannot be certified
+    spec = RateSpec(
+        components=(
+            JumpComponent(1.0, 0.0, Polynomial((0.0, 0.0, 1.0))),
+            JumpComponent(1.0, 0.0, Polynomial((1.0, -2.0))),
+        )
+    )
+    with pytest.raises(ValueError, match=r"cannot certify .* on \[0\.99"):
+        simulate(spec, 2.0, 0)
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: Sinusoid(offset=math.nan, omega=1.0), "offset"),
+        (lambda: Sinusoid(offset=1.0, omega=math.inf), "omega"),
+        (lambda: Sinusoid(offset=1.0, omega=1.0, phase=-math.inf), "phase"),
+        (lambda: ExpDecay(rate=math.inf), "rate"),
+        (lambda: Polynomial((1.0, math.nan)), "coefficient 1"),
+    ],
+)
+def test_shape_rejects_non_finite_parameters(make, field):
+    with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+        make()
+
+
 def test_fixed_seed_count_band():
     events = simulate(const_spec(1000.0), 10.0, 12345)
     assert 9500 <= len(events) <= 10500
     assert events.horizon == 10.0
     assert np.all(np.diff(events.times) > 0)  # sorted, duplicate-free
+
+
+def _compensator(spec, t):
+    """int_0^t Lambda, in closed form per shape."""
+    t = np.asarray(t, dtype=np.float64)
+    total = np.zeros_like(t)
+    for comp in spec.components:
+        u = np.maximum(t - comp.onset, 0.0)
+        shape = comp.shape
+        if isinstance(shape, Sinusoid):
+            part = shape.offset * u + (
+                math.cos(shape.phase) - np.cos(shape.omega * u + shape.phase)
+            ) / shape.omega
+        elif isinstance(shape, ExpDecay):
+            part = (1.0 - np.exp(-shape.rate * u)) / shape.rate
+        elif isinstance(shape, Polynomial):
+            P = np.polynomial.polynomial
+            part = P.polyval(u, P.polyint(shape.coeffs))
+        else:
+            part = u
+        total += comp.amplitude * part
+    return total
+
+
+def test_thinning_law_with_onsets_and_split_windows():
+    # a sinusoid with crests inside unit windows, a polynomial whose onset
+    # cuts [2, 3) in two and an exponential decay starting at 4.25; the peak
+    # rate is about 9.6e4, so windows are split into several pieces
+    spec = RateSpec(
+        components=(
+            JumpComponent(3e4, 0.0, Sinusoid(offset=1.2, omega=2.0, phase=0.3)),
+            JumpComponent(2e4, 2.5, Polynomial((1.0, -0.5, 0.1))),
+            JumpComponent(1e4, 4.25, ExpDecay(rate=2.0)),
+        )
+    )
+    horizon, runs = 6.0, 8
+    assert rate_upper_bound(spec, (4.25, 5.0)) * 0.75 > 2**15
+    mean = float(_compensator(spec, horizon))
+    rescaled, total = [], 0
+    for s in range(runs):
+        times = simulate(spec, horizon, SimSeed(11, s)).times
+        total += times.size
+        rescaled.append(_compensator(spec, times) / mean)
+    z = (total - runs * mean) / math.sqrt(runs * mean)
+    assert abs(z) <= 4.0
+    # given the count, the rescaled times are iid uniform on [0, 1]
+    assert stats.kstest(np.concatenate(rescaled), "uniform").pvalue > 1e-3
 
 
 def test_determinism_and_streams():
@@ -191,6 +340,12 @@ def test_rate_spec_parse_errors():
         parse_rate_spec("A=1 params=1")
     with pytest.raises(ValueError, match="no components"):
         parse_rate_spec("# only a comment\n")
+    with pytest.raises(ValueError, match="line 1: sinusoid offset must be finite"):
+        parse_rate_spec("A=1 t0=0 shape=sinusoid params=nan,1")
+    with pytest.raises(ValueError, match="line 2: polynomial coefficient 1 must be finite"):
+        parse_rate_spec("# c\nA=1 t0=0 shape=polynomial params=1,inf")
+    with pytest.raises(ValueError, match="line 1: could not convert"):
+        parse_rate_spec("A=1 t0=0 shape=polynomial params=1,x")
     # comments and blank lines are fine
     spec = parse_rate_spec("# c\n\nA=2 t0=0 shape=constant params=\n")
     assert eval_rate(spec, 1.0) == 2.0
