@@ -31,7 +31,7 @@ from .poisson import (
 )
 from .process import EventTimes
 from .seeding import SimSeed, as_seed
-from .si import build_tree_with_hub, infection_count_process, simulate_si
+from .si import Graph, build_tree_with_hub, infection_count_process, simulate_si
 
 __all__ = [
     "Realization",
@@ -150,22 +150,26 @@ class RampScenario:
 
 @dataclass(frozen=True)
 class SITreeScenario:
-    """SI cascade on the planted-hub tree; truth = the hub's infection time."""
+    """SI cascade on the planted-hub tree; truth = the hub's infection time.
+
+    The tree is built once, when the scenario is made, and every
+    realization runs on it.
+    """
 
     height: int = 18
     extra_leaves: int = 8000
     source: int = 0
+    graph: Graph = field(init=False, compare=False, repr=False)
 
     analysis_window = None
 
-    def graph(self):
-        return build_tree_with_hub(self.height, self.extra_leaves)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "graph", build_tree_with_hub(self.height, self.extra_leaves))
 
     def realize(self, seed) -> Realization:
         seed = as_seed(seed)
-        graph = self.graph()
-        trace = simulate_si(graph, self.source, seed.split(0))
-        truth = float(trace.times[graph.hub])
+        trace = simulate_si(self.graph, self.source, seed.split(0))
+        truth = float(trace.times[self.graph.hub])
         return Realization.wrap(infection_count_process(trace), truth)
 
 

@@ -395,6 +395,19 @@ def test_runtime_error_names_ingest(tmp_path, capsys):
     assert "runtime error in ingest" in err
 
 
+def test_runtime_error_names_si_and_trace_row(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("vertex,time\n0,0.0\n1,nan\n")
+    code, out, err = run(
+        capsys,
+        "multicascade", "--trace", str(trace), "--k", "1", "--delta", "0.3",
+        "--out-dir", str(tmp_path),
+    )
+    assert code == 1
+    assert "runtime error in si" in err
+    assert "row 3: time must be finite" in err
+
+
 # ---------------------------------------------------------------------------
 # help text
 

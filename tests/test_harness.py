@@ -25,6 +25,7 @@ from ratejump.harness import (
 )
 from ratejump.poisson import Constant, JumpComponent, RateSpec
 from ratejump.seeding import SimSeed
+from ratejump.si import build_tree_with_hub, simulate_si
 
 
 def small_spec(trials=4, base_seed=11):
@@ -295,7 +296,30 @@ def test_heatmap_spec_from_preset():
 def test_si_tree_scenario_truth_is_hub_time():
     scenario = SITreeScenario(height=4, extra_leaves=30)
     r = scenario.realize(SimSeed(0, 0))
-    g = scenario.graph()
+    g = scenario.graph
     assert r.truth > 0
     assert len(r.events) == g.n
     assert r.checksum[0] == g.n
+
+
+def test_si_tree_scenario_builds_its_tree_once():
+    scenario = SITreeScenario(height=5, extra_leaves=20, source=3)
+    assert scenario.graph is scenario.graph
+    assert scenario == SITreeScenario(height=5, extra_leaves=20, source=3)
+    assert "graph" not in repr(scenario)
+    tree = build_tree_with_hub(5, 20)
+    for i in range(3):
+        seed = SimSeed(8, i)
+        trace = simulate_si(tree, 3, seed.split(0))
+        r = scenario.realize(seed)
+        assert r.truth == trace.times[tree.hub]
+        assert np.array_equal(r.events.times, np.sort(trace.times))
+
+
+def test_si_tree_heatmap_worker_independent():
+    spec = ExperimentSpec(scenario=SITreeScenario(height=6, extra_leaves=40),
+                          k_grid=(1, 2), delta_grid=(0.2, 0.5), trials=4, base_seed=3)
+    a = run_heatmap(spec, workers=1)
+    b = run_heatmap(spec, workers=2)
+    assert np.array_equal(a.errors, b.errors, equal_nan=True)
+    assert a.checksums == b.checksums

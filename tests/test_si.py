@@ -20,6 +20,7 @@ from ratejump.si import (
     save_trace_csv,
     simulate_si,
 )
+from ratejump import si
 from ratejump.si import _first_passage
 
 
@@ -34,6 +35,23 @@ def star_graph(leaves):
 
 def triangle():
     return Graph([[1, 2], [0, 2], [0, 1]])
+
+
+def tree_from_parents(parent):
+    """Tree on 0..len(parent) where vertex i + 1 hangs off parent[i]."""
+    child = np.arange(1, len(parent) + 1)
+    parent = np.asarray(parent)
+    return Graph.from_arcs(child.size + 1, np.concatenate((child, parent)),
+                           np.concatenate((parent, child)))
+
+
+def random_recursive_tree(rng, n):
+    """Vertex v >= 1 hangs off a uniform vertex below it; also returns depths."""
+    parent = [int(rng.integers(0, v)) for v in range(1, n)]
+    depth = [0]
+    for p in parent:
+        depth.append(depth[p] + 1)
+    return tree_from_parents(parent), depth
 
 
 def random_connected_graph(rng, n):
@@ -194,6 +212,22 @@ def test_simulate_validation():
         simulate_si(g, 5, 0)
     with pytest.raises(ValueError, match="rate"):
         simulate_si(g, 0, 0, rate=0.0)
+    # numpy integers are vertex ids like ints
+    assert simulate_si(g, np.int64(1), 0).source == 1
+
+
+@pytest.mark.parametrize("field,kwargs", [
+    ("rate", {"rate": math.inf}),
+    ("rate", {"rate": math.nan}),
+    ("rate", {"rate": -math.inf}),
+    ("source", {"source": 1.5}),
+    ("source", {"source": True}),
+    ("source", {"source": np.bool_(False)}),
+], ids=["rate-inf", "rate-nan", "rate-minus-inf", "source-float", "source-bool", "source-numpy-bool"])
+def test_simulate_rejects_bad_field(field, kwargs):
+    args = {"graph": triangle(), "source": 0, "seed": 0, **kwargs}
+    with pytest.raises(ValueError, match=field):
+        simulate_si(**args)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +373,62 @@ def test_first_passage_matches_reference_dijkstra():
         assert got.tolist() == want
 
 
+def weights_with_zeros(rng, m):
+    """Exp(1) edge weights with about 30% of them exactly 0.0."""
+    weights = rng.exponential(1.0, m)
+    weights[rng.random(m) < 0.3] = 0.0
+    return weights
+
+
+def reference_times(graph, weights, source):
+    edges = list(graph.edges())
+    return first_passage_times(graph.n, edges, dict(zip(edges, weights.tolist())), source)
+
+
+def wide_trees():
+    """Trees the fold must take, each with sources at the root, the hub or
+    a random vertex, and a deepest leaf."""
+    rng = np.random.default_rng(61)
+    for height, extra in ((6, 40), (11, 100)):
+        g = build_tree_with_hub(height, extra)
+        deep_leaf = 2 ** (height + 1) - 2  # last vertex of the perfect tree
+        yield pytest.param(g, (0, g.hub, deep_leaf), id=f"hub-{height}-{extra}")
+    for n in (2000, 5000):
+        g, depth = random_recursive_tree(rng, n)
+        sources = (0, int(rng.integers(1, n)), int(np.argmax(depth)))
+        yield pytest.param(g, sources, id=f"recursive-{n}")
+
+
+@pytest.mark.parametrize("graph,sources", list(wide_trees()))
+def test_tree_fold_matches_reference_dijkstra(monkeypatch, graph, sources):
+    # the fold must run on these trees, and give the reference's exact bits
+    def no_dijkstra(*args, **kwargs):
+        raise AssertionError("the tree fold should not fall back to Dijkstra here")
+
+    monkeypatch.setattr(si, "dijkstra", no_dijkstra)
+    rng = np.random.default_rng(graph.n)
+    for source in sources:
+        weights = weights_with_zeros(rng, graph.n_edges)
+        got = _first_passage(graph, weights, source)
+        assert got.tolist() == reference_times(graph, weights, source)
+
+
+@pytest.mark.parametrize("graph", [
+    path_graph(20_000),
+    # caterpillar: a 1000-vertex spine with one leaf on each spine vertex, so
+    # the leaf count does not rule the fold out but the BFS depth does
+    tree_from_parents(list(range(999)) + list(range(1000))),
+], ids=["path", "caterpillar"])
+def test_deep_tree_keeps_dijkstra(monkeypatch, graph):
+    calls = []
+    real = si.dijkstra
+    monkeypatch.setattr(si, "dijkstra", lambda *a, **k: calls.append(1) or real(*a, **k))
+    weights = weights_with_zeros(np.random.default_rng(62), graph.n_edges)
+    got = _first_passage(graph, weights, 0)
+    assert calls == [1]
+    assert got.tolist() == reference_times(graph, weights, 0)
+
+
 def test_first_passage_zero_weight_bridges():
     g = path_graph(4)
     times = _first_passage(g, np.array([0.0, 0.0, 0.5]), 3)
@@ -376,6 +466,18 @@ def test_edge_list_errors(tmp_path):
         load_edge_list(p)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("0 1\n# comment\n1 1\n", "line 3: self-loop at vertex 1"),
+    ("0 1\n1 2\n0 1\n", "line 3: edge 0 1 repeats the edge on line 1"),
+    ("0 1\n1 2\n\n1 0\n", "line 4: edge 1 0 repeats the edge on line 1"),
+], ids=["self-loop", "repeat", "reversed-repeat"])
+def test_edge_list_names_line_of_bad_edge(tmp_path, text, message):
+    p = tmp_path / "g.txt"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_edge_list(p)
+
+
 def test_trace_csv_round_trip(tmp_path):
     g = path_graph(4)
     trace = simulate_si(g, 1, SimSeed(0, 0))
@@ -393,4 +495,17 @@ def test_trace_csv_errors(tmp_path):
         load_trace_csv(p)
     p.write_text("vertex,time\n0,0.0\n2,1.0\n")
     with pytest.raises(ValueError, match="missing"):
+        load_trace_csv(p)
+
+
+@pytest.mark.parametrize("row,message", [
+    ("-1,0.0", "row 3: vertex must be >= 0, got -1"),
+    ("1,nan", "row 3: time must be finite and >= 0, got nan"),
+    ("1,inf", "row 3: time must be finite and >= 0, got inf"),
+    ("1,-0.5", "row 3: time must be finite and >= 0, got -0.5"),
+], ids=["negative-vertex", "nan-time", "inf-time", "negative-time"])
+def test_trace_csv_names_row_of_bad_value(tmp_path, row, message):
+    p = tmp_path / "t.csv"
+    p.write_text(f"vertex,time\n0,0.0\n{row}\n")
+    with pytest.raises(ValueError, match=message):
         load_trace_csv(p)
