@@ -40,7 +40,7 @@ from .harness import (
     run_heatmap,
     run_trial,
 )
-from .ingest import RegionSeries, analyze_binned, load_daily_csv
+from .ingest import RegionSeries, analyze_binned, load_daily_csv, load_daily_regions
 from .multicascade import CascadeBundle, candidate_vertices, estimate_high_degree
 from .poisson import RateSpec, eval_rate, rate_upper_bound, simulate, simulate_binned
 from .process import BinnedSeries, EventTimes, bin_events, count_at, cumulative, from_binned
@@ -82,6 +82,7 @@ __all__ = [
     "RegionSeries",
     "analyze_binned",
     "load_daily_csv",
+    "load_daily_regions",
     "CascadeBundle",
     "candidate_vertices",
     "estimate_high_degree",

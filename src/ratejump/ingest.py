@@ -6,6 +6,13 @@ into a gap-free daily series with an audit trail; the analyzer runs the
 discrete derivative with delta restricted to whole days, so every stencil
 evaluation lands exactly on a bin edge where the counting function is
 known exactly (no interpolation, integer arithmetic throughout).
+
+Both loaders make one ``csv.reader`` pass over the file.
+``load_daily_csv(path, region=...)`` compares each row's region field
+before parsing anything else in the row, so the rows of other regions
+cost one field lookup; ``load_daily_regions`` groups every row by region
+in the same loop.  Either way one helper turns a region's rows into a
+``RegionSeries``, so a region loads the same through both.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import csv
 import datetime
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -23,6 +31,7 @@ __all__ = [
     "RegionSeries",
     "BinnedAnalysis",
     "load_daily_csv",
+    "load_daily_regions",
     "analyze_binned",
     "save_analysis_csv",
 ]
@@ -65,11 +74,119 @@ class RegionSeries:
         return self.start_date + datetime.timedelta(days=int(day))
 
 
-def _find_column(fieldnames, wanted: str, path) -> str:
-    for name in fieldnames:
-        if name.strip().lower() == wanted:
-            return name
-    raise ValueError(f"{path}: missing required column {wanted!r} (have {fieldnames})")
+def _column_index(header, wanted: str, path) -> int:
+    """The index of the one header field that names ``wanted`` (case and
+    surrounding blanks ignored); a missing or repeated column is an error."""
+    hits = [i for i, name in enumerate(header) if name.strip().lower() == wanted]
+    if not hits:
+        raise ValueError(f"{path}: missing required column {wanted!r} (have {header})")
+    if len(hits) > 1:
+        where = ", ".join(str(i + 1) for i in hits)
+        raise ValueError(
+            f"{path}: column {wanted!r} appears {len(hits)} times in the header "
+            f"(fields {where}); rename or drop all but one"
+        )
+    return hits[0]
+
+
+def _read_rows(path, region, grouped, date_column, count_column, region_column):
+    """One ``csv.reader`` pass over ``path``: ``{region: [(date, count, row), ...]}``.
+
+    ``region`` keeps only that region's rows; ``grouped`` keys every row by
+    its region field; with neither, the region column is not read and all
+    rows go under ``""``.  A row's region field is compared, stripped,
+    before anything else in the row is parsed, so other regions' rows cost
+    one field lookup.  Rows are numbered as records, the header being row
+    1; blank records are skipped and not counted.
+    """
+    groups: dict = {}
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        di = _column_index(header, date_column.lower(), path)
+        ci = _column_index(header, count_column.lower(), path)
+        ri = None
+        if region is not None or grouped:
+            ri = _column_index(header, region_column.lower(), path)
+        key = ""
+        for rowno, row in enumerate(filter(None, reader), start=2):
+            try:
+                if ri is not None:
+                    key = row[ri].strip()
+                    if region is not None and key != region:
+                        continue
+                raw_date = row[di].strip()
+                raw_count = row[ci].strip()
+            except IndexError:
+                # the first field read, in the order above, that the row lacks
+                col = next(i for i in (ri, di, ci) if i is not None and i >= len(row))
+                raise ValueError(
+                    f"{path}: row {rowno}: no {header[col].strip()!r} field "
+                    f"(the row has {len(row)} of the header's {len(header)} fields)"
+                ) from None
+            try:
+                date = datetime.date.fromisoformat(raw_date)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: row {rowno}: unparseable date {raw_date!r} (expected YYYY-MM-DD)"
+                ) from None
+            try:
+                value = float(raw_count)
+            except ValueError:
+                raise ValueError(f"{path}: row {rowno}: bad count {raw_count!r}") from None
+            if not value.is_integer():
+                raise ValueError(
+                    f"{path}: row {rowno}: count {raw_count!r} is not a finite whole number"
+                )
+            groups.setdefault(key, []).append((date, int(value), rowno))
+    return groups
+
+
+def _to_series(path, region: str, rows, mode: str, correction_tolerance: float) -> RegionSeries:
+    """Turn one region's parsed rows into a gap-free ``RegionSeries``."""
+    rows.sort(key=itemgetter(0))  # stable: rows of one date stay in file order
+    ordinals = np.fromiter((r[0].toordinal() for r in rows), np.int64, len(rows))
+    repeats = np.flatnonzero(ordinals[1:] == ordinals[:-1])
+    if repeats.size:
+        date, _, rowno = rows[repeats[0] + 1]
+        raise ValueError(f"{path}: row {rowno}: duplicate date {date}")
+
+    days = ordinals - ordinals[0]
+    n_days = int(days[-1]) + 1
+    present = np.zeros(n_days, dtype=bool)
+    present[days] = True
+    values = np.zeros(n_days, dtype=np.int64)
+    values[days] = [r[1] for r in rows]
+
+    if mode == "cumulative":
+        # carry the last seen cumulative value across gaps, then difference
+        running = values[np.maximum.accumulate(np.where(present, np.arange(n_days), 0))]
+        before = np.maximum.accumulate(np.concatenate(([0], running[:-1])))
+        too_far = present & (before - running > correction_tolerance * np.maximum(before, 1))
+        if too_far.any():
+            day = int(np.argmax(too_far))
+            date = rows[0][0] + datetime.timedelta(days=day)
+            raise ValueError(
+                f"{path}: cumulative count drops from {before[day]} to {running[day]} "
+                f"at {date} (beyond the {correction_tolerance:.0%} correction tolerance)"
+            )
+        daily = np.diff(running, prepend=0)
+    else:
+        daily = values
+    return RegionSeries(
+        region=region,
+        counts=np.maximum(daily, 0),
+        start_date=rows[0][0],
+        filled_days=tuple(int(d) for d in np.flatnonzero(~present)),
+        clamped_days=tuple(int(d) for d in np.flatnonzero(daily < 0)),
+    )
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("daily", "cumulative"):
+        raise ValueError(f"mode must be 'daily' or 'cumulative', got {mode!r}")
 
 
 def load_daily_csv(
@@ -83,101 +200,47 @@ def load_daily_csv(
 ) -> RegionSeries:
     """Load a daily count series from CSV.
 
-    ``mode="daily"`` reads counts as-is; ``mode="cumulative"`` differences
-    them (the first day keeps its cumulative value as its daily count).
-    Dates must be ISO (YYYY-MM-DD); duplicates are errors; gaps are
-    zero-filled and recorded.  Negative daily counts — direct or from a
-    cumulative dip — are clamped to zero and recorded, unless a cumulative
-    dip exceeds ``correction_tolerance`` times the running maximum, which
-    is treated as corrupt input.  All errors name the offending row.
+    ``region`` keeps only the rows whose region column, stripped, equals
+    it; other regions' rows are skipped unparsed.  ``mode="daily"`` reads
+    counts as-is; ``mode="cumulative"`` differences them (the first day
+    keeps its cumulative value as its daily count).  Dates must be ISO
+    (YYYY-MM-DD); duplicates are errors; gaps are zero-filled and
+    recorded.  Negative daily counts — direct or from a cumulative dip —
+    are clamped to zero and recorded, unless a cumulative dip exceeds
+    ``correction_tolerance`` times the running maximum, which is treated
+    as corrupt input.  All errors name the offending row, field or column.
     """
-    if mode not in ("daily", "cumulative"):
-        raise ValueError(f"mode must be 'daily' or 'cumulative', got {mode!r}")
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty file")
-        date_col = _find_column(reader.fieldnames, date_column.lower(), path)
-        count_col = _find_column(reader.fieldnames, count_column.lower(), path)
-        region_col = None
-        if region is not None:
-            region_col = _find_column(reader.fieldnames, region_column.lower(), path)
-        for rowno, row in enumerate(reader, start=2):
-            if region_col is not None and row[region_col].strip() != region:
-                continue
-            raw_date = (row[date_col] or "").strip()
-            try:
-                date = datetime.date.fromisoformat(raw_date)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {rowno}: unparseable date {raw_date!r} (expected YYYY-MM-DD)"
-                ) from None
-            raw_count = (row[count_col] or "").strip()
-            try:
-                value = float(raw_count)
-            except ValueError:
-                raise ValueError(f"{path}: row {rowno}: bad count {raw_count!r}") from None
-            if not value.is_integer():
-                raise ValueError(
-                    f"{path}: row {rowno}: count {raw_count!r} is not a finite whole number"
-                )
-            count = int(value)
-            rows.append((date, count, rowno))
-    if not rows:
+    _check_mode(mode)
+    groups = _read_rows(path, region, False, date_column, count_column, region_column)
+    if not groups:
         target = f" for region {region!r}" if region else ""
         raise ValueError(f"{path}: no data rows{target}")
-    rows.sort(key=lambda r: (r[0], r[2]))
-    for (d1, _, _), (d2, _, rowno) in zip(rows, rows[1:]):
-        if d1 == d2:
-            raise ValueError(f"{path}: row {rowno}: duplicate date {d2}")
+    (rows,) = groups.values()
+    return _to_series(path, region or "", rows, mode, correction_tolerance)
 
-    start_date = rows[0][0]
-    n_days = (rows[-1][0] - start_date).days + 1
-    present = np.zeros(n_days, dtype=bool)
-    values = np.zeros(n_days, dtype=np.int64)
-    for date, count, rowno in rows:
-        day = (date - start_date).days
-        present[day] = True
-        values[day] = count
 
-    clamped = []
-    if mode == "cumulative":
-        # carry the last seen cumulative value across gaps, then difference
-        running = np.zeros(n_days, dtype=np.int64)
-        last = 0
-        running_max = 0
-        for day in range(n_days):
-            if present[day]:
-                value = values[day]
-                dip = running_max - value
-                if dip > correction_tolerance * max(running_max, 1):
-                    date = start_date + datetime.timedelta(days=day)
-                    raise ValueError(
-                        f"{path}: cumulative count drops from {running_max} to {value} "
-                        f"at {date} (beyond the {correction_tolerance:.0%} correction tolerance)"
-                    )
-                last = value
-                running_max = max(running_max, value)
-            running[day] = last
-        daily = np.diff(running, prepend=0)
-        for day in np.flatnonzero(daily < 0):
-            clamped.append(int(day))
-        daily = np.maximum(daily, 0)
-    else:
-        daily = values.copy()
-        for day in np.flatnonzero(daily < 0):
-            clamped.append(int(day))
-        daily = np.maximum(daily, 0)
+def load_daily_regions(
+    path,
+    mode: str = "daily",
+    date_column: str = "date",
+    count_column: str = "cases",
+    region_column: str = "region",
+    correction_tolerance: float = 0.2,
+) -> "dict[str, RegionSeries]":
+    """Load every region of a daily CSV in one pass: ``{region: series}``.
 
-    filled = tuple(int(d) for d in np.flatnonzero(~present))
-    return RegionSeries(
-        region=region or "",
-        counts=daily,
-        start_date=start_date,
-        filled_days=filled,
-        clamped_days=tuple(clamped),
-    )
+    Regions are keyed by their stripped region field, in order of first
+    appearance.  Each series is what ``load_daily_csv(path, region=...)``
+    returns; every row of every region gets that function's checks.
+    """
+    _check_mode(mode)
+    groups = _read_rows(path, None, True, date_column, count_column, region_column)
+    if not groups:
+        raise ValueError(f"{path}: no data rows")
+    return {
+        region: _to_series(path, region, rows, mode, correction_tolerance)
+        for region, rows in groups.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -205,7 +268,8 @@ class BinnedAnalysis:
 def analyze_binned(series, k: int, delta_days: int = 1) -> BinnedAnalysis:
     """Order-k derivative of a daily series with delta = whole days.
 
-    ``series`` may be a RegionSeries or any 1-d array of daily counts.
+    ``series`` may be a RegionSeries or any 1-d array of daily counts; a
+    count that is not a finite whole number is an error naming its day.
     Requires at least (k+1)*delta_days days so the stencil fits at least
     one evaluation point.  The profile is evaluated at every integer day
     edge in the valid range; values are exact integers.
@@ -217,8 +281,19 @@ def analyze_binned(series, k: int, delta_days: int = 1) -> BinnedAnalysis:
         start_date = series.start_date
         counts = series.counts
     else:
-        counts = np.asarray(series, dtype=np.int64)
-    if not isinstance(delta_days, (int, np.integer)) or delta_days < 1:
+        counts = np.asarray(series)
+        if counts.dtype.kind not in "iu":
+            values = counts.astype(float)
+            bad = np.flatnonzero(~np.isfinite(values) | (values != np.trunc(values)))
+            if bad.size:
+                day = int(bad[0])
+                raise ValueError(
+                    f"count at day {day} is {float(values.flat[day])}, "
+                    "not a finite whole number"
+                )
+            counts = values.astype(np.int64)
+    if (isinstance(delta_days, bool) or not isinstance(delta_days, (int, np.integer))
+            or delta_days < 1):
         raise ValueError(f"delta_days must be an integer >= 1, got {delta_days}")
     n_days = int(counts.size)
     minimum = (k + 1) * delta_days

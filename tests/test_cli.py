@@ -395,6 +395,18 @@ def test_runtime_error_names_ingest(tmp_path, capsys):
     assert "runtime error in ingest" in err
 
 
+def test_short_row_under_region_filter_names_ingest_and_row(tmp_path, capsys):
+    csv = tmp_path / "daily.csv"
+    csv.write_text("date,region,cases\n2021-01-01,A,3\n2021-01-02\n")
+    code, out, err = run(
+        capsys,
+        "analyze-binned", "--csv", str(csv), "--region", "A",
+    )
+    assert code == 1
+    assert "runtime error in ingest" in err
+    assert "row 3: no 'region' field" in err
+
+
 def test_runtime_error_names_si_and_trace_row(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     trace.write_text("vertex,time\n0,0.0\n1,nan\n")
