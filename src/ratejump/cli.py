@@ -268,15 +268,26 @@ def _scenario_from_args(args):
     raise UsageError(f"unknown scenario {args.scenario!r}")
 
 
+# heatmap scenario flags without a preset; a preset fixes its own scenario
+_HEATMAP_DEFAULTS = {"scenario": "smooth-jump", "base": 1e4, "horizon": 20.0,
+                     "height": 18, "extra_leaves": 8000}
+
+
 def cmd_heatmap(args):
     if args.preset:
         preset = get_preset(args.preset)
         if preset.kind != "heatmap":
             raise UsageError(f"preset {args.preset!r} is a {preset.kind} preset, not a heatmap")
+        # the one scenario flag a preset takes: the size of its planted change
+        own = "jump" if "base" in preset.params else "extra_leaves"
+        unused = [name for name in (*_HEATMAP_DEFAULTS, "jump")
+                  if name != own and getattr(args, name) is not None]
+        if unused:
+            flags = ", ".join("--" + name.replace("_", "-") for name in unused)
+            raise UsageError(f"preset {args.preset!r} does not use {flags}")
         spec = heatmap_spec_from_preset(
             preset,
-            jump=args.jump,
-            extra_leaves=args.extra_leaves if args.extra_leaves != 8000 else None,
+            **{own: getattr(args, own)},
             trials=args.trials,
             base_seed=args.seed,
             k_grid=args.k_grid,
@@ -285,6 +296,9 @@ def cmd_heatmap(args):
     else:
         if args.k_grid is None or args.delta_grid is None:
             raise UsageError("without --preset, both --k-grid and --delta-grid are required")
+        for name, value in _HEATMAP_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, value)  # so the manifest records what ran
         scenario = _scenario_from_args(args)
         spec = ExperimentSpec(
             scenario=scenario,
@@ -518,19 +532,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("heatmap", help="Monte Carlo error heatmap over (k, delta)")
     p.add_argument("--preset", default=None,
                    help="experiment preset name (see the presets subcommand)")
-    p.add_argument("--scenario", default="smooth-jump",
+    d = _HEATMAP_DEFAULTS
+    p.add_argument("--scenario", default=None,
                    choices=["smooth-jump", "si-tree", "const-null"],
-                   help="scenario family when no preset is given")
-    p.add_argument("--base", type=_positive_float("base"), default=1e4,
-                   help="base rate B in events per unit time (poisson scenarios)")
+                   help=f"scenario family when no preset is given (default {d['scenario']})")
+    p.add_argument("--base", type=_positive_float("base"), default=None,
+                   help="base rate B in events per unit time (poisson scenarios, "
+                        f"no preset; default {d['base']:g})")
     p.add_argument("--jump", type=_positive_float("jump"), default=None,
-                   help="jump amplitude A in events per unit time")
-    p.add_argument("--horizon", type=_positive_float("horizon"), default=20.0,
-                   help="horizon T in time units (poisson scenarios, default 20)")
-    p.add_argument("--height", type=_positive_int("height"), default=18,
-                   help="tree height for si-tree (default 18)")
-    p.add_argument("--extra-leaves", type=int, default=8000,
-                   help="hub leaves for si-tree (default 8000)")
+                   help="jump amplitude A in events per unit time "
+                        "(default 0.8 B, or the preset's)")
+    p.add_argument("--horizon", type=_positive_float("horizon"), default=None,
+                   help="horizon T in time units (poisson scenarios, no preset; "
+                        f"default {d['horizon']:g})")
+    p.add_argument("--height", type=_positive_int("height"), default=None,
+                   help=f"tree height for si-tree (no preset; default {d['height']})")
+    p.add_argument("--extra-leaves", type=int, default=None,
+                   help=f"hub leaves for si-tree (default {d['extra_leaves']}, or the preset's)")
     p.add_argument("--k-grid", type=_int_list, default=None,
                    help="comma-separated derivative orders, e.g. 1,2,3")
     p.add_argument("--delta-grid", type=_delta_grid, default=None,

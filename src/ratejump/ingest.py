@@ -140,6 +140,10 @@ def _read_rows(path, region, grouped, date_column, count_column, region_column):
                 raise ValueError(
                     f"{path}: row {rowno}: count {raw_count!r} is not a finite whole number"
                 )
+            if abs(value) >= 2.0**63:
+                raise ValueError(
+                    f"{path}: row {rowno}: count {raw_count!r} is beyond the 64-bit integer range"
+                )
             groups.setdefault(key, []).append((date, int(value), rowno))
     return groups
 
@@ -290,6 +294,13 @@ def analyze_binned(series, k: int, delta_days: int = 1) -> BinnedAnalysis:
                 raise ValueError(
                     f"count at day {day} is {float(values.flat[day])}, "
                     "not a finite whole number"
+                )
+            big = np.flatnonzero(np.abs(values) >= 2.0**63)
+            if big.size:
+                day = int(big[0])
+                raise ValueError(
+                    f"count at day {day} is {float(values.flat[day])}, "
+                    "beyond the 64-bit integer range"
                 )
             counts = values.astype(np.int64)
     if (isinstance(delta_days, bool) or not isinstance(delta_days, (int, np.integer))

@@ -237,6 +237,10 @@ def load_binned_csv(path) -> BinnedSeries:
                 raise ValueError(f"{path}: row {rowno}: bad count {row[1]!r}") from None
             if count < 0:
                 raise ValueError(f"{path}: row {rowno}: negative count {count}")
+            if count >= 2**63:
+                raise ValueError(
+                    f"{path}: row {rowno}: count {count} is beyond the 64-bit integer range"
+                )
             counts.append(count)
     if not starts:
         raise ValueError(f"{path}: no data rows")

@@ -16,15 +16,17 @@ the moment its first endpoint is infected, and then only until it rings,
 and by memorylessness its remaining wait at that moment is again
 Exponential and independent of the past, just like a weight drawn in
 advance.  So the infection time of v is the minimum over paths of the
-summed weights, which Dijkstra computes.
+summed weights, which Dijkstra computes.  The i-th weight belongs to the
+i-th edge of ``Graph.edges()``.
 
 On a tree (a connected graph with n - 1 edges) there is one path to each
 vertex, so its time is its BFS parent's time plus the weight of the edge
-between them.  The simulator then takes one breadth-first order from the
-source and sums the weights down it a level at a time, with the same
-floating-point additions Dijkstra would make, so the times are
-bit-identical.  That costs a few numpy calls per level, so a tree with
-more levels than a measured cut-off (path-like trees) keeps Dijkstra.
+between them.  The simulator then sums the weights down one breadth-first
+order from the source a level at a time, with the same floating-point
+additions Dijkstra would make, so the times are bit-identical.  A level
+costs a few numpy calls, so a tree with more levels than a measured
+cut-off (path-like trees) keeps Dijkstra.  Both read the int32 arc CSR
+and edge list a ``Graph`` builds once, which scipy takes without a copy.
 """
 
 from __future__ import annotations
@@ -56,13 +58,15 @@ __all__ = [
 
 
 class Graph:
-    """Undirected simple connected graph stored as CSR arrays.
+    """Undirected simple connected graph, stored once as int32 arrays.
 
-    Every edge {u, v} appears as the two arcs u -> v and v -> u; the
-    neighbors of v are ``indices[indptr[v]:indptr[v + 1]]``.  Build one from
-    adjacency lists with ``Graph(adjacency)`` or from arc arrays with
-    ``Graph.from_arcs``.  Both validate simplicity (no self-loops, no
-    parallel edges), symmetry, and connectivity.
+    ``indptr``/``indices`` hold each edge {u, v} as the arcs u -> v and
+    v -> u; the neighbors of v are ``indices[indptr[v]:indptr[v + 1]]`` in
+    the order given.  Edge i is ``edge_u[i] < edge_v[i]``, the i-th arc with
+    u < v in CSR order; ``edges()`` yields this order and edge weights are
+    indexed by it.  Build one from adjacency lists with ``Graph(adjacency)``
+    or from arc arrays with ``Graph.from_arcs``; both validate simplicity
+    (no self-loops, no parallel edges), symmetry, and connectivity.
     """
 
     def __init__(self, adjacency, hub: "int | None" = None):
@@ -82,6 +86,8 @@ class Graph:
     def _set_arcs(self, n: int, src: np.ndarray, dst: np.ndarray, hub) -> None:
         if n == 0:
             raise ValueError("graph must have at least one vertex")
+        if max(n, src.size) > np.iinfo(np.int32).max:
+            raise ValueError(f"{n} vertices and {src.size} arcs do not fit int32 indices")
         if src.size:
             if min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n:
                 raise ValueError("adjacency references a vertex id out of range")
@@ -93,14 +99,16 @@ class Graph:
                 raise ValueError("parallel edge: some neighbor is listed twice")
             if not np.array_equal(key_fwd, np.sort(dst * n + src)):
                 raise ValueError("adjacency is not symmetric")
+            del key_fwd  # before the stored arrays are built, to keep peak memory down
         self.hub = hub
-        self.indices = dst[np.argsort(src, kind="stable")]
-        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+        self.indices = dst.astype(np.int32)[np.argsort(src, kind="stable")]
+        self.indptr = _row_pointers(src, n)
+        tails = np.repeat(np.arange(n, dtype=np.int32), np.diff(self.indptr))
+        upper = np.flatnonzero(tails < self.indices)
+        self.edge_u, self.edge_v = tails[upper], self.indices[upper]
         if n > 1:
-            mat = csr_matrix(
-                (np.ones(src.size, dtype=np.int8), self.indices, self.indptr), shape=(n, n)
-            )
-            n_comp, _ = connected_components(mat, directed=False)
+            arcs = csr_matrix((np.ones(src.size), self.indices, self.indptr), shape=(n, n))
+            n_comp, _ = connected_components(arcs, directed=False)
             if n_comp != 1:
                 raise ValueError(f"graph must be connected; found {n_comp} components")
 
@@ -118,18 +126,18 @@ class Graph:
 
     @property
     def n_edges(self) -> int:
-        return self.indices.size // 2
-
-    def _upper_arcs(self):
-        """Arrays (u, v) of the arcs with u < v, one per edge, in CSR order."""
-        src = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        upper = src < self.indices
-        return src[upper], self.indices[upper]
+        return self.edge_u.size
 
     def edges(self):
-        """Iterate over each undirected edge once as (u, v) with u < v."""
-        u, v = self._upper_arcs()
-        return zip(u.tolist(), v.tolist())
+        """Iterate over each undirected edge once as (u, v), u < v; weights[i] is edge i's."""
+        return zip(self.edge_u.tolist(), self.edge_v.tolist())
+
+
+def _row_pointers(rows: np.ndarray, n: int) -> np.ndarray:
+    """int32 CSR row pointers of n rows holding the entries with these row ids."""
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
 
 
 @dataclass(frozen=True)
@@ -203,21 +211,17 @@ def _first_passage(graph: Graph, weights: np.ndarray, source: int) -> np.ndarray
     """Shortest-path distances from ``source`` when the i-th edge of
     ``graph.edges()`` has length ``weights[i]``.
 
-    On a tree with few enough BFS levels from the source, ``_tree_fold``
-    sums the weights down the levels: each vertex gets its parent's time
-    plus its edge's weight, the same addition Dijkstra makes, so the result
-    is bit-identical.  Deeper trees and every other graph go to Dijkstra:
-    each edge is one entry (u, v), u < v, of an upper-triangular matrix that
-    the undirected search reads both ways.  A weight of exactly 0.0 stays an
-    explicit entry, so the edge still joins its endpoints; an edge lost as
-    an implicit zero would leave a vertex at distance inf, which raises.
+    Trees with few enough BFS levels go to ``_tree_fold``.  Deeper trees
+    and every other graph go to Dijkstra: each edge is one entry (u, v),
+    u < v, of an upper-triangular matrix that the undirected search reads
+    both ways.  A weight of exactly 0.0 stays an explicit entry, so the edge
+    still joins its endpoints; an edge lost as an implicit zero would leave
+    a vertex at distance inf, which raises.
     """
     n = graph.n
-    u, v = graph._upper_arcs()
-    times = _tree_fold(graph, u, v, weights, source) if graph.n_edges == n - 1 else None
+    times = _tree_fold(graph, weights, source) if graph.n_edges == n - 1 else None
     if times is None:
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(u, minlength=n))))
-        matrix = csr_matrix((weights, v, indptr), shape=(n, n))
+        matrix = csr_matrix((weights, graph.edge_v, _row_pointers(graph.edge_u, n)), shape=(n, n))
         times = dijkstra(matrix, directed=False, indices=source)
     unreached = int(np.count_nonzero(np.isinf(times)))
     if unreached:
@@ -239,8 +243,7 @@ _FOLD_FREE_LEVELS = 12
 _FOLD_VERTICES_PER_LEVEL = 32
 
 
-def _tree_fold(graph: Graph, u: np.ndarray, v: np.ndarray, weights: np.ndarray,
-               source: int) -> "np.ndarray | None":
+def _tree_fold(graph: Graph, weights: np.ndarray, source: int) -> "np.ndarray | None":
     """First-passage times on a tree, or None when it has too many levels.
 
     On a tree the only path to a vertex runs through its BFS parent, so its
@@ -267,14 +270,14 @@ def _tree_fold(graph: Graph, u: np.ndarray, v: np.ndarray, weights: np.ndarray,
         if levels == max_levels:
             return None
         vertex, levels = parents[vertex], levels + 1
-    into = np.zeros(n)  # weight of the edge from each vertex's parent
-    into[np.where(pred[v] == u, v, u)] = weights
     # below, everything is indexed by BFS rank
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
     pred[source] = source
     parent = rank[pred[order]]  # non-decreasing: BFS takes parents in order
-    step = into[order]
+    u, v = graph.edge_u, graph.edge_v
+    step = np.zeros(n)  # weight of the edge from each vertex's parent
+    step[rank[np.where(pred[v] == u, v, u)]] = weights
     ranked = np.zeros(n)
     start = 1
     while start < n:
@@ -282,9 +285,7 @@ def _tree_fold(graph: Graph, u: np.ndarray, v: np.ndarray, weights: np.ndarray,
         end = int(parent.searchsorted(start))
         ranked[start:end] = ranked[parent[start:end]] + step[start:end]
         start = end
-    times = np.empty(n)
-    times[order] = ranked
-    return times
+    return ranked[rank]
 
 
 def infection_count_process(trace: CascadeTrace) -> EventTimes:
@@ -326,7 +327,6 @@ def load_edge_list(path) -> Graph:
     resulting graph must pass the usual validation (connected).
     """
     first_line = {}  # (min, max) endpoint pair -> line it was first listed on
-    max_v = -1
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -348,11 +348,10 @@ def load_edge_list(path) -> Graph:
                 raise ValueError(
                     f"{path}: line {lineno}: edge {u} {v} repeats the edge on line {earlier}"
                 )
-            max_v = max(max_v, u, v)
-    if max_v < 0:
+    if not first_line:
         raise ValueError(f"{path}: no edges")
     ends = np.asarray(list(first_line), dtype=np.int64)
-    return Graph.from_arcs(max_v + 1, ends.ravel(), ends[:, ::-1].ravel())
+    return Graph.from_arcs(int(ends.max()) + 1, ends.ravel(), ends[:, ::-1].ravel())
 
 
 def save_edge_list(graph: Graph, path) -> None:

@@ -363,6 +363,57 @@ def test_multicascade_threshold_with_argmax_mode_conflicts(capsys):
     assert "conflicts" in err
 
 
+@pytest.mark.parametrize("preset,flag,value", [
+    ("fig2-scaled", "--base", "50"),
+    ("fig2-scaled", "--horizon", "5"),
+    ("fig2-scaled", "--height", "4"),
+    ("fig2-scaled", "--scenario", "smooth-jump"),
+    ("fig2-scaled", "--extra-leaves", "8000"),
+    ("fig5", "--jump", "300"),
+    ("fig5", "--base", "1e4"),
+    ("fig5", "--scenario", "si-tree"),
+])
+def test_heatmap_preset_rejects_flags_it_does_not_use(tmp_path, capsys, preset, flag, value):
+    code, out, err = run(
+        capsys, "heatmap", "--preset", preset, flag, value,
+        "--trials", "1", "--workers", "1", "--out-dir", str(tmp_path),
+    )
+    assert code == 2
+    assert f"does not use {flag}" in err
+    assert not (tmp_path / "heatmap.csv").exists()
+
+
+def test_heatmap_preset_names_every_unused_flag(capsys):
+    code, out, err = run(capsys, "heatmap", "--preset", "fig5", "--jump", "3", "--height", "4")
+    assert code == 2
+    assert "does not use --height, --jump" in err
+
+
+def test_heatmap_preset_takes_its_own_change_size(tmp_path, capsys):
+    code, out, err = run(
+        capsys, "heatmap", "--preset", "fig2-scaled", "--jump", "300",
+        "--k-grid", "1", "--delta-grid", "0.3", "--trials", "1",
+        "--workers", "1", "--out-dir", str(tmp_path),
+    )
+    assert code == 0, err
+    assert "jump=300.0" in (tmp_path / "heatmap.csv").read_text()
+    manifest = (tmp_path / "heatmap.csv.manifest").read_text().splitlines()
+    assert "param.jump=300.0" in manifest
+    assert "param.base=None" in manifest
+
+
+def test_heatmap_manifest_records_resolved_defaults(tmp_path, capsys):
+    code, out, err = run(
+        capsys, "heatmap", "--horizon", "4", "--k-grid", "1", "--delta-grid", "0.3",
+        "--trials", "1", "--workers", "1", "--out-dir", str(tmp_path),
+    )
+    assert code == 0, err
+    manifest = (tmp_path / "heatmap.csv.manifest").read_text().splitlines()
+    for line in ("param.scenario=smooth-jump", "param.base=10000.0", "param.horizon=4.0"):
+        assert line in manifest
+    assert "base=10000.0" in (tmp_path / "heatmap.csv").read_text()
+
+
 def test_heatmap_without_preset_needs_grids(capsys):
     code, out, err = run(capsys, "heatmap", "--scenario", "smooth-jump")
     assert code == 2

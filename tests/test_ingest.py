@@ -149,6 +149,13 @@ def test_non_integral_or_non_finite_count_names_row(tmp_path, raw):
         load_daily_csv(p)
 
 
+@pytest.mark.parametrize("raw", ["1e30", "-1e30", "9223372036854775808"])
+def test_count_beyond_int64_names_row(tmp_path, raw):
+    p = write(tmp_path, f"date,cases\n2020-03-01,2\n2020-03-02,{raw}\n")
+    with pytest.raises(ValueError, match="row 3.*64-bit integer range"):
+        load_daily_csv(p)
+
+
 def test_integral_float_count_accepted(tmp_path):
     p = write(tmp_path, "date,cases\n2020-03-01,100.0\n2020-03-02,5\n")
     assert load_daily_csv(p).counts.tolist() == [100, 5]
@@ -204,6 +211,13 @@ def test_analyze_rejects_non_integral_counts_naming_day(bad):
         analyze_binned(counts, k=1)
     with pytest.raises(ValueError, match="day 2 "):
         analyze_binned(counts.tolist(), k=1)
+
+
+def test_analyze_rejects_counts_beyond_int64_naming_day():
+    with pytest.raises(ValueError, match="day 0 .*64-bit integer range"):
+        analyze_binned(np.array([1e30, 1, 2, 3.0]), k=1)
+    with pytest.raises(ValueError, match="day 2 .*64-bit integer range"):
+        analyze_binned([1, 2, 10**30, 3], k=1)
 
 
 def test_analyze_accepts_integral_float_counts():

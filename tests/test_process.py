@@ -128,6 +128,10 @@ def test_binned_csv_errors(tmp_path):
     with pytest.raises(ValueError, match="row 3.*negative"):
         load_binned_csv(p)
 
+    p.write_text("bin_start,count\n0.0,3\n1.0,12345678901234567890\n")
+    with pytest.raises(ValueError, match="row 3.*64-bit integer range"):
+        load_binned_csv(p)
+
     p.write_text("bin_start,count\n0.0,1\n1.0,1\n2.5,1\n")
     with pytest.raises(ValueError, match="contiguous"):
         load_binned_csv(p)

@@ -443,6 +443,51 @@ def test_first_passage_unreachable_vertex_raises():
         _first_passage(path_graph(3), np.array([0.5, np.inf]), 0)
 
 
+def unsorted_graphs():
+    """Trees and non-trees built from shuffled adjacency rows, and the same
+    graphs from shuffled arc arrays, so no edge order comes out sorted."""
+    rng = np.random.default_rng(71)
+    for n, extra in ((30, 0), (400, 0), (30, 25), (400, 300)):
+        adj = [set() for _ in range(n)]
+        for v in range(1, n):
+            u = int(rng.integers(0, v))
+            adj[u].add(v)
+            adj[v].add(u)
+        while extra:
+            u, v = (int(x) for x in rng.integers(0, n, size=2))
+            if u != v and v not in adj[u]:
+                adj[u].add(v)
+                adj[v].add(u)
+                extra -= 1
+        rows = [rng.permutation(sorted(s)).tolist() for s in adj]
+        kind = "tree" if sum(map(len, rows)) == 2 * (n - 1) else "graph"
+        yield pytest.param(Graph(rows), id=f"{kind}-{n}-rows")
+        src = np.repeat(np.arange(n), [len(r) for r in rows])
+        dst = np.concatenate(rows)
+        arcs = rng.permutation(src.size)
+        yield pytest.param(Graph.from_arcs(n, src[arcs], dst[arcs]), id=f"{kind}-{n}-arcs")
+
+
+@pytest.mark.parametrize("graph", list(unsorted_graphs()))
+def test_weight_i_belongs_to_edge_i(monkeypatch, graph):
+    # the i-th weight is the length of the i-th edge of edges(), on the fold
+    # path (trees) and the Dijkstra path (every other graph) alike
+    edges = list(graph.edges())
+    assert edges != sorted(edges)  # a mix-up with sorted order would show
+    is_tree = graph.n_edges == graph.n - 1
+    calls = []
+    real = si.dijkstra
+    monkeypatch.setattr(si, "dijkstra", lambda *a, **k: calls.append(1) or real(*a, **k))
+    rng = np.random.default_rng(graph.n + graph.n_edges)
+    weights = rng.exponential(1.0, graph.n_edges)
+    assert np.unique(weights).size == weights.size
+    sources = (0, graph.n // 2, graph.n - 1)
+    for source in sources:
+        got = _first_passage(graph, weights, source)
+        assert got.tolist() == reference_times(graph, weights, source)
+    assert len(calls) == (0 if is_tree else len(sources))
+
+
 # ---------------------------------------------------------------------------
 # files
 
