@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The same pipeline as the Python demos, driven entirely from the shell.
 # Every command writes a .manifest next to its primary output recording
-# the resolved parameters, seed, inputs/outputs, and wall time.
+# the resolved parameters (the seed, where the command draws random
+# numbers), inputs/outputs, and wall time.
 set -euo pipefail
 
 out=$(mktemp -d)

@@ -1,11 +1,13 @@
 """Command-line interface.
 
-Every subcommand is reproducible: it honors ``--seed`` and writes a
-``*.manifest`` file next to its primary output recording the subcommand,
-all resolved parameters, input and output paths, the tool version, and
-wall time.  Exit codes: 0 success, 2 usage error (bad flags or missing
-input file, message on stderr), 1 runtime failure (diagnostic names the
-module whose call from the subcommand failed).
+Every subcommand is reproducible.  The ones that draw random numbers
+take ``--seed`` (the two simulators also ``--stream``); the others are
+deterministic.  Each writes a ``*.manifest`` file next to its primary
+output recording the subcommand, all resolved parameters, input and
+output paths, the tool version, and wall time.  Exit codes: 0 success,
+2 usage error (bad flags or missing input file, message on stderr),
+1 runtime failure (diagnostic names the module whose call from the
+subcommand failed).
 """
 
 from __future__ import annotations
@@ -20,11 +22,9 @@ import numpy as np
 from . import __version__
 from .detector import DetectorConfig, argmax_single, detect, save_report_csv
 from .harness import (
+    HEATMAP_SCENARIOS,
     PRESETS,
-    ConstNullScenario,
     ExperimentSpec,
-    SITreeScenario,
-    SmoothJumpScenario,
     false_alarm_study,
     get_preset,
     heatmap_spec_from_preset,
@@ -258,19 +258,23 @@ def cmd_argmax(args):
 
 
 def _scenario_from_args(args):
-    if args.scenario == "smooth-jump":
-        jump = args.jump if args.jump is not None else 0.8 * args.base
-        return SmoothJumpScenario(base=args.base, jump=jump, horizon=args.horizon)
-    if args.scenario == "si-tree":
-        return SITreeScenario(height=args.height, extra_leaves=args.extra_leaves)
-    if args.scenario == "const-null":
-        return ConstNullScenario(base=args.base, horizon=args.horizon)
-    raise UsageError(f"unknown scenario {args.scenario!r}")
+    cls, _, names = HEATMAP_SCENARIOS[args.scenario]
+    return cls(**{name: getattr(args, name) for name in names})
 
 
-# heatmap scenario flags without a preset; a preset fixes its own scenario
+# heatmap scenario flags without a preset (--jump defaults to 0.8 * --base);
+# a preset fixes its own scenario
 _HEATMAP_DEFAULTS = {"scenario": "smooth-jump", "base": 1e4, "horizon": 20.0,
                      "height": 18, "extra_leaves": 8000}
+
+
+def _reject_unused(args, used, who):
+    """A usage error naming each heatmap scenario flag given that ``who`` does not use."""
+    unused = [name for name in (*_HEATMAP_DEFAULTS, "jump")
+              if name not in used and getattr(args, name) is not None]
+    if unused:
+        flags = ", ".join("--" + name.replace("_", "-") for name in unused)
+        raise UsageError(f"{who} does not use {flags}")
 
 
 def cmd_heatmap(args):
@@ -279,12 +283,8 @@ def cmd_heatmap(args):
         if preset.kind != "heatmap":
             raise UsageError(f"preset {args.preset!r} is a {preset.kind} preset, not a heatmap")
         # the one scenario flag a preset takes: the size of its planted change
-        own = "jump" if "base" in preset.params else "extra_leaves"
-        unused = [name for name in (*_HEATMAP_DEFAULTS, "jump")
-                  if name != own and getattr(args, name) is not None]
-        if unused:
-            flags = ", ".join("--" + name.replace("_", "-") for name in unused)
-            raise UsageError(f"preset {args.preset!r} does not use {flags}")
+        _, own, _ = HEATMAP_SCENARIOS[preset.params["scenario"]]
+        _reject_unused(args, (own,), f"preset {args.preset!r}")
         spec = heatmap_spec_from_preset(
             preset,
             **{own: getattr(args, own)},
@@ -296,12 +296,14 @@ def cmd_heatmap(args):
     else:
         if args.k_grid is None or args.delta_grid is None:
             raise UsageError("without --preset, both --k-grid and --delta-grid are required")
-        for name, value in _HEATMAP_DEFAULTS.items():
+        args.scenario = args.scenario or _HEATMAP_DEFAULTS["scenario"]
+        _, _, used = HEATMAP_SCENARIOS[args.scenario]
+        _reject_unused(args, ("scenario", *used), f"scenario {args.scenario!r}")
+        for name in used:  # so the manifest records what ran
             if getattr(args, name) is None:
-                setattr(args, name, value)  # so the manifest records what ran
-        scenario = _scenario_from_args(args)
+                setattr(args, name, 0.8 * args.base if name == "jump" else _HEATMAP_DEFAULTS[name])
         spec = ExperimentSpec(
-            scenario=scenario,
+            scenario=_scenario_from_args(args),
             k_grid=args.k_grid,
             delta_grid=args.delta_grid,
             trials=args.trials or 20,
@@ -439,15 +441,15 @@ def cmd_presets(args):
 # parser
 
 
-def _add_common(sub, *, seed=True, out_dir=True):
+def _add_common(sub, *, seed=False, stream=False):
     if seed:
         sub.add_argument("--seed", type=int, default=0,
                          help="base random seed (dimensionless integer, default 0)")
+    if stream:
         sub.add_argument("--stream", type=int, default=0,
                          help="random stream index for this run (default 0)")
-    if out_dir:
-        sub.add_argument("--out-dir", default=None,
-                         help="output directory (default: $RATEJUMP_OUT or current directory)")
+    sub.add_argument("--out-dir", default=None,
+                     help="output directory (default: $RATEJUMP_OUT or current directory)")
 
 
 def _add_counting_inputs(sub):
@@ -485,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bin-width", type=_positive_float("bin-width"), default=None,
                    help="also write counts binned at this width (time units)")
     p.add_argument("--out", default="events.txt", help="output event-times file name")
-    _add_common(p)
+    _add_common(p, seed=True, stream=True)
     p.set_defaults(func=cmd_simulate_poisson)
 
     p = subs.add_parser("simulate-si", help="simulate an SI cascade on a graph")
@@ -498,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", type=int, default=0,
                    help="source vertex id (default 0 = tree root)")
     p.add_argument("--out", default="trace.csv", help="output trace CSV name")
-    _add_common(p)
+    _add_common(p, seed=True, stream=True)
     p.set_defaults(func=cmd_simulate_si)
 
     p = subs.add_parser("detect", help="detect change points in a counting process")
@@ -560,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"(default {os.cpu_count()})")
     p.add_argument("--long-csv", action="store_true",
                    help="also write per-trial errors as heatmap_long.csv")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_heatmap)
 
     p = subs.add_parser("baselines",
@@ -586,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Monte Carlo trials (default 20)")
     p.add_argument("--workers", type=_positive_int("workers"), default=os.cpu_count(),
                    help="worker processes; results are identical for any value")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_baselines)
 
     p = subs.add_parser("multicascade",
@@ -615,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-step", type=_positive_float("grid-step"), default=None,
                    help="evaluation grid spacing in time units (default delta/10)")
     p.add_argument("--out", default="multicascade.txt", help="output file name")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_multicascade)
 
     p = subs.add_parser("analyze-binned",
@@ -631,11 +633,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-days", type=_positive_int("delta-days"), default=1,
                    help="derivative step in whole days (default 1)")
     p.add_argument("--out", default="profile.csv", help="output profile CSV name")
-    _add_common(p, seed=False)
+    _add_common(p)
     p.set_defaults(func=cmd_analyze_binned)
 
     p = subs.add_parser("presets", help="list built-in experiment and rate presets")
-    _add_common(p, seed=False)
+    _add_common(p)
     p.set_defaults(func=cmd_presets)
 
     return parser

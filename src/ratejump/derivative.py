@@ -48,21 +48,32 @@ __all__ = [
 MAX_ORDER = 20
 
 
-def _check_order(order: int) -> int:
-    if not isinstance(order, (int, np.integer)):
-        raise TypeError(f"order must be an integer, got {type(order).__name__}")
+def _check_order(order, name: str = "order", limit: float = MAX_ORDER) -> int:
+    """``order`` as an int in [1, limit], bools rejected: the one check on an
+    order k (and, with no limit, on a step in whole bins), naming ``name``."""
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {order!r}")
     if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    if order > MAX_ORDER:
-        raise ValueError(f"order must be <= {MAX_ORDER}, got {order}")
+        raise ValueError(f"{name} must be >= 1, got {order}")
+    if order > limit:
+        raise ValueError(f"{name} must be <= {limit}, got {order}")
     return int(order)
 
 
-def _check_delta(delta: float) -> float:
-    delta = float(delta)
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError(f"delta must be positive and finite, got {delta}")
-    return delta
+def _check_delta(delta, name: str = "delta") -> float:
+    """``delta`` as a positive, finite float: the one check on a step."""
+    value = float(delta)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {delta!r}")
+    return value
+
+
+def _check_grid_step(grid_step, delta: float) -> float:
+    """``grid_step`` as a float in (0, delta], with delta's last bit of slack."""
+    value = float(grid_step)
+    if not (0 < value <= delta * (1 + 1e-12)):
+        raise ValueError(f"grid_step must be in (0, delta={delta}], got {grid_step!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -191,9 +202,7 @@ def derivative_profiles(
     """
     orders = [_check_order(order) for order in orders]
     delta = _check_delta(delta)
-    grid_step = delta / 10.0 if grid_step is None else float(grid_step)
-    if not (0 < grid_step <= delta * (1 + 1e-12)):
-        raise ValueError(f"grid_step must be in (0, delta={delta}], got {grid_step}")
+    grid_step = delta / 10.0 if grid_step is None else _check_grid_step(grid_step, delta)
     fn, T = _as_counting(N, horizon)
     if not math.isfinite(T):
         raise ValueError("horizon is required to build a profile (none known for this N)")
@@ -250,8 +259,7 @@ def annihilation_check(order: int, delta: float, poly_coeffs, t: float) -> float
     exactly zero in exact arithmetic; callers compare against a float
     tolerance scaled by the largest stencil summand.
     """
-    order = _check_order(order)
-    delta = _check_delta(delta)
+    order = _check_order(order)  # of_order checks order + 1, which 0 would pass
     stencil = DerivativeStencil.of_order(order + 1, delta)
     pts = float(t) + stencil.offsets()
     vals = np.polynomial.polynomial.polyval(pts, np.asarray(poly_coeffs, dtype=np.float64))

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .derivative import MAX_ORDER, derivative_profile
+from .derivative import _check_delta, _check_grid_step, _check_order, derivative_profile
 
 __all__ = [
     "DetectorConfig",
@@ -53,22 +53,14 @@ class DetectorConfig:
     horizon: "float | None" = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {self.k}")
-        if self.k > MAX_ORDER:
-            raise ValueError(f"k must be <= {MAX_ORDER}, got {self.k}")
-        if not (math.isfinite(self.delta) and self.delta > 0):
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        _check_order(self.k, "k")
+        _check_delta(self.delta, "delta")
         if self.threshold is not None and not (
             math.isfinite(self.threshold) and self.threshold > 0
         ):
             raise ValueError(f"threshold must be positive, got {self.threshold}")
-        if self.grid_step is not None and not (
-            0 < self.grid_step <= self.delta * (1 + 1e-12)
-        ):
-            raise ValueError(
-                f"grid_step must be in (0, delta={self.delta}], got {self.grid_step}"
-            )
+        if self.grid_step is not None:
+            _check_grid_step(self.grid_step, self.delta)
 
     @property
     def min_sep(self) -> float:
@@ -267,8 +259,7 @@ def suggest_delta(sample_size: float, order: int) -> float:
     """Step-size heuristic delta = S^(-1/(2*order+1)) for sample size S."""
     if not (sample_size > 1):
         raise ValueError(f"sample_size must exceed 1, got {sample_size}")
-    if not isinstance(order, (int, np.integer)) or order < 1:
-        raise ValueError(f"order must be an integer >= 1, got {order}")
+    order = _check_order(order)
     return float(sample_size) ** (-1.0 / (2 * order + 1))
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .derivative import _check_order, derivative_profiles
+from .derivative import _check_delta, _check_order, derivative_profiles
 from .detector import DetectorConfig, argmax_single, detect
 from .poisson import (
     Constant,
@@ -39,6 +39,7 @@ __all__ = [
     "ConstNullScenario",
     "RampScenario",
     "SITreeScenario",
+    "HEATMAP_SCENARIOS",
     "ExperimentSpec",
     "HeatmapResult",
     "run_trial",
@@ -173,6 +174,16 @@ class SITreeScenario:
         return Realization.wrap(infection_count_process(trace), truth)
 
 
+# The heatmap scenarios by name: the class, the parameter that sizes its
+# planted change (the one a preset leaves open; none for const-null), and
+# every parameter it takes.
+HEATMAP_SCENARIOS = {
+    "smooth-jump": (SmoothJumpScenario, "jump", ("base", "jump", "horizon")),
+    "si-tree": (SITreeScenario, "extra_leaves", ("height", "extra_leaves")),
+    "const-null": (ConstNullScenario, None, ("base", "horizon")),
+}
+
+
 # Every trial evaluates its profiles on a grid of step delta * GRID_STEP_FRACTION.
 # The product is kept as written: delta / 10 differs from it in the last bit
 # for some deltas (0.05 among them), which would move the grid points.
@@ -190,14 +201,14 @@ class ExperimentSpec:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k_grid", tuple(int(k) for k in self.k_grid))
-        object.__setattr__(self, "delta_grid", tuple(float(d) for d in self.delta_grid))
+        object.__setattr__(self, "k_grid", tuple(
+            _check_order(k, f"k_grid[{i}], one of the orders,")
+            for i, k in enumerate(self.k_grid)))
+        object.__setattr__(self, "delta_grid", tuple(
+            _check_delta(d, f"delta_grid[{j}], one of the deltas,")
+            for j, d in enumerate(self.delta_grid)))
         if not self.k_grid or not self.delta_grid:
             raise ValueError("k_grid and delta_grid must be non-empty")
-        if any(k < 1 for k in self.k_grid):
-            raise ValueError(f"orders must be >= 1, got {self.k_grid}")
-        if any(not (d > 0) for d in self.delta_grid):
-            raise ValueError(f"deltas must be positive, got {self.delta_grid}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
 
@@ -242,27 +253,16 @@ def run_trial(scenario, k: int, delta: float, seed) -> float:
 
 def _trial_errors(spec: ExperimentSpec, trial: int):
     """Errors of every cell on trial ``trial``'s shared realization, from one
-    ``derivative_profiles`` call per delta.  A ValueError aborts only the
-    cells it concerns (an invalid order its row, an invalid delta its
-    column, an empty window its cell) and is recorded; the run continues."""
+    ``derivative_profiles`` call per delta.  A cell whose window holds no
+    grid point fails alone, and its ValueError is recorded; the run goes on."""
     realization = spec.scenario.realize(SimSeed(spec.base_seed, trial))
     errors = np.full((len(spec.k_grid), len(spec.delta_grid)), np.nan)
     failures = {}  # (i, j) -> the ValueError that aborted cell (k_grid[i], delta_grid[j])
-    rows = {}  # i -> k_grid[i], for the valid orders
-    for i, k in enumerate(spec.k_grid):
-        try:
-            rows[i] = _check_order(k)
-        except ValueError as exc:
-            failures.update({(i, j): exc for j in range(len(spec.delta_grid))})
     for j, delta in enumerate(spec.delta_grid):
-        try:
-            profiles = derivative_profiles(
-                realization.events, list(rows.values()), delta,
-                grid_step=delta * GRID_STEP_FRACTION, window=spec.scenario.analysis_window)
-        except ValueError as exc:
-            failures.update({(i, j): exc for i in rows})
-            continue
-        for i, profile in zip(rows, profiles):
+        profiles = derivative_profiles(
+            realization.events, spec.k_grid, delta,
+            grid_step=delta * GRID_STEP_FRACTION, window=spec.scenario.analysis_window)
+        for i, profile in enumerate(profiles):
             try:
                 errors[i, j] = abs(profile.times[profile.argmax()] - realization.truth)
             except ValueError as exc:
@@ -472,6 +472,7 @@ PRESETS = {
         kind="heatmap",
         summary="smooth+jump error heatmap at 1e4 base rate (jump preserves A/sqrt(B))",
         params={
+            "scenario": "smooth-jump",
             "base": 1e4,
             "jump": 8e3,
             "horizon": 20.0,
@@ -485,6 +486,7 @@ PRESETS = {
         kind="heatmap",
         summary="smooth+jump heatmap at the full 1e6 base rate (slow: ~2e7 events/trial)",
         params={
+            "scenario": "smooth-jump",
             "base": 1e6,
             "jump": 4e4,
             "horizon": 20.0,
@@ -504,6 +506,7 @@ PRESETS = {
         kind="heatmap",
         summary="planted-hub tree error heatmap over (k, delta)",
         params={
+            "scenario": "si-tree",
             "height": 18,
             "extra_leaves": 8000,
             "k_grid": tuple(range(1, 6)),
@@ -554,26 +557,22 @@ def get_preset(name: str) -> Preset:
 def heatmap_spec_from_preset(preset: Preset, **overrides) -> ExperimentSpec:
     """Build the ExperimentSpec for a heatmap-kind preset.
 
-    Recognized overrides: jump, extra_leaves, trials, base_seed, k_grid,
-    delta_grid (others raise).
+    Recognized overrides: trials, base_seed, k_grid, delta_grid, and the
+    parameter that sizes the preset scenario's planted change (jump or
+    extra_leaves; see ``HEATMAP_SCENARIOS``).  Others raise; None means
+    not given.
     """
     if preset.kind != "heatmap":
         raise ValueError(f"preset {preset.name!r} is {preset.kind}, not a heatmap")
     params = dict(preset.params)
-    unknown = set(overrides) - {"jump", "extra_leaves", "trials", "base_seed", "k_grid", "delta_grid"}
+    cls, change, names = HEATMAP_SCENARIOS[params["scenario"]]
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    unknown = set(overrides) - {change, "trials", "base_seed", "k_grid", "delta_grid"}
     if unknown:
-        raise ValueError(f"unsupported overrides: {sorted(unknown)}")
-    params.update({k: v for k, v in overrides.items() if v is not None})
-    if "base" in params:  # poisson smooth+jump family
-        scenario = SmoothJumpScenario(
-            base=params["base"], jump=params["jump"], horizon=params["horizon"]
-        )
-    else:  # tree family
-        scenario = SITreeScenario(
-            height=params["height"], extra_leaves=params["extra_leaves"]
-        )
+        raise ValueError(f"unsupported overrides for preset {preset.name!r}: {sorted(unknown)}")
+    params.update(overrides)
     return ExperimentSpec(
-        scenario=scenario,
+        scenario=cls(**{name: params[name] for name in names}),
         k_grid=tuple(params["k_grid"]),
         delta_grid=tuple(params["delta_grid"]),
         trials=int(params["trials"]),

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import csv
 import datetime
+import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 
 import numpy as np
 
-from .derivative import DerivativeProfile, derivative_profile
-from .process import BinnedSeries, from_binned
+from .derivative import DerivativeProfile, _check_order, derivative_profile
+from .process import BinnedSeries, _as_counts, _parse_count, from_binned
 
 __all__ = [
     "RegionSeries",
@@ -53,12 +54,9 @@ class RegionSeries:
     clamped_days: tuple = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.ndim != 1 or counts.size == 0:
+        counts = _as_counts(self.counts, "count of day {}")
+        if counts.size == 0:
             raise ValueError("counts must be a non-empty one-dimensional array")
-        if np.any(counts < 0):
-            bad = int(np.argmax(counts < 0))
-            raise ValueError(f"negative count at day {bad}: {counts[bad]}")
         object.__setattr__(self, "counts", counts)
 
     def __len__(self) -> int:
@@ -133,18 +131,10 @@ def _read_rows(path, region, grouped, date_column, count_column, region_column):
                     f"{path}: row {rowno}: unparseable date {raw_date!r} (expected YYYY-MM-DD)"
                 ) from None
             try:
-                value = float(raw_count)
-            except ValueError:
-                raise ValueError(f"{path}: row {rowno}: bad count {raw_count!r}") from None
-            if not value.is_integer():
-                raise ValueError(
-                    f"{path}: row {rowno}: count {raw_count!r} is not a finite whole number"
-                )
-            if abs(value) >= 2.0**63:
-                raise ValueError(
-                    f"{path}: row {rowno}: count {raw_count!r} is beyond the 64-bit integer range"
-                )
-            groups.setdefault(key, []).append((date, int(value), rowno))
+                count = _parse_count(raw_count)
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {rowno}: {exc}") from None
+            groups.setdefault(key, []).append((date, count, rowno))
     return groups
 
 
@@ -272,59 +262,35 @@ class BinnedAnalysis:
 def analyze_binned(series, k: int, delta_days: int = 1) -> BinnedAnalysis:
     """Order-k derivative of a daily series with delta = whole days.
 
-    ``series`` may be a RegionSeries or any 1-d array of daily counts; a
-    count that is not a finite whole number is an error naming its day.
+    ``series`` may be a RegionSeries or any 1-d array of daily counts,
+    which becomes one; a count that breaks the count rule
+    (``process._as_counts``) is an error naming its day.
     Requires at least (k+1)*delta_days days so the stencil fits at least
     one evaluation point.  The profile is evaluated at every integer day
     edge in the valid range; values are exact integers.
     """
-    region = ""
-    start_date = None
-    if isinstance(series, RegionSeries):
-        region = series.region
-        start_date = series.start_date
-        counts = series.counts
-    else:
-        counts = np.asarray(series)
-        if counts.dtype.kind not in "iu":
-            values = counts.astype(float)
-            bad = np.flatnonzero(~np.isfinite(values) | (values != np.trunc(values)))
-            if bad.size:
-                day = int(bad[0])
-                raise ValueError(
-                    f"count at day {day} is {float(values.flat[day])}, "
-                    "not a finite whole number"
-                )
-            big = np.flatnonzero(np.abs(values) >= 2.0**63)
-            if big.size:
-                day = int(big[0])
-                raise ValueError(
-                    f"count at day {day} is {float(values.flat[day])}, "
-                    "beyond the 64-bit integer range"
-                )
-            counts = values.astype(np.int64)
-    if (isinstance(delta_days, bool) or not isinstance(delta_days, (int, np.integer))
-            or delta_days < 1):
-        raise ValueError(f"delta_days must be an integer >= 1, got {delta_days}")
-    n_days = int(counts.size)
+    if not isinstance(series, RegionSeries):
+        series = RegionSeries(region="", counts=series)
+    k = _check_order(k, "k")
+    delta_days = _check_order(delta_days, "delta_days", limit=math.inf)
+    n_days = len(series)
     minimum = (k + 1) * delta_days
     if n_days < minimum:
         raise ValueError(
             f"series has {n_days} days but order k={k} at delta_days={delta_days} "
             f"needs at least (k+1)*delta_days = {minimum}"
         )
-    binned = BinnedSeries(bin_width=1.0, counts=counts, start_time=0.0)
-    counting = from_binned(binned)
+    counting = from_binned(series.to_binned())
     profile = derivative_profile(counting, k, float(delta_days), grid_step=1.0)
     i = profile.argmax()
     return BinnedAnalysis(
         profile=profile,
         argmax_day=int(round(float(profile.times[i]))),
         argmax_value=float(profile.values[i]),
-        k=int(k),
-        delta_days=int(delta_days),
-        region=region,
-        start_date=start_date,
+        k=k,
+        delta_days=delta_days,
+        region=series.region,
+        start_date=series.start_date,
     )
 
 

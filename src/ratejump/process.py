@@ -27,6 +27,62 @@ __all__ = [
 ]
 
 
+def _count_problem(value) -> "str | None":
+    """Why ``value`` is not an event count, or None if it is one."""
+    try:
+        whole = int(value) == value
+    except (TypeError, ValueError, OverflowError):  # not a number, nan, inf
+        whole = False
+    if not whole:
+        return "not a finite whole number"
+    if value < 0:
+        return "negative"
+    if value >= 2**63:
+        return "beyond the 64-bit integer range"
+    return None
+
+
+def _as_counts(values, position: str = "counts[{}]") -> np.ndarray:
+    """``values`` as a one-dimensional int64 array of event counts.
+
+    The one rule on counts: whole numbers in [0, 2**63), taken exactly.
+    The first entry that breaks it is named by ``position.format(index)``.
+    """
+    values = np.asarray(values)
+    if values.ndim != 1:
+        raise ValueError("counts must be a one-dimensional array")
+    if values.dtype.kind in "iuf":
+        bad = (values < 0) | (values >= 2**63)
+        if values.dtype.kind == "f":
+            bad |= values != np.trunc(values)  # fractions and nan; inf is caught above
+    else:  # object and other dtypes: element by element
+        bad = np.fromiter((_count_problem(v) is not None for v in values.tolist()),
+                          bool, values.size)
+    if bad.any():
+        i = int(np.argmax(bad))
+        value = values[i:i + 1].tolist()[0]
+        raise ValueError(f"{position.format(i)} = {value!r} is {_count_problem(value)}")
+    return values.astype(np.int64)
+
+
+def _parse_count(text: str) -> int:
+    """A file's count field as an exact int of size below 2**63: ``int``
+    first, so counts above 2**53 are not rounded, then ``float`` for forms
+    like ``100.0``.  Negatives pass; each loader has its own rule for them.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"bad count {text!r}") from None
+    problem = _count_problem(abs(value))
+    if problem:
+        raise ValueError(f"count {text!r} is {problem}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class EventTimes:
     """A sorted sequence of event timestamps on [0, horizon].
@@ -79,19 +135,7 @@ class BinnedSeries:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.bin_width) and self.bin_width > 0):
             raise ValueError(f"bin_width must be positive and finite, got {self.bin_width}")
-        counts = np.asarray(self.counts)
-        if counts.ndim != 1:
-            raise ValueError("counts must be a one-dimensional array")
-        if counts.size and not np.issubdtype(counts.dtype, np.integer):
-            rounded = np.rint(counts)
-            if not np.allclose(counts, rounded, rtol=0, atol=1e-9):
-                raise ValueError("counts must be integers")
-            counts = rounded
-        counts = counts.astype(np.int64, copy=False)
-        if np.any(counts < 0):
-            bad = int(np.argmax(counts < 0))
-            raise ValueError(f"counts must be non-negative; counts[{bad}] = {counts[bad]}")
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", _as_counts(self.counts))
         object.__setattr__(self, "bin_width", float(self.bin_width))
         object.__setattr__(self, "start_time", float(self.start_time))
 
@@ -145,12 +189,7 @@ def cumulative(series: BinnedSeries) -> np.ndarray:
 
 
 def from_binned(series: BinnedSeries) -> BinnedCounting:
-    """Build the counting function for binned counts (right-edge attribution).
-
-    Raises ValueError with the offending index if any count is negative
-    (BinnedSeries enforces this too; re-checked here so loaders can pass
-    raw arrays through one validation point).
-    """
+    """Build the counting function for binned counts (right-edge attribution)."""
     return BinnedCounting(series)
 
 
@@ -232,15 +271,11 @@ def load_binned_csv(path) -> BinnedSeries:
             except ValueError:
                 raise ValueError(f"{path}: row {rowno}: bad bin_start {row[0]!r}") from None
             try:
-                count = int(row[1])
-            except ValueError:
-                raise ValueError(f"{path}: row {rowno}: bad count {row[1]!r}") from None
+                count = _parse_count(row[1])
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {rowno}: {exc}") from None
             if count < 0:
                 raise ValueError(f"{path}: row {rowno}: negative count {count}")
-            if count >= 2**63:
-                raise ValueError(
-                    f"{path}: row {rowno}: count {count} is beyond the 64-bit integer range"
-                )
             counts.append(count)
     if not starts:
         raise ValueError(f"{path}: no data rows")

@@ -25,12 +25,12 @@ class SimSeed:
     stream: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, (int, np.integer)):
-            raise TypeError(f"seed must be an integer, got {type(self.seed).__name__}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.stream < 0:
-            raise ValueError(f"stream must be non-negative, got {self.stream}")
+        for name in ("seed", "stream"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
 
     def with_stream(self, stream: int) -> "SimSeed":
         return SimSeed(self.seed, stream)
@@ -48,9 +48,7 @@ class SimSeed:
 
 def as_seed(seed: "SimSeed | int") -> SimSeed:
     """Promote a plain integer to ``SimSeed(seed, stream=0)``."""
-    if isinstance(seed, SimSeed):
-        return seed
-    return SimSeed(int(seed))
+    return seed if isinstance(seed, SimSeed) else SimSeed(seed)
 
 
 def generator(seed: "SimSeed | int", *path: int) -> np.random.Generator:

@@ -383,6 +383,39 @@ def test_heatmap_preset_rejects_flags_it_does_not_use(tmp_path, capsys, preset, 
     assert not (tmp_path / "heatmap.csv").exists()
 
 
+@pytest.mark.parametrize("scenario,flag,value", [
+    ("si-tree", "--base", "50"),
+    ("si-tree", "--jump", "7"),
+    ("si-tree", "--horizon", "3"),
+    ("smooth-jump", "--extra-leaves", "5"),
+    ("smooth-jump", "--height", "3"),
+    ("const-null", "--jump", "7"),
+])
+def test_heatmap_scenario_rejects_flags_it_does_not_use(tmp_path, capsys, scenario, flag, value):
+    code, out, err = run(
+        capsys, "heatmap", "--scenario", scenario, flag, value, "--k-grid", "1",
+        "--delta-grid", "0.3", "--trials", "1", "--workers", "1", "--out-dir", str(tmp_path),
+    )
+    assert code == 2
+    assert f"scenario {scenario!r} does not use {flag}" in err
+    assert not (tmp_path / "heatmap.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect", "--k", "1", "--delta", "0.3", "--seed", "1"],
+    ["detect", "--k", "1", "--delta", "0.3", "--stream", "1"],
+    ["argmax", "--k", "1", "--delta", "0.3", "--seed", "1"],
+    ["argmax", "--k", "1", "--delta", "0.3", "--stream", "1"],
+    ["heatmap", "--stream", "1"],
+    ["baselines", "--stream", "1"],
+    ["multicascade", "--stream", "1"],
+])
+def test_options_nothing_reads_are_gone(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert f"unrecognized arguments: {argv[-2]} 1\n" in err
+
+
 def test_heatmap_preset_names_every_unused_flag(capsys):
     code, out, err = run(capsys, "heatmap", "--preset", "fig5", "--jump", "3", "--height", "4")
     assert code == 2

@@ -159,15 +159,10 @@ def test_trial_errors_match_per_cell_argmax(scenario):
     assert expected_failures  # k=6 at delta=3.5 leaves no grid point on [0, 20]
 
 
-def test_heatmap_invalid_order_fails_only_its_row():
-    scenario = SmoothJumpScenario(base=300.0, jump=400.0)
-    spec = ExperimentSpec(
-        scenario=scenario, k_grid=(2, 21), delta_grid=(0.2, 0.4), trials=1, base_seed=0
-    )
-    result = run_heatmap(spec)
-    assert result.counts.tolist() == [[1, 1], [0, 0]]
-    assert result.failed_cells == 2
-    assert all("k=21" in d and "order must be <= 20" in d for d in result.diagnostics)
+def test_spec_rejects_an_order_above_the_limit_naming_it():
+    with pytest.raises(ValueError, match=r"k_grid\[1\].* must be <= 20, got 21"):
+        ExperimentSpec(scenario=SmoothJumpScenario(base=300.0, jump=400.0),
+                       k_grid=(2, 21), delta_grid=(0.2, 0.4), trials=1)
 
 
 def test_heatmap_programming_error_propagates():
@@ -291,6 +286,10 @@ def test_heatmap_spec_from_preset():
         heatmap_spec_from_preset(get_preset("fig1"))
     with pytest.raises(ValueError, match="overrides"):
         heatmap_spec_from_preset(get_preset("fig2-scaled"), bogus=1)
+    with pytest.raises(ValueError, match=r"preset 'fig5': \['jump'\]"):
+        heatmap_spec_from_preset(get_preset("fig5"), jump=5.0)
+    with pytest.raises(ValueError, match=r"preset 'fig2-scaled': \['extra_leaves'\]"):
+        heatmap_spec_from_preset(get_preset("fig2-scaled"), extra_leaves=5)
 
 
 def test_si_tree_scenario_truth_is_hub_time():
