@@ -4,15 +4,23 @@ Every subcommand is reproducible.  The ones that draw random numbers
 take ``--seed`` (the two simulators also ``--stream``); the others are
 deterministic.  Each writes a ``*.manifest`` file next to its primary
 output recording the subcommand, all resolved parameters, input and
-output paths, the tool version, and wall time.  Exit codes: 0 success,
-2 usage error (bad flags or missing input file, message on stderr),
-1 runtime failure (diagnostic names the module whose call from the
-subcommand failed).
+output paths, the tool version, and wall time.
+
+The CLI keeps no rule on a value of its own: each numeric flag is read
+through a library check (``derivative._check_order``, ``_check_delta``
+or ``SimSeed``), and what the flags define (``DetectorConfig``, the
+scenario, the tree) is built before any input is read.  Exit codes: 0
+success, 2 usage error (a bad or unused flag, conflicting modes, a
+missing input file; the message on stderr names the field), 1 runtime
+failure that depends on the data (the message names the module whose
+call from the subcommand failed).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import math
 import os
 import sys
 import time
@@ -20,13 +28,12 @@ import time
 import numpy as np
 
 from . import __version__
+from .derivative import MAX_ORDER, _check_delta, _check_order
 from .detector import DetectorConfig, argmax_single, detect, save_report_csv
 from .harness import (
     HEATMAP_SCENARIOS,
     PRESETS,
     ExperimentSpec,
-    false_alarm_study,
-    get_preset,
     heatmap_spec_from_preset,
     run_baselines,
     run_heatmap,
@@ -35,24 +42,11 @@ from .harness import (
 )
 from .ingest import analyze_binned, load_daily_csv, save_analysis_csv
 from .multicascade import CascadeBundle, estimate_high_degree, save_multicascade_report
-from .poisson import (
-    RATE_PRESETS,
-    load_rate_spec,
-    preset_rate_spec,
-    save_rate_spec,
-    simulate,
-)
-from .process import from_binned, load_binned_csv, load_event_times, save_binned_csv, save_event_times
-from .process import bin_events
+from .poisson import RATE_PRESETS, load_rate_spec, preset_rate_spec, save_rate_spec, simulate
+from .process import (bin_events, from_binned, load_binned_csv, load_event_times,
+                      save_binned_csv, save_event_times)
 from .seeding import SimSeed
-from .si import (
-    build_tree_with_hub,
-    infection_count_process,
-    load_edge_list,
-    load_trace_csv,
-    save_trace_csv,
-    simulate_si,
-)
+from .si import build_tree_with_hub, load_edge_list, load_trace_csv, save_trace_csv, simulate_si
 
 __all__ = ["main", "entry", "build_parser"]
 
@@ -61,59 +55,65 @@ class UsageError(Exception):
     """Bad invocation detected after argparse (e.g. missing input file)."""
 
 
-def _positive_float(name):
-    def parse(text):
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{name} must be a number, got {text!r}")
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"{name} must be positive, got {text}")
-        return value
-
-    return parse
-
-
-def _positive_int(name):
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{name} must be an integer, got {text!r}")
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{name} must be >= 1, got {text}")
-        return value
-
-    return parse
-
-
-def _int_list(text):
+@contextlib.contextmanager
+def _building():
+    """Build what the flags define: a ValueError from the library is a usage error."""
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
+def _number(text):
+    """``text`` as an int, else a float, else unchanged for a check to reject by name."""
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _type(parse):
+    """An argparse type: the message of a ValueError from ``parse`` is the usage error."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
+def _flag(check, name, **limit):
+    """A numeric flag, checked by the library's ``check`` as the field ``name``."""
+    return _type(lambda text: check(_number(text), name, **limit))
+
+
+def _flag_list(check, name):
+    """A comma list of numbers, entry i checked by ``check`` as ``name[i]``."""
+    return _type(lambda text: tuple(
+        check(_number(x), f"{name}[{i}]") for i, x in enumerate(text.split(","))))
+
+
+def _whole(name):
+    """An integer flag >= 1 with no upper limit."""
+    return _flag(_check_order, name, limit=math.inf)
+
+
+@_type
 def _delta_grid(text):
-    """Either 'lo:hi:n' (n evenly spaced values) or a comma list of deltas."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError(f"expected lo:hi:n, got {text!r}")
-        try:
-            lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected lo:hi:n numbers, got {text!r}")
-        if not (0 < lo <= hi and n >= 1):
-            raise argparse.ArgumentTypeError(f"need 0 < lo <= hi and n >= 1, got {text!r}")
-        return tuple(float(x) for x in np.linspace(lo, hi, n))
-    try:
-        values = tuple(float(x) for x in text.split(",") if x.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated deltas, got {text!r}")
-    if not values or any(v <= 0 for v in values):
-        raise argparse.ArgumentTypeError(f"deltas must be positive, got {text!r}")
-    return values
+    """Deltas as a comma list, or lo:hi:n for n evenly spaced values."""
+    values = [_number(x) for x in text.split(",")]
+    if text.count(":") == 2:
+        lo, hi, n = (_number(x) for x in text.split(":"))
+        values = np.linspace(_check_delta(lo, "delta_grid lo"), _check_delta(hi, "delta_grid hi"),
+                             _check_order(n, "delta_grid n", limit=math.inf)).tolist()
+    return tuple(_check_delta(d, f"delta_grid[{j}]") for j, d in enumerate(values))
+
+
+def _default(value) -> str:
+    return "" if value is None else f" (default {value})"
 
 
 def _out_dir(args) -> str:
@@ -159,6 +159,61 @@ def _load_counting(args):
     raise UsageError("an input is required: --events FILE or --binned FILE")
 
 
+def _detector_config(args) -> DetectorConfig:
+    """The detector flags' DetectorConfig, built before any input is read."""
+    with _building():
+        return DetectorConfig(k=args.k, delta=args.delta, grid_step=args.grid_step,
+                              threshold=getattr(args, "threshold", None),
+                              horizon=getattr(args, "horizon", None))
+
+
+def _check_source(source, graph) -> None:
+    if not 0 <= source < graph.n:
+        raise UsageError(f"source {source} out of range: graph has {graph.n} vertices")
+
+
+def _tree(args):
+    """The tree flags' planted-hub tree, with --source checked on it."""
+    with _building():
+        graph = build_tree_with_hub(args.height, args.extra_leaves)
+    _check_source(args.source, graph)
+    return graph
+
+
+# The experiment flags' values when not given, per subcommand; a jump not
+# given is 0.8 * base.  A heatmap preset brings its own.
+_HEATMAP_DEFAULTS = {"scenario": "smooth-jump", "base": 1e4, "horizon": 20.0,
+                     "height": 18, "extra_leaves": 8000, "trials": 20}
+_BASELINES_DEFAULTS = {**_HEATMAP_DEFAULTS, "scenario": "si-tree", "jump": 8e3,
+                       "extra_leaves": 2000}
+# the flags that define a scenario
+_SCENARIO_FLAGS = ("scenario", "base", "horizon", "height", "extra_leaves", "jump")
+
+
+def _reject_unused(args, used, who):
+    """A usage error naming each scenario flag given that ``who`` does not use."""
+    unused = [name for name in _SCENARIO_FLAGS
+              if name not in used and getattr(args, name) is not None]
+    if unused:
+        flags = ", ".join("--" + name.replace("_", "-") for name in unused)
+        raise UsageError(f"{who} does not use {flags}")
+
+
+def _scenario(args, defaults):
+    """The scenario the experiment flags define.  Each flag it uses, and
+    --trials, takes its value from ``defaults`` when not given, and is set
+    on ``args`` so the manifest records what ran; a scenario flag it does
+    not use is a usage error."""
+    args.scenario = args.scenario or defaults["scenario"]
+    cls, _, used = HEATMAP_SCENARIOS[args.scenario]
+    _reject_unused(args, ("scenario", *used), f"scenario {args.scenario!r}")
+    for name in (*used, "trials"):
+        if getattr(args, name) is None:
+            setattr(args, name, defaults[name] if name in defaults else 0.8 * args.base)
+    with _building():
+        return cls(**{name: getattr(args, name) for name in used})
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -168,14 +223,10 @@ def cmd_simulate_poisson(args):
         spec = load_rate_spec(_require_file(args.rate_spec))
         inputs = [args.rate_spec]
     else:
-        overrides = {}
-        if args.base is not None:
-            overrides["base"] = args.base
-        if args.jump is not None:
-            overrides["jump"] = args.jump
-        if args.onset is not None:
-            overrides["onset"] = args.onset
-        spec = preset_rate_spec(args.rate_preset, **overrides)
+        overrides = {name: getattr(args, name) for name in ("base", "jump", "onset")
+                     if getattr(args, name) is not None}
+        with _building():
+            spec = preset_rate_spec(args.rate_preset, **overrides)
         inputs = []
     events = simulate(spec, args.horizon, SimSeed(args.seed, args.stream))
     out_dir = _out_dir(args)
@@ -197,14 +248,12 @@ def cmd_simulate_poisson(args):
 def cmd_simulate_si(args):
     if args.graph:
         graph = load_edge_list(_require_file(args.graph))
+        _check_source(args.source, graph)
         inputs = [args.graph]
     else:
-        graph = build_tree_with_hub(args.height, args.extra_leaves)
+        graph = _tree(args)
         inputs = []
-    source = args.source
-    if source >= graph.n:
-        raise UsageError(f"source {source} out of range: graph has {graph.n} vertices")
-    trace = simulate_si(graph, source, SimSeed(args.seed, args.stream))
+    trace = simulate_si(graph, args.source, SimSeed(args.seed, args.stream))
     out_dir = _out_dir(args)
     out_trace = os.path.join(out_dir, args.out)
     save_trace_csv(trace, out_trace)
@@ -222,14 +271,8 @@ def cmd_detect(args):
         raise UsageError("--threshold conflicts with --argmax-single: pick one mode")
     if args.threshold is None and not args.argmax_single:
         raise UsageError("pick a mode: --threshold A or --argmax-single")
+    config = _detector_config(args)
     counting, inputs = _load_counting(args)
-    config = DetectorConfig(
-        k=args.k,
-        delta=args.delta,
-        threshold=args.threshold,
-        grid_step=args.grid_step,
-        horizon=args.horizon,
-    )
     report = detect(counting, config)
     out_dir = _out_dir(args)
     out_report = os.path.join(out_dir, args.out)
@@ -245,10 +288,10 @@ def cmd_detect(args):
 
 
 def cmd_argmax(args):
+    config = _detector_config(args)
     counting, inputs = _load_counting(args)
-    t_hat = argmax_single(
-        counting, args.k, args.delta, grid_step=args.grid_step, horizon=args.horizon
-    )
+    t_hat = argmax_single(counting, config.k, config.delta, grid_step=config.grid_step,
+                          horizon=config.horizon)
     out_dir = _out_dir(args)
     out_path = os.path.join(out_dir, args.out)
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -257,58 +300,22 @@ def cmd_argmax(args):
     return out_path, inputs, [out_path], {"t_hat": repr(t_hat)}
 
 
-def _scenario_from_args(args):
-    cls, _, names = HEATMAP_SCENARIOS[args.scenario]
-    return cls(**{name: getattr(args, name) for name in names})
-
-
-# heatmap scenario flags without a preset (--jump defaults to 0.8 * --base);
-# a preset fixes its own scenario
-_HEATMAP_DEFAULTS = {"scenario": "smooth-jump", "base": 1e4, "horizon": 20.0,
-                     "height": 18, "extra_leaves": 8000}
-
-
-def _reject_unused(args, used, who):
-    """A usage error naming each heatmap scenario flag given that ``who`` does not use."""
-    unused = [name for name in (*_HEATMAP_DEFAULTS, "jump")
-              if name not in used and getattr(args, name) is not None]
-    if unused:
-        flags = ", ".join("--" + name.replace("_", "-") for name in unused)
-        raise UsageError(f"{who} does not use {flags}")
-
-
 def cmd_heatmap(args):
     if args.preset:
-        preset = get_preset(args.preset)
-        if preset.kind != "heatmap":
-            raise UsageError(f"preset {args.preset!r} is a {preset.kind} preset, not a heatmap")
+        preset = PRESETS[args.preset]
         # the one scenario flag a preset takes: the size of its planted change
         _, own, _ = HEATMAP_SCENARIOS[preset.params["scenario"]]
         _reject_unused(args, (own,), f"preset {args.preset!r}")
-        spec = heatmap_spec_from_preset(
-            preset,
-            **{own: getattr(args, own)},
-            trials=args.trials,
-            base_seed=args.seed,
-            k_grid=args.k_grid,
-            delta_grid=args.delta_grid,
-        )
+        with _building():
+            spec = heatmap_spec_from_preset(preset, **{own: getattr(args, own)}, trials=args.trials,
+                                            base_seed=args.seed, k_grid=args.k_grid,
+                                            delta_grid=args.delta_grid)
     else:
         if args.k_grid is None or args.delta_grid is None:
             raise UsageError("without --preset, both --k-grid and --delta-grid are required")
-        args.scenario = args.scenario or _HEATMAP_DEFAULTS["scenario"]
-        _, _, used = HEATMAP_SCENARIOS[args.scenario]
-        _reject_unused(args, ("scenario", *used), f"scenario {args.scenario!r}")
-        for name in used:  # so the manifest records what ran
-            if getattr(args, name) is None:
-                setattr(args, name, 0.8 * args.base if name == "jump" else _HEATMAP_DEFAULTS[name])
-        spec = ExperimentSpec(
-            scenario=_scenario_from_args(args),
-            k_grid=args.k_grid,
-            delta_grid=args.delta_grid,
-            trials=args.trials or 20,
-            base_seed=args.seed,
-        )
+        scenario = _scenario(args, _HEATMAP_DEFAULTS)
+        with _building():
+            spec = ExperimentSpec(scenario, args.k_grid, args.delta_grid, args.trials, args.seed)
     result = run_heatmap(spec, workers=args.workers)
     out_dir = _out_dir(args)
     out_matrix = os.path.join(out_dir, "heatmap.csv")
@@ -332,15 +339,9 @@ def cmd_heatmap(args):
 
 
 def cmd_baselines(args):
-    scenario = _scenario_from_args(args)
-    report = run_baselines(
-        scenario,
-        delta_grid=args.delta_grid,
-        trials=args.trials,
-        base_seed=args.seed,
-        high_orders=args.high_orders,
-        workers=args.workers,
-    )
+    scenario = _scenario(args, _BASELINES_DEFAULTS)
+    report = run_baselines(scenario, delta_grid=args.delta_grid, trials=args.trials,
+                           base_seed=args.seed, high_orders=args.high_orders, workers=args.workers)
     out_dir = _out_dir(args)
     out_matrix = os.path.join(out_dir, "baselines.csv")
     save_heatmap_csv(report.heatmap, out_matrix)
@@ -366,26 +367,16 @@ def cmd_multicascade(args):
         raise UsageError("--threshold conflicts with --mode argmax-single")
     if args.mode == "threshold" and args.threshold is None:
         raise UsageError("--mode threshold requires --threshold A")
-    inputs = []
+    config = _detector_config(args)
     if args.trace:
         traces = [load_trace_csv(_require_file(p)) for p in args.trace]
-        inputs = list(args.trace)
-        hub = None
+        inputs, hub = list(args.trace), None
     else:
-        graph = build_tree_with_hub(args.height, args.extra_leaves)
-        hub = graph.hub
-        traces = [
-            simulate_si(graph, args.source, SimSeed(args.seed, i))
-            for i in range(args.cascades)
-        ]
-    bundle = CascadeBundle(traces=tuple(traces))
-    config = DetectorConfig(
-        k=args.k,
-        delta=args.delta,
-        threshold=args.threshold,
-        grid_step=args.grid_step,
-    )
-    report = estimate_high_degree(bundle, config, window=args.window)
+        graph = _tree(args)
+        traces = [simulate_si(graph, args.source, SimSeed(args.seed, i))
+                  for i in range(args.cascades)]
+        inputs, hub = [], graph.hub
+    report = estimate_high_degree(CascadeBundle(traces=tuple(traces)), config, window=args.window)
     out_dir = _out_dir(args)
     out_path = os.path.join(out_dir, args.out)
     save_multicascade_report(report, out_path)
@@ -438,18 +429,31 @@ def cmd_presets(args):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: each flag shared by several subcommands is declared in one group
 
 
 def _add_common(sub, *, seed=False, stream=False):
     if seed:
-        sub.add_argument("--seed", type=int, default=0,
-                         help="base random seed (dimensionless integer, default 0)")
+        sub.add_argument("--seed", type=_type(lambda text: SimSeed(_number(text)).seed),
+                         default=0, help="base random seed (dimensionless integer, default 0)")
     if stream:
-        sub.add_argument("--stream", type=int, default=0,
-                         help="random stream index for this run (default 0)")
+        sub.add_argument("--stream", type=_type(lambda text: SimSeed(0, _number(text)).stream),
+                         default=0, help="random stream index for this run (default 0)")
     sub.add_argument("--out-dir", default=None,
                      help="output directory (default: $RATEJUMP_OUT or current directory)")
+
+
+_RATE_FLAGS = {"base": "base rate B in events per unit time",
+               "jump": "jump amplitude A in events per unit time",
+               "onset": "jump onset time t0 in time units",
+               "horizon": "horizon T in time units"}
+
+
+def _add_rate_flags(sub, names, defaults):
+    """The rate and time flags ``names``, each with the default ``defaults`` names."""
+    for name in names:
+        sub.add_argument("--" + name, type=_flag(_check_delta, name), default=None,
+                         help=_RATE_FLAGS[name] + _default(defaults.get(name)))
 
 
 def _add_counting_inputs(sub):
@@ -457,8 +461,51 @@ def _add_counting_inputs(sub):
                      help="input event-times file (one timestamp per line, time units)")
     sub.add_argument("--binned", default=None,
                      help="input binned CSV with header bin_start,count (time units)")
-    sub.add_argument("--horizon", type=_positive_float("horizon"), default=None,
-                     help="observation horizon T in time units (default: last event)")
+    _add_rate_flags(sub, ("horizon",), {"horizon": "the last event"})
+
+
+def _add_detector_flags(sub, k=None, delta=None, threshold=True):
+    """--k, --delta, --grid-step and, with ``threshold``, --threshold; --k and
+    --delta are required where they have no default."""
+    sub.add_argument("--k", type=_flag(_check_order, "k"), default=k, required=k is None,
+                     help=f"derivative order, an integer in [1, {MAX_ORDER}]{_default(k)}")
+    sub.add_argument("--delta", type=_flag(_check_delta, "delta"), default=delta,
+                     required=delta is None,
+                     help=f"derivative step delta in time units{_default(delta)}")
+    sub.add_argument("--grid-step", type=_flag(_check_delta, "grid_step"), default=None,
+                     help="evaluation grid spacing in time units, <= delta (default delta/10)")
+    if threshold:
+        sub.add_argument("--threshold", type=_flag(_check_delta, "threshold"), default=None,
+                         help="expected jump size A in events per unit time (threshold mode)")
+
+
+def _add_tree_flags(sub, defaults, source=True):
+    """The planted-hub tree's flags, with --source; without it they are
+    scenario flags, which default to None for ``_scenario`` to fill in."""
+    sub.add_argument("--height", type=_whole("height"),
+                     default=defaults["height"] if source else None,
+                     help=f"tree height, levels below the root{_default(defaults['height'])}")
+    sub.add_argument("--extra-leaves", type=int,
+                     default=defaults["extra_leaves"] if source else None,
+                     help=f"leaves attached to the planted hub{_default(defaults['extra_leaves'])}")
+    if source:
+        sub.add_argument("--source", type=int, default=0,
+                         help="source vertex id (default 0 = tree root)")
+
+
+def _add_experiment_flags(sub, defaults, delta_grid=None):
+    """The scenario flags, --delta-grid, --trials and --workers."""
+    sub.add_argument("--scenario", default=None, choices=sorted(HEATMAP_SCENARIOS),
+                     help=f"scenario family{_default(defaults['scenario'])}")
+    _add_rate_flags(sub, ("base", "jump", "horizon"), {"jump": "0.8 B", **defaults})
+    _add_tree_flags(sub, defaults, source=False)
+    sub.add_argument("--delta-grid", type=_delta_grid, default=delta_grid,
+                     help="deltas in time units: comma list or lo:hi:n" + _default(delta_grid))
+    sub.add_argument("--trials", type=_whole("trials"), default=None,
+                     help="Monte Carlo trials per cell" + _default(defaults["trials"]))
+    sub.add_argument("--workers", type=_whole("workers"), default=os.cpu_count(),
+                     help="worker processes; results are identical for any value "
+                          f"(default {os.cpu_count()})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -469,6 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ratejump {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
+    tree_defaults = {"height": 18, "extra_leaves": 8000}
 
     p = subs.add_parser("simulate-poisson",
                         help="simulate an inhomogeneous Poisson process by thinning")
@@ -476,15 +524,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="built-in rate function family (default sin-plus-exp)")
     p.add_argument("--rate-spec", default=None,
                    help="rate specification file (overrides --rate-preset)")
-    p.add_argument("--base", type=_positive_float("base"), default=None,
-                   help="base rate B in events per unit time")
-    p.add_argument("--jump", type=_positive_float("jump"), default=None,
-                   help="jump amplitude A in events per unit time")
-    p.add_argument("--onset", type=_positive_float("onset"), default=None,
-                   help="jump onset time t0 in time units")
-    p.add_argument("--horizon", type=_positive_float("horizon"), default=20.0,
+    _add_rate_flags(p, ("base", "jump", "onset"), {})
+    p.add_argument("--horizon", type=_flag(_check_delta, "horizon"), default=20.0,
                    help="simulation horizon T in time units (default 20)")
-    p.add_argument("--bin-width", type=_positive_float("bin-width"), default=None,
+    p.add_argument("--bin-width", type=_flag(_check_delta, "bin_width"), default=None,
                    help="also write counts binned at this width (time units)")
     p.add_argument("--out", default="events.txt", help="output event-times file name")
     _add_common(p, seed=True, stream=True)
@@ -493,73 +536,35 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("simulate-si", help="simulate an SI cascade on a graph")
     p.add_argument("--graph", default=None,
                    help="edge-list file 'u v' per line, 0-indexed (overrides the tree)")
-    p.add_argument("--height", type=_positive_int("height"), default=18,
-                   help="tree height (levels below the root, default 18)")
-    p.add_argument("--extra-leaves", type=int, default=8000,
-                   help="leaves attached to the planted hub (default 8000)")
-    p.add_argument("--source", type=int, default=0,
-                   help="source vertex id (default 0 = tree root)")
+    _add_tree_flags(p, tree_defaults)
     p.add_argument("--out", default="trace.csv", help="output trace CSV name")
     _add_common(p, seed=True, stream=True)
     p.set_defaults(func=cmd_simulate_si)
 
     p = subs.add_parser("detect", help="detect change points in a counting process")
     _add_counting_inputs(p)
-    p.add_argument("--k", type=_positive_int("k"), required=True,
-                   help="derivative order (dimensionless, >= 1)")
-    p.add_argument("--delta", type=_positive_float("delta"), required=True,
-                   help="derivative step delta in time units")
-    p.add_argument("--threshold", type=_positive_float("threshold"), default=None,
-                   help="expected jump size A in events per unit time (threshold mode)")
+    _add_detector_flags(p)
     p.add_argument("--argmax-single", action="store_true",
                    help="exploratory mode: report only the best-scoring time")
-    p.add_argument("--grid-step", type=_positive_float("grid-step"), default=None,
-                   help="evaluation grid spacing in time units (default delta/10)")
     p.add_argument("--out", default="report.csv", help="output report CSV name")
     _add_common(p)
     p.set_defaults(func=cmd_detect)
 
     p = subs.add_parser("argmax", help="time of the largest |order-k derivative|")
     _add_counting_inputs(p)
-    p.add_argument("--k", type=_positive_int("k"), required=True,
-                   help="derivative order (dimensionless, >= 1)")
-    p.add_argument("--delta", type=_positive_float("delta"), required=True,
-                   help="derivative step delta in time units")
-    p.add_argument("--grid-step", type=_positive_float("grid-step"), default=None,
-                   help="evaluation grid spacing in time units (default delta/10)")
+    _add_detector_flags(p, threshold=False)
     p.add_argument("--out", default="argmax.txt", help="output file name")
     _add_common(p)
     p.set_defaults(func=cmd_argmax)
 
     p = subs.add_parser("heatmap", help="Monte Carlo error heatmap over (k, delta)")
     p.add_argument("--preset", default=None,
-                   help="experiment preset name (see the presets subcommand)")
-    d = _HEATMAP_DEFAULTS
-    p.add_argument("--scenario", default=None,
-                   choices=["smooth-jump", "si-tree", "const-null"],
-                   help=f"scenario family when no preset is given (default {d['scenario']})")
-    p.add_argument("--base", type=_positive_float("base"), default=None,
-                   help="base rate B in events per unit time (poisson scenarios, "
-                        f"no preset; default {d['base']:g})")
-    p.add_argument("--jump", type=_positive_float("jump"), default=None,
-                   help="jump amplitude A in events per unit time "
-                        "(default 0.8 B, or the preset's)")
-    p.add_argument("--horizon", type=_positive_float("horizon"), default=None,
-                   help="horizon T in time units (poisson scenarios, no preset; "
-                        f"default {d['horizon']:g})")
-    p.add_argument("--height", type=_positive_int("height"), default=None,
-                   help=f"tree height for si-tree (no preset; default {d['height']})")
-    p.add_argument("--extra-leaves", type=int, default=None,
-                   help=f"hub leaves for si-tree (default {d['extra_leaves']}, or the preset's)")
-    p.add_argument("--k-grid", type=_int_list, default=None,
+                   choices=sorted(name for name, preset in PRESETS.items()
+                                  if preset.kind == "heatmap"),
+                   help="heatmap preset: its scenario, grids and trials (see presets)")
+    _add_experiment_flags(p, _HEATMAP_DEFAULTS)
+    p.add_argument("--k-grid", type=_flag_list(_check_order, "k_grid"), default=None,
                    help="comma-separated derivative orders, e.g. 1,2,3")
-    p.add_argument("--delta-grid", type=_delta_grid, default=None,
-                   help="deltas in time units: comma list or lo:hi:n")
-    p.add_argument("--trials", type=_positive_int("trials"), default=None,
-                   help="Monte Carlo trials per cell (default: preset value or 20)")
-    p.add_argument("--workers", type=_positive_int("workers"), default=os.cpu_count(),
-                   help="worker processes; results are identical for any value "
-                        f"(default {os.cpu_count()})")
     p.add_argument("--long-csv", action="store_true",
                    help="also write per-trial errors as heatmap_long.csv")
     _add_common(p, seed=True)
@@ -567,27 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("baselines",
                         help="compare k=1,2 baselines against higher orders")
-    p.add_argument("--scenario", default="si-tree",
-                   choices=["smooth-jump", "si-tree", "const-null"],
-                   help="scenario family (default si-tree)")
-    p.add_argument("--base", type=_positive_float("base"), default=1e4,
-                   help="base rate B in events per unit time (poisson scenarios)")
-    p.add_argument("--jump", type=_positive_float("jump"), default=8e3,
-                   help="jump amplitude A in events per unit time")
-    p.add_argument("--horizon", type=_positive_float("horizon"), default=20.0,
-                   help="horizon T in time units (default 20)")
-    p.add_argument("--height", type=_positive_int("height"), default=18,
-                   help="tree height for si-tree (default 18)")
-    p.add_argument("--extra-leaves", type=int, default=2000,
-                   help="hub leaves for si-tree (default 2000)")
-    p.add_argument("--delta-grid", type=_delta_grid, default="0.2:2.0:10",
-                   help="deltas in time units: comma list or lo:hi:n (default 0.2:2.0:10)")
-    p.add_argument("--high-orders", type=_int_list, default=(3, 4, 5),
-                   help="higher orders to compare (default 3,4,5)")
-    p.add_argument("--trials", type=_positive_int("trials"), default=20,
-                   help="Monte Carlo trials (default 20)")
-    p.add_argument("--workers", type=_positive_int("workers"), default=os.cpu_count(),
-                   help="worker processes; results are identical for any value")
+    _add_experiment_flags(p, _BASELINES_DEFAULTS, delta_grid="0.2:2.0:10")
+    p.add_argument("--high-orders", type=_flag_list(_check_order, "high_orders"),
+                   default=(3, 4, 5), help="higher orders to compare (default 3,4,5)")
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_baselines)
 
@@ -595,27 +582,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="estimate the high-degree vertex from several cascades")
     p.add_argument("--trace", action="append", default=None,
                    help="cascade trace CSV (repeat per cascade; overrides simulation)")
-    p.add_argument("--height", type=_positive_int("height"), default=18,
-                   help="tree height (default 18)")
-    p.add_argument("--extra-leaves", type=int, default=8000,
-                   help="hub leaves (default 8000)")
-    p.add_argument("--cascades", type=_positive_int("cascades"), default=3,
+    _add_tree_flags(p, tree_defaults)
+    p.add_argument("--cascades", type=_whole("cascades"), default=3,
                    help="number of cascades K to simulate (default 3)")
-    p.add_argument("--source", type=int, default=0,
-                   help="source vertex id (default 0 = tree root)")
-    p.add_argument("--k", type=_positive_int("k"), default=2,
-                   help="derivative order (default 2)")
-    p.add_argument("--delta", type=_positive_float("delta"), default=0.1,
-                   help="derivative step delta in time units (default 0.1)")
-    p.add_argument("--window", type=_positive_float("window"), default=None,
+    _add_detector_flags(p, k=2, delta=0.1)
+    p.add_argument("--window", type=_flag(_check_delta, "window"), default=None,
                    help="candidate window w in time units (default k*delta)")
     p.add_argument("--mode", choices=["threshold", "argmax-single"],
                    default="argmax-single",
                    help="per-cascade detection mode (default argmax-single)")
-    p.add_argument("--threshold", type=_positive_float("threshold"), default=None,
-                   help="expected jump size A in events per unit time (threshold mode)")
-    p.add_argument("--grid-step", type=_positive_float("grid-step"), default=None,
-                   help="evaluation grid spacing in time units (default delta/10)")
     p.add_argument("--out", default="multicascade.txt", help="output file name")
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_multicascade)
@@ -628,9 +603,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="region filter value (requires a region column)")
     p.add_argument("--mode", choices=["daily", "cumulative"], default="daily",
                    help="whether counts are daily increments or cumulative totals")
-    p.add_argument("--k", type=_positive_int("k"), default=2,
+    p.add_argument("--k", type=_flag(_check_order, "k"), default=2,
                    help="derivative order (default 2)")
-    p.add_argument("--delta-days", type=_positive_int("delta-days"), default=1,
+    p.add_argument("--delta-days", type=_whole("delta_days"), default=1,
                    help="derivative step in whole days (default 1)")
     p.add_argument("--out", default="profile.csv", help="output profile CSV name")
     _add_common(p)

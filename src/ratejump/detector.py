@@ -49,7 +49,6 @@ class DetectorConfig:
     delta: float
     threshold: "float | None" = None
     grid_step: "float | None" = None
-    window: "tuple | None" = None
     horizon: "float | None" = None
 
     def __post_init__(self) -> None:
@@ -144,8 +143,10 @@ def _packing_indices(times: np.ndarray, scores: np.ndarray, min_sep: float) -> l
     n = len(times)
     if n == 0:
         return []
-    # js[i]: last index whose time is strictly less than times[i] - min_sep
+    # js[i]: a first guess at the last index j with times[i] - times[j] > min_sep,
+    # the gap ChangePointReport checks; times[i] - min_sep can round either way
     js = np.searchsorted(times, times - min_sep, side="left") - 1
+    t = times.tolist()
     f_count = np.zeros(n, dtype=np.int64)
     f_score = np.zeros(n)
     parent = np.full(n, -1, dtype=np.int64)
@@ -155,6 +156,11 @@ def _packing_indices(times: np.ndarray, scores: np.ndarray, min_sep: float) -> l
     bi = np.zeros(n, dtype=np.int64)
     for i in range(n):
         j = int(js[i])
+        # settle the guess on the exact gap, a block of equal times at a time
+        while j + 1 < i and t[i] - t[j + 1] > min_sep:
+            j = int(np.searchsorted(times, t[j + 1], side="right")) - 1
+        while j >= 0 and not t[i] - t[j] > min_sep:
+            j = int(np.searchsorted(times, t[j], side="left")) - 1
         if j >= 0:
             f_count[i] = bc[j] + 1
             f_score[i] = bs[j] + scores[i]
@@ -200,7 +206,6 @@ def detect(N, config: DetectorConfig) -> ChangePointReport:
         config.k,
         config.delta,
         grid_step=config.grid_step,
-        window=config.window,
         horizon=config.horizon,
     )
     scores, keep = _candidates(profile, config.delta, config.threshold)
@@ -280,16 +285,14 @@ def min_order_for(theta: float) -> int:
     return order
 
 
-def save_report_csv(report: ChangePointReport, path, sidecar=None) -> None:
-    """Write estimates as ``t_hat,score`` CSV plus a key=value sidecar."""
+def save_report_csv(report: ChangePointReport, path) -> None:
+    """Write estimates as ``t_hat,score`` CSV plus a key=value ``<path>.meta`` sidecar."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t_hat", "score"])
         for e in report.estimates:
             writer.writerow([repr(e.time), repr(e.score)])
-    if sidecar is None:
-        sidecar = str(path) + ".meta"
-    with open(sidecar, "w", encoding="utf-8") as fh:
+    with open(str(path) + ".meta", "w", encoding="utf-8") as fh:
         fh.write(f"k={report.k}\n")
         fh.write(f"delta={report.delta!r}\n")
         fh.write(f"grid_step={report.grid_step!r}\n")

@@ -209,8 +209,7 @@ class ExperimentSpec:
             for j, d in enumerate(self.delta_grid)))
         if not self.k_grid or not self.delta_grid:
             raise ValueError("k_grid and delta_grid must be non-empty")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        object.__setattr__(self, "trials", _check_order(self.trials, "trials", limit=math.inf))
 
 
 @dataclass(frozen=True)
@@ -352,17 +351,11 @@ def save_heatmap_long_csv(result: HeatmapResult, path) -> None:
 
 @dataclass(frozen=True)
 class BaselineReport:
-    """Best-over-delta error for each order, low orders vs higher orders."""
+    """Best-over-delta error for each order: the baselines k = 1, 2 and the higher orders."""
 
     heatmap: HeatmapResult
     per_order_min: dict  # k -> (delta, mean error)
-    low_orders: tuple
     high_orders: tuple
-
-    @property
-    def best_low(self) -> tuple:
-        k = min(self.low_orders, key=lambda k: self.per_order_min[k][1])
-        return (k,) + self.per_order_min[k]
 
     @property
     def best_high(self) -> tuple:
@@ -375,7 +368,6 @@ def run_baselines(
     delta_grid,
     trials: int,
     base_seed: int = 0,
-    low_orders: tuple = (1, 2),
     high_orders: tuple = (3, 4, 5),
     workers: "int | None" = None,
 ) -> BaselineReport:
@@ -384,7 +376,7 @@ def run_baselines(
     All orders are scored on the same realizations (common random
     numbers), each order taking its best delta from ``delta_grid``.
     """
-    k_grid = tuple(sorted(set(low_orders) | set(high_orders)))
+    k_grid = tuple(sorted({1, 2} | set(high_orders)))
     spec = ExperimentSpec(
         scenario=scenario,
         k_grid=k_grid,
@@ -401,7 +393,6 @@ def run_baselines(
     return BaselineReport(
         heatmap=heatmap,
         per_order_min=per_order,
-        low_orders=tuple(low_orders),
         high_orders=tuple(high_orders),
     )
 
@@ -575,6 +566,6 @@ def heatmap_spec_from_preset(preset: Preset, **overrides) -> ExperimentSpec:
         scenario=cls(**{name: params[name] for name in names}),
         k_grid=tuple(params["k_grid"]),
         delta_grid=tuple(params["delta_grid"]),
-        trials=int(params["trials"]),
+        trials=params["trials"],
         base_seed=int(params.get("base_seed", 0)),
     )

@@ -418,7 +418,7 @@ def simulate_binned(spec: RateSpec, horizon: float, seed, bin_width: float) -> B
     the binned output equals binning the event-level output.
     """
     events = simulate(spec, horizon, seed)
-    return bin_events(events, bin_width=bin_width, start_time=0.0)
+    return bin_events(events, bin_width=bin_width)
 
 
 # ---------------------------------------------------------------------------

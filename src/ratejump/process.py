@@ -162,9 +162,7 @@ class BinnedCounting:
     def __init__(self, series: BinnedSeries):
         self.series = series
         self._edges = series.right_edges()
-        csum = np.zeros(len(series) + 1, dtype=np.int64)
-        np.cumsum(series.counts, out=csum[1:])
-        self._csum = csum
+        self._csum = np.concatenate(([0], cumulative(series)))
         self.horizon = series.horizon
 
     def count_at(self, t):
@@ -184,8 +182,16 @@ def count_at(events, t):
 
 
 def cumulative(series: BinnedSeries) -> np.ndarray:
-    """Prefix sums of the bin counts: entry i is N at bin i's right edge."""
-    return np.cumsum(series.counts, dtype=np.int64)
+    """Prefix sums of the bin counts: entry i is N at bin i's right edge.
+
+    A total that reaches 2**63 is an error naming its bin.  Each count is
+    below 2**63, so the first int64 sum to wrap is the first negative one.
+    """
+    totals = np.cumsum(series.counts, dtype=np.int64)
+    wrapped = np.flatnonzero(totals < 0)
+    if wrapped.size:
+        raise ValueError(f"counts total reaches 2**63 at bin {wrapped[0]}")
+    return totals
 
 
 def from_binned(series: BinnedSeries) -> BinnedCounting:
@@ -193,25 +199,17 @@ def from_binned(series: BinnedSeries) -> BinnedCounting:
     return BinnedCounting(series)
 
 
-def bin_events(
-    events: EventTimes,
-    bin_width: float,
-    start_time: float = 0.0,
-    n_bins: "int | None" = None,
-) -> BinnedSeries:
-    """Bin event times: counts[i] = #events in [start+i*w, start+(i+1)*w).
+def bin_events(events: EventTimes, bin_width: float) -> BinnedSeries:
+    """Bin event times: counts[i] = #events in [i*w, (i+1)*w), up to the horizon.
 
     With no event exactly on a bin edge, ``from_binned(bin_events(e, w))``
     agrees with ``e.count_at`` at every bin right edge.  (An event exactly
     on an edge belongs to the right-hand bin here but to the left-closed
     count under the N(t) convention; measure-zero for continuous samples.)
     """
-    if n_bins is None:
-        span = events.horizon - start_time
-        n_bins = max(int(np.ceil(span / bin_width - 1e-12)), 0)
-    edges = start_time + np.arange(n_bins + 1) * bin_width
-    idx = np.searchsorted(events.times, edges, side="left")
-    return BinnedSeries(bin_width=bin_width, counts=np.diff(idx), start_time=start_time)
+    n_bins = max(int(np.ceil(events.horizon / bin_width - 1e-12)), 0)
+    idx = np.searchsorted(events.times, np.arange(n_bins + 1) * bin_width, side="left")
+    return BinnedSeries(bin_width=bin_width, counts=np.diff(idx))
 
 
 # ---------------------------------------------------------------------------

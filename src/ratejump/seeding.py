@@ -32,9 +32,6 @@ class SimSeed:
             if value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
 
-    def with_stream(self, stream: int) -> "SimSeed":
-        return SimSeed(self.seed, stream)
-
     def split(self, *path: int) -> np.random.Generator:
         """Return the generator for this stream, refined by an integer path.
 

@@ -447,6 +447,49 @@ def test_heatmap_manifest_records_resolved_defaults(tmp_path, capsys):
     assert "base=10000.0" in (tmp_path / "heatmap.csv").read_text()
 
 
+DETECT = ["--events", "{events}", "--argmax-single"]
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["detect", "--k", "0", "--delta", "0.5", *DETECT], 2, "k must be >= 1, got 0"),
+    (["detect", "--k", "21", "--delta", "0.5", *DETECT], 2, "k must be <= 20, got 21"),
+    (["detect", "--k", "2", "--delta", "inf", *DETECT], 2, "delta must be positive and finite"),
+    (["detect", "--k", "2", "--delta", "0.5", "--grid-step", "0.6", *DETECT], 2,
+     "grid_step must be in (0, delta=0.5], got 0.6"),
+    (["argmax", "--events", "{events}", "--k", "2", "--delta", "0.5", "--grid-step", "0.6"], 2,
+     "grid_step must be in (0, delta=0.5], got 0.6"),
+    (["heatmap", "--k-grid", "1,21", "--delta-grid", "0.3"], 2, "k_grid[1] must be <= 20, got 21"),
+    (["heatmap", "--base", "inf", "--k-grid", "1", "--delta-grid", "0.3"], 2,
+     "base must be positive and finite, got inf"),
+    (["baselines", "--scenario", "smooth-jump", "--base", "inf"], 2,
+     "base must be positive and finite, got inf"),
+    (["simulate-poisson", "--base", "inf"], 2, "base must be positive and finite, got inf"),
+    (["simulate-si", "--height", "3", "--extra-leaves", "2", "--source", "99"], 2,
+     "source 99 out of range"),
+    (["simulate-si", "--height", "3", "--source", "-1"], 2, "source -1 out of range"),
+    (["simulate-si", "--height", "3", "--extra-leaves", "-2"], 2, "extra_leaves must be >= 0"),
+    (["multicascade", "--height", "3", "--extra-leaves", "2", "--source", "99"], 2,
+     "source 99 out of range"),
+    (["multicascade", "--height", "3", "--extra-leaves", "-2"], 2, "extra_leaves must be >= 0"),
+    (["baselines", "--scenario", "si-tree", "--base", "50", "--jump", "7"], 2,
+     "scenario 'si-tree' does not use --base, --jump"),
+    (["baselines", "--horizon", "3"], 2, "scenario 'si-tree' does not use --horizon"),
+    (["baselines", "--scenario", "smooth-jump", "--height", "3"], 2,
+     "scenario 'smooth-jump' does not use --height"),
+    # the stencil fits no grid time on [0, 2]: a failure of the data, not of a flag
+    (["argmax", "--events", "{events}", "--k", "5", "--delta", "2.0"], 1,
+     "runtime error in detector"),
+])
+def test_bad_flag_exit_codes(tmp_path, capsys, argv, code, message):
+    events = tmp_path / "events.txt"
+    events.write_text("0.5\n1.0\n1.5\n2.0\n")
+    argv = [a.format(events=events) for a in argv] + ["--out-dir", str(tmp_path / "out")]
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert message in err
+    assert not list(tmp_path.glob("out/*.manifest"))
+
+
 def test_heatmap_without_preset_needs_grids(capsys):
     code, out, err = run(capsys, "heatmap", "--scenario", "smooth-jump")
     assert code == 2

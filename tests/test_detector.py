@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ratejump.detector import (
     ChangePointReport,
@@ -90,6 +90,7 @@ def test_greedy_packing_requires_sorted():
     st.lists(st.floats(min_value=0, max_value=20, allow_nan=False), min_size=1, max_size=10),
     st.floats(min_value=0.1, max_value=5.0),
 )
+@example([1.0, 1.1], 0.1)  # 1.1 - 0.1 rounds to 1.0, yet 1.1 - 1.0 > 0.1
 @settings(max_examples=80)
 def test_greedy_packing_is_maximum(times, min_sep):
     times = sorted(times)

@@ -1,10 +1,11 @@
 """Each input rule has one implementation; every entry point gives the same answer.
 
-The rules on a derivative order k, a step delta and a grid step live in
-``ratejump.derivative``; the rule on event counts, for arrays and for the
-count fields of files, lives in ``ratejump.process``.  Each test below
-feeds the same bad value to every entry point that takes it and expects a
-ValueError that names the field, index, day or row.
+The rules on a derivative order k (and on a whole count such as a number
+of trials), a step delta and a grid step live in ``ratejump.derivative``;
+the rule on event counts, for arrays and for the count fields of files,
+lives in ``ratejump.process``.  Each test below feeds the same bad value
+to every entry point that takes it and expects a ValueError that names
+the field, index, day or row.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from ratejump.derivative import DerivativeStencil, derivative_profiles
 from ratejump.detector import DetectorConfig
-from ratejump.harness import ExperimentSpec, RampScenario
+from ratejump.harness import ExperimentSpec, RampScenario, get_preset, heatmap_spec_from_preset
 from ratejump.ingest import RegionSeries, analyze_binned, load_daily_csv
 from ratejump.process import BinnedSeries, EventTimes, load_binned_csv
 from ratejump.seeding import SimSeed, as_seed
@@ -63,6 +64,25 @@ def test_delta_rule(entry, bad):
 def test_grid_step_rule(entry, bad):
     with pytest.raises(ValueError, match=r"^grid_step must be in \(0, delta=0.5\]"):
         GRID_STEP_ENTRIES[entry](bad)
+
+
+TRIALS_ENTRIES = {
+    "ExperimentSpec": lambda n: ExperimentSpec(RampScenario(), (2,), (0.5,), n),
+    "heatmap_spec_from_preset": lambda n: heatmap_spec_from_preset(
+        get_preset("fig2-scaled"), trials=n, k_grid=(2,), delta_grid=(0.5,)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(TRIALS_ENTRIES))
+@pytest.mark.parametrize("bad", [0, -1, 2.5, 2.0, True, "2"])
+def test_trials_rule(entry, bad):
+    with pytest.raises(ValueError, match=r"^trials must"):
+        TRIALS_ENTRIES[entry](bad)
+
+
+@pytest.mark.parametrize("entry", sorted(TRIALS_ENTRIES))
+def test_trials_has_no_upper_limit(entry):
+    assert TRIALS_ENTRIES[entry](np.int64(10**6)).trials == 10**6
 
 
 # entry point -> (call with an array of counts, how it names entry 2)

@@ -74,6 +74,14 @@ def test_cumulative_empty():
     assert cumulative(s).tolist() == []
 
 
+@pytest.mark.parametrize("build", [cumulative, from_binned])
+def test_count_total_beyond_int64_names_its_bin(build):
+    # each count passes the count rule; the int64 running total would wrap at bin 1
+    with pytest.raises(ValueError, match=r"total reaches 2\*\*63 at bin 1$"):
+        build(BinnedSeries(bin_width=1.0, counts=[2**62] * 3))
+    assert cumulative(BinnedSeries(bin_width=1.0, counts=[2**62, 2**62 - 1]))[-1] == 2**63 - 1
+
+
 def test_binned_rejects_negative():
     with pytest.raises(ValueError, match=r"counts\[1\]"):
         BinnedSeries(bin_width=1.0, counts=np.array([3, -2, 1]))
