@@ -28,9 +28,7 @@ from .detector import (
     detect,
     greedy_packing,
     min_order_for,
-    sep,
     suggest_delta,
-    threshold_candidates,
 )
 from .harness import (
     ExperimentSpec,
@@ -38,12 +36,11 @@ from .harness import (
     false_alarm_study,
     run_baselines,
     run_heatmap,
-    run_trial,
 )
 from .ingest import RegionSeries, analyze_binned, load_daily_csv, load_daily_regions
 from .multicascade import CascadeBundle, candidate_vertices, estimate_high_degree
-from .poisson import RateSpec, eval_rate, rate_upper_bound, simulate, simulate_binned
-from .process import BinnedSeries, EventTimes, bin_events, count_at, cumulative, from_binned
+from .poisson import RateSpec, eval_rate, rate_upper_bound, simulate
+from .process import BinnedSeries, EventTimes, bin_events, cumulative, from_binned
 from .seeding import SimSeed
 from .si import (
     CascadeTrace,
@@ -70,15 +67,12 @@ __all__ = [
     "detect",
     "greedy_packing",
     "min_order_for",
-    "sep",
     "suggest_delta",
-    "threshold_candidates",
     "ExperimentSpec",
     "HeatmapResult",
     "false_alarm_study",
     "run_baselines",
     "run_heatmap",
-    "run_trial",
     "RegionSeries",
     "analyze_binned",
     "load_daily_csv",
@@ -90,11 +84,9 @@ __all__ = [
     "eval_rate",
     "rate_upper_bound",
     "simulate",
-    "simulate_binned",
     "BinnedSeries",
     "EventTimes",
     "bin_events",
-    "count_at",
     "cumulative",
     "from_binned",
     "SimSeed",

@@ -9,11 +9,16 @@ output paths, the tool version, and wall time.
 The CLI keeps no rule on a value of its own: each numeric flag is read
 through a library check (``derivative._check_order``, ``_check_delta``
 or ``SimSeed``), and what the flags define (``DetectorConfig``, the
-scenario, the tree) is built before any input is read.  Exit codes: 0
-success, 2 usage error (a bad or unused flag, conflicting modes, a
-missing input file; the message on stderr names the field), 1 runtime
-failure that depends on the data (the message names the module whose
-call from the subcommand failed).
+scenario, the tree) is built before any input is read.  A flag the
+run does not use is a usage error, not ignored: ``--horizon`` with
+``--binned`` (binned counts end at their last bin; ``--horizon`` is for
+``--events`` only), ``--base``/``--jump``/``--onset`` with ``--rate-spec``,
+``--height``/``--extra-leaves`` with ``--graph``, and a scenario flag the
+scenario or preset does not take.  ``multicascade`` takes every default
+from the ``multicascade-tree`` preset.  Exit codes: 0 success, 2 usage
+error (a bad or unused flag, conflicting modes, a missing input file; the
+message on stderr names the field), 1 runtime failure that depends on the
+data (the message names the module whose call from the subcommand failed).
 """
 
 from __future__ import annotations
@@ -150,6 +155,8 @@ def _load_counting(args):
     """Resolve the --events / --binned input pair into a counting process."""
     if args.events and args.binned:
         raise UsageError("give either --events or --binned, not both")
+    if args.binned and args.horizon is not None:
+        raise UsageError("--horizon is for --events only: binned counts end at their last bin")
     if args.events:
         events = load_event_times(_require_file(args.events), horizon=args.horizon)
         return events, [args.events]
@@ -163,8 +170,7 @@ def _detector_config(args) -> DetectorConfig:
     """The detector flags' DetectorConfig, built before any input is read."""
     with _building():
         return DetectorConfig(k=args.k, delta=args.delta, grid_step=args.grid_step,
-                              threshold=getattr(args, "threshold", None),
-                              horizon=getattr(args, "horizon", None))
+                              threshold=getattr(args, "threshold", None))
 
 
 def _check_source(source, graph) -> None:
@@ -173,27 +179,33 @@ def _check_source(source, graph) -> None:
 
 
 def _tree(args):
-    """The tree flags' planted-hub tree, with --source checked on it."""
+    """The tree flags' planted-hub tree, with --source checked on it.  A tree
+    flag not given takes its ``_TREE_DEFAULTS`` value, set on ``args`` so the
+    manifest records what ran."""
+    for name, value in _TREE_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
     with _building():
         graph = build_tree_with_hub(args.height, args.extra_leaves)
     _check_source(args.source, graph)
     return graph
 
 
+# The tree flags' values when not given (multicascade's come from its preset).
+_TREE_DEFAULTS = {"height": 18, "extra_leaves": 8000}
 # The experiment flags' values when not given, per subcommand; a jump not
 # given is 0.8 * base.  A heatmap preset brings its own.
 _HEATMAP_DEFAULTS = {"scenario": "smooth-jump", "base": 1e4, "horizon": 20.0,
-                     "height": 18, "extra_leaves": 8000, "trials": 20}
+                     **_TREE_DEFAULTS, "trials": 20}
 _BASELINES_DEFAULTS = {**_HEATMAP_DEFAULTS, "scenario": "si-tree", "jump": 8e3,
                        "extra_leaves": 2000}
 # the flags that define a scenario
 _SCENARIO_FLAGS = ("scenario", "base", "horizon", "height", "extra_leaves", "jump")
 
 
-def _reject_unused(args, used, who):
-    """A usage error naming each scenario flag given that ``who`` does not use."""
-    unused = [name for name in _SCENARIO_FLAGS
-              if name not in used and getattr(args, name) is not None]
+def _reject_unused(args, used, who, flags=_SCENARIO_FLAGS):
+    """A usage error naming each of ``flags`` given that ``who`` does not use."""
+    unused = [name for name in flags if name not in used and getattr(args, name) is not None]
     if unused:
         flags = ", ".join("--" + name.replace("_", "-") for name in unused)
         raise UsageError(f"{who} does not use {flags}")
@@ -220,6 +232,7 @@ def _scenario(args, defaults):
 
 def cmd_simulate_poisson(args):
     if args.rate_spec:
+        _reject_unused(args, (), "--rate-spec", flags=("base", "jump", "onset"))
         spec = load_rate_spec(_require_file(args.rate_spec))
         inputs = [args.rate_spec]
     else:
@@ -247,6 +260,7 @@ def cmd_simulate_poisson(args):
 
 def cmd_simulate_si(args):
     if args.graph:
+        _reject_unused(args, (), "--graph", flags=tuple(_TREE_DEFAULTS))
         graph = load_edge_list(_require_file(args.graph))
         _check_source(args.source, graph)
         inputs = [args.graph]
@@ -290,8 +304,7 @@ def cmd_detect(args):
 def cmd_argmax(args):
     config = _detector_config(args)
     counting, inputs = _load_counting(args)
-    t_hat = argmax_single(counting, config.k, config.delta, grid_step=config.grid_step,
-                          horizon=config.horizon)
+    t_hat = argmax_single(counting, config.k, config.delta, grid_step=config.grid_step)
     out_dir = _out_dir(args)
     out_path = os.path.join(out_dir, args.out)
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -461,7 +474,7 @@ def _add_counting_inputs(sub):
                      help="input event-times file (one timestamp per line, time units)")
     sub.add_argument("--binned", default=None,
                      help="input binned CSV with header bin_start,count (time units)")
-    _add_rate_flags(sub, ("horizon",), {"horizon": "the last event"})
+    _add_rate_flags(sub, ("horizon",), {"horizon": "the last event; --events only"})
 
 
 def _add_detector_flags(sub, k=None, delta=None, threshold=True):
@@ -480,13 +493,12 @@ def _add_detector_flags(sub, k=None, delta=None, threshold=True):
 
 
 def _add_tree_flags(sub, defaults, source=True):
-    """The planted-hub tree's flags, with --source; without it they are
-    scenario flags, which default to None for ``_scenario`` to fill in."""
-    sub.add_argument("--height", type=_whole("height"),
-                     default=defaults["height"] if source else None,
+    """The planted-hub tree's flags and, with ``source``, --source.  They
+    default to None, so a run can tell which were given; ``_tree`` or
+    ``_scenario`` fills in the ``defaults`` shown in the help."""
+    sub.add_argument("--height", type=_whole("height"), default=None,
                      help=f"tree height, levels below the root{_default(defaults['height'])}")
-    sub.add_argument("--extra-leaves", type=int,
-                     default=defaults["extra_leaves"] if source else None,
+    sub.add_argument("--extra-leaves", type=int, default=None,
                      help=f"leaves attached to the planted hub{_default(defaults['extra_leaves'])}")
     if source:
         sub.add_argument("--source", type=int, default=0,
@@ -516,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ratejump {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    tree_defaults = {"height": 18, "extra_leaves": 8000}
 
     p = subs.add_parser("simulate-poisson",
                         help="simulate an inhomogeneous Poisson process by thinning")
@@ -536,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("simulate-si", help="simulate an SI cascade on a graph")
     p.add_argument("--graph", default=None,
                    help="edge-list file 'u v' per line, 0-indexed (overrides the tree)")
-    _add_tree_flags(p, tree_defaults)
+    _add_tree_flags(p, _TREE_DEFAULTS)
     p.add_argument("--out", default="trace.csv", help="output trace CSV name")
     _add_common(p, seed=True, stream=True)
     p.set_defaults(func=cmd_simulate_si)
@@ -578,22 +589,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_baselines)
 
+    mc = PRESETS["multicascade-tree"].params  # every default of the subcommand
     p = subs.add_parser("multicascade",
                         help="estimate the high-degree vertex from several cascades")
     p.add_argument("--trace", action="append", default=None,
                    help="cascade trace CSV (repeat per cascade; overrides simulation)")
-    _add_tree_flags(p, tree_defaults)
-    p.add_argument("--cascades", type=_whole("cascades"), default=3,
-                   help="number of cascades K to simulate (default 3)")
-    _add_detector_flags(p, k=2, delta=0.1)
-    p.add_argument("--window", type=_flag(_check_delta, "window"), default=None,
-                   help="candidate window w in time units (default k*delta)")
+    _add_tree_flags(p, mc)
+    p.add_argument("--cascades", type=_whole("cascades"),
+                   help="number of cascades K to simulate" + _default(mc["cascades"]))
+    _add_detector_flags(p, k=mc["k"], delta=mc["delta"])
+    p.add_argument("--window", type=_flag(_check_delta, "window"),
+                   help="candidate window w in time units" + _default(mc["window"]))
     p.add_argument("--mode", choices=["threshold", "argmax-single"],
-                   default="argmax-single",
-                   help="per-cascade detection mode (default argmax-single)")
+                   help="per-cascade detection mode" + _default(mc["mode"]))
     p.add_argument("--out", default="multicascade.txt", help="output file name")
     _add_common(p, seed=True)
-    p.set_defaults(func=cmd_multicascade)
+    p.set_defaults(func=cmd_multicascade, **mc)
 
     p = subs.add_parser("analyze-binned",
                         help="derivative analysis of a daily-count CSV")

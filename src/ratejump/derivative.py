@@ -100,13 +100,18 @@ def _as_counting(N, horizon):
     """Normalize N to (vectorized callable, horizon).
 
     Accepts anything with a ``count_at`` method (EventTimes, BinnedCounting)
-    or a plain callable.  For callables with no known horizon the upper
-    window bound is not enforced.
+    or a plain callable.  An N with a ``horizon`` of its own is read up to
+    it; ``horizon`` may only shorten that, since past it N is not data.  A
+    plain callable has no horizon of its own, so ``horizon`` supplies it;
+    without one the upper window bound is not enforced.
     """
     if hasattr(N, "count_at"):
         fn = N.count_at
+        own = getattr(N, "horizon", None)
         if horizon is None:
-            horizon = getattr(N, "horizon", None)
+            horizon = own
+        elif own is not None and float(horizon) > own:
+            raise ValueError(f"horizon = {horizon} lies beyond the horizon of N, {own}")
     elif callable(N):
         fn = N
     else:
@@ -198,7 +203,8 @@ def derivative_profiles(
     valid range [(order-1)*delta, horizon - delta].  ``grid_step``
     defaults to delta/10 and must not exceed delta.  A window that clips
     to nothing yields an empty profile with ``empty_window=True`` rather
-    than an error.
+    than an error.  ``horizon`` is for a plain callable N, which has none
+    of its own; beyond the horizon of an N that has one it is an error.
     """
     orders = [_check_order(order) for order in orders]
     delta = _check_delta(delta)

@@ -6,6 +6,9 @@ clears half the expected jump size, then thin the survivors to a packing
 with pairwise separation > 2*k*delta so each true jump is reported once.
 With no threshold (exploratory mode) the single best-scoring grid point
 is reported instead.
+
+N is read on [0, T] with T its own ``horizon`` (the end of the observed
+data), so the stencil never reaches past the data; there is no override.
 """
 
 from __future__ import annotations
@@ -23,12 +26,10 @@ __all__ = [
     "DetectorConfig",
     "Estimate",
     "ChangePointReport",
-    "threshold_candidates",
     "greedy_packing",
     "detect",
     "argmax_single",
     "d_max",
-    "sep",
     "suggest_delta",
     "min_order_for",
     "save_report_csv",
@@ -49,7 +50,6 @@ class DetectorConfig:
     delta: float
     threshold: "float | None" = None
     grid_step: "float | None" = None
-    horizon: "float | None" = None
 
     def __post_init__(self) -> None:
         _check_order(self.k, "k")
@@ -110,17 +110,6 @@ class ChangePointReport:
 
     def __len__(self) -> int:
         return len(self.estimates)
-
-
-def threshold_candidates(profile, delta: float, threshold: float) -> list:
-    """Grid points whose score |value|/delta clears threshold/2.
-
-    Returns (time, score) pairs in time order; may be empty.
-    """
-    if not (threshold > 0):
-        raise ValueError(f"threshold must be positive, got {threshold}")
-    scores, keep = _candidates(profile, delta, threshold)
-    return list(zip(profile.times[keep].tolist(), scores[keep].tolist()))
 
 
 def _candidates(profile, delta: float, threshold: "float | None"):
@@ -201,13 +190,7 @@ def greedy_packing(candidates, min_sep: float) -> list:
 
 def detect(N, config: DetectorConfig) -> ChangePointReport:
     """Run the full detection pipeline on a counting process."""
-    profile = derivative_profile(
-        N,
-        config.k,
-        config.delta,
-        grid_step=config.grid_step,
-        horizon=config.horizon,
-    )
+    profile = derivative_profile(N, config.k, config.delta, grid_step=config.grid_step)
     scores, keep = _candidates(profile, config.delta, config.threshold)
     chosen = keep if config.threshold is None else keep[
         _packing_indices(profile.times[keep], scores[keep], config.min_sep)]
@@ -234,10 +217,9 @@ def argmax_single(
     delta: float,
     grid_step: "float | None" = None,
     window: "tuple | None" = None,
-    horizon=None,
 ) -> float:
     """Time of the largest |order-k derivative| on the grid (earliest on ties)."""
-    profile = derivative_profile(N, k, delta, grid_step=grid_step, window=window, horizon=horizon)
+    profile = derivative_profile(N, k, delta, grid_step=grid_step, window=window)
     return float(profile.times[profile.argmax()])
 
 
@@ -250,14 +232,6 @@ def d_max(estimates, truths) -> float:
     if s.size == 0:
         return 0.0
     return float(np.max(np.abs(s - t)))
-
-
-def sep(points) -> float:
-    """Smallest pairwise gap; +inf for fewer than two points."""
-    p = np.sort(np.asarray(list(points), dtype=np.float64))
-    if p.size <= 1:
-        return math.inf
-    return float(np.min(np.diff(p)))
 
 
 def suggest_delta(sample_size: float, order: int) -> float:

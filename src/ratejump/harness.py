@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .derivative import _check_delta, _check_order, derivative_profiles
+# argmax_single is not called here; bench/tracing.py wraps harness.argmax_single by name
 from .detector import DetectorConfig, argmax_single, detect
 from .poisson import (
     Constant,
@@ -30,7 +31,7 @@ from .poisson import (
     simulate,
 )
 from .process import EventTimes
-from .seeding import SimSeed, as_seed
+from .seeding import SimSeed, _check_seed, as_seed
 from .si import Graph, build_tree_with_hub, infection_count_process, simulate_si
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "HEATMAP_SCENARIOS",
     "ExperimentSpec",
     "HeatmapResult",
-    "run_trial",
     "run_heatmap",
     "BaselineReport",
     "run_baselines",
@@ -210,6 +210,7 @@ class ExperimentSpec:
         if not self.k_grid or not self.delta_grid:
             raise ValueError("k_grid and delta_grid must be non-empty")
         object.__setattr__(self, "trials", _check_order(self.trials, "trials", limit=math.inf))
+        _check_seed(self.base_seed, "base_seed")
 
 
 @dataclass(frozen=True)
@@ -230,24 +231,6 @@ class HeatmapResult:
     def failed_cells(self) -> int:
         """Trial cells that aborted: the NaN entries of ``errors``."""
         return int(self.errors.size - self.counts.sum())
-
-    def cell(self, k: int, delta: float) -> float:
-        i = self.k_grid.index(k)
-        j = self.delta_grid.index(delta)
-        return float(self.mean_errors[i, j])
-
-
-def run_trial(scenario, k: int, delta: float, seed) -> float:
-    """One scenario realization, one detector cell: |t_hat - truth|."""
-    realization = scenario.realize(as_seed(seed))
-    t_hat = argmax_single(
-        realization.events,
-        k,
-        delta,
-        grid_step=delta * GRID_STEP_FRACTION,
-        window=scenario.analysis_window,
-    )
-    return abs(t_hat - realization.truth)
 
 
 def _trial_errors(spec: ExperimentSpec, trial: int):
@@ -402,10 +385,6 @@ class FalseAlarmReport:
     runs: int
     runs_with_alarms: int
     alarm_counts: tuple  # estimates per run
-
-    @property
-    def clean_fraction(self) -> float:
-        return 1.0 - self.runs_with_alarms / self.runs
 
 
 def false_alarm_study(
@@ -567,5 +546,5 @@ def heatmap_spec_from_preset(preset: Preset, **overrides) -> ExperimentSpec:
         k_grid=tuple(params["k_grid"]),
         delta_grid=tuple(params["delta_grid"]),
         trials=params["trials"],
-        base_seed=int(params.get("base_seed", 0)),
+        base_seed=params.get("base_seed", 0),
     )

@@ -7,6 +7,12 @@ discrete derivative with delta restricted to whole days, so every stencil
 evaluation lands exactly on a bin edge where the counting function is
 known exactly (no interpolation, integer arithmetic throughout).
 
+The columns are fixed: ``date`` (ISO YYYY-MM-DD), ``cases`` and, where
+regions are read, ``region``; header names match with case and
+surrounding blanks ignored, and other columns are not read.  In
+cumulative mode a total may dip by up to ``CORRECTION_TOLERANCE`` (20%)
+of its running maximum, a reporting correction; a deeper dip is an error.
+
 Both loaders make one ``csv.reader`` pass over the file.
 ``load_daily_csv(path, region=...)`` compares each row's region field
 before parsing anything else in the row, so the rows of other regions
@@ -36,6 +42,10 @@ __all__ = [
     "analyze_binned",
     "save_analysis_csv",
 ]
+
+# A cumulative total may dip below its running maximum by this fraction of
+# it (a reporting correction, clamped and recorded) before it is an error.
+CORRECTION_TOLERANCE = 0.2
 
 
 @dataclass(frozen=True)
@@ -87,7 +97,7 @@ def _column_index(header, wanted: str, path) -> int:
     return hits[0]
 
 
-def _read_rows(path, region, grouped, date_column, count_column, region_column):
+def _read_rows(path, region, grouped):
     """One ``csv.reader`` pass over ``path``: ``{region: [(date, count, row), ...]}``.
 
     ``region`` keeps only that region's rows; ``grouped`` keys every row by
@@ -103,11 +113,9 @@ def _read_rows(path, region, grouped, date_column, count_column, region_column):
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file")
-        di = _column_index(header, date_column.lower(), path)
-        ci = _column_index(header, count_column.lower(), path)
-        ri = None
-        if region is not None or grouped:
-            ri = _column_index(header, region_column.lower(), path)
+        di = _column_index(header, "date", path)
+        ci = _column_index(header, "cases", path)
+        ri = _column_index(header, "region", path) if region is not None or grouped else None
         key = ""
         for rowno, row in enumerate(filter(None, reader), start=2):
             try:
@@ -138,7 +146,7 @@ def _read_rows(path, region, grouped, date_column, count_column, region_column):
     return groups
 
 
-def _to_series(path, region: str, rows, mode: str, correction_tolerance: float) -> RegionSeries:
+def _to_series(path, region: str, rows, mode: str) -> RegionSeries:
     """Turn one region's parsed rows into a gap-free ``RegionSeries``."""
     rows.sort(key=itemgetter(0))  # stable: rows of one date stay in file order
     ordinals = np.fromiter((r[0].toordinal() for r in rows), np.int64, len(rows))
@@ -158,13 +166,13 @@ def _to_series(path, region: str, rows, mode: str, correction_tolerance: float) 
         # carry the last seen cumulative value across gaps, then difference
         running = values[np.maximum.accumulate(np.where(present, np.arange(n_days), 0))]
         before = np.maximum.accumulate(np.concatenate(([0], running[:-1])))
-        too_far = present & (before - running > correction_tolerance * np.maximum(before, 1))
+        too_far = present & (before - running > CORRECTION_TOLERANCE * np.maximum(before, 1))
         if too_far.any():
             day = int(np.argmax(too_far))
             date = rows[0][0] + datetime.timedelta(days=day)
             raise ValueError(
                 f"{path}: cumulative count drops from {before[day]} to {running[day]} "
-                f"at {date} (beyond the {correction_tolerance:.0%} correction tolerance)"
+                f"at {date} (beyond the {CORRECTION_TOLERANCE:.0%} correction tolerance)"
             )
         daily = np.diff(running, prepend=0)
     else:
@@ -183,15 +191,7 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be 'daily' or 'cumulative', got {mode!r}")
 
 
-def load_daily_csv(
-    path,
-    region: "str | None" = None,
-    mode: str = "daily",
-    date_column: str = "date",
-    count_column: str = "cases",
-    region_column: str = "region",
-    correction_tolerance: float = 0.2,
-) -> RegionSeries:
+def load_daily_csv(path, region: "str | None" = None, mode: str = "daily") -> RegionSeries:
     """Load a daily count series from CSV.
 
     ``region`` keeps only the rows whose region column, stripped, equals
@@ -201,26 +201,19 @@ def load_daily_csv(
     (YYYY-MM-DD); duplicates are errors; gaps are zero-filled and
     recorded.  Negative daily counts — direct or from a cumulative dip —
     are clamped to zero and recorded, unless a cumulative dip exceeds
-    ``correction_tolerance`` times the running maximum, which is treated
+    ``CORRECTION_TOLERANCE`` times the running maximum, which is treated
     as corrupt input.  All errors name the offending row, field or column.
     """
     _check_mode(mode)
-    groups = _read_rows(path, region, False, date_column, count_column, region_column)
+    groups = _read_rows(path, region, False)
     if not groups:
         target = f" for region {region!r}" if region else ""
         raise ValueError(f"{path}: no data rows{target}")
     (rows,) = groups.values()
-    return _to_series(path, region or "", rows, mode, correction_tolerance)
+    return _to_series(path, region or "", rows, mode)
 
 
-def load_daily_regions(
-    path,
-    mode: str = "daily",
-    date_column: str = "date",
-    count_column: str = "cases",
-    region_column: str = "region",
-    correction_tolerance: float = 0.2,
-) -> "dict[str, RegionSeries]":
+def load_daily_regions(path, mode: str = "daily") -> "dict[str, RegionSeries]":
     """Load every region of a daily CSV in one pass: ``{region: series}``.
 
     Regions are keyed by their stripped region field, in order of first
@@ -228,13 +221,10 @@ def load_daily_regions(
     returns; every row of every region gets that function's checks.
     """
     _check_mode(mode)
-    groups = _read_rows(path, None, True, date_column, count_column, region_column)
+    groups = _read_rows(path, None, True)
     if not groups:
         raise ValueError(f"{path}: no data rows")
-    return {
-        region: _to_series(path, region, rows, mode, correction_tolerance)
-        for region, rows in groups.items()
-    }
+    return {region: _to_series(path, region, rows, mode) for region, rows in groups.items()}
 
 
 @dataclass(frozen=True)

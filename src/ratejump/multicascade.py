@@ -42,14 +42,6 @@ class CascadeBundle:
         if len(sizes) != 1:
             raise ValueError(f"cascades disagree on vertex count: {sorted(sizes)}")
 
-    @property
-    def n_cascades(self) -> int:
-        return len(self.traces)
-
-    @property
-    def n_vertices(self) -> int:
-        return self.traces[0].n
-
 
 def candidate_vertices(trace: CascadeTrace, change_times, window: float) -> set:
     """Vertices infected within ``window`` of any detected change time.

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process import BinnedSeries, EventTimes, bin_events
+from .process import EventTimes
 from .seeding import generator
 
 __all__ = [
@@ -68,7 +68,6 @@ __all__ = [
     "eval_rate",
     "rate_upper_bound",
     "simulate",
-    "simulate_binned",
     "load_rate_spec",
     "save_rate_spec",
     "parse_rate_spec",
@@ -409,16 +408,6 @@ def simulate(spec: RateSpec, horizon: float, seed) -> EventTimes:
             if envelope > 0:
                 chunks.append(_thinned_piece(on, lo, hi, envelope, rng))
     return EventTimes(times=np.concatenate(chunks), horizon=float(horizon))
-
-
-def simulate_binned(spec: RateSpec, horizon: float, seed, bin_width: float) -> BinnedSeries:
-    """Simulate and aggregate into bins of ``bin_width`` starting at 0.
-
-    Consumes randomness identically to ``simulate`` with the same seed, so
-    the binned output equals binning the event-level output.
-    """
-    events = simulate(spec, horizon, seed)
-    return bin_events(events, bin_width=bin_width)
 
 
 # ---------------------------------------------------------------------------

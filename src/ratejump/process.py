@@ -16,7 +16,6 @@ __all__ = [
     "EventTimes",
     "BinnedSeries",
     "BinnedCounting",
-    "count_at",
     "cumulative",
     "from_binned",
     "bin_events",
@@ -171,14 +170,6 @@ class BinnedCounting:
 
     def __len__(self) -> int:
         return int(self._csum[-1])
-
-
-def count_at(events, t):
-    """N(t) for an event-time or binned counting object.  Vectorized over t."""
-    out = events.count_at(t)
-    if np.ndim(t) == 0:
-        return int(out)
-    return out
 
 
 def cumulative(series: BinnedSeries) -> np.ndarray:

@@ -17,6 +17,15 @@ import numpy as np
 __all__ = ["SimSeed", "as_seed", "generator"]
 
 
+def _check_seed(value, name: str) -> None:
+    """The one rule on a seed or stream index: a non-negative integer, bools
+    rejected; errors name ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+
+
 @dataclass(frozen=True)
 class SimSeed:
     """Names one reproducible random stream as a (seed, stream) pair."""
@@ -25,12 +34,8 @@ class SimSeed:
     stream: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("seed", "stream"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
+        _check_seed(self.seed, "seed")
+        _check_seed(self.stream, "stream")
 
     def split(self, *path: int) -> np.random.Generator:
         """Return the generator for this stream, refined by an integer path.

@@ -9,6 +9,7 @@ import os
 import pytest
 
 from ratejump.cli import build_parser, main
+from ratejump.harness import PRESETS
 from ratejump.process import load_event_times
 from ratejump.si import load_trace_csv
 
@@ -479,6 +480,14 @@ DETECT = ["--events", "{events}", "--argmax-single"]
     # the stencil fits no grid time on [0, 2]: a failure of the data, not of a flag
     (["argmax", "--events", "{events}", "--k", "5", "--delta", "2.0"], 1,
      "runtime error in detector"),
+    (["simulate-poisson", "--rate-spec", "{events}", "--base", "5", "--onset", "2"], 2,
+     "--rate-spec does not use --base, --onset"),
+    (["simulate-si", "--graph", "{events}", "--height", "3", "--extra-leaves", "2"], 2,
+     "--graph does not use --height, --extra-leaves"),
+    (["detect", "--binned", "{events}", "--k", "2", "--delta", "0.5", "--threshold", "9",
+      "--horizon", "100"], 2, "--horizon is for --events only"),
+    (["argmax", "--binned", "{events}", "--k", "2", "--delta", "0.5", "--horizon", "100"], 2,
+     "--horizon is for --events only"),
 ])
 def test_bad_flag_exit_codes(tmp_path, capsys, argv, code, message):
     events = tmp_path / "events.txt"
@@ -488,6 +497,23 @@ def test_bad_flag_exit_codes(tmp_path, capsys, argv, code, message):
     assert got == code
     assert message in err
     assert not list(tmp_path.glob("out/*.manifest"))
+
+
+def test_events_horizon_extends_the_event_file(tmp_path, capsys):
+    events = tmp_path / "events.txt"
+    events.write_text("0.5\n1.0\n1.5\n2.0\n")
+    argv = ["argmax", "--events", str(events), "--k", "5", "--delta", "2.0",
+            "--out-dir", str(tmp_path)]
+    assert run(capsys, *argv)[0] == 1  # on [0, 2] the stencil fits no grid time
+    code, out, err = run(capsys, *argv, "--horizon", "12")
+    assert code == 0, err
+    assert "param.horizon=12.0" in (tmp_path / "argmax.txt.manifest").read_text()
+
+
+def test_multicascade_defaults_are_the_preset():
+    args = build_parser().parse_args(["multicascade"])
+    params = PRESETS["multicascade-tree"].params
+    assert {name: getattr(args, name) for name in params} == params
 
 
 def test_heatmap_without_preset_needs_grids(capsys):

@@ -224,6 +224,18 @@ def test_profiles_sample_once_per_lattice_origin():
     assert len(calls) == len(orders)  # non-integer delta/grid_step: the fallback
 
 
+def test_horizon_beyond_the_horizon_of_N_is_an_error():
+    e = EventTimes(times=np.array([1.0, 2.0]), horizon=3.0)
+    binned = BinnedCounting(BinnedSeries(bin_width=1.0, counts=np.array([1, 1, 0])))
+    for N in (e, binned):
+        with pytest.raises(ValueError, match=r"horizon = 5.0 lies beyond the horizon of N, 3.0"):
+            derivative_profile(N, 2, 0.5, horizon=5.0)
+        with pytest.raises(ValueError, match="beyond the horizon of N"):
+            discrete_derivative(N, 2, 0.5, 2.0, horizon=5.0)
+        # a horizon within N's own only shortens the grid
+        assert derivative_profile(N, 2, 0.5, horizon=2.0).window[1] == 1.5
+
+
 def test_callable_counting_function():
     # smooth quadratic "counting" function: order 3 annihilates it
     f = lambda t: np.asarray(t) ** 2

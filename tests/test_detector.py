@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -13,12 +12,9 @@ from ratejump.detector import (
     detect,
     greedy_packing,
     min_order_for,
-    sep,
     suggest_delta,
-    threshold_candidates,
     save_report_csv,
 )
-from ratejump.derivative import derivative_profile, DerivativeProfile
 from ratejump.process import EventTimes
 
 
@@ -34,29 +30,21 @@ def brute_force_max_packing(times, min_sep):
     return 0
 
 
-def make_profile(times, values, delta):
-    times = np.asarray(times, dtype=float)
-    return DerivativeProfile(
-        times=times,
-        values=np.asarray(values, dtype=float),
-        order=2,
-        delta=delta,
-        grid_step=delta / 10,
-        window=(float(times[0]), float(times[-1])),
-    )
+def test_detect_threshold_keeps_scores_at_half_the_threshold():
+    # order 1 at delta 0.5 scores N(t+0.5) - N(t) over 0.5: the burst of 3
+    # at 1.2 scores 6 from t = 0.7 on, the lone event at 3.0 scores 2
+    e = EventTimes(times=np.array([1.2, 1.2, 1.2, 3.0]), horizon=4.0)
+    report = detect(e, DetectorConfig(k=1, delta=0.5, threshold=10.0))
+    assert report.candidate_count > 0
+    assert [e.score for e in report.estimates] == [pytest.approx(6.0)]
+    assert 0.7 - 1e-9 <= report.times[0] < 1.2
 
 
-def test_threshold_candidates_example():
-    delta = 0.5
-    prof = make_profile([1.0, 2.0], [6 * delta, 1 * delta], delta)
-    cands = threshold_candidates(prof, delta, threshold=10.0)
-    assert cands == [(1.0, pytest.approx(6.0))]
-
-
-def test_threshold_candidates_empty_ok():
-    delta = 0.5
-    prof = make_profile([1.0], [0.1], delta)
-    assert threshold_candidates(prof, delta, threshold=100.0) == []
+def test_detect_threshold_above_every_score_is_empty():
+    e = EventTimes(times=np.array([1.2, 1.2, 1.2, 3.0]), horizon=4.0)
+    report = detect(e, DetectorConfig(k=1, delta=0.5, threshold=100.0))
+    assert report.candidate_count == 0
+    assert report.estimates == ()
 
 
 def test_greedy_packing_examples():
@@ -207,15 +195,12 @@ def test_argmax_invariant_to_count_doubling():
     assert argmax_single(e1, 2, 0.5) == argmax_single(e2, 2, 0.5)
 
 
-def test_d_max_and_sep():
+def test_d_max():
     assert d_max([1.0, 3.0], [1.5, 2.5]) == 0.5
     assert d_max([], []) == 0.0
     assert d_max([3.0, 1.0], [1.0, 3.0]) == 0.0  # order-free
     with pytest.raises(ValueError, match="size mismatch"):
         d_max([1.0], [1.0, 2.0])
-    assert sep([1.0, 4.0, 6.0]) == 2.0
-    assert sep([3.0]) == math.inf
-    assert sep([]) == math.inf
 
 
 def test_suggest_delta():

@@ -19,7 +19,6 @@ from ratejump.harness import (
     heatmap_spec_from_preset,
     run_baselines,
     run_heatmap,
-    run_trial,
     save_heatmap_csv,
     save_heatmap_long_csv,
 )
@@ -41,23 +40,13 @@ def small_spec(trials=4, base_seed=11):
 
 def test_ramp_trial_is_exact_to_grid():
     scenario = RampScenario(rate_after=200.0, change_at=5.0, horizon=10.0)
-    for k in (2, 3):
-        err = run_trial(scenario, k, 0.5, SimSeed(0, 0))
+    spec = ExperimentSpec(scenario=scenario, k_grid=(2, 3, 4), delta_grid=(0.5,), trials=1)
+    errors = run_heatmap(spec).errors[0, :, 0]
+    for err in errors[:2]:  # k = 2, 3
         assert err <= 0.05 + 1e-9  # one grid step at delta/10
     # on a noiseless one-sided kink the order-4 extreme sits one delta past
     # the kink, so the error is delta itself, not a grid step
-    err4 = run_trial(scenario, 4, 0.5, SimSeed(0, 0))
-    assert err4 <= 0.5 + 1e-9
-
-
-def test_run_trial_matches_one_cell_heatmap():
-    scenario = SmoothJumpScenario(base=300.0, jump=400.0)
-    spec = ExperimentSpec(
-        scenario=scenario, k_grid=(2,), delta_grid=(0.2,), trials=1, base_seed=5
-    )
-    result = run_heatmap(spec)
-    direct = run_trial(scenario, 2, 0.2, SimSeed(5, 0))
-    assert result.mean_errors[0, 0] == direct
+    assert errors[2] <= 0.5 + 1e-9
 
 
 def test_heatmap_reproducible_and_worker_independent():
@@ -213,7 +202,7 @@ def test_false_alarm_study_counts():
     report = false_alarm_study(spec, 10.0, config, runs=20, base_seed=0)
     assert report.runs == 20
     assert len(report.alarm_counts) == 20
-    assert report.clean_fraction >= 0.9
+    assert report.runs_with_alarms <= 0.1 * report.runs  # at least 90% clean
 
 
 def test_heatmap_csv_exports(tmp_path):

@@ -13,7 +13,8 @@ import pytest
 
 from ratejump.derivative import DerivativeStencil, derivative_profiles
 from ratejump.detector import DetectorConfig
-from ratejump.harness import ExperimentSpec, RampScenario, get_preset, heatmap_spec_from_preset
+from ratejump.harness import (ExperimentSpec, RampScenario, get_preset, heatmap_spec_from_preset,
+                              run_baselines)
 from ratejump.ingest import RegionSeries, analyze_binned, load_daily_csv
 from ratejump.process import BinnedSeries, EventTimes, load_binned_csv
 from ratejump.seeding import SimSeed, as_seed
@@ -178,6 +179,10 @@ def test_count_rows_load_exactly(tmp_path, loader, raw, count):
     (lambda: SimSeed(-1), "seed"),
     (lambda: as_seed(True), "seed"),
     (lambda: as_seed(2.0), "seed"),
+    (lambda: heatmap_spec_from_preset(get_preset("fig2-scaled"), base_seed=2.5), "base_seed"),
+    (lambda: ExperimentSpec(RampScenario(), (2,), (0.5,), 1, base_seed=-1), "base_seed"),
+    (lambda: ExperimentSpec(RampScenario(), (2,), (0.5,), 1, base_seed=True), "base_seed"),
+    (lambda: run_baselines(RampScenario(), (0.5,), 1, base_seed=-1), "base_seed"),
 ])
 def test_seed_fields_are_checked_by_name(make, field):
     with pytest.raises(ValueError, match=f"^{field} must"):

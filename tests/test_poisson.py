@@ -20,9 +20,7 @@ from ratejump.poisson import (
     rate_upper_bound,
     save_rate_spec,
     simulate,
-    simulate_binned,
 )
-from ratejump.process import bin_events
 from ratejump.seeding import SimSeed
 
 
@@ -311,15 +309,6 @@ def test_interarrival_distribution():
     events = simulate(const_spec(500.0), 20.0, 2024)
     gaps = np.diff(events.times)
     assert stats.kstest(gaps, "expon", args=(0, 1 / 500.0)).pvalue > 0.01
-
-
-def test_simulate_binned_matches_event_binning():
-    spec = sin_exp_spec(base=300.0, jump=80.0)
-    events = simulate(spec, 20.0, SimSeed(5, 0))
-    binned = simulate_binned(spec, 20.0, SimSeed(5, 0), bin_width=0.5)
-    reference = bin_events(events, bin_width=0.5)
-    assert np.array_equal(binned.counts, reference.counts)
-    assert int(binned.counts.sum()) == len(events)
 
 
 def test_rate_spec_file_round_trip(tmp_path):

@@ -6,7 +6,6 @@ from ratejump.process import (
     BinnedSeries,
     EventTimes,
     bin_events,
-    count_at,
     cumulative,
     from_binned,
     load_binned_csv,
@@ -18,16 +17,16 @@ from ratejump.process import (
 
 def test_count_at_basics():
     e = EventTimes(times=np.array([0.5, 1.0, 1.0, 3.0]), horizon=4.0)
-    assert count_at(e, 0.0) == 0
-    assert count_at(e, 0.5) == 1  # right-continuous: the event at t counts
-    assert count_at(e, 1.0) == 3
-    assert count_at(e, 2.0) == 3
-    assert count_at(e, 4.0) == len(e) == 4
+    assert e.count_at(0.0) == 0
+    assert e.count_at(0.5) == 1  # right-continuous: the event at t counts
+    assert e.count_at(1.0) == 3
+    assert e.count_at(2.0) == 3
+    assert e.count_at(4.0) == len(e) == 4
 
 
 def test_count_at_vectorized():
     e = EventTimes(times=np.array([1.0, 2.0, 3.0]), horizon=3.0)
-    out = count_at(e, np.array([0.5, 1.5, 2.5, 3.0]))
+    out = e.count_at(np.array([0.5, 1.5, 2.5, 3.0]))
     assert out.tolist() == [0, 1, 2, 3]
 
 
@@ -53,7 +52,7 @@ def test_count_at_monotone(times, queries):
     qs = np.sort(np.asarray(queries))
     counts = e.count_at(qs)
     assert np.all(np.diff(counts) >= 0)
-    assert count_at(e, 101.0) == len(e)
+    assert e.count_at(101.0) == len(e)
 
 
 def test_cumulative_and_from_binned():
