@@ -13,12 +13,15 @@ scenario, the tree) is built before any input is read.  A flag the
 run does not use is a usage error, not ignored: ``--horizon`` with
 ``--binned`` (binned counts end at their last bin; ``--horizon`` is for
 ``--events`` only), ``--base``/``--jump``/``--onset`` with ``--rate-spec``,
-``--height``/``--extra-leaves`` with ``--graph``, and a scenario flag the
-scenario or preset does not take.  ``multicascade`` takes every default
-from the ``multicascade-tree`` preset.  Exit codes: 0 success, 2 usage
-error (a bad or unused flag, conflicting modes, a missing input file; the
-message on stderr names the field), 1 runtime failure that depends on the
-data (the message names the module whose call from the subcommand failed).
+``--height``/``--extra-leaves`` with ``--graph``, the simulation flags of
+``multicascade`` with ``--trace``, and a scenario flag the scenario or
+preset does not take.  ``multicascade`` takes every default from the
+``multicascade-tree`` preset.  Exit codes: 0 success, 2 usage error (a bad
+or unused flag, conflicting modes, a missing input file; the message on
+stderr names the field), 1 runtime failure that depends on the data (the
+message names the module whose call from the subcommand failed).  A reader
+that closes stdout early (``| head``) does not fail a run: the lines on
+stdout come after its outputs are written, and the manifest still is.
 """
 
 from __future__ import annotations
@@ -58,6 +61,22 @@ __all__ = ["main", "entry", "build_parser"]
 
 class UsageError(Exception):
     """Bad invocation detected after argparse (e.g. missing input file)."""
+
+
+class _Given(argparse.Action):
+    """Store a flag's value and add its name to ``args.given``, so a run can
+    tell a flag given on the command line from a default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
+
+
+def _echo(text) -> None:
+    """Print a line of the run's report; a reader that has closed stdout
+    does not fail the run."""
+    with contextlib.suppress(BrokenPipeError):
+        print(text)
 
 
 @contextlib.contextmanager
@@ -135,7 +154,7 @@ def _require_file(path) -> str:
 
 def _write_manifest(primary_output, subcommand, args, inputs, outputs, wall_time, extra=None):
     path = str(primary_output) + ".manifest"
-    skip = {"func", "out_dir"}
+    skip = {"func", "out_dir", "given"}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"subcommand={subcommand}\n")
         fh.write(f"version={__version__}\n")
@@ -201,11 +220,13 @@ _BASELINES_DEFAULTS = {**_HEATMAP_DEFAULTS, "scenario": "si-tree", "jump": 8e3,
                        "extra_leaves": 2000}
 # the flags that define a scenario
 _SCENARIO_FLAGS = ("scenario", "base", "horizon", "height", "extra_leaves", "jump")
+# the flags only a simulated multicascade run reads
+_SIMULATION_FLAGS = ("cascades", "height", "extra_leaves", "source", "seed")
 
 
 def _reject_unused(args, used, who, flags=_SCENARIO_FLAGS):
     """A usage error naming each of ``flags`` given that ``who`` does not use."""
-    unused = [name for name in flags if name not in used and getattr(args, name) is not None]
+    unused = [name for name in flags if name not in used and name in args.given]
     if unused:
         flags = ", ".join("--" + name.replace("_", "-") for name in unused)
         raise UsageError(f"{who} does not use {flags}")
@@ -254,7 +275,7 @@ def cmd_simulate_poisson(args):
         out_binned = out_events + ".binned.csv"
         save_binned_csv(binned, out_binned)
         outputs.append(out_binned)
-    print(f"simulated {len(events)} events on [0, {args.horizon}] -> {out_events}")
+    _echo(f"simulated {len(events)} events on [0, {args.horizon}] -> {out_events}")
     return out_events, inputs, outputs, {"n_events": len(events)}
 
 
@@ -275,8 +296,8 @@ def cmd_simulate_si(args):
     if graph.hub is not None:
         extra["hub"] = graph.hub
         extra["hub_time"] = repr(float(trace.times[graph.hub]))
-        print(f"hub vertex {graph.hub} infected at t = {float(trace.times[graph.hub])}")
-    print(f"cascade over {graph.n} vertices -> {out_trace}")
+        _echo(f"hub vertex {graph.hub} infected at t = {float(trace.times[graph.hub])}")
+    _echo(f"cascade over {graph.n} vertices -> {out_trace}")
     return out_trace, inputs, [out_trace], extra
 
 
@@ -292,9 +313,9 @@ def cmd_detect(args):
     out_report = os.path.join(out_dir, args.out)
     save_report_csv(report, out_report)
     for e in report.estimates:
-        print(f"t_hat={e.time} score={e.score}")
+        _echo(f"t_hat={e.time} score={e.score}")
     if not report.estimates:
-        print("no change points detected")
+        _echo("no change points detected")
     return out_report, inputs, [out_report, out_report + ".meta"], {
         "n_estimates": len(report),
         "empty_window": report.empty_window,
@@ -309,7 +330,7 @@ def cmd_argmax(args):
     out_path = os.path.join(out_dir, args.out)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(f"{t_hat!r}\n")
-    print(f"t_hat={t_hat}")
+    _echo(f"t_hat={t_hat}")
     return out_path, inputs, [out_path], {"t_hat": repr(t_hat)}
 
 
@@ -339,10 +360,10 @@ def cmd_heatmap(args):
         save_heatmap_long_csv(result, out_long)
         outputs.append(out_long)
     k_best, d_best, err_best = result.argmin
-    print(f"argmin cell: k={k_best} delta={d_best} mean_error={err_best}")
-    print(f"failed cells: {result.failed_cells}")
+    _echo(f"argmin cell: k={k_best} delta={d_best} mean_error={err_best}")
+    _echo(f"failed cells: {result.failed_cells}")
     if result.diagnostics:
-        print(f"{len(result.diagnostics)} cell failures; first: {result.diagnostics[0]}")
+        _echo(f"{len(result.diagnostics)} cell failures; first: {result.diagnostics[0]}")
     return out_matrix, [], outputs, {
         "argmin_k": k_best,
         "argmin_delta": repr(d_best),
@@ -367,7 +388,7 @@ def cmd_baselines(args):
     summary_path = os.path.join(out_dir, "baselines_summary.txt")
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    print("\n".join(lines))
+    _echo("\n".join(lines))
     return out_matrix, [], [out_matrix, summary_path], {
         "best_high_k": k,
         "best_high_delta": repr(delta),
@@ -382,6 +403,9 @@ def cmd_multicascade(args):
         raise UsageError("--mode threshold requires --threshold A")
     config = _detector_config(args)
     if args.trace:
+        _reject_unused(args, (), "--trace", flags=_SIMULATION_FLAGS)
+        for name in _SIMULATION_FLAGS:  # the manifest records only what ran
+            setattr(args, name, None)
         traces = [load_trace_csv(_require_file(p)) for p in args.trace]
         inputs, hub = list(args.trace), None
     else:
@@ -394,13 +418,13 @@ def cmd_multicascade(args):
     out_path = os.path.join(out_dir, args.out)
     save_multicascade_report(report, out_path)
     shown = sorted(report.vertices)
-    print(f"estimated high-degree vertices ({len(shown)}): {shown[:10]}"
+    _echo(f"estimated high-degree vertices ({len(shown)}): {shown[:10]}"
           + (" ..." if len(shown) > 10 else ""))
     extra = {"n_vertices": len(report.vertices)}
     if hub is not None:
         extra["hub"] = hub
         extra["hub_found"] = hub in report.vertices
-        print(f"planted hub {hub} {'found' if hub in report.vertices else 'NOT found'}")
+        _echo(f"planted hub {hub} {'found' if hub in report.vertices else 'NOT found'}")
     return out_path, inputs, [out_path], extra
 
 
@@ -414,11 +438,11 @@ def cmd_analyze_binned(args):
     out_dir = _out_dir(args)
     out_path = os.path.join(out_dir, args.out)
     save_analysis_csv(analysis, out_path)
-    print(analysis.summary())
+    _echo(analysis.summary())
     if series.filled_days:
-        print(f"zero-filled {len(series.filled_days)} missing day(s)")
+        _echo(f"zero-filled {len(series.filled_days)} missing day(s)")
     if series.clamped_days:
-        print(f"clamped {len(series.clamped_days)} negative daily count(s)")
+        _echo(f"clamped {len(series.clamped_days)} negative daily count(s)")
     return out_path, [args.csv], [out_path], {
         "argmax_day": analysis.argmax_day,
         "argmax_value": repr(analysis.argmax_value),
@@ -433,11 +457,11 @@ def cmd_presets(args):
     for name in sorted(RATE_PRESETS):
         lines.append(f"  {name}")
     text = "\n".join(lines)
-    print(text)
     out_dir = _out_dir(args)
     out_path = os.path.join(out_dir, "presets.txt")
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
+    _echo(text)
     return out_path, [], [out_path], {}
 
 
@@ -448,7 +472,8 @@ def cmd_presets(args):
 def _add_common(sub, *, seed=False, stream=False):
     if seed:
         sub.add_argument("--seed", type=_type(lambda text: SimSeed(_number(text)).seed),
-                         default=0, help="base random seed (dimensionless integer, default 0)")
+                         default=0, action=_Given,
+                         help="base random seed (dimensionless integer, default 0)")
     if stream:
         sub.add_argument("--stream", type=_type(lambda text: SimSeed(0, _number(text)).stream),
                          default=0, help="random stream index for this run (default 0)")
@@ -466,7 +491,7 @@ def _add_rate_flags(sub, names, defaults):
     """The rate and time flags ``names``, each with the default ``defaults`` names."""
     for name in names:
         sub.add_argument("--" + name, type=_flag(_check_delta, name), default=None,
-                         help=_RATE_FLAGS[name] + _default(defaults.get(name)))
+                         action=_Given, help=_RATE_FLAGS[name] + _default(defaults.get(name)))
 
 
 def _add_counting_inputs(sub):
@@ -493,21 +518,21 @@ def _add_detector_flags(sub, k=None, delta=None, threshold=True):
 
 
 def _add_tree_flags(sub, defaults, source=True):
-    """The planted-hub tree's flags and, with ``source``, --source.  They
-    default to None, so a run can tell which were given; ``_tree`` or
-    ``_scenario`` fills in the ``defaults`` shown in the help."""
-    sub.add_argument("--height", type=_whole("height"), default=None,
+    """The planted-hub tree's flags and, with ``source``, --source.  The tree
+    flags default to None; ``_tree`` or ``_scenario`` fills in the
+    ``defaults`` shown in the help."""
+    sub.add_argument("--height", type=_whole("height"), default=None, action=_Given,
                      help=f"tree height, levels below the root{_default(defaults['height'])}")
-    sub.add_argument("--extra-leaves", type=int, default=None,
+    sub.add_argument("--extra-leaves", type=int, default=None, action=_Given,
                      help=f"leaves attached to the planted hub{_default(defaults['extra_leaves'])}")
     if source:
-        sub.add_argument("--source", type=int, default=0,
+        sub.add_argument("--source", type=int, default=0, action=_Given,
                          help="source vertex id (default 0 = tree root)")
 
 
 def _add_experiment_flags(sub, defaults, delta_grid=None):
     """The scenario flags, --delta-grid, --trials and --workers."""
-    sub.add_argument("--scenario", default=None, choices=sorted(HEATMAP_SCENARIOS),
+    sub.add_argument("--scenario", default=None, action=_Given, choices=sorted(HEATMAP_SCENARIOS),
                      help=f"scenario family{_default(defaults['scenario'])}")
     _add_rate_flags(sub, ("base", "jump", "horizon"), {"jump": "0.8 B", **defaults})
     _add_tree_flags(sub, defaults, source=False)
@@ -527,6 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "higher-order discrete derivatives of the counting process.",
     )
     parser.add_argument("--version", action="version", version=f"ratejump {__version__}")
+    parser.set_defaults(given=frozenset())
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     p = subs.add_parser("simulate-poisson",
@@ -595,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="append", default=None,
                    help="cascade trace CSV (repeat per cascade; overrides simulation)")
     _add_tree_flags(p, mc)
-    p.add_argument("--cascades", type=_whole("cascades"),
+    p.add_argument("--cascades", type=_whole("cascades"), action=_Given,
                    help="number of cascades K to simulate" + _default(mc["cascades"]))
     _add_detector_flags(p, k=mc["k"], delta=mc["delta"])
     p.add_argument("--window", type=_flag(_check_delta, "window"),
@@ -657,12 +683,19 @@ def main(argv=None) -> int:
         return 1
     wall = time.monotonic() - start
     manifest = _write_manifest(primary, args.subcommand, args, inputs, outputs, wall, extra)
-    print(f"manifest: {manifest}")
+    _echo(f"manifest: {manifest}")
     return 0
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull, or the flush at exit
+        # fails again and the process exits 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

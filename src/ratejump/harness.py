@@ -22,14 +22,8 @@ import numpy as np
 from .derivative import _check_delta, _check_order, derivative_profiles
 # argmax_single is not called here; bench/tracing.py wraps harness.argmax_single by name
 from .detector import DetectorConfig, argmax_single, detect
-from .poisson import (
-    Constant,
-    ExpDecay,
-    JumpComponent,
-    RateSpec,
-    Sinusoid,
-    simulate,
-)
+# simulate is called by this name: bench/tracing.py wraps harness.simulate
+from .poisson import Constant, JumpComponent, RateSpec, preset_rate_spec, simulate
 from .process import EventTimes
 from .seeding import SimSeed, _check_seed, as_seed
 from .si import Graph, build_tree_with_hub, infection_count_process, simulate_si
@@ -77,7 +71,8 @@ class Realization:
 @dataclass(frozen=True)
 class SmoothJumpScenario:
     """Poisson process: smooth sinusoidal base plus an exponentially decaying
-    jump of size ``jump`` at a uniform-random onset."""
+    jump of size ``jump`` at a uniform-random onset (the ``sin-plus-exp``
+    rate preset)."""
 
     base: float = 1e4
     jump: float = 8e3
@@ -90,12 +85,7 @@ class SmoothJumpScenario:
     def realize(self, seed) -> Realization:
         seed = as_seed(seed)
         truth = float(seed.split(1).uniform(self.onset_low, self.onset_high))
-        spec = RateSpec(
-            components=(
-                JumpComponent(self.base, 0.0, Sinusoid(offset=1.0, omega=1.0)),
-                JumpComponent(self.jump, truth, ExpDecay(rate=1.0)),
-            )
-        )
+        spec = preset_rate_spec("sin-plus-exp", base=self.base, jump=self.jump, onset=truth)
         events = simulate(spec, self.horizon, seed.split(0))
         return Realization.wrap(events, truth)
 

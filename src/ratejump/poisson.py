@@ -10,10 +10,12 @@ decay, or polynomial.
 Windows.  ``simulate`` cuts [0, horizon] at every integer and at every
 onset, so on each window [a, b) every component is either on throughout or
 off throughout, and Lambda is the sum of the on components' smooth shapes.
-A window whose envelope M expects M*(b - a) thinning candidates is split
+One pass, before the first draw, certifies each window (below) and splits
+it: a window whose envelope M expects M*(b - a) thinning candidates is cut
 into ceil(M*(b - a) / 2**15) equal pieces.  The split depends only on the
 input: each piece draws about 2**15 candidates or fewer, so its arrays stay
 small, and its own envelope follows Lambda more closely than the window's.
+``simulate`` then only thins the pieces in order.
 
 Thinning (Lewis & Shedler, 1979).  On a piece [c, d) with envelope
 M >= sup Lambda, draw Poisson(M*(d - c)) uniform candidates, accept the one
@@ -21,25 +23,27 @@ at t when a Uniform(0, M) draw is below Lambda(t), and sort only the
 accepted ones.  The result is exact in law for any such M; a tighter M only
 wastes fewer candidates.
 
-Exact extrema.  Each shape reports its exact maximum (``upper_bound``) and
-minimum (``lower_bound``) on a window: a sinusoid is offset + 1 (offset - 1)
-when a crest (trough) lies in its phase interval and otherwise its larger
-(smaller) endpoint value; a polynomial takes the extreme over the endpoints
-and the roots of its derivative inside the window; exponential decay and the
-constant are monotone.  ``rate_upper_bound`` sums the components' maxima,
-and the thinning envelope is that sum padded by the relative margin
-``_SLACK`` (1e-9), which covers last-bit differences between the scalar
-bounds and numpy's vectorised values.  A candidate above the envelope is an
-internal inconsistency and raises RuntimeError.
+Exact extrema.  Each shape reports its exact minimum and maximum on a
+window in one call, ``bounds(u0, u1) -> (min, max)``: a sinusoid is
+offset - 1 (offset + 1) when a trough (crest) lies in its phase interval and
+otherwise its smaller (larger) endpoint value; a polynomial takes both
+extremes over the endpoints and the roots of its derivative inside the
+window, found once; exponential decay and the constant are monotone.  One
+helper sums the components' minima and maxima; ``rate_upper_bound`` returns
+the sum of the maxima, and the thinning envelope is that sum padded by the
+relative margin ``_SLACK`` (1e-9), which covers last-bit differences between
+the scalar bounds and numpy's vectorised values.  A candidate above the
+envelope is an internal inconsistency and raises RuntimeError.
 
 Non-negativity.  Before anything is drawn, every window is certified: the
-sum of its components' minima must be >= -_SLACK times its envelope.  A
-window that fails is bisected.  Lambda is sampled at the midpoint of each
-uncertified window, and a negative sample raises a ValueError naming
-Lambda(t); a window that is still uncertified after ``_CERTIFY_DEPTH``
-halvings, or once ``_CERTIFY_WINDOWS`` sub-windows have been examined,
-raises a ValueError naming that window.  Inside thinning a candidate with
-Lambda(t) < -_SLACK * M raises RuntimeError; nothing is clamped to zero.
+sum of its components' minima must be >= -_SLACK times the sum of their
+maxima.  A window that fails is bisected.  Lambda is sampled at the
+midpoint of each uncertified window, and a negative sample raises a
+ValueError naming Lambda(t); a window that is still uncertified after
+``_CERTIFY_DEPTH`` halvings, or once ``_CERTIFY_WINDOWS`` sub-windows have
+been examined, raises a ValueError naming that window.  Inside thinning a
+candidate with Lambda(t) < -_SLACK * M raises RuntimeError; nothing is
+clamped to zero.
 
 Output.  The pieces are disjoint and ascending, so concatenating their
 sorted accepted times gives the sorted realization and no dedupe pass is
@@ -50,6 +54,7 @@ dropping it would lose an event.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -99,19 +104,10 @@ class Constant:
     def value(self, u):
         return np.ones_like(np.asarray(u, dtype=np.float64))
 
-    def value_at_zero(self) -> float:
-        return 1.0
-
-    def upper_bound(self, u0: float, u1: float) -> float:
-        return 1.0
-
-    def lower_bound(self, u0: float, u1: float) -> float:
-        return 1.0
+    def bounds(self, u0: float, u1: float) -> tuple:
+        return 1.0, 1.0
 
     name = "constant"
-
-    def params(self) -> tuple:
-        return ()
 
 
 @dataclass(frozen=True)
@@ -130,32 +126,21 @@ class Sinusoid:
         u = np.asarray(u, dtype=np.float64)
         return self.offset + np.sin(self.omega * u + self.phase)
 
-    def value_at_zero(self) -> float:
-        return self.offset + math.sin(self.phase)
-
-    def _extreme(self, u0: float, u1: float, sign: float) -> float:
-        """offset + sign if sin reaches sign on the window, else the endpoint
-        value that is largest in the direction of ``sign``."""
+    def bounds(self, u0: float, u1: float) -> tuple:
+        """offset - 1 (offset + 1) if sin reaches -1 (+1) on the window, else
+        the smaller (larger) endpoint value."""
         th0 = self.omega * u0 + self.phase
         th1 = self.omega * u1 + self.phase
         lo, hi = min(th0, th1), max(th0, th1)
-        peak = sign * math.pi / 2  # crest (+1) or trough (-1), modulo 2*pi
-        k = math.ceil((lo - peak) / (2 * math.pi))
-        if peak + 2 * math.pi * k <= hi:
-            return self.offset + sign
         ends = (math.sin(th0), math.sin(th1))
-        return self.offset + (max(ends) if sign > 0 else min(ends))
-
-    def upper_bound(self, u0: float, u1: float) -> float:
-        return self._extreme(u0, u1, 1.0)
-
-    def lower_bound(self, u0: float, u1: float) -> float:
-        return self._extreme(u0, u1, -1.0)
+        extremes = []
+        for sign, end in ((-1.0, min(ends)), (1.0, max(ends))):
+            peak = sign * math.pi / 2  # trough (-1) or crest (+1), modulo 2*pi
+            k = math.ceil((lo - peak) / (2 * math.pi))
+            extremes.append(self.offset + (sign if peak + 2 * math.pi * k <= hi else end))
+        return tuple(extremes)
 
     name = "sinusoid"
-
-    def params(self) -> tuple:
-        return (self.offset, self.omega, self.phase)
 
 
 @dataclass(frozen=True)
@@ -172,19 +157,10 @@ class ExpDecay:
     def value(self, u):
         return np.exp(-self.rate * np.asarray(u, dtype=np.float64))
 
-    def value_at_zero(self) -> float:
-        return 1.0
-
-    def upper_bound(self, u0: float, u1: float) -> float:
-        return math.exp(-self.rate * u0)
-
-    def lower_bound(self, u0: float, u1: float) -> float:
-        return math.exp(-self.rate * u1)
+    def bounds(self, u0: float, u1: float) -> tuple:
+        return math.exp(-self.rate * u1), math.exp(-self.rate * u0)
 
     name = "expdecay"
-
-    def params(self) -> tuple:
-        return (self.rate,)
 
 
 @dataclass(frozen=True)
@@ -205,11 +181,9 @@ class Polynomial:
             np.asarray(u, dtype=np.float64), np.asarray(self.coeffs)
         )
 
-    def value_at_zero(self) -> float:
-        return self.coeffs[0]
-
-    def _candidates(self, u0: float, u1: float) -> np.ndarray:
-        """x at the window's ends and at the critical points inside it.
+    def bounds(self, u0: float, u1: float) -> tuple:
+        """The extremes of x over the window's ends and the critical points
+        inside it.
 
         The roots of x' are found for x(mid + half*v) on v in [-1, 1], with
         the trailing coefficients of its derivative that are below rounding
@@ -236,18 +210,10 @@ class Polynomial:
             for v in np.real(np.polynomial.polynomial.polyroots(slope)).tolist():
                 if u0 < mid + half * v < u1:
                     points.append(mid + half * v)
-        return self.value(points)
-
-    def upper_bound(self, u0: float, u1: float) -> float:
-        return float(self._candidates(u0, u1).max())
-
-    def lower_bound(self, u0: float, u1: float) -> float:
-        return float(self._candidates(u0, u1).min())
+        values = self.value(points)
+        return float(values.min()), float(values.max())
 
     name = "polynomial"
-
-    def params(self) -> tuple:
-        return self.coeffs
 
 
 _SHAPE_NAMES = {
@@ -272,10 +238,10 @@ class JumpComponent:
             raise ValueError(f"amplitude must be positive, got {self.amplitude}")
         if not (math.isfinite(self.onset) and self.onset >= 0):
             raise ValueError(f"onset must be >= 0, got {self.onset}")
-        if self.onset > 0 and not (self.shape.value_at_zero() > 0):
+        if self.onset > 0 and not float(self.shape.value(0.0)) > 0:
             raise ValueError(
                 f"component with onset {self.onset} > 0 must jump: "
-                f"shape value at the onset is {self.shape.value_at_zero()} (needs > 0)"
+                f"shape value at the onset is {float(self.shape.value(0.0))} (needs > 0)"
             )
 
 
@@ -301,6 +267,18 @@ def eval_rate(spec: RateSpec, t):
     return out if out.ndim else float(out)
 
 
+def _bounds(components, a: float, b: float) -> tuple:
+    """The sums of the components' exact minima and maxima on [a, b), each
+    taken from its onset on.  With no onset inside (a, b), as on the windows
+    of ``simulate``, they are the lowest and highest Lambda can be there."""
+    low = high = 0.0
+    for comp in components:
+        lo, hi = comp.shape.bounds(max(a, comp.onset) - comp.onset, b - comp.onset)
+        low += comp.amplitude * lo
+        high += comp.amplitude * hi
+    return low, high
+
+
 def rate_upper_bound(spec: RateSpec, window: tuple) -> float:
     """An upper bound for Lambda on [window[0], window[1]) (the point itself
     when the ends are equal).
@@ -312,49 +290,48 @@ def rate_upper_bound(spec: RateSpec, window: tuple) -> float:
     a, b = float(window[0]), float(window[1])
     if b < a:
         raise ValueError(f"window must satisfy a <= b, got {window}")
-    total = 0.0
-    for comp in spec.components:
-        if comp.onset > b or (comp.onset == b and a < b):
-            continue
-        u0 = max(a, comp.onset) - comp.onset
-        total += comp.amplitude * comp.shape.upper_bound(u0, b - comp.onset)
-    return total
+    # the components on somewhere in [a, b), or at the point a == b
+    return _bounds([c for c in spec.components if c.onset < b or c.onset == a == b], a, b)[1]
 
 
-def _certify_nonnegative(spec: RateSpec, on: list, a: float, b: float) -> None:
-    """Show Lambda >= 0 on [a, b), or raise a ValueError that says where not.
-
-    ``on`` are the components that are on throughout the window; the rest
-    are off throughout it.  See the module docstring for the tolerance and
-    the bisection limits.
-    """
-    stack = [(a, b, 0)]
-    examined = 0
-    while stack:
-        lo, hi, depth = stack.pop()
-        examined += 1
-        envelope = rate_upper_bound(spec, (lo, hi))
-        lower = sum(c.amplitude * c.shape.lower_bound(lo - c.onset, hi - c.onset) for c in on)
-        if lower >= -_SLACK * envelope:
-            continue
-        mid = 0.5 * (lo + hi)
-        value = eval_rate(spec, mid)
-        if value < -_SLACK * envelope:
-            raise ValueError(f"rate function is negative on [{a}, {b}): Lambda({mid}) = {value}")
-        if depth >= _CERTIFY_DEPTH or examined >= _CERTIFY_WINDOWS or not lo < mid < hi:
-            raise ValueError(
-                f"cannot certify that the rate function is non-negative on [{lo}, {hi}): "
-                f"its components' minima sum below zero there, but no sampled "
-                f"Lambda(t) was negative"
-            )
-        stack.append((mid, hi, depth + 1))
-        stack.append((lo, mid, depth + 1))
-
-
-def _windows(spec: RateSpec, horizon: float) -> np.ndarray:
-    """Edges of the windows of [0, horizon]: every integer and every onset."""
+def _pieces(spec: RateSpec, horizon: float) -> list:
+    """The thinning pieces (lo, hi, on, envelope) of [0, horizon], in order,
+    after every window is certified non-negative or a ValueError says where
+    it is not; ``on`` are the components that are on throughout the piece.
+    See the module docstring for the tolerance and the bisection limits."""
     onsets = [c.onset for c in spec.components if c.onset < horizon]
-    return np.unique(np.concatenate([np.arange(0.0, horizon), onsets, [horizon]]))
+    edges = np.unique(np.concatenate([np.arange(0.0, horizon), onsets, [horizon]])).tolist()
+    pieces = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        on = [c for c in spec.components if c.onset <= a]
+        lower, upper = _bounds(on, a, b)
+        stack, examined = [(a, b, 0, lower, upper)], 0
+        while stack:
+            lo, hi, depth, low, high = stack.pop()
+            examined += 1
+            if low >= -_SLACK * high:
+                continue
+            mid = 0.5 * (lo + hi)
+            value = eval_rate(spec, mid)
+            if value < -_SLACK * high:
+                raise ValueError(
+                    f"rate function is negative on [{a}, {b}): Lambda({mid}) = {value}")
+            if depth >= _CERTIFY_DEPTH or examined >= _CERTIFY_WINDOWS or not lo < mid < hi:
+                raise ValueError(
+                    f"cannot certify that the rate function is non-negative on [{lo}, {hi}): "
+                    f"its components' minima sum below zero there, but no sampled "
+                    f"Lambda(t) was negative"
+                )
+            stack.append((mid, hi, depth + 1, *_bounds(on, mid, hi)))
+            stack.append((lo, mid, depth + 1, *_bounds(on, lo, mid)))
+        expected = upper * (1 + _SLACK) * (b - a)
+        if expected > 0:
+            cuts = np.linspace(a, b, math.ceil(expected / _PIECE_CANDIDATES) + 1).tolist()
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                envelope = _bounds(on, lo, hi)[1] * (1 + _SLACK)
+                if envelope > 0:
+                    pieces.append((lo, hi, on, envelope))
+    return pieces
 
 
 def _thinned_piece(on: list, lo: float, hi: float, envelope: float, rng) -> np.ndarray:
@@ -391,22 +368,10 @@ def simulate(spec: RateSpec, horizon: float, seed) -> EventTimes:
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    edges = _windows(spec, horizon)
-    windows = []
-    for a, b in zip(edges[:-1].tolist(), edges[1:].tolist()):
-        on = [c for c in spec.components if c.onset <= a]
-        _certify_nonnegative(spec, on, a, b)
-        expected = rate_upper_bound(spec, (a, b)) * (1 + _SLACK) * (b - a)
-        if expected > 0:
-            windows.append((a, b, on, math.ceil(expected / _PIECE_CANDIDATES)))
+    pieces = _pieces(spec, horizon)
     rng = seed if isinstance(seed, np.random.Generator) else generator(seed)
-    chunks = [np.empty(0)]
-    for a, b, on, n_pieces in windows:
-        cuts = np.linspace(a, b, n_pieces + 1).tolist()
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            envelope = rate_upper_bound(spec, (lo, hi)) * (1 + _SLACK)
-            if envelope > 0:
-                chunks.append(_thinned_piece(on, lo, hi, envelope, rng))
+    chunks = [np.empty(0)] + [_thinned_piece(on, lo, hi, envelope, rng)
+                              for lo, hi, on, envelope in pieces]
     return EventTimes(times=np.concatenate(chunks), horizon=float(horizon))
 
 
@@ -416,8 +381,10 @@ def simulate(spec: RateSpec, horizon: float, seed) -> EventTimes:
 
 
 def _format_component(comp: JumpComponent) -> str:
-    params = ",".join(repr(p) for p in comp.shape.params())
-    return f"A={comp.amplitude!r} t0={comp.onset!r} shape={comp.shape.name} params={params}"
+    shape = comp.shape  # a polynomial's one field holds every param
+    values = shape.coeffs if isinstance(shape, Polynomial) else dataclasses.astuple(shape)
+    params = ",".join(repr(p) for p in values)
+    return f"A={comp.amplitude!r} t0={comp.onset!r} shape={shape.name} params={params}"
 
 
 def format_rate_spec(spec: RateSpec) -> str:
@@ -443,20 +410,16 @@ def _parse_component(line: str, where: str) -> JumpComponent:
     cls = _SHAPE_NAMES[shape_name]
     try:
         params = [float(p) for p in fields.get("params", "").split(",") if p.strip() != ""]
-        if cls is Constant:
-            if params:
-                raise ValueError("constant shape takes no params")
-            shape = Constant()
-        elif cls is Sinusoid:
-            if len(params) not in (2, 3):
-                raise ValueError("sinusoid takes params=offset,omega[,phase]")
-            shape = Sinusoid(*params)
-        elif cls is ExpDecay:
-            if len(params) != 1:
-                raise ValueError("expdecay takes params=rate")
-            shape = ExpDecay(params[0])
-        else:
+        if cls is Polynomial:  # its one field takes every param
             shape = Polynomial(tuple(params))
+        else:
+            names = [f.name for f in dataclasses.fields(cls)]
+            needed = sum(f.default is dataclasses.MISSING for f in dataclasses.fields(cls))
+            if not needed <= len(params) <= len(names):
+                usage = ",".join(names[:needed]) + "".join(f"[,{n}]" for n in names[needed:])
+                raise ValueError(
+                    f"{cls.name} takes " + (f"params={usage}" if names else "no params"))
+            shape = cls(*params)
         return JumpComponent(amplitude=float(fields["A"]), onset=float(fields["t0"]), shape=shape)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None

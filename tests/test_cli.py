@@ -4,7 +4,9 @@ Every invocation goes through ``ratejump.cli.main(argv)`` in-process so we
 can assert on exit codes, stdout/stderr, and the files left behind.
 """
 
+import io
 import os
+import sys
 
 import pytest
 
@@ -257,6 +259,9 @@ def test_multicascade_from_trace_files(tmp_path, capsys):
     )
     assert code == 0, err
     assert "estimated high-degree vertices" in out
+    manifest = (tmp_path / "multicascade.txt.manifest").read_text().splitlines()
+    for name in ("cascades", "height", "extra_leaves", "source", "seed"):
+        assert f"param.{name}=None" in manifest
 
 
 def test_analyze_binned_daily(tmp_path, capsys):
@@ -510,10 +515,54 @@ def test_events_horizon_extends_the_event_file(tmp_path, capsys):
     assert "param.horizon=12.0" in (tmp_path / "argmax.txt.manifest").read_text()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--cascades", "9"), ("--height", "5"), ("--extra-leaves", "20"), ("--source", "3"),
+    ("--seed", "4"),
+])
+def test_multicascade_trace_rejects_simulation_flags(tmp_path, capsys, flag, value):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("vertex,time\n0,0.0\n1,0.5\n")
+    code, out, err = run(capsys, "multicascade", "--trace", str(trace), flag, value,
+                         "--out-dir", str(tmp_path))
+    assert code == 2
+    assert f"--trace does not use {flag}\n" in err
+    assert not list(tmp_path.glob("*.manifest"))
+
+
+def test_multicascade_trace_names_every_unused_flag(tmp_path, capsys):
+    code, out, err = run(capsys, "multicascade", "--trace", str(tmp_path / "trace.csv"),
+                         "--seed", "4", "--cascades", "9")
+    assert code == 2
+    assert "--trace does not use --cascades, --seed" in err
+
+
 def test_multicascade_defaults_are_the_preset():
     args = build_parser().parse_args(["multicascade"])
     params = PRESETS["multicascade-tree"].params
     assert {name: getattr(args, name) for name in params} == params
+
+
+class ClosedStdout(io.StringIO):
+    """stdout whose reader has gone, as under ``| head``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv, output", [
+    (["presets"], "presets.txt"),
+    (["multicascade", "--height", "4", "--extra-leaves", "30", "--k", "1", "--delta", "0.3",
+      "--window", "0.5", "--seed", "1"], "multicascade.txt"),
+])
+def test_closed_stdout_does_not_fail_the_run(tmp_path, capsys, monkeypatch, argv, output):
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    code = main([*argv, "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / output).exists()
+    manifest = (tmp_path / (output + ".manifest")).read_text().splitlines()
+    if argv[0] == "multicascade":  # a simulated run records the preset's cascade count
+        assert "param.cascades=3" in manifest
 
 
 def test_heatmap_without_preset_needs_grids(capsys):

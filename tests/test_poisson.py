@@ -103,7 +103,7 @@ def test_shape_bounds_are_exact_extrema(shape, u0, width):
     n = 20_000
     u = np.linspace(u0, u1, n + 1)
     vals = shape.value(u)
-    upper, lower = shape.upper_bound(u0, u1), shape.lower_bound(u0, u1)
+    lower, upper = shape.bounds(u0, u1)
     rounding = 1e-12 * (1.0 + np.abs(vals).max())
     # between grid points an interior extremum exceeds the grid by at most
     # h**2/8 * max|x''|; a looser bound than that fails
@@ -133,6 +133,19 @@ def test_simulate_rejects_negative_rate():
         simulate(spec, 10.0, 0)
 
 
+def test_simulate_certifies_before_any_draw():
+    # the rate turns negative only after t = pi - 0.5, about 2.6: every
+    # window is certified before the generator is touched
+    spec = RateSpec(
+        components=(JumpComponent(5.0, 0.0, Sinusoid(offset=0.0, omega=1.0, phase=0.5)),)
+    )
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="negative"):
+        simulate(spec, 10.0, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_simulate_envelope_consistency_guard():
     class LyingShape:
         name = "constant"
@@ -140,17 +153,8 @@ def test_simulate_envelope_consistency_guard():
         def value(self, u):
             return np.ones_like(np.asarray(u, dtype=float)) * 5.0
 
-        def value_at_zero(self):
-            return 5.0
-
-        def upper_bound(self, u0, u1):
-            return 1.0  # wrong on purpose: claims less than the true value
-
-        def lower_bound(self, u0, u1):
-            return 5.0
-
-        def params(self):
-            return ()
+        def bounds(self, u0, u1):
+            return 5.0, 1.0  # wrong on purpose: the maximum is below the true value
 
     spec = RateSpec(components=(JumpComponent(100.0, 0.0, LyingShape()),))
     with pytest.raises(RuntimeError, match="envelope"):
@@ -164,17 +168,8 @@ def test_simulate_negative_rate_guard_never_clamps():
         def value(self, u):
             return -np.ones_like(np.asarray(u, dtype=float))
 
-        def value_at_zero(self):
-            return -1.0
-
-        def upper_bound(self, u0, u1):
-            return 1.0
-
-        def lower_bound(self, u0, u1):
-            return 1.0  # wrong on purpose: certifies a negative shape
-
-        def params(self):
-            return ()
+        def bounds(self, u0, u1):
+            return 1.0, 1.0  # wrong on purpose: the minimum certifies a negative shape
 
     spec = RateSpec(components=(JumpComponent(100.0, 0.0, LyingShape()),))
     with pytest.raises(RuntimeError, match="negative"):
@@ -320,6 +315,18 @@ def test_rate_spec_file_round_trip(tmp_path):
     # format is the documented key=value line format
     text = format_rate_spec(spec)
     assert "shape=sinusoid" in text and "shape=expdecay" in text
+    # every shape writes its params in the order it reads them
+    every = RateSpec(components=(
+        JumpComponent(2.0, 0.0, Constant()),
+        JumpComponent(3.0, 0.0, Sinusoid(offset=1.5, omega=2.0, phase=0.25)),
+        JumpComponent(4.0, 1.0, Polynomial((1.0, -0.5, 0.125))),
+    ))
+    assert format_rate_spec(every) == (
+        "A=2.0 t0=0.0 shape=constant params=\n"
+        "A=3.0 t0=0.0 shape=sinusoid params=1.5,2.0,0.25\n"
+        "A=4.0 t0=1.0 shape=polynomial params=1.0,-0.5,0.125\n"
+    )
+    assert parse_rate_spec(format_rate_spec(every)) == every
 
 
 def test_rate_spec_parse_errors():
@@ -335,6 +342,16 @@ def test_rate_spec_parse_errors():
         parse_rate_spec("# c\nA=1 t0=0 shape=polynomial params=1,inf")
     with pytest.raises(ValueError, match="line 1: could not convert"):
         parse_rate_spec("A=1 t0=0 shape=polynomial params=1,x")
+    # a wrong number of params names the line, the shape and its parameters
+    with pytest.raises(ValueError, match=r"line 1: constant .*takes no params"):
+        parse_rate_spec("A=1 t0=0 shape=constant params=1")
+    sinusoid = r"line 1: sinusoid takes params=offset,omega\[,phase\]"
+    for params in ("1", "1,2,3,4"):
+        with pytest.raises(ValueError, match=sinusoid):
+            parse_rate_spec(f"A=1 t0=0 shape=sinusoid params={params}")
+    for params in ("", "1,2"):
+        with pytest.raises(ValueError, match="line 2: expdecay takes params=rate"):
+            parse_rate_spec(f"# c\nA=1 t0=0 shape=expdecay params={params}")
     # comments and blank lines are fine
     spec = parse_rate_spec("# c\n\nA=2 t0=0 shape=constant params=\n")
     assert eval_rate(spec, 1.0) == 2.0
