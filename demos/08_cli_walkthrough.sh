@@ -19,6 +19,9 @@ ratejump simulate-poisson --rate-preset const-plus-exp \
     --seed 1 --out-dir "$out"
 ratejump detect --events "$out/events.txt" \
     --k 3 --delta 0.3 --threshold 4000 --out-dir "$out"
+echo "-- without --threshold, detect reports the single best-scoring time --"
+ratejump detect --events "$out/events.txt" \
+    --k 3 --delta 0.3 --out argmax.csv --out-dir "$out"
 echo
 
 echo "== one epidemic cascade, then hub recovery from three cascades =="
@@ -27,7 +30,7 @@ ratejump multicascade --height 11 --extra-leaves 800 --cascades 3 \
     --k 2 --delta 0.12 --window 0.05 --seed 5 --out-dir "$out"
 echo
 
-echo "== a small error heatmap =="
+echo "== a small error heatmap, with each order's best delta =="
 ratejump heatmap --scenario smooth-jump --base 2000 --jump 1600 \
     --k-grid 1,2,3 --delta-grid 0.1:0.5:5 --trials 10 --workers 1 \
     --out-dir "$out"

@@ -34,7 +34,6 @@ from .harness import (
     ExperimentSpec,
     HeatmapResult,
     false_alarm_study,
-    run_baselines,
     run_heatmap,
 )
 from .ingest import RegionSeries, analyze_binned, load_daily_csv, load_daily_regions
@@ -71,7 +70,6 @@ __all__ = [
     "ExperimentSpec",
     "HeatmapResult",
     "false_alarm_study",
-    "run_baselines",
     "run_heatmap",
     "RegionSeries",
     "analyze_binned",

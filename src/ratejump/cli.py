@@ -1,7 +1,11 @@
 """Command-line interface.
 
-Every subcommand is reproducible.  The ones that draw random numbers
-take ``--seed`` (the two simulators also ``--stream``); the others are
+One subcommand per job: ``detect`` and ``multicascade`` run the detector
+in threshold mode when given ``--threshold A`` and in argmax mode (the
+single best-scoring time) without it, as ``DetectorConfig`` does; ``heatmap``
+runs the (k, delta) error grid and prints each order's best delta.  Every
+subcommand is reproducible.  The ones that draw random numbers take
+``--seed`` (the two simulators also ``--stream``); the others are
 deterministic.  Each writes a ``*.manifest`` file next to its primary
 output recording the subcommand, all resolved parameters, input and
 output paths, the tool version, and wall time.
@@ -17,11 +21,12 @@ run does not use is a usage error, not ignored: ``--horizon`` with
 ``multicascade`` with ``--trace``, and a scenario flag the scenario or
 preset does not take.  ``multicascade`` takes every default from the
 ``multicascade-tree`` preset.  Exit codes: 0 success, 2 usage error (a bad
-or unused flag, conflicting modes, a missing input file; the message on
-stderr names the field), 1 runtime failure that depends on the data (the
-message names the module whose call from the subcommand failed).  A reader
-that closes stdout early (``| head``) does not fail a run: the lines on
-stdout come after its outputs are written, and the manifest still is.
+or unused flag, a missing input file; the message on stderr names the
+field), 1 runtime failure that depends on the data (the message names the
+module whose call from the subcommand failed), such as a ``detect`` whose
+window holds no grid point.  A reader that closes stdout early (``| head``)
+does not fail a run: the lines on stdout come after its outputs are
+written, and the manifest still is.
 """
 
 from __future__ import annotations
@@ -37,13 +42,12 @@ import numpy as np
 
 from . import __version__
 from .derivative import MAX_ORDER, _check_delta, _check_order
-from .detector import DetectorConfig, argmax_single, detect, save_report_csv
+from .detector import DetectorConfig, detect, save_report_csv
 from .harness import (
     HEATMAP_SCENARIOS,
     PRESETS,
     ExperimentSpec,
     heatmap_spec_from_preset,
-    run_baselines,
     run_heatmap,
     save_heatmap_csv,
     save_heatmap_long_csv,
@@ -212,12 +216,10 @@ def _tree(args):
 
 # The tree flags' values when not given (multicascade's come from its preset).
 _TREE_DEFAULTS = {"height": 18, "extra_leaves": 8000}
-# The experiment flags' values when not given, per subcommand; a jump not
-# given is 0.8 * base.  A heatmap preset brings its own.
+# The experiment flags' values when not given; a jump not given is
+# 0.8 * base.  A heatmap preset brings its own.
 _HEATMAP_DEFAULTS = {"scenario": "smooth-jump", "base": 1e4, "horizon": 20.0,
                      **_TREE_DEFAULTS, "trials": 20}
-_BASELINES_DEFAULTS = {**_HEATMAP_DEFAULTS, "scenario": "si-tree", "jump": 8e3,
-                       "extra_leaves": 2000}
 # the flags that define a scenario
 _SCENARIO_FLAGS = ("scenario", "base", "horizon", "height", "extra_leaves", "jump")
 # the flags only a simulated multicascade run reads
@@ -232,17 +234,17 @@ def _reject_unused(args, used, who, flags=_SCENARIO_FLAGS):
         raise UsageError(f"{who} does not use {flags}")
 
 
-def _scenario(args, defaults):
+def _scenario(args):
     """The scenario the experiment flags define.  Each flag it uses, and
-    --trials, takes its value from ``defaults`` when not given, and is set
-    on ``args`` so the manifest records what ran; a scenario flag it does
-    not use is a usage error."""
-    args.scenario = args.scenario or defaults["scenario"]
+    --trials, takes its ``_HEATMAP_DEFAULTS`` value when not given, and is
+    set on ``args`` so the manifest records what ran; a scenario flag it
+    does not use is a usage error."""
+    args.scenario = args.scenario or _HEATMAP_DEFAULTS["scenario"]
     cls, _, used = HEATMAP_SCENARIOS[args.scenario]
     _reject_unused(args, ("scenario", *used), f"scenario {args.scenario!r}")
     for name in (*used, "trials"):
         if getattr(args, name) is None:
-            setattr(args, name, defaults[name] if name in defaults else 0.8 * args.base)
+            setattr(args, name, 0.8 * args.base if name == "jump" else _HEATMAP_DEFAULTS[name])
     with _building():
         return cls(**{name: getattr(args, name) for name in used})
 
@@ -302,13 +304,9 @@ def cmd_simulate_si(args):
 
 
 def cmd_detect(args):
-    if args.threshold is not None and args.argmax_single:
-        raise UsageError("--threshold conflicts with --argmax-single: pick one mode")
-    if args.threshold is None and not args.argmax_single:
-        raise UsageError("pick a mode: --threshold A or --argmax-single")
     config = _detector_config(args)
     counting, inputs = _load_counting(args)
-    report = detect(counting, config)
+    report = detect(counting, config).require_window()
     out_dir = _out_dir(args)
     out_report = os.path.join(out_dir, args.out)
     save_report_csv(report, out_report)
@@ -316,22 +314,7 @@ def cmd_detect(args):
         _echo(f"t_hat={e.time} score={e.score}")
     if not report.estimates:
         _echo("no change points detected")
-    return out_report, inputs, [out_report, out_report + ".meta"], {
-        "n_estimates": len(report),
-        "empty_window": report.empty_window,
-    }
-
-
-def cmd_argmax(args):
-    config = _detector_config(args)
-    counting, inputs = _load_counting(args)
-    t_hat = argmax_single(counting, config.k, config.delta, grid_step=config.grid_step)
-    out_dir = _out_dir(args)
-    out_path = os.path.join(out_dir, args.out)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(f"{t_hat!r}\n")
-    _echo(f"t_hat={t_hat}")
-    return out_path, inputs, [out_path], {"t_hat": repr(t_hat)}
+    return out_report, inputs, [out_report, out_report + ".meta"], {"n_estimates": len(report)}
 
 
 def cmd_heatmap(args):
@@ -347,7 +330,7 @@ def cmd_heatmap(args):
     else:
         if args.k_grid is None or args.delta_grid is None:
             raise UsageError("without --preset, both --k-grid and --delta-grid are required")
-        scenario = _scenario(args, _HEATMAP_DEFAULTS)
+        scenario = _scenario(args)
         with _building():
             spec = ExperimentSpec(scenario, args.k_grid, args.delta_grid, args.trials, args.seed)
     result = run_heatmap(spec, workers=args.workers)
@@ -359,6 +342,9 @@ def cmd_heatmap(args):
         out_long = os.path.join(out_dir, "heatmap_long.csv")
         save_heatmap_long_csv(result, out_long)
         outputs.append(out_long)
+    for k, best in result.best_per_order.items():
+        _echo(f"k={k} every cell failed" if best is None
+              else f"k={k} best_delta={best[0]} mean_error={best[1]}")
     k_best, d_best, err_best = result.argmin
     _echo(f"argmin cell: k={k_best} delta={d_best} mean_error={err_best}")
     _echo(f"failed cells: {result.failed_cells}")
@@ -372,35 +358,7 @@ def cmd_heatmap(args):
     }
 
 
-def cmd_baselines(args):
-    scenario = _scenario(args, _BASELINES_DEFAULTS)
-    report = run_baselines(scenario, delta_grid=args.delta_grid, trials=args.trials,
-                           base_seed=args.seed, high_orders=args.high_orders, workers=args.workers)
-    out_dir = _out_dir(args)
-    out_matrix = os.path.join(out_dir, "baselines.csv")
-    save_heatmap_csv(report.heatmap, out_matrix)
-    lines = []
-    for k in sorted(report.per_order_min):
-        delta, err = report.per_order_min[k]
-        lines.append(f"k={k} best_delta={delta} mean_error={err}")
-    k, delta, err = report.best_high
-    lines.append(f"best higher-order: k={k} delta={delta} mean_error={err}")
-    summary_path = os.path.join(out_dir, "baselines_summary.txt")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    _echo("\n".join(lines))
-    return out_matrix, [], [out_matrix, summary_path], {
-        "best_high_k": k,
-        "best_high_delta": repr(delta),
-        "best_high_error": repr(err),
-    }
-
-
 def cmd_multicascade(args):
-    if args.threshold is not None and args.mode == "argmax-single":
-        raise UsageError("--threshold conflicts with --mode argmax-single")
-    if args.mode == "threshold" and args.threshold is None:
-        raise UsageError("--mode threshold requires --threshold A")
     config = _detector_config(args)
     if args.trace:
         _reject_unused(args, (), "--trace", flags=_SIMULATION_FLAGS)
@@ -502,9 +460,9 @@ def _add_counting_inputs(sub):
     _add_rate_flags(sub, ("horizon",), {"horizon": "the last event; --events only"})
 
 
-def _add_detector_flags(sub, k=None, delta=None, threshold=True):
-    """--k, --delta, --grid-step and, with ``threshold``, --threshold; --k and
-    --delta are required where they have no default."""
+def _add_detector_flags(sub, k=None, delta=None):
+    """--k, --delta, --grid-step and --threshold; --k and --delta are required
+    where they have no default."""
     sub.add_argument("--k", type=_flag(_check_order, "k"), default=k, required=k is None,
                      help=f"derivative order, an integer in [1, {MAX_ORDER}]{_default(k)}")
     sub.add_argument("--delta", type=_flag(_check_delta, "delta"), default=delta,
@@ -512,9 +470,9 @@ def _add_detector_flags(sub, k=None, delta=None, threshold=True):
                      help=f"derivative step delta in time units{_default(delta)}")
     sub.add_argument("--grid-step", type=_flag(_check_delta, "grid_step"), default=None,
                      help="evaluation grid spacing in time units, <= delta (default delta/10)")
-    if threshold:
-        sub.add_argument("--threshold", type=_flag(_check_delta, "threshold"), default=None,
-                         help="expected jump size A in events per unit time (threshold mode)")
+    sub.add_argument("--threshold", type=_flag(_check_delta, "threshold"), default=None,
+                     help="expected jump size A in events per unit time; without it, "
+                          "report only the best-scoring time (argmax mode)")
 
 
 def _add_tree_flags(sub, defaults, source=True):
@@ -528,21 +486,6 @@ def _add_tree_flags(sub, defaults, source=True):
     if source:
         sub.add_argument("--source", type=int, default=0, action=_Given,
                          help="source vertex id (default 0 = tree root)")
-
-
-def _add_experiment_flags(sub, defaults, delta_grid=None):
-    """The scenario flags, --delta-grid, --trials and --workers."""
-    sub.add_argument("--scenario", default=None, action=_Given, choices=sorted(HEATMAP_SCENARIOS),
-                     help=f"scenario family{_default(defaults['scenario'])}")
-    _add_rate_flags(sub, ("base", "jump", "horizon"), {"jump": "0.8 B", **defaults})
-    _add_tree_flags(sub, defaults, source=False)
-    sub.add_argument("--delta-grid", type=_delta_grid, default=delta_grid,
-                     help="deltas in time units: comma list or lo:hi:n" + _default(delta_grid))
-    sub.add_argument("--trials", type=_whole("trials"), default=None,
-                     help="Monte Carlo trials per cell" + _default(defaults["trials"]))
-    sub.add_argument("--workers", type=_whole("workers"), default=os.cpu_count(),
-                     help="worker processes; results are identical for any value "
-                          f"(default {os.cpu_count()})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -581,39 +524,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("detect", help="detect change points in a counting process")
     _add_counting_inputs(p)
     _add_detector_flags(p)
-    p.add_argument("--argmax-single", action="store_true",
-                   help="exploratory mode: report only the best-scoring time")
     p.add_argument("--out", default="report.csv", help="output report CSV name")
     _add_common(p)
     p.set_defaults(func=cmd_detect)
 
-    p = subs.add_parser("argmax", help="time of the largest |order-k derivative|")
-    _add_counting_inputs(p)
-    _add_detector_flags(p, threshold=False)
-    p.add_argument("--out", default="argmax.txt", help="output file name")
-    _add_common(p)
-    p.set_defaults(func=cmd_argmax)
-
-    p = subs.add_parser("heatmap", help="Monte Carlo error heatmap over (k, delta)")
+    hd = _HEATMAP_DEFAULTS  # the defaults shown in its help
+    p = subs.add_parser("heatmap", help="Monte Carlo error heatmap over (k, delta), "
+                                        "with each order's best delta")
     p.add_argument("--preset", default=None,
                    choices=sorted(name for name, preset in PRESETS.items()
                                   if preset.kind == "heatmap"),
                    help="heatmap preset: its scenario, grids and trials (see presets)")
-    _add_experiment_flags(p, _HEATMAP_DEFAULTS)
+    p.add_argument("--scenario", default=None, action=_Given, choices=sorted(HEATMAP_SCENARIOS),
+                   help=f"scenario family{_default(hd['scenario'])}")
+    _add_rate_flags(p, ("base", "jump", "horizon"), {"jump": "0.8 B", **hd})
+    _add_tree_flags(p, hd, source=False)
     p.add_argument("--k-grid", type=_flag_list(_check_order, "k_grid"), default=None,
                    help="comma-separated derivative orders, e.g. 1,2,3")
+    p.add_argument("--delta-grid", type=_delta_grid, default=None,
+                   help="deltas in time units: comma list or lo:hi:n")
+    p.add_argument("--trials", type=_whole("trials"), default=None,
+                   help="Monte Carlo trials per cell" + _default(hd["trials"]))
+    p.add_argument("--workers", type=_whole("workers"), default=os.cpu_count(),
+                   help="worker processes; results are identical for any value "
+                        f"(default {os.cpu_count()})")
     p.add_argument("--long-csv", action="store_true",
                    help="also write per-trial errors as heatmap_long.csv")
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_heatmap)
-
-    p = subs.add_parser("baselines",
-                        help="compare k=1,2 baselines against higher orders")
-    _add_experiment_flags(p, _BASELINES_DEFAULTS, delta_grid="0.2:2.0:10")
-    p.add_argument("--high-orders", type=_flag_list(_check_order, "high_orders"),
-                   default=(3, 4, 5), help="higher orders to compare (default 3,4,5)")
-    _add_common(p, seed=True)
-    p.set_defaults(func=cmd_baselines)
 
     mc = PRESETS["multicascade-tree"].params  # every default of the subcommand
     p = subs.add_parser("multicascade",
@@ -626,8 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_detector_flags(p, k=mc["k"], delta=mc["delta"])
     p.add_argument("--window", type=_flag(_check_delta, "window"),
                    help="candidate window w in time units" + _default(mc["window"]))
-    p.add_argument("--mode", choices=["threshold", "argmax-single"],
-                   help="per-cascade detection mode" + _default(mc["mode"]))
     p.add_argument("--out", default="multicascade.txt", help="output file name")
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_multicascade, **mc)

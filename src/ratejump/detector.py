@@ -14,7 +14,6 @@ data), so the stencil never reaches past the data; there is no override.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -54,10 +53,8 @@ class DetectorConfig:
     def __post_init__(self) -> None:
         _check_order(self.k, "k")
         _check_delta(self.delta, "delta")
-        if self.threshold is not None and not (
-            math.isfinite(self.threshold) and self.threshold > 0
-        ):
-            raise ValueError(f"threshold must be positive, got {self.threshold}")
+        if self.threshold is not None:
+            _check_delta(self.threshold, "threshold")
         if self.grid_step is not None:
             _check_grid_step(self.grid_step, self.delta)
 
@@ -110,6 +107,14 @@ class ChangePointReport:
 
     def __len__(self) -> int:
         return len(self.estimates)
+
+    def require_window(self) -> "ChangePointReport":
+        """This report; a ValueError naming k, delta and the window if no grid
+        point fit in it, for a caller that cannot go on without one."""
+        if self.empty_window:
+            raise ValueError(f"no valid grid points: window {self.window} is empty for "
+                             f"k={self.k}, delta={self.delta}")
+        return self
 
 
 def _candidates(profile, delta: float, threshold: "float | None"):
@@ -211,15 +216,9 @@ def detect(N, config: DetectorConfig) -> ChangePointReport:
     )
 
 
-def argmax_single(
-    N,
-    k: int,
-    delta: float,
-    grid_step: "float | None" = None,
-    window: "tuple | None" = None,
-) -> float:
+def argmax_single(N, k: int, delta: float, grid_step: "float | None" = None) -> float:
     """Time of the largest |order-k derivative| on the grid (earliest on ties)."""
-    profile = derivative_profile(N, k, delta, grid_step=grid_step, window=window)
+    profile = derivative_profile(N, k, delta, grid_step=grid_step)
     return float(profile.times[profile.argmax()])
 
 

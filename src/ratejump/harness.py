@@ -38,8 +38,6 @@ __all__ = [
     "ExperimentSpec",
     "HeatmapResult",
     "run_heatmap",
-    "BaselineReport",
-    "run_baselines",
     "FalseAlarmReport",
     "false_alarm_study",
     "Preset",
@@ -222,6 +220,15 @@ class HeatmapResult:
         """Trial cells that aborted: the NaN entries of ``errors``."""
         return int(self.errors.size - self.counts.sum())
 
+    @property
+    def best_per_order(self) -> dict:
+        """k -> (delta, mean error) at that order's smallest mean error, the
+        smallest delta on ties: the paper's comparison of k = 1, 2 against
+        higher orders.  An order whose every cell failed maps to None."""
+        return {k: None if np.isnan(row).all()
+                else (self.delta_grid[int(np.nanargmin(row))], float(np.nanmin(row)))
+                for k, row in zip(self.k_grid, self.mean_errors)}
+
 
 def _trial_errors(spec: ExperimentSpec, trial: int):
     """Errors of every cell on trial ``trial``'s shared realization, from one
@@ -320,54 +327,6 @@ def save_heatmap_long_csv(result: HeatmapResult, path) -> None:
             for j, d in enumerate(result.delta_grid):
                 for t in range(n_trials):
                     writer.writerow([k, repr(d), t, repr(float(result.errors[t, i, j]))])
-
-
-@dataclass(frozen=True)
-class BaselineReport:
-    """Best-over-delta error for each order: the baselines k = 1, 2 and the higher orders."""
-
-    heatmap: HeatmapResult
-    per_order_min: dict  # k -> (delta, mean error)
-    high_orders: tuple
-
-    @property
-    def best_high(self) -> tuple:
-        k = min(self.high_orders, key=lambda k: self.per_order_min[k][1])
-        return (k,) + self.per_order_min[k]
-
-
-def run_baselines(
-    scenario,
-    delta_grid,
-    trials: int,
-    base_seed: int = 0,
-    high_orders: tuple = (3, 4, 5),
-    workers: "int | None" = None,
-) -> BaselineReport:
-    """Compare first/second-derivative baselines against higher orders.
-
-    All orders are scored on the same realizations (common random
-    numbers), each order taking its best delta from ``delta_grid``.
-    """
-    k_grid = tuple(sorted({1, 2} | set(high_orders)))
-    spec = ExperimentSpec(
-        scenario=scenario,
-        k_grid=k_grid,
-        delta_grid=tuple(delta_grid),
-        trials=trials,
-        base_seed=base_seed,
-    )
-    heatmap = run_heatmap(spec, workers=workers)
-    per_order = {}
-    for i, k in enumerate(k_grid):
-        row = heatmap.mean_errors[i]
-        j = int(np.nanargmin(row))
-        per_order[k] = (heatmap.delta_grid[j], float(row[j]))
-    return BaselineReport(
-        heatmap=heatmap,
-        per_order_min=per_order,
-        high_orders=tuple(high_orders),
-    )
 
 
 @dataclass(frozen=True)
@@ -496,7 +455,6 @@ PRESETS = {
             "k": 2,
             "delta": 0.1,
             "window": 0.04,
-            "mode": "argmax-single",
         },
     ),
     "sd-covid-style": Preset(

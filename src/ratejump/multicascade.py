@@ -90,8 +90,6 @@ def estimate_high_degree(
     """
     if window is None:
         window = config.k * config.delta
-    if not (window > 0):
-        raise ValueError(f"window must be positive, got {window}")
     surviving = None
     all_times = []
     sizes = []
@@ -100,7 +98,7 @@ def estimate_high_degree(
         report = detect(counting, config)
         times_hat = report.times
         all_times.append(tuple(times_hat))
-        cands = candidate_vertices(trace, times_hat, window) if times_hat else set()
+        cands = candidate_vertices(trace, times_hat, window)
         sizes.append(len(cands))
         surviving = cands if surviving is None else (surviving & cands)
         if not surviving:

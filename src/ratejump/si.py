@@ -32,6 +32,7 @@ and edge list a ``Graph`` builds once, which scipy takes without a copy.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -39,6 +40,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra
 
+from .derivative import _check_order
 from .process import EventTimes
 from .seeding import generator
 
@@ -174,9 +176,9 @@ def build_tree_with_hub(height: int, extra_leaves: int) -> Graph:
     (parent + two subtree children + the new leaves), while every other
     vertex has degree <= 3.
     """
-    if not (isinstance(height, (int, np.integer)) and height >= 1):
-        raise ValueError(f"height must be an integer >= 1, got {height}")
-    if not (isinstance(extra_leaves, (int, np.integer)) and extra_leaves >= 0):
+    height = _check_order(height, "height", limit=math.inf)
+    if isinstance(extra_leaves, bool) or not (
+            isinstance(extra_leaves, (int, np.integer)) and extra_leaves >= 0):
         raise ValueError(f"extra_leaves must be >= 0, got {extra_leaves}")
     n_tree = 2 ** (height + 1) - 1
     hub = 2 ** (height - 1) - 1

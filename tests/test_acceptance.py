@@ -22,7 +22,6 @@ from ratejump.harness import (
     false_alarm_study,
     get_preset,
     heatmap_spec_from_preset,
-    run_baselines,
     run_heatmap,
 )
 from ratejump.ingest import analyze_binned
@@ -154,11 +153,11 @@ def test_tree_hub_timing_and_order_baselines():
     # (b) at a weaker hub, higher orders must beat the 1st/2nd derivatives
     weak = SITreeScenario(height=18, extra_leaves=2000)
     grid = tuple(float(x) for x in np.linspace(0.2, 2.0, 10))
-    baselines = run_baselines(weak, delta_grid=grid, trials=5, base_seed=0,
-                              high_orders=(3, 4, 5))
-    err1 = baselines.per_order_min[1][1]
-    err2 = baselines.per_order_min[2][1]
-    err_high = baselines.best_high[2]
+    best = run_heatmap(ExperimentSpec(scenario=weak, k_grid=(1, 2, 3, 4, 5), delta_grid=grid,
+                                      trials=5, base_seed=0), workers=1).best_per_order
+    err1 = best[1][1]
+    err2 = best[2][1]
+    err_high = min(best[k][1] for k in (3, 4, 5))
     order_ok = err_high < err1 and err_high < err2
 
     elapsed = time.monotonic() - start

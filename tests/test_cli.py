@@ -6,11 +6,13 @@ can assert on exit codes, stdout/stderr, and the files left behind.
 
 import io
 import os
+import pathlib
 import sys
 
 import pytest
 
 from ratejump.cli import build_parser, main
+from ratejump.detector import argmax_single
 from ratejump.harness import PRESETS
 from ratejump.process import load_event_times
 from ratejump.si import load_trace_csv
@@ -141,25 +143,26 @@ def test_detect_argmax_mode(tmp_path, capsys):
     code, out, err = run(
         capsys,
         "detect", "--events", events, "--k", "2", "--delta", "0.3",
-        "--argmax-single", "--out-dir", str(tmp_path),
+        "--out-dir", str(tmp_path),
     )
     assert code == 0, err
     lines = [l for l in out.splitlines() if l.startswith("t_hat=")]
     assert len(lines) == 1
+    assert "mode=argmax-single" in (tmp_path / "report.csv.meta").read_text()
 
 
-def test_argmax_subcommand(tmp_path, capsys):
+def test_detect_without_threshold_prints_the_argmax(tmp_path, capsys):
     events = simulate_events(tmp_path, capsys)
     code, out, err = run(
         capsys,
-        "argmax", "--events", events, "--k", "2", "--delta", "0.3",
+        "detect", "--events", events, "--k", "2", "--delta", "0.3",
         "--out-dir", str(tmp_path),
     )
     assert code == 0, err
-    assert "t_hat=" in out
+    # 1.98 is what the former argmax subcommand printed for this file
+    assert "t_hat=1.98 " in out
     t_hat = float(out.split("t_hat=")[1].split()[0])
-    assert abs(t_hat - 2.0) < 0.5
-    assert (tmp_path / "argmax.txt").exists()
+    assert t_hat == argmax_single(load_event_times(events), 2, 0.3)
 
 
 def test_detect_from_binned_counts(tmp_path, capsys):
@@ -211,18 +214,17 @@ def test_heatmap_preset_with_small_overrides(tmp_path, capsys):
     assert (tmp_path / "heatmap.csv").exists()
 
 
-def test_baselines_smooth_jump(tmp_path, capsys):
+def test_heatmap_prints_each_orders_best_delta(tmp_path, capsys):
+    # on [0, 20] the order-3 stencil at delta 8 fits no grid time
     code, out, err = run(
         capsys,
-        "baselines", "--scenario", "smooth-jump", "--base", "200",
-        "--jump", "300", "--horizon", "8",
-        "--delta-grid", "0.3,0.6", "--high-orders", "3",
-        "--trials", "2", "--workers", "1", "--out-dir", str(tmp_path),
+        "heatmap", "--base", "100", "--k-grid", "1,3", "--delta-grid", "8",
+        "--trials", "1", "--workers", "1", "--out-dir", str(tmp_path),
     )
     assert code == 0, err
-    assert (tmp_path / "baselines.csv").exists()
-    summary = (tmp_path / "baselines_summary.txt").read_text()
-    assert "k=1" in summary and "k=2" in summary and "best higher-order" in summary
+    assert "k=1 best_delta=8.0 mean_error=" in out
+    assert "k=3 every cell failed\n" in out
+    assert "failed cells: 1" in out
 
 
 def test_multicascade_simulated_tree(tmp_path, capsys):
@@ -237,6 +239,18 @@ def test_multicascade_simulated_tree(tmp_path, capsys):
     assert (tmp_path / "multicascade.txt").exists()
     manifest = (tmp_path / "multicascade.txt.manifest").read_text()
     assert "result.hub=" in manifest
+
+
+def test_multicascade_threshold_alone_runs_threshold_mode(tmp_path, capsys):
+    code, out, err = run(
+        capsys,
+        "multicascade", "--height", "4", "--extra-leaves", "30", "--threshold", "5",
+        "--k", "1", "--delta", "0.3", "--window", "0.5", "--seed", "1",
+        "--out-dir", str(tmp_path),
+    )
+    assert code == 0, err
+    assert "mode=threshold" in (tmp_path / "multicascade.txt").read_text()
+    assert "param.threshold=5" in (tmp_path / "multicascade.txt.manifest").read_text()
 
 
 def test_multicascade_from_trace_files(tmp_path, capsys):
@@ -303,7 +317,7 @@ def test_out_dir_env_var(tmp_path, capsys, monkeypatch):
 
 def test_negative_delta_is_a_usage_error(capsys):
     code, out, err = run(capsys, "detect", "--events", "x.txt",
-                         "--k", "2", "--delta", "-1", "--argmax-single")
+                         "--k", "2", "--delta", "-1")
     assert code == 2
     assert "delta must be positive" in err
 
@@ -319,31 +333,11 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     assert code == 2
 
 
-def test_conflicting_modes(tmp_path, capsys):
-    events = simulate_events(tmp_path, capsys, **{"--horizon": "2"})
-    code, out, err = run(
-        capsys,
-        "detect", "--events", events, "--k", "2", "--delta", "0.3",
-        "--threshold", "10", "--argmax-single",
-    )
-    assert code == 2
-    assert "conflicts" in err
-
-
-def test_detect_requires_a_mode(tmp_path, capsys):
-    events = simulate_events(tmp_path, capsys, **{"--horizon": "2"})
-    code, out, err = run(
-        capsys, "detect", "--events", events, "--k", "2", "--delta", "0.3",
-    )
-    assert code == 2
-    assert "mode" in err
-
-
 def test_missing_input_file(tmp_path, capsys):
     code, out, err = run(
         capsys,
         "detect", "--events", str(tmp_path / "absent.txt"),
-        "--k", "2", "--delta", "0.3", "--argmax-single",
+        "--k", "2", "--delta", "0.3",
     )
     assert code == 2
     assert "missing input file" in err
@@ -354,19 +348,9 @@ def test_events_and_binned_conflict(tmp_path, capsys):
     code, out, err = run(
         capsys,
         "detect", "--events", events, "--binned", events,
-        "--k", "2", "--delta", "0.3", "--argmax-single",
+        "--k", "2", "--delta", "0.3",
     )
     assert code == 2
-
-
-def test_multicascade_threshold_with_argmax_mode_conflicts(capsys):
-    code, out, err = run(
-        capsys,
-        "multicascade", "--height", "3", "--threshold", "5",
-        "--mode", "argmax-single",
-    )
-    assert code == 2
-    assert "conflicts" in err
 
 
 @pytest.mark.parametrize("preset,flag,value", [
@@ -410,10 +394,10 @@ def test_heatmap_scenario_rejects_flags_it_does_not_use(tmp_path, capsys, scenar
 @pytest.mark.parametrize("argv", [
     ["detect", "--k", "1", "--delta", "0.3", "--seed", "1"],
     ["detect", "--k", "1", "--delta", "0.3", "--stream", "1"],
-    ["argmax", "--k", "1", "--delta", "0.3", "--seed", "1"],
-    ["argmax", "--k", "1", "--delta", "0.3", "--stream", "1"],
+    ["analyze-binned", "--csv", "x.csv", "--seed", "1"],
+    ["analyze-binned", "--csv", "x.csv", "--stream", "1"],
     ["heatmap", "--stream", "1"],
-    ["baselines", "--stream", "1"],
+    ["presets", "--seed", "1"],
     ["multicascade", "--stream", "1"],
 ])
 def test_options_nothing_reads_are_gone(capsys, argv):
@@ -453,7 +437,8 @@ def test_heatmap_manifest_records_resolved_defaults(tmp_path, capsys):
     assert "base=10000.0" in (tmp_path / "heatmap.csv").read_text()
 
 
-DETECT = ["--events", "{events}", "--argmax-single"]
+DETECT = ["--events", "{events}"]
+GRIDS = ["--k-grid", "1", "--delta-grid", "0.3"]
 
 
 @pytest.mark.parametrize("argv,code,message", [
@@ -462,12 +447,13 @@ DETECT = ["--events", "{events}", "--argmax-single"]
     (["detect", "--k", "2", "--delta", "inf", *DETECT], 2, "delta must be positive and finite"),
     (["detect", "--k", "2", "--delta", "0.5", "--grid-step", "0.6", *DETECT], 2,
      "grid_step must be in (0, delta=0.5], got 0.6"),
-    (["argmax", "--events", "{events}", "--k", "2", "--delta", "0.5", "--grid-step", "0.6"], 2,
+    (["detect", "--events", "{events}", "--k", "2", "--delta", "0.5", "--grid-step", "0.6",
+      "--threshold", "9"], 2,
      "grid_step must be in (0, delta=0.5], got 0.6"),
     (["heatmap", "--k-grid", "1,21", "--delta-grid", "0.3"], 2, "k_grid[1] must be <= 20, got 21"),
     (["heatmap", "--base", "inf", "--k-grid", "1", "--delta-grid", "0.3"], 2,
      "base must be positive and finite, got inf"),
-    (["baselines", "--scenario", "smooth-jump", "--base", "inf"], 2,
+    (["heatmap", "--preset", "fig2-scaled", "--base", "inf"], 2,
      "base must be positive and finite, got inf"),
     (["simulate-poisson", "--base", "inf"], 2, "base must be positive and finite, got inf"),
     (["simulate-si", "--height", "3", "--extra-leaves", "2", "--source", "99"], 2,
@@ -477,13 +463,14 @@ DETECT = ["--events", "{events}", "--argmax-single"]
     (["multicascade", "--height", "3", "--extra-leaves", "2", "--source", "99"], 2,
      "source 99 out of range"),
     (["multicascade", "--height", "3", "--extra-leaves", "-2"], 2, "extra_leaves must be >= 0"),
-    (["baselines", "--scenario", "si-tree", "--base", "50", "--jump", "7"], 2,
+    (["heatmap", "--scenario", "si-tree", "--base", "50", "--jump", "7", *GRIDS], 2,
      "scenario 'si-tree' does not use --base, --jump"),
-    (["baselines", "--horizon", "3"], 2, "scenario 'si-tree' does not use --horizon"),
-    (["baselines", "--scenario", "smooth-jump", "--height", "3"], 2,
+    (["heatmap", "--scenario", "si-tree", "--horizon", "3", *GRIDS], 2,
+     "scenario 'si-tree' does not use --horizon"),
+    (["heatmap", "--scenario", "smooth-jump", "--height", "3", *GRIDS], 2,
      "scenario 'smooth-jump' does not use --height"),
     # the stencil fits no grid time on [0, 2]: a failure of the data, not of a flag
-    (["argmax", "--events", "{events}", "--k", "5", "--delta", "2.0"], 1,
+    (["detect", "--events", "{events}", "--k", "5", "--delta", "2.0"], 1,
      "runtime error in detector"),
     (["simulate-poisson", "--rate-spec", "{events}", "--base", "5", "--onset", "2"], 2,
      "--rate-spec does not use --base, --onset"),
@@ -491,7 +478,7 @@ DETECT = ["--events", "{events}", "--argmax-single"]
      "--graph does not use --height, --extra-leaves"),
     (["detect", "--binned", "{events}", "--k", "2", "--delta", "0.5", "--threshold", "9",
       "--horizon", "100"], 2, "--horizon is for --events only"),
-    (["argmax", "--binned", "{events}", "--k", "2", "--delta", "0.5", "--horizon", "100"], 2,
+    (["detect", "--binned", "{events}", "--k", "2", "--delta", "0.5", "--horizon", "100"], 2,
      "--horizon is for --events only"),
 ])
 def test_bad_flag_exit_codes(tmp_path, capsys, argv, code, message):
@@ -507,12 +494,12 @@ def test_bad_flag_exit_codes(tmp_path, capsys, argv, code, message):
 def test_events_horizon_extends_the_event_file(tmp_path, capsys):
     events = tmp_path / "events.txt"
     events.write_text("0.5\n1.0\n1.5\n2.0\n")
-    argv = ["argmax", "--events", str(events), "--k", "5", "--delta", "2.0",
+    argv = ["detect", "--events", str(events), "--k", "5", "--delta", "2.0",
             "--out-dir", str(tmp_path)]
     assert run(capsys, *argv)[0] == 1  # on [0, 2] the stencil fits no grid time
     code, out, err = run(capsys, *argv, "--horizon", "12")
     assert code == 0, err
-    assert "param.horizon=12.0" in (tmp_path / "argmax.txt.manifest").read_text()
+    assert "param.horizon=12.0" in (tmp_path / "report.csv.manifest").read_text()
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -578,12 +565,16 @@ def test_heatmap_without_preset_needs_grids(capsys):
 def test_runtime_error_names_detector(tmp_path, capsys):
     events = simulate_events(tmp_path, capsys, **{"--horizon": "2"})
     # window [(k-1)*delta, T - delta] is empty for delta=2, k=5 on T=2
-    code, out, err = run(
-        capsys,
-        "argmax", "--events", events, "--k", "5", "--delta", "2.0",
-    )
-    assert code == 1
-    assert "runtime error in detector" in err
+    for mode in ([], ["--threshold", "600"]):
+        code, out, err = run(
+            capsys,
+            "detect", "--events", events, "--k", "5", "--delta", "2.0", *mode,
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 1
+        assert "runtime error in detector: no valid grid points: window (8.0, " in err
+        assert "is empty for k=5, delta=2.0" in err
+    assert not list(tmp_path.glob("report.csv*"))
 
 
 def test_runtime_error_names_ingest(tmp_path, capsys):
@@ -629,17 +620,26 @@ def test_runtime_error_names_si_and_trace_row(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
-    for name in ["simulate-poisson", "simulate-si", "detect", "argmax",
-                  "heatmap", "baselines", "multicascade", "analyze-binned",
-                  "presets"]:
+    for name in ["simulate-poisson", "simulate-si", "detect", "heatmap",
+                  "multicascade", "analyze-binned", "presets"]:
         assert name in out
 
 
-def test_every_flag_is_documented():
-    parser = build_parser()
-    subs = next(a.choices for a in parser._actions
+def _subparsers() -> dict:
+    """build_parser()'s subcommands: name -> its parser."""
+    return next(a.choices for a in build_parser()._actions
                 if hasattr(a, "choices") and isinstance(a.choices, dict))
-    for name, sub in subs.items():
+
+
+def test_readme_command_table_lists_exactly_the_subcommands():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    table = readme.split("## Command line", 1)[1].split("```")[1]
+    listed = [line.split()[1] for line in table.splitlines() if line.startswith("ratejump ")]
+    assert sorted(listed) == sorted(_subparsers())
+
+
+def test_every_flag_is_documented():
+    for name, sub in _subparsers().items():
         for action in sub._actions:
             if action.option_strings and action.option_strings != ["-h", "--help"]:
                 assert action.help, f"{name} {action.option_strings} lacks help text"
@@ -650,10 +650,7 @@ def test_every_flag_is_documented():
     ("--horizon", "time"),
 ])
 def test_time_flags_state_units(flag, unit_word):
-    parser = build_parser()
-    subs = next(a.choices for a in parser._actions
-                if hasattr(a, "choices") and isinstance(a.choices, dict))
-    sub = subs["detect"]
+    sub = _subparsers()["detect"]
     action = next(a for a in sub._actions if flag in a.option_strings)
     assert unit_word in action.help
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ratejump.derivative import derivative_profile
 from ratejump.detector import (
     ChangePointReport,
     DetectorConfig,
@@ -131,6 +132,16 @@ def test_detect_empty_window_flagged():
     assert len(report) == 0
 
 
+@pytest.mark.parametrize("threshold", [None, 10.0])
+def test_require_window_names_k_delta_and_window(threshold):
+    e = EventTimes(times=np.array([0.5]), horizon=1.0)
+    with pytest.raises(ValueError, match=r"^no valid grid points: window \(1\.5, 0\.5\) is empty "
+                                         r"for k=4, delta=0\.5$"):
+        detect(e, DetectorConfig(k=4, delta=0.5, threshold=threshold)).require_window()
+    report = detect(e, DetectorConfig(k=1, delta=0.5, threshold=threshold))
+    assert report.require_window() is report
+
+
 def test_report_invariants_enforced():
     from ratejump.detector import Estimate
 
@@ -183,7 +194,8 @@ def test_argmax_shift_equivariant(times, shift):
     e1 = EventTimes(times=base, horizon=20.0)
     e2 = EventTimes(times=base + shift, horizon=20.0 + shift)
     t1 = argmax_single(e1, 2, 0.5, grid_step=0.25)
-    t2 = argmax_single(e2, 2, 0.5, grid_step=0.25, window=(t1 + shift - 0.01, t1 + shift + 0.01))
+    p2 = derivative_profile(e2, 2, 0.5, grid_step=0.25, window=(t1 + shift - 0.01, t1 + shift + 0.01))
+    t2 = p2.times[p2.argmax()]
     assert t2 == pytest.approx(t1 + shift, abs=0.26)
 
 

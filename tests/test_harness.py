@@ -3,7 +3,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from ratejump.detector import DetectorConfig, argmax_single
+from ratejump.derivative import derivative_profile
+from ratejump.detector import DetectorConfig
 from ratejump.harness import (
     PRESETS,
     ConstNullScenario,
@@ -17,7 +18,6 @@ from ratejump.harness import (
     false_alarm_study,
     get_preset,
     heatmap_spec_from_preset,
-    run_baselines,
     run_heatmap,
     save_heatmap_csv,
     save_heatmap_long_csv,
@@ -120,7 +120,7 @@ class ClippedLowOrders(SmoothJumpScenario):
     ids=["smooth-jump", "const-null-window", "window-clips-some-orders"],
 )
 def test_trial_errors_match_per_cell_argmax(scenario):
-    # one profile per delta for every order gives the cells argmax_single gives
+    # one profile per delta for every order gives the cells one profile per cell gives
     spec = ExperimentSpec(
         scenario=scenario,
         k_grid=tuple(range(1, 7)),
@@ -135,10 +135,11 @@ def test_trial_errors_match_per_cell_argmax(scenario):
     for i, k in enumerate(spec.k_grid):
         for j, delta in enumerate(spec.delta_grid):
             try:
-                t_hat = argmax_single(
+                profile = derivative_profile(
                     realization.events, k, delta, grid_step=delta * 0.1,
                     window=scenario.analysis_window,
                 )
+                t_hat = profile.times[profile.argmax()]
             except ValueError as exc:
                 assert np.isnan(errors[i, j])
                 expected_failures.append(f"trial 0 cell (k={k}, delta={delta}): {exc}")
@@ -181,17 +182,33 @@ def test_const_null_mean_error_near_span_third():
 
 def test_baselines_ramp_all_orders_good():
     scenario = RampScenario(rate_after=200.0)
-    report = run_baselines(
-        scenario, delta_grid=(0.3, 0.5), trials=2, base_seed=0, high_orders=(3, 4)
-    )
-    for k, (_, err) in report.per_order_min.items():
+    spec = ExperimentSpec(scenario=scenario, k_grid=(1, 2, 3, 4), delta_grid=(0.3, 0.5),
+                          trials=2, base_seed=0)
+    best = run_heatmap(spec).best_per_order
+    for k, (_, err) in best.items():
         if k in (2, 3):
             assert err <= 0.05 + 1e-9
         if k == 4:
             # extreme of the order-4 stencil sits one delta past the kink
             assert err <= 0.5 + 1e-9
-    assert set(report.per_order_min) == {1, 2, 3, 4}
-    assert report.best_high[0] in (3, 4)
+    assert set(best) == {1, 2, 3, 4}
+
+
+def test_best_per_order_is_each_rows_first_minimum():
+    result = run_heatmap(small_spec())
+    for i, k in enumerate(result.k_grid):
+        row = result.mean_errors[i].tolist()
+        j = row.index(min(row))
+        assert result.best_per_order[k] == (result.delta_grid[j], row[j])
+
+
+def test_best_per_order_names_an_order_whose_every_cell_failed():
+    # on [0, 10] at delta 3, orders 4 and 5 fit no grid time
+    result = run_heatmap(ExperimentSpec(RampScenario(), (1, 2, 3, 4, 5), (3.0,), trials=1))
+    best = result.best_per_order
+    assert best[4] is None and best[5] is None
+    assert [k for k in best if best[k] is not None] == [1, 2, 3]
+    assert best[1] == (3.0, float(result.mean_errors[0, 0]))
 
 
 def test_false_alarm_study_counts():

@@ -14,10 +14,11 @@ import pytest
 from ratejump.derivative import DerivativeStencil, derivative_profiles
 from ratejump.detector import DetectorConfig
 from ratejump.harness import (ExperimentSpec, RampScenario, get_preset, heatmap_spec_from_preset,
-                              run_baselines)
+                              run_heatmap)
 from ratejump.ingest import RegionSeries, analyze_binned, load_daily_csv
 from ratejump.process import BinnedSeries, EventTimes, load_binned_csv
 from ratejump.seeding import SimSeed, as_seed
+from ratejump.si import build_tree_with_hub
 
 EVENTS = EventTimes(times=np.linspace(0.5, 9.5, 40), horizon=10.0)
 
@@ -36,6 +37,8 @@ DELTA_ENTRIES = {
                        r"^delta_grid\[1\]"),
     "derivative_profiles": (lambda d: derivative_profiles(EVENTS, [2], d), r"^delta must"),
     "DerivativeStencil.of_order": (lambda d: DerivativeStencil.of_order(2, d), r"^delta must"),
+    "DetectorConfig.threshold": (lambda d: DetectorConfig(k=2, delta=0.5, threshold=d),
+                                 r"^threshold must"),
 }
 
 GRID_STEP_ENTRIES = {
@@ -72,6 +75,21 @@ TRIALS_ENTRIES = {
     "heatmap_spec_from_preset": lambda n: heatmap_spec_from_preset(
         get_preset("fig2-scaled"), trials=n, k_grid=(2,), delta_grid=(0.5,)),
 }
+
+
+@pytest.mark.parametrize("height,extra_leaves,message", [
+    (True, 2, "height must be an integer, got True"),
+    (True, True, "height must be an integer, got True"),
+    (3.0, 2, "height must be an integer, got 3.0"),
+    (0, 2, "height must be >= 1, got 0"),
+    (3, True, "extra_leaves must be >= 0, got True"),
+    (3, np.bool_(True), "extra_leaves must be >= 0, got True"),
+    (3, 2.0, "extra_leaves must be >= 0, got 2.0"),
+    (3, -1, "extra_leaves must be >= 0, got -1"),
+])
+def test_tree_rule(height, extra_leaves, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_tree_with_hub(height, extra_leaves)
 
 
 @pytest.mark.parametrize("entry", sorted(TRIALS_ENTRIES))
@@ -182,7 +200,8 @@ def test_count_rows_load_exactly(tmp_path, loader, raw, count):
     (lambda: heatmap_spec_from_preset(get_preset("fig2-scaled"), base_seed=2.5), "base_seed"),
     (lambda: ExperimentSpec(RampScenario(), (2,), (0.5,), 1, base_seed=-1), "base_seed"),
     (lambda: ExperimentSpec(RampScenario(), (2,), (0.5,), 1, base_seed=True), "base_seed"),
-    (lambda: run_baselines(RampScenario(), (0.5,), 1, base_seed=-1), "base_seed"),
+    (lambda: run_heatmap(ExperimentSpec(RampScenario(), (1, 2, 3, 4, 5), (0.5,), 1, base_seed=-1)),
+     "base_seed"),
 ])
 def test_seed_fields_are_checked_by_name(make, field):
     with pytest.raises(ValueError, match=f"^{field} must"):
