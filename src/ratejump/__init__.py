@@ -26,7 +26,6 @@ from .detector import (
     argmax_single,
     d_max,
     detect,
-    greedy_packing,
     min_order_for,
     suggest_delta,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "argmax_single",
     "d_max",
     "detect",
-    "greedy_packing",
     "min_order_for",
     "suggest_delta",
     "ExperimentSpec",

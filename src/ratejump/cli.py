@@ -23,10 +23,11 @@ preset does not take.  ``multicascade`` takes every default from the
 ``multicascade-tree`` preset.  Exit codes: 0 success, 2 usage error (a bad
 or unused flag, a missing input file; the message on stderr names the
 field), 1 runtime failure that depends on the data (the message names the
-module whose call from the subcommand failed), such as a ``detect`` whose
-window holds no grid point.  A reader that closes stdout early (``| head``)
-does not fail a run: the lines on stdout come after its outputs are
-written, and the manifest still is.
+module whose call from the subcommand failed), such as a ``detect``,
+``multicascade`` or ``analyze-binned`` whose window holds no grid point.
+A reader that closes stdout early (``| head``) does not fail a run: the
+lines on stdout come after its outputs are written, and the manifest
+still is.
 """
 
 from __future__ import annotations
@@ -306,7 +307,7 @@ def cmd_simulate_si(args):
 def cmd_detect(args):
     config = _detector_config(args)
     counting, inputs = _load_counting(args)
-    report = detect(counting, config).require_window()
+    report = detect(counting, config)
     out_dir = _out_dir(args)
     out_report = os.path.join(out_dir, args.out)
     save_report_csv(report, out_report)

@@ -61,16 +61,17 @@ def _check_order(order, name: str = "order", limit: float = MAX_ORDER) -> int:
 
 
 def _check_delta(delta, name: str = "delta") -> float:
-    """``delta`` as a positive, finite float: the one check on a step."""
-    value = float(delta)
+    """``delta`` as a positive, finite float, bools rejected: the one check on a step."""
+    value = math.nan if isinstance(delta, (bool, np.bool_)) else float(delta)
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {delta!r}")
     return value
 
 
 def _check_grid_step(grid_step, delta: float) -> float:
-    """``grid_step`` as a float in (0, delta], with delta's last bit of slack."""
-    value = float(grid_step)
+    """``grid_step`` as a float in (0, delta], with delta's last bit of slack;
+    bools rejected."""
+    value = math.nan if isinstance(grid_step, (bool, np.bool_)) else float(grid_step)
     if not (0 < value <= delta * (1 + 1e-12)):
         raise ValueError(f"grid_step must be in (0, delta={delta}], got {grid_step!r}")
     return value
@@ -157,7 +158,6 @@ class DerivativeProfile:
     delta: float
     grid_step: float
     window: tuple
-    empty_window: bool = False
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -168,12 +168,18 @@ class DerivativeProfile:
 
     def argmax(self) -> int:
         """Index of the largest |value|, the earliest on ties; ValueError if empty."""
-        if len(self) == 0:
-            raise ValueError(
-                f"no valid grid points: window {self.window} is empty for "
-                f"k={self.order}, delta={self.delta}"
-            )
+        _nonempty(self)
         return int(np.argmax(np.abs(self.values)))
+
+
+def _nonempty(profile: DerivativeProfile) -> DerivativeProfile:
+    """``profile``, or the one ValueError for a window that holds no grid point."""
+    if len(profile) == 0:
+        raise ValueError(
+            f"no valid grid points: window {profile.window} is empty for "
+            f"k={profile.order}, delta={profile.delta}"
+        )
+    return profile
 
 
 def derivative_profile(
@@ -184,8 +190,9 @@ def derivative_profile(
     window: "tuple | None" = None,
     horizon=None,
 ) -> DerivativeProfile:
-    """The order-``order`` profile of ``derivative_profiles``."""
-    return derivative_profiles(N, [order], delta, grid_step, window, horizon)[0]
+    """The order-``order`` profile of ``derivative_profiles``; a window that
+    holds no grid point is a ValueError naming it, k and delta."""
+    return _nonempty(derivative_profiles(N, [order], delta, grid_step, window, horizon)[0])
 
 
 def derivative_profiles(
@@ -202,9 +209,11 @@ def derivative_profiles(
     requested ``window`` (default: everything) clipped to that order's
     valid range [(order-1)*delta, horizon - delta].  ``grid_step``
     defaults to delta/10 and must not exceed delta.  A window that clips
-    to nothing yields an empty profile with ``empty_window=True`` rather
-    than an error.  ``horizon`` is for a plain callable N, which has none
-    of its own; beyond the horizon of an N that has one it is an error.
+    to nothing yields an empty profile, so that one order's empty window
+    does not cost the others theirs; its ``argmax`` raises the ValueError
+    that ``derivative_profile`` raises at once.  ``horizon`` is for a plain
+    callable N, which has none of its own; beyond the horizon of an N that
+    has one it is an error.
     """
     orders = [_check_order(order) for order in orders]
     delta = _check_delta(delta)
@@ -236,7 +245,7 @@ def derivative_profiles(
             stencil = DerivativeStencil.of_order(order, delta)
             samples = np.asarray(fn(times[None, :] + stencil.offsets()[:, None]), dtype=np.float64)
             values[i] = np.asarray(stencil.coefficients, dtype=np.float64) @ samples
-        profiles.append(DerivativeProfile(times, values[i], order, delta, grid_step, (lo, hi), n == 0))
+        profiles.append(DerivativeProfile(times, values[i], order, delta, grid_step, (lo, hi)))
     return profiles
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "DetectorConfig",
     "Estimate",
     "ChangePointReport",
-    "greedy_packing",
     "detect",
     "argmax_single",
     "d_max",
@@ -85,7 +84,6 @@ class ChangePointReport:
     min_sep: float
     n_grid: int
     candidate_count: int
-    empty_window: bool = False
 
     def __post_init__(self) -> None:
         times = [e.time for e in self.estimates]
@@ -108,21 +106,13 @@ class ChangePointReport:
     def __len__(self) -> int:
         return len(self.estimates)
 
-    def require_window(self) -> "ChangePointReport":
-        """This report; a ValueError naming k, delta and the window if no grid
-        point fit in it, for a caller that cannot go on without one."""
-        if self.empty_window:
-            raise ValueError(f"no valid grid points: window {self.window} is empty for "
-                             f"k={self.k}, delta={self.delta}")
-        return self
-
 
 def _candidates(profile, delta: float, threshold: "float | None"):
     """Scores |value|/delta and the indices of the candidate grid points:
     those clearing threshold/2, or with no threshold the single best."""
     scores = np.abs(profile.values) / delta
     if threshold is None:
-        return scores, np.asarray([profile.argmax()] if len(profile) else [], dtype=np.int64)
+        return scores, np.asarray([profile.argmax()], dtype=np.int64)
     return scores, np.flatnonzero(scores >= threshold / 2.0)
 
 
@@ -175,26 +165,9 @@ def _packing_indices(times: np.ndarray, scores: np.ndarray, min_sep: float) -> l
     return chosen
 
 
-def greedy_packing(candidates, min_sep: float) -> list:
-    """Thin (time, score) candidates to a maximum packing.
-
-    Input must be sorted by time.  The result is a subset with pairwise
-    gaps strictly greater than ``min_sep``, of maximum possible size;
-    among maximum packings the strongest total score wins.
-    """
-    if not (min_sep > 0):
-        raise ValueError(f"min_sep must be positive, got {min_sep}")
-    if not candidates:
-        return []
-    times = np.asarray([c[0] for c in candidates], dtype=np.float64)
-    if np.any(np.diff(times) < 0):
-        raise ValueError("candidates must be sorted by time")
-    scores = np.asarray([c[1] for c in candidates], dtype=np.float64)
-    return [candidates[i] for i in _packing_indices(times, scores, min_sep)]
-
-
 def detect(N, config: DetectorConfig) -> ChangePointReport:
-    """Run the full detection pipeline on a counting process."""
+    """Run the full detection pipeline on a counting process.  In either mode
+    a window that holds no grid point is the profile's ValueError."""
     profile = derivative_profile(N, config.k, config.delta, grid_step=config.grid_step)
     scores, keep = _candidates(profile, config.delta, config.threshold)
     chosen = keep if config.threshold is None else keep[
@@ -212,7 +185,6 @@ def detect(N, config: DetectorConfig) -> ChangePointReport:
         min_sep=config.min_sep,
         n_grid=len(profile),
         candidate_count=int(keep.size),
-        empty_window=profile.empty_window,
     )
 
 
@@ -277,4 +249,3 @@ def save_report_csv(report: ChangePointReport, path) -> None:
         fh.write(f"n_grid={report.n_grid}\n")
         fh.write(f"candidate_count={report.candidate_count}\n")
         fh.write(f"n_estimates={len(report.estimates)}\n")
-        fh.write(f"empty_window={report.empty_window}\n")

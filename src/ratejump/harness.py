@@ -343,7 +343,8 @@ def false_alarm_study(
     runs: int,
     base_seed: int = 0,
 ) -> FalseAlarmReport:
-    """Threshold-mode detection on a process with no jump: count alarms."""
+    """Threshold-mode detection on a process with no jump: count alarms.  A
+    window that holds no grid point is ``detect``'s ValueError."""
     counts = []
     for run in range(runs):
         events = simulate(rate_spec, horizon, SimSeed(base_seed, run))

@@ -104,8 +104,10 @@ def _read_rows(path, region, grouped):
     its region field; with neither, the region column is not read and all
     rows go under ``""``.  A row's region field is compared, stripped,
     before anything else in the row is parsed, so other regions' rows cost
-    one field lookup.  Rows are numbered as records, the header being row
-    1; blank records are skipped and not counted.
+    one field lookup.  Rows are numbered by file line, the header being
+    row 1, so blank lines count; the number (``reader.line_num``, the last
+    line of a record with a quoted line break) is read only for rows kept
+    and for errors.
     """
     groups: dict = {}
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -117,7 +119,7 @@ def _read_rows(path, region, grouped):
         ci = _column_index(header, "cases", path)
         ri = _column_index(header, "region", path) if region is not None or grouped else None
         key = ""
-        for rowno, row in enumerate(filter(None, reader), start=2):
+        for row in filter(None, reader):
             try:
                 if ri is not None:
                     key = row[ri].strip()
@@ -129,9 +131,10 @@ def _read_rows(path, region, grouped):
                 # the first field read, in the order above, that the row lacks
                 col = next(i for i in (ri, di, ci) if i is not None and i >= len(row))
                 raise ValueError(
-                    f"{path}: row {rowno}: no {header[col].strip()!r} field "
+                    f"{path}: row {reader.line_num}: no {header[col].strip()!r} field "
                     f"(the row has {len(row)} of the header's {len(header)} fields)"
                 ) from None
+            rowno = reader.line_num
             try:
                 date = datetime.date.fromisoformat(raw_date)
             except ValueError:
@@ -202,7 +205,8 @@ def load_daily_csv(path, region: "str | None" = None, mode: str = "daily") -> Re
     recorded.  Negative daily counts — direct or from a cumulative dip —
     are clamped to zero and recorded, unless a cumulative dip exceeds
     ``CORRECTION_TOLERANCE`` times the running maximum, which is treated
-    as corrupt input.  All errors name the offending row, field or column.
+    as corrupt input.  All errors name the offending row (its line in the
+    file), field or column.
     """
     _check_mode(mode)
     groups = _read_rows(path, region, False)
@@ -255,21 +259,16 @@ def analyze_binned(series, k: int, delta_days: int = 1) -> BinnedAnalysis:
     ``series`` may be a RegionSeries or any 1-d array of daily counts,
     which becomes one; a count that breaks the count rule
     (``process._as_counts``) is an error naming its day.
-    Requires at least (k+1)*delta_days days so the stencil fits at least
-    one evaluation point.  The profile is evaluated at every integer day
-    edge in the valid range; values are exact integers.
+    The profile is evaluated at every integer day edge t in the valid
+    range [(k-1)*delta_days, n_days - delta_days], whose stencil reaches
+    back to day 0, where N(0) = 0 is known; values are exact integers.  A
+    series too short for that range to hold a day is the profile's
+    ValueError naming the window.
     """
     if not isinstance(series, RegionSeries):
         series = RegionSeries(region="", counts=series)
     k = _check_order(k, "k")
     delta_days = _check_order(delta_days, "delta_days", limit=math.inf)
-    n_days = len(series)
-    minimum = (k + 1) * delta_days
-    if n_days < minimum:
-        raise ValueError(
-            f"series has {n_days} days but order k={k} at delta_days={delta_days} "
-            f"needs at least (k+1)*delta_days = {minimum}"
-        )
     counting = from_binned(series.to_binned())
     profile = derivative_profile(counting, k, float(delta_days), grid_step=1.0)
     i = profile.argmax()

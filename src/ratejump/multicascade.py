@@ -86,7 +86,8 @@ def estimate_high_degree(
 
     ``window`` defaults to k * delta (the detector's own time resolution).
     The result is a subset of every per-cascade candidate set and can only
-    shrink as cascades are added.
+    shrink as cascades are added.  A cascade whose window holds no grid
+    point is ``detect``'s ValueError.
     """
     if window is None:
         window = config.k * config.delta

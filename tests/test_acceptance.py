@@ -15,7 +15,7 @@ import pytest
 from scipy import stats
 
 from ratejump.derivative import DerivativeStencil, annihilation_check
-from ratejump.detector import DetectorConfig, greedy_packing
+from ratejump.detector import DetectorConfig, _packing_indices
 from ratejump.harness import (
     ExperimentSpec,
     SITreeScenario,
@@ -322,11 +322,10 @@ def test_packing_matches_exhaustive_maximum():
         times = np.sort(rng.uniform(0.0, 10.0, size=n))
         scores = rng.uniform(0.0, 5.0, size=n)
         min_sep = float(rng.uniform(0.2, 2.0))
-        candidates = list(zip(times.tolist(), scores.tolist()))
-        result = greedy_packing(candidates, min_sep)
-        picked = [t for t, _ in result]
+        result = _packing_indices(times, scores, min_sep)
+        picked = times[result].tolist()
+        assert result == sorted(set(result))
         assert all(b - a > min_sep for a, b in zip(picked, picked[1:]))
-        assert set(result) <= set(candidates)
         assert len(result) == max_packing_size(tuple(times.tolist()), min_sep)
         if n <= 6:  # cross-check the recursion against full enumeration
             brute = max(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -141,11 +142,16 @@ def test_profile_window_clipping_and_empty():
     e = EventTimes(times=np.array([1.0, 2.0]), horizon=3.0)
     prof = derivative_profile(e, 2, 1.0, grid_step=0.5, window=(0.0, 10.0))
     assert prof.window == (1.0, 2.0)
-    assert not prof.empty_window
+    assert len(prof) == 3
 
-    empty = derivative_profile(e, 2, 1.4, grid_step=0.5, window=(0.0, 0.5))
-    assert empty.empty_window
-    assert len(empty) == 0  # flagged, not an error
+    message = r"^no valid grid points: window \(1\.4, 0\.5\) is empty for k=2, delta=1\.4$"
+    with pytest.raises(ValueError, match=message):
+        derivative_profile(e, 2, 1.4, grid_step=0.5, window=(0.0, 0.5))
+    # among several orders an empty one is kept, and its argmax raises the same error
+    first, empty = derivative_profiles(e, [1, 2], 1.4, grid_step=0.5, window=(0.0, 0.5))
+    assert len(first) == 2 and len(empty) == 0
+    with pytest.raises(ValueError, match=message):
+        empty.argmax()
 
 
 def test_profile_grid_step_validation():
@@ -158,9 +164,14 @@ def assert_profiles_match_pointwise(N, orders, delta, grid_step, window):
     profiles = derivative_profiles(N, orders, delta, grid_step=grid_step, window=window)
     assert [p.order for p in profiles] == orders
     for p in profiles:
+        if len(p) == 0:
+            message = f"no valid grid points: window {p.window} is empty for k={p.order}, delta={p.delta}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                derivative_profile(N, p.order, delta, grid_step=grid_step, window=window)
+            continue
         single = derivative_profile(N, p.order, delta, grid_step=grid_step, window=window)
         assert np.array_equal(p.times, single.times)
-        assert p.window == single.window and p.empty_window == single.empty_window
+        assert p.window == single.window
         reference = [discrete_derivative(N, p.order, delta, t) for t in p.times.tolist()]
         assert p.values.tolist() == reference
 

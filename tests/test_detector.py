@@ -8,10 +8,10 @@ from ratejump.derivative import derivative_profile
 from ratejump.detector import (
     ChangePointReport,
     DetectorConfig,
+    _packing_indices,
     argmax_single,
     d_max,
     detect,
-    greedy_packing,
     min_order_for,
     suggest_delta,
     save_report_csv,
@@ -48,31 +48,26 @@ def test_detect_threshold_above_every_score_is_empty():
     assert report.estimates == ()
 
 
+def packing(times, scores, min_sep):
+    """Indices that detect's packing keeps of time-sorted candidates."""
+    return _packing_indices(np.asarray(times, dtype=np.float64),
+                            np.asarray(scores, dtype=np.float64), min_sep)
+
+
 def test_greedy_packing_examples():
-    # {1.0, 1.1, 5.0} with min_sep 0.5: only one of the close pair survives
-    out = greedy_packing([(1.0, 3.0), (1.1, 5.0), (5.0, 1.0)], min_sep=0.5)
-    assert len(out) == 2
-    assert out[-1] == (5.0, 1.0)
-    assert (1.1, 5.0) in out  # the stronger of the clustered pair
+    # {1.0, 1.1, 5.0} with min_sep 0.5: only one of the close pair survives,
+    # the stronger one (score 5 at 1.1)
+    assert packing([1.0, 1.1, 5.0], [3.0, 5.0, 1.0], 0.5) == [1, 2]
 
     # all candidates within min_sep of each other: single survivor, highest score
-    out = greedy_packing([(1.0, 2.0), (1.2, 9.0), (1.3, 4.0)], min_sep=1.0)
-    assert out == [(1.2, 9.0)]
+    assert packing([1.0, 1.2, 1.3], [2.0, 9.0, 4.0], 1.0) == [1]
 
-    assert greedy_packing([], min_sep=1.0) == []
+    assert packing([], [], 1.0) == []
 
 
 def test_greedy_packing_prefers_count_over_score():
     # the middle point has the best score but picking it blocks both ends
-    out = greedy_packing([(0.0, 1.0), (0.6, 100.0), (1.2, 1.0)], min_sep=1.0)
-    assert [t for t, _ in out] == [0.0, 1.2]
-
-
-def test_greedy_packing_requires_sorted():
-    with pytest.raises(ValueError, match="sorted"):
-        greedy_packing([(2.0, 1.0), (1.0, 1.0)], min_sep=0.5)
-    with pytest.raises(ValueError, match="min_sep"):
-        greedy_packing([(1.0, 1.0)], min_sep=0.0)
+    assert packing([0.0, 0.6, 1.2], [1.0, 100.0, 1.0], 1.0) == [0, 2]
 
 
 @given(
@@ -84,12 +79,11 @@ def test_greedy_packing_requires_sorted():
 def test_greedy_packing_is_maximum(times, min_sep):
     times = sorted(times)
     rng = np.random.default_rng(abs(hash(tuple(times))) % 2**32)
-    cands = [(t, float(s)) for t, s in zip(times, rng.uniform(0, 10, len(times)))]
-    out = greedy_packing(cands, min_sep)
-    picked = [t for t, _ in out]
+    out = packing(times, rng.uniform(0, 10, len(times)), min_sep)
+    picked = [times[i] for i in out]
     # a valid packing ...
+    assert out == sorted(set(out))
     assert all(b - a > min_sep for a, b in zip(picked, picked[1:]))
-    assert all(c in cands for c in out)
     # ... of maximum cardinality
     assert len(out) == brute_force_max_packing(times, min_sep)
 
@@ -122,24 +116,6 @@ def test_detect_argmax_mode():
     report = detect(e, cfg)
     assert len(report) == 1
     assert abs(report.estimates[0].time - 5.0) <= 0.5
-
-
-def test_detect_empty_window_flagged():
-    e = EventTimes(times=np.array([0.5]), horizon=1.0)
-    cfg = DetectorConfig(k=4, delta=0.5, threshold=10.0)
-    report = detect(e, cfg)
-    assert report.empty_window
-    assert len(report) == 0
-
-
-@pytest.mark.parametrize("threshold", [None, 10.0])
-def test_require_window_names_k_delta_and_window(threshold):
-    e = EventTimes(times=np.array([0.5]), horizon=1.0)
-    with pytest.raises(ValueError, match=r"^no valid grid points: window \(1\.5, 0\.5\) is empty "
-                                         r"for k=4, delta=0\.5$"):
-        detect(e, DetectorConfig(k=4, delta=0.5, threshold=threshold)).require_window()
-    report = detect(e, DetectorConfig(k=1, delta=0.5, threshold=threshold))
-    assert report.require_window() is report
 
 
 def test_report_invariants_enforced():

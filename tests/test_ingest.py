@@ -232,8 +232,14 @@ def test_analyze_rejects_bool_delta_days():
 
 
 def test_analyze_length_error_names_minimum():
-    with pytest.raises(ValueError, match=r"\(k\+1\)\*delta_days = 12"):
-        analyze_binned(np.ones(10, dtype=int), k=3, delta_days=3)
+    # k=3, delta=3 days: grid [(k-1)*3, n_days - 3] = [6, n_days - 3], whose
+    # stencil at day 6 reads N(0) = 0, so 9 days give one point
+    analysis = analyze_binned(np.ones(9, dtype=int), k=3, delta_days=3)
+    assert analysis.profile.times.tolist() == [6.0]
+    assert (analysis.argmax_day, analysis.argmax_value) == (6, 0.0)
+    with pytest.raises(ValueError, match=r"^no valid grid points: window \(6\.0, 5\.0\) is empty "
+                                         r"for k=3, delta=3\.0$"):
+        analyze_binned(np.ones(8, dtype=int), k=3, delta_days=3)
     with pytest.raises(ValueError, match="delta_days"):
         analyze_binned(np.ones(10, dtype=int), k=2, delta_days=0)
 
@@ -288,7 +294,8 @@ def _find_column(fieldnames, wanted, path):
 def _dictreader_load(path, region=None, mode="daily", date_column="date",
                      count_column="cases", region_column="region",
                      correction_tolerance=0.2):
-    """The loader as it was before the single-pass rewrite, kept as an oracle."""
+    """The loader as it was before the single-pass rewrite, kept as an oracle;
+    rows are numbered by file line, as the loaders now number them."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -299,7 +306,8 @@ def _dictreader_load(path, region=None, mode="daily", date_column="date",
         region_col = None
         if region is not None:
             region_col = _find_column(reader.fieldnames, region_column.lower(), path)
-        for rowno, row in enumerate(reader, start=2):
+        for row in reader:
+            rowno = reader.line_num
             if region_col is not None and row[region_col].strip() != region:
                 continue
             raw_date = (row[date_col] or "").strip()

@@ -1,24 +1,30 @@
 """Each input rule has one implementation; every entry point gives the same answer.
 
 The rules on a derivative order k (and on a whole count such as a number
-of trials), a step delta and a grid step live in ``ratejump.derivative``;
-the rule on event counts, for arrays and for the count fields of files,
-lives in ``ratejump.process``.  Each test below feeds the same bad value
-to every entry point that takes it and expects a ValueError that names
-the field, index, day or row.
+of trials), a step delta, a grid step and a window that must hold a grid
+point live in ``ratejump.derivative``; the rule on event counts, for
+arrays and for the count fields of files, lives in ``ratejump.process``.
+Each test below feeds the same bad value to every entry point that takes
+it and expects a ValueError that names the field, index, day, row or
+window.
 """
+
+import re
 
 import numpy as np
 import pytest
 
+from ratejump.cli import main
 from ratejump.derivative import DerivativeStencil, derivative_profiles
-from ratejump.detector import DetectorConfig
-from ratejump.harness import (ExperimentSpec, RampScenario, get_preset, heatmap_spec_from_preset,
-                              run_heatmap)
+from ratejump.detector import DetectorConfig, argmax_single, detect
+from ratejump.harness import (ExperimentSpec, RampScenario, false_alarm_study, get_preset,
+                              heatmap_spec_from_preset, run_heatmap)
 from ratejump.ingest import RegionSeries, analyze_binned, load_daily_csv
-from ratejump.process import BinnedSeries, EventTimes, load_binned_csv
+from ratejump.multicascade import CascadeBundle, estimate_high_degree
+from ratejump.poisson import Constant, JumpComponent, RateSpec
+from ratejump.process import BinnedSeries, EventTimes, load_binned_csv, save_event_times
 from ratejump.seeding import SimSeed, as_seed
-from ratejump.si import build_tree_with_hub
+from ratejump.si import CascadeTrace, build_tree_with_hub, save_trace_csv
 
 EVENTS = EventTimes(times=np.linspace(0.5, 9.5, 40), horizon=10.0)
 
@@ -56,7 +62,7 @@ def test_order_rule(entry, bad):
 
 
 @pytest.mark.parametrize("entry", sorted(DELTA_ENTRIES))
-@pytest.mark.parametrize("bad", [0.0, -0.5, np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("bad", [0.0, -0.5, np.inf, -np.inf, np.nan, True, np.bool_(True)])
 def test_delta_rule(entry, bad):
     call, field = DELTA_ENTRIES[entry]
     with pytest.raises(ValueError, match=field):
@@ -64,10 +70,68 @@ def test_delta_rule(entry, bad):
 
 
 @pytest.mark.parametrize("entry", sorted(GRID_STEP_ENTRIES))
-@pytest.mark.parametrize("bad", [0.0, -0.1, 0.6, np.inf, np.nan])
+@pytest.mark.parametrize("bad", [0.0, -0.1, 0.6, np.inf, np.nan, True, np.bool_(True)])
 def test_grid_step_rule(entry, bad):
     with pytest.raises(ValueError, match=r"^grid_step must be in \(0, delta=0.5\]"):
         GRID_STEP_ENTRIES[entry](bad)
+
+
+# k=4, delta=3 on data that end at T = 10: the grid [(k-1)*delta, T - delta]
+# = [9, 7] holds no point, for events, a cascade, a null run and 10 days alike
+EMPTY_WINDOW = "no valid grid points: window (9.0, 7.0) is empty for k=4, delta=3.0"
+EVENTS_TO_10 = EventTimes(times=np.linspace(0.5, 10.0, 20), horizon=10.0)
+TRACE_TO_10 = CascadeTrace(times=np.array([0.0, 4.0, 10.0]), source=0)
+ARGMAX, THRESHOLD = DetectorConfig(k=4, delta=3.0), DetectorConfig(k=4, delta=3.0, threshold=1.0)
+
+EMPTY_WINDOW_ENTRIES = {
+    "detect argmax": lambda: detect(EVENTS_TO_10, ARGMAX),
+    "detect threshold": lambda: detect(EVENTS_TO_10, THRESHOLD),
+    "argmax_single": lambda: argmax_single(EVENTS_TO_10, 4, 3.0),
+    "estimate_high_degree argmax": lambda: estimate_high_degree(
+        CascadeBundle(traces=(TRACE_TO_10,)), ARGMAX),
+    "estimate_high_degree threshold": lambda: estimate_high_degree(
+        CascadeBundle(traces=(TRACE_TO_10,)), THRESHOLD),
+    "false_alarm_study": lambda: false_alarm_study(
+        RateSpec(components=(JumpComponent(5.0, 0.0, Constant()),)), 10.0, THRESHOLD, runs=2),
+    "analyze_binned": lambda: analyze_binned(np.ones(10, dtype=int), k=4, delta_days=3),
+}
+
+
+def _events_file(tmp_path):
+    save_event_times(EVENTS_TO_10, tmp_path / "events.txt")
+    return ["--events", str(tmp_path / "events.txt"), "--k", "4", "--delta", "3"]
+
+
+def _trace_file(tmp_path):
+    save_trace_csv(TRACE_TO_10, tmp_path / "trace.csv")
+    return ["--trace", str(tmp_path / "trace.csv"), "--k", "4", "--delta", "3"]
+
+
+def _daily_file(tmp_path):
+    days = "".join(f"2021-01-{day:02d},1\n" for day in range(1, 11))
+    (tmp_path / "daily.csv").write_text("date,cases\n" + days)
+    return ["--csv", str(tmp_path / "daily.csv"), "--k", "4", "--delta-days", "3"]
+
+
+# subcommand -> its arguments, given a directory to write the input in
+EMPTY_WINDOW_COMMANDS = {
+    "cli detect": lambda d: ["detect", *_events_file(d)],
+    "cli detect --threshold": lambda d: ["detect", *_events_file(d), "--threshold", "1"],
+    "cli multicascade": lambda d: ["multicascade", *_trace_file(d)],
+    "cli multicascade --threshold": lambda d: ["multicascade", *_trace_file(d), "--threshold", "1"],
+    "cli analyze-binned": lambda d: ["analyze-binned", *_daily_file(d)],
+}
+
+
+@pytest.mark.parametrize("entry", sorted(EMPTY_WINDOW_ENTRIES) + sorted(EMPTY_WINDOW_COMMANDS))
+def test_empty_window_rule(entry, tmp_path, capsys):
+    if entry in EMPTY_WINDOW_ENTRIES:
+        with pytest.raises(ValueError, match=f"^{re.escape(EMPTY_WINDOW)}$"):
+            EMPTY_WINDOW_ENTRIES[entry]()
+        return
+    argv = EMPTY_WINDOW_COMMANDS[entry](tmp_path)
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+    assert EMPTY_WINDOW in capsys.readouterr().err
 
 
 TRIALS_ENTRIES = {
@@ -175,6 +239,18 @@ LOADERS = {"load_binned_csv": binned_csv, "load_daily_csv": daily_csv}
 def test_count_row_rule(tmp_path, loader, raw, problem):
     with pytest.raises(ValueError, match="row 3: .*" + problem):
         LOADERS[loader](tmp_path, raw)
+
+
+@pytest.mark.parametrize("load,header,good,bad,problem", [
+    (load_daily_csv, "date,cases", "2021-01-01,3", "2021-01-0x,4", "unparseable date '2021-01-0x'"),
+    (load_binned_csv, "bin_start,count", "0.0,3", "x,4", "bad bin_start 'x'"),
+], ids=["load_daily_csv", "load_binned_csv"])
+def test_rows_are_numbered_by_file_line(tmp_path, load, header, good, bad, problem):
+    # blank lines count: the bad row is line 5 of the file
+    p = tmp_path / "blank_lines.csv"
+    p.write_text(f"{header}\n\n{good}\n\n{bad}\n")
+    with pytest.raises(ValueError, match=f"row 5: {problem}"):
+        load(p)
 
 
 @pytest.mark.parametrize("loader", sorted(LOADERS))

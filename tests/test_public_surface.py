@@ -17,7 +17,6 @@ SOURCES = ("src/ratejump", "demos", "bench")
 ALLOWED = {
     "rate_at": "test oracle: the SI infection rate, for the cut identity",
     "jump_at_infection": "test oracle: the rate jump an infection causes",
-    "greedy_packing": "test oracle: the packing on (time, score) pairs that detect runs on indices",
     "d_max": "the matched error of a multi-jump estimate; no runner scores multi-jump runs yet",
     "min_order_for": "tuning helper, kept for the order and delta sweep on the roadmap",
     "suggest_delta": "tuning helper, kept for the order and delta sweep on the roadmap",
