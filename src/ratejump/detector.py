@@ -50,12 +50,13 @@ class DetectorConfig:
     grid_step: "float | None" = None
 
     def __post_init__(self) -> None:
-        _check_order(self.k, "k")
-        _check_delta(self.delta, "delta")
+        # the checked values are stored: a string such as '0.5' becomes 0.5
+        object.__setattr__(self, "k", _check_order(self.k, "k"))
+        object.__setattr__(self, "delta", _check_delta(self.delta, "delta"))
         if self.threshold is not None:
-            _check_delta(self.threshold, "threshold")
+            object.__setattr__(self, "threshold", _check_delta(self.threshold, "threshold"))
         if self.grid_step is not None:
-            _check_grid_step(self.grid_step, self.delta)
+            object.__setattr__(self, "grid_step", _check_grid_step(self.grid_step, self.delta))
 
     @property
     def min_sep(self) -> float:

@@ -7,6 +7,12 @@ argmax estimator for every (k, delta) cell on the *same* realizations
 experiment with base seed s draws from the stream (s, i); analysis is
 deterministic given the realization, hence results are identical for any
 worker count.
+
+The profiles read N only on their lattices, so a trial first takes every
+time its ``derivative_profiles`` calls will read (``sample_times`` over the
+spec's deltas) and passes them to ``realize``.  The Poisson scenarios draw
+N exactly there (``draw_counts``) instead of thinning the whole event
+stream; the SI and ramp scenarios ignore the times.
 """
 
 from __future__ import annotations
@@ -19,12 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .derivative import _check_delta, _check_order, derivative_profiles
+from .derivative import _check_delta, _check_order, derivative_profiles, sample_times
 # argmax_single is not called here; bench/tracing.py wraps harness.argmax_single by name
 from .detector import DetectorConfig, argmax_single, detect
 # simulate is called by this name: bench/tracing.py wraps harness.simulate
-from .poisson import Constant, JumpComponent, RateSpec, preset_rate_spec, simulate
-from .process import EventTimes
+from .poisson import Constant, JumpComponent, RateSpec, draw_counts, preset_rate_spec, simulate
+from .process import EventTimes, SampledCounts
 from .seeding import SimSeed, _check_seed, as_seed
 from .si import Graph, build_tree_with_hub, infection_count_process, simulate_si
 
@@ -49,20 +55,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Realization:
-    """One simulated dataset: events, the true change time, and a checksum.
+    """One simulated dataset: N, the true change time, and a checksum.
 
-    The checksum (event count, sum of event times) identifies the
-    realization, so reruns and worker pools can prove they analyzed the
-    same data.
+    ``events`` is N as event times (``EventTimes``) or as counts drawn at
+    the times a trial reads (``SampledCounts``).  The checksum identifies
+    the realization, so reruns and worker pools can prove they analyzed the
+    same data: (event count N(horizon), sum of the event times) for event
+    times, and (N(horizon), sum of the drawn counts) for drawn counts.
     """
 
-    events: EventTimes
+    events: "EventTimes | SampledCounts"
     truth: float
     checksum: tuple
 
     @staticmethod
-    def wrap(events: EventTimes, truth: float) -> "Realization":
-        checksum = (len(events), float(events.times.sum()))
+    def wrap(events: "EventTimes | SampledCounts", truth: float) -> "Realization":
+        drawn = events.counts if isinstance(events, SampledCounts) else events.times
+        checksum = (len(events), float(drawn.sum()))
         return Realization(events=events, truth=float(truth), checksum=checksum)
 
 
@@ -80,12 +89,11 @@ class SmoothJumpScenario:
 
     analysis_window = None
 
-    def realize(self, seed) -> Realization:
+    def realize(self, seed, times=None) -> Realization:
         seed = as_seed(seed)
         truth = float(seed.split(1).uniform(self.onset_low, self.onset_high))
         spec = preset_rate_spec("sin-plus-exp", base=self.base, jump=self.jump, onset=truth)
-        events = simulate(spec, self.horizon, seed.split(0))
-        return Realization.wrap(events, truth)
+        return Realization.wrap(_poisson_counts(spec, self.horizon, seed, times), truth)
 
 
 @dataclass(frozen=True)
@@ -107,12 +115,20 @@ class ConstNullScenario:
     def analysis_window(self):
         return (self.onset_low, self.onset_high)
 
-    def realize(self, seed) -> Realization:
+    def realize(self, seed, times=None) -> Realization:
         seed = as_seed(seed)
         truth = float(seed.split(1).uniform(self.onset_low, self.onset_high))
         spec = RateSpec(components=(JumpComponent(self.base, 0.0, Constant()),))
-        events = simulate(spec, self.horizon, seed.split(0))
-        return Realization.wrap(events, truth)
+        return Realization.wrap(_poisson_counts(spec, self.horizon, seed, times), truth)
+
+
+def _poisson_counts(spec: RateSpec, horizon: float, seed: SimSeed, times):
+    """N of a Poisson scenario's realization from the stream ``seed.split(0)``:
+    drawn at ``times`` only, or, with ``times=None``, as the whole event
+    stream by thinning."""
+    if times is None:
+        return simulate(spec, horizon, seed.split(0))
+    return draw_counts(spec, times, horizon, seed.split(0))
 
 
 @dataclass(frozen=True)
@@ -129,7 +145,7 @@ class RampScenario:
 
     analysis_window = None
 
-    def realize(self, seed) -> Realization:  # seed unused: deterministic
+    def realize(self, seed, times=None) -> Realization:  # seed and times unused: deterministic
         step = 1.0 / self.rate_after
         n = int(math.floor((self.horizon - self.change_at) / step))
         times = self.change_at + step * np.arange(1, n + 1)
@@ -155,7 +171,7 @@ class SITreeScenario:
     def __post_init__(self) -> None:
         object.__setattr__(self, "graph", build_tree_with_hub(self.height, self.extra_leaves))
 
-    def realize(self, seed) -> Realization:
+    def realize(self, seed, times=None) -> Realization:  # times unused: N is the cascade's
         seed = as_seed(seed)
         trace = simulate_si(self.graph, self.source, seed.split(0))
         truth = float(trace.times[self.graph.hub])
@@ -230,17 +246,33 @@ class HeatmapResult:
                 for k, row in zip(self.k_grid, self.mean_errors)}
 
 
+def _profile_args(spec: ExperimentSpec, delta: float) -> dict:
+    """The grid step and window of every profile a trial takes at ``delta``."""
+    return {"grid_step": delta * GRID_STEP_FRACTION, "window": spec.scenario.analysis_window}
+
+
+def _sample_times(spec: ExperimentSpec):
+    """Every time at which a trial's profiles read N, over all the deltas,
+    repeats kept; None for a scenario with no horizon before it is realized
+    (an SI cascade ends when it ends)."""
+    horizon = getattr(spec.scenario, "horizon", None)
+    if horizon is None:
+        return None
+    return np.concatenate([sample_times(spec.k_grid, delta, horizon, **_profile_args(spec, delta))
+                           for delta in spec.delta_grid])
+
+
 def _trial_errors(spec: ExperimentSpec, trial: int):
-    """Errors of every cell on trial ``trial``'s shared realization, from one
-    ``derivative_profiles`` call per delta.  A cell whose window holds no
-    grid point fails alone, and its ValueError is recorded; the run goes on."""
-    realization = spec.scenario.realize(SimSeed(spec.base_seed, trial))
+    """Errors of every cell on trial ``trial``'s shared realization, drawn
+    at the times the profiles read, from one ``derivative_profiles`` call
+    per delta.  A cell whose window holds no grid point fails alone, and
+    its ValueError is recorded; the run goes on."""
+    realization = spec.scenario.realize(SimSeed(spec.base_seed, trial), _sample_times(spec))
     errors = np.full((len(spec.k_grid), len(spec.delta_grid)), np.nan)
     failures = {}  # (i, j) -> the ValueError that aborted cell (k_grid[i], delta_grid[j])
     for j, delta in enumerate(spec.delta_grid):
         profiles = derivative_profiles(
-            realization.events, spec.k_grid, delta,
-            grid_step=delta * GRID_STEP_FRACTION, window=spec.scenario.analysis_window)
+            realization.events, spec.k_grid, delta, **_profile_args(spec, delta))
         for i, profile in enumerate(profiles):
             try:
                 errors[i, j] = abs(profile.times[profile.argmax()] - realization.truth)
@@ -404,7 +436,8 @@ PRESETS = {
     "fig2-full": Preset(
         name="fig2-full",
         kind="heatmap",
-        summary="smooth+jump heatmap at the full 1e6 base rate (slow: ~2e7 events/trial)",
+        summary="smooth+jump heatmap at the full 1e6 base rate (~2e7 events a trial, "
+                "drawn as counts on the lattice)",
         params={
             "scenario": "smooth-jump",
             "base": 1e6,

@@ -1,4 +1,5 @@
-"""Inhomogeneous Poisson simulation by thinning.
+"""Inhomogeneous Poisson simulation: event times by thinning, or N at given
+times by one multinomial.
 
 A rate function is a sum of onset components
 
@@ -50,6 +51,22 @@ sorted accepted times gives the sorted realization and no dedupe pass is
 needed.  Two event times coincide only through floating-point rounding of
 continuous draws; such a tie is kept (``EventTimes`` allows ties), because
 dropping it would lose an event.
+
+Counts at given times.  A caller that reads N only at known times (the
+heatmap harness: the lattice its profiles read) needs no event times.
+``draw_counts`` certifies the windows as above, then takes the integral of
+Lambda over [0, t] at each time from each shape's closed form
+(``integral``), draws N(horizon) ~ Poisson of the whole integral, and
+spreads it over the cells between consecutive times by one multinomial
+with probabilities proportional to the cells' integrals.  Given
+N(horizon), a Poisson process's events are independent draws from the
+density Lambda / integral, so this is exact in law.  Two times a few ulps
+apart give a cell whose integral, a difference of two nearly equal
+floats, can come out below zero by rounding (about one ulp of the whole
+integral on the fig2 presets' lattices).  A cell below zero by at most
+``_ROUNDING`` (1e-12) times the whole integral gets zero mass, and so no
+events; a larger negative is an internal inconsistency and raises a
+RuntimeError naming the cell.
 """
 
 from __future__ import annotations
@@ -60,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process import EventTimes
+from .process import EventTimes, SampledCounts
 from .seeding import generator
 
 __all__ = [
@@ -73,6 +90,7 @@ __all__ = [
     "eval_rate",
     "rate_upper_bound",
     "simulate",
+    "draw_counts",
     "load_rate_spec",
     "save_rate_spec",
     "parse_rate_spec",
@@ -85,6 +103,9 @@ __all__ = [
 # the tolerance below zero of the non-negativity checks, both as a fraction
 # of the envelope.
 _SLACK = 1e-9
+# How far below zero, as a fraction of Lambda's integral over [0, horizon],
+# ``draw_counts`` lets a cell's integral fall by rounding before it errs.
+_ROUNDING = 1e-12
 # Expected thinning candidates per piece of a window.
 _PIECE_CANDIDATES = 2**15
 # Bisection limits of the non-negativity certificate, per window.
@@ -106,6 +127,9 @@ class Constant:
 
     def bounds(self, u0: float, u1: float) -> tuple:
         return 1.0, 1.0
+
+    def integral(self, u):
+        return np.asarray(u, dtype=np.float64)
 
     name = "constant"
 
@@ -140,6 +164,17 @@ class Sinusoid:
             extremes.append(self.offset + (sign if peak + 2 * math.pi * k <= hi else end))
         return tuple(extremes)
 
+    def integral(self, u):
+        """offset*u + (cos(phase) - cos(omega*u + phase))/omega, the cosine
+        difference written as a product of sines so a small omega*u keeps
+        its precision."""
+        u = np.asarray(u, dtype=np.float64)
+        half = (0.5 * self.omega) * u
+        out = np.sin(self.phase + half)
+        out *= np.sin(half) * (2.0 / self.omega) if self.omega else u
+        out += self.offset * u
+        return out
+
     name = "sinusoid"
 
 
@@ -159,6 +194,9 @@ class ExpDecay:
 
     def bounds(self, u0: float, u1: float) -> tuple:
         return math.exp(-self.rate * u1), math.exp(-self.rate * u0)
+
+    def integral(self, u):
+        return -np.expm1(-self.rate * np.asarray(u, dtype=np.float64)) / self.rate
 
     name = "expdecay"
 
@@ -212,6 +250,12 @@ class Polynomial:
                     points.append(mid + half * v)
         values = self.value(points)
         return float(values.min()), float(values.max())
+
+    def integral(self, u):
+        return np.polynomial.polynomial.polyval(
+            np.asarray(u, dtype=np.float64),
+            np.polynomial.polynomial.polyint(np.asarray(self.coeffs)),
+        )
 
     name = "polynomial"
 
@@ -294,14 +338,15 @@ def rate_upper_bound(spec: RateSpec, window: tuple) -> float:
     return _bounds([c for c in spec.components if c.onset < b or c.onset == a == b], a, b)[1]
 
 
-def _pieces(spec: RateSpec, horizon: float) -> list:
-    """The thinning pieces (lo, hi, on, envelope) of [0, horizon], in order,
-    after every window is certified non-negative or a ValueError says where
-    it is not; ``on`` are the components that are on throughout the piece.
-    See the module docstring for the tolerance and the bisection limits."""
+def _certified_windows(spec: RateSpec, horizon: float) -> list:
+    """The windows (a, b, on, upper) of [0, horizon], in order, after every
+    one is certified non-negative or a ValueError says where it is not;
+    ``on`` are the components on throughout the window and ``upper`` bounds
+    their sum there.  See the module docstring for the tolerance and the
+    bisection limits."""
     onsets = [c.onset for c in spec.components if c.onset < horizon]
     edges = np.unique(np.concatenate([np.arange(0.0, horizon), onsets, [horizon]])).tolist()
-    pieces = []
+    windows = []
     for a, b in zip(edges[:-1], edges[1:]):
         on = [c for c in spec.components if c.onset <= a]
         lower, upper = _bounds(on, a, b)
@@ -324,6 +369,15 @@ def _pieces(spec: RateSpec, horizon: float) -> list:
                 )
             stack.append((mid, hi, depth + 1, *_bounds(on, mid, hi)))
             stack.append((lo, mid, depth + 1, *_bounds(on, lo, mid)))
+        windows.append((a, b, on, upper))
+    return windows
+
+
+def _pieces(spec: RateSpec, horizon: float) -> list:
+    """The thinning pieces (lo, hi, on, envelope) of [0, horizon], in order:
+    each certified window cut as the module docstring says."""
+    pieces = []
+    for a, b, on, upper in _certified_windows(spec, horizon):
         expected = upper * (1 + _SLACK) * (b - a)
         if expected > 0:
             cuts = np.linspace(a, b, math.ceil(expected / _PIECE_CANDIDATES) + 1).tolist()
@@ -373,6 +427,49 @@ def simulate(spec: RateSpec, horizon: float, seed) -> EventTimes:
     chunks = [np.empty(0)] + [_thinned_piece(on, lo, hi, envelope, rng)
                               for lo, hi, on, envelope in pieces]
     return EventTimes(times=np.concatenate(chunks), horizon=float(horizon))
+
+
+def _integrated(spec: RateSpec, t: np.ndarray) -> np.ndarray:
+    """The integral of Lambda over [0, t] at each entry of ``t``, from each
+    shape's closed form."""
+    out = np.zeros_like(t)
+    for comp in spec.components:
+        out += comp.amplitude * comp.shape.integral(np.maximum(t - comp.onset, 0.0))
+    return out
+
+
+def draw_counts(spec: RateSpec, times, horizon: float, seed) -> SampledCounts:
+    """Draw N of one realization at ``times`` only (each clamped to
+    [0, horizon]), plus 0 and the horizon, without drawing event times.
+
+    Exact in law: N(horizon) ~ Poisson(Lambda's integral over [0, horizon])
+    is drawn first, then one multinomial spreads those events over the
+    cells between consecutive distinct times, with each cell's share of
+    that integral as its probability.  So N(horizon) does not depend on
+    ``times``.  The rate is certified non-negative as in ``simulate``;
+    see the module docstring for the rounding tolerance on the cells.
+    ``seed`` is taken as by ``simulate``.
+    """
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    times = np.asarray(times, dtype=np.float64).ravel()
+    if not np.isfinite(times).all():
+        raise ValueError(f"times must be finite, got {times[~np.isfinite(times)][0]}")
+    _certified_windows(spec, horizon)
+    grid = np.unique(np.concatenate(([0.0, horizon], np.clip(times, 0.0, horizon))))
+    integral = _integrated(spec, grid)
+    total, mass = integral[-1], np.diff(integral)
+    i = int(np.argmin(mass))  # the grid holds 0 and the horizon: one cell at least
+    if mass[i] < 0:
+        if mass[i] < -_ROUNDING * total:
+            raise RuntimeError(
+                f"internal consistency failure: the integral of Lambda over "
+                f"[{grid[i]}, {grid[i + 1]}] is {mass[i]}, below zero by more than rounding")
+        mass = np.maximum(mass, 0.0)
+    rng = seed if isinstance(seed, np.random.Generator) else generator(seed)
+    n = rng.poisson(total)
+    cells = rng.multinomial(n, mass / total) if n else np.zeros(mass.size, dtype=np.int64)
+    return SampledCounts(grid, np.concatenate(([0], np.cumsum(cells))), horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Counting-process representations: raw event times and binned counts.
+"""Counting-process representations: raw event times, counts drawn at
+chosen times, and binned counts.
 
 The package-wide convention is that the counting function N(t) is the
 number of events with timestamp <= t, so N is a right-continuous step
@@ -14,6 +15,7 @@ import numpy as np
 
 __all__ = [
     "EventTimes",
+    "SampledCounts",
     "BinnedSeries",
     "BinnedCounting",
     "cumulative",
@@ -118,6 +120,46 @@ class EventTimes:
     def count_at(self, t):
         """N(t): number of events with time <= t.  Vectorized over t."""
         return np.searchsorted(self.times, t, side="right")
+
+
+@dataclass(frozen=True)
+class SampledCounts:
+    """N known only at some times: ``counts[i]`` = N(``times[i]``).
+
+    ``times`` rise strictly from 0 to ``horizon``, and ``counts`` never fall.
+    ``count_at`` clamps t to [0, horizon] (no event lies outside it) and then
+    reads N only at one of ``times``: any other t is a ValueError naming it,
+    since N there was never drawn.  ``len()`` is N(horizon), the total count.
+    """
+
+    times: np.ndarray
+    counts: np.ndarray
+    horizon: float
+
+    def __post_init__(self) -> None:
+        times = np.ascontiguousarray(self.times, dtype=np.float64)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "counts", _as_counts(self.counts))
+        object.__setattr__(self, "horizon", float(self.horizon))
+        if times.ndim != 1 or times.shape != self.counts.shape:
+            raise ValueError("times and counts must be one-dimensional arrays of one length")
+        if not (times.size and times[0] == 0.0 and times[-1] == self.horizon
+                and np.all(np.diff(times) > 0)):
+            raise ValueError(f"times must rise strictly from 0 to the horizon, {self.horizon}")
+        if np.any(np.diff(self.counts) < 0):
+            raise ValueError("counts must be non-decreasing")
+
+    def __len__(self) -> int:
+        return int(self.counts[-1])
+
+    def count_at(self, t):
+        """N(t), vectorized; ValueError at a t that was not drawn."""
+        t = np.clip(np.asarray(t, dtype=np.float64), 0.0, self.horizon)
+        i = np.minimum(np.searchsorted(self.times, t), self.times.size - 1)
+        missed = self.times[i] != t
+        if missed.any():
+            raise ValueError(f"N was not drawn at t = {float(t[missed].flat[0])!r}")
+        return self.counts[i]
 
 
 @dataclass(frozen=True)
@@ -241,18 +283,22 @@ def load_binned_csv(path) -> BinnedSeries:
     """Read a binned series from CSV with header ``bin_start,count``.
 
     Bins must be contiguous and uniform; counts must be non-negative
-    integers.  Errors name the offending row.
+    integers.  Errors name the offending row by its file line
+    (``reader.line_num``), so blank lines count.
     """
     starts = []
     counts = []
+    lines = []  # the file line of each kept row
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["bin_start", "count"]:
             raise ValueError(f"{path}: expected header 'bin_start,count', got {header}")
-        for rowno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
+            rowno = reader.line_num
+            lines.append(rowno)
             if len(row) < 2:
                 raise ValueError(f"{path}: row {rowno}: expected 2 fields, got {len(row)}")
             try:
@@ -275,8 +321,8 @@ def load_binned_csv(path) -> BinnedSeries:
         if width <= 0 or not np.allclose(widths, width, rtol=1e-9, atol=1e-12):
             bad = int(np.argmax(~np.isclose(widths, width, rtol=1e-9, atol=1e-12)))
             raise ValueError(
-                f"{path}: bins are not contiguous/uniform near row {bad + 3} "
-                f"(gap {widths[bad]!r} vs width {width!r})"
+                f"{path}: bins are not contiguous/uniform near row {lines[bad + 1]} "
+                f"(gap {float(widths[bad])!r} vs width {float(width)!r})"
             )
     else:
         width = 1.0

@@ -109,7 +109,9 @@ def test_scaled_heatmap_argmin():
 
 
 @pytest.mark.skipif(os.environ.get("RATEJUMP_FULLSCALE") != "1",
-                    reason="full-scale heatmap takes hours; set RATEJUMP_FULLSCALE=1")
+                    reason="the k=4 argmin error sits at the 0.15 tolerance (0.146-0.187 over "
+                           "draws) until the onset estimate is order-aware (ROADMAP item 1); "
+                           "set RATEJUMP_FULLSCALE=1")
 def test_fullscale_heatmap_argmin():
     start = time.monotonic()
     spec = heatmap_spec_from_preset(get_preset("fig2-full"))

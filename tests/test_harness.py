@@ -14,6 +14,7 @@ from ratejump.harness import (
     Realization,
     SITreeScenario,
     SmoothJumpScenario,
+    _sample_times,
     _trial_errors,
     false_alarm_study,
     get_preset,
@@ -75,7 +76,14 @@ def test_heatmap_common_random_numbers():
         base_seed=spec.base_seed,
     )
     result2 = run_heatmap(spec2)
-    assert result.checksums == result2.checksums
+    # N(horizon) and the truth are drawn before the grid is read; the counts
+    # are drawn only where each grid reads, so the count sums differ
+    assert [c[0] for c in result.checksums] == [c[0] for c in result2.checksums]
+    for trial in range(3):
+        a, b = (s.scenario.realize(SimSeed(s.base_seed, trial), _sample_times(s))
+                for s in (spec, spec2))
+        assert a.truth == b.truth
+        assert (a.checksum, b.checksum) == (result.checksums[trial], result2.checksums[trial])
 
 
 def test_heatmap_counts_and_argmin():
@@ -129,7 +137,7 @@ def test_trial_errors_match_per_cell_argmax(scenario):
         base_seed=3,
     )
     errors, checksum, diagnostics = _trial_errors(spec, 0)
-    realization = scenario.realize(SimSeed(3, 0))
+    realization = scenario.realize(SimSeed(3, 0), _sample_times(spec))
     assert checksum == realization.checksum
     expected_failures = []
     for i, k in enumerate(spec.k_grid):
@@ -160,7 +168,7 @@ def test_heatmap_programming_error_propagates():
     class NoCountAtScenario:
         analysis_window = None
 
-        def realize(self, seed):
+        def realize(self, seed, times):
             return Realization(events=np.arange(5.0), truth=1.0, checksum=(5, 10.0))
 
     spec = ExperimentSpec(

@@ -69,6 +69,15 @@ def test_delta_rule(entry, bad):
         call(bad)
 
 
+def test_detector_config_stores_the_checked_steps():
+    # what float() accepts is stored as the float, so min_sep is a number
+    config = DetectorConfig(k=np.int64(2), delta="0.5", threshold="8e3", grid_step="0.05")
+    assert (config.k, config.delta, config.threshold, config.grid_step) == (2, 0.5, 8e3, 0.05)
+    assert all(type(v) is t for v, t in zip(
+        (config.k, config.delta, config.threshold, config.grid_step), (int, float, float, float)))
+    assert config.min_sep == 2.0
+
+
 @pytest.mark.parametrize("entry", sorted(GRID_STEP_ENTRIES))
 @pytest.mark.parametrize("bad", [0.0, -0.1, 0.6, np.inf, np.nan, True, np.bool_(True)])
 def test_grid_step_rule(entry, bad):
@@ -251,6 +260,14 @@ def test_rows_are_numbered_by_file_line(tmp_path, load, header, good, bad, probl
     p.write_text(f"{header}\n\n{good}\n\n{bad}\n")
     with pytest.raises(ValueError, match=f"row 5: {problem}"):
         load(p)
+
+
+def test_uneven_bins_are_named_by_file_line(tmp_path):
+    # the bin at 5 breaks the width of 1 on line 5; a blank line precedes it
+    p = tmp_path / "uneven.csv"
+    p.write_text("bin_start,count\n0,1\n\n1,1\n5,1\n")
+    with pytest.raises(ValueError, match=r"not contiguous/uniform near row 5 \(gap 4\.0"):
+        load_binned_csv(p)
 
 
 @pytest.mark.parametrize("loader", sorted(LOADERS))
