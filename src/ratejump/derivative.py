@@ -22,9 +22,7 @@ gets each order from the previous one by one more difference: b = 0 for
 orders whose grid starts at (l-1)*delta, and b = the window's lower end
 for the orders a window clips.  A non-integer delta/grid_step puts the
 stencil points on no common lattice; that one fallback evaluates each
-grid time from its own l+1 samples.  ``sample_times`` lists the points
-those samplings read, from the same plan, without reading N: N drawn at
-them alone gives every profile.
+grid time from its own l+1 samples.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ __all__ = [
     "discrete_derivative",
     "derivative_profile",
     "derivative_profiles",
-    "sample_times",
     "annihilation_check",
 ]
 
@@ -216,41 +213,12 @@ def derivative_profiles(
     does not cost the others theirs; its ``argmax`` raises the ValueError
     that ``derivative_profile`` raises at once.  ``horizon`` is for a plain
     callable N, which has none of its own; beyond the horizon of an N that
-    has one it is an error.  N is read only at the times ``sample_times``
-    returns for the same arguments.
-    """
-    fn, T = _as_counting(N, horizon)
-    delta, grid_step, grids, reads = _plan(orders, delta, grid_step, window, T)
-    values = {}
-    for times, finish in reads:
-        values.update(finish(np.asarray(fn(times), dtype=np.float64)))
-    return [DerivativeProfile(lo + np.arange(n) * grid_step, values.get(i, np.empty(0)),
-                              order, delta, grid_step, (lo, hi))
-            for i, (order, lo, hi, n) in enumerate(grids)]
-
-
-def sample_times(orders, delta: float, horizon: float, grid_step=None, window=None) -> np.ndarray:
-    """Every time at which ``derivative_profiles`` reads an N of horizon
-    ``horizon`` for the same arguments, in its read order; a time read
-    twice appears twice.  N drawn at these times alone gives every one of
-    those profiles: they are the very floats the profiles query, from the
-    same code."""
-    reads = _plan(orders, delta, grid_step, window, float(horizon))[3]
-    return np.concatenate([np.empty(0)] + [times.ravel() for times, _ in reads])
-
-
-def _plan(orders, delta, grid_step, window, T: float) -> tuple:
-    """The checked ``(delta, grid_step, grids, reads)`` of a
-    ``derivative_profiles`` call on an N of horizon T.
-
-    ``grids[i]`` is ``(order, lo, hi, n)`` for ``orders[i]``: the n grid
-    times lo + j*grid_step.  Each read is ``(times, finish)``: N is sampled
-    once at the array ``times``, and ``finish(samples)`` maps grid indices
-    to their profile values.  An empty grid has no read.
+    has one it is an error.
     """
     orders = [_check_order(order) for order in orders]
     delta = _check_delta(delta)
     grid_step = delta / 10.0 if grid_step is None else _check_grid_step(grid_step, delta)
+    fn, T = _as_counting(N, horizon)
     if not math.isfinite(T):
         raise ValueError("horizon is required to build a profile (none known for this N)")
     w_lo, w_hi = (-math.inf, math.inf) if window is None else (float(window[0]), float(window[1]))
@@ -259,49 +227,44 @@ def _plan(orders, delta, grid_step, window, T: float) -> tuple:
 
     ratio = delta / grid_step
     lag = round(ratio) if abs(ratio - round(ratio)) <= 1e-12 * ratio else None
-    grids, lattices, reads = [], {}, []
-    for i, order in enumerate(orders):
+    grids, lattices = [], {}
+    for order in orders:
         lo, hi = max((order - 1) * delta, w_lo), min(T - delta, w_hi)
         n = int(math.floor((hi - lo) / grid_step + 1e-9)) + 1 if lo <= hi else 0
         grids.append((order, lo, hi, n))
         if n and lag:
             origin = lo if w_lo > (order - 1) * delta else 0.0
-            lattices.setdefault(origin, {})[i] = grids[-1]
-        elif n:  # the fallback: each grid time's own l+1 samples
+            lattices.setdefault(origin, {})[len(grids) - 1] = grids[-1]
+    values = {}
+    for origin, members in lattices.items():
+        values.update(_lattice_values(fn, origin, grid_step, lag, members))
+    profiles = []
+    for i, (order, lo, hi, n) in enumerate(grids):
+        times = lo + np.arange(n) * grid_step
+        if i not in values:  # the fallback, or an empty grid: each time's own samples
             stencil = DerivativeStencil.of_order(order, delta)
-            reads.append(_stencil_read(i, stencil, lo + np.arange(n) * grid_step))
-    reads += [_lattice_read(origin, grid_step, lag, members)
-              for origin, members in lattices.items()]
-    return delta, grid_step, grids, reads
+            samples = np.asarray(fn(times[None, :] + stencil.offsets()[:, None]), dtype=np.float64)
+            values[i] = np.asarray(stencil.coefficients, dtype=np.float64) @ samples
+        profiles.append(DerivativeProfile(times, values[i], order, delta, grid_step, (lo, hi)))
+    return profiles
 
 
-def _stencil_read(i: int, stencil: DerivativeStencil, times: np.ndarray) -> tuple:
-    """Grid i's values from each of its ``times``' own stencil samples."""
-    coefficients = np.asarray(stencil.coefficients, dtype=np.float64)
-    return (times[None, :] + stencil.offsets()[:, None],
-            lambda samples: {i: coefficients @ samples})
+def _lattice_values(fn, origin: float, step: float, lag: int, grids: dict) -> dict:
+    """Values of every grid from one sampling of N at origin + p*step.
 
-
-def _lattice_read(origin: float, step: float, lag: int, grids: dict) -> tuple:
-    """Values of every grid ``i: (order, lo, hi, n)`` from one sampling of N
-    at origin + p*step.
-
-    Grid point j of an order-l grid starting at lo reads its stencil from
-    the samples first + j + m*lag, m = 0..l, where first is lo's lattice
+    Grid point i of an order-l grid starting at lo reads its stencil from
+    the samples first + i + j*lag, j = 0..l, where first is lo's lattice
     index less (l-1)*lag; so its value is the l-fold lag difference there.
     """
     first = {i: round((lo - origin) / step) - (order - 1) * lag
              for i, (order, lo, _, _) in grids.items()}
     p_lo = min(first.values())
     p_hi = max(first[i] + n + order * lag for i, (order, _, _, n) in grids.items())
-
-    def finish(diff):
-        levels = {}
-        for order in range(1, max(grid[0] for grid in grids.values()) + 1):
-            diff = levels[order] = diff[lag:] - diff[:-lag]
-        return {i: levels[order][first[i] - p_lo:][:n] for i, (order, _, _, n) in grids.items()}
-
-    return origin + np.arange(p_lo, p_hi) * step, finish
+    diff = np.asarray(fn(origin + np.arange(p_lo, p_hi) * step), dtype=np.float64)
+    levels = {}
+    for order in range(1, max(grid[0] for grid in grids.values()) + 1):
+        diff = levels[order] = diff[lag:] - diff[:-lag]
+    return {i: levels[order][first[i] - p_lo:][:n] for i, (order, _, _, n) in grids.items()}
 
 
 def annihilation_check(order: int, delta: float, poly_coeffs, t: float) -> float:

@@ -9,15 +9,17 @@ deterministic given the realization, hence results are identical for any
 worker count.
 
 The profiles read N only on their lattices, so a trial first takes every
-time its ``derivative_profiles`` calls will read (``sample_times`` over the
-spec's deltas) and passes them to ``realize``.  The Poisson scenarios draw
-N exactly there (``draw_counts``) instead of thinning the whole event
-stream; the SI and ramp scenarios ignore the times.
+time its ``derivative_profiles`` calls will read (learned once per grid by
+running those calls on a recording N) and passes them to ``realize``.  The
+Poisson scenarios draw N exactly there (``draw_counts``) instead of
+thinning the whole event stream; the SI and ramp scenarios ignore the
+times.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .derivative import _check_delta, _check_order, derivative_profiles, sample_times
+from .derivative import _check_delta, _check_order, derivative_profiles
 # argmax_single is not called here; bench/tracing.py wraps harness.argmax_single by name
 from .detector import DetectorConfig, argmax_single, detect
 # simulate is called by this name: bench/tracing.py wraps harness.simulate
@@ -246,20 +248,36 @@ class HeatmapResult:
                 for k, row in zip(self.k_grid, self.mean_errors)}
 
 
-def _profile_args(spec: ExperimentSpec, delta: float) -> dict:
-    """The grid step and window of every profile a trial takes at ``delta``."""
-    return {"grid_step": delta * GRID_STEP_FRACTION, "window": spec.scenario.analysis_window}
-
-
 def _sample_times(spec: ExperimentSpec):
-    """Every time at which a trial's profiles read N, over all the deltas,
-    repeats kept; None for a scenario with no horizon before it is realized
-    (an SI cascade ends when it ends)."""
+    """The sorted distinct times in [0, horizon], 0 and the horizon among
+    them, at which a trial's profiles read N over all the deltas; None for
+    a scenario with no horizon before it is realized (an SI cascade ends
+    when it ends)."""
     horizon = getattr(spec.scenario, "horizon", None)
     if horizon is None:
         return None
-    return np.concatenate([sample_times(spec.k_grid, delta, horizon, **_profile_args(spec, delta))
-                           for delta in spec.delta_grid])
+    window = spec.scenario.analysis_window
+    return _read_grid(spec.k_grid, spec.delta_grid, float(horizon),
+                      None if window is None else tuple(window))
+
+
+@functools.lru_cache(maxsize=16)
+def _read_grid(k_grid: tuple, delta_grid: tuple, horizon: float, window) -> np.ndarray:
+    """``_sample_times`` for one grid, computed once: the profiles of every
+    delta are taken of a recording N, which keeps the very times each call
+    reads.  Read-only, since every trial of the grid shares it."""
+    read = [np.array([0.0, horizon])]
+
+    def record(t):
+        read.append(np.ravel(t))
+        return np.zeros(np.shape(t))
+
+    for delta in delta_grid:
+        derivative_profiles(record, k_grid, delta, horizon=horizon,
+                            grid_step=delta * GRID_STEP_FRACTION, window=window)
+    grid = np.unique(np.clip(np.concatenate(read), 0.0, horizon))
+    grid.setflags(write=False)
+    return grid
 
 
 def _trial_errors(spec: ExperimentSpec, trial: int):
@@ -272,7 +290,8 @@ def _trial_errors(spec: ExperimentSpec, trial: int):
     failures = {}  # (i, j) -> the ValueError that aborted cell (k_grid[i], delta_grid[j])
     for j, delta in enumerate(spec.delta_grid):
         profiles = derivative_profiles(
-            realization.events, spec.k_grid, delta, **_profile_args(spec, delta))
+            realization.events, spec.k_grid, delta,
+            grid_step=delta * GRID_STEP_FRACTION, window=spec.scenario.analysis_window)
         for i, profile in enumerate(profiles):
             try:
                 errors[i, j] = abs(profile.times[profile.argmax()] - realization.truth)
