@@ -19,9 +19,10 @@ ratejump simulate-poisson --rate-preset const-plus-exp \
     --seed 1 --out-dir "$out"
 ratejump detect --events "$out/events.txt" \
     --k 3 --delta 0.3 --threshold 4000 --out-dir "$out"
-echo "-- without --threshold, detect reports the single best-scoring time --"
+echo "-- without --threshold, detect reports the single best-scoring time;"
+echo "   here on a coarser grid, 5 steps per delta --"
 ratejump detect --events "$out/events.txt" \
-    --k 3 --delta 0.3 --out argmax.csv --out-dir "$out"
+    --k 3 --delta 0.3 --steps-per-delta 5 --out argmax.csv --out-dir "$out"
 echo
 
 echo "== one epidemic cascade, then hub recovery from three cascades =="

@@ -42,7 +42,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .derivative import MAX_ORDER, _check_delta, _check_order
+from .derivative import MAX_ORDER, STEPS_PER_DELTA, _check_delta, _check_order
 from .detector import DetectorConfig, detect, save_report_csv
 from .harness import (
     HEATMAP_SCENARIOS,
@@ -193,7 +193,7 @@ def _load_counting(args):
 def _detector_config(args) -> DetectorConfig:
     """The detector flags' DetectorConfig, built before any input is read."""
     with _building():
-        return DetectorConfig(k=args.k, delta=args.delta, grid_step=args.grid_step,
+        return DetectorConfig(k=args.k, delta=args.delta, steps_per_delta=args.steps_per_delta,
                               threshold=getattr(args, "threshold", None))
 
 
@@ -462,15 +462,15 @@ def _add_counting_inputs(sub):
 
 
 def _add_detector_flags(sub, k=None, delta=None):
-    """--k, --delta, --grid-step and --threshold; --k and --delta are required
+    """--k, --delta, --steps-per-delta and --threshold; --k and --delta are required
     where they have no default."""
     sub.add_argument("--k", type=_flag(_check_order, "k"), default=k, required=k is None,
                      help=f"derivative order, an integer in [1, {MAX_ORDER}]{_default(k)}")
     sub.add_argument("--delta", type=_flag(_check_delta, "delta"), default=delta,
                      required=delta is None,
                      help=f"derivative step delta in time units{_default(delta)}")
-    sub.add_argument("--grid-step", type=_flag(_check_delta, "grid_step"), default=None,
-                     help="evaluation grid spacing in time units, <= delta (default delta/10)")
+    sub.add_argument("--steps-per-delta", type=_whole("steps_per_delta"), default=STEPS_PER_DELTA,
+                     help=f"grid steps per delta, a whole number{_default(STEPS_PER_DELTA)}")
     sub.add_argument("--threshold", type=_flag(_check_delta, "threshold"), default=None,
                      help="expected jump size A in events per unit time; without it, "
                           "report only the best-scoring time (argmax mode)")

@@ -12,17 +12,16 @@ the stencil returns exactly zero, which is what makes high orders blind
 to smooth trends while a rate jump of size A still shows up at scale
 A * delta.
 
-Profiles share one sampling of N.  When delta = m * grid_step for an
-integer m, every stencil point of every grid time lies on one lattice
-b + p*grid_step, and with F[p] = N(b + p*grid_step) the order-l value at
-a grid time is the l-fold lag-m difference (Delta_m^l F)[p0], where
-(Delta_m F)[p] = F[p+m] - F[p] and p0 indexes the stencil's first point.
-``derivative_profiles`` therefore samples N once per lattice origin b and
-gets each order from the previous one by one more difference: b = 0 for
-orders whose grid starts at (l-1)*delta, and b = the window's lower end
-for the orders a window clips.  A non-integer delta/grid_step puts the
-stencil points on no common lattice; that one fallback evaluates each
-grid time from its own l+1 samples.
+A profile evaluates the stencil on a grid of step delta/m, for a whole
+number m of steps per delta (default 10).  Every stencil point of every
+grid time then lies on one lattice b + p*delta/m, and with
+F[p] = N(b + p*delta/m) the order-l value at a grid time is the l-fold
+lag-m difference (Delta_m^l F)[p0], where (Delta_m F)[p] = F[p+m] - F[p]
+and p0 indexes the stencil's first point.  ``derivative_profiles``
+therefore samples N once per lattice origin b and gets each order from
+the previous one by one more difference: b = 0 for orders whose grid
+starts at (l-1)*delta, and b = the window's lower end for the orders a
+window clips.
 """
 
 from __future__ import annotations
@@ -47,6 +46,9 @@ __all__ = [
 # almost certainly a units mistake and are rejected.
 MAX_ORDER = 20
 
+# The default grid: a profile's grid step is delta / STEPS_PER_DELTA.
+STEPS_PER_DELTA = 10
+
 
 def _check_order(order, name: str = "order", limit: float = MAX_ORDER) -> int:
     """``order`` as an int in [1, limit], bools rejected: the one check on an
@@ -65,15 +67,6 @@ def _check_delta(delta, name: str = "delta") -> float:
     value = math.nan if isinstance(delta, (bool, np.bool_)) else float(delta)
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {delta!r}")
-    return value
-
-
-def _check_grid_step(grid_step, delta: float) -> float:
-    """``grid_step`` as a float in (0, delta], with delta's last bit of slack;
-    bools rejected."""
-    value = math.nan if isinstance(grid_step, (bool, np.bool_)) else float(grid_step)
-    if not (0 < value <= delta * (1 + 1e-12)):
-        raise ValueError(f"grid_step must be in (0, delta={delta}], got {grid_step!r}")
     return value
 
 
@@ -150,13 +143,13 @@ def discrete_derivative(N, order: int, delta: float, t: float, horizon=None) -> 
 
 @dataclass(frozen=True)
 class DerivativeProfile:
-    """Discrete-derivative values on an evenly spaced time grid."""
+    """Discrete-derivative values on a time grid of step delta / steps_per_delta."""
 
     times: np.ndarray
     values: np.ndarray
     order: int
     delta: float
-    grid_step: float
+    steps_per_delta: int
     window: tuple
 
     def __len__(self) -> int:
@@ -186,81 +179,91 @@ def derivative_profile(
     N,
     order: int,
     delta: float,
-    grid_step: "float | None" = None,
+    steps_per_delta: int = STEPS_PER_DELTA,
     window: "tuple | None" = None,
     horizon=None,
 ) -> DerivativeProfile:
     """The order-``order`` profile of ``derivative_profiles``; a window that
     holds no grid point is a ValueError naming it, k and delta."""
-    return _nonempty(derivative_profiles(N, [order], delta, grid_step, window, horizon)[0])
+    return _nonempty(derivative_profiles(N, [order], delta, steps_per_delta, window, horizon)[0])
 
 
 def derivative_profiles(
     N,
     orders,
     delta: float,
-    grid_step: "float | None" = None,
+    steps_per_delta: int = STEPS_PER_DELTA,
     window: "tuple | None" = None,
     horizon=None,
 ) -> list:
-    """Evaluate the discrete derivative of each order on an evenly spaced grid.
+    """Evaluate the discrete derivative of each order on a grid of step
+    delta / ``steps_per_delta``, a whole number (default 10).
 
-    Returns one profile per entry of ``orders``.  Each grid covers the
-    requested ``window`` (default: everything) clipped to that order's
-    valid range [(order-1)*delta, horizon - delta].  ``grid_step``
-    defaults to delta/10 and must not exceed delta.  A window that clips
-    to nothing yields an empty profile, so that one order's empty window
-    does not cost the others theirs; its ``argmax`` raises the ValueError
-    that ``derivative_profile`` raises at once.  ``horizon`` is for a plain
-    callable N, which has none of its own; beyond the horizon of an N that
-    has one it is an error.
+    Returns one profile per entry of ``orders``.  Each grid starts at the
+    requested ``window``'s lower end (default: everything) clipped to that
+    order's valid range [(order-1)*delta, horizon - delta], and holds every
+    grid time up to the clipped upper end, none past it.  A window that
+    clips to nothing yields an empty profile, so that one order's empty
+    window does not cost the others theirs; its ``argmax`` raises the
+    ValueError that ``derivative_profile`` raises at once.  ``horizon`` is
+    for a plain callable N, which has none of its own; beyond the horizon
+    of an N that has one it is an error.
     """
     orders = [_check_order(order) for order in orders]
     delta = _check_delta(delta)
-    grid_step = delta / 10.0 if grid_step is None else _check_grid_step(grid_step, delta)
+    lag = _check_order(steps_per_delta, "steps_per_delta", limit=math.inf)
+    step = delta / lag
     fn, T = _as_counting(N, horizon)
     if not math.isfinite(T):
         raise ValueError("horizon is required to build a profile (none known for this N)")
     w_lo, w_hi = (-math.inf, math.inf) if window is None else (float(window[0]), float(window[1]))
-    if w_lo > w_hi:
+    if not w_lo <= w_hi:  # NaN fails too
         raise ValueError(f"window must satisfy lo <= hi, got {window}")
 
-    ratio = delta / grid_step
-    lag = round(ratio) if abs(ratio - round(ratio)) <= 1e-12 * ratio else None
     grids, lattices = [], {}
     for order in orders:
         lo, hi = max((order - 1) * delta, w_lo), min(T - delta, w_hi)
-        n = int(math.floor((hi - lo) / grid_step + 1e-9)) + 1 if lo <= hi else 0
+        n = _grid_size(lo, hi, step)
         grids.append((order, lo, hi, n))
-        if n and lag:
+        if n:
             origin = lo if w_lo > (order - 1) * delta else 0.0
             lattices.setdefault(origin, {})[len(grids) - 1] = grids[-1]
     values = {}
     for origin, members in lattices.items():
-        values.update(_lattice_values(fn, origin, grid_step, lag, members))
-    profiles = []
-    for i, (order, lo, hi, n) in enumerate(grids):
-        times = lo + np.arange(n) * grid_step
-        if i not in values:  # the fallback, or an empty grid: each time's own samples
-            stencil = DerivativeStencil.of_order(order, delta)
-            samples = np.asarray(fn(times[None, :] + stencil.offsets()[:, None]), dtype=np.float64)
-            values[i] = np.asarray(stencil.coefficients, dtype=np.float64) @ samples
-        profiles.append(DerivativeProfile(times, values[i], order, delta, grid_step, (lo, hi)))
-    return profiles
+        values.update(_lattice_values(fn, origin, step, lag, members, T))
+    return [DerivativeProfile(lo + np.arange(n) * step, values.get(i, np.zeros(0)),
+                              order, delta, lag, (lo, hi))
+            for i, (order, lo, hi, n) in enumerate(grids)]
 
 
-def _lattice_values(fn, origin: float, step: float, lag: int, grids: dict) -> dict:
+def _grid_size(lo: float, hi: float, step: float) -> int:
+    """The number of i >= 0 with lo + i*step <= hi, in the float arithmetic
+    that builds the grid times: no grid time lies past hi."""
+    if not lo <= hi:
+        return 0
+    n = math.floor((hi - lo) / step) + 1  # a guess, off by rounding at most
+    while lo + (n - 1) * step > hi:
+        n -= 1
+    while lo + n * step <= hi:
+        n += 1
+    return n
+
+
+def _lattice_values(fn, origin: float, step: float, lag: int, grids: dict, T: float) -> dict:
     """Values of every grid from one sampling of N at origin + p*step.
 
     Grid point i of an order-l grid starting at lo reads its stencil from
     the samples first + i + j*lag, j = 0..l, where first is lo's lattice
     index less (l-1)*lag; so its value is the l-fold lag difference there.
+    Every grid lies in its order's valid range, so a lattice time leaves
+    [0, T] only by the rounding of p*step, by ulps; it reads N at that end.
     """
     first = {i: round((lo - origin) / step) - (order - 1) * lag
              for i, (order, lo, _, _) in grids.items()}
     p_lo = min(first.values())
     p_hi = max(first[i] + n + order * lag for i, (order, _, _, n) in grids.items())
-    diff = np.asarray(fn(origin + np.arange(p_lo, p_hi) * step), dtype=np.float64)
+    times = np.clip(origin + np.arange(p_lo, p_hi) * step, 0.0, T)
+    diff = np.asarray(fn(times), dtype=np.float64)
     levels = {}
     for order in range(1, max(grid[0] for grid in grids.values()) + 1):
         diff = levels[order] = diff[lag:] - diff[:-lag]

@@ -14,12 +14,13 @@ data), so the stencil never reaches past the data; there is no override.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .derivative import _check_delta, _check_grid_step, _check_order, derivative_profile
+from .derivative import STEPS_PER_DELTA, _check_delta, _check_order, derivative_profile
 
 __all__ = [
     "DetectorConfig",
@@ -41,13 +42,13 @@ class DetectorConfig:
     ``threshold`` is the expected jump size A (> 0); grid points scoring
     at least A/2 become candidates.  ``threshold=None`` selects
     exploratory mode: report only the single highest-scoring grid point.
-    ``grid_step`` (default: the profile's, delta/10) must not exceed delta.
+    The profile's grid step is delta / ``steps_per_delta``, a whole number.
     """
 
     k: int
     delta: float
     threshold: "float | None" = None
-    grid_step: "float | None" = None
+    steps_per_delta: int = STEPS_PER_DELTA
 
     def __post_init__(self) -> None:
         # the checked values are stored: a string such as '0.5' becomes 0.5
@@ -55,8 +56,8 @@ class DetectorConfig:
         object.__setattr__(self, "delta", _check_delta(self.delta, "delta"))
         if self.threshold is not None:
             object.__setattr__(self, "threshold", _check_delta(self.threshold, "threshold"))
-        if self.grid_step is not None:
-            object.__setattr__(self, "grid_step", _check_grid_step(self.grid_step, self.delta))
+        object.__setattr__(self, "steps_per_delta", _check_order(
+            self.steps_per_delta, "steps_per_delta", limit=math.inf))
 
     @property
     def min_sep(self) -> float:
@@ -79,7 +80,7 @@ class ChangePointReport:
     estimates: tuple
     k: int
     delta: float
-    grid_step: float
+    steps_per_delta: int
     window: tuple
     threshold: "float | None"
     min_sep: float
@@ -169,7 +170,7 @@ def _packing_indices(times: np.ndarray, scores: np.ndarray, min_sep: float) -> l
 def detect(N, config: DetectorConfig) -> ChangePointReport:
     """Run the full detection pipeline on a counting process.  In either mode
     a window that holds no grid point is the profile's ValueError."""
-    profile = derivative_profile(N, config.k, config.delta, grid_step=config.grid_step)
+    profile = derivative_profile(N, config.k, config.delta, config.steps_per_delta)
     scores, keep = _candidates(profile, config.delta, config.threshold)
     chosen = keep if config.threshold is None else keep[
         _packing_indices(profile.times[keep], scores[keep], config.min_sep)]
@@ -180,7 +181,7 @@ def detect(N, config: DetectorConfig) -> ChangePointReport:
         ),
         k=config.k,
         delta=config.delta,
-        grid_step=profile.grid_step,
+        steps_per_delta=config.steps_per_delta,
         window=profile.window,
         threshold=config.threshold,
         min_sep=config.min_sep,
@@ -189,9 +190,9 @@ def detect(N, config: DetectorConfig) -> ChangePointReport:
     )
 
 
-def argmax_single(N, k: int, delta: float, grid_step: "float | None" = None) -> float:
+def argmax_single(N, k: int, delta: float, steps_per_delta: int = STEPS_PER_DELTA) -> float:
     """Time of the largest |order-k derivative| on the grid (earliest on ties)."""
-    profile = derivative_profile(N, k, delta, grid_step=grid_step)
+    profile = derivative_profile(N, k, delta, steps_per_delta)
     return float(profile.times[profile.argmax()])
 
 
@@ -241,7 +242,7 @@ def save_report_csv(report: ChangePointReport, path) -> None:
     with open(str(path) + ".meta", "w", encoding="utf-8") as fh:
         fh.write(f"k={report.k}\n")
         fh.write(f"delta={report.delta!r}\n")
-        fh.write(f"grid_step={report.grid_step!r}\n")
+        fh.write(f"steps_per_delta={report.steps_per_delta}\n")
         fh.write(f"threshold={'' if report.threshold is None else repr(report.threshold)}\n")
         fh.write(f"mode={'argmax-single' if report.threshold is None else 'threshold'}\n")
         fh.write(f"min_sep={report.min_sep!r}\n")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .derivative import _check_delta, _check_order, derivative_profiles
+from .derivative import STEPS_PER_DELTA, _check_delta, _check_order, derivative_profiles
 # argmax_single is not called here; bench/tracing.py wraps harness.argmax_single by name
 from .detector import DetectorConfig, argmax_single, detect
 # simulate is called by this name: bench/tracing.py wraps harness.simulate
@@ -190,12 +190,6 @@ HEATMAP_SCENARIOS = {
 }
 
 
-# Every trial evaluates its profiles on a grid of step delta * GRID_STEP_FRACTION.
-# The product is kept as written: delta / 10 differs from it in the last bit
-# for some deltas (0.05 among them), which would move the grid points.
-GRID_STEP_FRACTION = 0.1
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A full heatmap experiment: scenario x (k, delta) grid x trials."""
@@ -273,9 +267,8 @@ def _read_grid(k_grid: tuple, delta_grid: tuple, horizon: float, window) -> np.n
         return np.zeros(np.shape(t))
 
     for delta in delta_grid:
-        derivative_profiles(record, k_grid, delta, horizon=horizon,
-                            grid_step=delta * GRID_STEP_FRACTION, window=window)
-    grid = np.unique(np.clip(np.concatenate(read), 0.0, horizon))
+        derivative_profiles(record, k_grid, delta, horizon=horizon, window=window)
+    grid = np.unique(np.concatenate(read))
     grid.setflags(write=False)
     return grid
 
@@ -289,9 +282,8 @@ def _trial_errors(spec: ExperimentSpec, trial: int):
     errors = np.full((len(spec.k_grid), len(spec.delta_grid)), np.nan)
     failures = {}  # (i, j) -> the ValueError that aborted cell (k_grid[i], delta_grid[j])
     for j, delta in enumerate(spec.delta_grid):
-        profiles = derivative_profiles(
-            realization.events, spec.k_grid, delta,
-            grid_step=delta * GRID_STEP_FRACTION, window=spec.scenario.analysis_window)
+        profiles = derivative_profiles(realization.events, spec.k_grid, delta,
+                                       window=spec.scenario.analysis_window)
         for i, profile in enumerate(profiles):
             try:
                 errors[i, j] = abs(profile.times[profile.argmax()] - realization.truth)
@@ -340,7 +332,7 @@ def run_heatmap(spec: ExperimentSpec, workers: "int | None" = None) -> HeatmapRe
         "scenario": repr(spec.scenario),
         "trials": spec.trials,
         "base_seed": spec.base_seed,
-        "grid_step_fraction": GRID_STEP_FRACTION,
+        "steps_per_delta": STEPS_PER_DELTA,
     }
     return HeatmapResult(
         k_grid=spec.k_grid,

@@ -270,7 +270,7 @@ def analyze_binned(series, k: int, delta_days: int = 1) -> BinnedAnalysis:
     k = _check_order(k, "k")
     delta_days = _check_order(delta_days, "delta_days", limit=math.inf)
     counting = from_binned(series.to_binned())
-    profile = derivative_profile(counting, k, float(delta_days), grid_step=1.0)
+    profile = derivative_profile(counting, k, float(delta_days), delta_days)
     i = profile.argmax()
     return BinnedAnalysis(
         profile=profile,

@@ -445,11 +445,11 @@ GRIDS = ["--k-grid", "1", "--delta-grid", "0.3"]
     (["detect", "--k", "0", "--delta", "0.5", *DETECT], 2, "k must be >= 1, got 0"),
     (["detect", "--k", "21", "--delta", "0.5", *DETECT], 2, "k must be <= 20, got 21"),
     (["detect", "--k", "2", "--delta", "inf", *DETECT], 2, "delta must be positive and finite"),
-    (["detect", "--k", "2", "--delta", "0.5", "--grid-step", "0.6", *DETECT], 2,
-     "grid_step must be in (0, delta=0.5], got 0.6"),
-    (["detect", "--events", "{events}", "--k", "2", "--delta", "0.5", "--grid-step", "0.6",
+    (["detect", "--k", "2", "--delta", "0.5", "--steps-per-delta", "2.5", *DETECT], 2,
+     "steps_per_delta must be an integer, got 2.5"),
+    (["detect", "--events", "{events}", "--k", "2", "--delta", "0.5", "--steps-per-delta", "0",
       "--threshold", "9"], 2,
-     "grid_step must be in (0, delta=0.5], got 0.6"),
+     "steps_per_delta must be >= 1, got 0"),
     (["heatmap", "--k-grid", "1,21", "--delta-grid", "0.3"], 2, "k_grid[1] must be <= 20, got 21"),
     (["heatmap", "--base", "inf", "--k-grid", "1", "--delta-grid", "0.3"], 2,
      "base must be positive and finite, got inf"),

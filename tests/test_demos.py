@@ -1,6 +1,7 @@
 """The demos run end to end against the package in ``src``."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,3 +32,23 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def quick_start_blocks():
+    """The Python blocks of the README's quick start, in order."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    quick_start = text.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```python\n(.*?)```", quick_start, flags=re.S)
+
+
+def test_readme_quick_start():
+    detect_block, hub_block = quick_start_blocks()
+    scope = {}
+    exec(detect_block, scope)
+    report = scope["report"]
+    commented = float(re.search(r"# \[([0-9.]+)\]", detect_block).group(1))
+    (estimate,) = report.times
+    assert abs(estimate - commented) <= report.delta / report.steps_per_delta
+    scope = {}
+    exec(hub_block, scope)
+    assert abs(scope["t_hat"] - scope["trace"].times[scope["graph"].hub]) <= 0.01

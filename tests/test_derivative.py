@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ratejump.derivative import (
     MAX_ORDER,
@@ -131,7 +131,7 @@ def test_monomial_one_degree_higher():
 def test_profile_matches_pointwise():
     rng = np.random.default_rng(11)
     e = EventTimes(times=np.sort(rng.uniform(0, 10, 300)), horizon=10.0)
-    prof = derivative_profile(e, 3, 0.5, grid_step=0.25)
+    prof = derivative_profile(e, 3, 0.5, steps_per_delta=2)
     assert prof.times[0] == pytest.approx(1.0)  # (order-1)*delta
     assert prof.times[-1] <= 9.5 + 1e-12
     for t, v in list(prof.pairs())[::7]:
@@ -140,80 +140,74 @@ def test_profile_matches_pointwise():
 
 def test_profile_window_clipping_and_empty():
     e = EventTimes(times=np.array([1.0, 2.0]), horizon=3.0)
-    prof = derivative_profile(e, 2, 1.0, grid_step=0.5, window=(0.0, 10.0))
+    prof = derivative_profile(e, 2, 1.0, steps_per_delta=2, window=(0.0, 10.0))
     assert prof.window == (1.0, 2.0)
     assert len(prof) == 3
 
     message = r"^no valid grid points: window \(1\.4, 0\.5\) is empty for k=2, delta=1\.4$"
     with pytest.raises(ValueError, match=message):
-        derivative_profile(e, 2, 1.4, grid_step=0.5, window=(0.0, 0.5))
+        derivative_profile(e, 2, 1.4, steps_per_delta=3, window=(0.0, 0.5))
     # among several orders an empty one is kept, and its argmax raises the same error
-    first, empty = derivative_profiles(e, [1, 2], 1.4, grid_step=0.5, window=(0.0, 0.5))
+    first, empty = derivative_profiles(e, [1, 2], 1.4, steps_per_delta=3, window=(0.0, 0.5))
     assert len(first) == 2 and len(empty) == 0
     with pytest.raises(ValueError, match=message):
         empty.argmax()
 
 
 def test_profile_grid_step_validation():
+    # the grid step is delta / steps_per_delta, a whole number of steps
     e = EventTimes(times=np.array([1.0]), horizon=3.0)
-    with pytest.raises(ValueError, match="grid_step"):
-        derivative_profile(e, 1, 0.5, grid_step=0.7)
+    with pytest.raises(ValueError, match="^steps_per_delta must be an integer, got 0.7$"):
+        derivative_profile(e, 1, 0.5, steps_per_delta=0.7)
 
 
-def assert_profiles_match_pointwise(N, orders, delta, grid_step, window):
-    profiles = derivative_profiles(N, orders, delta, grid_step=grid_step, window=window)
+def assert_profiles_match_pointwise(N, orders, delta, steps_per_delta, window):
+    profiles = derivative_profiles(N, orders, delta, steps_per_delta, window=window)
     assert [p.order for p in profiles] == orders
     for p in profiles:
         if len(p) == 0:
             message = f"no valid grid points: window {p.window} is empty for k={p.order}, delta={p.delta}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                derivative_profile(N, p.order, delta, grid_step=grid_step, window=window)
+                derivative_profile(N, p.order, delta, steps_per_delta, window=window)
             continue
-        single = derivative_profile(N, p.order, delta, grid_step=grid_step, window=window)
+        single = derivative_profile(N, p.order, delta, steps_per_delta, window=window)
         assert np.array_equal(p.times, single.times)
         assert p.window == single.window
         reference = [discrete_derivative(N, p.order, delta, t) for t in p.times.tolist()]
         assert p.values.tolist() == reference
 
 
-PATHS = ["lattice", "fallback"]  # integer delta/grid_step, or the direct stencil
-
-
-@pytest.mark.parametrize("path", PATHS)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     orders=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
     delta=st.floats(min_value=0.1, max_value=2.0),
-    m=st.integers(min_value=1, max_value=6),
-    frac=st.floats(min_value=0.1, max_value=0.9),
+    m=st.integers(min_value=1, max_value=12),
     window=st.tuples(st.floats(min_value=0, max_value=10), st.floats(min_value=0, max_value=10)),
 )
-@settings(max_examples=40, deadline=None)
-def test_profiles_match_pointwise_on_event_times(path, seed, orders, delta, m, frac, window):
+@settings(max_examples=80, deadline=None)
+def test_profiles_match_pointwise_on_event_times(seed, orders, delta, m, window):
     # event times from a seeded generator: no event sits on a sample point, so
     # the float rounding of lattice and stencil points cannot split a count
     rng = np.random.default_rng(seed)
     e = EventTimes(times=np.sort(rng.uniform(0, 10, 150)), horizon=10.0)
-    grid_step = delta / m if path == "lattice" else delta / (m + frac)
     for w in (None, tuple(sorted(window))):
-        assert_profiles_match_pointwise(e, orders, delta, grid_step, w)
+        assert_profiles_match_pointwise(e, orders, delta, m, w)
 
 
-@pytest.mark.parametrize("path", PATHS)
 @given(
     counts=st.lists(st.integers(min_value=0, max_value=1000), min_size=30, max_size=80),
     orders=st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4),
-    step=st.integers(min_value=2, max_value=3),
-    m=st.integers(min_value=1, max_value=3),
+    step=st.integers(min_value=1, max_value=3),
+    m=st.integers(min_value=1, max_value=12),
     window=st.tuples(st.integers(min_value=0, max_value=60), st.integers(min_value=0, max_value=60)),
 )
-@settings(max_examples=40, deadline=None)
-def test_profiles_match_pointwise_on_daily_bins(path, counts, orders, step, m, window):
-    # whole-day samples of a binned series: every value is an exact integer
+@settings(max_examples=80, deadline=None)
+def test_profiles_match_pointwise_on_daily_bins(counts, orders, step, m, window):
+    # whole-day samples of a binned series (a grid step of whole days, m per
+    # delta): every value is an exact integer
     N = BinnedCounting(BinnedSeries(bin_width=1.0, counts=np.asarray(counts)))
-    delta = step * m if path == "lattice" else step * m + 1
     for w in (None, tuple(float(x) for x in sorted(window))):
-        assert_profiles_match_pointwise(N, orders, float(delta), float(step), w)
+        assert_profiles_match_pointwise(N, orders, float(step * m), m, w)
 
 
 def test_profiles_sample_once_per_lattice_origin():
@@ -228,11 +222,50 @@ def test_profiles_sample_once_per_lattice_origin():
     orders = [1, 2, 3, 4, 5, 6]
     for window, samplings in ((None, 1), ((5.0, 15.0), 1), ((0.5, 15.0), 2)):
         calls.clear()
-        derivative_profiles(N, orders, 0.3, grid_step=0.03, window=window, horizon=20.0)
+        derivative_profiles(N, orders, 0.3, window=window, horizon=20.0)
         assert len(calls) == samplings  # (0.5, 15) clips orders 1-2 only
-    calls.clear()
-    derivative_profiles(N, orders, 0.3, grid_step=0.07, horizon=20.0)
-    assert len(calls) == len(orders)  # non-integer delta/grid_step: the fallback
+
+
+def recording(reads):
+    """A plain callable N = 0 that keeps every time it is read at."""
+    def N(t):
+        reads.append(np.ravel(t))
+        return np.zeros(np.shape(t))
+    return N
+
+
+@given(
+    orders=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
+    delta=st.floats(min_value=0.01, max_value=3.0),
+    m=st.integers(min_value=1, max_value=12),
+    horizon=st.floats(min_value=0.5, max_value=30.0),
+    window=st.tuples(st.floats(min_value=0, max_value=30), st.floats(min_value=0, max_value=30)),
+)
+# a window that ends 2.5e-11 short of the grid time 2.25 (the grid had 2.25)
+@example(orders=[1, 2, 3], delta=0.5, m=10, horizon=10.0, window=(2.0, 2.0 + 0.25 * (1 - 1e-10)))
+# horizon - delta ends 2.5e-11 short of the grid time 1.25 (N was read at 1.75)
+@example(orders=[1, 2, 3], delta=0.5, m=10, horizon=1.749999999975, window=(0.0, 0.0))
+@settings(max_examples=100, deadline=None)
+def test_every_grid_is_all_of_its_window_and_reads_only_the_horizon(
+        orders, delta, m, horizon, window):
+    for w in (None, tuple(sorted(window))):
+        reads = [np.zeros(0)]
+        profiles = derivative_profiles(recording(reads), orders, delta, m, window=w,
+                                       horizon=horizon)
+        for p in profiles:
+            lo, hi = p.window
+            assert np.array_equal(p.times, lo + np.arange(len(p)) * (delta / m))
+            assert (lo > hi) if len(p) == 0 else (lo <= p.times[0] and p.times[-1] <= hi)
+            assert lo + len(p) * (delta / m) > hi  # the next grid time is past the window
+        reads = np.concatenate(reads)
+        assert np.all((0.0 <= reads) & (reads <= horizon))
+
+
+@pytest.mark.parametrize("window", [(3.0, 2.0), (math.nan, 5.0), (2.0, math.nan)])
+def test_a_window_must_be_ordered(window):
+    e = EventTimes(times=np.array([1.0, 2.0]), horizon=10.0)
+    with pytest.raises(ValueError, match=r"^window must satisfy lo <= hi, got \("):
+        derivative_profiles(e, [1], 0.5, window=window)
 
 
 def test_horizon_beyond_the_horizon_of_N_is_an_error():

@@ -126,7 +126,7 @@ def test_report_invariants_enforced():
             estimates=(Estimate(1.0, 9.0, 9.0), Estimate(1.5, 8.0, 8.0)),
             k=2,
             delta=0.5,
-            grid_step=0.05,
+            steps_per_delta=10,
             window=(0.5, 9.5),
             threshold=10.0,
             min_sep=2.0,
@@ -138,7 +138,7 @@ def test_report_invariants_enforced():
             estimates=(Estimate(1.0, 2.0, 2.0),),
             k=2,
             delta=0.5,
-            grid_step=0.05,
+            steps_per_delta=10,
             window=(0.5, 9.5),
             threshold=10.0,
             min_sep=2.0,
@@ -150,7 +150,7 @@ def test_report_invariants_enforced():
 def test_argmax_single_earliest_tie():
     # perfectly regular events: first-order derivative is flat, argmax -> first point
     e = EventTimes(times=np.arange(1, 50) * 0.2, horizon=10.0)
-    t = argmax_single(e, 1, 1.0, grid_step=0.5)
+    t = argmax_single(e, 1, 1.0, steps_per_delta=2)
     assert t == 0.0
 
 
@@ -169,8 +169,9 @@ def test_argmax_shift_equivariant(times, shift):
     base = np.sort(np.asarray(times))
     e1 = EventTimes(times=base, horizon=20.0)
     e2 = EventTimes(times=base + shift, horizon=20.0 + shift)
-    t1 = argmax_single(e1, 2, 0.5, grid_step=0.25)
-    p2 = derivative_profile(e2, 2, 0.5, grid_step=0.25, window=(t1 + shift - 0.01, t1 + shift + 0.01))
+    t1 = argmax_single(e1, 2, 0.5, steps_per_delta=2)
+    p2 = derivative_profile(e2, 2, 0.5, steps_per_delta=2,
+                            window=(t1 + shift - 0.01, t1 + shift + 0.01))
     t2 = p2.times[p2.argmax()]
     assert t2 == pytest.approx(t1 + shift, abs=0.26)
 
@@ -215,8 +216,8 @@ def test_config_validation():
         DetectorConfig(k=2, delta=-1.0)
     with pytest.raises(ValueError, match="threshold"):
         DetectorConfig(k=2, delta=0.5, threshold=-3.0)
-    with pytest.raises(ValueError, match="grid_step"):
-        DetectorConfig(k=2, delta=0.5, grid_step=0.6)
+    with pytest.raises(ValueError, match="steps_per_delta"):
+        DetectorConfig(k=2, delta=0.5, steps_per_delta=2.5)
 
 
 def test_report_csv_and_sidecar(tmp_path):
@@ -229,5 +230,5 @@ def test_report_csv_and_sidecar(tmp_path):
     assert len(lines) == 2
     meta = (tmp_path / "report.csv.meta").read_text()
     assert "k=2" in meta
-    assert "grid_step=0.05" in meta
+    assert "steps_per_delta=10" in meta
     assert "mode=threshold" in meta

@@ -15,7 +15,6 @@ from scipy import integrate, stats
 
 from ratejump.derivative import derivative_profile
 from ratejump.harness import (
-    GRID_STEP_FRACTION,
     ExperimentSpec,
     SmoothJumpScenario,
     _sample_times,
@@ -121,8 +120,7 @@ def test_heatmap_errors_match_the_thinning_path():
         realization = scenario.realize(SimSeed(6, trial))
         for i, k in enumerate(k_grid):
             for j, delta in enumerate(delta_grid):
-                profile = derivative_profile(realization.events, k, delta,
-                                             grid_step=delta * GRID_STEP_FRACTION)
+                profile = derivative_profile(realization.events, k, delta)
                 thinned[trial, i, j] = abs(profile.times[profile.argmax()] - realization.truth)
     for i in range(len(k_grid)):
         for j in range(len(delta_grid)):

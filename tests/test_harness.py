@@ -143,10 +143,8 @@ def test_trial_errors_match_per_cell_argmax(scenario):
     for i, k in enumerate(spec.k_grid):
         for j, delta in enumerate(spec.delta_grid):
             try:
-                profile = derivative_profile(
-                    realization.events, k, delta, grid_step=delta * 0.1,
-                    window=scenario.analysis_window,
-                )
+                profile = derivative_profile(realization.events, k, delta,
+                                             window=scenario.analysis_window)
                 t_hat = profile.times[profile.argmax()]
             except ValueError as exc:
                 assert np.isnan(errors[i, j])

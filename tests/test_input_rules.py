@@ -1,8 +1,8 @@
 """Each input rule has one implementation; every entry point gives the same answer.
 
 The rules on a derivative order k (and on a whole count such as a number
-of trials), a step delta, a grid step and a window that must hold a grid
-point live in ``ratejump.derivative``; the rule on event counts, for
+of trials or of grid steps per delta), a step delta and a window that must
+hold a grid point live in ``ratejump.derivative``; the rule on event counts, for
 arrays and for the count fields of files, lives in ``ratejump.process``.
 Each test below feeds the same bad value to every entry point that takes
 it and expects a ValueError that names the field, index, day, row or
@@ -47,9 +47,12 @@ DELTA_ENTRIES = {
                                  r"^threshold must"),
 }
 
+# the grid step is delta / steps_per_delta: every entry point that takes the
+# number of steps checks it as a whole count
 GRID_STEP_ENTRIES = {
-    "DetectorConfig": lambda g: DetectorConfig(k=2, delta=0.5, grid_step=g),
-    "derivative_profiles": lambda g: derivative_profiles(EVENTS, [2], 0.5, grid_step=g),
+    "DetectorConfig": lambda m: DetectorConfig(k=2, delta=0.5, steps_per_delta=m),
+    "derivative_profiles": lambda m: derivative_profiles(EVENTS, [2], 0.5, steps_per_delta=m),
+    "argmax_single": lambda m: argmax_single(EVENTS, 2, 0.5, m),
 }
 
 
@@ -71,18 +74,30 @@ def test_delta_rule(entry, bad):
 
 def test_detector_config_stores_the_checked_steps():
     # what float() accepts is stored as the float, so min_sep is a number
-    config = DetectorConfig(k=np.int64(2), delta="0.5", threshold="8e3", grid_step="0.05")
-    assert (config.k, config.delta, config.threshold, config.grid_step) == (2, 0.5, 8e3, 0.05)
+    config = DetectorConfig(k=np.int64(2), delta="0.5", threshold="8e3",
+                            steps_per_delta=np.int64(5))
+    assert (config.k, config.delta, config.threshold, config.steps_per_delta) == (2, 0.5, 8e3, 5)
     assert all(type(v) is t for v, t in zip(
-        (config.k, config.delta, config.threshold, config.grid_step), (int, float, float, float)))
+        (config.k, config.delta, config.threshold, config.steps_per_delta),
+        (int, float, float, int)))
     assert config.min_sep == 2.0
 
 
 @pytest.mark.parametrize("entry", sorted(GRID_STEP_ENTRIES))
-@pytest.mark.parametrize("bad", [0.0, -0.1, 0.6, np.inf, np.nan, True, np.bool_(True)])
+@pytest.mark.parametrize("bad", [0.0, -0.1, 0.6, np.inf, np.nan, True, np.bool_(True),
+                                 0, -1, 2.5, "x"])
 def test_grid_step_rule(entry, bad):
-    with pytest.raises(ValueError, match=r"^grid_step must be in \(0, delta=0.5\]"):
+    with pytest.raises(ValueError, match=r"^steps_per_delta must be (an integer|>= 1), got "):
         GRID_STEP_ENTRIES[entry](bad)
+
+
+@pytest.mark.parametrize("bad", ["0", "-1", "2.5", "True", "x"])
+def test_steps_per_delta_flag_rule(tmp_path, capsys, bad):
+    save_event_times(EVENTS, tmp_path / "events.txt")
+    argv = ["detect", "--events", str(tmp_path / "events.txt"), "--k", "2", "--delta", "0.5",
+            "--steps-per-delta", bad, "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert re.search(r"steps_per_delta must be (an integer|>= 1), got ", capsys.readouterr().err)
 
 
 # k=4, delta=3 on data that end at T = 10: the grid [(k-1)*delta, T - delta]
