@@ -89,10 +89,13 @@ class ChangePointReport:
 
     def __post_init__(self) -> None:
         times = [e.time for e in self.estimates]
-        if any(t2 - t1 <= self.min_sep * (1 - 1e-12) for t1, t2 in zip(times, times[1:])):
-            raise ValueError(
-                f"estimates violate pairwise separation > {self.min_sep}: {times}"
-            )
+        for t1, t2 in zip(times, times[1:]):
+            # exact, as in _packing_indices: a gap of min_sep or less fails
+            if not t2 - t1 > self.min_sep:
+                raise ValueError(
+                    f"estimates at {t1!r} and {t2!r} violate pairwise separation "
+                    f"> min_sep = {self.min_sep!r}"
+                )
         if self.threshold is not None:
             floor = self.threshold / 2.0
             for e in self.estimates:

@@ -106,7 +106,7 @@ class EventTimes:
         if times.size:
             if not np.all(np.isfinite(times)):
                 raise ValueError("event times must all be finite")
-            if np.any(np.diff(times) < 0):
+            if np.any(times[1:] < times[:-1]):
                 raise ValueError("event times must be sorted in non-decreasing order")
             if times[0] < 0.0 or times[-1] > self.horizon:
                 raise ValueError(
@@ -144,9 +144,9 @@ class SampledCounts:
         if times.ndim != 1 or times.shape != self.counts.shape:
             raise ValueError("times and counts must be one-dimensional arrays of one length")
         if not (times.size and times[0] == 0.0 and times[-1] == self.horizon
-                and np.all(np.diff(times) > 0)):
+                and np.all(times[1:] > times[:-1])):
             raise ValueError(f"times must rise strictly from 0 to the horizon, {self.horizon}")
-        if np.any(np.diff(self.counts) < 0):
+        if np.any(self.counts[1:] < self.counts[:-1]):
             raise ValueError("counts must be non-decreasing")
 
     def __len__(self) -> int:

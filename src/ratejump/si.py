@@ -23,10 +23,15 @@ On a tree (a connected graph with n - 1 edges) there is one path to each
 vertex, so its time is its BFS parent's time plus the weight of the edge
 between them.  The simulator then sums the weights down one breadth-first
 order from the source a level at a time, with the same floating-point
-additions Dijkstra would make, so the times are bit-identical.  A level
-costs a few numpy calls, so a tree with more levels than a measured
-cut-off (path-like trees) keeps Dijkstra.  Both read the int32 arc CSR
-and edge list a ``Graph`` builds once, which scipy takes without a copy.
+additions Dijkstra would make, so the times are bit-identical.  The BFS,
+its levels and the permutations that carry weights to BFS ranks and times
+back depend only on the tree and the source, so the graph keeps them for
+the last source asked: the first cascade from a source pays for the BFS,
+and later cascades on the same graph from that source only fold the
+weights.  A level costs a few numpy calls, so a tree with more levels than
+a measured cut-off (path-like trees) keeps Dijkstra, and the graph
+remembers that verdict too.  Both read the int32 arc CSR and edge list a
+``Graph`` builds once, which scipy takes without a copy.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import csv
 import math
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -69,6 +75,10 @@ class Graph:
     indexed by it.  Build one from adjacency lists with ``Graph(adjacency)``
     or from arc arrays with ``Graph.from_arcs``; both validate simplicity
     (no self-loops, no parallel edges), symmetry, and connectivity.
+
+    A graph is not changed after it is built.  ``simulate_si`` keeps on it
+    the tree fold's plan for the last source it was asked about (see
+    ``_fold_plan``); pickling leaves the plan out.
     """
 
     def __init__(self, adjacency, hub: "int | None" = None):
@@ -103,6 +113,7 @@ class Graph:
                 raise ValueError("adjacency is not symmetric")
             del key_fwd  # before the stored arrays are built, to keep peak memory down
         self.hub = hub
+        self._fold_memo = None  # (source, _fold_plan(self, source)) once a tree is folded
         self.indices = dst.astype(np.int32)[np.argsort(src, kind="stable")]
         self.indptr = _row_pointers(src, n)
         tails = np.repeat(np.arange(n, dtype=np.int32), np.diff(self.indptr))
@@ -113,6 +124,10 @@ class Graph:
             n_comp, _ = connected_components(arcs, directed=False)
             if n_comp != 1:
                 raise ValueError(f"graph must be connected; found {n_comp} components")
+
+    def __getstate__(self) -> dict:
+        # the plan is three int32 arrays of n, cheaper to rebuild than to send
+        return {**self.__dict__, "_fold_memo": None}
 
     @property
     def n(self) -> int:
@@ -221,8 +236,10 @@ def _first_passage(graph: Graph, weights: np.ndarray, source: int) -> np.ndarray
     a vertex at distance inf, which raises.
     """
     n = graph.n
-    times = _tree_fold(graph, weights, source) if graph.n_edges == n - 1 else None
-    if times is None:
+    plan = _memo_plan(graph, source) if graph.n_edges == n - 1 else None
+    if plan is not None:
+        times = _tree_fold(plan, weights)
+    else:
         matrix = csr_matrix((weights, graph.edge_v, _row_pointers(graph.edge_u, n)), shape=(n, n))
         times = dijkstra(matrix, directed=False, indices=source)
     unreached = int(np.count_nonzero(np.isinf(times)))
@@ -245,14 +262,43 @@ _FOLD_FREE_LEVELS = 12
 _FOLD_VERTICES_PER_LEVEL = 32
 
 
-def _tree_fold(graph: Graph, weights: np.ndarray, source: int) -> "np.ndarray | None":
-    """First-passage times on a tree, or None when it has too many levels.
+class _FoldPlan(NamedTuple):
+    """What folding a tree from one source needs besides the weights.
 
-    On a tree the only path to a vertex runs through its BFS parent, so its
-    time is t[parent] + w(parent, vertex): the one addition Dijkstra makes
-    when it settles the vertex (a relaxation back from a child never wins,
-    as d + w >= d for w >= 0).  Folding the BFS levels in order therefore
-    gives the same bits as Dijkstra.
+    Each is a read-only int32 array.  ``rank[v]`` is vertex v's place in
+    the BFS order from the source (the source is rank 0), ``parent[r]`` the
+    rank of rank r's BFS parent (the source's is itself), ``edge[r - 1]``
+    the index of the edge from rank r's parent to it, and ``level_ends``
+    the first rank of each level after the source's, then n.  The fold
+    only gathers through them: ``np.take`` reads int32 indices as they
+    are, where a fancy-index scatter would first copy them to intp.
+    """
+
+    rank: np.ndarray
+    parent: np.ndarray
+    edge: np.ndarray
+    level_ends: np.ndarray
+
+
+def _memo_plan(graph: Graph, source: int) -> "_FoldPlan | None":
+    """``_fold_plan(graph, source)``, kept on the graph for the last source
+    asked, None (Dijkstra) included: a cascade bundle or a heatmap trial
+    runs many cascades from one source, and the plan never changes.  The
+    source and its plan sit in one tuple read once, so no caller can pair
+    one source with another's plan."""
+    memo = graph._fold_memo
+    if memo is None or memo[0] != source:
+        memo = graph._fold_memo = (int(source), _fold_plan(graph, source))
+    return memo[1]
+
+
+def _fold_plan(graph: Graph, source: int) -> "_FoldPlan | None":
+    """The BFS tree of a tree from ``source``, or None when it has too many
+    levels to fold.
+
+    Before any BFS, a tree with so few leaves that it must have too many
+    levels is ruled out; otherwise a walk up from the last vertex in BFS
+    order counts the levels and stops at the cut-off.
     """
     n = graph.n
     max_levels = _FOLD_FREE_LEVELS + n // _FOLD_VERTICES_PER_LEVEL
@@ -272,22 +318,41 @@ def _tree_fold(graph: Graph, weights: np.ndarray, source: int) -> "np.ndarray | 
         if levels == max_levels:
             return None
         vertex, levels = parents[vertex], levels + 1
-    # below, everything is indexed by BFS rank
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
     pred[source] = source
     parent = rank[pred[order]]  # non-decreasing: BFS takes parents in order
     u, v = graph.edge_u, graph.edge_v
-    step = np.zeros(n)  # weight of the edge from each vertex's parent
-    step[rank[np.where(pred[v] == u, v, u)]] = weights
-    ranked = np.zeros(n)
-    start = 1
+    edge = np.empty(n - 1, dtype=np.int32)
+    edge[rank[np.where(pred[v] == u, v, u)] - 1] = np.arange(n - 1, dtype=np.int32)
+    # a level is the run of ranks whose parents rank below its first rank
+    level_ends, start = [], 1
     while start < n:
-        # the level starting at rank start: the vertices whose parents rank below it
-        end = int(parent.searchsorted(start))
-        ranked[start:end] = ranked[parent[start:end]] + step[start:end]
+        start = int(parent.searchsorted(start))
+        level_ends.append(start)
+    plan = _FoldPlan(rank, parent, edge, np.asarray(level_ends, dtype=np.int32))
+    for array in plan:
+        array.flags.writeable = False
+    return plan
+
+
+def _tree_fold(plan: _FoldPlan, weights: np.ndarray) -> np.ndarray:
+    """First-passage times on a tree from the source of ``plan``.
+
+    On a tree the only path to a vertex runs through its BFS parent, so its
+    time is t[parent] + w(parent, vertex): the one addition Dijkstra makes
+    when it settles the vertex (a relaxation back from a child never wins,
+    as d + w >= d for w >= 0).  Folding the BFS levels in order therefore
+    gives the same bits as Dijkstra.
+    """
+    parent, edge = plan.parent, plan.edge
+    ranked = np.zeros(parent.size)  # times by BFS rank
+    start = 1
+    for end in plan.level_ends.tolist():
+        np.add(ranked.take(parent[start:end]), weights.take(edge[start - 1:end - 1]),
+               out=ranked[start:end])
         start = end
-    return ranked[rank]
+    return ranked.take(plan.rank)
 
 
 def infection_count_process(trace: CascadeTrace) -> EventTimes:

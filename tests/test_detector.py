@@ -147,6 +147,26 @@ def test_report_invariants_enforced():
         )
 
 
+def test_report_separation_is_exact():
+    # detect packs estimates with gaps > min_sep exactly, and the report
+    # checks the same comparison: no tolerance lets a gap of min_sep through
+    from ratejump.detector import Estimate
+
+    def report(gap):
+        return ChangePointReport(
+            estimates=(Estimate(1.0, 9.0, 9.0), Estimate(1.0 + gap, 8.0, 8.0)),
+            k=2, delta=0.5, steps_per_delta=10, window=(0.5, 9.5), threshold=10.0,
+            min_sep=2.0, n_grid=100, candidate_count=2,
+        )
+
+    for gap in (2.0 * (1 - 1e-13), 2.0):
+        with pytest.raises(ValueError, match=(
+                rf"estimates at 1\.0 and {1.0 + gap!r} violate pairwise separation "
+                r"> min_sep = 2\.0")):
+            report(gap)
+    assert len(report(np.nextafter(2.0, 3.0))) == 2
+
+
 def test_argmax_single_earliest_tie():
     # perfectly regular events: first-order derivative is flat, argmax -> first point
     e = EventTimes(times=np.arange(1, 50) * 0.2, horizon=10.0)

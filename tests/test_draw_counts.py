@@ -209,3 +209,13 @@ def test_a_cell_below_zero_beyond_rounding_is_an_error():
 def test_sampled_counts_validation(times, counts, message):
     with pytest.raises(ValueError, match=message):
         SampledCounts(np.asarray(times, dtype=float), counts, horizon=1.0)
+
+
+def test_sampled_counts_checks_each_pair():
+    times = np.array([0.0, 0.25, np.nextafter(0.25, 1.0), 1.0])
+    N = SampledCounts(times, [0, 3, 3, 7], horizon=1.0)  # ties in the counts are fine
+    assert N.count_at(times).tolist() == [0, 3, 3, 7]
+    with pytest.raises(ValueError, match="rise strictly"):
+        SampledCounts(times[[0, 2, 1, 3]], [0, 3, 3, 7], horizon=1.0)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        SampledCounts(times, [0, 3, 2, 7], horizon=1.0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -41,6 +43,21 @@ def test_event_times_validation():
     EventTimes(times=np.array([1.0, 1.0]), horizon=2.0)
     # empty is fine
     assert len(EventTimes(times=np.array([]), horizon=1.0)) == 0
+
+
+def test_event_times_sortedness_checks_each_pair():
+    times = np.linspace(0.0, 1.0, 1_000_001)
+    times[500_000] = np.nextafter(times[499_999], 0.0)  # one descent by one ulp
+    with pytest.raises(ValueError, match="sorted"):
+        EventTimes(times=times, horizon=1.0)
+    times[500_000] = times[499_999]  # a tie is a simultaneous event
+    tracemalloc.start()
+    try:
+        EventTimes(times=times, horizon=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < times.nbytes / 2  # no float64 temporary the size of the times
 
 
 @given(

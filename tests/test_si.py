@@ -1,5 +1,6 @@
 import heapq
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -427,6 +428,58 @@ def test_deep_tree_keeps_dijkstra(monkeypatch, graph):
     got = _first_passage(graph, weights, 0)
     assert calls == [1]
     assert got.tolist() == reference_times(graph, weights, 0)
+
+
+def count_calls(monkeypatch, name):
+    """Patch si.<name> to record each call in the returned list."""
+    calls = []
+    real = getattr(si, name)
+    monkeypatch.setattr(si, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def test_fold_plan_built_once_per_source(monkeypatch):
+    # the graph keeps the BFS for the last source: a change of source runs
+    # one BFS, a repeat runs none, and every fold keeps the reference's bits
+    graph = build_tree_with_hub(6, 40)
+    bfs = count_calls(monkeypatch, "breadth_first_order")
+    dijkstra_calls = count_calls(monkeypatch, "dijkstra")
+    rng = np.random.default_rng(63)
+    a, b = graph.hub, 2 ** 7 - 2
+    for source, expected_bfs in ((a, 1), (b, 2), (a, 3), (a, 3), (b, 4)):
+        weights = weights_with_zeros(rng, graph.n_edges)
+        got = _first_passage(graph, weights, source)
+        assert got.tolist() == reference_times(graph, weights, source)
+        assert len(bfs) == expected_bfs
+    assert dijkstra_calls == []
+
+
+def test_deep_tree_pays_its_bfs_once(monkeypatch):
+    # the caterpillar of test_deep_tree_keeps_dijkstra: the BFS finds it too
+    # deep once, and the graph remembers that Dijkstra runs from that source
+    graph = tree_from_parents(list(range(999)) + list(range(1000)))
+    bfs = count_calls(monkeypatch, "breadth_first_order")
+    dijkstra_calls = count_calls(monkeypatch, "dijkstra")
+    rng = np.random.default_rng(64)
+    for expected in (1, 2):
+        weights = weights_with_zeros(rng, graph.n_edges)
+        got = _first_passage(graph, weights, 0)
+        assert got.tolist() == reference_times(graph, weights, 0)
+        assert (len(bfs), len(dijkstra_calls)) == (1, expected)
+
+
+def test_pickled_graph_leaves_its_fold_plan_out(monkeypatch):
+    graph = build_tree_with_hub(8, 60)
+    fresh = pickle.dumps(graph)
+    first = simulate_si(graph, graph.hub, SimSeed(5, 0))
+    used = pickle.dumps(graph)
+    assert len(used) == len(fresh)
+    copy = pickle.loads(used)
+    bfs = count_calls(monkeypatch, "breadth_first_order")
+    again = [simulate_si(copy, graph.hub, SimSeed(5, i)).times for i in range(2)]
+    assert len(bfs) == 1  # the copy builds its own plan, once
+    assert np.array_equal(again[0], first.times)
+    assert np.array_equal(again[1], simulate_si(graph, graph.hub, SimSeed(5, 1)).times)
 
 
 def test_first_passage_zero_weight_bridges():
