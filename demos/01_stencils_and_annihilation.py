@@ -40,8 +40,8 @@ for order in (1, 2, 4, 8):
 print()
 print("the first monomial that survives: x^k under the order-k stencil")
 for order in (2, 3, 4):
-    value = discrete_derivative(lambda t, o=order: np.asarray(t) ** o, order, delta,
-                                t=5.0, horizon=100.0)
+    stencil = DerivativeStencil.of_order(order, delta)
+    value = float(np.dot(stencil.coefficients, (5.0 + stencil.offsets()) ** order))
     expected = math.factorial(order) * delta ** order
     print(f"  k={order}: stencil(x^{order}) = {value:.6f}, k! * delta^k = {expected:.6f}")
 

@@ -12,6 +12,10 @@ the stencil returns exactly zero, which is what makes high orders blind
 to smooth trends while a rate jump of size A still shows up at scale
 A * delta.
 
+N is an object with a vectorized ``count_at(t)`` and a ``horizon`` T, the
+end of the observed data (EventTimes, SampledCounts, BinnedCounting); it
+is read on [0, T] only.
+
 A profile evaluates the stencil on a grid of step delta/m, for a whole
 number m of steps per delta (default 10).  Every stencil point of every
 grid time then lies on one lattice b + p*delta/m, and with
@@ -90,40 +94,28 @@ class DerivativeStencil:
         return (np.arange(self.order + 1) - self.order + 1) * self.delta
 
 
-def _as_counting(N, horizon):
-    """Normalize N to (vectorized callable, horizon).
-
-    Accepts anything with a ``count_at`` method (EventTimes, BinnedCounting)
-    or a plain callable.  An N with a ``horizon`` of its own is read up to
-    it; ``horizon`` may only shorten that, since past it N is not data.  A
-    plain callable has no horizon of its own, so ``horizon`` supplies it;
-    without one the upper window bound is not enforced.
-    """
-    if hasattr(N, "count_at"):
-        fn = N.count_at
-        own = getattr(N, "horizon", None)
-        if horizon is None:
-            horizon = own
-        elif own is not None and float(horizon) > own:
-            raise ValueError(f"horizon = {horizon} lies beyond the horizon of N, {own}")
-    elif callable(N):
-        fn = N
-    else:
+def _as_counting(N):
+    """(N.count_at, its horizon T), or a TypeError naming N's type."""
+    try:
+        return N.count_at, float(N.horizon)
+    except AttributeError:
         raise TypeError(
-            f"N must expose count_at(t) or be callable, got {type(N).__name__}"
-        )
-    return fn, (math.inf if horizon is None else float(horizon))
+            f"N must expose count_at(t) and a horizon, got {type(N).__name__}"
+        ) from None
 
 
-def discrete_derivative(N, order: int, delta: float, t: float, horizon=None) -> float:
+def discrete_derivative(N, order: int, delta: float, t: float) -> float:
     """Evaluate the order-``order`` discrete derivative of N at time t.
 
     The stencil touches [t - (order-1)*delta, t + delta], which must lie
-    inside [0, horizon].  The result is an exact integer whenever N is
-    integer-valued (float64 is exact for counts below 2**53).
+    inside [0, T], T the horizon of N.  Each bound is checked with a slack
+    of 1e-12 relative to max(1, |bound|), since (order-1)*delta and
+    t + delta are float results: a t that a grid reaches by rounding passes,
+    and one beyond the slack raises.  The result is an exact integer
+    whenever N is integer-valued (float64 is exact for counts below 2**53).
     """
     stencil = DerivativeStencil.of_order(order, delta)
-    fn, T = _as_counting(N, horizon)
+    fn, T = _as_counting(N)
     t = float(t)
     lo = (order - 1) * delta
     if t < lo - 1e-12 * max(1.0, abs(lo)):
@@ -175,17 +167,12 @@ def _nonempty(profile: DerivativeProfile) -> DerivativeProfile:
     return profile
 
 
-def derivative_profile(
-    N,
-    order: int,
-    delta: float,
-    steps_per_delta: int = STEPS_PER_DELTA,
-    window: "tuple | None" = None,
-    horizon=None,
-) -> DerivativeProfile:
-    """The order-``order`` profile of ``derivative_profiles``; a window that
-    holds no grid point is a ValueError naming it, k and delta."""
-    return _nonempty(derivative_profiles(N, [order], delta, steps_per_delta, window, horizon)[0])
+def derivative_profile(N, order: int, delta: float,
+                       steps_per_delta: int = STEPS_PER_DELTA) -> DerivativeProfile:
+    """The order-``order`` profile of ``derivative_profiles`` over all of
+    [0, T]; a profile with no grid point is a ValueError naming its window,
+    k and delta."""
+    return _nonempty(derivative_profiles(N, [order], delta, steps_per_delta)[0])
 
 
 def derivative_profiles(
@@ -194,28 +181,23 @@ def derivative_profiles(
     delta: float,
     steps_per_delta: int = STEPS_PER_DELTA,
     window: "tuple | None" = None,
-    horizon=None,
 ) -> list:
     """Evaluate the discrete derivative of each order on a grid of step
     delta / ``steps_per_delta``, a whole number (default 10).
 
     Returns one profile per entry of ``orders``.  Each grid starts at the
     requested ``window``'s lower end (default: everything) clipped to that
-    order's valid range [(order-1)*delta, horizon - delta], and holds every
-    grid time up to the clipped upper end, none past it.  A window that
-    clips to nothing yields an empty profile, so that one order's empty
-    window does not cost the others theirs; its ``argmax`` raises the
-    ValueError that ``derivative_profile`` raises at once.  ``horizon`` is
-    for a plain callable N, which has none of its own; beyond the horizon
-    of an N that has one it is an error.
+    order's valid range [(order-1)*delta, T - delta], T the horizon of N,
+    and holds every grid time up to the clipped upper end, none past it.
+    A window that clips to nothing yields an empty profile, so that one
+    order's empty window does not cost the others theirs; its ``argmax``
+    raises the ValueError that ``derivative_profile`` raises at once.
     """
     orders = [_check_order(order) for order in orders]
     delta = _check_delta(delta)
     lag = _check_order(steps_per_delta, "steps_per_delta", limit=math.inf)
     step = delta / lag
-    fn, T = _as_counting(N, horizon)
-    if not math.isfinite(T):
-        raise ValueError("horizon is required to build a profile (none known for this N)")
+    fn, T = _as_counting(N)
     w_lo, w_hi = (-math.inf, math.inf) if window is None else (float(window[0]), float(window[1]))
     if not w_lo <= w_hi:  # NaN fails too
         raise ValueError(f"window must satisfy lo <= hi, got {window}")

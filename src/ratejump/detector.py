@@ -99,7 +99,8 @@ class ChangePointReport:
         if self.threshold is not None:
             floor = self.threshold / 2.0
             for e in self.estimates:
-                if e.score < floor * (1 - 1e-12):
+                # exact, as in _candidates: a score below threshold/2 fails
+                if not e.score >= floor:
                     raise ValueError(
                         f"estimate score {e.score} below threshold/2 = {floor}"
                     )
@@ -193,9 +194,10 @@ def detect(N, config: DetectorConfig) -> ChangePointReport:
     )
 
 
-def argmax_single(N, k: int, delta: float, steps_per_delta: int = STEPS_PER_DELTA) -> float:
-    """Time of the largest |order-k derivative| on the grid (earliest on ties)."""
-    profile = derivative_profile(N, k, delta, steps_per_delta)
+def argmax_single(N, k: int, delta: float) -> float:
+    """Time of the largest |order-k derivative| on the default grid (earliest
+    on ties); ``detect`` with no threshold takes another grid step."""
+    profile = derivative_profile(N, k, delta)
     return float(profile.times[profile.argmax()])
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import types
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -266,8 +267,9 @@ def _read_grid(k_grid: tuple, delta_grid: tuple, horizon: float, window) -> np.n
         read.append(np.ravel(t))
         return np.zeros(np.shape(t))
 
+    recording = types.SimpleNamespace(count_at=record, horizon=horizon)
     for delta in delta_grid:
-        derivative_profiles(record, k_grid, delta, horizon=horizon, window=window)
+        derivative_profiles(recording, k_grid, delta, window=window)
     grid = np.unique(np.concatenate(read))
     grid.setflags(write=False)
     return grid

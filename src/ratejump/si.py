@@ -75,18 +75,20 @@ class Graph:
     indexed by it.  Build one from adjacency lists with ``Graph(adjacency)``
     or from arc arrays with ``Graph.from_arcs``; both validate simplicity
     (no self-loops, no parallel edges), symmetry, and connectivity.
+    ``hub`` is the planted hub ``from_arcs`` was given
+    (``build_tree_with_hub``), else None.
 
     A graph is not changed after it is built.  ``simulate_si`` keeps on it
     the tree fold's plan for the last source it was asked about (see
     ``_fold_plan``); pickling leaves the plan out.
     """
 
-    def __init__(self, adjacency, hub: "int | None" = None):
+    def __init__(self, adjacency):
         n = len(adjacency)
         lengths = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
         src = np.repeat(np.arange(n, dtype=np.int64), lengths)
         dst = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64, count=src.size)
-        self._set_arcs(n, src, dst, hub)
+        self._set_arcs(n, src, dst, None)
 
     @classmethod
     def from_arcs(cls, n: int, src, dst, hub: "int | None" = None) -> "Graph":
@@ -206,21 +208,19 @@ def build_tree_with_hub(height: int, extra_leaves: int) -> Graph:
     )
 
 
-def simulate_si(graph: Graph, source: int, seed, rate: float = 1.0) -> CascadeTrace:
+def simulate_si(graph: Graph, source: int, seed) -> CascadeTrace:
     """Run one SI cascade from ``source`` until every vertex is infected.
 
     ``seed`` may be an integer, a SimSeed, or a numpy Generator; equal
-    seeds give identical traces.  Edge clocks are Exponential(rate).
+    seeds give identical traces.  Edge clocks are Exponential(1).
     """
     n = graph.n
     if isinstance(source, (bool, np.bool_)) or not isinstance(source, (int, np.integer)):
         raise ValueError(f"source must be an integer vertex id, got {source!r}")
     if not (0 <= source < n):
         raise ValueError(f"source {source} out of range for {n} vertices")
-    if not (rate > 0 and np.isfinite(rate)):
-        raise ValueError(f"rate must be positive and finite, got {rate}")
     rng = seed if isinstance(seed, np.random.Generator) else generator(seed)
-    weights = rng.exponential(1.0 / float(rate), graph.n_edges)
+    weights = rng.exponential(1.0, graph.n_edges)
     return CascadeTrace(times=_first_passage(graph, weights, source), source=source)
 
 
@@ -328,7 +328,8 @@ def _fold_plan(graph: Graph, source: int) -> "_FoldPlan | None":
     # a level is the run of ranks whose parents rank below its first rank
     level_ends, start = [], 1
     while start < n:
-        start = int(parent.searchsorted(start))
+        # an int32 key: a Python int would make numpy cast all of parent
+        start = int(parent.searchsorted(np.int32(start)))
         level_ends.append(start)
     plan = _FoldPlan(rank, parent, edge, np.asarray(level_ends, dtype=np.int32))
     for array in plan:

@@ -1,5 +1,6 @@
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -140,14 +141,17 @@ def test_profile_matches_pointwise():
 
 def test_profile_window_clipping_and_empty():
     e = EventTimes(times=np.array([1.0, 2.0]), horizon=3.0)
-    prof = derivative_profile(e, 2, 1.0, steps_per_delta=2, window=(0.0, 10.0))
+    prof, = derivative_profiles(e, [2], 1.0, steps_per_delta=2, window=(0.0, 10.0))
     assert prof.window == (1.0, 2.0)
     assert len(prof) == 3
 
+    short = EventTimes(times=np.array([1.0]), horizon=2.0)
+    with pytest.raises(ValueError, match=(
+            r"^no valid grid points: window \(1\.25, 0\.75\) is empty for k=2, delta=1\.25$")):
+        derivative_profile(short, 2, 1.25, steps_per_delta=3)
+    # among several orders an empty one is kept, and its argmax raises the
+    # error derivative_profile raises at once
     message = r"^no valid grid points: window \(1\.4, 0\.5\) is empty for k=2, delta=1\.4$"
-    with pytest.raises(ValueError, match=message):
-        derivative_profile(e, 2, 1.4, steps_per_delta=3, window=(0.0, 0.5))
-    # among several orders an empty one is kept, and its argmax raises the same error
     first, empty = derivative_profiles(e, [1, 2], 1.4, steps_per_delta=3, window=(0.0, 0.5))
     assert len(first) == 2 and len(empty) == 0
     with pytest.raises(ValueError, match=message):
@@ -161,6 +165,17 @@ def test_profile_grid_step_validation():
         derivative_profile(e, 1, 0.5, steps_per_delta=0.7)
 
 
+def profile_alone(N, order, delta, steps_per_delta, window):
+    """One order's profile on its own: ``derivative_profile`` with no
+    window, else the one profile of ``derivative_profiles``, whose argmax
+    raises for an empty window as ``derivative_profile`` does."""
+    if window is None:
+        return derivative_profile(N, order, delta, steps_per_delta)
+    profile, = derivative_profiles(N, [order], delta, steps_per_delta, window=window)
+    profile.argmax()
+    return profile
+
+
 def assert_profiles_match_pointwise(N, orders, delta, steps_per_delta, window):
     profiles = derivative_profiles(N, orders, delta, steps_per_delta, window=window)
     assert [p.order for p in profiles] == orders
@@ -168,9 +183,9 @@ def assert_profiles_match_pointwise(N, orders, delta, steps_per_delta, window):
         if len(p) == 0:
             message = f"no valid grid points: window {p.window} is empty for k={p.order}, delta={p.delta}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                derivative_profile(N, p.order, delta, steps_per_delta, window=window)
+                profile_alone(N, p.order, delta, steps_per_delta, window)
             continue
-        single = derivative_profile(N, p.order, delta, steps_per_delta, window=window)
+        single = profile_alone(N, p.order, delta, steps_per_delta, window)
         assert np.array_equal(p.times, single.times)
         assert p.window == single.window
         reference = [discrete_derivative(N, p.order, delta, t) for t in p.times.tolist()]
@@ -215,23 +230,24 @@ def test_profiles_sample_once_per_lattice_origin():
     e = EventTimes(times=np.sort(rng.uniform(0, 20, 400)), horizon=20.0)
     calls = []
 
-    def N(t):
+    def count_at(t):
         calls.append(np.shape(t))
         return e.count_at(t)
 
+    N = SimpleNamespace(count_at=count_at, horizon=e.horizon)
     orders = [1, 2, 3, 4, 5, 6]
     for window, samplings in ((None, 1), ((5.0, 15.0), 1), ((0.5, 15.0), 2)):
         calls.clear()
-        derivative_profiles(N, orders, 0.3, window=window, horizon=20.0)
+        derivative_profiles(N, orders, 0.3, window=window)
         assert len(calls) == samplings  # (0.5, 15) clips orders 1-2 only
 
 
-def recording(reads):
-    """A plain callable N = 0 that keeps every time it is read at."""
-    def N(t):
+def recording(reads, horizon):
+    """N = 0 on [0, horizon], keeping every time it is read at."""
+    def count_at(t):
         reads.append(np.ravel(t))
         return np.zeros(np.shape(t))
-    return N
+    return SimpleNamespace(count_at=count_at, horizon=horizon)
 
 
 @given(
@@ -250,8 +266,7 @@ def test_every_grid_is_all_of_its_window_and_reads_only_the_horizon(
         orders, delta, m, horizon, window):
     for w in (None, tuple(sorted(window))):
         reads = [np.zeros(0)]
-        profiles = derivative_profiles(recording(reads), orders, delta, m, window=w,
-                                       horizon=horizon)
+        profiles = derivative_profiles(recording(reads, horizon), orders, delta, m, window=w)
         for p in profiles:
             lo, hi = p.window
             assert np.array_equal(p.times, lo + np.arange(len(p)) * (delta / m))
@@ -269,18 +284,48 @@ def test_a_window_must_be_ordered(window):
 
 
 def test_horizon_beyond_the_horizon_of_N_is_an_error():
+    # N is read up to its own horizon and no further: there is no override
     e = EventTimes(times=np.array([1.0, 2.0]), horizon=3.0)
     binned = BinnedCounting(BinnedSeries(bin_width=1.0, counts=np.array([1, 1, 0])))
     for N in (e, binned):
-        with pytest.raises(ValueError, match=r"horizon = 5.0 lies beyond the horizon of N, 3.0"):
-            derivative_profile(N, 2, 0.5, horizon=5.0)
-        with pytest.raises(ValueError, match="beyond the horizon of N"):
-            discrete_derivative(N, 2, 0.5, 2.0, horizon=5.0)
-        # a horizon within N's own only shortens the grid
-        assert derivative_profile(N, 2, 0.5, horizon=2.0).window[1] == 1.5
+        with pytest.raises(ValueError, match=r"violates t \+ delta <= horizon = 3\.0"):
+            discrete_derivative(N, 2, 0.5, 2.6)
+        assert derivative_profile(N, 2, 0.5).window == (0.5, 2.5)
 
 
 def test_callable_counting_function():
     # smooth quadratic "counting" function: order 3 annihilates it
-    f = lambda t: np.asarray(t) ** 2
-    assert discrete_derivative(f, 3, 0.5, 4.0, horizon=100.0) == pytest.approx(0.0, abs=1e-9)
+    f = SimpleNamespace(count_at=lambda t: np.asarray(t) ** 2, horizon=100.0)
+    assert discrete_derivative(f, 3, 0.5, 4.0) == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("N, name", [
+    (lambda t: np.asarray(t) ** 2, "function"),
+    (SimpleNamespace(count_at=lambda t: np.zeros(np.shape(t))), "SimpleNamespace"),
+    (np.arange(10.0), "ndarray"),
+])
+def test_n_without_count_at_and_a_horizon_is_a_type_error(N, name):
+    # N carries its own horizon: a plain callable has none, so it is refused
+    message = rf"^N must expose count_at\(t\) and a horizon, got {name}$"
+    for read in (lambda: discrete_derivative(N, 2, 0.5, 2.0),
+                 lambda: derivative_profile(N, 2, 0.5),
+                 lambda: derivative_profiles(N, [1, 2], 0.5, window=(1.0, 2.0))):
+        with pytest.raises(TypeError, match=message):
+            read()
+
+
+@pytest.mark.parametrize("scale", [1.0, 100.0])
+def test_stencil_window_bounds_have_a_relative_slack_of_1e_12(scale):
+    # (order-1)*delta and t + delta are float results, so each bound gives
+    # 1e-12 of max(1, |bound|): a t inside that passes, one past it raises
+    e = EventTimes(times=np.array([0.7, 9.7]) * scale, horizon=10 * scale)
+    order, delta = 3, 0.5 * scale
+    lo, hi = (order - 1) * delta, e.horizon - delta
+    lo_slack, hi_slack = 1e-12 * max(1.0, lo), 1e-12 * max(1.0, e.horizon)
+    # N at the stencil points is 0, 0, 1, 1 at lo and 1, 1, 1, 2 at hi
+    assert discrete_derivative(e, order, delta, lo - lo_slack / 2) == -2.0
+    assert discrete_derivative(e, order, delta, hi + hi_slack / 2) == 1.0
+    with pytest.raises(ValueError, match=r"violates t >= \(order-1\)\*delta"):
+        discrete_derivative(e, order, delta, lo - 2 * lo_slack)
+    with pytest.raises(ValueError, match=r"violates t \+ delta <= horizon"):
+        discrete_derivative(e, order, delta, hi + 2 * hi_slack)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ratejump.derivative import derivative_profile
+from ratejump.derivative import derivative_profiles
 from ratejump.detector import (
     ChangePointReport,
     DetectorConfig,
@@ -167,11 +167,27 @@ def test_report_separation_is_exact():
     assert len(report(np.nextafter(2.0, 3.0))) == 2
 
 
+def test_report_score_floor_is_exact():
+    # detect keeps scores >= threshold/2 exactly, and the report checks the
+    # same comparison: no tolerance lets a score below the floor through
+    from ratejump.detector import Estimate
+
+    def report(score):
+        return ChangePointReport(
+            estimates=(Estimate(1.0, score, score),),
+            k=2, delta=0.5, steps_per_delta=10, window=(0.5, 9.5), threshold=10.0,
+            min_sep=2.0, n_grid=100, candidate_count=1,
+        )
+
+    with pytest.raises(ValueError, match=r"^estimate score 4\.9999999999995 below threshold/2 = 5\.0$"):
+        report(4.9999999999995)
+    assert len(report(5.0)) == 1
+
+
 def test_argmax_single_earliest_tie():
-    # perfectly regular events: first-order derivative is flat, argmax -> first point
+    # perfectly regular events: the largest first-order value, 5, recurs, argmax -> first point
     e = EventTimes(times=np.arange(1, 50) * 0.2, horizon=10.0)
-    t = argmax_single(e, 1, 1.0, steps_per_delta=2)
-    assert t == 0.0
+    assert argmax_single(e, 1, 1.0) == 0.0
 
 
 def test_argmax_single_empty_window_raises():
@@ -189,9 +205,9 @@ def test_argmax_shift_equivariant(times, shift):
     base = np.sort(np.asarray(times))
     e1 = EventTimes(times=base, horizon=20.0)
     e2 = EventTimes(times=base + shift, horizon=20.0 + shift)
-    t1 = argmax_single(e1, 2, 0.5, steps_per_delta=2)
-    p2 = derivative_profile(e2, 2, 0.5, steps_per_delta=2,
-                            window=(t1 + shift - 0.01, t1 + shift + 0.01))
+    t1, = detect(e1, DetectorConfig(k=2, delta=0.5, steps_per_delta=2)).times
+    p2, = derivative_profiles(e2, [2], 0.5, steps_per_delta=2,
+                              window=(t1 + shift - 0.01, t1 + shift + 0.01))
     t2 = p2.times[p2.argmax()]
     assert t2 == pytest.approx(t1 + shift, abs=0.26)
 

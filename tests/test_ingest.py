@@ -198,7 +198,7 @@ def test_analyze_matches_derivative_exactly():
         analysis = analyze_binned(counts, k=k, delta_days=dd)
         N = from_binned(BinnedSeries(bin_width=1.0, counts=counts))
         for t, v in analysis.profile.pairs():
-            ref = discrete_derivative(N, k, float(dd), t, horizon=40.0)
+            ref = discrete_derivative(N, k, float(dd), t)
             assert v == ref
             assert float(v).is_integer()
 

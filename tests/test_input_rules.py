@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from ratejump.cli import main
-from ratejump.derivative import DerivativeStencil, derivative_profiles
+from ratejump.derivative import DerivativeStencil, derivative_profile, derivative_profiles
 from ratejump.detector import DetectorConfig, argmax_single, detect
 from ratejump.harness import (ExperimentSpec, RampScenario, false_alarm_study, get_preset,
                               heatmap_spec_from_preset, run_heatmap)
@@ -52,7 +52,7 @@ DELTA_ENTRIES = {
 GRID_STEP_ENTRIES = {
     "DetectorConfig": lambda m: DetectorConfig(k=2, delta=0.5, steps_per_delta=m),
     "derivative_profiles": lambda m: derivative_profiles(EVENTS, [2], 0.5, steps_per_delta=m),
-    "argmax_single": lambda m: argmax_single(EVENTS, 2, 0.5, m),
+    "derivative_profile": lambda m: derivative_profile(EVENTS, 2, 0.5, m),
 }
 
 

@@ -1,12 +1,17 @@
-"""Every public name has a caller outside the tests.
+"""Every public name, and every option of one, has a caller outside the tests.
 
 Each name in ``ratejump.__all__`` must be read somewhere in ``src/ratejump``,
 ``demos`` or ``bench`` other than inside its own definition, or be listed in
 ``ALLOWED`` with the reason it stays public without such a caller.  A name
-that only the tests use is a name to delete, not to export.
+that only the tests use is a name to delete, not to export.  Likewise each
+defaulted parameter of an exported callable outside ``ALLOWED`` must be
+passed, by keyword or by position, by some call there: an option that only
+the tests set is an option to delete.
 """
 
 import ast
+import inspect
+import math
 import pathlib
 
 import ratejump
@@ -53,11 +58,17 @@ class _Reads(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _names_read() -> set:
-    reads = _Reads()
+def _modules():
+    """The parsed source of every module in ``SOURCES``."""
     for top in SOURCES:
         for path in sorted((ROOT / top).rglob("*.py")):
-            reads.visit(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+            yield ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _names_read() -> set:
+    reads = _Reads()
+    for module in _modules():
+        reads.visit(module)
     return reads.names
 
 
@@ -71,3 +82,40 @@ def test_every_allowed_name_is_still_public_and_uncalled():
     read = _names_read()
     stale = sorted(name for name in ALLOWED if name not in ratejump.__all__ or name in read)
     assert not stale, f"allowlist entries that are gone or now have a caller: {stale}"
+
+
+def _func_name(func):
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _arguments_passed() -> dict:
+    """Callee name -> (most positional arguments in a call, keywords passed),
+    over every call in the sources; a ``*args`` reaches every position and a
+    ``**kwargs`` every keyword."""
+    passed = {}
+    calls = (node for module in _modules() for node in ast.walk(module)
+             if isinstance(node, ast.Call))
+    for call in calls:
+        name = _func_name(call.func)
+        positions, keywords = passed.get(name, (0, set()))
+        starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+        passed[name] = (max(positions, math.inf if starred else len(call.args)),
+                        keywords | {kw.arg or "**" for kw in call.keywords})
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    passed = _arguments_passed()
+    unpassed = []
+    for name in sorted(set(ratejump.__all__) - set(ALLOWED)):
+        obj = getattr(ratejump, name)
+        if not callable(obj):
+            continue
+        positions, keywords = passed.get(name, (0, set()))
+        for index, param in enumerate(inspect.signature(obj).parameters.values()):
+            if param.default is param.empty or "**" in keywords:
+                continue
+            by_position = param.kind is not param.KEYWORD_ONLY and index < positions
+            if not (by_position or param.name in keywords):
+                unpassed.append(f"{name}({param.name})")
+    assert not unpassed, f"defaulted parameters no call outside the tests passes: {unpassed}"

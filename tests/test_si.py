@@ -126,7 +126,7 @@ def test_build_tree_benchmark_shape():
 
 
 def loop_built_tree(height, extra_leaves):
-    """The tree built with Python lists, vertex by vertex."""
+    """The tree built with Python lists, vertex by vertex, and its hub."""
     n_tree = 2 ** (height + 1) - 1
     hub = 2 ** (height - 1) - 1
     adjacency = [[] for _ in range(n_tree + extra_leaves)]
@@ -139,14 +139,14 @@ def loop_built_tree(height, extra_leaves):
     for leaf in range(n_tree, n_tree + extra_leaves):
         adjacency[leaf].append(hub)
         adjacency[hub].append(leaf)
-    return Graph(adjacency, hub=hub)
+    return Graph(adjacency), hub
 
 
 @pytest.mark.parametrize("height,extra_leaves", [(1, 0), (1, 3), (2, 5), (5, 0), (7, 60)])
 def test_build_tree_matches_loop_build(height, extra_leaves):
     g = build_tree_with_hub(height, extra_leaves)
-    ref = loop_built_tree(height, extra_leaves)
-    assert g.hub == ref.hub
+    ref, hub = loop_built_tree(height, extra_leaves)
+    assert g.hub == hub
     assert g.n == ref.n
     assert sorted(g.edges()) == sorted(ref.edges())
 
@@ -211,20 +211,15 @@ def test_simulate_validation():
     g = triangle()
     with pytest.raises(ValueError, match="source"):
         simulate_si(g, 5, 0)
-    with pytest.raises(ValueError, match="rate"):
-        simulate_si(g, 0, 0, rate=0.0)
     # numpy integers are vertex ids like ints
     assert simulate_si(g, np.int64(1), 0).source == 1
 
 
 @pytest.mark.parametrize("field,kwargs", [
-    ("rate", {"rate": math.inf}),
-    ("rate", {"rate": math.nan}),
-    ("rate", {"rate": -math.inf}),
     ("source", {"source": 1.5}),
     ("source", {"source": True}),
     ("source", {"source": np.bool_(False)}),
-], ids=["rate-inf", "rate-nan", "rate-minus-inf", "source-float", "source-bool", "source-numpy-bool"])
+], ids=["source-float", "source-bool", "source-numpy-bool"])
 def test_simulate_rejects_bad_field(field, kwargs):
     args = {"graph": triangle(), "source": 0, "seed": 0, **kwargs}
     with pytest.raises(ValueError, match=field):
