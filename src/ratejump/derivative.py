@@ -95,13 +95,17 @@ class DerivativeStencil:
 
 
 def _as_counting(N):
-    """(N.count_at, its horizon T), or a TypeError naming N's type."""
+    """(N.count_at, its horizon T); a TypeError names N's type when it lacks
+    either, and a ValueError names a T that is not finite and non-negative."""
     try:
-        return N.count_at, float(N.horizon)
+        fn, T = N.count_at, float(N.horizon)
     except AttributeError:
         raise TypeError(
             f"N must expose count_at(t) and a horizon, got {type(N).__name__}"
         ) from None
+    if not (math.isfinite(T) and T >= 0):
+        raise ValueError(f"the horizon of N must be finite and non-negative, got {T}")
+    return fn, T
 
 
 def discrete_derivative(N, order: int, delta: float, t: float) -> float:

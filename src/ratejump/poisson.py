@@ -22,7 +22,10 @@ Thinning (Lewis & Shedler, 1979).  On a piece [c, d) with envelope
 M >= sup Lambda, draw Poisson(M*(d - c)) uniform candidates, accept the one
 at t when a Uniform(0, M) draw is below Lambda(t), and sort only the
 accepted ones.  The result is exact in law for any such M; a tighter M only
-wastes fewer candidates.
+wastes fewer candidates.  The draw order is: every piece's candidate count
+first, in one vectorised Poisson draw over the pieces' envelope masses
+M*(d - c) (independent Poissons, as the law needs), then each piece's
+candidate positions and acceptance uniforms, piece by piece in order.
 
 Exact extrema.  Each shape reports its exact minimum and maximum on a
 window in one call, ``bounds(u0, u1) -> (min, max)``: a sinusoid is
@@ -46,11 +49,17 @@ been examined, raises a ValueError naming that window.  Inside thinning a
 candidate with Lambda(t) < -_SLACK * M raises RuntimeError; nothing is
 clamped to zero.
 
-Output.  The pieces are disjoint and ascending, so concatenating their
-sorted accepted times gives the sorted realization and no dedupe pass is
-needed.  Two event times coincide only through floating-point rounding of
-continuous draws; such a tie is kept (``EventTimes`` allows ties), because
-dropping it would lose an event.
+Output.  The candidate counts sum to the most events the realization can
+have, so one output array of that size is allocated before any candidate
+is drawn.  Each piece sorts its accepted times into the next free slice of
+it, and the realization is the filled front of that array: no per-piece
+list, no concatenation and no second copy.  The event times are a view of
+it, so its slots past the front, one per rejected candidate, stay
+allocated as long as the events do.  The pieces are disjoint and
+ascending, so the front is sorted and no dedupe pass is needed.  Two event
+times coincide only through floating-point rounding of continuous draws;
+such a tie is kept (``EventTimes`` allows ties), because dropping it would
+lose an event.
 
 Counts at given times.  A caller that reads N only at known times (the
 heatmap harness: the lattice its profiles read) needs no event times.
@@ -118,6 +127,13 @@ def _require_finite(shape: str, field: str, value: float) -> None:
         raise ValueError(f"{shape} {field} must be finite, got {value}")
 
 
+def _product(u, factor) -> np.ndarray:
+    """factor * u in a new float64 array (0-d for a scalar u), which a
+    shape's ``value`` then finishes in place."""
+    u = np.asarray(u, dtype=np.float64)
+    return np.multiply(u, factor, out=np.empty_like(u))
+
+
 @dataclass(frozen=True)
 class Constant:
     """x(u) = 1; the amplitude carries all the scale."""
@@ -147,8 +163,11 @@ class Sinusoid:
             _require_finite("sinusoid", field, getattr(self, field))
 
     def value(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        return self.offset + np.sin(self.omega * u + self.phase)
+        out = _product(u, self.omega)
+        out += self.phase
+        np.sin(out, out=out)
+        out += self.offset
+        return out if out.ndim else out[()]
 
     def bounds(self, u0: float, u1: float) -> tuple:
         """offset - 1 (offset + 1) if sin reaches -1 (+1) on the window, else
@@ -190,7 +209,9 @@ class ExpDecay:
             raise ValueError(f"expdecay rate must be positive and finite, got {self.rate}")
 
     def value(self, u):
-        return np.exp(-self.rate * np.asarray(u, dtype=np.float64))
+        out = _product(u, -self.rate)
+        np.exp(out, out=out)
+        return out if out.ndim else out[()]
 
     def bounds(self, u0: float, u1: float) -> tuple:
         return math.exp(-self.rate * u1), math.exp(-self.rate * u0)
@@ -388,16 +409,24 @@ def _pieces(spec: RateSpec, horizon: float) -> list:
     return pieces
 
 
-def _thinned_piece(on: list, lo: float, hi: float, envelope: float, rng) -> np.ndarray:
-    """Accepted event times in [lo, hi), sorted; ``on`` are the components
-    that are on throughout the piece and ``envelope`` bounds their sum."""
-    n = rng.poisson(envelope * (hi - lo))
-    if n == 0:
-        return np.empty(0)
+def _scaled_value(comp: JumpComponent, u: np.ndarray) -> np.ndarray:
+    """A * x(u - t0) at candidates u past the onset t0, in the new array
+    the shape's ``value`` returns."""
+    x = comp.shape.value(u - comp.onset if comp.onset else u)
+    x *= comp.amplitude
+    return x
+
+
+def _thinned_piece(on: list, lo: float, hi: float, envelope: float, n: int, rng,
+                   out: np.ndarray) -> int:
+    """Thin ``n`` candidates on [lo, hi) and write the accepted event times,
+    sorted, to the start of ``out``; return how many were accepted.  ``on``
+    are the components that are on throughout the piece and ``envelope``
+    bounds their sum."""
     u = rng.uniform(lo, hi, size=n)
-    lam = np.zeros(n)
-    for comp in on:
-        lam += comp.amplitude * comp.shape.value(u - comp.onset)
+    lam = _scaled_value(on[0], u)
+    for comp in on[1:]:
+        lam += _scaled_value(comp, u)
     i = int(np.argmax(lam))
     if lam[i] > envelope:
         raise RuntimeError(
@@ -411,22 +440,33 @@ def _thinned_piece(on: list, lo: float, hi: float, envelope: float, rng) -> np.n
             f"on window [{lo}, {hi}), which was certified non-negative"
         )
     accept = rng.uniform(0.0, envelope, size=n) < lam
-    return np.sort(u[accept])
+    accepted = out[:np.count_nonzero(accept)]
+    np.compress(accept, u, out=accepted)
+    accepted.sort()
+    return accepted.size
 
 
 def simulate(spec: RateSpec, horizon: float, seed) -> EventTimes:
     """Draw one realization of the process on [0, horizon].
 
     ``seed`` may be an integer, a SimSeed, or a numpy Generator.  Equal
-    (seed, stream) inputs give bit-identical output.
+    (seed, stream) inputs give bit-identical output.  Every piece's
+    candidate count is drawn before any candidate (see the module
+    docstring), so a seed gives a different realization than it did in
+    versions that drew each count just before its piece's candidates; the
+    law is the same.
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     pieces = _pieces(spec, horizon)
     rng = seed if isinstance(seed, np.random.Generator) else generator(seed)
-    chunks = [np.empty(0)] + [_thinned_piece(on, lo, hi, envelope, rng)
-                              for lo, hi, on, envelope in pieces]
-    return EventTimes(times=np.concatenate(chunks), horizon=float(horizon))
+    counts = rng.poisson([envelope * (hi - lo) for lo, hi, _, envelope in pieces]).tolist()
+    out = np.empty(sum(counts))
+    m = 0
+    for (lo, hi, on, envelope), n in zip(pieces, counts):
+        if n:
+            m += _thinned_piece(on, lo, hi, envelope, n, rng, out[m:])
+    return EventTimes(times=out[:m], horizon=float(horizon))
 
 
 def _integrated(spec: RateSpec, t: np.ndarray) -> np.ndarray:

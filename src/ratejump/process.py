@@ -9,6 +9,7 @@ function and N(horizon) is the total event count.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,7 +254,9 @@ def load_event_times(path, horizon: "float | None" = None) -> EventTimes:
     """Read event times from a text file: one timestamp per line.
 
     Blank lines and lines starting with ``#`` are ignored.  Timestamps are
-    sorted on load.  ``horizon`` defaults to the largest timestamp.
+    sorted on load.  ``horizon`` defaults to the largest timestamp.  A line
+    that is not a finite, non-negative number raises a ValueError naming
+    the file line.
     """
     values = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -262,9 +265,13 @@ def load_event_times(path, horizon: "float | None" = None) -> EventTimes:
             if not line or line.startswith("#"):
                 continue
             try:
-                values.append(float(line))
+                value = float(line)
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: not a timestamp: {line!r}") from None
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{path}: line {lineno}: timestamp {line!r} is not finite and non-negative")
+            values.append(value)
     times = np.sort(np.asarray(values, dtype=np.float64))
     if horizon is None:
         horizon = float(times[-1]) if times.size else 0.0

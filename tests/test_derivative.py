@@ -314,6 +314,18 @@ def test_n_without_count_at_and_a_horizon_is_a_type_error(N, name):
             read()
 
 
+@pytest.mark.parametrize("horizon", [math.inf, math.nan, -1.0])
+def test_n_whose_horizon_is_not_finite_and_non_negative_is_a_value_error(horizon):
+    N = SimpleNamespace(count_at=lambda t: np.zeros(np.shape(t)), horizon=horizon)
+    message = "^" + re.escape(
+        f"the horizon of N must be finite and non-negative, got {horizon}") + "$"
+    for read in (lambda: discrete_derivative(N, 2, 0.5, 3.0),
+                 lambda: derivative_profile(N, 2, 0.5),
+                 lambda: derivative_profiles(N, [1, 2], 0.5)):
+        with pytest.raises(ValueError, match=message):
+            read()
+
+
 @pytest.mark.parametrize("scale", [1.0, 100.0])
 def test_stencil_window_bounds_have_a_relative_slack_of_1e_12(scale):
     # (order-1)*delta and t + delta are float results, so each bound gives

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,6 +305,39 @@ def test_interarrival_distribution():
     events = simulate(const_spec(500.0), 20.0, 2024)
     gaps = np.diff(events.times)
     assert stats.kstest(gaps, "expon", args=(0, 1 / 500.0)).pvalue > 0.01
+
+
+def test_simulate_peak_memory_is_one_output_array():
+    # each accepted event is written once, into the one array the events
+    # are returned in: no per-piece list and no concatenated second copy
+    spec = sin_exp_spec(base=5e4, jump=4e4)  # about 1e6 events on [0, 20]
+    tracemalloc.start()
+    try:
+        events = simulate(spec, 20.0, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(events) > 900_000
+    assert peak < 1.5 * events.times.nbytes
+
+
+def assert_bit_identical(got, want):
+    assert type(got) is type(want)
+    assert np.array_equal(got, want)
+
+
+def test_in_place_shape_values_equal_their_formulas_bit_for_bit():
+    spec = sin_exp_spec(base=3e4, jump=2e4, onset=9.0)
+    (base, sin), (jump, exp) = ((c.amplitude, c.shape) for c in spec.components)
+    points = np.random.default_rng(5).uniform(0.0, 20.0, size=100_000)
+    for t in (points, 12.25):
+        u = np.asarray(t, dtype=np.float64)
+        sin_want = sin.offset + np.sin(sin.omega * u + sin.phase)
+        exp_want = np.exp(-exp.rate * (u - 9.0))
+        assert_bit_identical(sin.value(t), sin_want)
+        assert_bit_identical(exp.value(u - 9.0), exp_want)
+        rate_want = base * sin_want + np.where(u >= 9.0, jump * exp_want, 0.0)
+        assert_bit_identical(eval_rate(spec, t), rate_want if rate_want.ndim else float(rate_want))
 
 
 def test_rate_spec_file_round_trip(tmp_path):

@@ -136,6 +136,15 @@ def test_event_file_comments_and_errors(tmp_path):
         load_event_times(bad)
 
 
+@pytest.mark.parametrize("text", ["nan", "-1.0", "inf"])
+def test_event_file_names_the_line_of_a_non_finite_or_negative_timestamp(tmp_path, text):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"# header\n1.0\n{text}\n2.0\n")
+    with pytest.raises(ValueError, match=rf"line 3: timestamp '{text}' is not finite and "
+                                         rf"non-negative$"):
+        load_event_times(bad)
+
+
 def test_binned_csv_round_trip(tmp_path):
     s = BinnedSeries(bin_width=0.5, counts=np.array([1, 2, 0, 4]), start_time=2.0)
     path = tmp_path / "binned.csv"
