@@ -23,7 +23,6 @@ import functools
 import math
 import types
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -305,6 +304,8 @@ def run_heatmap(spec: ExperimentSpec, workers: "int | None" = None) -> HeatmapRe
     if workers is None:
         workers = 1
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, spec.trials // (workers * 4))
             per_trial = list(

@@ -32,6 +32,11 @@ weights.  A level costs a few numpy calls, so a tree with more levels than
 a measured cut-off (path-like trees) keeps Dijkstra, and the graph
 remembers that verdict too.  Both read the int32 arc CSR and edge list a
 ``Graph`` builds once, which scipy takes without a copy.
+
+Only this graph code needs scipy (``scipy.sparse`` and its ``csgraph``
+searches), so it imports them on first use: building a graph of two or
+more vertices, or running a cascade, loads scipy, and ``import ratejump``
+alone does not.
 """
 
 from __future__ import annotations
@@ -43,8 +48,6 @@ from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra
 
 from .derivative import _check_order
 from .process import EventTimes
@@ -122,6 +125,9 @@ class Graph:
         upper = np.flatnonzero(tails < self.indices)
         self.edge_u, self.edge_v = tails[upper], self.indices[upper]
         if n > 1:
+            from scipy.sparse import csr_matrix
+            from scipy.sparse.csgraph import connected_components
+
             arcs = csr_matrix((np.ones(src.size), self.indices, self.indptr), shape=(n, n))
             n_comp, _ = connected_components(arcs, directed=False)
             if n_comp != 1:
@@ -240,6 +246,9 @@ def _first_passage(graph: Graph, weights: np.ndarray, source: int) -> np.ndarray
     if plan is not None:
         times = _tree_fold(plan, weights)
     else:
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra
+
         matrix = csr_matrix((weights, graph.edge_v, _row_pointers(graph.edge_u, n)), shape=(n, n))
         times = dijkstra(matrix, directed=False, indices=source)
     unreached = int(np.count_nonzero(np.isinf(times)))
@@ -307,6 +316,9 @@ def _fold_plan(graph: Graph, source: int) -> "_FoldPlan | None":
     leaves = int(np.count_nonzero(np.diff(graph.indptr) == 1))
     if n - 1 > leaves * max_levels:
         return None
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
     # float64 data is what the search converts any matrix to
     arcs = csr_matrix((np.ones(graph.indices.size), graph.indices, graph.indptr), shape=(n, n))
     order, pred = breadth_first_order(arcs, source, directed=True, return_predecessors=True)

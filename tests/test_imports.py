@@ -1,0 +1,46 @@
+"""``import ratejump`` loads neither scipy nor a process pool.
+
+scipy is needed only by the graph code in ``ratejump.si``, which imports it
+on first use, and only a multi-worker heatmap starts a process pool.  The
+check runs in a fresh interpreter, since this test session has long since
+imported both.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+CHILD = """
+import json, sys
+
+def heavy():
+    return sorted(m for m in sys.modules
+                  if m.startswith("scipy") or m.split(".")[:2] == ["concurrent", "futures"])
+
+import ratejump
+after_package = heavy()
+import ratejump.cli
+after_cli = heavy()
+from ratejump.si import build_tree_with_hub, simulate_si
+trace = simulate_si(build_tree_with_hub(3, 2), 0, 7)
+print(json.dumps({"package": after_package, "cli": after_cli, "vertices": trace.n,
+                  "scipy_after_cascade": "scipy.sparse.csgraph" in sys.modules}))
+"""
+
+
+def test_import_leaves_scipy_and_process_pools_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["package"] == [], "import ratejump loaded these"
+    assert seen["cli"] == [], "import ratejump.cli loaded these"
+    # the graph code still finds scipy when a cascade needs it
+    assert seen["vertices"] == 17
+    assert seen["scipy_after_cascade"]

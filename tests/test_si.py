@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.sparse import csgraph
 
 from ratejump.process import EventTimes
 from ratejump.seeding import SimSeed, generator
@@ -21,7 +22,6 @@ from ratejump.si import (
     save_trace_csv,
     simulate_si,
 )
-from ratejump import si
 from ratejump.si import _first_passage
 
 
@@ -398,15 +398,13 @@ def wide_trees():
 @pytest.mark.parametrize("graph,sources", list(wide_trees()))
 def test_tree_fold_matches_reference_dijkstra(monkeypatch, graph, sources):
     # the fold must run on these trees, and give the reference's exact bits
-    def no_dijkstra(*args, **kwargs):
-        raise AssertionError("the tree fold should not fall back to Dijkstra here")
-
-    monkeypatch.setattr(si, "dijkstra", no_dijkstra)
+    dijkstra_calls = count_calls(monkeypatch, "dijkstra")
     rng = np.random.default_rng(graph.n)
     for source in sources:
         weights = weights_with_zeros(rng, graph.n_edges)
         got = _first_passage(graph, weights, source)
         assert got.tolist() == reference_times(graph, weights, source)
+    assert dijkstra_calls == [], "the tree fold should not fall back to Dijkstra here"
 
 
 @pytest.mark.parametrize("graph", [
@@ -416,9 +414,7 @@ def test_tree_fold_matches_reference_dijkstra(monkeypatch, graph, sources):
     tree_from_parents(list(range(999)) + list(range(1000))),
 ], ids=["path", "caterpillar"])
 def test_deep_tree_keeps_dijkstra(monkeypatch, graph):
-    calls = []
-    real = si.dijkstra
-    monkeypatch.setattr(si, "dijkstra", lambda *a, **k: calls.append(1) or real(*a, **k))
+    calls = count_calls(monkeypatch, "dijkstra")
     weights = weights_with_zeros(np.random.default_rng(62), graph.n_edges)
     got = _first_passage(graph, weights, 0)
     assert calls == [1]
@@ -426,10 +422,11 @@ def test_deep_tree_keeps_dijkstra(monkeypatch, graph):
 
 
 def count_calls(monkeypatch, name):
-    """Patch si.<name> to record each call in the returned list."""
+    """Patch scipy.sparse.csgraph.<name> to record each call in the returned
+    list; si imports it where it is used, so it reads the patched name."""
     calls = []
-    real = getattr(si, name)
-    monkeypatch.setattr(si, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    real = getattr(csgraph, name)
+    monkeypatch.setattr(csgraph, name, lambda *a, **k: calls.append(1) or real(*a, **k))
     return calls
 
 
@@ -523,9 +520,7 @@ def test_weight_i_belongs_to_edge_i(monkeypatch, graph):
     edges = list(graph.edges())
     assert edges != sorted(edges)  # a mix-up with sorted order would show
     is_tree = graph.n_edges == graph.n - 1
-    calls = []
-    real = si.dijkstra
-    monkeypatch.setattr(si, "dijkstra", lambda *a, **k: calls.append(1) or real(*a, **k))
+    calls = count_calls(monkeypatch, "dijkstra")
     rng = np.random.default_rng(graph.n + graph.n_edges)
     weights = rng.exponential(1.0, graph.n_edges)
     assert np.unique(weights).size == weights.size
