@@ -35,7 +35,7 @@ from .harness import (
     false_alarm_study,
     run_heatmap,
 )
-from .ingest import RegionSeries, analyze_binned, load_daily_csv, load_daily_regions
+from .ingest import RegionSeries, analyze_binned, load_daily_csv
 from .multicascade import CascadeBundle, candidate_vertices, estimate_high_degree
 from .poisson import RateSpec, eval_rate, rate_upper_bound, simulate
 from .process import BinnedSeries, EventTimes, bin_events, cumulative, from_binned
@@ -72,7 +72,6 @@ __all__ = [
     "RegionSeries",
     "analyze_binned",
     "load_daily_csv",
-    "load_daily_regions",
     "CascadeBundle",
     "candidate_vertices",
     "estimate_high_degree",

@@ -48,6 +48,7 @@ from .harness import (
     HEATMAP_SCENARIOS,
     PRESETS,
     ExperimentSpec,
+    _scenario_params,
     heatmap_spec_from_preset,
     run_heatmap,
     save_heatmap_csv,
@@ -241,7 +242,8 @@ def _scenario(args):
     set on ``args`` so the manifest records what ran; a scenario flag it
     does not use is a usage error."""
     args.scenario = args.scenario or _HEATMAP_DEFAULTS["scenario"]
-    cls, _, used = HEATMAP_SCENARIOS[args.scenario]
+    cls, _ = HEATMAP_SCENARIOS[args.scenario]
+    used = _scenario_params(cls)
     _reject_unused(args, ("scenario", *used), f"scenario {args.scenario!r}")
     for name in (*used, "trials"):
         if getattr(args, name) is None:
@@ -322,7 +324,7 @@ def cmd_heatmap(args):
     if args.preset:
         preset = PRESETS[args.preset]
         # the one scenario flag a preset takes: the size of its planted change
-        _, own, _ = HEATMAP_SCENARIOS[preset.params["scenario"]]
+        _, own = HEATMAP_SCENARIOS[preset.params["scenario"]]
         _reject_unused(args, (own,), f"preset {args.preset!r}")
         with _building():
             spec = heatmap_spec_from_preset(preset, **{own: getattr(args, own)}, trials=args.trials,

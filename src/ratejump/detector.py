@@ -130,45 +130,23 @@ def _packing_indices(times: np.ndarray, scores: np.ndarray, min_sep: float) -> l
     candidates); remaining ties resolve to the earliest times, so the
     output is deterministic.
     """
-    n = len(times)
-    if n == 0:
-        return []
-    # js[i]: a first guess at the last index j with times[i] - times[j] > min_sep,
-    # the gap ChangePointReport checks; times[i] - min_sep can round either way
-    js = np.searchsorted(times, times - min_sep, side="left") - 1
     t = times.tolist()
-    f_count = np.zeros(n, dtype=np.int64)
-    f_score = np.zeros(n)
-    parent = np.full(n, -1, dtype=np.int64)
-    # prefix-best over f[0..i], lexicographic (count, score), earliest on ties
-    bc = np.zeros(n, dtype=np.int64)
-    bs = np.zeros(n)
-    bi = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        j = int(js[i])
-        # settle the guess on the exact gap, a block of equal times at a time
-        while j + 1 < i and t[i] - t[j + 1] > min_sep:
-            j = int(np.searchsorted(times, t[j + 1], side="right")) - 1
-        while j >= 0 and not t[i] - t[j] > min_sep:
-            j = int(np.searchsorted(times, t[j], side="left")) - 1
-        if j >= 0:
-            f_count[i] = bc[j] + 1
-            f_score[i] = bs[j] + scores[i]
-            parent[i] = bi[j]
-        else:
-            f_count[i] = 1
-            f_score[i] = scores[i]
-        if i == 0 or (f_count[i], f_score[i]) > (bc[i - 1], bs[i - 1]):
-            bc[i], bs[i], bi[i] = f_count[i], f_score[i], i
-        else:
-            bc[i], bs[i], bi[i] = bc[i - 1], bs[i - 1], bi[i - 1]
-    chosen = []
-    i = int(bi[n - 1])
+    # best[i]: (count, score, last index) of the best packing of candidates 0..i-1
+    best, parent = [(0, 0.0, -1)], []
+    j = 0  # candidates 0..j-1 lie more than min_sep before t[i]
+    for i, score in enumerate(scores.tolist()):
+        # the gap ChangePointReport checks, exactly; it only grows with i
+        while t[i] - t[j] > min_sep:
+            j += 1
+        count, total, last = best[j]
+        parent.append(last)
+        mine = (count + 1, total + score, i)
+        best.append(mine if mine[:2] > best[i][:2] else best[i])
+    chosen, i = [], best[-1][2]
     while i >= 0:
         chosen.append(i)
-        i = int(parent[i])
-    chosen.reverse()
-    return chosen
+        i = parent[i]
+    return chosen[::-1]
 
 
 def detect(N, config: DetectorConfig) -> ChangePointReport:

@@ -12,8 +12,7 @@ The profiles read N only on their lattices, so a trial first takes every
 time its ``derivative_profiles`` calls will read (learned once per grid by
 running those calls on a recording N) and passes them to ``realize``.  The
 Poisson scenarios draw N exactly there (``draw_counts``) instead of
-thinning the whole event stream; the SI and ramp scenarios ignore the
-times.
+thinning the whole event stream; the SI scenario ignores the times.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import functools
 import math
 import types
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,7 +39,6 @@ __all__ = [
     "Realization",
     "SmoothJumpScenario",
     "ConstNullScenario",
-    "RampScenario",
     "SITreeScenario",
     "HEATMAP_SCENARIOS",
     "ExperimentSpec",
@@ -81,14 +79,14 @@ class Realization:
 class SmoothJumpScenario:
     """Poisson process: smooth sinusoidal base plus an exponentially decaying
     jump of size ``jump`` at a uniform-random onset (the ``sin-plus-exp``
-    rate preset)."""
+    rate preset).  The onset is uniform on [onset_low, onset_high]."""
 
     base: float = 1e4
     jump: float = 8e3
-    onset_low: float = 5.0
-    onset_high: float = 15.0
     horizon: float = 20.0
 
+    onset_low = 5.0
+    onset_high = 15.0
     analysis_window = None
 
     def realize(self, seed, times=None) -> Realization:
@@ -109,13 +107,11 @@ class ConstNullScenario:
     """
 
     base: float = 1e4
-    onset_low: float = 5.0
-    onset_high: float = 15.0
     horizon: float = 20.0
 
-    @property
-    def analysis_window(self):
-        return (self.onset_low, self.onset_high)
+    onset_low = 5.0
+    onset_high = 15.0
+    analysis_window = (onset_low, onset_high)
 
     def realize(self, seed, times=None) -> Realization:
         seed = as_seed(seed)
@@ -134,30 +130,9 @@ def _poisson_counts(spec: RateSpec, horizon: float, seed: SimSeed, times):
 
 
 @dataclass(frozen=True)
-class RampScenario:
-    """Deterministic test scenario: no events, then perfectly regular events.
-
-    The rate steps from 0 to ``rate_after`` at ``change_at``; every order
-    k >= 1 should locate the change to within one grid step.
-    """
-
-    rate_after: float = 100.0
-    change_at: float = 5.0
-    horizon: float = 10.0
-
-    analysis_window = None
-
-    def realize(self, seed, times=None) -> Realization:  # seed and times unused: deterministic
-        step = 1.0 / self.rate_after
-        n = int(math.floor((self.horizon - self.change_at) / step))
-        times = self.change_at + step * np.arange(1, n + 1)
-        events = EventTimes(times=times, horizon=self.horizon)
-        return Realization.wrap(events, self.change_at)
-
-
-@dataclass(frozen=True)
 class SITreeScenario:
-    """SI cascade on the planted-hub tree; truth = the hub's infection time.
+    """SI cascade from the root (vertex 0) of the planted-hub tree; truth =
+    the hub's infection time.
 
     The tree is built once, when the scenario is made, and every
     realization runs on it.
@@ -165,7 +140,6 @@ class SITreeScenario:
 
     height: int = 18
     extra_leaves: int = 8000
-    source: int = 0
     graph: Graph = field(init=False, compare=False, repr=False)
 
     analysis_window = None
@@ -175,19 +149,23 @@ class SITreeScenario:
 
     def realize(self, seed, times=None) -> Realization:  # times unused: N is the cascade's
         seed = as_seed(seed)
-        trace = simulate_si(self.graph, self.source, seed.split(0))
+        trace = simulate_si(self.graph, 0, seed.split(0))
         truth = float(trace.times[self.graph.hub])
         return Realization.wrap(infection_count_process(trace), truth)
 
 
-# The heatmap scenarios by name: the class, the parameter that sizes its
-# planted change (the one a preset leaves open; none for const-null), and
-# every parameter it takes.
+# The heatmap scenarios by name: the class and the parameter that sizes its
+# planted change (the one a preset leaves open; none for const-null).
 HEATMAP_SCENARIOS = {
-    "smooth-jump": (SmoothJumpScenario, "jump", ("base", "jump", "horizon")),
-    "si-tree": (SITreeScenario, "extra_leaves", ("height", "extra_leaves")),
-    "const-null": (ConstNullScenario, None, ("base", "horizon")),
+    "smooth-jump": (SmoothJumpScenario, "jump"),
+    "si-tree": (SITreeScenario, "extra_leaves"),
+    "const-null": (ConstNullScenario, None),
 }
+
+
+def _scenario_params(cls) -> tuple:
+    """Every parameter a heatmap scenario class takes: its init fields."""
+    return tuple(f.name for f in fields(cls) if f.init)
 
 
 @dataclass(frozen=True)
@@ -531,14 +509,14 @@ def heatmap_spec_from_preset(preset: Preset, **overrides) -> ExperimentSpec:
     if preset.kind != "heatmap":
         raise ValueError(f"preset {preset.name!r} is {preset.kind}, not a heatmap")
     params = dict(preset.params)
-    cls, change, names = HEATMAP_SCENARIOS[params["scenario"]]
+    cls, change = HEATMAP_SCENARIOS[params["scenario"]]
     overrides = {k: v for k, v in overrides.items() if v is not None}
     unknown = set(overrides) - {change, "trials", "base_seed", "k_grid", "delta_grid"}
     if unknown:
         raise ValueError(f"unsupported overrides for preset {preset.name!r}: {sorted(unknown)}")
     params.update(overrides)
     return ExperimentSpec(
-        scenario=cls(**{name: params[name] for name in names}),
+        scenario=cls(**{name: params[name] for name in _scenario_params(cls)}),
         k_grid=tuple(params["k_grid"]),
         delta_grid=tuple(params["delta_grid"]),
         trials=params["trials"],

@@ -13,12 +13,10 @@ surrounding blanks ignored, and other columns are not read.  In
 cumulative mode a total may dip by up to ``CORRECTION_TOLERANCE`` (20%)
 of its running maximum, a reporting correction; a deeper dip is an error.
 
-Both loaders make one ``csv.reader`` pass over the file.
+The loader makes one ``csv.reader`` pass over the file.
 ``load_daily_csv(path, region=...)`` compares each row's region field
 before parsing anything else in the row, so the rows of other regions
-cost one field lookup; ``load_daily_regions`` groups every row by region
-in the same loop.  Either way one helper turns a region's rows into a
-``RegionSeries``, so a region loads the same through both.
+cost one field lookup.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ __all__ = [
     "RegionSeries",
     "BinnedAnalysis",
     "load_daily_csv",
-    "load_daily_regions",
     "analyze_binned",
     "save_analysis_csv",
 ]
@@ -97,19 +94,18 @@ def _column_index(header, wanted: str, path) -> int:
     return hits[0]
 
 
-def _read_rows(path, region, grouped):
-    """One ``csv.reader`` pass over ``path``: ``{region: [(date, count, row), ...]}``.
+def _read_rows(path, region):
+    """One ``csv.reader`` pass over ``path``: ``[(date, count, row), ...]``.
 
-    ``region`` keeps only that region's rows; ``grouped`` keys every row by
-    its region field; with neither, the region column is not read and all
-    rows go under ``""``.  A row's region field is compared, stripped,
-    before anything else in the row is parsed, so other regions' rows cost
-    one field lookup.  Rows are numbered by file line, the header being
+    ``region`` keeps only that region's rows; with None, the region column
+    is not read.  A row's region field is compared, stripped, before
+    anything else in the row is parsed, so other regions' rows cost one
+    field lookup.  Rows are numbered by file line, the header being
     row 1, so blank lines count; the number (``reader.line_num``, the last
     line of a record with a quoted line break) is read only for rows kept
     and for errors.
     """
-    groups: dict = {}
+    rows = []
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -117,14 +113,11 @@ def _read_rows(path, region, grouped):
             raise ValueError(f"{path}: empty file")
         di = _column_index(header, "date", path)
         ci = _column_index(header, "cases", path)
-        ri = _column_index(header, "region", path) if region is not None or grouped else None
-        key = ""
+        ri = _column_index(header, "region", path) if region is not None else None
         for row in filter(None, reader):
             try:
-                if ri is not None:
-                    key = row[ri].strip()
-                    if region is not None and key != region:
-                        continue
+                if ri is not None and row[ri].strip() != region:
+                    continue
                 raw_date = row[di].strip()
                 raw_count = row[ci].strip()
             except IndexError:
@@ -145,8 +138,8 @@ def _read_rows(path, region, grouped):
                 count = _parse_count(raw_count)
             except ValueError as exc:
                 raise ValueError(f"{path}: row {rowno}: {exc}") from None
-            groups.setdefault(key, []).append((date, count, rowno))
-    return groups
+            rows.append((date, count, rowno))
+    return rows
 
 
 def _to_series(path, region: str, rows, mode: str) -> RegionSeries:
@@ -189,11 +182,6 @@ def _to_series(path, region: str, rows, mode: str) -> RegionSeries:
     )
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in ("daily", "cumulative"):
-        raise ValueError(f"mode must be 'daily' or 'cumulative', got {mode!r}")
-
-
 def load_daily_csv(path, region: "str | None" = None, mode: str = "daily") -> RegionSeries:
     """Load a daily count series from CSV.
 
@@ -208,27 +196,13 @@ def load_daily_csv(path, region: "str | None" = None, mode: str = "daily") -> Re
     as corrupt input.  All errors name the offending row (its line in the
     file), field or column.
     """
-    _check_mode(mode)
-    groups = _read_rows(path, region, False)
-    if not groups:
+    if mode not in ("daily", "cumulative"):
+        raise ValueError(f"mode must be 'daily' or 'cumulative', got {mode!r}")
+    rows = _read_rows(path, region)
+    if not rows:
         target = f" for region {region!r}" if region else ""
         raise ValueError(f"{path}: no data rows{target}")
-    (rows,) = groups.values()
     return _to_series(path, region or "", rows, mode)
-
-
-def load_daily_regions(path, mode: str = "daily") -> "dict[str, RegionSeries]":
-    """Load every region of a daily CSV in one pass: ``{region: series}``.
-
-    Regions are keyed by their stripped region field, in order of first
-    appearance.  Each series is what ``load_daily_csv(path, region=...)``
-    returns; every row of every region gets that function's checks.
-    """
-    _check_mode(mode)
-    groups = _read_rows(path, None, True)
-    if not groups:
-        raise ValueError(f"{path}: no data rows")
-    return {region: _to_series(path, region, rows, mode) for region, rows in groups.items()}
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ independent intersections only by chance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +53,6 @@ def candidate_vertices(trace: CascadeTrace, change_times, window: float) -> set:
     change_times = list(change_times)
     if not change_times:
         return set()
-    if math.isinf(window):
-        return set(range(trace.n))
     times = trace.times
     mask = np.zeros(trace.n, dtype=bool)
     for t in change_times:
@@ -101,11 +98,9 @@ def estimate_high_degree(
         all_times.append(tuple(times_hat))
         cands = candidate_vertices(trace, times_hat, window)
         sizes.append(len(cands))
+        # an empty intersection stays empty, but later cascades are still
+        # detected, for the report's provenance
         surviving = cands if surviving is None else (surviving & cands)
-        if not surviving:
-            surviving = set()
-            # later cascades cannot resurrect anything, but keep their
-            # provenance: continue detecting for the report
     return MulticascadeReport(
         vertices=frozenset(surviving),
         window=float(window),

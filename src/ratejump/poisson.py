@@ -459,7 +459,7 @@ def simulate(spec: RateSpec, horizon: float, seed) -> EventTimes:
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     pieces = _pieces(spec, horizon)
-    rng = seed if isinstance(seed, np.random.Generator) else generator(seed)
+    rng = generator(seed)
     counts = rng.poisson([envelope * (hi - lo) for lo, hi, _, envelope in pieces]).tolist()
     out = np.empty(sum(counts))
     m = 0
@@ -506,7 +506,7 @@ def draw_counts(spec: RateSpec, times, horizon: float, seed) -> SampledCounts:
                 f"internal consistency failure: the integral of Lambda over "
                 f"[{grid[i]}, {grid[i + 1]}] is {mass[i]}, below zero by more than rounding")
         mass = np.maximum(mass, 0.0)
-    rng = seed if isinstance(seed, np.random.Generator) else generator(seed)
+    rng = generator(seed)
     n = rng.poisson(total)
     cells = rng.multinomial(n, mass / total) if n else np.zeros(mass.size, dtype=np.int64)
     return SampledCounts(grid, np.concatenate(([0], np.cumsum(cells))), horizon)

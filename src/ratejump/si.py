@@ -44,7 +44,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -62,7 +61,6 @@ __all__ = [
     "rate_at",
     "jump_at_infection",
     "load_edge_list",
-    "save_edge_list",
     "load_trace_csv",
     "save_trace_csv",
 ]
@@ -75,10 +73,10 @@ class Graph:
     v -> u; the neighbors of v are ``indices[indptr[v]:indptr[v + 1]]`` in
     the order given.  Edge i is ``edge_u[i] < edge_v[i]``, the i-th arc with
     u < v in CSR order; ``edges()`` yields this order and edge weights are
-    indexed by it.  Build one from adjacency lists with ``Graph(adjacency)``
-    or from arc arrays with ``Graph.from_arcs``; both validate simplicity
-    (no self-loops, no parallel edges), symmetry, and connectivity.
-    ``hub`` is the planted hub ``from_arcs`` was given
+    indexed by it.  ``Graph(n, src, dst)`` builds the graph on vertices
+    0..n-1 with one arc src[i] -> dst[i] per entry, and validates
+    simplicity (no self-loops, no parallel edges), symmetry, and
+    connectivity.  ``hub`` is the planted hub it was given
     (``build_tree_with_hub``), else None.
 
     A graph is not changed after it is built.  ``simulate_si`` keeps on it
@@ -86,36 +84,23 @@ class Graph:
     ``_fold_plan``); pickling leaves the plan out.
     """
 
-    def __init__(self, adjacency):
-        n = len(adjacency)
-        lengths = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
-        src = np.repeat(np.arange(n, dtype=np.int64), lengths)
-        dst = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64, count=src.size)
-        self._set_arcs(n, src, dst, None)
-
-    @classmethod
-    def from_arcs(cls, n: int, src, dst, hub: "int | None" = None) -> "Graph":
-        """Graph on vertices 0..n-1 with one arc src[i] -> dst[i] per entry."""
-        graph = cls.__new__(cls)
-        graph._set_arcs(n, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64), hub)
-        return graph
-
-    def _set_arcs(self, n: int, src: np.ndarray, dst: np.ndarray, hub) -> None:
+    def __init__(self, n: int, src, dst, hub: "int | None" = None):
+        src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
         if n == 0:
             raise ValueError("graph must have at least one vertex")
         if max(n, src.size) > np.iinfo(np.int32).max:
             raise ValueError(f"{n} vertices and {src.size} arcs do not fit int32 indices")
         if src.size:
             if min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n:
-                raise ValueError("adjacency references a vertex id out of range")
+                raise ValueError("an arc references a vertex id out of range")
             loops = src == dst
             if loops.any():
                 raise ValueError(f"self-loop at vertex {int(src[np.argmax(loops)])}")
             key_fwd = np.sort(src * n + dst)
             if np.any(key_fwd[1:] == key_fwd[:-1]):
-                raise ValueError("parallel edge: some neighbor is listed twice")
+                raise ValueError("parallel edge: some arc is listed twice")
             if not np.array_equal(key_fwd, np.sort(dst * n + src)):
-                raise ValueError("adjacency is not symmetric")
+                raise ValueError("arcs are not symmetric: some arc u -> v has no arc v -> u")
             del key_fwd  # before the stored arrays are built, to keep peak memory down
         self.hub = hub
         self._fold_memo = None  # (source, _fold_plan(self, source)) once a tree is folded
@@ -209,9 +194,7 @@ def build_tree_with_hub(height: int, extra_leaves: int) -> Graph:
     # every vertex but the root hangs off one parent: its heap parent, or the hub
     child = np.arange(1, n, dtype=np.int64)
     parent = np.where(child < n_tree, (child - 1) // 2, hub)
-    return Graph.from_arcs(
-        n, np.concatenate((child, parent)), np.concatenate((parent, child)), hub=hub
-    )
+    return Graph(n, np.concatenate((child, parent)), np.concatenate((parent, child)), hub=hub)
 
 
 def simulate_si(graph: Graph, source: int, seed) -> CascadeTrace:
@@ -225,7 +208,7 @@ def simulate_si(graph: Graph, source: int, seed) -> CascadeTrace:
         raise ValueError(f"source must be an integer vertex id, got {source!r}")
     if not (0 <= source < n):
         raise ValueError(f"source {source} out of range for {n} vertices")
-    rng = seed if isinstance(seed, np.random.Generator) else generator(seed)
+    rng = generator(seed)
     weights = rng.exponential(1.0, graph.n_edges)
     return CascadeTrace(times=_first_passage(graph, weights, source), source=source)
 
@@ -431,14 +414,7 @@ def load_edge_list(path) -> Graph:
     if not first_line:
         raise ValueError(f"{path}: no edges")
     ends = np.asarray(list(first_line), dtype=np.int64)
-    return Graph.from_arcs(int(ends.max()) + 1, ends.ravel(), ends[:, ::-1].ravel())
-
-
-def save_edge_list(graph: Graph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# undirected edge list, {graph.n} vertices\n")
-        for u, v in graph.edges():
-            fh.write(f"{u} {v}\n")
+    return Graph(int(ends.max()) + 1, ends.ravel(), ends[:, ::-1].ravel())
 
 
 def load_trace_csv(path) -> CascadeTrace:

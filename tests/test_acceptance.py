@@ -28,7 +28,8 @@ from ratejump.ingest import analyze_binned
 from ratejump.multicascade import CascadeBundle, estimate_high_degree
 from ratejump.poisson import Constant, JumpComponent, RateSpec, simulate
 from ratejump.seeding import SimSeed
-from ratejump.si import Graph, build_tree_with_hub, simulate_si
+from ratejump.si import build_tree_with_hub, simulate_si
+from small_graphs import from_adjacency
 
 
 def report(name, ok, detail):
@@ -216,7 +217,7 @@ def random_connected_graph(rng, n):
         if v not in adjacency[u]:
             adjacency[u].append(v)
             adjacency[v].append(u)
-    return Graph(adjacency)
+    return from_adjacency(adjacency)
 
 
 def exact_order_probs(adjacency, source):
@@ -266,7 +267,7 @@ def test_si_dynamics_oracles():
 
     # (b) next-infection law on two small graphs, 1e4 runs each
     def orders_pvalue(adjacency, source, base):
-        graph = Graph([list(a) for a in adjacency])
+        graph = from_adjacency([list(a) for a in adjacency])
         exact = exact_order_probs(adjacency, source)
         keys = sorted(exact)
         observed = dict.fromkeys(keys, 0)
@@ -283,7 +284,7 @@ def test_si_dynamics_oracles():
     p_path5 = orders_pvalue([[1], [0, 2], [1, 3], [2, 4], [3]], 2, 9002)
 
     # (c) two-vertex graph: infection time is Exp(1)
-    pair = Graph([[1], [0]])
+    pair = from_adjacency([[1], [0]])
     mean2 = float(np.mean(
         [simulate_si(pair, 0, SimSeed(9003, i)).times[1] for i in range(10_000)]
     ))

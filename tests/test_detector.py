@@ -19,16 +19,17 @@ from ratejump.detector import (
 from ratejump.process import EventTimes
 
 
-def brute_force_max_packing(times, min_sep):
-    """Largest subset with pairwise gaps strictly greater than min_sep."""
-    best = 0
+def brute_force_best_packing(times, scores, min_sep):
+    """Size of the largest subset of the sorted ``times`` with consecutive
+    gaps strictly greater than min_sep, and the best total score among the
+    subsets of that size."""
     for r in range(len(times), 0, -1):
-        for combo in itertools.combinations(sorted(times), r):
-            if all(b - a > min_sep for a, b in zip(combo, combo[1:])):
-                return r
-        if best:
-            break
-    return 0
+        totals = [sum(scores[i] for i in combo)
+                  for combo in itertools.combinations(range(len(times)), r)
+                  if all(times[b] - times[a] > min_sep for a, b in zip(combo, combo[1:]))]
+        if totals:
+            return r, max(totals)
+    return 0, 0.0
 
 
 def test_detect_threshold_keeps_scores_at_half_the_threshold():
@@ -79,13 +80,16 @@ def test_greedy_packing_prefers_count_over_score():
 def test_greedy_packing_is_maximum(times, min_sep):
     times = sorted(times)
     rng = np.random.default_rng(abs(hash(tuple(times))) % 2**32)
-    out = packing(times, rng.uniform(0, 10, len(times)), min_sep)
+    scores = rng.uniform(0, 10, len(times)).tolist()
+    out = packing(times, scores, min_sep)
     picked = [times[i] for i in out]
     # a valid packing ...
     assert out == sorted(set(out))
     assert all(b - a > min_sep for a, b in zip(picked, picked[1:]))
-    # ... of maximum cardinality
-    assert len(out) == brute_force_max_packing(times, min_sep)
+    # ... of maximum cardinality, with the best total score among those
+    size, total = brute_force_best_packing(times, scores, min_sep)
+    assert len(out) == size
+    assert sum(scores[i] for i in out) == pytest.approx(total, rel=1e-12)
 
 
 def ramp_events(change_at=5.0, rate=100.0, horizon=10.0):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +11,6 @@ from ratejump.harness import (
     ConstNullScenario,
     ExperimentSpec,
     Preset,
-    RampScenario,
     Realization,
     SITreeScenario,
     SmoothJumpScenario,
@@ -24,8 +24,30 @@ from ratejump.harness import (
     save_heatmap_long_csv,
 )
 from ratejump.poisson import Constant, JumpComponent, RateSpec
+from ratejump.process import EventTimes
 from ratejump.seeding import SimSeed
 from ratejump.si import build_tree_with_hub, simulate_si
+
+
+@dataclass(frozen=True)
+class RampScenario:
+    """Deterministic scenario: no events, then perfectly regular events.
+
+    The rate steps from 0 to ``rate_after`` at ``change_at``; every order
+    k >= 1 should locate the change to within one grid step.
+    """
+
+    rate_after: float = 100.0
+    change_at: float = 5.0
+    horizon: float = 10.0
+
+    analysis_window = None
+
+    def realize(self, seed, times=None) -> Realization:  # seed and times unused: deterministic
+        step = 1.0 / self.rate_after
+        n = int(math.floor((self.horizon - self.change_at) / step))
+        times = self.change_at + step * np.arange(1, n + 1)
+        return Realization.wrap(EventTimes(times=times, horizon=self.horizon), self.change_at)
 
 
 def small_spec(trials=4, base_seed=11):
@@ -177,7 +199,7 @@ def test_heatmap_programming_error_propagates():
 
 
 def test_const_null_mean_error_near_span_third():
-    scenario = ConstNullScenario(base=200.0, onset_low=5.0, onset_high=15.0)
+    scenario = ConstNullScenario(base=200.0)  # truth uniform on [5, 15]
     spec = ExperimentSpec(
         scenario=scenario, k_grid=(2,), delta_grid=(0.3,), trials=40, base_seed=1
     )
@@ -314,14 +336,14 @@ def test_si_tree_scenario_truth_is_hub_time():
 
 
 def test_si_tree_scenario_builds_its_tree_once():
-    scenario = SITreeScenario(height=5, extra_leaves=20, source=3)
+    scenario = SITreeScenario(height=5, extra_leaves=20)
     assert scenario.graph is scenario.graph
-    assert scenario == SITreeScenario(height=5, extra_leaves=20, source=3)
+    assert scenario == SITreeScenario(height=5, extra_leaves=20)
     assert "graph" not in repr(scenario)
     tree = build_tree_with_hub(5, 20)
     for i in range(3):
         seed = SimSeed(8, i)
-        trace = simulate_si(tree, 3, seed.split(0))
+        trace = simulate_si(tree, 0, seed.split(0))
         r = scenario.realize(seed)
         assert r.truth == trace.times[tree.hub]
         assert np.array_equal(r.events.times, np.sort(trace.times))

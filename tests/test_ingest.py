@@ -10,7 +10,6 @@ from ratejump.ingest import (
     RegionSeries,
     analyze_binned,
     load_daily_csv,
-    load_daily_regions,
     save_analysis_csv,
 )
 from ratejump.process import BinnedSeries, from_binned
@@ -75,6 +74,10 @@ def test_region_filter(tmp_path):
     assert s.region == "A"
     with pytest.raises(ValueError, match="no data rows"):
         load_daily_csv(p, region="C")
+    with pytest.raises(ValueError, match="missing required column 'region'"):
+        load_daily_csv(write(tmp_path, "date,cases\n2020-03-01,1\n"), region="A")
+    with pytest.raises(ValueError, match="mode must be"):
+        load_daily_csv(p, mode="weekly")
 
 
 def test_load_errors_name_rows(tmp_path):
@@ -96,8 +99,6 @@ def test_short_row_names_row_and_missing_column(tmp_path):
     p = write(tmp_path, "date,region,cases\n2021-01-01,A,3\n2021-01-02\n")
     with pytest.raises(ValueError, match="row 3: no 'region' field"):
         load_daily_csv(p, region="A")
-    with pytest.raises(ValueError, match="row 3: no 'region' field"):
-        load_daily_regions(p)
     with pytest.raises(ValueError, match="row 3: no 'cases' field"):
         load_daily_csv(p)
     # a short row of another region is skipped unparsed
@@ -121,25 +122,6 @@ def test_byte_order_mark_is_skipped(tmp_path):
     p = tmp_path / "bom.csv"
     p.write_bytes("date,cases\n2021-01-01,3\n2021-01-02,4\n".encode("utf-8-sig"))
     assert load_daily_csv(p).counts.tolist() == [3, 4]
-
-
-def test_load_daily_regions(tmp_path):
-    p = write(
-        tmp_path,
-        "region,date,cases\nA,2020-03-01,1\nB,2020-03-02,9\nA,2020-03-03,2\n",
-    )
-    regions = load_daily_regions(p)
-    assert list(regions) == ["A", "B"]
-    assert regions["A"].counts.tolist() == [1, 0, 2]
-    assert regions["A"].filled_days == (1,)
-    assert regions["B"].region == "B"
-    assert regions["B"].start_date == datetime.date(2020, 3, 2)
-    with pytest.raises(ValueError, match="missing required column 'region'"):
-        load_daily_regions(write(tmp_path, "date,cases\n2020-03-01,1\n"))
-    with pytest.raises(ValueError, match="no data rows"):
-        load_daily_regions(write(tmp_path, "region,date,cases\n"))
-    with pytest.raises(ValueError, match="mode must be"):
-        load_daily_regions(p, mode="weekly")
 
 
 @pytest.mark.parametrize("raw", ["3.7", "-0.5", "inf", "-inf", "nan", "1e400"])
@@ -463,12 +445,6 @@ def test_single_pass_matches_dictreader_loader(tmp_path, seed, mode):
     for region in regions + ["nowhere", None]:
         assert _outcome(load_daily_csv, p, region=region, mode=mode) == _outcome(
             _dictreader_load, p, region=region, mode=mode
-        )
-    every = load_daily_regions(p, mode=mode)
-    assert sorted(every) == regions
-    for region in regions:
-        assert _outcome(lambda: every[region]) == _outcome(
-            load_daily_csv, p, region=region, mode=mode
         )
 
 

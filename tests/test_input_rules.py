@@ -17,7 +17,7 @@ import pytest
 from ratejump.cli import main
 from ratejump.derivative import DerivativeStencil, derivative_profile, derivative_profiles
 from ratejump.detector import DetectorConfig, argmax_single, detect
-from ratejump.harness import (ExperimentSpec, RampScenario, false_alarm_study, get_preset,
+from ratejump.harness import (ExperimentSpec, SmoothJumpScenario, false_alarm_study, get_preset,
                               heatmap_spec_from_preset, run_heatmap)
 from ratejump.ingest import RegionSeries, analyze_binned, load_daily_csv
 from ratejump.multicascade import CascadeBundle, estimate_high_degree
@@ -31,7 +31,7 @@ EVENTS = EventTimes(times=np.linspace(0.5, 9.5, 40), horizon=10.0)
 # entry point -> (call with the bad value in the order's place, the field it names)
 ORDER_ENTRIES = {
     "DetectorConfig": (lambda k: DetectorConfig(k=k, delta=0.5), r"^k must"),
-    "ExperimentSpec": (lambda k: ExperimentSpec(RampScenario(), (2, k), (0.5,), 1),
+    "ExperimentSpec": (lambda k: ExperimentSpec(SmoothJumpScenario(), (2, k), (0.5,), 1),
                        r"^k_grid\[1\]"),
     "derivative_profiles": (lambda k: derivative_profiles(EVENTS, [2, k], 0.5), r"^order must"),
     "DerivativeStencil.of_order": (lambda k: DerivativeStencil.of_order(k, 0.5), r"^order must"),
@@ -39,7 +39,7 @@ ORDER_ENTRIES = {
 
 DELTA_ENTRIES = {
     "DetectorConfig": (lambda d: DetectorConfig(k=2, delta=d), r"^delta must"),
-    "ExperimentSpec": (lambda d: ExperimentSpec(RampScenario(), (2,), (0.5, d), 1),
+    "ExperimentSpec": (lambda d: ExperimentSpec(SmoothJumpScenario(), (2,), (0.5, d), 1),
                        r"^delta_grid\[1\]"),
     "derivative_profiles": (lambda d: derivative_profiles(EVENTS, [2], d), r"^delta must"),
     "DerivativeStencil.of_order": (lambda d: DerivativeStencil.of_order(2, d), r"^delta must"),
@@ -159,7 +159,7 @@ def test_empty_window_rule(entry, tmp_path, capsys):
 
 
 TRIALS_ENTRIES = {
-    "ExperimentSpec": lambda n: ExperimentSpec(RampScenario(), (2,), (0.5,), n),
+    "ExperimentSpec": lambda n: ExperimentSpec(SmoothJumpScenario(), (2,), (0.5,), n),
     "heatmap_spec_from_preset": lambda n: heatmap_spec_from_preset(
         get_preset("fig2-scaled"), trials=n, k_grid=(2,), delta_grid=(0.5,)),
 }
@@ -306,9 +306,10 @@ def test_count_rows_load_exactly(tmp_path, loader, raw, count):
     (lambda: as_seed(True), "seed"),
     (lambda: as_seed(2.0), "seed"),
     (lambda: heatmap_spec_from_preset(get_preset("fig2-scaled"), base_seed=2.5), "base_seed"),
-    (lambda: ExperimentSpec(RampScenario(), (2,), (0.5,), 1, base_seed=-1), "base_seed"),
-    (lambda: ExperimentSpec(RampScenario(), (2,), (0.5,), 1, base_seed=True), "base_seed"),
-    (lambda: run_heatmap(ExperimentSpec(RampScenario(), (1, 2, 3, 4, 5), (0.5,), 1, base_seed=-1)),
+    (lambda: ExperimentSpec(SmoothJumpScenario(), (2,), (0.5,), 1, base_seed=-1), "base_seed"),
+    (lambda: ExperimentSpec(SmoothJumpScenario(), (2,), (0.5,), 1, base_seed=True), "base_seed"),
+    (lambda: run_heatmap(ExperimentSpec(SmoothJumpScenario(), (1, 2, 3, 4, 5), (0.5,), 1,
+                                        base_seed=-1)),
      "base_seed"),
 ])
 def test_seed_fields_are_checked_by_name(make, field):
