@@ -33,10 +33,11 @@ a measured cut-off (path-like trees) keeps Dijkstra, and the graph
 remembers that verdict too.  Both read the int32 arc CSR and edge list a
 ``Graph`` builds once, which scipy takes without a copy.
 
-Only this graph code needs scipy (``scipy.sparse`` and its ``csgraph``
-searches), so it imports them on first use: building a graph of two or
-more vertices, or running a cascade, loads scipy, and ``import ratejump``
-alone does not.
+Building a graph (its connectivity check included) and folding a tree
+use numpy alone.  Only the Dijkstra search needs scipy (``scipy.sparse``
+and ``csgraph``), and it imports them on first use: a cascade on a graph
+that is not a tree, or on a tree too deep to fold, loads scipy, and
+``import ratejump``, a graph build or a tree cascade does not.
 """
 
 from __future__ import annotations
@@ -75,9 +76,9 @@ class Graph:
     u < v in CSR order; ``edges()`` yields this order and edge weights are
     indexed by it.  ``Graph(n, src, dst)`` builds the graph on vertices
     0..n-1 with one arc src[i] -> dst[i] per entry, and validates
-    simplicity (no self-loops, no parallel edges), symmetry, and
-    connectivity.  ``hub`` is the planted hub it was given
-    (``build_tree_with_hub``), else None.
+    simplicity (no self-loops, no parallel edges) and symmetry, naming the
+    first arc at fault, and connectivity.  ``hub`` is the planted hub it
+    was given (``build_tree_with_hub``), else None.
 
     A graph is not changed after it is built.  ``simulate_si`` keeps on it
     the tree fold's plan for the last source it was asked about (see
@@ -93,30 +94,20 @@ class Graph:
         if src.size:
             if min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n:
                 raise ValueError("an arc references a vertex id out of range")
-            loops = src == dst
-            if loops.any():
-                raise ValueError(f"self-loop at vertex {int(src[np.argmax(loops)])}")
-            key_fwd = np.sort(src * n + dst)
-            if np.any(key_fwd[1:] == key_fwd[:-1]):
-                raise ValueError("parallel edge: some arc is listed twice")
-            if not np.array_equal(key_fwd, np.sort(dst * n + src)):
-                raise ValueError("arcs are not symmetric: some arc u -> v has no arc v -> u")
-            del key_fwd  # before the stored arrays are built, to keep peak memory down
+            _check_arcs(n, src, dst)
         self.hub = hub
         self._fold_memo = None  # (source, _fold_plan(self, source)) once a tree is folded
-        self.indices = dst.astype(np.int32)[np.argsort(src, kind="stable")]
+        order = np.argsort(src, kind="stable")
+        self.indices = dst.astype(np.int32)[order]
+        del order
         self.indptr = _row_pointers(src, n)
         tails = np.repeat(np.arange(n, dtype=np.int32), np.diff(self.indptr))
         upper = np.flatnonzero(tails < self.indices)
         self.edge_u, self.edge_v = tails[upper], self.indices[upper]
-        if n > 1:
-            from scipy.sparse import csr_matrix
-            from scipy.sparse.csgraph import connected_components
-
-            arcs = csr_matrix((np.ones(src.size), self.indices, self.indptr), shape=(n, n))
-            n_comp, _ = connected_components(arcs, directed=False)
-            if n_comp != 1:
-                raise ValueError(f"graph must be connected; found {n_comp} components")
+        del tails, upper
+        components = _component_count(n, self.edge_u, self.edge_v)
+        if components != 1:
+            raise ValueError(f"graph must be connected; found {components} components")
 
     def __getstate__(self) -> dict:
         # the plan is three int32 arrays of n, cheaper to rebuild than to send
@@ -148,6 +139,68 @@ def _row_pointers(rows: np.ndarray, n: int) -> np.ndarray:
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return indptr
+
+
+def _check_arcs(n: int, src: np.ndarray, dst: np.ndarray) -> None:
+    """Reject a self-loop, an arc listed twice, or an arc u -> v with no
+    arc v -> u, naming it.
+
+    Each check sorts one int64 key per arc, built in place and dropped
+    before the next, so a large graph holds one key at a time.  The
+    symmetry key ``min(u, v) * n + max(u, v)`` is the same for u -> v and
+    v -> u, and with no arc listed twice the arcs are symmetric iff every
+    key occurs exactly twice.
+    """
+    loops = np.flatnonzero(src == dst)
+    if loops.size:
+        raise ValueError(f"self-loop at vertex {int(src[loops[0]])}")
+    key = src * n
+    key += dst
+    key.sort()
+    twice = np.flatnonzero(key[1:] == key[:-1])
+    if twice.size:
+        u, v = divmod(int(key[twice[0]]), n)
+        raise ValueError(f"parallel edge: arc {u} -> {v} is listed twice")
+    del key, twice
+    key = np.minimum(src, dst)
+    key *= n - 1
+    key += src
+    key += dst  # min * (n - 1) + min + max
+    key.sort()
+    pairs = key.size // 2
+    unpaired = np.flatnonzero(key[0:2 * pairs:2] != key[1::2])
+    if unpaired.size or key.size % 2:
+        # the first pair that does not match starts with a key seen once
+        low, high = divmod(int(key[2 * unpaired[0] if unpaired.size else -1]), n)
+        u, v = (low, high) if np.any((src == low) & (dst == high)) else (high, low)
+        raise ValueError(f"arcs are not symmetric: arc {u} -> {v} has no arc {v} -> {u}")
+
+
+def _component_count(n: int, u: np.ndarray, v: np.ndarray) -> int:
+    """Number of connected components of the graph on 0..n-1 with the
+    edges u[i] -- v[i].
+
+    Hook and shortcut: every vertex points at a root, at first itself.  A
+    round hooks the larger root of each edge whose ends have different
+    roots onto the smallest root joined to it, then jumps pointers until
+    every tree is a star.  Hooks only lower a pointer, so no cycle forms;
+    the rounds stop when no edge joins two roots, and each root is then
+    one component.
+    """
+    root = np.arange(n, dtype=np.int32)
+    while True:
+        ru, rv = root.take(u), root.take(v)
+        joins = ru != rv
+        if not joins.any():
+            return int(np.count_nonzero(root == np.arange(n, dtype=np.int32)))
+        ru, rv = ru[joins], rv[joins]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        del ru, rv, joins
+        while True:
+            up = root.take(root)
+            if np.array_equal(up, root):
+                break
+            root = up
 
 
 @dataclass(frozen=True)
@@ -191,10 +244,17 @@ def build_tree_with_hub(height: int, extra_leaves: int) -> Graph:
     n_tree = 2 ** (height + 1) - 1
     hub = 2 ** (height - 1) - 1
     n = n_tree + extra_leaves
-    # every vertex but the root hangs off one parent: its heap parent, or the hub
-    child = np.arange(1, n, dtype=np.int64)
-    parent = np.where(child < n_tree, (child - 1) // 2, hub)
-    return Graph(n, np.concatenate((child, parent)), np.concatenate((parent, child)), hub=hub)
+    # every vertex but the root hangs off one parent: its heap parent, or
+    # the hub; arc i is child -> parent and arc m + i is its reverse
+    m = n - 1
+    src, dst = np.empty(2 * m, dtype=np.int64), np.empty(2 * m, dtype=np.int64)
+    child, parent = src[:m], dst[:m]
+    child[:] = np.arange(1, n)
+    np.subtract(child[:n_tree - 1], 1, out=parent[:n_tree - 1])
+    parent[:n_tree - 1] //= 2
+    parent[n_tree - 1:] = hub
+    src[m:], dst[m:] = parent, child
+    return Graph(n, src, dst, hub=hub)
 
 
 def simulate_si(graph: Graph, source: int, seed) -> CascadeTrace:
@@ -218,9 +278,9 @@ def _first_passage(graph: Graph, weights: np.ndarray, source: int) -> np.ndarray
     ``graph.edges()`` has length ``weights[i]``.
 
     Trees with few enough BFS levels go to ``_tree_fold``.  Deeper trees
-    and every other graph go to Dijkstra: each edge is one entry (u, v),
-    u < v, of an upper-triangular matrix that the undirected search reads
-    both ways.  A weight of exactly 0.0 stays an explicit entry, so the edge
+    and every other graph go to Dijkstra, the one search that imports
+    scipy: each edge is one entry (u, v), u < v, of an upper-triangular
+    matrix that the undirected search reads both ways.  A weight of exactly 0.0 stays an explicit entry, so the edge
     still joins its endpoints; an edge lost as an implicit zero would leave
     a vertex at distance inf, which raises.
     """
@@ -285,12 +345,11 @@ def _memo_plan(graph: Graph, source: int) -> "_FoldPlan | None":
 
 
 def _fold_plan(graph: Graph, source: int) -> "_FoldPlan | None":
-    """The BFS tree of a tree from ``source``, or None when it has too many
-    levels to fold.
+    """The BFS tree of a tree from ``source``, or None when it has more
+    than a cut-off number of levels to fold.
 
     Before any BFS, a tree with so few leaves that it must have too many
-    levels is ruled out; otherwise a walk up from the last vertex in BFS
-    order counts the levels and stops at the cut-off.
+    levels is ruled out; otherwise the BFS stops at the cut-off.
     """
     n = graph.n
     max_levels = _FOLD_FREE_LEVELS + n // _FOLD_VERTICES_PER_LEVEL
@@ -299,37 +358,56 @@ def _fold_plan(graph: Graph, source: int) -> "_FoldPlan | None":
     leaves = int(np.count_nonzero(np.diff(graph.indptr) == 1))
     if n - 1 > leaves * max_levels:
         return None
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order
-
-    # float64 data is what the search converts any matrix to
-    arcs = csr_matrix((np.ones(graph.indices.size), graph.indices, graph.indptr), shape=(n, n))
-    order, pred = breadth_first_order(arcs, source, directed=True, return_predecessors=True)
-    # the last vertex in BFS order lies on the last level; walk up from it,
-    # reading parents as Python ints through a memoryview
-    parents = memoryview(pred)
-    vertex, levels = int(order[-1]), 0
-    while vertex != source:
-        if levels == max_levels:
-            return None
-        vertex, levels = parents[vertex], levels + 1
-    rank = np.empty(n, dtype=np.int32)
-    rank[order] = np.arange(n, dtype=np.int32)
-    pred[source] = source
-    parent = rank[pred[order]]  # non-decreasing: BFS takes parents in order
-    u, v = graph.edge_u, graph.edge_v
+    bfs = _tree_bfs(graph, source, max_levels)
+    if bfs is None:
+        return None
+    rank, parent, level_ends = bfs
+    # a tree edge leads from its end of lower rank, the parent, to the other
+    child = np.maximum(rank.take(graph.edge_u), rank.take(graph.edge_v))
     edge = np.empty(n - 1, dtype=np.int32)
-    edge[rank[np.where(pred[v] == u, v, u)] - 1] = np.arange(n - 1, dtype=np.int32)
-    # a level is the run of ranks whose parents rank below its first rank
-    level_ends, start = [], 1
-    while start < n:
-        # an int32 key: a Python int would make numpy cast all of parent
-        start = int(parent.searchsorted(np.int32(start)))
-        level_ends.append(start)
-    plan = _FoldPlan(rank, parent, edge, np.asarray(level_ends, dtype=np.int32))
+    edge[child - 1] = np.arange(n - 1, dtype=np.int32)
+    plan = _FoldPlan(rank, parent, edge, level_ends)
     for array in plan:
         array.flags.writeable = False
     return plan
+
+
+def _tree_bfs(graph: Graph, source: int, max_levels: int):
+    """``(rank, parent, level_ends)`` of ``_FoldPlan`` for a breadth-first
+    search of a tree from ``source``, or None once a vertex lies more than
+    ``max_levels`` levels below it.
+
+    The search runs a level at a time.  A level's vertices are the
+    neighbors of the level before, taken parent by parent in rank order
+    and each parent's neighbors in CSR order, less those already ranked:
+    the order in which a queue-driven search (scipy's
+    ``breadth_first_order``) visits them.  On a tree a vertex's one ranked
+    neighbor is its parent, so no vertex turns up twice in a level.
+    """
+    n, indptr, indices = graph.n, graph.indptr, graph.indices
+    order = np.empty(n, dtype=np.int32)  # the vertex of each rank
+    parent = np.empty(n, dtype=np.int32)
+    rank = np.full(n, -1, dtype=np.int32)
+    order[0], parent[0], rank[source] = source, 0, 0
+    level_ends, start, end = [], 0, 1
+    while end < n:
+        if len(level_ends) == max_levels:
+            return None
+        level = order[start:end]
+        first = indptr.take(level)
+        degree = indptr.take(level + 1) - first
+        ends = np.cumsum(degree)
+        # the arc positions of each vertex's row, rows in rank order
+        arcs = np.arange(ends[-1]) + np.repeat(first - (ends - degree), degree)
+        neighbors = indices.take(arcs)
+        fresh = rank.take(neighbors) < 0
+        children = neighbors[fresh]
+        parents = np.repeat(np.arange(start, end, dtype=np.int32), degree)[fresh]
+        start, end = end, end + children.size
+        order[start:end], parent[start:end] = children, parents
+        rank[children] = np.arange(start, end, dtype=np.int32)
+        level_ends.append(end)
+    return rank, parent, np.asarray(level_ends, dtype=np.int32)
 
 
 def _tree_fold(plan: _FoldPlan, weights: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 """``import ratejump`` loads neither scipy nor a process pool.
 
-scipy is needed only by the graph code in ``ratejump.si``, which imports it
-on first use, and only a multi-worker heatmap starts a process pool.  The
-check runs in a fresh interpreter, since this test session has long since
-imported both.
+scipy is needed only by the Dijkstra search in ``ratejump.si`` (graphs that
+are not trees, and trees too deep to fold), which imports it on first use,
+so a cascade on a tree loads it neither.  Only a multi-worker heatmap starts
+a process pool.  The check runs in a fresh interpreter, since this test
+session has long since imported both.
 """
 
 import json
@@ -25,10 +26,13 @@ import ratejump
 after_package = heavy()
 import ratejump.cli
 after_cli = heavy()
-from ratejump.si import build_tree_with_hub, simulate_si
+from ratejump.si import Graph, build_tree_with_hub, simulate_si
 trace = simulate_si(build_tree_with_hub(3, 2), 0, 7)
-print(json.dumps({"package": after_package, "cli": after_cli, "vertices": trace.n,
-                  "scipy_after_cascade": "scipy.sparse.csgraph" in sys.modules}))
+after_tree = heavy()
+triangle = simulate_si(Graph(3, [0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1]), 0, 7)
+print(json.dumps({"package": after_package, "cli": after_cli, "tree": after_tree,
+                  "vertices": [trace.n, triangle.n],
+                  "scipy_after_dijkstra": "scipy.sparse.csgraph" in sys.modules}))
 """
 
 
@@ -41,6 +45,7 @@ def test_import_leaves_scipy_and_process_pools_unloaded():
     seen = json.loads(proc.stdout)
     assert seen["package"] == [], "import ratejump loaded these"
     assert seen["cli"] == [], "import ratejump.cli loaded these"
-    # the graph code still finds scipy when a cascade needs it
-    assert seen["vertices"] == 17
-    assert seen["scipy_after_cascade"]
+    assert seen["tree"] == [], "a cascade on a tree loaded these"
+    # the Dijkstra search still finds scipy when a cascade needs it
+    assert seen["vertices"] == [17, 3]
+    assert seen["scipy_after_dijkstra"]

@@ -1,12 +1,15 @@
 import heapq
 import math
 import pickle
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.sparse import csgraph
+from scipy.sparse import coo_matrix, csgraph, csr_matrix
 
+from ratejump import si
 from ratejump.process import EventTimes
 from ratejump.seeding import SimSeed, generator
 from ratejump.si import (
@@ -21,7 +24,7 @@ from ratejump.si import (
     save_trace_csv,
     simulate_si,
 )
-from ratejump.si import _first_passage
+from ratejump.si import _component_count, _first_passage, _fold_plan
 from small_graphs import from_adjacency
 
 
@@ -97,6 +100,54 @@ def test_graph_validation():
         Graph(3, [0, 1], [1, 0])
     with pytest.raises(ValueError, match="out of range"):
         triangle().neighbors(-1)
+
+
+@pytest.mark.parametrize("n,src,dst,message", [
+    (2, [0], [1], "arcs are not symmetric: arc 0 -> 1 has no arc 1 -> 0"),
+    (4, [2, 0, 1, 3], [3, 1, 0, 1], "arcs are not symmetric: arc 3 -> 1 has no arc 1 -> 3"),
+    (3, [0, 1, 2], [1, 0, 1], "arcs are not symmetric: arc 2 -> 1 has no arc 1 -> 2"),
+    (2, [0, 1, 0, 1], [1, 0, 1, 0], "parallel edge: arc 0 -> 1 is listed twice"),
+    (3, [1, 2, 0, 1, 2, 1], [2, 1, 1, 0, 1, 2], "parallel edge: arc 1 -> 2 is listed twice"),
+], ids=["one-way", "one-way-downward", "one-way-odd-count", "parallel", "parallel-later"])
+def test_graph_errors_name_the_arc(n, src, dst, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Graph(n, src, dst)
+
+
+def component_cases():
+    """Edge lists (n, u, v) with u < v, many of them in more than one piece."""
+    rng = np.random.default_rng(81)
+    for n, m in ((50, 20), (500, 300), (2000, 1900), (2000, 5000)):
+        u, v = rng.integers(0, n, size=(2, m))
+        u, v = u[u != v], v[u != v]
+        pairs = np.unique(np.stack((np.minimum(u, v), np.maximum(u, v)), axis=1), axis=0)
+        yield pytest.param(n, pairs[:, 0], pairs[:, 1], id=f"random-{n}-{m}")
+    # five disjoint paths of 40 and five disjoint stars of 40, labels shuffled
+    label = rng.permutation(400)
+    path = [(b + i, b + i + 1) for b in range(0, 200, 40) for i in range(39)]
+    star = [(b, b + i) for b in range(200, 400, 40) for i in range(1, 40)]
+    ends = label[np.asarray(path + star)]
+    yield pytest.param(400, ends.min(axis=1), ends.max(axis=1), id="paths-and-stars")
+    bits = 12
+    for name, label in (("random", rng.permutation(2 ** bits)),
+                        ("bit-reversed", np.asarray(
+                            [int(f"{i:0{bits}b}"[::-1], 2) for i in range(2 ** bits)]))):
+        ends = label[np.stack((np.arange(2 ** bits - 1), np.arange(1, 2 ** bits)), axis=1)]
+        yield pytest.param(2 ** bits, ends.min(axis=1), ends.max(axis=1), id=f"path-{name}")
+    g = build_tree_with_hub(8, 60)
+    yield pytest.param(g.n, g.edge_u, g.edge_v, id="planted-hub-tree")
+
+
+@pytest.mark.parametrize("n,u,v", list(component_cases()))
+def test_component_count_matches_scipy(n, u, v):
+    u, v = np.asarray(u, dtype=np.int32), np.asarray(v, dtype=np.int32)
+    want, _ = csgraph.connected_components(
+        coo_matrix((np.ones(u.size), (u, v)), shape=(n, n)), directed=False)
+    assert _component_count(n, u, v) == want
+    if want > 1:
+        src, dst = np.concatenate((u, v)), np.concatenate((v, u))
+        with pytest.raises(ValueError, match=f"found {want} components$"):
+            Graph(n, src, dst)
 
 
 def test_build_tree_no_extras():
@@ -429,11 +480,19 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def count_bfs(monkeypatch):
+    """Patch the fold plan's BFS to record each call in the returned list."""
+    calls = []
+    real = si._tree_bfs
+    monkeypatch.setattr(si, "_tree_bfs", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
 def test_fold_plan_built_once_per_source(monkeypatch):
     # the graph keeps the BFS for the last source: a change of source runs
     # one BFS, a repeat runs none, and every fold keeps the reference's bits
     graph = build_tree_with_hub(6, 40)
-    bfs = count_calls(monkeypatch, "breadth_first_order")
+    bfs = count_bfs(monkeypatch)
     dijkstra_calls = count_calls(monkeypatch, "dijkstra")
     rng = np.random.default_rng(63)
     a, b = graph.hub, 2 ** 7 - 2
@@ -449,7 +508,7 @@ def test_deep_tree_pays_its_bfs_once(monkeypatch):
     # the caterpillar of test_deep_tree_keeps_dijkstra: the BFS finds it too
     # deep once, and the graph remembers that Dijkstra runs from that source
     graph = tree_from_parents(list(range(999)) + list(range(1000)))
-    bfs = count_calls(monkeypatch, "breadth_first_order")
+    bfs = count_bfs(monkeypatch)
     dijkstra_calls = count_calls(monkeypatch, "dijkstra")
     rng = np.random.default_rng(64)
     for expected in (1, 2):
@@ -466,7 +525,7 @@ def test_pickled_graph_leaves_its_fold_plan_out(monkeypatch):
     used = pickle.dumps(graph)
     assert len(used) == len(fresh)
     copy = pickle.loads(used)
-    bfs = count_calls(monkeypatch, "breadth_first_order")
+    bfs = count_bfs(monkeypatch)
     again = [simulate_si(copy, graph.hub, SimSeed(5, i)).times for i in range(2)]
     assert len(bfs) == 1  # the copy builds its own plan, once
     assert np.array_equal(again[0], first.times)
@@ -528,6 +587,101 @@ def test_weight_i_belongs_to_edge_i(monkeypatch, graph):
         got = _first_passage(graph, weights, source)
         assert got.tolist() == reference_times(graph, weights, source)
     assert len(calls) == (0 if is_tree else len(sources))
+
+
+def max_levels(n):
+    return si._FOLD_FREE_LEVELS + n // si._FOLD_VERTICES_PER_LEVEL
+
+
+def scipy_fold_plan(graph, source):
+    """The fold plan built from scipy's queue-driven ``breadth_first_order``:
+    a walk up from the last vertex in BFS order counts the levels, and the
+    runs of ranks whose parents rank below the run's first rank are the
+    levels."""
+    n = graph.n
+    arcs = csr_matrix((np.ones(graph.indices.size), graph.indices, graph.indptr), shape=(n, n))
+    order, pred = csgraph.breadth_first_order(arcs, source, directed=True,
+                                              return_predecessors=True)
+    vertex, levels = int(order[-1]), 0
+    while vertex != source:
+        vertex, levels = int(pred[vertex]), levels + 1
+    if levels > max_levels(n):
+        return None
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
+    pred[source] = source
+    parent = rank[pred[order]]
+    u, v = graph.edge_u, graph.edge_v
+    edge = np.empty(n - 1, dtype=np.int32)
+    edge[rank[np.where(pred[v] == u, v, u)] - 1] = np.arange(n - 1, dtype=np.int32)
+    level_ends, start = [], 1
+    while start < n:
+        start = int(parent.searchsorted(start))
+        level_ends.append(start)
+    return rank, parent, edge, np.asarray(level_ends, dtype=np.int32)
+
+
+def assert_same_plan(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype == np.int32
+            assert np.array_equal(a, b)
+
+
+def bfs_trees():
+    """Every tree of ``unsorted_graphs()`` and the small planted-hub tree."""
+    for param in unsorted_graphs():
+        graph = param.values[0]
+        if graph.n_edges == graph.n - 1:
+            yield pytest.param(graph, id=param.id)
+    yield pytest.param(build_tree_with_hub(6, 40), id="hub-6-40")
+
+
+@pytest.mark.parametrize("graph", list(bfs_trees()))
+def test_fold_plan_matches_scipy_bfs(graph):
+    rng = np.random.default_rng(graph.n)
+    sources = {0, graph.n - 1, graph.hub or 0, *rng.integers(0, graph.n, 4).tolist()}
+    for source in sorted(sources):
+        plan = _fold_plan(graph, source)
+        assert plan is not None
+        assert_same_plan(plan, scipy_fold_plan(graph, source))
+
+
+def broom(depth, leaves):
+    """A path 0 - 1 - ... - depth with ``leaves`` more leaves on vertex 0."""
+    return tree_from_parents(list(range(depth)) + [0] * leaves)
+
+
+@pytest.mark.parametrize("extra_level", [0, 1], ids=["at-cut-off", "past-cut-off"])
+def test_fold_iff_depth_within_cut_off(monkeypatch, extra_level):
+    # a path exactly max_levels deep from vertex 0 folds; one level more
+    # goes to Dijkstra, with enough leaves that the leaf count rules out
+    # neither before the BFS
+    leaves = 100
+    depth = next(d for d in range(1, 100) if d == max_levels(d + 1 + leaves)) + extra_level
+    graph = broom(depth, leaves)
+    assert depth == max_levels(graph.n) + extra_level
+    plan = _fold_plan(graph, 0)
+    assert (plan is None) == bool(extra_level)
+    assert_same_plan(plan, scipy_fold_plan(graph, 0))
+    calls = count_calls(monkeypatch, "dijkstra")
+    weights = weights_with_zeros(np.random.default_rng(depth), graph.n_edges)
+    assert _first_passage(graph, weights, 0).tolist() == reference_times(graph, weights, 0)
+    assert len(calls) == extra_level
+
+
+def test_graph_build_keeps_its_peak_memory_down():
+    # the build holds at most one large temporary beside its input and
+    # output arrays: the traced peak stays within 5x of the arrays kept
+    tracemalloc.start()
+    try:
+        graph = build_tree_with_hub(16, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in (graph.indices, graph.indptr, graph.edge_u, graph.edge_v))
+    assert peak <= 5 * kept, f"peak {peak} bytes is {peak / kept:.2f}x the {kept} kept"
 
 
 # ---------------------------------------------------------------------------
