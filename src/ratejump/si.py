@@ -97,9 +97,7 @@ class Graph:
             _check_arcs(n, src, dst)
         self.hub = hub
         self._fold_memo = None  # (source, _fold_plan(self, source)) once a tree is folded
-        order = np.argsort(src, kind="stable")
-        self.indices = dst.astype(np.int32)[order]
-        del order
+        self.indices = dst.astype(np.int32)[np.argsort(src, kind="stable")]
         self.indptr = _row_pointers(src, n)
         tails = np.repeat(np.arange(n, dtype=np.int32), np.diff(self.indptr))
         upper = np.flatnonzero(tails < self.indices)
