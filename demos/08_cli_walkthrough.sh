@@ -37,6 +37,16 @@ ratejump heatmap --scenario smooth-jump --base 2000 --jump 1600 \
     --out-dir "$out"
 echo
 
-echo "== the manifest trail =="
+echo "== a daily case series with a one-day reporting spike =="
+{
+    echo "date,cases"
+    for ((day = 1; day <= 28; day++)); do
+        printf '2021-02-%02d,%d\n' "$day" $((day == 15 ? 500 : 100))
+    done
+} > "$out/cases.csv"
+ratejump analyze-binned --csv "$out/cases.csv" --k 2 --delta-days 1 --out-dir "$out"
+echo
+
+echo "== the manifest trail (detect's lists the grid size, candidates and window) =="
 ls "$out"/*.manifest
 sed -e 's/^/    /' "$out/report.csv.manifest"

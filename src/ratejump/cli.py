@@ -317,7 +317,14 @@ def cmd_detect(args):
         _echo(f"t_hat={e.time} score={e.score}")
     if not report.estimates:
         _echo("no change points detected")
-    return out_report, inputs, [out_report, out_report + ".meta"], {"n_estimates": len(report)}
+    # k, delta, steps_per_delta and threshold are the run's param.* lines
+    return out_report, inputs, [out_report], {
+        "n_estimates": len(report),
+        "n_grid": report.n_grid,
+        "candidate_count": report.candidate_count,
+        "window_lo": repr(report.window[0]),
+        "window_hi": repr(report.window[1]),
+    }
 
 
 def cmd_heatmap(args):

@@ -75,29 +75,27 @@ class Estimate(NamedTuple):
 
 @dataclass(frozen=True)
 class ChangePointReport:
-    """Detection output plus the grid metadata needed to reproduce it."""
+    """Detection output: the estimates, the config that made them, and the
+    grid's window, size and candidate count."""
 
     estimates: tuple
-    k: int
-    delta: float
-    steps_per_delta: int
+    config: DetectorConfig
     window: tuple
-    threshold: "float | None"
-    min_sep: float
     n_grid: int
     candidate_count: int
 
     def __post_init__(self) -> None:
+        min_sep, threshold = self.config.min_sep, self.config.threshold
         times = [e.time for e in self.estimates]
         for t1, t2 in zip(times, times[1:]):
             # exact, as in _packing_indices: a gap of min_sep or less fails
-            if not t2 - t1 > self.min_sep:
+            if not t2 - t1 > min_sep:
                 raise ValueError(
                     f"estimates at {t1!r} and {t2!r} violate pairwise separation "
-                    f"> min_sep = {self.min_sep!r}"
+                    f"> min_sep = {min_sep!r}"
                 )
-        if self.threshold is not None:
-            floor = self.threshold / 2.0
+        if threshold is not None:
+            floor = threshold / 2.0
             for e in self.estimates:
                 # exact, as in _candidates: a score below threshold/2 fails
                 if not e.score >= floor:
@@ -161,12 +159,8 @@ def detect(N, config: DetectorConfig) -> ChangePointReport:
             Estimate(float(profile.times[i]), float(scores[i]), float(profile.values[i]))
             for i in chosen
         ),
-        k=config.k,
-        delta=config.delta,
-        steps_per_delta=config.steps_per_delta,
+        config=config,
         window=profile.window,
-        threshold=config.threshold,
-        min_sep=config.min_sep,
         n_grid=len(profile),
         candidate_count=int(keep.size),
     )
@@ -216,21 +210,9 @@ def min_order_for(theta: float) -> int:
 
 
 def save_report_csv(report: ChangePointReport, path) -> None:
-    """Write estimates as ``t_hat,score`` CSV plus a key=value ``<path>.meta`` sidecar."""
+    """Write the estimates as a ``t_hat,score`` CSV."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t_hat", "score"])
         for e in report.estimates:
             writer.writerow([repr(e.time), repr(e.score)])
-    with open(str(path) + ".meta", "w", encoding="utf-8") as fh:
-        fh.write(f"k={report.k}\n")
-        fh.write(f"delta={report.delta!r}\n")
-        fh.write(f"steps_per_delta={report.steps_per_delta}\n")
-        fh.write(f"threshold={'' if report.threshold is None else repr(report.threshold)}\n")
-        fh.write(f"mode={'argmax-single' if report.threshold is None else 'threshold'}\n")
-        fh.write(f"min_sep={report.min_sep!r}\n")
-        fh.write(f"window_lo={report.window[0]!r}\n")
-        fh.write(f"window_hi={report.window[1]!r}\n")
-        fh.write(f"n_grid={report.n_grid}\n")
-        fh.write(f"candidate_count={report.candidate_count}\n")
-        fh.write(f"n_estimates={len(report.estimates)}\n")

@@ -55,24 +55,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Realization:
-    """One simulated dataset: N, the true change time, and a checksum.
+    """One simulated dataset: N and the true change time.
 
     ``events`` is N as event times (``EventTimes``) or as counts drawn at
-    the times a trial reads (``SampledCounts``).  The checksum identifies
-    the realization, so reruns and worker pools can prove they analyzed the
-    same data: (event count N(horizon), sum of the event times) for event
-    times, and (N(horizon), sum of the drawn counts) for drawn counts.
+    the times a trial reads (``SampledCounts``).
     """
 
     events: "EventTimes | SampledCounts"
     truth: float
-    checksum: tuple
 
-    @staticmethod
-    def wrap(events: "EventTimes | SampledCounts", truth: float) -> "Realization":
-        drawn = events.counts if isinstance(events, SampledCounts) else events.times
-        checksum = (len(events), float(drawn.sum()))
-        return Realization(events=events, truth=float(truth), checksum=checksum)
+    @property
+    def checksum(self) -> tuple:
+        """Identifies the realization, so reruns and worker pools can prove
+        they analyzed the same data: (event count N(horizon), sum of the
+        event times) for event times, and (N(horizon), sum of the drawn
+        counts) for drawn counts."""
+        drawn = self.events.counts if isinstance(self.events, SampledCounts) else self.events.times
+        return (len(self.events), float(drawn.sum()))
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,7 @@ class SmoothJumpScenario:
         seed = as_seed(seed)
         truth = float(seed.split(1).uniform(self.onset_low, self.onset_high))
         spec = preset_rate_spec("sin-plus-exp", base=self.base, jump=self.jump, onset=truth)
-        return Realization.wrap(_poisson_counts(spec, self.horizon, seed, times), truth)
+        return Realization(_poisson_counts(spec, self.horizon, seed, times), truth)
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,7 @@ class ConstNullScenario:
         seed = as_seed(seed)
         truth = float(seed.split(1).uniform(self.onset_low, self.onset_high))
         spec = RateSpec(components=(JumpComponent(self.base, 0.0, Constant()),))
-        return Realization.wrap(_poisson_counts(spec, self.horizon, seed, times), truth)
+        return Realization(_poisson_counts(spec, self.horizon, seed, times), truth)
 
 
 def _poisson_counts(spec: RateSpec, horizon: float, seed: SimSeed, times):
@@ -151,7 +150,7 @@ class SITreeScenario:
         seed = as_seed(seed)
         trace = simulate_si(self.graph, 0, seed.split(0))
         truth = float(trace.times[self.graph.hub])
-        return Realization.wrap(infection_count_process(trace), truth)
+        return Realization(infection_count_process(trace), truth)
 
 
 # The heatmap scenarios by name: the class and the parameter that sizes its
@@ -193,17 +192,50 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class HeatmapResult:
-    """Per-cell mean errors plus everything needed to audit the run."""
+    """Every trial's cell errors, with the spec that drew them; the grids,
+    counts, mean errors, argmin and CSV metadata derive from the two."""
 
-    k_grid: tuple
-    delta_grid: tuple
+    spec: ExperimentSpec
     errors: np.ndarray  # (trials, n_k, n_delta), NaN where a cell failed
-    mean_errors: np.ndarray  # (n_k, n_delta)
-    counts: np.ndarray  # (n_k, n_delta) trials that contributed
-    argmin: tuple  # (k, delta, mean error)
     checksums: tuple  # one realization checksum per trial
     diagnostics: tuple
-    metadata: dict = field(default_factory=dict)
+
+    @property
+    def k_grid(self) -> tuple:
+        return self.spec.k_grid
+
+    @property
+    def delta_grid(self) -> tuple:
+        return self.spec.delta_grid
+
+    @property
+    def counts(self) -> np.ndarray:
+        """(n_k, n_delta): the trials that contributed to each cell."""
+        return np.sum(~np.isnan(self.errors), axis=0)
+
+    @property
+    def mean_errors(self) -> np.ndarray:
+        """(n_k, n_delta): each cell's mean error over its trials, NaN where
+        every trial failed."""
+        with warnings.catch_warnings():
+            # a cell whose every trial failed is all-NaN; its mean must be NaN
+            warnings.simplefilter("ignore", category=RuntimeWarning)
+            return np.nanmean(self.errors, axis=0)
+
+    @property
+    def argmin(self) -> tuple:
+        """(k, delta, mean error) of the cell with the smallest mean error,
+        the smallest k, then delta, on ties."""
+        mean_errors = self.mean_errors
+        flat = np.where(np.isnan(mean_errors), np.inf, mean_errors)
+        i, j = np.unravel_index(int(np.argmin(flat)), flat.shape)
+        return self.k_grid[i], self.delta_grid[j], float(mean_errors[i, j])
+
+    @property
+    def metadata(self) -> dict:
+        """The run's provenance, written as the heatmap CSV's '#' lines."""
+        return {"scenario": repr(self.spec.scenario), "trials": self.spec.trials,
+                "base_seed": self.spec.base_seed, "steps_per_delta": STEPS_PER_DELTA}
 
     @property
     def failed_cells(self) -> int:
@@ -293,52 +325,24 @@ def run_heatmap(spec: ExperimentSpec, workers: "int | None" = None) -> HeatmapRe
         per_trial = [_trial_errors(spec, t) for t in trials]
 
     errors = np.stack([e for e, _, _ in per_trial])
-    checksums = tuple(c for _, c, _ in per_trial)
     diagnostics = tuple(d for _, _, ds in per_trial for d in ds)
-    counts = np.sum(~np.isnan(errors), axis=0)
-    with warnings.catch_warnings():
-        # a cell whose every trial failed is all-NaN; its mean must be NaN
-        warnings.simplefilter("ignore", category=RuntimeWarning)
-        mean_errors = np.nanmean(errors, axis=0)
-    if np.all(np.isnan(mean_errors)):
+    if np.isnan(errors).all():
         raise RuntimeError("every cell failed; diagnostics: " + "; ".join(diagnostics[:5]))
-    flat = np.where(np.isnan(mean_errors), np.inf, mean_errors)
-    best = np.unravel_index(int(np.argmin(flat)), flat.shape)  # first=smallest k, delta
-    argmin = (
-        spec.k_grid[best[0]],
-        spec.delta_grid[best[1]],
-        float(mean_errors[best]),
-    )
-    metadata = {
-        "scenario": repr(spec.scenario),
-        "trials": spec.trials,
-        "base_seed": spec.base_seed,
-        "steps_per_delta": STEPS_PER_DELTA,
-    }
-    return HeatmapResult(
-        k_grid=spec.k_grid,
-        delta_grid=spec.delta_grid,
-        errors=errors,
-        mean_errors=mean_errors,
-        counts=counts,
-        argmin=argmin,
-        checksums=checksums,
-        diagnostics=diagnostics,
-        metadata=metadata,
-    )
+    return HeatmapResult(spec=spec, errors=errors, checksums=tuple(c for _, c, _ in per_trial),
+                         diagnostics=diagnostics)
 
 
 def save_heatmap_csv(result: HeatmapResult, path) -> None:
     """Matrix CSV: '#' metadata lines, then a delta header row and one row per k."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for key in sorted(result.metadata):
-            fh.write(f"# {key}={result.metadata[key]}\n")
-        fh.write(f"# argmin_k={result.argmin[0]} argmin_delta={result.argmin[1]!r} "
-                 f"argmin_error={result.argmin[2]!r}\n")
+        for key, value in sorted(result.metadata.items()):
+            fh.write(f"# {key}={value}\n")
+        k, delta, error = result.argmin
+        fh.write(f"# argmin_k={k} argmin_delta={delta!r} argmin_error={error!r}\n")
         writer = csv.writer(fh)
         writer.writerow(["k\\delta"] + [repr(d) for d in result.delta_grid])
-        for i, k in enumerate(result.k_grid):
-            writer.writerow([k] + [repr(float(v)) for v in result.mean_errors[i]])
+        for k, row in zip(result.k_grid, result.mean_errors):
+            writer.writerow([k] + [repr(float(v)) for v in row])
 
 
 def save_heatmap_long_csv(result: HeatmapResult, path) -> None:

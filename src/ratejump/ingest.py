@@ -207,15 +207,30 @@ def load_daily_csv(path, region: "str | None" = None, mode: str = "daily") -> Re
 
 @dataclass(frozen=True)
 class BinnedAnalysis:
-    """Discrete-derivative profile of a daily series, evaluated on day edges."""
+    """Discrete-derivative profile of a daily series, evaluated on day edges.
+    The order, the step in days and the argmax are read off the profile."""
 
     profile: DerivativeProfile
-    argmax_day: int
-    argmax_value: float
-    k: int
-    delta_days: int
     region: str = ""
     start_date: "datetime.date | None" = None
+
+    @property
+    def k(self) -> int:
+        return self.profile.order
+
+    @property
+    def delta_days(self) -> int:
+        # the grid step is one day, so delta is steps_per_delta days
+        return self.profile.steps_per_delta
+
+    @property
+    def argmax_day(self) -> int:
+        """The day edge of the largest |value|, the earliest on ties."""
+        return int(round(float(self.profile.times[self.profile.argmax()])))
+
+    @property
+    def argmax_value(self) -> float:
+        return float(self.profile.values[self.profile.argmax()])
 
     def summary(self) -> str:
         date = ""
@@ -245,16 +260,7 @@ def analyze_binned(series, k: int, delta_days: int = 1) -> BinnedAnalysis:
     delta_days = _check_order(delta_days, "delta_days", limit=math.inf)
     counting = from_binned(series.to_binned())
     profile = derivative_profile(counting, k, float(delta_days), delta_days)
-    i = profile.argmax()
-    return BinnedAnalysis(
-        profile=profile,
-        argmax_day=int(round(float(profile.times[i]))),
-        argmax_value=float(profile.values[i]),
-        k=k,
-        delta_days=delta_days,
-        region=series.region,
-        start_date=series.start_date,
-    )
+    return BinnedAnalysis(profile=profile, region=series.region, start_date=series.start_date)
 
 
 def save_analysis_csv(analysis: BinnedAnalysis, path) -> None:

@@ -289,9 +289,10 @@ def save_event_times(events: EventTimes, path) -> None:
 def load_binned_csv(path) -> BinnedSeries:
     """Read a binned series from CSV with header ``bin_start,count``.
 
-    Bins must be contiguous and uniform; counts must be non-negative
-    integers.  Errors name the offending row by its file line
-    (``reader.line_num``), so blank lines count.
+    Bins must be contiguous and uniform, and at least two, since the width
+    is the gap between starts; counts must be non-negative integers.
+    Errors name the offending row by its file line (``reader.line_num``),
+    so blank lines count.
     """
     starts = []
     counts = []
@@ -321,19 +322,17 @@ def load_binned_csv(path) -> BinnedSeries:
             counts.append(count)
     if not starts:
         raise ValueError(f"{path}: no data rows")
-    starts_arr = np.asarray(starts, dtype=np.float64)
-    if len(starts_arr) > 1:
-        widths = np.diff(starts_arr)
-        width = widths[0]
-        if width <= 0 or not np.allclose(widths, width, rtol=1e-9, atol=1e-12):
-            bad = int(np.argmax(~np.isclose(widths, width, rtol=1e-9, atol=1e-12)))
-            raise ValueError(
-                f"{path}: bins are not contiguous/uniform near row {lines[bad + 1]} "
-                f"(gap {float(widths[bad])!r} vs width {float(width)!r})"
-            )
-    else:
-        width = 1.0
-    return BinnedSeries(bin_width=float(width), counts=np.asarray(counts), start_time=float(starts_arr[0]))
+    if len(starts) == 1:
+        raise ValueError(f"{path}: one data row, but the bin width needs at least two rows")
+    widths = np.diff(starts)
+    width = widths[0]
+    if width <= 0 or not np.allclose(widths, width, rtol=1e-9, atol=1e-12):
+        bad = int(np.argmax(~np.isclose(widths, width, rtol=1e-9, atol=1e-12)))
+        raise ValueError(
+            f"{path}: bins are not contiguous/uniform near row {lines[bad + 1]} "
+            f"(gap {float(widths[bad])!r} vs width {float(width)!r})"
+        )
+    return BinnedSeries(bin_width=float(width), counts=np.asarray(counts), start_time=starts[0])
 
 
 def save_binned_csv(series: BinnedSeries, path) -> None:

@@ -53,9 +53,9 @@ def as_seed(seed: "SimSeed | int") -> SimSeed:
     return seed if isinstance(seed, SimSeed) else SimSeed(seed)
 
 
-def generator(seed: "SimSeed | int | np.random.Generator", *path: int) -> np.random.Generator:
-    """Shorthand for ``as_seed(seed).split(*path)``; a numpy Generator given
-    with no path is returned as it is, so its draws go on where they left off."""
-    if isinstance(seed, np.random.Generator) and not path:
+def generator(seed: "SimSeed | int | np.random.Generator") -> np.random.Generator:
+    """Shorthand for ``as_seed(seed).split()``; a numpy Generator is returned
+    as it is, so its draws go on where they left off."""
+    if isinstance(seed, np.random.Generator):
         return seed
-    return as_seed(seed).split(*path)
+    return as_seed(seed).split()

@@ -133,9 +133,16 @@ def test_detect_threshold_mode_finds_the_jump(tmp_path, capsys):
     assert report[0] == "t_hat,score"
     t_hat = float(report[1].split(",")[0])
     assert abs(t_hat - 2.0) < 0.5
-    meta = (tmp_path / "report.csv.meta").read_text()
-    assert "k=2" in meta
-    assert (tmp_path / "report.csv.manifest").exists()
+    manifest = (tmp_path / "report.csv.manifest").read_text().splitlines()
+    assert {"param.k=2", "param.delta=0.3", "param.steps_per_delta=10",
+            "param.threshold=600.0", "result.n_estimates=1"} <= set(manifest)
+    # the grid's size, candidates and window are recorded in the manifest
+    result = dict(line.split("=", 1) for line in manifest if line.startswith("result."))
+    assert int(result["result.candidate_count"]) >= 1
+    assert int(result["result.n_grid"]) > int(result["result.candidate_count"])
+    assert float(result["result.window_lo"]) == 0.3  # (k-1)*delta: the first grid time
+    assert 5.0 < float(result["result.window_hi"]) <= 6.0 - 0.3
+    assert not (tmp_path / "report.csv.meta").exists()
 
 
 def test_detect_argmax_mode(tmp_path, capsys):
@@ -148,7 +155,9 @@ def test_detect_argmax_mode(tmp_path, capsys):
     assert code == 0, err
     lines = [l for l in out.splitlines() if l.startswith("t_hat=")]
     assert len(lines) == 1
-    assert "mode=argmax-single" in (tmp_path / "report.csv.meta").read_text()
+    # no threshold is argmax mode: one candidate, the best-scoring grid point
+    manifest = (tmp_path / "report.csv.manifest").read_text().splitlines()
+    assert {"param.threshold=None", "result.candidate_count=1"} <= set(manifest)
 
 
 def test_detect_without_threshold_prints_the_argmax(tmp_path, capsys):

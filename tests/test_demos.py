@@ -48,7 +48,7 @@ def test_readme_quick_start():
     report = scope["report"]
     commented = float(re.search(r"# \[([0-9.]+)\]", detect_block).group(1))
     (estimate,) = report.times
-    assert abs(estimate - commented) <= report.delta / report.steps_per_delta
+    assert abs(estimate - commented) <= report.config.delta / report.config.steps_per_delta
     scope = {}
     exec(hub_block, scope)
     assert abs(scope["t_hat"] - scope["trace"].times[scope["graph"].hub]) <= 0.01

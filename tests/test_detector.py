@@ -128,24 +128,16 @@ def test_report_invariants_enforced():
     with pytest.raises(ValueError, match="separation"):
         ChangePointReport(
             estimates=(Estimate(1.0, 9.0, 9.0), Estimate(1.5, 8.0, 8.0)),
-            k=2,
-            delta=0.5,
-            steps_per_delta=10,
+            config=DetectorConfig(k=2, delta=0.5, threshold=10.0),
             window=(0.5, 9.5),
-            threshold=10.0,
-            min_sep=2.0,
             n_grid=100,
             candidate_count=2,
         )
     with pytest.raises(ValueError, match="threshold"):
         ChangePointReport(
             estimates=(Estimate(1.0, 2.0, 2.0),),
-            k=2,
-            delta=0.5,
-            steps_per_delta=10,
+            config=DetectorConfig(k=2, delta=0.5, threshold=10.0),
             window=(0.5, 9.5),
-            threshold=10.0,
-            min_sep=2.0,
             n_grid=100,
             candidate_count=1,
         )
@@ -159,8 +151,8 @@ def test_report_separation_is_exact():
     def report(gap):
         return ChangePointReport(
             estimates=(Estimate(1.0, 9.0, 9.0), Estimate(1.0 + gap, 8.0, 8.0)),
-            k=2, delta=0.5, steps_per_delta=10, window=(0.5, 9.5), threshold=10.0,
-            min_sep=2.0, n_grid=100, candidate_count=2,
+            config=DetectorConfig(k=2, delta=0.5, threshold=10.0), window=(0.5, 9.5),
+            n_grid=100, candidate_count=2,
         )
 
     for gap in (2.0 * (1 - 1e-13), 2.0):
@@ -179,8 +171,8 @@ def test_report_score_floor_is_exact():
     def report(score):
         return ChangePointReport(
             estimates=(Estimate(1.0, score, score),),
-            k=2, delta=0.5, steps_per_delta=10, window=(0.5, 9.5), threshold=10.0,
-            min_sep=2.0, n_grid=100, candidate_count=1,
+            config=DetectorConfig(k=2, delta=0.5, threshold=10.0), window=(0.5, 9.5),
+            n_grid=100, candidate_count=1,
         )
 
     with pytest.raises(ValueError, match=r"^estimate score 4\.9999999999995 below threshold/2 = 5\.0$"):
@@ -260,15 +252,15 @@ def test_config_validation():
         DetectorConfig(k=2, delta=0.5, steps_per_delta=2.5)
 
 
-def test_report_csv_and_sidecar(tmp_path):
+def test_report_csv_and_config(tmp_path):
+    # the report keeps the config it ran with; the CSV is the only file written
     e = ramp_events()
-    report = detect(e, DetectorConfig(k=2, delta=0.5, threshold=100.0))
+    config = DetectorConfig(k=2, delta=0.5, threshold=100.0)
+    report = detect(e, config)
+    assert report.config is config
     out = tmp_path / "report.csv"
     save_report_csv(report, out)
     lines = out.read_text().splitlines()
     assert lines[0] == "t_hat,score"
     assert len(lines) == 2
-    meta = (tmp_path / "report.csv.meta").read_text()
-    assert "k=2" in meta
-    assert "steps_per_delta=10" in meta
-    assert "mode=threshold" in meta
+    assert [f.name for f in tmp_path.iterdir()] == ["report.csv"]

@@ -47,7 +47,7 @@ class RampScenario:
         step = 1.0 / self.rate_after
         n = int(math.floor((self.horizon - self.change_at) / step))
         times = self.change_at + step * np.arange(1, n + 1)
-        return Realization.wrap(EventTimes(times=times, horizon=self.horizon), self.change_at)
+        return Realization(EventTimes(times=times, horizon=self.horizon), self.change_at)
 
 
 def small_spec(trials=4, base_seed=11):
@@ -189,7 +189,7 @@ def test_heatmap_programming_error_propagates():
         analysis_window = None
 
         def realize(self, seed, times):
-            return Realization(events=np.arange(5.0), truth=1.0, checksum=(5, 10.0))
+            return Realization(events=np.arange(5.0), truth=1.0)
 
     spec = ExperimentSpec(
         scenario=NoCountAtScenario(), k_grid=(1, 2), delta_grid=(0.5,), trials=2

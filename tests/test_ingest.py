@@ -151,6 +151,19 @@ def test_analyze_constant_is_zero():
     assert np.all(analysis3.profile.values == 0)
 
 
+def test_weekly_cycle_cancels_at_a_seven_day_step():
+    # an additive 7-periodic cycle adds the same weekly total to every
+    # first-order difference at delta = 7 days, so each higher order cancels
+    # it exactly
+    week = [135, 115, 100, 100, 95, 80, 75]
+    counts = np.tile(week, 20)
+    for k in range(1, 8):
+        analysis = analyze_binned(counts, k=k, delta_days=7)
+        assert (analysis.k, analysis.delta_days) == (k, 7)
+        expected = sum(week) if k == 1 else 0
+        assert analysis.profile.values.tolist() == [expected] * len(analysis.profile)
+
+
 def test_analyze_spike():
     counts = np.full(30, 10)
     counts[12] += 50

@@ -146,13 +146,25 @@ def test_event_file_names_the_line_of_a_non_finite_or_negative_timestamp(tmp_pat
 
 
 def test_binned_csv_round_trip(tmp_path):
-    s = BinnedSeries(bin_width=0.5, counts=np.array([1, 2, 0, 4]), start_time=2.0)
+    # width, start and counts come back exactly (widths and starts whose
+    # sums are exact in binary floating point)
     path = tmp_path / "binned.csv"
-    save_binned_csv(s, path)
-    back = load_binned_csv(path)
-    assert back.bin_width == s.bin_width
-    assert back.start_time == s.start_time
-    assert np.array_equal(back.counts, s.counts)
+    for width, start, counts in [(0.5, 2.0, [1, 2, 0, 4]), (50.0, 0.0, [7, 0]),
+                                 (0.25, 3.5, [1, 2, 3]), (1.0, 0.0, list(range(30)))]:
+        save_binned_csv(BinnedSeries(bin_width=width, counts=np.array(counts), start_time=start),
+                        path)
+        back = load_binned_csv(path)
+        assert (back.bin_width, back.start_time) == (width, start)
+        assert back.counts.tolist() == counts
+
+
+def test_one_bin_csv_has_no_width(tmp_path):
+    # the width is the gap between bin starts: one row cannot give it
+    path = tmp_path / "one.csv"
+    save_binned_csv(BinnedSeries(bin_width=50.0, counts=np.array([7]), start_time=0.0), path)
+    with pytest.raises(ValueError, match=r"/one\.csv: one data row, but the bin width needs "
+                                         r"at least two rows$"):
+        load_binned_csv(path)
 
 
 def test_binned_csv_errors(tmp_path):
