@@ -31,6 +31,16 @@ ratejump multicascade --height 11 --extra-leaves 800 --cascades 3 \
     --k 2 --delta 0.12 --window 0.05 --seed 5 --out-dir "$out"
 echo
 
+echo "== a cascade on a graph read from an edge-list file =="
+{
+    echo "# a 5-cycle 0-1-2-3-4 with the chord 1-3; each edge once, either way round"
+    printf '%s\n' "0 1" "2 1" "2 3" "4 3" "0 4" "3 1"
+} > "$out/graph.txt"
+ratejump simulate-si --graph "$out/graph.txt" --seed 3 --stream 1 \
+    --out graph_trace.csv --out-dir "$out"
+cat "$out/graph_trace.csv"
+echo
+
 echo "== a small error heatmap, with each order's best delta =="
 ratejump heatmap --scenario smooth-jump --base 2000 --jump 1600 \
     --k-grid 1,2,3 --delta-grid 0.1:0.5:5 --trials 10 --workers 1 \

@@ -57,7 +57,7 @@ from .harness import (
 from .ingest import analyze_binned, load_daily_csv, save_analysis_csv
 from .multicascade import CascadeBundle, estimate_high_degree, save_multicascade_report
 from .poisson import RATE_PRESETS, load_rate_spec, preset_rate_spec, save_rate_spec, simulate
-from .process import (bin_events, from_binned, load_binned_csv, load_event_times,
+from .process import (_bin_count, bin_events, from_binned, load_binned_csv, load_event_times,
                       save_binned_csv, save_event_times)
 from .seeding import SimSeed
 from .si import build_tree_with_hub, load_edge_list, load_trace_csv, save_trace_csv, simulate_si
@@ -267,6 +267,9 @@ def cmd_simulate_poisson(args):
         with _building():
             spec = preset_rate_spec(args.rate_preset, **overrides)
         inputs = []
+    if args.bin_width is not None:
+        with _building():
+            _bin_count(args.horizon, args.bin_width)
     events = simulate(spec, args.horizon, SimSeed(args.seed, args.stream))
     out_dir = _out_dir(args)
     out_events = os.path.join(out_dir, args.out)

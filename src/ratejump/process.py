@@ -241,9 +241,22 @@ def bin_events(events: EventTimes, bin_width: float) -> BinnedSeries:
     on an edge belongs to the right-hand bin here but to the left-closed
     count under the N(t) convention; measure-zero for continuous samples.)
     """
-    n_bins = max(int(np.ceil(events.horizon / bin_width - 1e-12)), 0)
+    n_bins = _bin_count(events.horizon, bin_width)
     idx = np.searchsorted(events.times, np.arange(n_bins + 1) * bin_width, side="left")
     return BinnedSeries(bin_width=bin_width, counts=np.diff(idx))
+
+
+def _bin_count(horizon: float, bin_width: float) -> int:
+    """The number of bins of ``bin_width`` from 0 that cover [0, horizon].
+
+    A binned file states its width only as the gap between bin starts, so
+    fewer than two bins is an error naming the width and the horizon.
+    """
+    n_bins = int(np.ceil(horizon / bin_width - 1e-12))
+    if n_bins < 2:
+        raise ValueError(f"bin width {bin_width!r} leaves fewer than two bins "
+                         f"on horizon {horizon!r}")
+    return n_bins
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,12 @@ a measured cut-off (path-like trees) keeps Dijkstra, and the graph
 remembers that verdict too.  Both read the int32 arc CSR and edge list a
 ``Graph`` builds once, which scipy takes without a copy.
 
-Building a graph (its connectivity check included) and folding a tree
-use numpy alone.  Only the Dijkstra search needs scipy (``scipy.sparse``
-and ``csgraph``), and it imports them on first use: a cascade on a graph
-that is not a tree, or on a tree too deep to fold, loads scipy, and
-``import ratejump``, a graph build or a tree cascade does not.
+Building a graph from its edges, each listed once (``Graph(n, u, v)``,
+connectivity check included), and folding a tree use numpy alone.  Only
+the Dijkstra search needs scipy (``scipy.sparse`` and ``csgraph``), and it
+imports them on first use: a cascade on a graph that is not a tree, or on
+a tree too deep to fold, loads scipy, and ``import ratejump``, a graph
+build or a tree cascade does not.
 """
 
 from __future__ import annotations
@@ -70,35 +71,46 @@ __all__ = [
 class Graph:
     """Undirected simple connected graph, stored once as int32 arrays.
 
+    ``Graph(n, u, v)`` builds the graph on vertices 0..n-1 with edge i
+    between u[i] and v[i], each edge listed once and in either orientation.
+    It validates simplicity (no self-loops, no edge listed twice), naming
+    the first edge at fault, and connectivity.  ``hub`` is the planted hub
+    it was given (``build_tree_with_hub``), else None.
+
     ``indptr``/``indices`` hold each edge {u, v} as the arcs u -> v and
-    v -> u; the neighbors of v are ``indices[indptr[v]:indptr[v + 1]]`` in
-    the order given.  Edge i is ``edge_u[i] < edge_v[i]``, the i-th arc with
-    u < v in CSR order; ``edges()`` yields this order and edge weights are
-    indexed by it.  ``Graph(n, src, dst)`` builds the graph on vertices
-    0..n-1 with one arc src[i] -> dst[i] per entry, and validates
-    simplicity (no self-loops, no parallel edges) and symmetry, naming the
-    first arc at fault, and connectivity.  ``hub`` is the planted hub it
-    was given (``build_tree_with_hub``), else None.
+    v -> u; the neighbors of x are ``indices[indptr[x]:indptr[x + 1]]``:
+    first those of the edges given as (x, y), then those of the edges given
+    as (y, x), each in input order.  Edge i is ``edge_u[i] < edge_v[i]``,
+    the i-th arc with u < v in CSR order; ``edges()`` yields this order and
+    edge weights are indexed by it.
 
     A graph is not changed after it is built.  ``simulate_si`` keeps on it
     the tree fold's plan for the last source it was asked about (see
     ``_fold_plan``); pickling leaves the plan out.
     """
 
-    def __init__(self, n: int, src, dst, hub: "int | None" = None):
-        src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    def __init__(self, n: int, u, v, hub: "int | None" = None):
+        u, v = np.asarray(u), np.asarray(v)
+        if (u.ndim != 1 or u.shape != v.shape
+                or (u.size and {u.dtype.kind, v.dtype.kind} - set("iu"))):
+            raise ValueError(f"u and v must be one-dimensional integer arrays of one length, "
+                             f"got {u.dtype} {u.shape} and {v.dtype} {v.shape}")
         if n == 0:
             raise ValueError("graph must have at least one vertex")
-        if max(n, src.size) > np.iinfo(np.int32).max:
-            raise ValueError(f"{n} vertices and {src.size} arcs do not fit int32 indices")
-        if src.size:
-            if min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n:
-                raise ValueError("an arc references a vertex id out of range")
-            _check_arcs(n, src, dst)
+        if max(n, 2 * u.size) > np.iinfo(np.int32).max:
+            raise ValueError(f"{n} vertices and {2 * u.size} arcs do not fit int32 indices")
+        if u.size:
+            if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n:
+                raise ValueError("an edge references a vertex id out of range")
+            _check_edges(n, u, v)
         self.hub = hub
         self._fold_memo = None  # (source, _fold_plan(self, source)) once a tree is folded
-        self.indices = dst.astype(np.int32)[np.argsort(src, kind="stable")]
+        # arc i is u[i] -> v[i] and arc m + i its reverse; ids are in range, so int32 is exact
+        src = np.concatenate((u, v), dtype=np.int32, casting="unsafe")
+        self.indices = np.concatenate((v, u), dtype=np.int32, casting="unsafe")[
+            np.argsort(src, kind="stable")]
         self.indptr = _row_pointers(src, n)
+        del src
         tails = np.repeat(np.arange(n, dtype=np.int32), np.diff(self.indptr))
         upper = np.flatnonzero(tails < self.indices)
         self.edge_u, self.edge_v = tails[upper], self.indices[upper]
@@ -139,39 +151,21 @@ def _row_pointers(rows: np.ndarray, n: int) -> np.ndarray:
     return indptr
 
 
-def _check_arcs(n: int, src: np.ndarray, dst: np.ndarray) -> None:
-    """Reject a self-loop, an arc listed twice, or an arc u -> v with no
-    arc v -> u, naming it.
-
-    Each check sorts one int64 key per arc, built in place and dropped
-    before the next, so a large graph holds one key at a time.  The
-    symmetry key ``min(u, v) * n + max(u, v)`` is the same for u -> v and
-    v -> u, and with no arc listed twice the arcs are symmetric iff every
-    key occurs exactly twice.
-    """
-    loops = np.flatnonzero(src == dst)
+def _check_edges(n: int, u: np.ndarray, v: np.ndarray) -> None:
+    """Reject a self-loop or an edge listed twice, naming it.  The edge
+    {u, v} has one int64 key ``min(u, v) * n + max(u, v)`` in either
+    orientation, so an edge listed twice is a key seen twice once sorted."""
+    loops = np.flatnonzero(u == v)
     if loops.size:
-        raise ValueError(f"self-loop at vertex {int(src[loops[0]])}")
-    key = src * n
-    key += dst
+        raise ValueError(f"self-loop at vertex {int(u[loops[0]])}")
+    key = np.minimum(u, v, dtype=np.int64)
+    key *= n
+    key += np.maximum(u, v, dtype=np.int64)
     key.sort()
     twice = np.flatnonzero(key[1:] == key[:-1])
     if twice.size:
-        u, v = divmod(int(key[twice[0]]), n)
-        raise ValueError(f"parallel edge: arc {u} -> {v} is listed twice")
-    del key, twice
-    key = np.minimum(src, dst)
-    key *= n - 1
-    key += src
-    key += dst  # min * (n - 1) + min + max
-    key.sort()
-    pairs = key.size // 2
-    unpaired = np.flatnonzero(key[0:2 * pairs:2] != key[1::2])
-    if unpaired.size or key.size % 2:
-        # the first pair that does not match starts with a key seen once
-        low, high = divmod(int(key[2 * unpaired[0] if unpaired.size else -1]), n)
-        u, v = (low, high) if np.any((src == low) & (dst == high)) else (high, low)
-        raise ValueError(f"arcs are not symmetric: arc {u} -> {v} has no arc {v} -> {u}")
+        low, high = divmod(int(key[twice[0]]), n)
+        raise ValueError(f"parallel edge: edge {{{low}, {high}}} is listed twice")
 
 
 def _component_count(n: int, u: np.ndarray, v: np.ndarray) -> int:
@@ -242,17 +236,12 @@ def build_tree_with_hub(height: int, extra_leaves: int) -> Graph:
     n_tree = 2 ** (height + 1) - 1
     hub = 2 ** (height - 1) - 1
     n = n_tree + extra_leaves
-    # every vertex but the root hangs off one parent: its heap parent, or
-    # the hub; arc i is child -> parent and arc m + i is its reverse
-    m = n - 1
-    src, dst = np.empty(2 * m, dtype=np.int64), np.empty(2 * m, dtype=np.int64)
-    child, parent = src[:m], dst[:m]
-    child[:] = np.arange(1, n)
+    # every vertex but the root hangs off one parent: its heap parent, or the hub
+    child = np.arange(1, n, dtype=np.int32)
+    parent = np.full(n - 1, hub, dtype=np.int32)
     np.subtract(child[:n_tree - 1], 1, out=parent[:n_tree - 1])
     parent[:n_tree - 1] //= 2
-    parent[n_tree - 1:] = hub
-    src[m:], dst[m:] = parent, child
-    return Graph(n, src, dst, hub=hub)
+    return Graph(n, child, parent, hub=hub)
 
 
 def simulate_si(graph: Graph, source: int, seed) -> CascadeTrace:
@@ -278,9 +267,10 @@ def _first_passage(graph: Graph, weights: np.ndarray, source: int) -> np.ndarray
     Trees with few enough BFS levels go to ``_tree_fold``.  Deeper trees
     and every other graph go to Dijkstra, the one search that imports
     scipy: each edge is one entry (u, v), u < v, of an upper-triangular
-    matrix that the undirected search reads both ways.  A weight of exactly 0.0 stays an explicit entry, so the edge
-    still joins its endpoints; an edge lost as an implicit zero would leave
-    a vertex at distance inf, which raises.
+    matrix that the undirected search reads both ways.  A weight of exactly
+    0.0 stays an explicit entry, so the edge still joins its endpoints; an
+    edge lost as an implicit zero would leave a vertex at distance inf,
+    which raises.
     """
     n = graph.n
     plan = _memo_plan(graph, source) if graph.n_edges == n - 1 else None
@@ -459,7 +449,8 @@ def jump_at_infection(graph: Graph, infected, v: int) -> int:
 
 
 def load_edge_list(path) -> Graph:
-    """Read an undirected graph from text: one ``u v`` pair per line (0-indexed).
+    """Read an undirected graph from text: one edge ``u v`` per line
+    (0-indexed), each edge once, in either orientation.
 
     Blank lines and ``#`` comments are ignored.  A self-loop or an edge
     listed twice (in either orientation) is rejected with its line, and the
@@ -490,14 +481,15 @@ def load_edge_list(path) -> Graph:
     if not first_line:
         raise ValueError(f"{path}: no edges")
     ends = np.asarray(list(first_line), dtype=np.int64)
-    return Graph(int(ends.max()) + 1, ends.ravel(), ends[:, ::-1].ravel())
+    return Graph(int(ends.max()) + 1, ends[:, 0], ends[:, 1])
 
 
 def load_trace_csv(path) -> CascadeTrace:
     """Read a cascade trace from CSV with header ``vertex,time``.
 
     The source is the vertex with the smallest infection time (0 for any
-    trace written by this package).
+    trace written by this package).  Errors name the offending row by its
+    file line (``reader.line_num``) and the field at fault.
     """
     rows = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -505,13 +497,20 @@ def load_trace_csv(path) -> CascadeTrace:
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["vertex", "time"]:
             raise ValueError(f"{path}: expected header 'vertex,time', got {header}")
-        for rowno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            rowno = reader.line_num
+            if len(row) < 2:
+                raise ValueError(f"{path}: row {rowno}: expected 'vertex,time', got {row}")
             try:
-                v, t = int(row[0]), float(row[1])
-            except (ValueError, IndexError):
-                raise ValueError(f"{path}: row {rowno}: expected 'vertex,time'") from None
+                v = int(row[0])
+            except ValueError:
+                raise ValueError(f"{path}: row {rowno}: bad vertex {row[0]!r}") from None
+            try:
+                t = float(row[1])
+            except ValueError:
+                raise ValueError(f"{path}: row {rowno}: bad time {row[1]!r}") from None
             if v < 0:
                 raise ValueError(f"{path}: row {rowno}: vertex must be >= 0, got {v}")
             if not (np.isfinite(t) and t >= 0):

@@ -15,7 +15,8 @@ from ratejump.cli import build_parser, main
 from ratejump.detector import argmax_single
 from ratejump.harness import PRESETS
 from ratejump.process import load_event_times
-from ratejump.si import load_trace_csv
+from ratejump.seeding import SimSeed
+from ratejump.si import load_edge_list, load_trace_csv, simulate_si
 
 
 def run(capsys, *argv):
@@ -103,6 +104,26 @@ def test_simulate_si_writes_trace(tmp_path, capsys):
     assert "hub" in out
 
 
+def test_simulate_si_on_an_edge_list_file(tmp_path, capsys):
+    # a 5-cycle with one chord, its edges in mixed orientations: not a tree,
+    # so the cascade runs Dijkstra
+    graph = tmp_path / "graph.txt"
+    graph.write_text("# 5-cycle 0-1-2-3-4 with chord 1-3\n0 1\n2 1\n2 3\n4 3\n0 4\n3 1\n")
+    code, out, err = run(
+        capsys,
+        "simulate-si", "--graph", str(graph), "--seed", "3", "--stream", "1",
+        "--out-dir", str(tmp_path),
+    )
+    assert code == 0, err
+    trace = load_trace_csv(str(tmp_path / "trace.csv"))
+    want = simulate_si(load_edge_list(graph), 0, SimSeed(3, 1))
+    assert trace.times.tobytes() == want.times.tobytes()
+    result = {line.split("=", 1)[0] for line in
+              (tmp_path / "trace.csv.manifest").read_text().splitlines()}
+    assert "result.n_vertices" in result
+    assert not {"result.hub", "result.hub_time"} & result
+
+
 def simulate_events(tmp_path, capsys, **kw):
     """Simulate a constant-plus-jump process and return the events file path."""
     args = {
@@ -172,6 +193,36 @@ def test_detect_without_threshold_prints_the_argmax(tmp_path, capsys):
     assert "t_hat=2.01 " in out
     t_hat = float(out.split("t_hat=")[1].split()[0])
     assert t_hat == argmax_single(load_event_times(events), 2, 0.3)
+
+
+@pytest.mark.parametrize("width", ["50", "20"])
+def test_simulate_poisson_refuses_a_bin_width_of_one_bin(tmp_path, capsys, width):
+    # one bin would make a file that detect --binned cannot read
+    code, out, err = run(
+        capsys,
+        "simulate-poisson", "--horizon", "20", "--bin-width", width,
+        "--out-dir", str(tmp_path),
+    )
+    assert code == 2
+    assert f"bin width {float(width)!r} leaves fewer than two bins on horizon 20.0" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_poisson_bins_read_back_by_detect(tmp_path, capsys):
+    code, _, err = run(
+        capsys,
+        "simulate-poisson", "--base", "100", "--jump", "50", "--onset", "5",
+        "--horizon", "20", "--bin-width", "10", "--out-dir", str(tmp_path),
+    )
+    assert code == 0, err
+    binned = tmp_path / "events.txt.binned.csv"
+    assert len(binned.read_text().splitlines()) == 1 + 2
+    code, _, err = run(
+        capsys,
+        "detect", "--binned", str(binned), "--k", "1", "--delta", "10",
+        "--out-dir", str(tmp_path),
+    )
+    assert code == 0, err
 
 
 def test_detect_from_binned_counts(tmp_path, capsys):

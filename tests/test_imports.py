@@ -29,7 +29,7 @@ after_cli = heavy()
 from ratejump.si import Graph, build_tree_with_hub, simulate_si
 trace = simulate_si(build_tree_with_hub(3, 2), 0, 7)
 after_tree = heavy()
-triangle = simulate_si(Graph(3, [0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1]), 0, 7)
+triangle = simulate_si(Graph(3, [0, 0, 1], [1, 2, 2]), 0, 7)
 print(json.dumps({"package": after_package, "cli": after_cli, "tree": after_tree,
                   "vertices": [trace.n, triangle.n],
                   "scipy_after_dijkstra": "scipy.sparse.csgraph" in sys.modules}))

@@ -45,7 +45,7 @@ def tree_from_parents(parent):
     """Tree on 0..len(parent) where vertex i + 1 hangs off parent[i]."""
     child = np.arange(1, len(parent) + 1)
     parent = np.asarray(parent)
-    return Graph(child.size + 1, np.concatenate((child, parent)), np.concatenate((parent, child)))
+    return Graph(child.size + 1, child, parent)
 
 
 def random_recursive_tree(rng, n):
@@ -79,39 +79,47 @@ def random_connected_graph(rng, n):
 def test_graph_validation():
     with pytest.raises(ValueError, match="self-loop"):
         from_adjacency([[0, 1], [0]])
-    with pytest.raises(ValueError, match="symmetric"):
-        from_adjacency([[1], []])
     with pytest.raises(ValueError, match="parallel"):
         from_adjacency([[1, 1], [0, 0]])
     with pytest.raises(ValueError, match="connected"):
         from_adjacency([[1], [0], [3], [2]])
     with pytest.raises(ValueError, match="at least one vertex"):
         from_adjacency([])
-    with pytest.raises(ValueError, match="out of range"):
-        from_adjacency([[1], [0, 2]])
-    # arc arrays go through the same checks
-    with pytest.raises(ValueError, match="symmetric"):
-        Graph(2, [0], [1])
+    # edge arrays go through the same checks
     with pytest.raises(ValueError, match="parallel"):
-        Graph(2, [0, 1, 0, 1], [1, 0, 1, 0])
+        Graph(2, [0, 1], [1, 0])
     with pytest.raises(ValueError, match="out of range"):
-        Graph(2, [0, 2], [2, 0])
+        Graph(2, [0, 1], [1, 2])
+    with pytest.raises(ValueError, match="out of range"):
+        Graph(2, [-1], [1])
     with pytest.raises(ValueError, match="connected"):
-        Graph(3, [0, 1], [1, 0])
+        Graph(3, [0], [1])
+    for u, v in (([0, 1], [1]), ([[0, 1]], [[1, 2]]), ([0.5, 1.0], [1, 2]), ([True], [False])):
+        with pytest.raises(ValueError, match="one-dimensional integer arrays of one length"):
+            Graph(3, u, v)
+    assert Graph(1, [], []).n_edges == 0
+    assert list(Graph(3, *np.array([[2, 1], [1, 0]], dtype=np.uint64)).edges()) == [(0, 1), (1, 2)]
     with pytest.raises(ValueError, match="out of range"):
         triangle().neighbors(-1)
 
 
-@pytest.mark.parametrize("n,src,dst,message", [
-    (2, [0], [1], "arcs are not symmetric: arc 0 -> 1 has no arc 1 -> 0"),
-    (4, [2, 0, 1, 3], [3, 1, 0, 1], "arcs are not symmetric: arc 3 -> 1 has no arc 1 -> 3"),
-    (3, [0, 1, 2], [1, 0, 1], "arcs are not symmetric: arc 2 -> 1 has no arc 1 -> 2"),
-    (2, [0, 1, 0, 1], [1, 0, 1, 0], "parallel edge: arc 0 -> 1 is listed twice"),
-    (3, [1, 2, 0, 1, 2, 1], [2, 1, 1, 0, 1, 2], "parallel edge: arc 1 -> 2 is listed twice"),
-], ids=["one-way", "one-way-downward", "one-way-odd-count", "parallel", "parallel-later"])
-def test_graph_errors_name_the_arc(n, src, dst, message):
+@pytest.mark.parametrize("n,u,v,message", [
+    (2, [0, 1], [1, 0], "parallel edge: edge {0, 1} is listed twice"),
+    (3, [2, 0, 1], [1, 1, 2], "parallel edge: edge {1, 2} is listed twice"),
+    (3, [0, 2, 0], [1, 1, 1], "parallel edge: edge {0, 1} is listed twice"),
+    (3, [0, 1, 2], [1, 2, 2], "self-loop at vertex 2"),
+], ids=["parallel", "parallel-later", "parallel-same-orientation", "self-loop"])
+def test_graph_errors_name_the_arc(n, u, v, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        Graph(n, src, dst)
+        Graph(n, u, v)
+
+
+def test_neighbor_order_follows_the_input():
+    # a row lists the edges given from its vertex, then those given to it,
+    # each in input order; edges() takes each row's larger neighbors
+    g = Graph(4, [1, 0, 1, 3], [2, 1, 3, 0])
+    assert [g.neighbors(x).tolist() for x in range(4)] == [[1, 3], [2, 3, 0], [1], [0, 1]]
+    assert list(g.edges()) == [(0, 1), (0, 3), (1, 2), (1, 3)]
 
 
 def component_cases():
@@ -145,9 +153,8 @@ def test_component_count_matches_scipy(n, u, v):
         coo_matrix((np.ones(u.size), (u, v)), shape=(n, n)), directed=False)
     assert _component_count(n, u, v) == want
     if want > 1:
-        src, dst = np.concatenate((u, v)), np.concatenate((v, u))
         with pytest.raises(ValueError, match=f"found {want} components$"):
-            Graph(n, src, dst)
+            Graph(n, u, v)
 
 
 def test_build_tree_no_extras():
@@ -548,7 +555,8 @@ def test_first_passage_unreachable_vertex_raises():
 
 def unsorted_graphs():
     """Trees and non-trees built from shuffled adjacency rows, and the same
-    graphs from shuffled arc arrays, so no edge order comes out sorted."""
+    graphs from edge arrays (the "arcs" ids) in shuffled order, each edge in
+    a random orientation, so no edge order comes out sorted."""
     rng = np.random.default_rng(71)
     for n, extra in ((30, 0), (400, 0), (30, 25), (400, 300)):
         adj = [set() for _ in range(n)]
@@ -565,10 +573,12 @@ def unsorted_graphs():
         rows = [rng.permutation(sorted(s)).tolist() for s in adj]
         kind = "tree" if sum(map(len, rows)) == 2 * (n - 1) else "graph"
         yield pytest.param(from_adjacency(rows), id=f"{kind}-{n}-rows")
-        src = np.repeat(np.arange(n), [len(r) for r in rows])
-        dst = np.concatenate(rows)
-        arcs = rng.permutation(src.size)
-        yield pytest.param(Graph(n, src[arcs], dst[arcs]), id=f"{kind}-{n}-arcs")
+        u = np.repeat(np.arange(n), [len(r) for r in rows])
+        v = np.concatenate(rows)
+        edges = rng.permutation(np.flatnonzero(u < v))
+        flip = rng.random(edges.size) < 0.5
+        u, v = np.where(flip, v[edges], u[edges]), np.where(flip, u[edges], v[edges])
+        yield pytest.param(Graph(n, u, v), id=f"{kind}-{n}-arcs")
 
 
 @pytest.mark.parametrize("graph", list(unsorted_graphs()))
@@ -745,7 +755,13 @@ def test_trace_csv_errors(tmp_path):
     ("1,nan", "row 3: time must be finite and >= 0, got nan"),
     ("1,inf", "row 3: time must be finite and >= 0, got inf"),
     ("1,-0.5", "row 3: time must be finite and >= 0, got -0.5"),
-], ids=["negative-vertex", "nan-time", "inf-time", "negative-time"])
+    ("1,bad", "row 3: bad time 'bad'"),
+    ("x,0.5", "row 3: bad vertex 'x'"),
+    ("1", "row 3: expected 'vertex,time'"),
+    # a quoted line break: the row spans file lines 3 and 4, and is named by its last
+    ('"1\n",bad', "row 4: bad time 'bad'"),
+], ids=["negative-vertex", "nan-time", "inf-time", "negative-time", "bad-time", "bad-vertex",
+        "one-field", "quoted-line-break"])
 def test_trace_csv_names_row_of_bad_value(tmp_path, row, message):
     p = tmp_path / "t.csv"
     p.write_text(f"vertex,time\n0,0.0\n{row}\n")
