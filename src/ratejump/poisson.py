@@ -16,7 +16,7 @@ it: a window whose envelope M expects M*(b - a) thinning candidates is cut
 into ceil(M*(b - a) / 2**15) equal pieces.  The split depends only on the
 input: each piece draws about 2**15 candidates or fewer, so its arrays stay
 small, and its own envelope follows Lambda more closely than the window's.
-``simulate`` then only thins the pieces in order.
+``simulate`` then only thins the pieces, in blocks (below).
 
 Thinning (Lewis & Shedler, 1979).  On a piece [c, d) with envelope
 M >= sup Lambda, draw Poisson(M*(d - c)) uniform candidates, accept the one
@@ -26,6 +26,27 @@ wastes fewer candidates.  The draw order is: every piece's candidate count
 first, in one vectorised Poisson draw over the pieces' envelope masses
 M*(d - c) (independent Poissons, as the law needs), then each piece's
 candidate positions and acceptance uniforms, piece by piece in order.
+Each candidate takes two doubles, its position and its acceptance uniform,
+and each double one 64-bit output of the bit generator, so the counts fix
+where in the stream each piece's draws begin.
+
+Blocks.  The pieces are cut into W contiguous blocks with about equal
+candidates each, and the blocks are thinned at once, on threads that are
+started and joined inside the call.  W is the number of CPUs the process
+may run on, at most the number of pieces and at most one block per
+``_BLOCK_CANDIDATES`` (2**16) candidates, below which a thread costs more
+than it saves.  The first block draws from the caller's generator; each
+later block draws from a copy of its bit generator advanced past the
+2 * (candidates before the block) outputs the blocks before it use, so
+every block draws just what it would in order.  After the join the
+caller's generator is moved to where the last block's draws end.  So the
+event times are bit-identical for every W, and a Generator passed in ends
+where one thread would leave it.  A bit generator that cannot skip outputs
+one by one thins in one block: MT19937 and SFC64 cannot advance at all, and
+Philox advances in steps of four outputs.  Every envelope and
+non-negativity check runs on every candidate of every block; when a block
+fails, the first failing block's error is raised, which is the error that
+thinning in order raises.
 
 Exact extrema.  Each shape reports its exact minimum and maximum on a
 window in one call, ``bounds(u0, u1) -> (min, max)``: a sinusoid is
@@ -51,15 +72,19 @@ clamped to zero.
 
 Output.  The candidate counts sum to the most events the realization can
 have, so one output array of that size is allocated before any candidate
-is drawn.  Each piece sorts its accepted times into the next free slice of
-it, and the realization is the filled front of that array: no per-piece
-list, no concatenation and no second copy.  The event times are a view of
-it, so its slots past the front, one per rejected candidate, stay
-allocated as long as the events do.  The pieces are disjoint and
-ascending, so the front is sorted and no dedupe pass is needed.  Two event
-times coincide only through floating-point rounding of continuous draws;
-such a tie is kept (``EventTimes`` allows ties), because dropping it would
-lose an event.
+is drawn.  Each block thins into it from the block's first candidate slot
+on, each piece sorting its accepted times into the next free slice.  After
+the join, each later block's events slide left to follow the block before
+it, in moves of at most ``_PIECE_CANDIDATES`` elements, and the
+realization is the filled front of the array.  So every event is written
+once, and moved once after the first block: no per-piece list, no
+concatenation and no temporary the size of the output.  The event times
+are a view of the array, so its slots past the front, one per rejected
+candidate, stay allocated as long as the events do.  The pieces are
+disjoint and ascending, so the front is sorted and no dedupe pass is
+needed.  Two event times coincide only through floating-point rounding of
+continuous draws; such a tie is kept (``EventTimes`` allows ties), because
+dropping it would lose an event.
 
 Counts at given times.  A caller that reads N only at known times (the
 heatmap harness: the lattice its profiles read) needs no event times.
@@ -82,6 +107,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +143,9 @@ _SLACK = 1e-9
 _ROUNDING = 1e-12
 # Expected thinning candidates per piece of a window.
 _PIECE_CANDIDATES = 2**15
+# Fewest thinning candidates per block of pieces thinned on a thread of its
+# own: with blocks of 2**15, two threads were slower than one.
+_BLOCK_CANDIDATES = 2**16
 # Bisection limits of the non-negativity certificate, per window.
 _CERTIFY_DEPTH = 40
 _CERTIFY_WINDOWS = 4096
@@ -417,13 +446,18 @@ def _scaled_value(comp: JumpComponent, u: np.ndarray) -> np.ndarray:
     return x
 
 
-def _thinned_piece(on: list, lo: float, hi: float, envelope: float, n: int, rng,
-                   out: np.ndarray) -> int:
-    """Thin ``n`` candidates on [lo, hi) and write the accepted event times,
-    sorted, to the start of ``out``; return how many were accepted.  ``on``
-    are the components that are on throughout the piece and ``envelope``
-    bounds their sum."""
-    u = rng.uniform(lo, hi, size=n)
+def _thinned_piece(on: list, lo: float, hi: float, envelope: float, rng,
+                   u: np.ndarray, v: np.ndarray, out: np.ndarray) -> int:
+    """Thin ``u.size`` candidates on [lo, hi) and write the accepted event
+    times, sorted, to the start of ``out``; return how many were accepted.
+    ``on`` are the components that are on throughout the piece and
+    ``envelope`` bounds their sum.  ``u`` and ``v`` are scratch space of the
+    candidates' size; the draws equal ``rng.uniform(lo, hi)`` and
+    ``rng.uniform(0, envelope)`` bit for bit, since numpy computes those as
+    lo + (hi - lo) * d."""
+    rng.random(out=u)
+    u *= hi - lo
+    u += lo
     lam = _scaled_value(on[0], u)
     for comp in on[1:]:
         lam += _scaled_value(comp, u)
@@ -439,33 +473,117 @@ def _thinned_piece(on: list, lo: float, hi: float, envelope: float, n: int, rng,
             f"internal consistency failure: Lambda({u[i]}) = {lam[i]} is negative "
             f"on window [{lo}, {hi}), which was certified non-negative"
         )
-    accept = rng.uniform(0.0, envelope, size=n) < lam
-    accepted = out[:np.count_nonzero(accept)]
-    np.compress(accept, u, out=accepted)
+    rng.random(out=v)
+    v *= envelope
+    accepted = u[v < lam]
     accepted.sort()
+    out[:accepted.size] = accepted
     return accepted.size
+
+
+def _thinned_block(pieces: list, counts: list, rng, out: np.ndarray) -> int:
+    """Thin consecutive ``pieces``, each with its candidate count, from
+    ``rng``; write the events to the start of ``out`` in order and return
+    how many there are."""
+    size = max(counts, default=0)
+    u, v = np.empty(size), np.empty(size)
+    m = 0
+    for (lo, hi, on, envelope), n in zip(pieces, counts):
+        if n:
+            m += _thinned_piece(on, lo, hi, envelope, rng, u[:n], v[:n], out[m:])
+    return m
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _blocks(slots: np.ndarray, workers: int) -> list:
+    """At most ``workers`` blocks (first, end) of consecutive pieces, in
+    order, with about equal candidates each; ``slots`` holds each piece's
+    first candidate slot and then the total."""
+    if workers == 1:
+        return [(0, slots.size - 1)]
+    targets = slots[-1] * np.arange(workers) / workers
+    starts = np.unique(np.append(np.searchsorted(slots[:-1], targets), slots.size - 1))
+    return list(zip(starts[:-1].tolist(), starts[1:].tolist()))
+
+
+def _slide(out: np.ndarray, dst: int, src: int, n: int) -> None:
+    """Move ``out[src:src + n]`` left to ``out[dst:dst + n]`` in moves of at
+    most ``_PIECE_CANDIDATES`` elements, so no temporary is larger."""
+    for i in range(0, n, _PIECE_CANDIDATES):
+        j = min(i + _PIECE_CANDIDATES, n)
+        out[dst + i:dst + j] = out[src + i:src + j]
+
+
+def _thinned(pieces: list, counts: list, slots: list, blocks: list, rng,
+             out: np.ndarray) -> int:
+    """Thin the ``blocks`` of pieces at once, each from its own position in
+    ``rng``'s stream, then slide their events together at the front of
+    ``out``; return how many there are.  The calling thread thins the first
+    block from ``rng``, which then ends where the last block's draws end;
+    each other block has a pool thread of its own."""
+    if len(blocks) == 1:
+        return _thinned_block(pieces, counts, rng, out)
+    bits = rng.bit_generator
+    streams = []
+    for a, _ in blocks[1:]:  # each candidate takes two doubles of one output each
+        skipped = type(bits)()
+        skipped.state = bits.state
+        skipped.advance(2 * slots[a])
+        streams.append(np.random.Generator(skipped))
+    kept = bits.state
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(len(blocks) - 1) as pool:
+        futures = [pool.submit(_thinned_block, pieces[a:b], counts[a:b], stream, out[slots[a]:])
+                   for (a, b), stream in zip(blocks[1:], streams)]
+        a, b = blocks[0]
+        filled = [_thinned_block(pieces[a:b], counts[a:b], rng, out)]
+    filled += [future.result() for future in futures]
+    # advancing drops the buffered half of a 32-bit draw, which doubles never
+    # touch: the caller's generator keeps its own
+    state = streams[-1].bit_generator.state
+    state.update(has_uint32=kept["has_uint32"], uinteger=kept["uinteger"])
+    bits.state = state
+    m = filled[0]
+    for (a, _), n in zip(blocks[1:], filled[1:]):
+        _slide(out, m, slots[a], n)
+        m += n
+    return m
 
 
 def simulate(spec: RateSpec, horizon: float, seed) -> EventTimes:
     """Draw one realization of the process on [0, horizon].
 
     ``seed`` may be an integer, a SimSeed, or a numpy Generator.  Equal
-    (seed, stream) inputs give bit-identical output.  Every piece's
-    candidate count is drawn before any candidate (see the module
-    docstring), so a seed gives a different realization than it did in
-    versions that drew each count just before its piece's candidates; the
-    law is the same.
+    (seed, stream) inputs give bit-identical output, and a Generator ends
+    where the draws end, on any number of CPUs: the pieces are thinned in
+    blocks on threads of their own, each block from its own position in
+    the one random stream (see the module docstring).  Every piece's
+    candidate count is drawn before any candidate, so a seed gives a
+    different realization than it did in versions that drew each count
+    just before its piece's candidates; the law is the same.
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     pieces = _pieces(spec, horizon)
     rng = generator(seed)
-    counts = rng.poisson([envelope * (hi - lo) for lo, hi, _, envelope in pieces]).tolist()
-    out = np.empty(sum(counts))
-    m = 0
-    for (lo, hi, on, envelope), n in zip(pieces, counts):
-        if n:
-            m += _thinned_piece(on, lo, hi, envelope, n, rng, out[m:])
+    counts = rng.poisson([envelope * (hi - lo) for lo, hi, _, envelope in pieces])
+    slots = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    out = np.empty(slots[-1])
+    workers = 1
+    # only the PCG64 family's advance(k) skips exactly k outputs, one per
+    # double: MT19937 and SFC64 cannot advance, and Philox advances in
+    # steps of four outputs
+    if type(rng.bit_generator) in (np.random.PCG64, np.random.PCG64DXSM):
+        workers = max(1, min(_cpu_count(), len(pieces), slots[-1] // _BLOCK_CANDIDATES))
+    m = _thinned(pieces, counts.tolist(), slots.tolist(), _blocks(slots, workers), rng, out)
     return EventTimes(times=out[:m], horizon=float(horizon))
 
 

@@ -28,6 +28,9 @@ __all__ = [
     "save_binned_csv",
 ]
 
+# Elements per chunk of the checks on ``EventTimes``.
+_CHECK_CHUNK = 2**16
+
 
 def _count_problem(value) -> "str | None":
     """Why ``value`` is not an event count, or None if it is one."""
@@ -105,9 +108,14 @@ class EventTimes:
         if not np.isfinite(self.horizon) or self.horizon < 0:
             raise ValueError(f"horizon must be finite and non-negative, got {self.horizon}")
         if times.size:
-            if not np.all(np.isfinite(times)):
+            # chunk by chunk, so no boolean temporary is the size of the times
+            if not all(np.isfinite(times[i:i + _CHECK_CHUNK]).all()
+                       for i in range(0, times.size, _CHECK_CHUNK)):
                 raise ValueError("event times must all be finite")
-            if np.any(times[1:] < times[:-1]):
+            # chunks that overlap by one element compare every neighbouring pair
+            chunks = (times[i:i + _CHECK_CHUNK + 1]
+                      for i in range(0, times.size - 1, _CHECK_CHUNK))
+            if any((chunk[1:] < chunk[:-1]).any() for chunk in chunks):
                 raise ValueError("event times must be sorted in non-decreasing order")
             if times[0] < 0.0 or times[-1] > self.horizon:
                 raise ValueError(

@@ -49,3 +49,17 @@ def test_import_leaves_scipy_and_process_pools_unloaded():
     # the Dijkstra search still finds scipy when a cascade needs it
     assert seen["vertices"] == [17, 3]
     assert seen["scipy_after_dijkstra"]
+
+
+def test_import_loads_numpy_random_only_if_numpy_does():
+    # numpy 2 loads numpy.random on first attribute access, which added about
+    # 6 MB to the resident set of `import ratejump`: the package reaches it only
+    # inside calls that draw
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    child = ("import sys, numpy; eager = 'numpy.random' in sys.modules; "
+             "import ratejump, ratejump.cli; print(eager or 'numpy.random' not in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"

@@ -1,4 +1,7 @@
+import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from ratejump import poisson
 from ratejump.poisson import (
     Constant,
     ExpDecay,
@@ -319,6 +323,137 @@ def test_simulate_peak_memory_is_one_output_array():
         tracemalloc.stop()
     assert len(events) > 900_000
     assert peak < 1.5 * events.times.nbytes
+
+
+SPECS = {
+    # the benchmark's stream-jumps rate, about 5.6e6 events on [0, 20]
+    "stream-jumps": (RateSpec(
+        (JumpComponent(2.5e5, 0.0, Sinusoid(offset=1.0, omega=1.0)),)
+        + tuple(JumpComponent(1.5e5, t, ExpDecay(rate=1.0)) for t in (4.0, 9.0, 14.0))), 20.0),
+    # onsets inside unit windows, so some windows and pieces are short
+    "mid-window-onsets": (RateSpec((
+        JumpComponent(3e4, 0.0, Sinusoid(offset=1.2, omega=2.0, phase=0.3)),
+        JumpComponent(2e4, 2.5, Polynomial((1.0, -0.5, 0.1))),
+        JumpComponent(1e4, 4.25, ExpDecay(rate=1.0)))), 6.0),
+}
+
+
+def seed_of(kind):
+    """A SimSeed, or a new Generator on the named bit generator; "buffered"
+    is a PCG64 holding the unused half of an output after a 32-bit draw."""
+    if kind == "SimSeed":
+        return SimSeed(25, 1)
+    if kind == "buffered":
+        rng = np.random.default_rng(31)
+        rng.integers(2**32, dtype=np.uint32)
+        return rng
+    return np.random.Generator(getattr(np.random, kind)(2025 if kind == "PCG64" else 7))
+
+
+def next_draws(seed):
+    """What a Generator draws next: the buffered half first, if any."""
+    if not isinstance(seed, np.random.Generator):
+        return None
+    if seed.bit_generator.state.get("has_uint32"):
+        return int(seed.integers(2**32, dtype=np.uint32)), seed.random()
+    return seed.random()
+
+
+# (spec, seed kind) -> (events, sha256 of the times, next_draws), from
+# thinning every piece in order on one thread
+PINNED = {
+    ("stream-jumps", "SimSeed"): (
+        5601292, "284598214e81e0647dae8424b266518bd207f3bf950d35a65f35046c017f665d", None),
+    ("stream-jumps", "PCG64"): (
+        5597183, "f33b2b86d882a322b71d5803f1b19c25173789a5b3e271c87f499b88952ced9a",
+        0.7464083716838877),
+    ("mid-window-onsets", "SimSeed"): (
+        261443, "69101c7d562b4c3b2baca6bfbd7a468e9f8b4e3dcf387e227640977fb9b9f7c6", None),
+    ("mid-window-onsets", "PCG64"): (
+        260863, "c8d1d8597167026d255180f0daca82bb2133f14663e60d2c2d46294e1a3d7431",
+        0.6498495848475517),
+    ("mid-window-onsets", "buffered"): (
+        260506, "0e8b28cbfef60b1f967dd1f9a1d417c021c5de9d1c54706dbe10d7f1a4b8ea30",
+        (3879093390, 0.27214045718060476)),
+    ("mid-window-onsets", "PCG64DXSM"): (
+        261251, "8dac1a92971cd8698327f08a8cc1f1668536edd58681355282f8c70642f9dcab",
+        0.902663208001979),
+    # bit generators that cannot skip outputs one by one thin on one thread
+    ("mid-window-onsets", "MT19937"): (
+        261106, "9eec8ec0ebeef7a5c789a82e4fa5d3ceaf29dae8a043dbf411f6b5368ff514d7",
+        0.6753420265705774),
+    ("mid-window-onsets", "Philox"): (
+        261511, "f8a663200ffe357282c773c1b005a2024fdf30c59e5bb37bc65b2ed0f2ee83ab",
+        0.38551274982156725),
+    ("mid-window-onsets", "SFC64"): (
+        261417, "7616ee604b7172107f583b983c3cd15e9ac8585b017da1701e5a473cc5d35adb",
+        0.7979869908463857),
+}
+
+
+def digest(events):
+    return hashlib.sha256(memoryview(events.times)).hexdigest()
+
+
+@pytest.mark.parametrize("spec_name, kind, cpus", [
+    (spec_name, kind, cpus) for spec_name, kind in PINNED
+    # one CPU count shows that the other bit generators keep to one block
+    for cpus in ((1, 2, 3, 8) if kind in ("SimSeed", "PCG64", "buffered", "PCG64DXSM") else (8,))
+])
+def test_cpu_count_changes_no_bit_of_the_events_or_the_stream(monkeypatch, spec_name, kind,
+                                                              cpus):
+    monkeypatch.setattr(poisson, "_cpu_count", lambda: cpus)
+    spec, horizon = SPECS[spec_name]
+    seed = seed_of(kind)
+    events = simulate(spec, horizon, seed)
+    assert (len(events), digest(events), next_draws(seed)) == PINNED[spec_name, kind]
+
+
+def test_threads_switching_every_microsecond_change_no_bit(monkeypatch):
+    monkeypatch.setattr(poisson, "_cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        events = simulate(*SPECS["mid-window-onsets"], SimSeed(25, 1))
+    finally:
+        sys.setswitchinterval(interval)
+    assert (len(events), digest(events), None) == PINNED["mid-window-onsets", "SimSeed"]
+
+
+def test_only_large_realizations_thin_on_threads(monkeypatch):
+    monkeypatch.setattr(poisson, "_cpu_count", lambda: 4)
+    threads = []
+    block = poisson._thinned_block
+    monkeypatch.setattr(poisson, "_thinned_block",
+                        lambda *args: threads.append(threading.current_thread()) or block(*args))
+    simulate(const_spec(2e3), 20.0, 0)  # 4e4 candidates: one block
+    assert threads == [threading.main_thread()]
+    threads.clear()
+    simulate(*SPECS["mid-window-onsets"], 0)  # about 2.9e5 candidates: four blocks
+    assert len(threads) == 4 and threads.count(threading.main_thread()) == 1
+
+
+class WrongPastFifteen:
+    """Lambda = 5 everywhere, but the bounds claim at most 1 past t = 15."""
+
+    name = "constant"
+
+    def value(self, u):
+        return np.full(np.shape(u), 5.0)
+
+    def bounds(self, u0, u1):
+        return (5.0, 5.0) if u1 <= 15.0 else (1.0, 1.0)
+
+
+def test_failing_block_raises_and_leaves_no_thread(monkeypatch):
+    monkeypatch.setattr(poisson, "_cpu_count", lambda: 2)
+    threads = threading.active_count()
+    spec = RateSpec(components=(JumpComponent(2e3, 0.0, WrongPastFifteen()),))
+    with pytest.raises(RuntimeError, match="envelope"):
+        simulate(spec, 20.0, 0)
+    assert threading.active_count() == threads
+    assert len(simulate(spec, 15.0, 0)) > 1e5
+    assert threading.active_count() == threads
 
 
 def assert_bit_identical(got, want):

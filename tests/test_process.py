@@ -15,6 +15,7 @@ from ratejump.process import (
     save_binned_csv,
     save_event_times,
 )
+from ratejump.process import _CHECK_CHUNK as CHUNK
 
 
 def test_count_at_basics():
@@ -58,6 +59,29 @@ def test_event_times_sortedness_checks_each_pair():
     finally:
         tracemalloc.stop()
     assert peak < times.nbytes / 2  # no float64 temporary the size of the times
+
+
+def test_event_times_checks_need_no_temporary_the_size_of_the_times():
+    times = np.sort(np.random.default_rng(4).random(1_000_000))
+    tracemalloc.start()
+    try:
+        EventTimes(times, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * times.nbytes
+
+
+@pytest.mark.parametrize("at", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK])
+def test_event_times_checks_reach_across_chunk_boundaries(at):
+    times = np.linspace(0.0, 1.0, 3 * CHUNK)
+    descent = times.copy()
+    descent[at] = np.nextafter(descent[at - 1], 0.0)
+    with pytest.raises(ValueError, match="sorted"):
+        EventTimes(descent, 1.0)
+    times[at] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        EventTimes(times, 1.0)
 
 
 @given(
