@@ -25,6 +25,17 @@ ratejump detect --events "$out/events.txt" \
     --k 3 --delta 0.3 --steps-per-delta 5 --out argmax.csv --out-dir "$out"
 echo
 
+echo "== the same change seen through bins of 0.5, on the bins' own grid =="
+ratejump simulate-poisson --rate-preset const-plus-exp \
+    --base 5000 --jump 4000 --onset 6 --horizon 12 --bin-width 0.5 \
+    --seed 2 --out binned_events.txt --out-dir "$out"
+echo "-- binned counts tell N at the bin edges only, so the grid step,"
+echo "   delta / steps-per-delta, is a whole number of bins --"
+ratejump detect --binned "$out/binned_events.txt.binned.csv" \
+    --k 3 --delta 1 --steps-per-delta 2 --threshold 4000 \
+    --out binned_report.csv --out-dir "$out"
+echo
+
 echo "== one epidemic cascade, then hub recovery from three cascades =="
 ratejump simulate-si --height 10 --extra-leaves 400 --seed 7 --out-dir "$out"
 ratejump multicascade --height 11 --extra-leaves 800 --cascades 3 \

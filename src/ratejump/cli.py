@@ -2,13 +2,14 @@
 
 One subcommand per job: ``detect`` and ``multicascade`` run the detector
 in threshold mode when given ``--threshold A`` and in argmax mode (the
-single best-scoring time) without it, as ``DetectorConfig`` does; ``heatmap``
-runs the (k, delta) error grid and prints each order's best delta.  Every
-subcommand is reproducible.  The ones that draw random numbers take
-``--seed`` (the two simulators also ``--stream``); the others are
-deterministic.  Each writes a ``*.manifest`` file next to its primary
-output recording the subcommand, all resolved parameters, input and
-output paths, the tool version, and wall time.
+single best-scoring time) without it, as ``DetectorConfig`` does, and
+report times on the input's clock (a ``--binned`` file's, from its first
+bin start); ``heatmap`` runs the (k, delta) error grid and prints each
+order's best delta.  Every subcommand is reproducible.  The ones that
+draw random numbers take ``--seed`` (the two simulators also
+``--stream``); the others are deterministic.  Each writes a ``*.manifest``
+file next to its primary output recording the subcommand, all resolved
+parameters, input and output paths, the tool version, and wall time.
 
 The CLI keeps no rule on a value of its own: each numeric flag is read
 through a library check (``derivative._check_order``, ``_check_delta``
@@ -38,6 +39,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -177,17 +179,18 @@ def _write_manifest(primary_output, subcommand, args, inputs, outputs, wall_time
 
 
 def _load_counting(args):
-    """Resolve the --events / --binned input pair into a counting process."""
+    """Resolve the --events / --binned input pair into a counting process,
+    the time of its 0 on the input's clock, and the input paths."""
     if args.events and args.binned:
         raise UsageError("give either --events or --binned, not both")
     if args.binned and args.horizon is not None:
         raise UsageError("--horizon is for --events only: binned counts end at their last bin")
     if args.events:
         events = load_event_times(_require_file(args.events), horizon=args.horizon)
-        return events, [args.events]
+        return events, 0.0, [args.events]
     if args.binned:
         series = load_binned_csv(_require_file(args.binned))
-        return from_binned(series), [args.binned]
+        return from_binned(series), series.start_time, [args.binned]
     raise UsageError("an input is required: --events FILE or --binned FILE")
 
 
@@ -311,8 +314,11 @@ def cmd_simulate_si(args):
 
 def cmd_detect(args):
     config = _detector_config(args)
-    counting, inputs = _load_counting(args)
+    counting, start, inputs = _load_counting(args)
     report = detect(counting, config)
+    # binned N is measured from the file's first edge: report on the file's clock
+    report = replace(report, window=tuple(t + start for t in report.window), estimates=tuple(
+        e._replace(time=e.time + start) for e in report.estimates))
     out_dir = _out_dir(args)
     out_report = os.path.join(out_dir, args.out)
     save_report_csv(report, out_report)

@@ -13,8 +13,9 @@ to smooth trends while a rate jump of size A still shows up at scale
 A * delta.
 
 N is an object with a vectorized ``count_at(t)`` and a ``horizon`` T, the
-end of the observed data (EventTimes, SampledCounts, BinnedCounting); it
-is read on [0, T] only.
+end of the observed data, read on [0, T] only: EventTimes, or SampledCounts
+(N drawn at chosen times or known at bin edges, and read there only, so a
+binned N needs a grid step that is a whole number of bins).
 
 A profile evaluates the stencil on a grid of step delta/m, for a whole
 number m of steps per delta (default 10).  Every stencil point of every
@@ -216,7 +217,11 @@ def derivative_profiles(
             lattices.setdefault(origin, {})[len(grids) - 1] = grids[-1]
     values = {}
     for origin, members in lattices.items():
-        values.update(_lattice_values(fn, origin, step, lag, members, T))
+        try:
+            values.update(_lattice_values(fn, origin, step, lag, members, T))
+        except ValueError as exc:  # N known only at its knots, such as bin edges
+            raise ValueError(f"{exc}, a time on the grid of step delta / steps_per_delta = "
+                             f"{delta!r} / {lag}") from exc
     return [DerivativeProfile(lo + np.arange(n) * step, values.get(i, np.zeros(0)),
                               order, delta, lag, (lo, hi))
             for i, (order, lo, hi, n) in enumerate(grids)]

@@ -69,10 +69,6 @@ class RegionSeries:
     def __len__(self) -> int:
         return int(self.counts.size)
 
-    def to_binned(self) -> BinnedSeries:
-        """View as a binned series with 1-day bins starting at time 0."""
-        return BinnedSeries(bin_width=1.0, counts=self.counts, start_time=0.0)
-
     def date_of(self, day: int) -> "datetime.date | None":
         if self.start_date is None:
             return None
@@ -258,7 +254,7 @@ def analyze_binned(series, k: int, delta_days: int = 1) -> BinnedAnalysis:
         series = RegionSeries(region="", counts=series)
     k = _check_order(k, "k")
     delta_days = _check_order(delta_days, "delta_days", limit=math.inf)
-    counting = from_binned(series.to_binned())
+    counting = from_binned(BinnedSeries(bin_width=1.0, counts=series.counts))
     profile = derivative_profile(counting, k, float(delta_days), delta_days)
     return BinnedAnalysis(profile=profile, region=series.region, start_date=series.start_date)
 

@@ -1,5 +1,6 @@
-"""Counting-process representations: raw event times, counts drawn at
-chosen times, and binned counts.
+"""Counting-process representations: raw event times, and N known only at
+some times, its knots: drawn there, or a binned series' bin edges measured
+from its first edge (``from_binned``), since a bin tells N at its edges.
 
 The package-wide convention is that the counting function N(t) is the
 number of events with timestamp <= t, so N is a right-continuous step
@@ -18,7 +19,6 @@ __all__ = [
     "EventTimes",
     "SampledCounts",
     "BinnedSeries",
-    "BinnedCounting",
     "cumulative",
     "from_binned",
     "bin_events",
@@ -137,8 +137,10 @@ class SampledCounts:
 
     ``times`` rise strictly from 0 to ``horizon``, and ``counts`` never fall.
     ``count_at`` clamps t to [0, horizon] (no event lies outside it) and then
-    reads N only at one of ``times``: any other t is a ValueError naming it,
-    since N there was never drawn.  ``len()`` is N(horizon), the total count.
+    reads N only at one of ``times`` or within 1e-12 * max(1, |t|) of one
+    (the rounding of a lattice time p * 0.3 against a knot 3p * 0.1): any
+    other t is a ValueError naming it, since N there was never drawn.
+    ``len()`` is N(horizon), the total count.
     """
 
     times: np.ndarray
@@ -165,9 +167,14 @@ class SampledCounts:
         """N(t), vectorized; ValueError at a t that was not drawn."""
         t = np.clip(np.asarray(t, dtype=np.float64), 0.0, self.horizon)
         i = np.minimum(np.searchsorted(self.times, t), self.times.size - 1)
-        missed = self.times[i] != t
-        if missed.any():
-            raise ValueError(f"N was not drawn at t = {float(t[missed].flat[0])!r}")
+        if (self.times[i] != t).any():
+            # a t off a knot by rounding alone reads that knot
+            before = np.maximum(i - 1, 0)
+            near = np.where(t - self.times[before] < self.times[i] - t, before, i)
+            far = np.abs(self.times[near] - t) > 1e-12 * np.maximum(1.0, np.abs(t))
+            if far.any():
+                raise ValueError(f"N was not drawn at t = {float(t[far].flat[0])!r}")
+            i = near
         return self.counts[i]
 
 
@@ -196,32 +203,6 @@ class BinnedSeries:
     def horizon(self) -> float:
         return self.start_time + len(self) * self.bin_width
 
-    def right_edges(self) -> np.ndarray:
-        """The right edge of each bin, ascending."""
-        return self.start_time + np.arange(1, len(self) + 1) * self.bin_width
-
-
-class BinnedCounting:
-    """Counting function backed by binned data.
-
-    Events of bin i are attributed to the bin's right edge, so N(t) is the
-    sum of counts over all bins whose right edge is <= t.  At a right edge
-    the bin's own count is included; between edges N is constant.
-    """
-
-    def __init__(self, series: BinnedSeries):
-        self.series = series
-        self._edges = series.right_edges()
-        self._csum = np.concatenate(([0], cumulative(series)))
-        self.horizon = series.horizon
-
-    def count_at(self, t):
-        """N(t) under right-edge attribution.  Vectorized over t."""
-        return self._csum[np.searchsorted(self._edges, t, side="right")]
-
-    def __len__(self) -> int:
-        return int(self._csum[-1])
-
 
 def cumulative(series: BinnedSeries) -> np.ndarray:
     """Prefix sums of the bin counts: entry i is N at bin i's right edge.
@@ -236,18 +217,22 @@ def cumulative(series: BinnedSeries) -> np.ndarray:
     return totals
 
 
-def from_binned(series: BinnedSeries) -> BinnedCounting:
-    """Build the counting function for binned counts (right-edge attribution)."""
-    return BinnedCounting(series)
+def from_binned(series: BinnedSeries) -> SampledCounts:
+    """N known at the bin edges, measured from the series' first edge: the
+    knots are ``i * bin_width`` for i = 0..len(series), and N there is 0
+    followed by ``cumulative(series)``."""
+    times = np.arange(len(series) + 1) * series.bin_width
+    return SampledCounts(times, np.concatenate(([0], cumulative(series))), times[-1])
 
 
 def bin_events(events: EventTimes, bin_width: float) -> BinnedSeries:
-    """Bin event times: counts[i] = #events in [i*w, (i+1)*w), up to the horizon.
+    """Bin event times: counts[i] = #events in [i*w, (i+1)*w), up to the horizon,
+    which the bins must tile (``_bin_count``).
 
     With no event exactly on a bin edge, ``from_binned(bin_events(e, w))``
-    agrees with ``e.count_at`` at every bin right edge.  (An event exactly
-    on an edge belongs to the right-hand bin here but to the left-closed
-    count under the N(t) convention; measure-zero for continuous samples.)
+    agrees with ``e.count_at`` at every bin edge.  (An event exactly on an
+    edge belongs to the right-hand bin here but to the left-closed count
+    under the N(t) convention; measure-zero for continuous samples.)
     """
     n_bins = _bin_count(events.horizon, bin_width)
     idx = np.searchsorted(events.times, np.arange(n_bins + 1) * bin_width, side="left")
@@ -255,15 +240,17 @@ def bin_events(events: EventTimes, bin_width: float) -> BinnedSeries:
 
 
 def _bin_count(horizon: float, bin_width: float) -> int:
-    """The number of bins of ``bin_width`` from 0 that cover [0, horizon].
+    """The number of bins of ``bin_width`` from 0 that tile [0, horizon].
 
     A binned file states its width only as the gap between bin starts, so
-    fewer than two bins is an error naming the width and the horizon.
+    fewer than two bins is an error naming the width and the horizon; so is
+    a width that does not cut the horizon into whole bins, up to rounding,
+    since a part bin at the end would read as a fall in the rate.
     """
-    n_bins = int(np.ceil(horizon / bin_width - 1e-12))
-    if n_bins < 2:
-        raise ValueError(f"bin width {bin_width!r} leaves fewer than two bins "
-                         f"on horizon {horizon!r}")
+    n_bins = round(horizon / bin_width)
+    if n_bins < 2 or abs(n_bins * bin_width - horizon) > 1e-12 * max(1.0, horizon):
+        what = "fewer than two bins" if n_bins < 2 else "a part bin at its end"
+        raise ValueError(f"bin width {bin_width!r} leaves {what} on horizon {horizon!r}")
     return n_bins
 
 
@@ -311,7 +298,9 @@ def load_binned_csv(path) -> BinnedSeries:
     """Read a binned series from CSV with header ``bin_start,count``.
 
     Bins must be contiguous and uniform, and at least two, since the width
-    is the gap between starts; counts must be non-negative integers.
+    is the gap between starts, read as the shortest decimal that gives every
+    start as ``save_binned_csv`` computes it, so a saved width and horizon
+    come back exactly; counts must be non-negative integers.
     Errors name the offending row by its file line (``reader.line_num``),
     so blank lines count.
     """
@@ -353,6 +342,10 @@ def load_binned_csv(path) -> BinnedSeries:
             f"{path}: bins are not contiguous/uniform near row {lines[bad + 1]} "
             f"(gap {float(widths[bad])!r} vs width {float(width)!r})"
         )
+    # the width as saved: the shortest decimal whose multiples give every start
+    # bit for bit (0.1 for 3.3, 3.4000000000000004, 3.5), else the first gap
+    width = next((w for w in (float(f"{width:.{d}g}") for d in range(1, 17))
+                  if np.array_equal(starts[0] + np.arange(len(starts)) * w, starts)), width)
     return BinnedSeries(bin_width=float(width), counts=np.asarray(counts), start_time=starts[0])
 
 

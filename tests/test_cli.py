@@ -208,6 +208,54 @@ def test_simulate_poisson_refuses_a_bin_width_of_one_bin(tmp_path, capsys, width
     assert list(tmp_path.iterdir()) == []
 
 
+def test_simulate_poisson_refuses_a_bin_width_that_does_not_tile_the_horizon(tmp_path, capsys):
+    # bins of 3 on [0, 20] would end in a bin [18, 21) holding two thirds of a bin's events
+    code, out, err = run(
+        capsys,
+        "simulate-poisson", "--horizon", "20", "--bin-width", "3", "--out-dir", str(tmp_path),
+    )
+    assert code == 2
+    assert "bin width 3.0 leaves a part bin at its end on horizon 20.0" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def write_binned_csv(path, counts, start):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("bin_start,count\n")
+        for i, c in enumerate(counts):
+            fh.write(f"{start + i},{c}\n")
+
+
+def test_detect_binned_reports_on_the_files_clock(tmp_path, capsys):
+    # N is known from the file's first edge on, so the start of the data is no jump
+    csv = tmp_path / "bins.csv"
+    write_binned_csv(csv, [100] * 40 + [150] * 40, start=100)
+    code, out, err = run(
+        capsys,
+        "detect", "--binned", str(csv), "--k", "2", "--delta", "2", "--steps-per-delta", "2",
+        "--threshold", "50", "--out-dir", str(tmp_path),
+    )
+    assert code == 0, err
+    assert [line.split(",")[0] for line in
+            (tmp_path / "report.csv").read_text().splitlines()[1:]] == ["140.0"]
+    manifest = (tmp_path / "report.csv.manifest").read_text().splitlines()
+    assert {"result.window_lo=102.0", "result.window_hi=178.0"} <= set(manifest)
+
+
+def test_detect_binned_on_a_grid_step_of_part_bins_names_the_step(tmp_path, capsys):
+    csv = tmp_path / "bins.csv"
+    write_binned_csv(csv, [100] * 40 + [150] * 40, start=100)
+    code, out, err = run(
+        capsys,
+        "detect", "--binned", str(csv), "--k", "2", "--delta", "2", "--threshold", "50",
+        "--out-dir", str(tmp_path),
+    )
+    assert code == 1
+    assert ("N was not drawn at t = 0.2, a time on the grid of step "
+            "delta / steps_per_delta = 2.0 / 10") in err
+    assert list(tmp_path.iterdir()) == [csv]
+
+
 def test_simulate_poisson_bins_read_back_by_detect(tmp_path, capsys):
     code, _, err = run(
         capsys,
@@ -219,7 +267,7 @@ def test_simulate_poisson_bins_read_back_by_detect(tmp_path, capsys):
     assert len(binned.read_text().splitlines()) == 1 + 2
     code, _, err = run(
         capsys,
-        "detect", "--binned", str(binned), "--k", "1", "--delta", "10",
+        "detect", "--binned", str(binned), "--k", "1", "--delta", "10", "--steps-per-delta", "1",
         "--out-dir", str(tmp_path),
     )
     assert code == 0, err
@@ -234,7 +282,7 @@ def test_detect_from_binned_counts(tmp_path, capsys):
             fh.write(f"{i * 0.25},{c}\n")
     code, out, err = run(
         capsys,
-        "detect", "--binned", str(csv), "--k", "2", "--delta", "0.5",
+        "detect", "--binned", str(csv), "--k", "2", "--delta", "0.5", "--steps-per-delta", "2",
         "--threshold", "200", "--out-dir", str(tmp_path),
     )
     assert code == 0, err

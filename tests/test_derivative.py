@@ -14,7 +14,7 @@ from ratejump.derivative import (
     derivative_profiles,
     discrete_derivative,
 )
-from ratejump.process import BinnedCounting, BinnedSeries, EventTimes
+from ratejump.process import BinnedSeries, EventTimes, from_binned
 
 
 def brute_force(N, order, delta, t):
@@ -220,9 +220,23 @@ def test_profiles_match_pointwise_on_event_times(seed, orders, delta, m, window)
 def test_profiles_match_pointwise_on_daily_bins(counts, orders, step, m, window):
     # whole-day samples of a binned series (a grid step of whole days, m per
     # delta): every value is an exact integer
-    N = BinnedCounting(BinnedSeries(bin_width=1.0, counts=np.asarray(counts)))
+    N = from_binned(BinnedSeries(bin_width=1.0, counts=np.asarray(counts)))
     for w in (None, tuple(float(x) for x in sorted(window))):
         assert_profiles_match_pointwise(N, orders, float(step * m), m, w)
+
+
+def test_binned_grid_of_whole_bins_reads_every_knot():
+    # lattice times p * 0.3 equal the edges 3p * 0.1 only up to rounding
+    counts = np.random.default_rng(3).integers(0, 50, 90)
+    N = from_binned(BinnedSeries(bin_width=0.1, counts=counts, start_time=2.0))
+    p = np.arange(31)
+    assert np.array_equal(N.count_at(p * 0.3), N.counts[3 * p])
+    assert np.sum(p * 0.3 != N.times[3 * p]) > 10
+    F = N.counts[::3].astype(float)  # N at every third edge
+    for k, profile in enumerate(derivative_profiles(N, [1, 2, 3], 0.3, 1), start=1):
+        # the last grid time may fall past T - delta by rounding and be left out
+        assert len(F) - k - 1 <= len(profile) <= len(F) - k
+        assert np.array_equal(profile.values, np.diff(F, k)[:len(profile)])
 
 
 def test_profiles_sample_once_per_lattice_origin():
@@ -286,7 +300,8 @@ def test_a_window_must_be_ordered(window):
 def test_horizon_beyond_the_horizon_of_N_is_an_error():
     # N is read up to its own horizon and no further: there is no override
     e = EventTimes(times=np.array([1.0, 2.0]), horizon=3.0)
-    binned = BinnedCounting(BinnedSeries(bin_width=1.0, counts=np.array([1, 1, 0])))
+    # bins of the grid step, 0.5 / 10, with the events of e at 1.0 and 2.0
+    binned = from_binned(BinnedSeries(bin_width=0.05, counts=np.bincount([19, 39], minlength=60)))
     for N in (e, binned):
         with pytest.raises(ValueError, match=r"violates t \+ delta <= horizon = 3\.0"):
             discrete_derivative(N, 2, 0.5, 2.6)

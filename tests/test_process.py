@@ -100,11 +100,13 @@ def test_cumulative_and_from_binned():
     s = BinnedSeries(bin_width=1.0, counts=np.array([2, 0, 3]), start_time=0.0)
     assert cumulative(s).tolist() == [2, 2, 5]
     N = from_binned(s)
-    # between edges N is constant; at a right edge the bin is included
+    # N is known at the bin edges only; at a right edge the bin is included
     assert N.count_at(0.0) == 0
-    assert N.count_at(0.7) == 0
+    with pytest.raises(ValueError, match=r"^N was not drawn at t = 0\.7$"):
+        N.count_at(0.7)
     assert N.count_at(1.0) == 2
-    assert N.count_at(2.5) == 2
+    with pytest.raises(ValueError, match=r"^N was not drawn at t = 2\.5$"):
+        N.count_at(2.5)
     assert N.count_at(3.0) == 5
     assert len(N) == 5
 
@@ -133,9 +135,29 @@ def test_bin_events_agrees_with_count_at_on_edges():
     e = EventTimes(times=times, horizon=10.0)
     s = bin_events(e, bin_width=0.5)
     N = from_binned(s)
-    edges = s.right_edges()
+    edges = np.arange(1, len(s) + 1) * s.bin_width
     assert np.array_equal(N.count_at(edges), e.count_at(edges))
     assert int(s.counts.sum()) == len(e)
+
+
+def test_bin_events_refuses_a_width_that_does_not_tile_the_horizon():
+    e = EventTimes(times=np.array([1.0, 2.0]), horizon=20.0)
+    with pytest.raises(ValueError, match=r"^bin width 3\.0 leaves a part bin at its end on "
+                                         r"horizon 20\.0$"):
+        bin_events(e, bin_width=3.0)
+    # 0.3 / 0.1 and 3 * 0.1 miss 3 and 0.3 by rounding alone
+    tiled = bin_events(EventTimes(times=np.array([0.15]), horizon=0.3), bin_width=0.1)
+    assert tiled.counts.tolist() == [0, 1, 0]
+
+
+def test_a_binned_read_between_edges_names_t():
+    N = from_binned(BinnedSeries(bin_width=0.1, counts=np.arange(30), start_time=7.0))
+    assert N.count_at(0.30000000000000004) == N.count_at(0.3) == 3  # 3 * 0.1 and 0.3
+    for side in (-1.0, 1.0):  # an ulp either side of each knot reads that knot
+        assert np.array_equal(N.count_at(np.nextafter(N.times, side * np.inf)), N.counts)
+    for t in (0.25, 0.3 + 1e-9, 2.95):
+        with pytest.raises(ValueError, match=rf"^N was not drawn at t = {t!r}$"):
+            N.count_at([0.1, t])
 
 
 def test_event_file_round_trip(tmp_path):
@@ -170,15 +192,17 @@ def test_event_file_names_the_line_of_a_non_finite_or_negative_timestamp(tmp_pat
 
 
 def test_binned_csv_round_trip(tmp_path):
-    # width, start and counts come back exactly (widths and starts whose
-    # sums are exact in binary floating point)
+    # width, start, counts and the horizon come back exactly, also where
+    # start + i * width rounds (0.1 from 3.3 saves 3.4000000000000004)
     path = tmp_path / "binned.csv"
     for width, start, counts in [(0.5, 2.0, [1, 2, 0, 4]), (50.0, 0.0, [7, 0]),
-                                 (0.25, 3.5, [1, 2, 3]), (1.0, 0.0, list(range(30)))]:
-        save_binned_csv(BinnedSeries(bin_width=width, counts=np.array(counts), start_time=start),
-                        path)
+                                 (0.25, 3.5, [1, 2, 3]), (1.0, 0.0, list(range(30))),
+                                 (0.1, 3.3, [1, 2, 3])]:
+        series = BinnedSeries(bin_width=width, counts=np.array(counts), start_time=start)
+        save_binned_csv(series, path)
         back = load_binned_csv(path)
         assert (back.bin_width, back.start_time) == (width, start)
+        assert back.horizon == series.horizon
         assert back.counts.tolist() == counts
 
 
