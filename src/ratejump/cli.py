@@ -58,7 +58,8 @@ from .harness import (
 )
 from .ingest import analyze_binned, load_daily_csv, save_analysis_csv
 from .multicascade import CascadeBundle, estimate_high_degree, save_multicascade_report
-from .poisson import RATE_PRESETS, load_rate_spec, preset_rate_spec, save_rate_spec, simulate
+from .poisson import (RATE_PRESETS, _cpu_count, load_rate_spec, preset_rate_spec, save_rate_spec,
+                      simulate)
 from .process import (_bin_count, bin_events, from_binned, load_binned_csv, load_event_times,
                       save_binned_csv, save_event_times)
 from .seeding import SimSeed
@@ -564,9 +565,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="deltas in time units: comma list or lo:hi:n")
     p.add_argument("--trials", type=_whole("trials"), default=None,
                    help="Monte Carlo trials per cell" + _default(hd["trials"]))
-    p.add_argument("--workers", type=_whole("workers"), default=os.cpu_count(),
+    p.add_argument("--workers", type=_whole("workers"), default=_cpu_count(),
                    help="worker processes; results are identical for any value "
-                        f"(default {os.cpu_count()})")
+                        "(default: the CPUs this process may run on)")
     p.add_argument("--long-csv", action="store_true",
                    help="also write per-trial errors as heatmap_long.csv")
     _add_common(p, seed=True)

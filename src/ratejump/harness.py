@@ -6,7 +6,8 @@ argmax estimator for every (k, delta) cell on the *same* realizations
 (common random numbers), so cells are directly comparable.  Trial i of an
 experiment with base seed s draws from the stream (s, i); analysis is
 deterministic given the realization, hence results are identical for any
-worker count.
+worker count.  A worker process gets the spec once, when it starts, and keeps
+it (and an SI tree's fold plan) for all its trials, which arrive as indices.
 
 The profiles read N only on their lattices, so a trial first takes every
 time its ``derivative_profiles`` calls will read (learned once per grid by
@@ -307,20 +308,26 @@ def _trial_errors(spec: ExperimentSpec, trial: int):
     return errors, realization.checksum, diagnostics
 
 
-def run_heatmap(spec: ExperimentSpec, workers: "int | None" = None) -> HeatmapResult:
-    """Run the full grid.  ``workers`` > 1 parallelizes over trials;
-    the result is identical for any worker count."""
+def _start_worker(spec: ExperimentSpec) -> None:
+    global _worker_spec
+    _worker_spec = spec
+
+
+def _worker_trial_errors(trial: int):
+    return _trial_errors(_worker_spec, trial)
+
+
+def run_heatmap(spec: ExperimentSpec, workers: int = 1) -> HeatmapResult:
+    """Run the full grid here, or on ``min(workers, trials)`` worker processes that
+    each get the spec once, when they start; the result is the same for any workers."""
+    workers = _check_order(workers, "workers", limit=math.inf)
     trials = range(spec.trials)
-    if workers is None:
-        workers = 1
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, spec.trials // (workers * 4))
-            per_trial = list(
-                pool.map(_trial_errors, [spec] * spec.trials, trials, chunksize=chunk)
-            )
+        with ProcessPoolExecutor(min(workers, spec.trials), initializer=_start_worker,
+                                 initargs=(spec,)) as pool:
+            per_trial = list(pool.map(_worker_trial_errors, trials))
     else:
         per_trial = [_trial_errors(spec, t) for t in trials]
 

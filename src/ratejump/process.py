@@ -226,16 +226,17 @@ def from_binned(series: BinnedSeries) -> SampledCounts:
 
 
 def bin_events(events: EventTimes, bin_width: float) -> BinnedSeries:
-    """Bin event times: counts[i] = #events in [i*w, (i+1)*w), up to the horizon,
-    which the bins must tile (``_bin_count``).
+    """Bin event times: counts[i] = #events in [i*w, (i+1)*w), the last bin
+    closed at the horizon, which the bins must tile (``_bin_count``).
 
-    With no event exactly on a bin edge, ``from_binned(bin_events(e, w))``
+    With no event exactly on an inner bin edge, ``from_binned(bin_events(e, w))``
     agrees with ``e.count_at`` at every bin edge.  (An event exactly on an
-    edge belongs to the right-hand bin here but to the left-closed count
+    inner edge belongs to the right-hand bin here but to the left-closed count
     under the N(t) convention; measure-zero for continuous samples.)
     """
     n_bins = _bin_count(events.horizon, bin_width)
     idx = np.searchsorted(events.times, np.arange(n_bins + 1) * bin_width, side="left")
+    idx[-1] = len(events)
     return BinnedSeries(bin_width=bin_width, counts=np.diff(idx))
 
 
@@ -298,9 +299,9 @@ def load_binned_csv(path) -> BinnedSeries:
     """Read a binned series from CSV with header ``bin_start,count``.
 
     Bins must be contiguous and uniform, and at least two, since the width
-    is the gap between starts, read as the shortest decimal that gives every
-    start as ``save_binned_csv`` computes it, so a saved width and horizon
-    come back exactly; counts must be non-negative integers.
+    is the gap between starts, read as the shortest decimal, else the mean
+    gap, that gives every start as ``save_binned_csv`` computes it, so a saved
+    width and horizon come back exactly; counts must be non-negative integers.
     Errors name the offending row by its file line (``reader.line_num``),
     so blank lines count.
     """
@@ -342,9 +343,10 @@ def load_binned_csv(path) -> BinnedSeries:
             f"{path}: bins are not contiguous/uniform near row {lines[bad + 1]} "
             f"(gap {float(widths[bad])!r} vs width {float(width)!r})"
         )
-    # the width as saved: the shortest decimal whose multiples give every start
-    # bit for bit (0.1 for 3.3, 3.4000000000000004, 3.5), else the first gap
-    width = next((w for w in (float(f"{width:.{d}g}") for d in range(1, 17))
+    # the width as saved: the shortest decimal, else the mean gap, whose multiples
+    # give every start bit for bit (0.1 from 3.3, 1/3 from 7.7), else the first gap
+    mean_gap = (starts[-1] - starts[0]) / (len(starts) - 1)
+    width = next((w for w in [*(float(f"{width:.{d}g}") for d in range(1, 17)), mean_gap]
                   if np.array_equal(starts[0] + np.arange(len(starts)) * w, starts)), width)
     return BinnedSeries(bin_width=float(width), counts=np.asarray(counts), start_time=starts[0])
 

@@ -85,8 +85,7 @@ class Graph:
     edge weights are indexed by it.
 
     A graph is not changed after it is built.  ``simulate_si`` keeps on it
-    the tree fold's plan for the last source it was asked about (see
-    ``_fold_plan``); pickling leaves the plan out.
+    the tree fold's plan for the last source asked (``_fold_plan``).
     """
 
     def __init__(self, n: int, u, v, hub: "int | None" = None):
@@ -118,10 +117,6 @@ class Graph:
         components = _component_count(n, self.edge_u, self.edge_v)
         if components != 1:
             raise ValueError(f"graph must be connected; found {components} components")
-
-    def __getstate__(self) -> dict:
-        # the plan is three int32 arrays of n, cheaper to rebuild than to send
-        return {**self.__dict__, "_fold_memo": None}
 
     @property
     def n(self) -> int:

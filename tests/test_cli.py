@@ -637,6 +637,12 @@ def test_multicascade_defaults_are_the_preset():
     assert {name: getattr(args, name) for name in params} == params
 
 
+def test_heatmap_workers_default_to_the_cpus_this_process_may_run_on(monkeypatch):
+    # under `taskset -c 0` the default heatmap runs serially and forks nothing
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert build_parser().parse_args(["heatmap"]).workers == 1
+
+
 class ClosedStdout(io.StringIO):
     """stdout whose reader has gone, as under ``| head``."""
 

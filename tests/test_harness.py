@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from dataclasses import dataclass
 
@@ -347,6 +348,42 @@ def test_si_tree_scenario_builds_its_tree_once():
         r = scenario.realize(seed)
         assert r.truth == trace.times[tree.hub]
         assert np.array_equal(r.events.times, np.sort(trace.times))
+
+
+@dataclass(frozen=True)
+class CountedSITree(SITreeScenario):
+    """An SI-tree scenario that counts each pickle of it made in this process."""
+
+    pickles = []
+
+    def __reduce_ex__(self, protocol):
+        self.pickles.append(protocol)
+        return super().__reduce_ex__(protocol)
+
+
+def test_heatmap_workers_get_the_spec_once_each():
+    # the spec travels with each worker process as it starts (not at all
+    # under fork), never with a trial
+    spec = ExperimentSpec(scenario=CountedSITree(height=6, extra_leaves=40),
+                          k_grid=(1, 2), delta_grid=(0.2, 0.5), trials=8, base_seed=3)
+    CountedSITree.pickles.clear()
+    pooled = run_heatmap(spec, workers=2)
+    assert len(CountedSITree.pickles) <= 2
+    assert pooled.checksums == run_heatmap(spec, workers=1).checksums
+
+
+def test_heatmap_pool_has_a_process_per_trial_at_most(monkeypatch):
+    sizes = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    spec = small_spec(trials=2)
+    assert run_heatmap(spec, workers=16).checksums == run_heatmap(spec).checksums
+    assert sizes == [2]
 
 
 def test_si_tree_heatmap_worker_independent():

@@ -311,6 +311,9 @@ def test_count_rows_load_exactly(tmp_path, loader, raw, count):
     (lambda: run_heatmap(ExperimentSpec(SmoothJumpScenario(), (1, 2, 3, 4, 5), (0.5,), 1,
                                         base_seed=-1)),
      "base_seed"),
+    *((lambda bad=bad: run_heatmap(ExperimentSpec(SmoothJumpScenario(), (2,), (0.5,), 1),
+                                   workers=bad), "workers")
+      for bad in (0, -3, True, 1.5)),
 ])
 def test_seed_fields_are_checked_by_name(make, field):
     with pytest.raises(ValueError, match=f"^{field} must"):

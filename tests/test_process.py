@@ -140,6 +140,17 @@ def test_bin_events_agrees_with_count_at_on_edges():
     assert int(s.counts.sum()) == len(e)
 
 
+def test_bin_events_keeps_an_event_on_the_horizon():
+    # the last bin is closed at the horizon, also where its edge n * w rounds
+    # below the horizon (3 * 0.3 is 0.8999999999999999)
+    for times, horizon, width, counts in [([0.2, 0.5, 1.0], 1.0, 0.5, [1, 2]),
+                                          ([0.1, 0.9], 0.9, 0.3, [1, 0, 1])]:
+        e = EventTimes(times=np.array(times), horizon=horizon)
+        s = bin_events(e, bin_width=width)
+        assert s.counts.tolist() == counts
+        assert from_binned(s).count_at(s.horizon) == e.count_at(horizon) == len(times)
+
+
 def test_bin_events_refuses_a_width_that_does_not_tile_the_horizon():
     e = EventTimes(times=np.array([1.0, 2.0]), horizon=20.0)
     with pytest.raises(ValueError, match=r"^bin width 3\.0 leaves a part bin at its end on "
@@ -197,7 +208,7 @@ def test_binned_csv_round_trip(tmp_path):
     path = tmp_path / "binned.csv"
     for width, start, counts in [(0.5, 2.0, [1, 2, 0, 4]), (50.0, 0.0, [7, 0]),
                                  (0.25, 3.5, [1, 2, 3]), (1.0, 0.0, list(range(30))),
-                                 (0.1, 3.3, [1, 2, 3])]:
+                                 (0.1, 3.3, [1, 2, 3]), (1 / 3, 7.7, list(range(50)))]:
         series = BinnedSeries(bin_width=width, counts=np.array(counts), start_time=start)
         save_binned_csv(series, path)
         back = load_binned_csv(path)

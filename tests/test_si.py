@@ -525,16 +525,13 @@ def test_deep_tree_pays_its_bfs_once(monkeypatch):
         assert (len(bfs), len(dijkstra_calls)) == (1, expected)
 
 
-def test_pickled_graph_leaves_its_fold_plan_out(monkeypatch):
+def test_pickled_graph_keeps_its_fold_plan(monkeypatch):
     graph = build_tree_with_hub(8, 60)
-    fresh = pickle.dumps(graph)
     first = simulate_si(graph, graph.hub, SimSeed(5, 0))
-    used = pickle.dumps(graph)
-    assert len(used) == len(fresh)
-    copy = pickle.loads(used)
+    copy = pickle.loads(pickle.dumps(graph))
     bfs = count_bfs(monkeypatch)
     again = [simulate_si(copy, graph.hub, SimSeed(5, i)).times for i in range(2)]
-    assert len(bfs) == 1  # the copy builds its own plan, once
+    assert bfs == []  # the copy keeps the plan it was pickled with
     assert np.array_equal(again[0], first.times)
     assert np.array_equal(again[1], simulate_si(graph, graph.hub, SimSeed(5, 1)).times)
 
