@@ -26,7 +26,10 @@ and p0 indexes the stencil's first point.  ``derivative_profiles``
 therefore samples N once per lattice origin b and gets each order from
 the previous one by one more difference: b = 0 for orders whose grid
 starts at (l-1)*delta, and b = the window's lower end for the orders a
-window clips.
+window clips.  It takes two steps, which the heatmap harness shares: a
+lattice plan, fixed by the orders, delta, m, T and window, holds each
+lattice's read times and where each order's grid lies on it; evaluating
+the plan turns the samples F into every order's values.
 """
 
 from __future__ import annotations
@@ -162,13 +165,16 @@ class DerivativeProfile:
         return int(np.argmax(np.abs(self.values)))
 
 
+def _empty_window(order: int, delta: float, window: tuple) -> ValueError:
+    """The one ValueError for a window that holds no grid point."""
+    return ValueError(
+        f"no valid grid points: window {window} is empty for k={order}, delta={delta}")
+
+
 def _nonempty(profile: DerivativeProfile) -> DerivativeProfile:
-    """``profile``, or the one ValueError for a window that holds no grid point."""
+    """``profile``, or ``_empty_window``'s error if it holds no grid point."""
     if len(profile) == 0:
-        raise ValueError(
-            f"no valid grid points: window {profile.window} is empty for "
-            f"k={profile.order}, delta={profile.delta}"
-        )
+        raise _empty_window(profile.order, profile.delta, profile.window)
     return profile
 
 
@@ -203,28 +209,14 @@ def derivative_profiles(
     lag = _check_order(steps_per_delta, "steps_per_delta", limit=math.inf)
     step = delta / lag
     fn, T = _as_counting(N)
-    w_lo, w_hi = (-math.inf, math.inf) if window is None else (float(window[0]), float(window[1]))
-    if not w_lo <= w_hi:  # NaN fails too
-        raise ValueError(f"window must satisfy lo <= hi, got {window}")
-
-    grids, lattices = [], {}
-    for order in orders:
-        lo, hi = max((order - 1) * delta, w_lo), min(T - delta, w_hi)
-        n = _grid_size(lo, hi, step)
-        grids.append((order, lo, hi, n))
-        if n:
-            origin = lo if w_lo > (order - 1) * delta else 0.0
-            lattices.setdefault(origin, {})[len(grids) - 1] = grids[-1]
-    values = {}
-    for origin, members in lattices.items():
-        try:
-            values.update(_lattice_values(fn, origin, step, lag, members, T))
-        except ValueError as exc:  # N known only at its knots, such as bin edges
-            raise ValueError(f"{exc}, a time on the grid of step delta / steps_per_delta = "
-                             f"{delta!r} / {lag}") from exc
-    return [DerivativeProfile(lo + np.arange(n) * step, values.get(i, np.zeros(0)),
-                              order, delta, lag, (lo, hi))
-            for i, (order, lo, hi, n) in enumerate(grids)]
+    plan = _lattice_plan(orders, delta, lag, T, window)
+    try:
+        samples = [fn(times) for times, _ in plan.lattices]
+    except ValueError as exc:  # N known only at its knots, such as bin edges
+        raise ValueError(f"{exc}, a time on the grid of step delta / steps_per_delta = "
+                         f"{delta!r} / {lag}") from exc
+    return [DerivativeProfile(lo + np.arange(n) * step, values, order, delta, lag, (lo, hi))
+            for (order, lo, hi, n, _), values in zip(plan.grids, plan.evaluate(samples))]
 
 
 def _grid_size(lo: float, hi: float, step: float) -> int:
@@ -240,25 +232,58 @@ def _grid_size(lo: float, hi: float, step: float) -> int:
     return n
 
 
-def _lattice_values(fn, origin: float, step: float, lag: int, grids: dict, T: float) -> dict:
-    """Values of every grid from one sampling of N at origin + p*step.
+@dataclass(frozen=True)
+class _LatticePlan:
+    """Where the profiles of one delta read N, and how the reads become values.
 
-    Grid point i of an order-l grid starting at lo reads its stencil from
-    the samples first + i + j*lag, j = 0..l, where first is lo's lattice
-    index less (l-1)*lag; so its value is the l-fold lag difference there.
-    Every grid lies in its order's valid range, so a lattice time leaves
-    [0, T] only by the rounding of p*step, by ulps; it reads N at that end.
+    ``lattices`` holds one (read times, indices of the orders read there) per
+    lattice origin.  ``grids[i]`` is the i-th order's (order, lo, hi, n,
+    offset): value q of its grid lo + q*delta/lag, q < n, is entry offset + q
+    of the order-fold lag difference of its lattice's samples.
     """
-    first = {i: round((lo - origin) / step) - (order - 1) * lag
-             for i, (order, lo, _, _) in grids.items()}
-    p_lo = min(first.values())
-    p_hi = max(first[i] + n + order * lag for i, (order, _, _, n) in grids.items())
-    times = np.clip(origin + np.arange(p_lo, p_hi) * step, 0.0, T)
-    diff = np.asarray(fn(times), dtype=np.float64)
-    levels = {}
-    for order in range(1, max(grid[0] for grid in grids.values()) + 1):
-        diff = levels[order] = diff[lag:] - diff[:-lag]
-    return {i: levels[order][first[i] - p_lo:][:n] for i, (order, _, _, n) in grids.items()}
+
+    lag: int
+    grids: tuple
+    lattices: tuple
+
+    def evaluate(self, samples) -> list:
+        """Each order's values, from samples[b] = N at ``lattices[b]``'s times."""
+        values = [np.zeros(0)] * len(self.grids)
+        for (_, members), diff in zip(self.lattices, samples):
+            diff, levels = np.asarray(diff, dtype=np.float64), {}
+            for order in range(1, max(self.grids[i][0] for i in members) + 1):
+                diff = levels[order] = diff[self.lag:] - diff[:-self.lag]
+            for i in members:
+                order, _, _, n, offset = self.grids[i]
+                values[i] = levels[order][offset:offset + n]
+        return values
+
+
+def _lattice_plan(orders, delta: float, lag: int, T: float, window) -> _LatticePlan:
+    """The plan of ``derivative_profiles`` for checked orders, delta and lag.
+    Every grid lies in its order's valid range, so a lattice time leaves
+    [0, T] only by the rounding of p*step, by ulps; it reads N at that end."""
+    step = delta / lag
+    w_lo, w_hi = (-math.inf, math.inf) if window is None else (float(window[0]), float(window[1]))
+    if not w_lo <= w_hi:  # NaN fails too
+        raise ValueError(f"window must satisfy lo <= hi, got {window}")
+    grids, lattices = [], {}
+    for order in orders:
+        lo, hi = max((order - 1) * delta, w_lo), min(T - delta, w_hi)
+        grids.append((order, lo, hi, _grid_size(lo, hi, step)))
+        if grids[-1][3]:
+            origin = lo if w_lo > (order - 1) * delta else 0.0
+            lattices.setdefault(origin, {})[len(grids) - 1] = grids[-1]
+    read, offsets = [], {}
+    for origin, members in lattices.items():
+        first = {i: round((lo - origin) / step) - (order - 1) * lag
+                 for i, (order, lo, _, _) in members.items()}
+        p_lo = min(first.values())
+        p_hi = max(first[i] + n + order * lag for i, (order, _, _, n) in members.items())
+        read.append((np.clip(origin + np.arange(p_lo, p_hi) * step, 0.0, T), tuple(members)))
+        offsets.update((i, p - p_lo) for i, p in first.items())
+    grids = tuple(grid + (offsets.get(i, 0),) for i, grid in enumerate(grids))
+    return _LatticePlan(lag, grids, tuple(read))
 
 
 def annihilation_check(order: int, delta: float, poly_coeffs, t: float) -> float:

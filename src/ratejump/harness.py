@@ -9,11 +9,13 @@ deterministic given the realization, hence results are identical for any
 worker count.  A worker process gets the spec once, when it starts, and keeps
 it (and an SI tree's fold plan) for all its trials, which arrive as indices.
 
-The profiles read N only on their lattices, so a trial first takes every
-time its ``derivative_profiles`` calls will read (learned once per grid by
-running those calls on a recording N) and passes them to ``realize``.  The
-Poisson scenarios draw N exactly there (``draw_counts``) instead of
-thinning the whole event stream; the SI scenario ignores the times.
+The profiles read N only on their lattices.  Once per grid, the lattice
+plan of each delta (see ``ratejump.derivative``) gives the times its
+profiles read, and a trial passes their union to ``realize``.  The Poisson
+scenarios draw N exactly there (``draw_counts``) instead of thinning the
+whole event stream, and the trial reads each plan's samples from the drawn
+counts by index.  The SI scenario ignores the times; its N is read through
+``count_at``.
 """
 
 from __future__ import annotations
@@ -21,13 +23,13 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import types
 import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .derivative import STEPS_PER_DELTA, _check_delta, _check_order, derivative_profiles
+from .derivative import (STEPS_PER_DELTA, _check_delta, _check_order, _empty_window,
+                         _lattice_plan, derivative_profiles)
 # argmax_single is not called here; bench/tracing.py wraps harness.argmax_single by name
 from .detector import DetectorConfig, argmax_single, detect
 # simulate is called by this name: bench/tracing.py wraps harness.simulate
@@ -258,49 +260,68 @@ def _sample_times(spec: ExperimentSpec):
     them, at which a trial's profiles read N over all the deltas; None for
     a scenario with no horizon before it is realized (an SI cascade ends
     when it ends)."""
+    return _read_plans(spec)[0]
+
+
+def _read_plans(spec: ExperimentSpec) -> tuple:
+    """``_read_grid`` of the spec's grid; (None, None) where ``_sample_times`` is None."""
     horizon = getattr(spec.scenario, "horizon", None)
     if horizon is None:
-        return None
+        return None, None
     window = spec.scenario.analysis_window
     return _read_grid(spec.k_grid, spec.delta_grid, float(horizon),
                       None if window is None else tuple(window))
 
 
 @functools.lru_cache(maxsize=16)
-def _read_grid(k_grid: tuple, delta_grid: tuple, horizon: float, window) -> np.ndarray:
-    """``_sample_times`` for one grid, computed once: the profiles of every
-    delta are taken of a recording N, which keeps the very times each call
-    reads.  Read-only, since every trial of the grid shares it."""
-    read = [np.array([0.0, horizon])]
-
-    def record(t):
-        read.append(np.ravel(t))
-        return np.zeros(np.shape(t))
-
-    recording = types.SimpleNamespace(count_at=record, horizon=horizon)
-    for delta in delta_grid:
-        derivative_profiles(recording, k_grid, delta, window=window)
-    grid = np.unique(np.concatenate(read))
+def _read_grid(k_grid: tuple, delta_grid: tuple, horizon: float, window) -> tuple:
+    """(grid, plans) for one grid, computed once: ``grid`` is
+    ``_sample_times``, the union of 0, the horizon and every time the
+    lattice plans read, and ``plans[j]`` is delta_grid[j]'s plan with the
+    index in ``grid`` of each of its lattices' times.  The grid and the
+    indices are read-only, since every trial of the grid shares them."""
+    plans = [_lattice_plan(k_grid, d, STEPS_PER_DELTA, horizon, window) for d in delta_grid]
+    times = [t for plan in plans for t, _ in plan.lattices]
+    reads = np.concatenate(times)
+    grid = np.unique(np.concatenate(([0.0, horizon], reads)))
+    index = np.searchsorted(grid, reads)
+    if not np.array_equal(grid[index], reads):  # N is read only where it is drawn
+        raise RuntimeError("internal consistency failure: a plan time is not on the read grid")
     grid.setflags(write=False)
-    return grid
+    index.setflags(write=False)
+    pieces = iter(np.split(index, np.cumsum([t.size for t in times])[:-1]))
+    return grid, tuple((plan, tuple(next(pieces) for _ in plan.lattices)) for plan in plans)
 
 
 def _trial_errors(spec: ExperimentSpec, trial: int):
-    """Errors of every cell on trial ``trial``'s shared realization, drawn
-    at the times the profiles read, from one ``derivative_profiles`` call
-    per delta.  A cell whose window holds no grid point fails alone, and
-    its ValueError is recorded; the run goes on."""
-    realization = spec.scenario.realize(SimSeed(spec.base_seed, trial), _sample_times(spec))
+    """Errors of every cell on trial ``trial``'s shared realization, from
+    one lattice plan per delta: counts drawn on the read grid are read there
+    by index, and any other N through ``derivative_profiles``.  A cell whose
+    window holds no grid point fails alone, and its ValueError is recorded;
+    the run goes on."""
+    grid, plans = _read_plans(spec)
+    realization = spec.scenario.realize(SimSeed(spec.base_seed, trial), grid)
+    events, window = realization.events, spec.scenario.analysis_window
+    drawn = isinstance(events, SampledCounts) and grid is not None
+    if drawn and not np.array_equal(events.times, grid):
+        raise ValueError(f"the realization's counts are drawn at {events.times.size} times "
+                         f"that are not the {grid.size} times of the trial's read grid")
     errors = np.full((len(spec.k_grid), len(spec.delta_grid)), np.nan)
     failures = {}  # (i, j) -> the ValueError that aborted cell (k_grid[i], delta_grid[j])
     for j, delta in enumerate(spec.delta_grid):
-        profiles = derivative_profiles(realization.events, spec.k_grid, delta,
-                                       window=spec.scenario.analysis_window)
-        for i, profile in enumerate(profiles):
-            try:
-                errors[i, j] = abs(profile.times[profile.argmax()] - realization.truth)
-            except ValueError as exc:
-                failures[i, j] = exc
+        if drawn:
+            plan, index = plans[j]
+            cells = [(lo, hi, n, values) for (_, lo, hi, n, _), values in
+                     zip(plan.grids, plan.evaluate([events.counts.take(i) for i in index]))]
+        else:
+            cells = [(*p.window, len(p), p.values)
+                     for p in derivative_profiles(events, spec.k_grid, delta, window=window)]
+        for i, (k, (lo, hi, n, values)) in enumerate(zip(spec.k_grid, cells)):
+            if n:  # the earliest largest |value|, as DerivativeProfile.argmax takes it
+                t_hat = lo + int(np.argmax(np.abs(values))) * (delta / STEPS_PER_DELTA)
+                errors[i, j] = abs(t_hat - realization.truth)
+            else:
+                failures[i, j] = _empty_window(k, delta, (lo, hi))
     diagnostics = [
         f"trial {trial} cell (k={spec.k_grid[i]}, delta={spec.delta_grid[j]}): {exc}"
         for (i, j), exc in sorted(failures.items())

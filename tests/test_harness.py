@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ from ratejump.harness import (
     save_heatmap_long_csv,
 )
 from ratejump.poisson import Constant, JumpComponent, RateSpec
-from ratejump.process import EventTimes
+from ratejump.process import EventTimes, SampledCounts
 from ratejump.seeding import SimSeed
 from ratejump.si import build_tree_with_hub, simulate_si
 
@@ -176,6 +177,44 @@ def test_trial_errors_match_per_cell_argmax(scenario):
             assert errors[i, j] == abs(t_hat - realization.truth)
     assert diagnostics == expected_failures
     assert expected_failures  # k=6 at delta=3.5 leaves no grid point on [0, 20]
+
+
+# sha256 of errors.tobytes() + repr(checksums) for run_heatmap at base seed
+# 11 (numpy 2.4.6), as computed when trials read the drawn counts through
+# SampledCounts.count_at: reading them by index must not move a bit
+PINNED_HEATMAPS = {
+    ("fig2-scaled", 4): "4acd0320ca9f7316d048c088079b52f29438cf22032c3f24cdf38bb0a665afdb",
+    ("fig2-full", 3): "619ace5cb2a09f25ebdac541409e54ea4e9be435268d56e473c760f7bf5dd113",
+    ("fig5", 2): "e1ea5787894e037dea843c521adc103aabbed4e9a0d4cd220f1498de3e3e7a9b",
+}
+
+
+@pytest.mark.parametrize("preset, trials", list(PINNED_HEATMAPS))
+def test_heatmap_errors_and_checksums_match_their_pinned_digest(preset, trials):
+    result = run_heatmap(heatmap_spec_from_preset(get_preset(preset), trials=trials,
+                                                  base_seed=11))
+    digest = hashlib.sha256(result.errors.tobytes() + repr(result.checksums).encode())
+    assert digest.hexdigest() == PINNED_HEATMAPS[preset, trials]
+
+
+@pytest.mark.parametrize("knots", ["every other time", "one time moved"])
+def test_trial_refuses_counts_drawn_off_its_read_grid(monkeypatch, knots):
+    spec = small_spec(trials=1)
+    grid = _sample_times(spec)
+    if knots == "every other time":
+        other = np.append(grid[:-1:2], grid[-1])
+    else:
+        other = grid.copy()
+        other[5] += 1e-13  # off by less than count_at's tolerance, still not a drawn time
+
+    def realize(self, seed, times=None):
+        return Realization(SampledCounts(other, np.arange(other.size), self.horizon), 10.0)
+
+    monkeypatch.setattr(SmoothJumpScenario, "realize", realize)
+    message = (rf"drawn at {other.size} times that are not the {grid.size} times "
+               r"of the trial's read grid")
+    with pytest.raises(ValueError, match=message):
+        _trial_errors(spec, 0)
 
 
 def test_spec_rejects_an_order_above_the_limit_naming_it():
