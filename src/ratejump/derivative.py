@@ -22,14 +22,14 @@ number m of steps per delta (default 10).  Every stencil point of every
 grid time then lies on one lattice b + p*delta/m, and with
 F[p] = N(b + p*delta/m) the order-l value at a grid time is the l-fold
 lag-m difference (Delta_m^l F)[p0], where (Delta_m F)[p] = F[p+m] - F[p]
-and p0 indexes the stencil's first point.  ``derivative_profiles``
-therefore samples N once per lattice origin b and gets each order from
-the previous one by one more difference: b = 0 for orders whose grid
-starts at (l-1)*delta, and b = the window's lower end for the orders a
-window clips.  It takes two steps, which the heatmap harness shares: a
-lattice plan, fixed by the orders, delta, m, T and window, holds each
-lattice's read times and where each order's grid lies on it; evaluating
-the plan turns the samples F into every order's values.
+and p0 indexes the stencil's first point.  So N is sampled once per
+lattice origin b, and each order comes from the previous one by one more
+difference: b = 0 for orders whose grid starts at (l-1)*delta, and b = the
+window's lower end for the orders a window clips.  A lattice plan, fixed by
+the orders, delta, m, T and window, holds each lattice's read times and
+where each order's grid lies on it; evaluating it turns the samples F into
+every order's values.  ``derivative_profiles`` reads N on the plan with no
+window; the heatmap harness on those of a scenario's analysis window.
 """
 
 from __future__ import annotations
@@ -71,8 +71,11 @@ def _check_order(order, name: str = "order", limit: float = MAX_ORDER) -> int:
 
 
 def _check_delta(delta, name: str = "delta") -> float:
-    """``delta`` as a positive, finite float, bools rejected: the one check on a step."""
-    value = math.nan if isinstance(delta, (bool, np.bool_)) else float(delta)
+    """``delta`` as a positive, finite float, bools and non-numbers rejected: one check."""
+    try:
+        value = math.nan if isinstance(delta, (bool, np.bool_)) else float(delta)
+    except (TypeError, ValueError):  # None, or a string float() does not read
+        value = math.nan
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {delta!r}")
     return value
@@ -161,8 +164,12 @@ class DerivativeProfile:
 
     def argmax(self) -> int:
         """Index of the largest |value|, the earliest on ties; ValueError if empty."""
-        _nonempty(self)
-        return int(np.argmax(np.abs(self.values)))
+        return _peak(_nonempty(self).values)
+
+
+def _peak(values) -> int:
+    """The one argmax rule: the index of the largest |value|, the earliest on ties."""
+    return int(np.argmax(np.abs(values)))
 
 
 def _empty_window(order: int, delta: float, window: tuple) -> ValueError:
@@ -186,30 +193,22 @@ def derivative_profile(N, order: int, delta: float,
     return _nonempty(derivative_profiles(N, [order], delta, steps_per_delta)[0])
 
 
-def derivative_profiles(
-    N,
-    orders,
-    delta: float,
-    steps_per_delta: int = STEPS_PER_DELTA,
-    window: "tuple | None" = None,
-) -> list:
+def derivative_profiles(N, orders, delta: float, steps_per_delta: int = STEPS_PER_DELTA) -> list:
     """Evaluate the discrete derivative of each order on a grid of step
     delta / ``steps_per_delta``, a whole number (default 10).
 
-    Returns one profile per entry of ``orders``.  Each grid starts at the
-    requested ``window``'s lower end (default: everything) clipped to that
+    Returns one profile per entry of ``orders``, on every grid time of that
     order's valid range [(order-1)*delta, T - delta], T the horizon of N,
-    and holds every grid time up to the clipped upper end, none past it.
-    A window that clips to nothing yields an empty profile, so that one
-    order's empty window does not cost the others theirs; its ``argmax``
-    raises the ValueError that ``derivative_profile`` raises at once.
+    all read from one sampling of N.  A range with no grid time yields an
+    empty profile, so that it does not cost the other orders theirs; its
+    ``argmax`` raises the ValueError that ``derivative_profile`` raises.
     """
     orders = [_check_order(order) for order in orders]
     delta = _check_delta(delta)
     lag = _check_order(steps_per_delta, "steps_per_delta", limit=math.inf)
     step = delta / lag
     fn, T = _as_counting(N)
-    plan = _lattice_plan(orders, delta, lag, T, window)
+    plan = _lattice_plan(orders, delta, lag, T, None)
     try:
         samples = [fn(times) for times, _ in plan.lattices]
     except ValueError as exc:  # N known only at its knots, such as bin edges
@@ -242,6 +241,7 @@ class _LatticePlan:
     of the order-fold lag difference of its lattice's samples.
     """
 
+    delta: float
     lag: int
     grids: tuple
     lattices: tuple
@@ -258,11 +258,19 @@ class _LatticePlan:
                 values[i] = levels[order][offset:offset + n]
         return values
 
+    def peak_time(self, i: int, values) -> float:
+        """The grid time of the i-th order's peak in its ``evaluate`` values,
+        by the rule of ``DerivativeProfile.argmax``; ValueError if empty."""
+        order, lo, hi, n, _ = self.grids[i]
+        if not n:
+            raise _empty_window(order, self.delta, (lo, hi))
+        return lo + _peak(values) * (self.delta / self.lag)
+
 
 def _lattice_plan(orders, delta: float, lag: int, T: float, window) -> _LatticePlan:
-    """The plan of ``derivative_profiles`` for checked orders, delta and lag.
-    Every grid lies in its order's valid range, so a lattice time leaves
-    [0, T] only by the rounding of p*step, by ulps; it reads N at that end."""
+    """The plan of checked orders, delta and lag: each grid is its order's
+    valid range clipped to ``window`` (None: not clipped), so a lattice time
+    leaves [0, T] only by the rounding of p*step, by ulps; it reads N there."""
     step = delta / lag
     w_lo, w_hi = (-math.inf, math.inf) if window is None else (float(window[0]), float(window[1]))
     if not w_lo <= w_hi:  # NaN fails too
@@ -283,7 +291,7 @@ def _lattice_plan(orders, delta: float, lag: int, T: float, window) -> _LatticeP
         read.append((np.clip(origin + np.arange(p_lo, p_hi) * step, 0.0, T), tuple(members)))
         offsets.update((i, p - p_lo) for i, p in first.items())
     grids = tuple(grid + (offsets.get(i, 0),) for i, grid in enumerate(grids))
-    return _LatticePlan(lag, grids, tuple(read))
+    return _LatticePlan(delta, lag, grids, tuple(read))
 
 
 def annihilation_check(order: int, delta: float, poly_coeffs, t: float) -> float:

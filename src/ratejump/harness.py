@@ -9,13 +9,12 @@ deterministic given the realization, hence results are identical for any
 worker count.  A worker process gets the spec once, when it starts, and keeps
 it (and an SI tree's fold plan) for all its trials, which arrive as indices.
 
-The profiles read N only on their lattices.  Once per grid, the lattice
-plan of each delta (see ``ratejump.derivative``) gives the times its
-profiles read, and a trial passes their union to ``realize``.  The Poisson
-scenarios draw N exactly there (``draw_counts``) instead of thinning the
-whole event stream, and the trial reads each plan's samples from the drawn
-counts by index.  The SI scenario ignores the times; its N is read through
-``count_at``.
+The lattice plan of each delta (see ``ratejump.derivative``) gives the
+times its profiles read N, and a trial reads N once, on their union, then
+each plan's samples by index.  A scenario with a horizon gets that union,
+computed once per grid, before it is realized: the Poisson ones draw N only
+there (``draw_counts``), not the whole event stream by thinning.  An SI
+cascade sets its own horizon; its N is read on the union through ``count_at``.
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .derivative import (STEPS_PER_DELTA, _check_delta, _check_order, _empty_window,
-                         _lattice_plan, derivative_profiles)
+from .derivative import STEPS_PER_DELTA, _as_counting, _check_delta, _check_order, _lattice_plan
 # argmax_single is not called here; bench/tracing.py wraps harness.argmax_single by name
 from .detector import DetectorConfig, argmax_single, detect
 # simulate is called by this name: bench/tracing.py wraps harness.simulate
@@ -260,26 +258,24 @@ def _sample_times(spec: ExperimentSpec):
     them, at which a trial's profiles read N over all the deltas; None for
     a scenario with no horizon before it is realized (an SI cascade ends
     when it ends)."""
-    return _read_plans(spec)[0]
-
-
-def _read_plans(spec: ExperimentSpec) -> tuple:
-    """``_read_grid`` of the spec's grid; (None, None) where ``_sample_times`` is None."""
     horizon = getattr(spec.scenario, "horizon", None)
-    if horizon is None:
-        return None, None
+    return None if horizon is None else _plans(spec, float(horizon))[0]
+
+
+def _plans(spec: ExperimentSpec, horizon: float) -> tuple:
+    """``_read_grid`` of the spec's grid and analysis window on [0, horizon]."""
     window = spec.scenario.analysis_window
-    return _read_grid(spec.k_grid, spec.delta_grid, float(horizon),
+    return _read_grid(spec.k_grid, spec.delta_grid, horizon,
                       None if window is None else tuple(window))
 
 
 @functools.lru_cache(maxsize=16)
 def _read_grid(k_grid: tuple, delta_grid: tuple, horizon: float, window) -> tuple:
-    """(grid, plans) for one grid, computed once: ``grid`` is
-    ``_sample_times``, the union of 0, the horizon and every time the
-    lattice plans read, and ``plans[j]`` is delta_grid[j]'s plan with the
-    index in ``grid`` of each of its lattices' times.  The grid and the
-    indices are read-only, since every trial of the grid shares them."""
+    """(grid, plans) for one grid, computed once: ``grid`` is the union of
+    0, the horizon and every time the lattice plans read, and ``plans[j]``
+    is delta_grid[j]'s plan with the index in ``grid`` of each of its
+    lattices' times.  The grid and the indices are read-only, since every
+    trial of the grid shares them."""
     plans = [_lattice_plan(k_grid, d, STEPS_PER_DELTA, horizon, window) for d in delta_grid]
     times = [t for plan in plans for t, _ in plan.lattices]
     reads = np.concatenate(times)
@@ -294,34 +290,28 @@ def _read_grid(k_grid: tuple, delta_grid: tuple, horizon: float, window) -> tupl
 
 
 def _trial_errors(spec: ExperimentSpec, trial: int):
-    """Errors of every cell on trial ``trial``'s shared realization, from
-    one lattice plan per delta: counts drawn on the read grid are read there
-    by index, and any other N through ``derivative_profiles``.  A cell whose
-    window holds no grid point fails alone, and its ValueError is recorded;
-    the run goes on."""
-    grid, plans = _read_plans(spec)
-    realization = spec.scenario.realize(SimSeed(spec.base_seed, trial), grid)
-    events, window = realization.events, spec.scenario.analysis_window
-    drawn = isinstance(events, SampledCounts) and grid is not None
+    """Errors of every cell on trial ``trial``'s shared realization, whose N
+    is read on the read grid of its horizon (counts drawn there as they are)
+    and each delta's plan samples by index.  A cell whose window holds no
+    grid point fails alone, and its ValueError is recorded; the run goes on."""
+    realization = spec.scenario.realize(SimSeed(spec.base_seed, trial), _sample_times(spec))
+    events = realization.events
+    count_at, T = _as_counting(events)
+    grid, plans = _plans(spec, T)
+    drawn = isinstance(events, SampledCounts)
     if drawn and not np.array_equal(events.times, grid):
         raise ValueError(f"the realization's counts are drawn at {events.times.size} times "
                          f"that are not the {grid.size} times of the trial's read grid")
+    counts = events.counts if drawn else np.asarray(count_at(grid))
     errors = np.full((len(spec.k_grid), len(spec.delta_grid)), np.nan)
     failures = {}  # (i, j) -> the ValueError that aborted cell (k_grid[i], delta_grid[j])
-    for j, delta in enumerate(spec.delta_grid):
-        if drawn:
-            plan, index = plans[j]
-            cells = [(lo, hi, n, values) for (_, lo, hi, n, _), values in
-                     zip(plan.grids, plan.evaluate([events.counts.take(i) for i in index]))]
-        else:
-            cells = [(*p.window, len(p), p.values)
-                     for p in derivative_profiles(events, spec.k_grid, delta, window=window)]
-        for i, (k, (lo, hi, n, values)) in enumerate(zip(spec.k_grid, cells)):
-            if n:  # the earliest largest |value|, as DerivativeProfile.argmax takes it
-                t_hat = lo + int(np.argmax(np.abs(values))) * (delta / STEPS_PER_DELTA)
-                errors[i, j] = abs(t_hat - realization.truth)
-            else:
-                failures[i, j] = _empty_window(k, delta, (lo, hi))
+    for j, (plan, index) in enumerate(plans):
+        values = plan.evaluate([counts.take(i) for i in index])
+        for i in range(len(spec.k_grid)):
+            try:
+                errors[i, j] = abs(plan.peak_time(i, values[i]) - realization.truth)
+            except ValueError as exc:
+                failures[i, j] = exc
     diagnostics = [
         f"trial {trial} cell (k={spec.k_grid[i]}, delta={spec.delta_grid[j]}): {exc}"
         for (i, j), exc in sorted(failures.items())
@@ -341,12 +331,12 @@ def _worker_trial_errors(trial: int):
 def run_heatmap(spec: ExperimentSpec, workers: int = 1) -> HeatmapResult:
     """Run the full grid here, or on ``min(workers, trials)`` worker processes that
     each get the spec once, when they start; the result is the same for any workers."""
-    workers = _check_order(workers, "workers", limit=math.inf)
+    workers = min(_check_order(workers, "workers", limit=math.inf), spec.trials)
     trials = range(spec.trials)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(min(workers, spec.trials), initializer=_start_worker,
+        with ProcessPoolExecutor(workers, initializer=_start_worker,
                                  initargs=(spec,)) as pool:
             per_trial = list(pool.map(_worker_trial_errors, trials))
     else:

@@ -559,6 +559,8 @@ GRIDS = ["--k-grid", "1", "--delta-grid", "0.3"]
       "--threshold", "9"], 2,
      "steps_per_delta must be >= 1, got 0"),
     (["heatmap", "--k-grid", "1,21", "--delta-grid", "0.3"], 2, "k_grid[1] must be <= 20, got 21"),
+    (["heatmap", "--k-grid", "1", "--delta-grid", "0.1:0.5"], 2,
+     "delta_grid[0] must be positive and finite, got '0.1:0.5'"),
     (["heatmap", "--base", "inf", "--k-grid", "1", "--delta-grid", "0.3"], 2,
      "base must be positive and finite, got inf"),
     (["heatmap", "--preset", "fig2-scaled", "--base", "inf"], 2,

@@ -15,6 +15,7 @@ from ratejump.derivative import (
     discrete_derivative,
 )
 from ratejump.process import BinnedSeries, EventTimes, from_binned
+from windowed_profiles import windowed_profiles
 
 
 def brute_force(N, order, delta, t):
@@ -141,7 +142,7 @@ def test_profile_matches_pointwise():
 
 def test_profile_window_clipping_and_empty():
     e = EventTimes(times=np.array([1.0, 2.0]), horizon=3.0)
-    prof, = derivative_profiles(e, [2], 1.0, steps_per_delta=2, window=(0.0, 10.0))
+    prof, = windowed_profiles(e, [2], 1.0, 2, (0.0, 10.0))
     assert prof.window == (1.0, 2.0)
     assert len(prof) == 3
 
@@ -152,7 +153,7 @@ def test_profile_window_clipping_and_empty():
     # among several orders an empty one is kept, and its argmax raises the
     # error derivative_profile raises at once
     message = r"^no valid grid points: window \(1\.4, 0\.5\) is empty for k=2, delta=1\.4$"
-    first, empty = derivative_profiles(e, [1, 2], 1.4, steps_per_delta=3, window=(0.0, 0.5))
+    first, empty = windowed_profiles(e, [1, 2], 1.4, 3, (0.0, 0.5))
     assert len(first) == 2 and len(empty) == 0
     with pytest.raises(ValueError, match=message):
         empty.argmax()
@@ -167,17 +168,17 @@ def test_profile_grid_step_validation():
 
 def profile_alone(N, order, delta, steps_per_delta, window):
     """One order's profile on its own: ``derivative_profile`` with no
-    window, else the one profile of ``derivative_profiles``, whose argmax
+    window, else the one profile of the window's lattice plan, whose argmax
     raises for an empty window as ``derivative_profile`` does."""
     if window is None:
         return derivative_profile(N, order, delta, steps_per_delta)
-    profile, = derivative_profiles(N, [order], delta, steps_per_delta, window=window)
+    profile, = windowed_profiles(N, [order], delta, steps_per_delta, window)
     profile.argmax()
     return profile
 
 
 def assert_profiles_match_pointwise(N, orders, delta, steps_per_delta, window):
-    profiles = derivative_profiles(N, orders, delta, steps_per_delta, window=window)
+    profiles = windowed_profiles(N, orders, delta, steps_per_delta, window)
     assert [p.order for p in profiles] == orders
     for p in profiles:
         if len(p) == 0:
@@ -252,7 +253,7 @@ def test_profiles_sample_once_per_lattice_origin():
     orders = [1, 2, 3, 4, 5, 6]
     for window, samplings in ((None, 1), ((5.0, 15.0), 1), ((0.5, 15.0), 2)):
         calls.clear()
-        derivative_profiles(N, orders, 0.3, window=window)
+        windowed_profiles(N, orders, 0.3, 10, window)
         assert len(calls) == samplings  # (0.5, 15) clips orders 1-2 only
 
 
@@ -280,7 +281,7 @@ def test_every_grid_is_all_of_its_window_and_reads_only_the_horizon(
         orders, delta, m, horizon, window):
     for w in (None, tuple(sorted(window))):
         reads = [np.zeros(0)]
-        profiles = derivative_profiles(recording(reads, horizon), orders, delta, m, window=w)
+        profiles = windowed_profiles(recording(reads, horizon), orders, delta, m, w)
         for p in profiles:
             lo, hi = p.window
             assert np.array_equal(p.times, lo + np.arange(len(p)) * (delta / m))
@@ -294,7 +295,7 @@ def test_every_grid_is_all_of_its_window_and_reads_only_the_horizon(
 def test_a_window_must_be_ordered(window):
     e = EventTimes(times=np.array([1.0, 2.0]), horizon=10.0)
     with pytest.raises(ValueError, match=r"^window must satisfy lo <= hi, got \("):
-        derivative_profiles(e, [1], 0.5, window=window)
+        windowed_profiles(e, [1], 0.5, 10, window)
 
 
 def test_horizon_beyond_the_horizon_of_N_is_an_error():
@@ -324,7 +325,7 @@ def test_n_without_count_at_and_a_horizon_is_a_type_error(N, name):
     message = rf"^N must expose count_at\(t\) and a horizon, got {name}$"
     for read in (lambda: discrete_derivative(N, 2, 0.5, 2.0),
                  lambda: derivative_profile(N, 2, 0.5),
-                 lambda: derivative_profiles(N, [1, 2], 0.5, window=(1.0, 2.0))):
+                 lambda: windowed_profiles(N, [1, 2], 0.5, 10, (1.0, 2.0))):
         with pytest.raises(TypeError, match=message):
             read()
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ratejump.derivative import derivative_profiles
 from ratejump.detector import (
     ChangePointReport,
     DetectorConfig,
@@ -17,6 +16,7 @@ from ratejump.detector import (
     save_report_csv,
 )
 from ratejump.process import EventTimes
+from windowed_profiles import windowed_profiles
 
 
 def brute_force_best_packing(times, scores, min_sep):
@@ -202,8 +202,7 @@ def test_argmax_shift_equivariant(times, shift):
     e1 = EventTimes(times=base, horizon=20.0)
     e2 = EventTimes(times=base + shift, horizon=20.0 + shift)
     t1, = detect(e1, DetectorConfig(k=2, delta=0.5, steps_per_delta=2)).times
-    p2, = derivative_profiles(e2, [2], 0.5, steps_per_delta=2,
-                              window=(t1 + shift - 0.01, t1 + shift + 0.01))
+    p2, = windowed_profiles(e2, [2], 0.5, 2, (t1 + shift - 0.01, t1 + shift + 0.01))
     t2 = p2.times[p2.argmax()]
     assert t2 == pytest.approx(t1 + shift, abs=0.26)
 

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from ratejump.derivative import derivative_profiles
 from ratejump.detector import DetectorConfig
 from ratejump.harness import (
     PRESETS,
@@ -29,6 +28,7 @@ from ratejump.poisson import Constant, JumpComponent, RateSpec
 from ratejump.process import EventTimes, SampledCounts
 from ratejump.seeding import SimSeed
 from ratejump.si import build_tree_with_hub, simulate_si
+from windowed_profiles import windowed_profiles
 
 
 @dataclass(frozen=True)
@@ -167,8 +167,8 @@ def test_trial_errors_match_per_cell_argmax(scenario):
     for i, k in enumerate(spec.k_grid):
         for j, delta in enumerate(spec.delta_grid):
             try:
-                profile, = derivative_profiles(realization.events, [k], delta,
-                                               window=scenario.analysis_window)
+                profile, = windowed_profiles(realization.events, [k], delta, 10,
+                                             scenario.analysis_window)
                 t_hat = profile.times[profile.argmax()]
             except ValueError as exc:
                 assert np.isnan(errors[i, j])
@@ -179,9 +179,14 @@ def test_trial_errors_match_per_cell_argmax(scenario):
     assert expected_failures  # k=6 at delta=3.5 leaves no grid point on [0, 20]
 
 
-# sha256 of errors.tobytes() + repr(checksums) for run_heatmap at base seed
-# 11 (numpy 2.4.6), as computed when trials read the drawn counts through
-# SampledCounts.count_at: reading them by index must not move a bit
+def digest(result) -> str:
+    """sha256 of a heatmap's errors.tobytes() + repr(checksums)."""
+    return hashlib.sha256(result.errors.tobytes() + repr(result.checksums).encode()).hexdigest()
+
+
+# digests of run_heatmap at base seed 11 (numpy 2.4.6), as computed when
+# trials read the drawn counts through SampledCounts.count_at: reading them
+# by index must not move a bit
 PINNED_HEATMAPS = {
     ("fig2-scaled", 4): "4acd0320ca9f7316d048c088079b52f29438cf22032c3f24cdf38bb0a665afdb",
     ("fig2-full", 3): "619ace5cb2a09f25ebdac541409e54ea4e9be435268d56e473c760f7bf5dd113",
@@ -193,8 +198,38 @@ PINNED_HEATMAPS = {
 def test_heatmap_errors_and_checksums_match_their_pinned_digest(preset, trials):
     result = run_heatmap(heatmap_spec_from_preset(get_preset(preset), trials=trials,
                                                   base_seed=11))
-    digest = hashlib.sha256(result.errors.tobytes() + repr(result.checksums).encode())
-    assert digest.hexdigest() == PINNED_HEATMAPS[preset, trials]
+    assert digest(result) == PINNED_HEATMAPS[preset, trials]
+
+
+@dataclass(frozen=True)
+class EventTimesConstNull(ConstNullScenario):
+    """const-null realized as its whole event stream, which a trial reads
+    through count_at, not as counts drawn on the read grid."""
+
+    def realize(self, seed, times=None) -> Realization:
+        return super().realize(seed)
+
+
+# the two paths under an analysis window, drawn counts and event times: the
+# digest, as above, and the failed cells, as computed when a trial read
+# event times through derivative_profiles(..., window=...)
+PINNED_WINDOWED = {
+    "drawn counts": (
+        ExperimentSpec(ConstNullScenario(), tuple(range(1, 7)),
+                       get_preset("fig2-scaled").params["delta_grid"], trials=3, base_seed=11),
+        "b09336dc91e2512f63d37196f7f9668ae3bb7fc30fd8182977580a92741461ce", 0),
+    "event times": (
+        ExperimentSpec(EventTimesConstNull(base=2000.0), (1, 2, 3, 4), (0.05, 0.3, 1.1, 6.0),
+                       trials=3, base_seed=11),
+        "df25f910a3380cb1fa0d3503c6e4b4e2ce4ce1aa221f110638808269c7686924", 3),
+}
+
+
+@pytest.mark.parametrize("path", list(PINNED_WINDOWED))
+def test_windowed_heatmap_matches_its_pinned_digest(path):
+    spec, pinned, failed_cells = PINNED_WINDOWED[path]
+    result = run_heatmap(spec)
+    assert (digest(result), result.failed_cells) == (pinned, failed_cells)
 
 
 @pytest.mark.parametrize("knots", ["every other time", "one time moved"])
@@ -421,6 +456,10 @@ def test_heatmap_pool_has_a_process_per_trial_at_most(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     spec = small_spec(trials=2)
+    assert run_heatmap(spec, workers=16).checksums == run_heatmap(spec).checksums
+    assert sizes == [2]
+    # one trial runs here: a pool of one process would only add its start-up
+    spec = small_spec(trials=1)
     assert run_heatmap(spec, workers=16).checksums == run_heatmap(spec).checksums
     assert sizes == [2]
 

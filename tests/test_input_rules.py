@@ -65,9 +65,13 @@ def test_order_rule(entry, bad):
 
 
 @pytest.mark.parametrize("entry", sorted(DELTA_ENTRIES))
-@pytest.mark.parametrize("bad", [0.0, -0.5, np.inf, -np.inf, np.nan, True, np.bool_(True)])
+@pytest.mark.parametrize("bad", [0.0, -0.5, np.inf, -np.inf, np.nan, True, np.bool_(True),
+                                 "abc", "0.1:0.5", None])
 def test_delta_rule(entry, bad):
     call, field = DELTA_ENTRIES[entry]
+    if bad is None and entry == "DetectorConfig.threshold":
+        assert call(bad).threshold is None  # no threshold: argmax mode
+        return
     with pytest.raises(ValueError, match=field):
         call(bad)
 
