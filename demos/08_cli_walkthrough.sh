@@ -66,6 +66,18 @@ echo "== a daily case series with a one-day reporting spike =="
     done
 } > "$out/cases.csv"
 ratejump analyze-binned --csv "$out/cases.csv" --k 2 --delta-days 1 --out-dir "$out"
+echo "-- the same series as region east of a two-region file, each day's"
+echo "   west row beside it; --region reads east's rows alone --"
+{
+    echo "date,region,cases"
+    tail -n +2 "$out/cases.csv" | while IFS=, read -r date cases; do
+        echo "$date,west,$((cases * 3 + 7))"
+        echo "$date,east,$cases"
+    done
+} > "$out/regions.csv"
+ratejump analyze-binned --csv "$out/regions.csv" --region east --k 2 --delta-days 1 \
+    --out region_profile.csv --out-dir "$out"
+cmp "$out/profile.csv" "$out/region_profile.csv"
 echo
 
 echo "== the manifest trail (detect's lists the grid size, candidates and window) =="

@@ -263,10 +263,14 @@ def _sample_times(spec: ExperimentSpec):
 
 
 def _plans(spec: ExperimentSpec, horizon: float) -> tuple:
-    """``_read_grid`` of the spec's grid and analysis window on [0, horizon]."""
+    """``_read_grid`` of the spec's grid and analysis window on [0, horizon],
+    cached only for a scenario with a fixed horizon: a cascade sets its own,
+    which no later trial reads again."""
     window = spec.scenario.analysis_window
-    return _read_grid(spec.k_grid, spec.delta_grid, horizon,
-                      None if window is None else tuple(window))
+    fixed = getattr(spec.scenario, "horizon", None) is not None
+    read_grid = _read_grid if fixed else _read_grid.__wrapped__
+    return read_grid(spec.k_grid, spec.delta_grid, horizon,
+                     None if window is None else tuple(window))
 
 
 @functools.lru_cache(maxsize=16)

@@ -13,16 +13,24 @@ surrounding blanks ignored, and other columns are not read.  In
 cumulative mode a total may dip by up to ``CORRECTION_TOLERANCE`` (20%)
 of its running maximum, a reporting correction; a deeper dip is an error.
 
-The loader makes one ``csv.reader`` pass over the file.
-``load_daily_csv(path, region=...)`` compares each row's region field
-before parsing anything else in the row, so the rows of other regions
-cost one field lookup.
+The loader reads the file once, line by line, and never holds it whole.
+``load_daily_csv(path, region=...)`` hands ``csv.reader`` only the lines
+that can hold that region's rows.  After the header, a line is left out
+when all three hold: no ``"`` is on it or on any line since the header,
+so it is a whole record and never part of a quoted one; ``region`` is
+not in it, so its region field, stripped, cannot equal ``region``; and
+it has at least as many commas as fields come before the region's, so it
+is not a short row.  Each row parsed has its region field compared
+before anything else in it is read.  From the first quote on every line
+is parsed, straight from the file, so a file quoted throughout gets no
+speedup and loses nothing.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime
+import itertools
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -90,15 +98,40 @@ def _column_index(header, wanted: str, path) -> int:
     return hits[0]
 
 
+def _region_lines(lines, region: str, ri: int, hidden: list):
+    """Yield the lines of ``lines`` that can hold a row of ``region``, up to
+    and including the first line with a ``"``; count the others in
+    ``hidden[0]``.
+
+    Before the first quote every line is a whole record.  One is left out
+    when ``region`` is not in it and it has at least ``ri`` commas: its
+    region field, stripped, cannot equal ``region``, and the row has that
+    field.  The quote may open a field that spans lines, so the caller
+    parses every line after it.  A line left out is not parsed, so, like a
+    row of another region, it raises no error of its own (not even the
+    ``csv.Error`` of a field over ``csv.field_size_limit()``).
+    """
+    for line in lines:
+        if '"' in line:
+            yield line
+            return
+        if region in line or line.count(",") < ri:
+            yield line
+        else:
+            hidden[0] += 1
+
+
 def _read_rows(path, region):
-    """One ``csv.reader`` pass over ``path``: ``[(date, count, row), ...]``.
+    """One read of ``path``, line by line: ``[(date, count, row), ...]``.
 
     ``region`` keeps only that region's rows; with None, the region column
-    is not read.  A row's region field is compared, stripped, before
-    anything else in the row is parsed, so other regions' rows cost one
-    field lookup.  Rows are numbered by file line, the header being
-    row 1, so blank lines count; the number (``reader.line_num``, the last
-    line of a record with a quoted line break) is read only for rows kept
+    is not read.  With a region, the header is parsed alone, and the lines
+    after it pass ``_region_lines`` up to the first ``"`` and come straight
+    from the file after it.  A row parsed has its region field compared,
+    stripped, before anything else in it is read.  Rows are numbered by
+    file line, the header being row 1, so blank and left-out lines count:
+    ``reader.line_num`` (the last line of a record with a quoted line
+    break) plus the lines ``reader`` did not get, read only for rows kept
     and for errors.
     """
     rows = []
@@ -109,7 +142,12 @@ def _read_rows(path, region):
             raise ValueError(f"{path}: empty file")
         di = _column_index(header, "date", path)
         ci = _column_index(header, "cases", path)
-        ri = _column_index(header, "region", path) if region is not None else None
+        ri = None
+        hidden = [0]  # file lines before the current one that ``reader`` did not get
+        if region is not None:
+            ri = _column_index(header, "region", path)
+            hidden[0] = reader.line_num
+            reader = csv.reader(itertools.chain(_region_lines(fh, region, ri, hidden), fh))
         for row in filter(None, reader):
             try:
                 if ri is not None and row[ri].strip() != region:
@@ -120,10 +158,10 @@ def _read_rows(path, region):
                 # the first field read, in the order above, that the row lacks
                 col = next(i for i in (ri, di, ci) if i is not None and i >= len(row))
                 raise ValueError(
-                    f"{path}: row {reader.line_num}: no {header[col].strip()!r} field "
-                    f"(the row has {len(row)} of the header's {len(header)} fields)"
+                    f"{path}: row {reader.line_num + hidden[0]}: no {header[col].strip()!r} "
+                    f"field (the row has {len(row)} of the header's {len(header)} fields)"
                 ) from None
-            rowno = reader.line_num
+            rowno = reader.line_num + hidden[0]
             try:
                 date = datetime.date.fromisoformat(raw_date)
             except ValueError:

@@ -430,7 +430,9 @@ def _pieces(spec: RateSpec, horizon: float) -> list:
     for a, b, on, upper in _certified_windows(spec, horizon):
         expected = upper * (1 + _SLACK) * (b - a)
         if expected > 0:
-            cuts = np.linspace(a, b, math.ceil(expected / _PIECE_CANDIDATES) + 1).tolist()
+            n = math.ceil(expected / _PIECE_CANDIDATES)
+            # np.linspace(a, b, 2) is [a, b], which needs no call
+            cuts = [a, b] if n == 1 else np.linspace(a, b, n + 1).tolist()
             for lo, hi in zip(cuts[:-1], cuts[1:]):
                 envelope = _bounds(on, lo, hi)[1] * (1 + _SLACK)
                 if envelope > 0:

@@ -198,11 +198,19 @@ def test_argmax_single_empty_window_raises():
 )
 @settings(max_examples=40)
 def test_argmax_shift_equivariant(times, shift):
-    base = np.sort(np.asarray(times))
+    # times and shift on multiples of 2**-20, so that base + shift and every
+    # grid time below are exact: e2 is e1 moved by shift, also in floating
+    # point (0.5000000000000001 + 1.0 rounds to 1.5, onto a grid time)
+    base = np.sort(np.round(np.asarray(times) * 2**20)) / 2**20
+    shift = round(shift * 2**20) / 2**20
     e1 = EventTimes(times=base, horizon=20.0)
     e2 = EventTimes(times=base + shift, horizon=20.0 + shift)
     t1, = detect(e1, DetectorConfig(k=2, delta=0.5, steps_per_delta=2)).times
-    p2, = windowed_profiles(e2, [2], 0.5, 2, (t1 + shift - 0.01, t1 + shift + 0.01))
+    # four grid steps (0.25) each side of t1 + shift, within e1's valid range
+    # [0.5, 19.5] moved by shift: the window's lattice holds t1 + shift
+    window = (max(t1 - 1.0, 0.5) + shift, t1 + 1.0 + shift)
+    p2, = windowed_profiles(e2, [2], 0.5, 2, window)
+    assert len(p2) >= 5
     t2 = p2.times[p2.argmax()]
     assert t2 == pytest.approx(t1 + shift, abs=0.26)
 

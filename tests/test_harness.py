@@ -15,6 +15,7 @@ from ratejump.harness import (
     Realization,
     SITreeScenario,
     SmoothJumpScenario,
+    _read_grid,
     _sample_times,
     _trial_errors,
     false_alarm_study,
@@ -230,6 +231,17 @@ def test_windowed_heatmap_matches_its_pinned_digest(path):
     spec, pinned, failed_cells = PINNED_WINDOWED[path]
     result = run_heatmap(spec)
     assert (digest(result), result.failed_cells) == (pinned, failed_cells)
+
+
+def test_read_grid_cache_keeps_fixed_horizons_only():
+    # each cascade sets its own horizon, which no later trial reads again
+    before = _read_grid.cache_info()
+    run_heatmap(heatmap_spec_from_preset(get_preset("fig5"), extra_leaves=50, trials=3))
+    assert _read_grid.cache_info() == before
+    run_heatmap(heatmap_spec_from_preset(get_preset("fig2-scaled"), trials=2))
+    after = _read_grid.cache_info()
+    assert after.misses - before.misses <= 1
+    assert after.hits - before.hits >= 3
 
 
 @pytest.mark.parametrize("knots", ["every other time", "one time moved"])

@@ -475,3 +475,108 @@ def test_single_pass_errors_match_dictreader_loader(tmp_path, seed, how):
             assert got == _outcome(_dictreader_load, p, region=region, mode=mode)
             errors += got[0] == "error"
     assert errors > 0
+
+
+# ---------------------------------------------------------------------------
+# the line filter in front of csv.reader for load_daily_csv(path, region=...)
+
+LINE_ENDINGS = ["\n", "\r\n", "\r"]
+
+
+def write_lines(tmp_path, lines, newline):
+    p = tmp_path / "regions.csv"
+    p.write_bytes("".join(line + newline for line in lines).encode())
+    return p
+
+
+REGION_FILES = {
+    # the first quote is in the middle of the file; R10 holds R1, and every
+    # date holds 1
+    "quote-midway": [
+        "date,cases,region",
+        "2021-01-01,1,R1", "2021-01-01,5,R10", "", "2021-01-02,2,R1", "2021-01-02,6,R10",
+        '2021-01-03,7,"R10"',
+        "2021-01-03,3,R1", "2021-01-04,8,R10", "2021-01-05,4,R1", "", "2021-01-05,9,R10",
+    ],
+    # a quoted date of B spans three lines; its middle line has no quote, no
+    # region name and all the commas of a row
+    "spanning-field": [
+        "date,region,cases,note",
+        "2021-01-01,A,1,", "2021-01-01,B,5,",
+        '"2021-01-02', "2021-01-03,x,7,x", '",B,6,',
+        "2021-01-02,A,2,", "2021-01-03,B,8,", "2021-01-03,A,3,",
+    ],
+    # a date of R1 that does not parse, after lines left out and a quote
+    "late-error": [
+        "region,date,cases",
+        "R10,2021-01-01,5", "R1,2021-01-01,1", "R11,2021-01-01,2", "R10,2021-01-02,6",
+        '"R11",2021-01-02,3', "R10,2021-01-03,7", "R1,2021-01-0x,2", "R11,2021-01-03,4",
+    ],
+}
+
+
+@pytest.mark.parametrize("newline", LINE_ENDINGS)
+@pytest.mark.parametrize("name", sorted(REGION_FILES))
+def test_region_lines_match_dictreader_loader(tmp_path, name, newline):
+    p = write_lines(tmp_path, REGION_FILES[name], newline)
+    for region in ["R1", "R10", "R11", "1", "R", "A", "B", "C", "", "nowhere", None]:
+        for mode in ("daily", "cumulative"):
+            assert _outcome(load_daily_csv, p, region=region, mode=mode) == _outcome(
+                _dictreader_load, p, region=region, mode=mode
+            )
+    if name == "quote-midway":
+        assert load_daily_csv(p, region="R1").counts.tolist() == [1, 2, 3, 0, 4]
+    elif name == "spanning-field":
+        assert load_daily_csv(p, region="A").counts.tolist() == [1, 2, 3]
+        date = f"2021-01-02{newline}2021-01-03,x,7,x"  # stripped
+        assert _outcome(load_daily_csv, p, region="B") == (
+            "error", f"{p}: row 6: unparseable date {date!r} (expected YYYY-MM-DD)")
+    else:
+        assert _outcome(load_daily_csv, p, region="R1") == (
+            "error", f"{p}: row 8: unparseable date '2021-01-0x' (expected YYYY-MM-DD)")
+
+
+@pytest.mark.parametrize("newline", LINE_ENDINGS)
+@pytest.mark.parametrize("quote_line", [None, 2, 5])
+def test_short_rows_of_other_regions_around_the_first_quote(tmp_path, newline, quote_line):
+    # B's short rows lack the cases field (line 3) or the region field
+    # (line 6); the first quote, if any, is on B's row on line 2 or 5
+    lines = ["date,region,cases", "2021-01-01,B,4", "2021-01-02,B", "2021-01-01,A,1",
+             "2021-01-02,B,5", "2021-01-03", "2021-01-02,A,2"]
+    if quote_line:
+        lines[quote_line - 1] = lines[quote_line - 1].replace("B", '"B"')
+    p = write_lines(tmp_path, lines, newline)
+    with pytest.raises(ValueError) as info:
+        load_daily_csv(p, region="A")
+    assert str(info.value) == (f"{p}: row 6: no 'region' field "
+                               "(the row has 1 of the header's 3 fields)")
+    with pytest.raises(ValueError) as info:
+        load_daily_csv(p, region="B")
+    assert str(info.value) == (f"{p}: row 3: no 'cases' field "
+                               "(the row has 2 of the header's 3 fields)")
+    # without the row that lacks its region, A loads as the oracle loads it
+    del lines[5]
+    p = write_lines(tmp_path, lines, newline)
+    assert _outcome(load_daily_csv, p, region="A") == _outcome(_dictreader_load, p, region="A")
+    assert load_daily_csv(p, region="A").counts.tolist() == [1, 2]
+
+
+def test_reader_gets_only_the_header_and_the_regions_lines(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    base = datetime.date(2021, 1, 1)
+    lines = ["date,region,cases"] + [
+        f"{base + datetime.timedelta(days=d)},region-{r:02d},{rng.integers(100)}"
+        for d in range(30) for r in range(50)
+    ]
+    p = write_lines(tmp_path, lines, "\r\n")
+    seen = []
+    reader = csv.reader
+
+    def spy(lines, *args, **kwargs):
+        return reader((seen.append(line) or line for line in lines), *args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", spy)
+    series = load_daily_csv(p, region="region-07")
+    mine = [line for line in lines[1:] if ",region-07," in line]
+    assert seen == [line + "\r\n" for line in [lines[0]] + mine]
+    assert series.counts.tolist() == [int(line.rsplit(",", 1)[1]) for line in mine]
