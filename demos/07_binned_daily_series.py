@@ -1,17 +1,18 @@
 """Find the anomalous day in a daily-binned count series.
 
-Real event data often arrives as daily totals, not timestamps.  With
-delta locked to whole days the stencil needs only the daily counts, and
-its output stays exactly integer.  We fabricate 120 days of counts with
-a slow seasonal trend plus one reporting spike, then localize the spike.
+Real event data often arrives as daily totals, not timestamps.  Daily
+counts tell N only at the day edges, so delta and the grid step are whole
+numbers of days, the stencil needs only the daily counts, and its output
+stays exactly integer.  We fabricate 120 days of counts with a slow
+seasonal trend plus one reporting spike, then localize the spike.
 """
+
+import datetime
 
 import numpy as np
 
-from ratejump import analyze_binned
+from ratejump import BinnedSeries, DetectorConfig, detect, from_binned
 from ratejump.ingest import RegionSeries
-
-import datetime
 
 rng = np.random.default_rng(3)
 days = 120
@@ -25,15 +26,20 @@ series = RegionSeries(
     counts=counts.astype(np.int64),
     start_date=datetime.date(2021, 1, 1),
 )
+# day d of the series is the bin [d, d + 1): N counts from the first date's start
+N = from_binned(BinnedSeries(bin_width=1.0, counts=series.counts))
 
 for k in (1, 2, 3):
-    analysis = analyze_binned(series, k=k, delta_days=1)
-    print(f"k={k}: {analysis.summary()}")
+    report = detect(N, DetectorConfig(k=k, delta=1.0, steps_per_delta=1))
+    (e,) = report.estimates
+    day = int(e.time)
+    print(f"k={k}: largest |order-{k} derivative| at day {day} ({series.date_of(day)}): "
+          f"{e.raw:+.0f}")
 
-analysis = analyze_binned(series, k=2, delta_days=1)
+report = detect(N, DetectorConfig(k=2, delta=1.0, steps_per_delta=1))
 print(f"\ntrue spike day: {spike_day} "
       f"({series.date_of(spike_day)}), daily count {counts[spike_day]}")
 print("profile around the spike (exact integers):")
-for day, value in zip(analysis.profile.times, analysis.profile.values):
+for day, value in report.profile.pairs():
     if abs(day - spike_day) <= 3:
-        print(f"  day {int(day):3d}: {int(value):+6d}")
+        print(f"  day {int(day):3d} ({series.date_of(int(day))}): {int(value):+6d}")

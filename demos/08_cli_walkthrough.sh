@@ -65,7 +65,10 @@ echo "== a daily case series with a one-day reporting spike =="
         printf '2021-02-%02d,%d\n' "$day" $((day == 15 ? 500 : 100))
     done
 } > "$out/cases.csv"
-ratejump analyze-binned --csv "$out/cases.csv" --k 2 --delta-days 1 --out-dir "$out"
+echo "-- daily counts tell N at the day edges only: delta and the grid step"
+echo "   are whole days, and times are days from the first date, day 0 --"
+ratejump detect --daily-csv "$out/cases.csv" --k 2 --delta 1 --steps-per-delta 1 \
+    --profile-out profile.csv --out daily_report.csv --out-dir "$out"
 echo "-- the same series as region east of a two-region file, each day's"
 echo "   west row beside it; --region reads east's rows alone --"
 {
@@ -75,9 +78,23 @@ echo "   west row beside it; --region reads east's rows alone --"
         echo "$date,east,$cases"
     done
 } > "$out/regions.csv"
-ratejump analyze-binned --csv "$out/regions.csv" --region east --k 2 --delta-days 1 \
-    --out region_profile.csv --out-dir "$out"
+ratejump detect --daily-csv "$out/regions.csv" --region east --k 2 --delta 1 \
+    --steps-per-delta 1 --profile-out region_profile.csv --out region_report.csv \
+    --out-dir "$out"
 cmp "$out/profile.csv" "$out/region_profile.csv"
+echo "-- the same series as cumulative totals; --mode cumulative differences them --"
+{
+    echo "date,cases"
+    total=0
+    tail -n +2 "$out/cases.csv" | while IFS=, read -r date cases; do
+        total=$((total + cases))
+        echo "$date,$total"
+    done
+} > "$out/cumulative.csv"
+ratejump detect --daily-csv "$out/cumulative.csv" --mode cumulative --k 2 --delta 1 \
+    --steps-per-delta 1 --profile-out cumulative_profile.csv --out cumulative_report.csv \
+    --out-dir "$out"
+cmp "$out/profile.csv" "$out/cumulative_profile.csv"
 echo
 
 echo "== the manifest trail (detect's lists the grid size, candidates and window) =="

@@ -4,7 +4,8 @@ One subcommand per job: ``detect`` and ``multicascade`` run the detector
 in threshold mode when given ``--threshold A`` and in argmax mode (the
 single best-scoring time) without it, as ``DetectorConfig`` does, and
 report times on the input's clock (a ``--binned`` file's, from its first
-bin start); ``heatmap`` runs the (k, delta) error grid and prints each
+bin start; a ``--daily-csv`` file's, in days from its first date);
+``heatmap`` runs the (k, delta) error grid and prints each
 order's best delta.  Every subcommand is reproducible.  The ones that
 draw random numbers take ``--seed`` (the two simulators also
 ``--stream``); the others are deterministic.  Each writes a ``*.manifest``
@@ -16,16 +17,17 @@ through a library check (``derivative._check_order``, ``_check_delta``
 or ``SimSeed``), and what the flags define (``DetectorConfig``, the
 scenario, the tree) is built before any input is read.  A flag the
 run does not use is a usage error, not ignored: ``--horizon`` with
-``--binned`` (binned counts end at their last bin; ``--horizon`` is for
-``--events`` only), ``--base``/``--jump``/``--onset`` with ``--rate-spec``,
+``--binned`` or ``--daily-csv`` (binned counts end at their last bin;
+``--horizon`` is for ``--events`` only), ``--region``/``--mode`` without
+``--daily-csv``, ``--base``/``--jump``/``--onset`` with ``--rate-spec``,
 ``--height``/``--extra-leaves`` with ``--graph``, the simulation flags of
 ``multicascade`` with ``--trace``, and a scenario flag the scenario or
 preset does not take.  ``multicascade`` takes every default from the
 ``multicascade-tree`` preset.  Exit codes: 0 success, 2 usage error (a bad
 or unused flag, a missing input file; the message on stderr names the
 field), 1 runtime failure that depends on the data (the message names the
-module whose call from the subcommand failed), such as a ``detect``,
-``multicascade`` or ``analyze-binned`` whose window holds no grid point.
+module whose call from the subcommand failed), such as a ``detect`` or
+``multicascade`` whose window holds no grid point.
 A reader that closes stdout early (``| head``) does not fail a run: the
 lines on stdout come after its outputs are written, and the manifest
 still is.
@@ -45,7 +47,7 @@ import numpy as np
 
 from . import __version__
 from .derivative import MAX_ORDER, STEPS_PER_DELTA, _check_delta, _check_order
-from .detector import DetectorConfig, detect, save_report_csv
+from .detector import DetectorConfig, detect, save_profile_csv, save_report_csv
 from .harness import (
     HEATMAP_SCENARIOS,
     PRESETS,
@@ -56,12 +58,12 @@ from .harness import (
     save_heatmap_csv,
     save_heatmap_long_csv,
 )
-from .ingest import analyze_binned, load_daily_csv, save_analysis_csv
+from .ingest import load_daily_csv
 from .multicascade import CascadeBundle, estimate_high_degree, save_multicascade_report
 from .poisson import (RATE_PRESETS, _cpu_count, load_rate_spec, preset_rate_spec, save_rate_spec,
                       simulate)
-from .process import (_bin_count, bin_events, from_binned, load_binned_csv, load_event_times,
-                      save_binned_csv, save_event_times)
+from .process import (BinnedSeries, _bin_count, bin_events, from_binned, load_binned_csv,
+                      load_event_times, save_binned_csv, save_event_times)
 from .seeding import SimSeed
 from .si import build_tree_with_hub, load_edge_list, load_trace_csv, save_trace_csv, simulate_si
 
@@ -180,19 +182,33 @@ def _write_manifest(primary_output, subcommand, args, inputs, outputs, wall_time
 
 
 def _load_counting(args):
-    """Resolve the --events / --binned input pair into a counting process,
-    the time of its 0 on the input's clock, and the input paths."""
-    if args.events and args.binned:
-        raise UsageError("give either --events or --binned, not both")
-    if args.binned and args.horizon is not None:
+    """Resolve the one input flag into a counting process, the time of its 0
+    on the input's clock, the input paths, and what the input reports of
+    itself (a daily series' first date and the days it filled or clamped)."""
+    given = ["--" + name.replace("_", "-") for name in ("events", "binned", "daily_csv")
+             if getattr(args, name)]
+    if not given:
+        raise UsageError("an input is required: --events FILE, --binned FILE or --daily-csv FILE")
+    if len(given) > 1:
+        raise UsageError(f"give one input, not {' and '.join(given)}")
+    if not args.daily_csv:
+        _reject_unused(args, (), given[0], flags=("region", "mode"))
+    if not args.events and args.horizon is not None:
         raise UsageError("--horizon is for --events only: binned counts end at their last bin")
     if args.events:
         events = load_event_times(_require_file(args.events), horizon=args.horizon)
-        return events, 0.0, [args.events]
+        return events, 0.0, [args.events], {}
     if args.binned:
         series = load_binned_csv(_require_file(args.binned))
-        return from_binned(series), series.start_time, [args.binned]
-    raise UsageError("an input is required: --events FILE or --binned FILE")
+        return from_binned(series), series.start_time, [args.binned], {}
+    args.mode = args.mode or "daily"  # the manifest records what ran
+    series = load_daily_csv(_require_file(args.daily_csv), region=args.region, mode=args.mode)
+    # day d is the edge d days after the first date: N counts from day 0
+    return from_binned(BinnedSeries(1.0, series.counts)), 0.0, [args.daily_csv], {
+        "day0_date": series.start_date,
+        "filled_days": len(series.filled_days),
+        "clamped_days": len(series.clamped_days),
+    }
 
 
 def _detector_config(args) -> DetectorConfig:
@@ -315,20 +331,26 @@ def cmd_simulate_si(args):
 
 def cmd_detect(args):
     config = _detector_config(args)
-    counting, start, inputs = _load_counting(args)
+    counting, start, inputs, notes = _load_counting(args)
     report = detect(counting, config)
     # binned N is measured from the file's first edge: report on the file's clock
     report = replace(report, window=tuple(t + start for t in report.window), estimates=tuple(
         e._replace(time=e.time + start) for e in report.estimates))
     out_dir = _out_dir(args)
-    out_report = os.path.join(out_dir, args.out)
-    save_report_csv(report, out_report)
+    outputs = [os.path.join(out_dir, args.out)]
+    save_report_csv(report, outputs[0])
+    if args.profile_out:
+        outputs.append(os.path.join(out_dir, args.profile_out))
+        save_profile_csv(report.profile, outputs[1], start)
+    for name, value in notes.items():
+        _echo(f"{name}={value}")
     for e in report.estimates:
         _echo(f"t_hat={e.time} score={e.score}")
     if not report.estimates:
         _echo("no change points detected")
     # k, delta, steps_per_delta and threshold are the run's param.* lines
-    return out_report, inputs, [out_report], {
+    return outputs[0], inputs, outputs, {
+        **notes,
         "n_estimates": len(report),
         "n_grid": report.n_grid,
         "candidate_count": report.candidate_count,
@@ -406,27 +428,6 @@ def cmd_multicascade(args):
     return out_path, inputs, [out_path], extra
 
 
-def cmd_analyze_binned(args):
-    series = load_daily_csv(
-        _require_file(args.csv),
-        region=args.region,
-        mode=args.mode,
-    )
-    analysis = analyze_binned(series, k=args.k, delta_days=args.delta_days)
-    out_dir = _out_dir(args)
-    out_path = os.path.join(out_dir, args.out)
-    save_analysis_csv(analysis, out_path)
-    _echo(analysis.summary())
-    if series.filled_days:
-        _echo(f"zero-filled {len(series.filled_days)} missing day(s)")
-    if series.clamped_days:
-        _echo(f"clamped {len(series.clamped_days)} negative daily count(s)")
-    return out_path, [args.csv], [out_path], {
-        "argmax_day": analysis.argmax_day,
-        "argmax_value": repr(analysis.argmax_value),
-    }
-
-
 def cmd_presets(args):
     lines = ["experiment presets:"]
     for name in sorted(PRESETS):
@@ -477,6 +478,14 @@ def _add_counting_inputs(sub):
                      help="input event-times file (one timestamp per line, time units)")
     sub.add_argument("--binned", default=None,
                      help="input binned CSV with header bin_start,count (time units)")
+    sub.add_argument("--daily-csv", default=None,
+                     help="input daily CSV with date and cases columns; time units are days "
+                          "from its first date, day 0")
+    sub.add_argument("--region", default=None, action=_Given,
+                     help="read only this region's rows of --daily-csv (needs a region column)")
+    sub.add_argument("--mode", choices=["daily", "cumulative"], default=None, action=_Given,
+                     help="whether --daily-csv counts are daily increments or cumulative "
+                          "totals (default daily)")
     _add_rate_flags(sub, ("horizon",), {"horizon": "the last event; --events only"})
 
 
@@ -545,6 +554,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_counting_inputs(p)
     _add_detector_flags(p)
     p.add_argument("--out", default="report.csv", help="output report CSV name")
+    p.add_argument("--profile-out", default=None,
+                   help="also write the derivative profile, on the report's clock, "
+                        "as a t,value CSV of this name")
     _add_common(p)
     p.set_defaults(func=cmd_detect)
 
@@ -587,22 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="multicascade.txt", help="output file name")
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_multicascade, **mc)
-
-    p = subs.add_parser("analyze-binned",
-                        help="derivative analysis of a daily-count CSV")
-    p.add_argument("--csv", required=True,
-                   help="input CSV with date and cases columns")
-    p.add_argument("--region", default=None,
-                   help="region filter value (requires a region column)")
-    p.add_argument("--mode", choices=["daily", "cumulative"], default="daily",
-                   help="whether counts are daily increments or cumulative totals")
-    p.add_argument("--k", type=_flag(_check_order, "k"), default=2,
-                   help="derivative order (default 2)")
-    p.add_argument("--delta-days", type=_whole("delta_days"), default=1,
-                   help="derivative step in whole days (default 1)")
-    p.add_argument("--out", default="profile.csv", help="output profile CSV name")
-    _add_common(p)
-    p.set_defaults(func=cmd_analyze_binned)
 
     p = subs.add_parser("presets", help="list built-in experiment and rate presets")
     _add_common(p)

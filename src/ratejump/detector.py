@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .derivative import STEPS_PER_DELTA, _check_delta, _check_order, derivative_profile
+from .derivative import (STEPS_PER_DELTA, DerivativeProfile, _check_delta, _check_order,
+                         derivative_profile)
 
 __all__ = [
     "DetectorConfig",
@@ -32,6 +33,7 @@ __all__ = [
     "suggest_delta",
     "min_order_for",
     "save_report_csv",
+    "save_profile_csv",
 ]
 
 
@@ -75,14 +77,16 @@ class Estimate(NamedTuple):
 
 @dataclass(frozen=True)
 class ChangePointReport:
-    """Detection output: the estimates, the config that made them, and the
-    grid's window, size and candidate count."""
+    """Detection output: the estimates, the config that made them, the
+    grid's window, size and candidate count, and the profile ``detect`` read
+    them from (None in a report built by hand)."""
 
     estimates: tuple
     config: DetectorConfig
     window: tuple
     n_grid: int
     candidate_count: int
+    profile: "DerivativeProfile | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         min_sep, threshold = self.config.min_sep, self.config.threshold
@@ -163,6 +167,7 @@ def detect(N, config: DetectorConfig) -> ChangePointReport:
         window=profile.window,
         n_grid=len(profile),
         candidate_count=int(keep.size),
+        profile=profile,
     )
 
 
@@ -216,3 +221,13 @@ def save_report_csv(report: ChangePointReport, path) -> None:
         writer.writerow(["t_hat", "score"])
         for e in report.estimates:
             writer.writerow([repr(e.time), repr(e.score)])
+
+
+def save_profile_csv(profile: DerivativeProfile, path, start: float) -> None:
+    """Write the profile as a ``t,value`` CSV, each time plus ``start``: the
+    time of N's 0 on the input's clock."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "value"])
+        for t, v in profile.pairs():
+            writer.writerow([repr(t + start), repr(v)])

@@ -1,11 +1,11 @@
-"""Ingesting binned (daily) count data and analyzing it at day resolution.
+"""Ingesting daily count data.
 
 Real surveillance data arrives as daily counts, sometimes cumulative,
 with gaps and reporting corrections.  The loader normalizes all of that
-into a gap-free daily series with an audit trail; the analyzer runs the
-discrete derivative with delta restricted to whole days, so every stencil
-evaluation lands exactly on a bin edge where the counting function is
-known exactly (no interpolation, integer arithmetic throughout).
+into a gap-free daily series with an audit trail.  Its counts are bins of
+one day, so N is known exactly at each day edge, and ``detect --daily-csv``
+analyses the series with delta and the grid step whole numbers of days;
+``analyze_binned`` is the library's one-order view, on a grid of one day.
 
 The columns are fixed: ``date`` (ISO YYYY-MM-DD), ``cases`` and, where
 regions are read, ``region``; header names match with case and
@@ -45,7 +45,6 @@ __all__ = [
     "BinnedAnalysis",
     "load_daily_csv",
     "analyze_binned",
-    "save_analysis_csv",
 ]
 
 # A cumulative total may dip below its running maximum by this fraction of
@@ -137,42 +136,44 @@ def _read_rows(path, region):
     rows = []
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        di = _column_index(header, "date", path)
-        ci = _column_index(header, "cases", path)
-        ri = None
         hidden = [0]  # file lines before the current one that ``reader`` did not get
-        if region is not None:
-            ri = _column_index(header, "region", path)
-            hidden[0] = reader.line_num
-            reader = csv.reader(itertools.chain(_region_lines(fh, region, ri, hidden), fh))
-        for row in filter(None, reader):
-            try:
-                if ri is not None and row[ri].strip() != region:
-                    continue
-                raw_date = row[di].strip()
-                raw_count = row[ci].strip()
-            except IndexError:
-                # the first field read, in the order above, that the row lacks
-                col = next(i for i in (ri, di, ci) if i is not None and i >= len(row))
-                raise ValueError(
-                    f"{path}: row {reader.line_num + hidden[0]}: no {header[col].strip()!r} "
-                    f"field (the row has {len(row)} of the header's {len(header)} fields)"
-                ) from None
-            rowno = reader.line_num + hidden[0]
-            try:
-                date = datetime.date.fromisoformat(raw_date)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {rowno}: unparseable date {raw_date!r} (expected YYYY-MM-DD)"
-                ) from None
-            try:
-                count = _parse_count(raw_count)
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {rowno}: {exc}") from None
-            rows.append((date, count, rowno))
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file")
+            di = _column_index(header, "date", path)
+            ci = _column_index(header, "cases", path)
+            ri = None
+            if region is not None:
+                ri = _column_index(header, "region", path)
+                hidden[0] = reader.line_num
+                reader = csv.reader(itertools.chain(_region_lines(fh, region, ri, hidden), fh))
+            for row in filter(None, reader):
+                try:
+                    if ri is not None and row[ri].strip() != region:
+                        continue
+                    raw_date = row[di].strip()
+                    raw_count = row[ci].strip()
+                except IndexError:
+                    # the first field read, in the order above, that the row lacks
+                    col = next(i for i in (ri, di, ci) if i is not None and i >= len(row))
+                    raise ValueError(
+                        f"{path}: row {reader.line_num + hidden[0]}: no {header[col].strip()!r} "
+                        f"field (the row has {len(row)} of the header's {len(header)} fields)"
+                    ) from None
+                rowno = reader.line_num + hidden[0]
+                try:
+                    date = datetime.date.fromisoformat(raw_date)
+                except ValueError:
+                    raise ValueError(f"{path}: row {rowno}: unparseable date {raw_date!r} "
+                                     "(expected YYYY-MM-DD)") from None
+                try:
+                    count = _parse_count(raw_count)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: row {rowno}: {exc}") from None
+                rows.append((date, count, rowno))
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise ValueError(f"{path}: row {reader.line_num + hidden[0]}: {exc}") from None
     return rows
 
 
@@ -241,39 +242,18 @@ def load_daily_csv(path, region: "str | None" = None, mode: str = "daily") -> Re
 
 @dataclass(frozen=True)
 class BinnedAnalysis:
-    """Discrete-derivative profile of a daily series, evaluated on day edges.
-    The order, the step in days and the argmax are read off the profile."""
+    """Discrete-derivative profile of a daily series, evaluated on day edges."""
 
     profile: DerivativeProfile
-    region: str = ""
-    start_date: "datetime.date | None" = None
 
     @property
     def k(self) -> int:
         return self.profile.order
 
     @property
-    def delta_days(self) -> int:
-        # the grid step is one day, so delta is steps_per_delta days
-        return self.profile.steps_per_delta
-
-    @property
     def argmax_day(self) -> int:
         """The day edge of the largest |value|, the earliest on ties."""
         return int(round(float(self.profile.times[self.profile.argmax()])))
-
-    @property
-    def argmax_value(self) -> float:
-        return float(self.profile.values[self.profile.argmax()])
-
-    def summary(self) -> str:
-        date = ""
-        if self.start_date is not None:
-            date = f" ({self.start_date + datetime.timedelta(days=self.argmax_day)})"
-        return (
-            f"largest |order-{self.k} derivative| at day {self.argmax_day}{date}: "
-            f"{self.argmax_value!r} (delta = {self.delta_days} day(s))"
-        )
 
 
 def analyze_binned(series, k: int, delta_days: int = 1) -> BinnedAnalysis:
@@ -294,13 +274,5 @@ def analyze_binned(series, k: int, delta_days: int = 1) -> BinnedAnalysis:
     delta_days = _check_order(delta_days, "delta_days", limit=math.inf)
     counting = from_binned(BinnedSeries(bin_width=1.0, counts=series.counts))
     profile = derivative_profile(counting, k, float(delta_days), delta_days)
-    return BinnedAnalysis(profile=profile, region=series.region, start_date=series.start_date)
+    return BinnedAnalysis(profile)
 
-
-def save_analysis_csv(analysis: BinnedAnalysis, path) -> None:
-    """Write the profile as CSV with header ``day,value``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["day", "value"])
-        for t, v in analysis.profile.pairs():
-            writer.writerow([int(round(t)), repr(v)])

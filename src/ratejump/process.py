@@ -308,29 +308,32 @@ def load_binned_csv(path) -> BinnedSeries:
     starts = []
     counts = []
     lines = []  # the file line of each kept row
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["bin_start", "count"]:
-            raise ValueError(f"{path}: expected header 'bin_start,count', got {header}")
-        for row in reader:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            rowno = reader.line_num
-            lines.append(rowno)
-            if len(row) < 2:
-                raise ValueError(f"{path}: row {rowno}: expected 2 fields, got {len(row)}")
-            try:
-                starts.append(float(row[0]))
-            except ValueError:
-                raise ValueError(f"{path}: row {rowno}: bad bin_start {row[0]!r}") from None
-            try:
-                count = _parse_count(row[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {rowno}: {exc}") from None
-            if count < 0:
-                raise ValueError(f"{path}: row {rowno}: negative count {count}")
-            counts.append(count)
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip().lower() for h in header[:2]] != ["bin_start", "count"]:
+                raise ValueError(f"{path}: expected header 'bin_start,count', got {header}")
+            for row in reader:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                rowno = reader.line_num
+                lines.append(rowno)
+                if len(row) < 2:
+                    raise ValueError(f"{path}: row {rowno}: expected 2 fields, got {len(row)}")
+                try:
+                    starts.append(float(row[0]))
+                except ValueError:
+                    raise ValueError(f"{path}: row {rowno}: bad bin_start {row[0]!r}") from None
+                try:
+                    count = _parse_count(row[1])
+                except ValueError as exc:
+                    raise ValueError(f"{path}: row {rowno}: {exc}") from None
+                if count < 0:
+                    raise ValueError(f"{path}: row {rowno}: negative count {count}")
+                counts.append(count)
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise ValueError(f"{path}: row {reader.line_num}: {exc}") from None
     if not starts:
         raise ValueError(f"{path}: no data rows")
     if len(starts) == 1:

@@ -487,32 +487,35 @@ def load_trace_csv(path) -> CascadeTrace:
     file line (``reader.line_num``) and the field at fault.
     """
     rows = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["vertex", "time"]:
-            raise ValueError(f"{path}: expected header 'vertex,time', got {header}")
-        for row in reader:
-            if not row:
-                continue
-            rowno = reader.line_num
-            if len(row) < 2:
-                raise ValueError(f"{path}: row {rowno}: expected 'vertex,time', got {row}")
-            try:
-                v = int(row[0])
-            except ValueError:
-                raise ValueError(f"{path}: row {rowno}: bad vertex {row[0]!r}") from None
-            try:
-                t = float(row[1])
-            except ValueError:
-                raise ValueError(f"{path}: row {rowno}: bad time {row[1]!r}") from None
-            if v < 0:
-                raise ValueError(f"{path}: row {rowno}: vertex must be >= 0, got {v}")
-            if not (np.isfinite(t) and t >= 0):
-                raise ValueError(f"{path}: row {rowno}: time must be finite and >= 0, got {t}")
-            if v in rows:
-                raise ValueError(f"{path}: row {rowno}: duplicate vertex {v}")
-            rows[v] = t
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip().lower() for h in header[:2]] != ["vertex", "time"]:
+                raise ValueError(f"{path}: expected header 'vertex,time', got {header}")
+            for row in reader:
+                if not row:
+                    continue
+                rowno = reader.line_num
+                if len(row) < 2:
+                    raise ValueError(f"{path}: row {rowno}: expected 'vertex,time', got {row}")
+                try:
+                    v = int(row[0])
+                except ValueError:
+                    raise ValueError(f"{path}: row {rowno}: bad vertex {row[0]!r}") from None
+                try:
+                    t = float(row[1])
+                except ValueError:
+                    raise ValueError(f"{path}: row {rowno}: bad time {row[1]!r}") from None
+                if v < 0:
+                    raise ValueError(f"{path}: row {rowno}: vertex must be >= 0, got {v}")
+                if not (np.isfinite(t) and t >= 0):
+                    raise ValueError(f"{path}: row {rowno}: time must be finite and >= 0, got {t}")
+                if v in rows:
+                    raise ValueError(f"{path}: row {rowno}: duplicate vertex {v}")
+                rows[v] = t
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise ValueError(f"{path}: row {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     n = max(rows) + 1

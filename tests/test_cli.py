@@ -4,16 +4,19 @@ Every invocation goes through ``ratejump.cli.main(argv)`` in-process so we
 can assert on exit codes, stdout/stderr, and the files left behind.
 """
 
+import csv as csv_module
 import io
 import os
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
 from ratejump.cli import build_parser, main
 from ratejump.detector import argmax_single
 from ratejump.harness import PRESETS
+from ratejump.ingest import analyze_binned, load_daily_csv
 from ratejump.process import load_event_times
 from ratejump.seeding import SimSeed
 from ratejump.si import load_edge_list, load_trace_csv, simulate_si
@@ -386,20 +389,106 @@ def test_multicascade_from_trace_files(tmp_path, capsys):
         assert f"param.{name}=None" in manifest
 
 
-def test_analyze_binned_daily(tmp_path, capsys):
+DAILY = ["--delta", "1", "--steps-per-delta", "1"]  # delta and the grid step: one day
+
+
+def test_detect_daily_csv(tmp_path, capsys):
     csv = tmp_path / "daily.csv"
     write_daily_csv(csv, [10] * 20 + [60] + [10] * 9)
     code, out, err = run(
         capsys,
-        "analyze-binned", "--csv", str(csv), "--k", "2", "--delta-days", "1",
+        "detect", "--daily-csv", str(csv), "--k", "2", *DAILY, "--profile-out", "profile.csv",
         "--out-dir", str(tmp_path),
     )
     assert code == 0, err
-    assert "day 20" in out
+    assert "t_hat=20.0 " in out
+    assert "day0_date=2021-03-01\n" in out
     profile = (tmp_path / "profile.csv").read_text().splitlines()
-    assert profile[0] == "day,value"
-    manifest = (tmp_path / "profile.csv.manifest").read_text()
-    assert "result.argmax_day=20" in manifest
+    assert profile[0] == "t,value"
+    manifest = (tmp_path / "report.csv.manifest").read_text().splitlines()
+    assert {"result.day0_date=2021-03-01", "result.filled_days=0", "result.clamped_days=0",
+            "param.mode=daily", "param.region=None"} <= set(manifest)
+    assert f"outputs={tmp_path / 'report.csv'},{tmp_path / 'profile.csv'}" in manifest
+
+
+def test_detect_daily_csv_profile_out(tmp_path, capsys):
+    # the profile on the report's clock: day edges 1..19 of a 20-day series at k=2
+    csv = tmp_path / "daily.csv"
+    write_daily_csv(csv, [5] * 9 + [35] + [5] * 10)
+    code, out, err = run(
+        capsys,
+        "detect", "--daily-csv", str(csv), "--k", "2", *DAILY, "--profile-out", "p.csv",
+        "--out-dir", str(tmp_path),
+    )
+    assert code == 0, err
+    lines = (tmp_path / "p.csv").read_text().splitlines()
+    assert lines[0] == "t,value"
+    assert [float(line.split(",")[0]) for line in lines[1:]] == list(range(1, 20))
+    assert "t_hat=9.0 " in out
+
+
+@pytest.mark.parametrize("k,delta", [(1, 1), (2, 1), (3, 2), (4, 7)])
+def test_detect_daily_csv_reproduces_analyze_binned(tmp_path, capsys, k, delta):
+    rng = np.random.default_rng(11)
+    counts = rng.poisson(200, size=60)
+    counts[33] += 400
+    csv = tmp_path / "daily.csv"
+    write_daily_csv(csv, counts)
+    code, out, err = run(
+        capsys,
+        "detect", "--daily-csv", str(csv), "--k", str(k), "--delta", str(delta),
+        "--steps-per-delta", str(delta), "--profile-out", "p.csv", "--out-dir", str(tmp_path),
+    )
+    assert code == 0, err
+    analysis = analyze_binned(load_daily_csv(csv), k, delta_days=delta)
+    with open(tmp_path / "p.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv_module.reader(fh))
+    assert rows[0] == ["t", "value"]
+    assert [(float(t), float(v)) for t, v in rows[1:]] == list(analysis.profile.pairs())
+    (t_hat,) = [line for line in out.splitlines() if line.startswith("t_hat=")]
+    assert float(t_hat.split()[0].split("=")[1]) == analysis.argmax_day
+
+
+def test_detect_daily_csv_threshold_mode(tmp_path, capsys):
+    # a level step of 50 a day at day 30: order 2 at delta 7 days peaks there
+    csv = tmp_path / "daily.csv"
+    write_daily_csv(csv, [100] * 30 + [150] * 30)
+    code, out, err = run(
+        capsys,
+        "detect", "--daily-csv", str(csv), "--k", "2", "--delta", "7", "--steps-per-delta", "7",
+        "--threshold", "50", "--out-dir", str(tmp_path),
+    )
+    assert code == 0, err
+    report = (tmp_path / "report.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in report[1:]] == ["30.0"]
+
+
+def test_detect_daily_csv_cumulative_mode_matches_daily(tmp_path, capsys):
+    counts = [3, 5, 4, 40, 6, 5, 4, 6, 5, 3]
+    daily, cumulative = tmp_path / "daily.csv", tmp_path / "cumulative.csv"
+    write_daily_csv(daily, counts)
+    write_daily_csv(cumulative, np.cumsum(counts))
+    for path, mode, name in ((daily, "daily", "d.csv"), (cumulative, "cumulative", "c.csv")):
+        code, _, err = run(
+            capsys,
+            "detect", "--daily-csv", str(path), "--mode", mode, "--k", "2", *DAILY,
+            "--profile-out", name, "--out-dir", str(tmp_path),
+        )
+        assert code == 0, err
+    assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
+
+
+def test_detect_daily_csv_on_a_grid_step_of_part_days_names_the_step(tmp_path, capsys):
+    csv = tmp_path / "daily.csv"
+    write_daily_csv(csv, [10] * 30)
+    code, out, err = run(
+        capsys, "detect", "--daily-csv", str(csv), "--k", "2", "--delta", "1",
+        "--out-dir", str(tmp_path),
+    )
+    assert code == 1
+    assert ("N was not drawn at t = 0.1, a time on the grid of step "
+            "delta / steps_per_delta = 1.0 / 10") in err
+    assert list(tmp_path.iterdir()) == [csv]
 
 
 def test_presets_lists_every_figure(tmp_path, capsys):
@@ -461,6 +550,26 @@ def test_events_and_binned_conflict(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("inputs,message", [
+    ([], "an input is required: --events FILE, --binned FILE or --daily-csv FILE"),
+    (["--events", "x", "--daily-csv", "y"], "give one input, not --events and --daily-csv"),
+    (["--binned", "x", "--daily-csv", "y"], "give one input, not --binned and --daily-csv"),
+    (["--events", "x", "--binned", "y", "--daily-csv", "z"],
+     "give one input, not --events and --binned and --daily-csv"),
+    (["--events", "x", "--region", "A"], "--events does not use --region\n"),
+    (["--binned", "x", "--mode", "daily"], "--binned does not use --mode\n"),
+    (["--events", "x", "--mode", "cumulative", "--region", "A"],
+     "--events does not use --region, --mode\n"),
+    (["--daily-csv", "x", "--horizon", "9"], "--horizon is for --events only"),
+])
+def test_detect_input_rules(tmp_path, capsys, inputs, message):
+    code, out, err = run(capsys, "detect", *inputs, "--k", "1", "--delta", "1",
+                         "--out-dir", str(tmp_path))
+    assert code == 2
+    assert message in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("preset,flag,value", [
     ("fig2-scaled", "--base", "50"),
     ("fig2-scaled", "--horizon", "5"),
@@ -502,8 +611,8 @@ def test_heatmap_scenario_rejects_flags_it_does_not_use(tmp_path, capsys, scenar
 @pytest.mark.parametrize("argv", [
     ["detect", "--k", "1", "--delta", "0.3", "--seed", "1"],
     ["detect", "--k", "1", "--delta", "0.3", "--stream", "1"],
-    ["analyze-binned", "--csv", "x.csv", "--seed", "1"],
-    ["analyze-binned", "--csv", "x.csv", "--stream", "1"],
+    ["detect", "--daily-csv", "x.csv", "--k", "1", "--delta", "1", "--seed", "1"],
+    ["detect", "--daily-csv", "x.csv", "--k", "1", "--delta", "1", "--stream", "1"],
     ["heatmap", "--stream", "1"],
     ["presets", "--seed", "1"],
     ["multicascade", "--stream", "1"],
@@ -711,7 +820,7 @@ def test_runtime_error_names_ingest(tmp_path, capsys):
     write_daily_csv(csv, [10, 20, 30])
     code, out, err = run(
         capsys,
-        "analyze-binned", "--csv", str(csv), "--region", "atlantis",
+        "detect", "--daily-csv", str(csv), "--region", "atlantis", "--k", "2", *DAILY,
     )
     assert code == 1
     assert "runtime error in ingest" in err
@@ -722,7 +831,7 @@ def test_short_row_under_region_filter_names_ingest_and_row(tmp_path, capsys):
     csv.write_text("date,region,cases\n2021-01-01,A,3\n2021-01-02\n")
     code, out, err = run(
         capsys,
-        "analyze-binned", "--csv", str(csv), "--region", "A",
+        "detect", "--daily-csv", str(csv), "--region", "A", "--k", "2", *DAILY,
     )
     assert code == 1
     assert "runtime error in ingest" in err
@@ -750,8 +859,9 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     for name in ["simulate-poisson", "simulate-si", "detect", "heatmap",
-                  "multicascade", "analyze-binned", "presets"]:
+                  "multicascade", "presets"]:
         assert name in out
+    assert "analyze-binned" not in out
 
 
 def _subparsers() -> dict:

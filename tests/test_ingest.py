@@ -1,5 +1,6 @@
 import csv
 import datetime
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from ratejump.ingest import (
     RegionSeries,
     analyze_binned,
     load_daily_csv,
-    save_analysis_csv,
 )
 from ratejump.process import BinnedSeries, from_binned
 
@@ -124,6 +124,31 @@ def test_byte_order_mark_is_skipped(tmp_path):
     assert load_daily_csv(p).counts.tolist() == [3, 4]
 
 
+# longer than csv.field_size_limit(), 131072 characters unless a program raises it
+BIG = "9" * 140_000
+
+
+@pytest.mark.parametrize("region", ["A", None])
+def test_field_over_the_size_limit_names_path_and_row(tmp_path, region):
+    # in the region's own row on line 4, after a row of another region
+    p = write(tmp_path, f"date,region,cases\n2021-01-01,A,3\n2021-01-01,B,4\n2021-01-02,A,{BIG}\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: row 4: field larger than "):
+        load_daily_csv(p, region=region)
+    # and in the header
+    p = write(tmp_path, f"date,region,cases,{BIG}\n2021-01-01,A,3\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: row 1: field larger than "):
+        load_daily_csv(p, region=region)
+
+
+def test_nul_byte_in_a_count_names_row(tmp_path):
+    # Python 3.10's csv module refuses the NUL itself; later ones read the
+    # field, and the count rule refuses it: either way the row is named
+    p = tmp_path / "nul.csv"
+    p.write_bytes(b"date,cases\n2021-01-01,3\x00\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: row 2: "):
+        load_daily_csv(p)
+
+
 @pytest.mark.parametrize("raw", ["3.7", "-0.5", "inf", "-inf", "nan", "1e400"])
 def test_non_integral_or_non_finite_count_names_row(tmp_path, raw):
     p = write(tmp_path, f"date,cases\n2020-03-01,2\n2020-03-02,{raw}\n")
@@ -159,7 +184,7 @@ def test_weekly_cycle_cancels_at_a_seven_day_step():
     counts = np.tile(week, 20)
     for k in range(1, 8):
         analysis = analyze_binned(counts, k=k, delta_days=7)
-        assert (analysis.k, analysis.delta_days) == (k, 7)
+        assert (analysis.k, analysis.profile.steps_per_delta) == (k, 7)
         expected = sum(week) if k == 1 else 0
         assert analysis.profile.values.tolist() == [expected] * len(analysis.profile)
 
@@ -173,7 +198,7 @@ def test_analyze_spike():
     assert vals[12.0] == 50.0
     assert vals[13.0] == -50.0
     assert analysis.argmax_day == 12
-    assert abs(analysis.argmax_value) == 50.0
+    assert abs(analysis.profile.values[analysis.profile.argmax()]) == 50.0
 
 
 def test_analyze_step():
@@ -231,25 +256,12 @@ def test_analyze_length_error_names_minimum():
     # stencil at day 6 reads N(0) = 0, so 9 days give one point
     analysis = analyze_binned(np.ones(9, dtype=int), k=3, delta_days=3)
     assert analysis.profile.times.tolist() == [6.0]
-    assert (analysis.argmax_day, analysis.argmax_value) == (6, 0.0)
+    assert (analysis.argmax_day, analysis.profile.values[analysis.profile.argmax()]) == (6, 0.0)
     with pytest.raises(ValueError, match=r"^no valid grid points: window \(6\.0, 5\.0\) is empty "
                                          r"for k=3, delta=3\.0$"):
         analyze_binned(np.ones(8, dtype=int), k=3, delta_days=3)
     with pytest.raises(ValueError, match="delta_days"):
         analyze_binned(np.ones(10, dtype=int), k=2, delta_days=0)
-
-
-def test_analysis_csv_and_summary(tmp_path):
-    counts = np.full(20, 5)
-    counts[9] += 30
-    analysis = analyze_binned(counts, k=2, delta_days=1)
-    out = tmp_path / "profile.csv"
-    save_analysis_csv(analysis, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "day,value"
-    days = [int(l.split(",")[0]) for l in lines[1:]]
-    assert days == list(range(1, 20))
-    assert "day 9" in analysis.summary()
 
 
 def test_round_trip_series_to_analysis(tmp_path):
@@ -264,8 +276,8 @@ def test_round_trip_series_to_analysis(tmp_path):
     assert np.array_equal(s.counts, values)
     analysis = analyze_binned(s, k=2, delta_days=1)
     assert isinstance(analysis, BinnedAnalysis)
-    # summary carries the calendar date of the argmax day
-    assert str(s.date_of(analysis.argmax_day)) in analysis.summary()
+    # the argmax day edge d is the start of the date d days after the first
+    assert s.date_of(analysis.argmax_day) == base + datetime.timedelta(days=analysis.argmax_day)
 
 
 def test_region_series_validation():

@@ -138,7 +138,8 @@ def _trace_file(tmp_path):
 def _daily_file(tmp_path):
     days = "".join(f"2021-01-{day:02d},1\n" for day in range(1, 11))
     (tmp_path / "daily.csv").write_text("date,cases\n" + days)
-    return ["--csv", str(tmp_path / "daily.csv"), "--k", "4", "--delta-days", "3"]
+    return ["--daily-csv", str(tmp_path / "daily.csv"), "--k", "4", "--delta", "3",
+            "--steps-per-delta", "3"]
 
 
 # subcommand -> its arguments, given a directory to write the input in
@@ -147,7 +148,7 @@ EMPTY_WINDOW_COMMANDS = {
     "cli detect --threshold": lambda d: ["detect", *_events_file(d), "--threshold", "1"],
     "cli multicascade": lambda d: ["multicascade", *_trace_file(d)],
     "cli multicascade --threshold": lambda d: ["multicascade", *_trace_file(d), "--threshold", "1"],
-    "cli analyze-binned": lambda d: ["analyze-binned", *_daily_file(d)],
+    "cli detect --daily-csv": lambda d: ["detect", *_daily_file(d)],
 }
 
 

@@ -243,3 +243,15 @@ def test_binned_csv_errors(tmp_path):
     p.write_text("wrong,header\n0.0,1\n")
     with pytest.raises(ValueError, match="header"):
         load_binned_csv(p)
+
+    # a field longer than csv.field_size_limit(), 131072 characters by default
+    p.write_text(f"bin_start,count\n0.0,1\n1.0,{'9' * 140_000}\n")
+    with pytest.raises(ValueError, match=r"x\.csv: row 3: field larger than field limit"):
+        load_binned_csv(p)
+
+
+def test_binned_csv_skips_a_byte_order_mark(tmp_path):
+    # as a spreadsheet exports it
+    p = tmp_path / "bom.csv"
+    p.write_bytes("bin_start,count\n0.0,3\n1.0,4\n".encode("utf-8-sig"))
+    assert load_binned_csv(p).counts.tolist() == [3, 4]

@@ -737,6 +737,13 @@ def test_trace_csv_round_trip(tmp_path):
     assert back.source == 1
 
 
+def test_trace_csv_skips_a_byte_order_mark(tmp_path):
+    # as a spreadsheet exports it
+    p = tmp_path / "bom.csv"
+    p.write_bytes("vertex,time\n0,0.0\n1,0.5\n".encode("utf-8-sig"))
+    assert load_trace_csv(p).times.tolist() == [0.0, 0.5]
+
+
 def test_trace_csv_errors(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("vertex,time\n0,0.0\n0,1.0\n")
@@ -757,8 +764,10 @@ def test_trace_csv_errors(tmp_path):
     ("1", "row 3: expected 'vertex,time'"),
     # a quoted line break: the row spans file lines 3 and 4, and is named by its last
     ('"1\n",bad', "row 4: bad time 'bad'"),
+    # longer than csv.field_size_limit(), 131072 characters by default
+    ("1," + "9" * 140_000, "row 3: field larger than field limit"),
 ], ids=["negative-vertex", "nan-time", "inf-time", "negative-time", "bad-time", "bad-vertex",
-        "one-field", "quoted-line-break"])
+        "one-field", "quoted-line-break", "oversized-field"])
 def test_trace_csv_names_row_of_bad_value(tmp_path, row, message):
     p = tmp_path / "t.csv"
     p.write_text(f"vertex,time\n0,0.0\n{row}\n")
