@@ -1,9 +1,9 @@
 """Find the anomalous day in a daily-binned count series.
 
 Real event data often arrives as daily totals, not timestamps.  Daily
-counts tell N only at the day edges, so delta and the grid step are whole
-numbers of days, the stencil needs only the daily counts, and its output
-stays exactly integer.  We fabricate 120 days of counts with a slow
+counts tell N only at the day edges, so delta is a whole number of days,
+the profile is read at every day edge, the stencil needs only the daily
+counts, and its output stays exactly integer.  We fabricate 120 days of counts with a slow
 seasonal trend plus one reporting spike, then localize the spike.
 """
 
@@ -30,13 +30,13 @@ series = RegionSeries(
 N = from_binned(BinnedSeries(bin_width=1.0, counts=series.counts))
 
 for k in (1, 2, 3):
-    report = detect(N, DetectorConfig(k=k, delta=1.0, steps_per_delta=1))
+    report = detect(N, DetectorConfig(k=k, delta=1.0))
     (e,) = report.estimates
     day = int(e.time)
     print(f"k={k}: largest |order-{k} derivative| at day {day} ({series.date_of(day)}): "
           f"{e.raw:+.0f}")
 
-report = detect(N, DetectorConfig(k=2, delta=1.0, steps_per_delta=1))
+report = detect(N, DetectorConfig(k=2, delta=1.0))
 print(f"\ntrue spike day: {spike_day} "
       f"({series.date_of(spike_day)}), daily count {counts[spike_day]}")
 print("profile around the spike (exact integers):")

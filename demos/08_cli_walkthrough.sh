@@ -19,21 +19,19 @@ ratejump simulate-poisson --rate-preset const-plus-exp \
     --seed 1 --out-dir "$out"
 ratejump detect --events "$out/events.txt" \
     --k 3 --delta 0.3 --threshold 4000 --out-dir "$out"
-echo "-- without --threshold, detect reports the single best-scoring time;"
-echo "   here on a coarser grid, 5 steps per delta --"
+echo "-- without --threshold, detect reports the single best-scoring time --"
 ratejump detect --events "$out/events.txt" \
-    --k 3 --delta 0.3 --steps-per-delta 5 --out argmax.csv --out-dir "$out"
+    --k 3 --delta 0.3 --out argmax.csv --out-dir "$out"
 echo
 
 echo "== the same change seen through bins of 0.5, on the bins' own grid =="
 ratejump simulate-poisson --rate-preset const-plus-exp \
     --base 5000 --jump 4000 --onset 6 --horizon 12 --bin-width 0.5 \
     --seed 2 --out binned_events.txt --out-dir "$out"
-echo "-- binned counts tell N at the bin edges only, so the grid step,"
-echo "   delta / steps-per-delta, is a whole number of bins --"
+echo "-- binned counts tell N at the bin edges only, so delta is a whole"
+echo "   number of bins and the profile reads every bin edge --"
 ratejump detect --binned "$out/binned_events.txt.binned.csv" \
-    --k 3 --delta 1 --steps-per-delta 2 --threshold 4000 \
-    --out binned_report.csv --out-dir "$out"
+    --k 3 --delta 1 --threshold 4000 --out binned_report.csv --out-dir "$out"
 echo
 
 echo "== one epidemic cascade, then hub recovery from three cascades =="
@@ -65,9 +63,9 @@ echo "== a daily case series with a one-day reporting spike =="
         printf '2021-02-%02d,%d\n' "$day" $((day == 15 ? 500 : 100))
     done
 } > "$out/cases.csv"
-echo "-- daily counts tell N at the day edges only: delta and the grid step"
-echo "   are whole days, and times are days from the first date, day 0 --"
-ratejump detect --daily-csv "$out/cases.csv" --k 2 --delta 1 --steps-per-delta 1 \
+echo "-- daily counts tell N at the day edges only: delta is whole days, the"
+echo "   profile reads every day edge, and times are days from the first date --"
+ratejump detect --daily-csv "$out/cases.csv" --k 2 --delta 1 \
     --profile-out profile.csv --out daily_report.csv --out-dir "$out"
 echo "-- the same series as region east of a two-region file, each day's"
 echo "   west row beside it; --region reads east's rows alone --"
@@ -79,8 +77,7 @@ echo "   west row beside it; --region reads east's rows alone --"
     done
 } > "$out/regions.csv"
 ratejump detect --daily-csv "$out/regions.csv" --region east --k 2 --delta 1 \
-    --steps-per-delta 1 --profile-out region_profile.csv --out region_report.csv \
-    --out-dir "$out"
+    --profile-out region_profile.csv --out region_report.csv --out-dir "$out"
 cmp "$out/profile.csv" "$out/region_profile.csv"
 echo "-- the same series as cumulative totals; --mode cumulative differences them --"
 {
@@ -92,11 +89,10 @@ echo "-- the same series as cumulative totals; --mode cumulative differences the
     done
 } > "$out/cumulative.csv"
 ratejump detect --daily-csv "$out/cumulative.csv" --mode cumulative --k 2 --delta 1 \
-    --steps-per-delta 1 --profile-out cumulative_profile.csv --out cumulative_report.csv \
-    --out-dir "$out"
+    --profile-out cumulative_profile.csv --out cumulative_report.csv --out-dir "$out"
 cmp "$out/profile.csv" "$out/cumulative_profile.csv"
 echo
 
-echo "== the manifest trail (detect's lists the grid size, candidates and window) =="
+echo "== the manifest trail (detect's lists the grid step, size, candidates and window) =="
 ls "$out"/*.manifest
 sed -e 's/^/    /' "$out/report.csv.manifest"

@@ -41,12 +41,11 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .derivative import MAX_ORDER, STEPS_PER_DELTA, _check_delta, _check_order
+from .derivative import MAX_ORDER, _check_delta, _check_order
 from .detector import DetectorConfig, detect, save_profile_csv, save_report_csv
 from .harness import (
     HEATMAP_SCENARIOS,
@@ -214,7 +213,7 @@ def _load_counting(args):
 def _detector_config(args) -> DetectorConfig:
     """The detector flags' DetectorConfig, built before any input is read."""
     with _building():
-        return DetectorConfig(k=args.k, delta=args.delta, steps_per_delta=args.steps_per_delta,
+        return DetectorConfig(k=args.k, delta=args.delta,
                               threshold=getattr(args, "threshold", None))
 
 
@@ -333,29 +332,28 @@ def cmd_detect(args):
     config = _detector_config(args)
     counting, start, inputs, notes = _load_counting(args)
     report = detect(counting, config)
-    # binned N is measured from the file's first edge: report on the file's clock
-    report = replace(report, window=tuple(t + start for t in report.window), estimates=tuple(
-        e._replace(time=e.time + start) for e in report.estimates))
+    # the report is on N's clock, whose 0 is ``start`` on the input's: each output adds it
     out_dir = _out_dir(args)
     outputs = [os.path.join(out_dir, args.out)]
-    save_report_csv(report, outputs[0])
+    save_report_csv(report, outputs[0], start)
     if args.profile_out:
         outputs.append(os.path.join(out_dir, args.profile_out))
         save_profile_csv(report.profile, outputs[1], start)
     for name, value in notes.items():
         _echo(f"{name}={value}")
     for e in report.estimates:
-        _echo(f"t_hat={e.time} score={e.score}")
+        _echo(f"t_hat={e.time + start} score={e.score}")
     if not report.estimates:
         _echo("no change points detected")
-    # k, delta, steps_per_delta and threshold are the run's param.* lines
+    # k, delta and threshold are the run's param.* lines; the input sets the grid step
     return outputs[0], inputs, outputs, {
         **notes,
         "n_estimates": len(report),
+        "steps_per_delta": report.profile.steps_per_delta,
         "n_grid": report.n_grid,
         "candidate_count": report.candidate_count,
-        "window_lo": repr(report.window[0]),
-        "window_hi": repr(report.window[1]),
+        "window_lo": repr(report.window[0] + start),
+        "window_hi": repr(report.window[1] + start),
     }
 
 
@@ -490,15 +488,13 @@ def _add_counting_inputs(sub):
 
 
 def _add_detector_flags(sub, k=None, delta=None):
-    """--k, --delta, --steps-per-delta and --threshold; --k and --delta are required
-    where they have no default."""
+    """--k, --delta and --threshold; --k and --delta are required where they
+    have no default."""
     sub.add_argument("--k", type=_flag(_check_order, "k"), default=k, required=k is None,
                      help=f"derivative order, an integer in [1, {MAX_ORDER}]{_default(k)}")
     sub.add_argument("--delta", type=_flag(_check_delta, "delta"), default=delta,
                      required=delta is None,
                      help=f"derivative step delta in time units{_default(delta)}")
-    sub.add_argument("--steps-per-delta", type=_whole("steps_per_delta"), default=STEPS_PER_DELTA,
-                     help=f"grid steps per delta, a whole number{_default(STEPS_PER_DELTA)}")
     sub.add_argument("--threshold", type=_flag(_check_delta, "threshold"), default=None,
                      help="expected jump size A in events per unit time; without it, "
                           "report only the best-scoring time (argmax mode)")

@@ -14,12 +14,14 @@ A * delta.
 
 N is an object with a vectorized ``count_at(t)`` and a ``horizon`` T, the
 end of the observed data, read on [0, T] only: EventTimes, or SampledCounts
-(N drawn at chosen times or known at bin edges, and read there only, so a
-binned N needs a grid step that is a whole number of bins).
+(N drawn at chosen times or known at bin edges, and read there only).
 
 A profile evaluates the stencil on a grid of step delta/m, for a whole
-number m of steps per delta (default 10).  Every stencil point of every
-grid time then lies on one lattice b + p*delta/m, and with
+number m of steps per delta that N sets (``_steps_per_delta``): N known at
+evenly spaced knots, such as bin edges, is read at every knot, so m is
+delta over the knot gap; any other N is read m = 10 times per delta.
+Every stencil point of every grid time then lies on one lattice
+b + p*delta/m, and with
 F[p] = N(b + p*delta/m) the order-l value at a grid time is the l-fold
 lag-m difference (Delta_m^l F)[p0], where (Delta_m F)[p] = F[p+m] - F[p]
 and p0 indexes the stencil's first point.  So N is sampled once per
@@ -39,6 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .process import SampledCounts
+
 __all__ = [
     "MAX_ORDER",
     "DerivativeStencil",
@@ -54,13 +58,14 @@ __all__ = [
 # almost certainly a units mistake and are rejected.
 MAX_ORDER = 20
 
-# The default grid: a profile's grid step is delta / STEPS_PER_DELTA.
+# The grid step of a profile of N with no evenly spaced knots (such as event
+# times): delta / STEPS_PER_DELTA.
 STEPS_PER_DELTA = 10
 
 
 def _check_order(order, name: str = "order", limit: float = MAX_ORDER) -> int:
     """``order`` as an int in [1, limit], bools rejected: the one check on an
-    order k (and, with no limit, on a step in whole bins), naming ``name``."""
+    order k (and, with no limit, on a whole count such as days), naming ``name``."""
     if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {order!r}")
     if order < 1:
@@ -113,6 +118,27 @@ def _as_counting(N):
     if not (math.isfinite(T) and T >= 0):
         raise ValueError(f"the horizon of N must be finite and non-negative, got {T}")
     return fn, T
+
+
+def _steps_per_delta(N, delta: float) -> int:
+    """The whole number m of grid steps per delta of N's profiles.
+
+    N known only at evenly spaced knots, a ``SampledCounts`` whose knots are
+    ``arange(n) * knots[1]`` (binned and daily data: ``from_binned``), is
+    read at every knot: m is delta over the knot gap, and a delta that is
+    not a whole number of gaps, up to 1e-12 * max(1, delta), is a ValueError
+    naming delta and the gap.  Any other N takes ``STEPS_PER_DELTA``.
+    """
+    if not isinstance(N, SampledCounts) or N.times.size < 2:
+        return STEPS_PER_DELTA
+    gap = float(N.times[1])
+    if not np.array_equal(N.times, np.arange(N.times.size) * gap):
+        return STEPS_PER_DELTA
+    m = round(delta / gap)
+    if m < 1 or abs(m * gap - delta) > 1e-12 * max(1.0, delta):
+        raise ValueError(f"delta = {delta!r} is not a whole number of knot gaps: "
+                         f"N is known only at knots {gap!r} apart")
+    return m
 
 
 def discrete_derivative(N, order: int, delta: float, t: float) -> float:
@@ -185,17 +211,16 @@ def _nonempty(profile: DerivativeProfile) -> DerivativeProfile:
     return profile
 
 
-def derivative_profile(N, order: int, delta: float,
-                       steps_per_delta: int = STEPS_PER_DELTA) -> DerivativeProfile:
+def derivative_profile(N, order: int, delta: float) -> DerivativeProfile:
     """The order-``order`` profile of ``derivative_profiles`` over all of
     [0, T]; a profile with no grid point is a ValueError naming its window,
     k and delta."""
-    return _nonempty(derivative_profiles(N, [order], delta, steps_per_delta)[0])
+    return _nonempty(derivative_profiles(N, [order], delta)[0])
 
 
-def derivative_profiles(N, orders, delta: float, steps_per_delta: int = STEPS_PER_DELTA) -> list:
-    """Evaluate the discrete derivative of each order on a grid of step
-    delta / ``steps_per_delta``, a whole number (default 10).
+def derivative_profiles(N, orders, delta: float) -> list:
+    """Evaluate the discrete derivative of each order on the grid of step
+    delta / m that N sets (``_steps_per_delta``).
 
     Returns one profile per entry of ``orders``, on every grid time of that
     order's valid range [(order-1)*delta, T - delta], T the horizon of N,
@@ -205,15 +230,15 @@ def derivative_profiles(N, orders, delta: float, steps_per_delta: int = STEPS_PE
     """
     orders = [_check_order(order) for order in orders]
     delta = _check_delta(delta)
-    lag = _check_order(steps_per_delta, "steps_per_delta", limit=math.inf)
-    step = delta / lag
     fn, T = _as_counting(N)
+    lag = _steps_per_delta(N, delta)
+    step = delta / lag
     plan = _lattice_plan(orders, delta, lag, T, None)
     try:
         samples = [fn(times) for times, _ in plan.lattices]
-    except ValueError as exc:  # N known only at its knots, such as bin edges
-        raise ValueError(f"{exc}, a time on the grid of step delta / steps_per_delta = "
-                         f"{delta!r} / {lag}") from exc
+    except ValueError as exc:  # N known only at uneven knots, such as drawn times
+        raise ValueError(f"{exc}, a time on the grid of step delta / {lag}, "
+                         f"delta = {delta!r}") from exc
     return [DerivativeProfile(lo + np.arange(n) * step, values, order, delta, lag, (lo, hi))
             for (order, lo, hi, n, _), values in zip(plan.grids, plan.evaluate(samples))]
 

@@ -14,14 +14,12 @@ data), so the stencil never reaches past the data; there is no override.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .derivative import (STEPS_PER_DELTA, DerivativeProfile, _check_delta, _check_order,
-                         derivative_profile)
+from .derivative import DerivativeProfile, _check_delta, _check_order, derivative_profile
 
 __all__ = [
     "DetectorConfig",
@@ -44,13 +42,12 @@ class DetectorConfig:
     ``threshold`` is the expected jump size A (> 0); grid points scoring
     at least A/2 become candidates.  ``threshold=None`` selects
     exploratory mode: report only the single highest-scoring grid point.
-    The profile's grid step is delta / ``steps_per_delta``, a whole number.
+    The profile's grid step is the one N sets (``derivative_profiles``).
     """
 
     k: int
     delta: float
     threshold: "float | None" = None
-    steps_per_delta: int = STEPS_PER_DELTA
 
     def __post_init__(self) -> None:
         # the checked values are stored: a string such as '0.5' becomes 0.5
@@ -58,8 +55,6 @@ class DetectorConfig:
         object.__setattr__(self, "delta", _check_delta(self.delta, "delta"))
         if self.threshold is not None:
             object.__setattr__(self, "threshold", _check_delta(self.threshold, "threshold"))
-        object.__setattr__(self, "steps_per_delta", _check_order(
-            self.steps_per_delta, "steps_per_delta", limit=math.inf))
 
     @property
     def min_sep(self) -> float:
@@ -77,16 +72,13 @@ class Estimate(NamedTuple):
 
 @dataclass(frozen=True)
 class ChangePointReport:
-    """Detection output: the estimates, the config that made them, the
-    grid's window, size and candidate count, and the profile ``detect`` read
-    them from (None in a report built by hand)."""
+    """Detection output: the estimates, the config that made them, and the
+    profile ``detect`` read them from, off which the grid's window, size
+    and candidate count are read."""
 
     estimates: tuple
     config: DetectorConfig
-    window: tuple
-    n_grid: int
-    candidate_count: int
-    profile: "DerivativeProfile | None" = field(default=None, repr=False, compare=False)
+    profile: DerivativeProfile = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
         min_sep, threshold = self.config.min_sep, self.config.threshold
@@ -110,6 +102,19 @@ class ChangePointReport:
     @property
     def times(self) -> list:
         return [e.time for e in self.estimates]
+
+    @property
+    def window(self) -> tuple:
+        return self.profile.window
+
+    @property
+    def n_grid(self) -> int:
+        return len(self.profile)
+
+    @property
+    def candidate_count(self) -> int:
+        """Grid points clearing threshold/2, or 1 in argmax mode."""
+        return int(_candidates(self.profile, self.config.delta, self.config.threshold)[1].size)
 
     def __len__(self) -> int:
         return len(self.estimates)
@@ -154,7 +159,7 @@ def _packing_indices(times: np.ndarray, scores: np.ndarray, min_sep: float) -> l
 def detect(N, config: DetectorConfig) -> ChangePointReport:
     """Run the full detection pipeline on a counting process.  In either mode
     a window that holds no grid point is the profile's ValueError."""
-    profile = derivative_profile(N, config.k, config.delta, config.steps_per_delta)
+    profile = derivative_profile(N, config.k, config.delta)
     scores, keep = _candidates(profile, config.delta, config.threshold)
     chosen = keep if config.threshold is None else keep[
         _packing_indices(profile.times[keep], scores[keep], config.min_sep)]
@@ -164,16 +169,13 @@ def detect(N, config: DetectorConfig) -> ChangePointReport:
             for i in chosen
         ),
         config=config,
-        window=profile.window,
-        n_grid=len(profile),
-        candidate_count=int(keep.size),
         profile=profile,
     )
 
 
 def argmax_single(N, k: int, delta: float) -> float:
-    """Time of the largest |order-k derivative| on the default grid (earliest
-    on ties); ``detect`` with no threshold takes another grid step."""
+    """Time of the largest |order-k derivative| on the grid N sets (earliest
+    on ties): the estimate of ``detect`` with no threshold."""
     profile = derivative_profile(N, k, delta)
     return float(profile.times[profile.argmax()])
 
@@ -214,13 +216,14 @@ def min_order_for(theta: float) -> int:
     return order
 
 
-def save_report_csv(report: ChangePointReport, path) -> None:
-    """Write the estimates as a ``t_hat,score`` CSV."""
+def save_report_csv(report: ChangePointReport, path, start: float) -> None:
+    """Write the estimates as a ``t_hat,score`` CSV, each time plus
+    ``start``: the time of N's 0 on the input's clock."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t_hat", "score"])
         for e in report.estimates:
-            writer.writerow([repr(e.time), repr(e.score)])
+            writer.writerow([repr(e.time + start), repr(e.score)])
 
 
 def save_profile_csv(profile: DerivativeProfile, path, start: float) -> None:

@@ -4,8 +4,8 @@ Real surveillance data arrives as daily counts, sometimes cumulative,
 with gaps and reporting corrections.  The loader normalizes all of that
 into a gap-free daily series with an audit trail.  Its counts are bins of
 one day, so N is known exactly at each day edge, and ``detect --daily-csv``
-analyses the series with delta and the grid step whole numbers of days;
-``analyze_binned`` is the library's one-order view, on a grid of one day.
+analyses the series with delta a whole number of days, on a grid of one
+day; ``analyze_binned`` is the library's one-order view.
 
 The columns are fixed: ``date`` (ISO YYYY-MM-DD), ``cases`` and, where
 regions are read, ``region``; header names match with case and
@@ -273,6 +273,6 @@ def analyze_binned(series, k: int, delta_days: int = 1) -> BinnedAnalysis:
     k = _check_order(k, "k")
     delta_days = _check_order(delta_days, "delta_days", limit=math.inf)
     counting = from_binned(BinnedSeries(bin_width=1.0, counts=series.counts))
-    profile = derivative_profile(counting, k, float(delta_days), delta_days)
+    profile = derivative_profile(counting, k, float(delta_days))
     return BinnedAnalysis(profile)
 

@@ -139,7 +139,7 @@ class SampledCounts:
     ``count_at`` clamps t to [0, horizon] (no event lies outside it) and then
     reads N only at one of ``times`` or within 1e-12 * max(1, |t|) of one
     (the rounding of a lattice time p * 0.3 against a knot 3p * 0.1): any
-    other t is a ValueError naming it, since N there was never drawn.
+    other t is a ValueError naming it, since N is not known there.
     ``len()`` is N(horizon), the total count.
     """
 
@@ -164,7 +164,7 @@ class SampledCounts:
         return int(self.counts[-1])
 
     def count_at(self, t):
-        """N(t), vectorized; ValueError at a t that was not drawn."""
+        """N(t), vectorized; ValueError at a t off the knots."""
         t = np.clip(np.asarray(t, dtype=np.float64), 0.0, self.horizon)
         i = np.minimum(np.searchsorted(self.times, t), self.times.size - 1)
         if (self.times[i] != t).any():
@@ -173,7 +173,8 @@ class SampledCounts:
             near = np.where(t - self.times[before] < self.times[i] - t, before, i)
             far = np.abs(self.times[near] - t) > 1e-12 * np.maximum(1.0, np.abs(t))
             if far.any():
-                raise ValueError(f"N was not drawn at t = {float(t[far].flat[0])!r}")
+                raise ValueError(
+                    f"N is known only at its knots, not at t = {float(t[far].flat[0])!r}")
             i = near
         return self.counts[i]
 

@@ -158,7 +158,7 @@ def test_detect_threshold_mode_finds_the_jump(tmp_path, capsys):
     t_hat = float(report[1].split(",")[0])
     assert abs(t_hat - 2.0) < 0.5
     manifest = (tmp_path / "report.csv.manifest").read_text().splitlines()
-    assert {"param.k=2", "param.delta=0.3", "param.steps_per_delta=10",
+    assert {"param.k=2", "param.delta=0.3", "result.steps_per_delta=10",
             "param.threshold=600.0", "result.n_estimates=1"} <= set(manifest)
     # the grid's size, candidates and window are recorded in the manifest
     result = dict(line.split("=", 1) for line in manifest if line.startswith("result."))
@@ -235,27 +235,51 @@ def test_detect_binned_reports_on_the_files_clock(tmp_path, capsys):
     write_binned_csv(csv, [100] * 40 + [150] * 40, start=100)
     code, out, err = run(
         capsys,
-        "detect", "--binned", str(csv), "--k", "2", "--delta", "2", "--steps-per-delta", "2",
+        "detect", "--binned", str(csv), "--k", "2", "--delta", "2",
         "--threshold", "50", "--out-dir", str(tmp_path),
     )
     assert code == 0, err
     assert [line.split(",")[0] for line in
             (tmp_path / "report.csv").read_text().splitlines()[1:]] == ["140.0"]
+    assert "t_hat=140.0 " in out
     manifest = (tmp_path / "report.csv.manifest").read_text().splitlines()
-    assert {"result.window_lo=102.0", "result.window_hi=178.0"} <= set(manifest)
+    assert {"result.window_lo=102.0", "result.window_hi=178.0",
+            "result.steps_per_delta=2"} <= set(manifest)
+
+
+def test_detect_binned_off_zero_keeps_estimates_the_library_separates(tmp_path, capsys):
+    # the library's estimates 0.4 and 0.6000000000000001 are 0.2000000000000001
+    # apart, past min_sep = 0.2; moved to 100.4 and 100.6 they are not, so the
+    # report stays on N's clock and only what is written moves to the file's
+    csv = tmp_path / "bins.csv"
+    counts = [10] * 20
+    counts[4] = counts[6] = 500
+    with open(csv, "w", encoding="utf-8") as fh:
+        fh.write("bin_start,count\n")
+        for i, c in enumerate(counts):
+            fh.write(f"{100.0 + i * 0.1!r},{c}\n")
+    code, out, err = run(
+        capsys,
+        "detect", "--binned", str(csv), "--k", "1", "--delta", "0.1", "--threshold", "4000",
+        "--out-dir", str(tmp_path),
+    )
+    assert code == 0, err
+    assert [line.split(",")[0] for line in
+            (tmp_path / "report.csv").read_text().splitlines()[1:]] == ["100.4", "100.6"]
 
 
 def test_detect_binned_on_a_grid_step_of_part_bins_names_the_step(tmp_path, capsys):
+    # delta 2.5 on 1-wide bins would read N between bin edges
     csv = tmp_path / "bins.csv"
     write_binned_csv(csv, [100] * 40 + [150] * 40, start=100)
     code, out, err = run(
         capsys,
-        "detect", "--binned", str(csv), "--k", "2", "--delta", "2", "--threshold", "50",
+        "detect", "--binned", str(csv), "--k", "2", "--delta", "2.5", "--threshold", "50",
         "--out-dir", str(tmp_path),
     )
     assert code == 1
-    assert ("N was not drawn at t = 0.2, a time on the grid of step "
-            "delta / steps_per_delta = 2.0 / 10") in err
+    assert ("runtime error in detector: delta = 2.5 is not a whole number of knot gaps: "
+            "N is known only at knots 1.0 apart") in err
     assert list(tmp_path.iterdir()) == [csv]
 
 
@@ -270,7 +294,7 @@ def test_simulate_poisson_bins_read_back_by_detect(tmp_path, capsys):
     assert len(binned.read_text().splitlines()) == 1 + 2
     code, _, err = run(
         capsys,
-        "detect", "--binned", str(binned), "--k", "1", "--delta", "10", "--steps-per-delta", "1",
+        "detect", "--binned", str(binned), "--k", "1", "--delta", "10",
         "--out-dir", str(tmp_path),
     )
     assert code == 0, err
@@ -285,12 +309,14 @@ def test_detect_from_binned_counts(tmp_path, capsys):
             fh.write(f"{i * 0.25},{c}\n")
     code, out, err = run(
         capsys,
-        "detect", "--binned", str(csv), "--k", "2", "--delta", "0.5", "--steps-per-delta", "2",
+        "detect", "--binned", str(csv), "--k", "2", "--delta", "0.5",
         "--threshold", "200", "--out-dir", str(tmp_path),
     )
     assert code == 0, err
     t_hat = float((tmp_path / "report.csv").read_text().splitlines()[1].split(",")[0])
     assert abs(t_hat - 10.0) <= 1.0
+    # 0.25-wide bins set the grid: every edge, two per delta
+    assert "result.steps_per_delta=2" in (tmp_path / "report.csv.manifest").read_text()
 
 
 def test_heatmap_custom_grids(tmp_path, capsys):
@@ -389,7 +415,7 @@ def test_multicascade_from_trace_files(tmp_path, capsys):
         assert f"param.{name}=None" in manifest
 
 
-DAILY = ["--delta", "1", "--steps-per-delta", "1"]  # delta and the grid step: one day
+DAILY = ["--delta", "1"]  # delta, and the grid step daily counts set: one day
 
 
 def test_detect_daily_csv(tmp_path, capsys):
@@ -407,7 +433,7 @@ def test_detect_daily_csv(tmp_path, capsys):
     assert profile[0] == "t,value"
     manifest = (tmp_path / "report.csv.manifest").read_text().splitlines()
     assert {"result.day0_date=2021-03-01", "result.filled_days=0", "result.clamped_days=0",
-            "param.mode=daily", "param.region=None"} <= set(manifest)
+            "param.mode=daily", "param.region=None", "result.steps_per_delta=1"} <= set(manifest)
     assert f"outputs={tmp_path / 'report.csv'},{tmp_path / 'profile.csv'}" in manifest
 
 
@@ -437,7 +463,7 @@ def test_detect_daily_csv_reproduces_analyze_binned(tmp_path, capsys, k, delta):
     code, out, err = run(
         capsys,
         "detect", "--daily-csv", str(csv), "--k", str(k), "--delta", str(delta),
-        "--steps-per-delta", str(delta), "--profile-out", "p.csv", "--out-dir", str(tmp_path),
+        "--profile-out", "p.csv", "--out-dir", str(tmp_path),
     )
     assert code == 0, err
     analysis = analyze_binned(load_daily_csv(csv), k, delta_days=delta)
@@ -455,7 +481,7 @@ def test_detect_daily_csv_threshold_mode(tmp_path, capsys):
     write_daily_csv(csv, [100] * 30 + [150] * 30)
     code, out, err = run(
         capsys,
-        "detect", "--daily-csv", str(csv), "--k", "2", "--delta", "7", "--steps-per-delta", "7",
+        "detect", "--daily-csv", str(csv), "--k", "2", "--delta", "7",
         "--threshold", "50", "--out-dir", str(tmp_path),
     )
     assert code == 0, err
@@ -479,15 +505,16 @@ def test_detect_daily_csv_cumulative_mode_matches_daily(tmp_path, capsys):
 
 
 def test_detect_daily_csv_on_a_grid_step_of_part_days_names_the_step(tmp_path, capsys):
+    # delta 1.5 days would read N between day edges
     csv = tmp_path / "daily.csv"
     write_daily_csv(csv, [10] * 30)
     code, out, err = run(
-        capsys, "detect", "--daily-csv", str(csv), "--k", "2", "--delta", "1",
+        capsys, "detect", "--daily-csv", str(csv), "--k", "2", "--delta", "1.5",
         "--out-dir", str(tmp_path),
     )
     assert code == 1
-    assert ("N was not drawn at t = 0.1, a time on the grid of step "
-            "delta / steps_per_delta = 1.0 / 10") in err
+    assert ("runtime error in detector: delta = 1.5 is not a whole number of knot gaps: "
+            "N is known only at knots 1.0 apart") in err
     assert list(tmp_path.iterdir()) == [csv]
 
 
@@ -616,6 +643,8 @@ def test_heatmap_scenario_rejects_flags_it_does_not_use(tmp_path, capsys, scenar
     ["heatmap", "--stream", "1"],
     ["presets", "--seed", "1"],
     ["multicascade", "--stream", "1"],
+    ["detect", "--k", "1", "--delta", "0.3", "--steps-per-delta", "1"],
+    ["multicascade", "--steps-per-delta", "1"],
 ])
 def test_options_nothing_reads_are_gone(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -662,11 +691,9 @@ GRIDS = ["--k-grid", "1", "--delta-grid", "0.3"]
     (["detect", "--k", "0", "--delta", "0.5", *DETECT], 2, "k must be >= 1, got 0"),
     (["detect", "--k", "21", "--delta", "0.5", *DETECT], 2, "k must be <= 20, got 21"),
     (["detect", "--k", "2", "--delta", "inf", *DETECT], 2, "delta must be positive and finite"),
-    (["detect", "--k", "2", "--delta", "0.5", "--steps-per-delta", "2.5", *DETECT], 2,
-     "steps_per_delta must be an integer, got 2.5"),
-    (["detect", "--events", "{events}", "--k", "2", "--delta", "0.5", "--steps-per-delta", "0",
-      "--threshold", "9"], 2,
-     "steps_per_delta must be >= 1, got 0"),
+    (["multicascade", "--k", "2.5"], 2, "k must be an integer, got 2.5"),
+    (["multicascade", "--delta", "0", "--threshold", "9"], 2,
+     "delta must be positive and finite, got 0"),
     (["heatmap", "--k-grid", "1,21", "--delta-grid", "0.3"], 2, "k_grid[1] must be <= 20, got 21"),
     (["heatmap", "--k-grid", "1", "--delta-grid", "0.1:0.5"], 2,
      "delta_grid[0] must be positive and finite, got '0.1:0.5'"),

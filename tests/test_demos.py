@@ -34,6 +34,25 @@ def test_demo_runs(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_walkthrough_runs(tmp_path):
+    # the walkthrough calls the console script: a shim on PATH runs the CLI of src
+    shim = tmp_path / "bin" / "ratejump"
+    shim.parent.mkdir()
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m ratejump.cli "$@"\n')
+    shim.chmod(0o755)
+    env = dict(os.environ, PATH=f"{shim.parent}{os.pathsep}{os.environ.get('PATH', '')}",
+               PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+    proc = subprocess.run(
+        ["bash", str(ROOT / "demos" / "08_cli_walkthrough.sh")],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr
+
+
 def quick_start_blocks():
     """The Python blocks of the README's quick start, in order."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -48,7 +67,7 @@ def test_readme_quick_start():
     report = scope["report"]
     commented = float(re.search(r"# \[([0-9.]+)\]", detect_block).group(1))
     (estimate,) = report.times
-    assert abs(estimate - commented) <= report.config.delta / report.config.steps_per_delta
+    assert abs(estimate - commented) <= report.config.delta / report.profile.steps_per_delta
     scope = {}
     exec(hub_block, scope)
     assert abs(scope["t_hat"] - scope["trace"].times[scope["graph"].hub]) <= 0.01

@@ -14,7 +14,7 @@ from ratejump.derivative import (
     derivative_profiles,
     discrete_derivative,
 )
-from ratejump.process import BinnedSeries, EventTimes, from_binned
+from ratejump.process import BinnedSeries, EventTimes, SampledCounts, from_binned
 from windowed_profiles import windowed_profiles
 
 
@@ -133,7 +133,8 @@ def test_monomial_one_degree_higher():
 def test_profile_matches_pointwise():
     rng = np.random.default_rng(11)
     e = EventTimes(times=np.sort(rng.uniform(0, 10, 300)), horizon=10.0)
-    prof = derivative_profile(e, 3, 0.5, steps_per_delta=2)
+    prof = derivative_profile(e, 3, 0.5)
+    assert prof.steps_per_delta == 10  # event times: the default grid
     assert prof.times[0] == pytest.approx(1.0)  # (order-1)*delta
     assert prof.times[-1] <= 9.5 + 1e-12
     for t, v in list(prof.pairs())[::7]:
@@ -149,7 +150,7 @@ def test_profile_window_clipping_and_empty():
     short = EventTimes(times=np.array([1.0]), horizon=2.0)
     with pytest.raises(ValueError, match=(
             r"^no valid grid points: window \(1\.25, 0\.75\) is empty for k=2, delta=1\.25$")):
-        derivative_profile(short, 2, 1.25, steps_per_delta=3)
+        derivative_profile(short, 2, 1.25)
     # among several orders an empty one is kept, and its argmax raises the
     # error derivative_profile raises at once
     message = r"^no valid grid points: window \(1\.4, 0\.5\) is empty for k=2, delta=1\.4$"
@@ -159,19 +160,44 @@ def test_profile_window_clipping_and_empty():
         empty.argmax()
 
 
+class RecordedCounts(SampledCounts):
+    """A SampledCounts that keeps every array of times it is read at."""
+
+    reads = []
+
+    def count_at(self, t):
+        self.reads.append(t)
+        return super().count_at(t)
+
+
 def test_profile_grid_step_validation():
-    # the grid step is delta / steps_per_delta, a whole number of steps
-    e = EventTimes(times=np.array([1.0]), horizon=3.0)
-    with pytest.raises(ValueError, match="^steps_per_delta must be an integer, got 0.7$"):
-        derivative_profile(e, 1, 0.5, steps_per_delta=0.7)
+    # N known at knots 0.25 apart is read at every knot: delta must be a whole
+    # number of knot gaps, up to rounding, and nothing is read otherwise
+    N = RecordedCounts(np.arange(41) * 0.25, np.arange(41), horizon=10.0)
+    assert derivative_profile(N, 2, 0.75).steps_per_delta == 3
+    assert derivative_profile(N, 2, 0.1 + 0.2 + 0.45).steps_per_delta == 3  # 0.75 by rounding
+    N.reads.clear()
+    for delta in (0.1, 0.3, 0.8, 1.1):
+        with pytest.raises(ValueError, match=(
+                rf"^delta = {delta!r} is not a whole number of knot gaps: "
+                r"N is known only at knots 0\.25 apart$")):
+            derivative_profile(N, 2, delta)
+    assert N.reads == []
+    # knots that are not evenly spaced from 0 set no grid: the default one,
+    # and a grid time off the knots is named with delta and the step
+    uneven = SampledCounts(np.array([0.0, 0.25, 0.75, 1.0]), [0, 1, 2, 3], horizon=1.0)
+    with pytest.raises(ValueError, match=(
+            r"^N is known only at its knots, not at t = 0\.05, a time on the grid of step "
+            r"delta / 10, delta = 0\.5$")):
+        derivative_profile(uneven, 1, 0.5)
 
 
 def profile_alone(N, order, delta, steps_per_delta, window):
-    """One order's profile on its own: ``derivative_profile`` with no
-    window, else the one profile of the window's lattice plan, whose argmax
+    """One order's profile on its own: ``derivative_profile`` on N's own grid
+    with no window, else the one profile of the lattice plan, whose argmax
     raises for an empty window as ``derivative_profile`` does."""
-    if window is None:
-        return derivative_profile(N, order, delta, steps_per_delta)
+    if steps_per_delta is None and window is None:
+        return derivative_profile(N, order, delta)
     profile, = windowed_profiles(N, [order], delta, steps_per_delta, window)
     profile.argmax()
     return profile
@@ -206,8 +232,8 @@ def test_profiles_match_pointwise_on_event_times(seed, orders, delta, m, window)
     # the float rounding of lattice and stencil points cannot split a count
     rng = np.random.default_rng(seed)
     e = EventTimes(times=np.sort(rng.uniform(0, 10, 150)), horizon=10.0)
-    for w in (None, tuple(sorted(window))):
-        assert_profiles_match_pointwise(e, orders, delta, m, w)
+    for m_, w in ((None, None), (m, None), (m, tuple(sorted(window)))):
+        assert_profiles_match_pointwise(e, orders, delta, m_, w)
 
 
 @given(
@@ -219,11 +245,11 @@ def test_profiles_match_pointwise_on_event_times(seed, orders, delta, m, window)
 )
 @settings(max_examples=80, deadline=None)
 def test_profiles_match_pointwise_on_daily_bins(counts, orders, step, m, window):
-    # whole-day samples of a binned series (a grid step of whole days, m per
-    # delta): every value is an exact integer
+    # whole-day samples of a binned series (N's own grid of one day, and a
+    # plan's of whole days, m per delta): every value is an exact integer
     N = from_binned(BinnedSeries(bin_width=1.0, counts=np.asarray(counts)))
-    for w in (None, tuple(float(x) for x in sorted(window))):
-        assert_profiles_match_pointwise(N, orders, float(step * m), m, w)
+    for m_, w in ((None, None), (m, None), (m, tuple(float(x) for x in sorted(window)))):
+        assert_profiles_match_pointwise(N, orders, float(step * m), m_, w)
 
 
 def test_binned_grid_of_whole_bins_reads_every_knot():
@@ -233,11 +259,17 @@ def test_binned_grid_of_whole_bins_reads_every_knot():
     p = np.arange(31)
     assert np.array_equal(N.count_at(p * 0.3), N.counts[3 * p])
     assert np.sum(p * 0.3 != N.times[3 * p]) > 10
-    F = N.counts[::3].astype(float)  # N at every third edge
-    for k, profile in enumerate(derivative_profiles(N, [1, 2, 3], 0.3, 1), start=1):
-        # the last grid time may fall past T - delta by rounding and be left out
-        assert len(F) - k - 1 <= len(profile) <= len(F) - k
-        assert np.array_equal(profile.values, np.diff(F, k)[:len(profile)])
+    # N's own grid reads every edge, three per delta; a plan of one step per
+    # delta reads every third edge
+    for m, lag, F in ((None, 3, N.counts), (1, 1, N.counts[::3])):
+        for k, profile in enumerate(windowed_profiles(N, [1, 2, 3], 0.3, m), start=1):
+            D = F.astype(float)
+            for _ in range(k):
+                D = D[lag:] - D[:-lag]
+            assert profile.steps_per_delta == lag
+            # the last grid time may fall past T - delta by rounding and be left out
+            assert len(D) - 1 <= len(profile) <= len(D)
+            assert np.array_equal(profile.values, D[:len(profile)])
 
 
 def test_profiles_sample_once_per_lattice_origin():
@@ -253,7 +285,7 @@ def test_profiles_sample_once_per_lattice_origin():
     orders = [1, 2, 3, 4, 5, 6]
     for window, samplings in ((None, 1), ((5.0, 15.0), 1), ((0.5, 15.0), 2)):
         calls.clear()
-        windowed_profiles(N, orders, 0.3, 10, window)
+        windowed_profiles(N, orders, 0.3, window=window)
         assert len(calls) == samplings  # (0.5, 15) clips orders 1-2 only
 
 
@@ -279,14 +311,15 @@ def recording(reads, horizon):
 @settings(max_examples=100, deadline=None)
 def test_every_grid_is_all_of_its_window_and_reads_only_the_horizon(
         orders, delta, m, horizon, window):
-    for w in (None, tuple(sorted(window))):
+    for m_, w in ((None, None), (m, None), (m, tuple(sorted(window)))):
         reads = [np.zeros(0)]
-        profiles = windowed_profiles(recording(reads, horizon), orders, delta, m, w)
+        profiles = windowed_profiles(recording(reads, horizon), orders, delta, m_, w)
         for p in profiles:
             lo, hi = p.window
-            assert np.array_equal(p.times, lo + np.arange(len(p)) * (delta / m))
+            step = delta / p.steps_per_delta
+            assert np.array_equal(p.times, lo + np.arange(len(p)) * step)
             assert (lo > hi) if len(p) == 0 else (lo <= p.times[0] and p.times[-1] <= hi)
-            assert lo + len(p) * (delta / m) > hi  # the next grid time is past the window
+            assert lo + len(p) * step > hi  # the next grid time is past the window
         reads = np.concatenate(reads)
         assert np.all((0.0 <= reads) & (reads <= horizon))
 

@@ -122,6 +122,11 @@ def test_detect_argmax_mode():
     assert abs(report.estimates[0].time - 5.0) <= 0.5
 
 
+# a profile for reports built by hand: order 2 at delta 0.5 on [0, 10]
+PROFILE = detect(EventTimes(times=np.arange(1, 40) * 0.25, horizon=10.0),
+                 DetectorConfig(k=2, delta=0.5)).profile
+
+
 def test_report_invariants_enforced():
     from ratejump.detector import Estimate
 
@@ -129,18 +134,24 @@ def test_report_invariants_enforced():
         ChangePointReport(
             estimates=(Estimate(1.0, 9.0, 9.0), Estimate(1.5, 8.0, 8.0)),
             config=DetectorConfig(k=2, delta=0.5, threshold=10.0),
-            window=(0.5, 9.5),
-            n_grid=100,
-            candidate_count=2,
+            profile=PROFILE,
         )
     with pytest.raises(ValueError, match="threshold"):
         ChangePointReport(
             estimates=(Estimate(1.0, 2.0, 2.0),),
             config=DetectorConfig(k=2, delta=0.5, threshold=10.0),
-            window=(0.5, 9.5),
-            n_grid=100,
-            candidate_count=1,
+            profile=PROFILE,
         )
+
+
+def test_report_reads_its_grid_off_its_profile():
+    e = EventTimes(times=np.sort(np.random.default_rng(4).uniform(0, 10, 300)), horizon=10.0)
+    for threshold in (None, 40.0):
+        report = detect(e, DetectorConfig(k=2, delta=0.5, threshold=threshold))
+        scores = np.abs(report.profile.values) / 0.5
+        assert report.window == report.profile.window == (0.5, 9.5)
+        assert report.n_grid == len(report.profile) == 181
+        assert report.candidate_count == (1 if threshold is None else np.sum(scores >= 20.0))
 
 
 def test_report_separation_is_exact():
@@ -151,8 +162,7 @@ def test_report_separation_is_exact():
     def report(gap):
         return ChangePointReport(
             estimates=(Estimate(1.0, 9.0, 9.0), Estimate(1.0 + gap, 8.0, 8.0)),
-            config=DetectorConfig(k=2, delta=0.5, threshold=10.0), window=(0.5, 9.5),
-            n_grid=100, candidate_count=2,
+            config=DetectorConfig(k=2, delta=0.5, threshold=10.0), profile=PROFILE,
         )
 
     for gap in (2.0 * (1 - 1e-13), 2.0):
@@ -171,8 +181,7 @@ def test_report_score_floor_is_exact():
     def report(score):
         return ChangePointReport(
             estimates=(Estimate(1.0, score, score),),
-            config=DetectorConfig(k=2, delta=0.5, threshold=10.0), window=(0.5, 9.5),
-            n_grid=100, candidate_count=1,
+            config=DetectorConfig(k=2, delta=0.5, threshold=10.0), profile=PROFILE,
         )
 
     with pytest.raises(ValueError, match=r"^estimate score 4\.9999999999995 below threshold/2 = 5\.0$"):
@@ -205,7 +214,8 @@ def test_argmax_shift_equivariant(times, shift):
     shift = round(shift * 2**20) / 2**20
     e1 = EventTimes(times=base, horizon=20.0)
     e2 = EventTimes(times=base + shift, horizon=20.0 + shift)
-    t1, = detect(e1, DetectorConfig(k=2, delta=0.5, steps_per_delta=2)).times
+    p1, = windowed_profiles(e1, [2], 0.5, 2)
+    t1 = p1.times[p1.argmax()]
     # four grid steps (0.25) each side of t1 + shift, within e1's valid range
     # [0.5, 19.5] moved by shift: the window's lattice holds t1 + shift
     window = (max(t1 - 1.0, 0.5) + shift, t1 + 1.0 + shift)
@@ -255,8 +265,6 @@ def test_config_validation():
         DetectorConfig(k=2, delta=-1.0)
     with pytest.raises(ValueError, match="threshold"):
         DetectorConfig(k=2, delta=0.5, threshold=-3.0)
-    with pytest.raises(ValueError, match="steps_per_delta"):
-        DetectorConfig(k=2, delta=0.5, steps_per_delta=2.5)
 
 
 def test_report_csv_and_config(tmp_path):
@@ -266,8 +274,9 @@ def test_report_csv_and_config(tmp_path):
     report = detect(e, config)
     assert report.config is config
     out = tmp_path / "report.csv"
-    save_report_csv(report, out)
+    save_report_csv(report, out, 100.0)
     lines = out.read_text().splitlines()
     assert lines[0] == "t_hat,score"
-    assert len(lines) == 2
+    (e,) = report.estimates
+    assert lines[1:] == [f"{e.time + 100.0!r},{e.score!r}"]  # on the input's clock
     assert [f.name for f in tmp_path.iterdir()] == ["report.csv"]

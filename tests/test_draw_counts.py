@@ -142,7 +142,7 @@ def test_times_are_clamped_to_the_horizon_and_undrawn_times_are_named():
     assert counts.count_at([-1.0, 0.0]).tolist() == [0, 0]
     assert counts.count_at(12.0) == counts.count_at(HORIZON) == len(counts)
     assert counts.count_at(np.array([[1.0], [2.5]])).shape == (2, 1)
-    with pytest.raises(ValueError, match=r"^N was not drawn at t = 2\.0$"):
+    with pytest.raises(ValueError, match=r"^N is known only at its knots, not at t = 2\.0$"):
         counts.count_at([1.0, 2.0])
 
 

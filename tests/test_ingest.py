@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ratejump.derivative import discrete_derivative
+from ratejump.detector import DetectorConfig, argmax_single, detect
 from ratejump.ingest import (
     BinnedAnalysis,
     RegionSeries,
@@ -221,6 +222,17 @@ def test_analyze_matches_derivative_exactly():
             ref = discrete_derivative(N, k, float(dd), t)
             assert v == ref
             assert float(v).is_integer()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("delta", [1, 7])
+def test_argmax_readers_agree_on_daily_counts(k, delta):
+    # N known at day edges sets a grid of one day for every reader of it
+    counts = np.random.default_rng(21).poisson(200, size=90)
+    counts[50] += 600
+    N = from_binned(BinnedSeries(bin_width=1.0, counts=counts))
+    day = analyze_binned(counts, k, delta).argmax_day
+    assert argmax_single(N, k, delta) == detect(N, DetectorConfig(k, delta)).times[0] == day
 
 
 @pytest.mark.parametrize("bad", [1.5, np.nan, np.inf])

@@ -1,8 +1,9 @@
 """Each input rule has one implementation; every entry point gives the same answer.
 
 The rules on a derivative order k (and on a whole count such as a number
-of trials or of grid steps per delta), a step delta and a window that must
-hold a grid point live in ``ratejump.derivative``; the rule on event counts, for
+of trials), a step delta (a whole number of knot gaps where N is known at
+evenly spaced knots) and a window that must hold a grid point live in
+``ratejump.derivative``; the rule on event counts, for
 arrays and for the count fields of files, lives in ``ratejump.process``.
 Each test below feeds the same bad value to every entry point that takes
 it and expects a ValueError that names the field, index, day, row or
@@ -22,7 +23,8 @@ from ratejump.harness import (ExperimentSpec, SmoothJumpScenario, false_alarm_st
 from ratejump.ingest import RegionSeries, analyze_binned, load_daily_csv
 from ratejump.multicascade import CascadeBundle, estimate_high_degree
 from ratejump.poisson import Constant, JumpComponent, RateSpec
-from ratejump.process import BinnedSeries, EventTimes, load_binned_csv, save_event_times
+from ratejump.process import (BinnedSeries, EventTimes, from_binned, load_binned_csv,
+                              save_event_times)
 from ratejump.seeding import SimSeed, as_seed
 from ratejump.si import CascadeTrace, build_tree_with_hub, save_trace_csv
 
@@ -47,12 +49,14 @@ DELTA_ENTRIES = {
                                  r"^threshold must"),
 }
 
-# the grid step is delta / steps_per_delta: every entry point that takes the
-# number of steps checks it as a whole count
+# N known at knots a day apart sets a grid of one day: a delta must be a
+# positive whole number of days at every entry point that reads such an N
+# (the DetectorConfig entry is detect's, whose config checks delta first)
+DAYS = from_binned(BinnedSeries(bin_width=1.0, counts=np.ones(30, dtype=int)))
 GRID_STEP_ENTRIES = {
-    "DetectorConfig": lambda m: DetectorConfig(k=2, delta=0.5, steps_per_delta=m),
-    "derivative_profiles": lambda m: derivative_profiles(EVENTS, [2], 0.5, steps_per_delta=m),
-    "derivative_profile": lambda m: derivative_profile(EVENTS, 2, 0.5, m),
+    "DetectorConfig": lambda d: detect(DAYS, DetectorConfig(k=2, delta=d)),
+    "derivative_profiles": lambda d: derivative_profiles(DAYS, [2], d),
+    "derivative_profile": lambda d: derivative_profile(DAYS, 2, d),
 }
 
 
@@ -78,12 +82,10 @@ def test_delta_rule(entry, bad):
 
 def test_detector_config_stores_the_checked_steps():
     # what float() accepts is stored as the float, so min_sep is a number
-    config = DetectorConfig(k=np.int64(2), delta="0.5", threshold="8e3",
-                            steps_per_delta=np.int64(5))
-    assert (config.k, config.delta, config.threshold, config.steps_per_delta) == (2, 0.5, 8e3, 5)
+    config = DetectorConfig(k=np.int64(2), delta="0.5", threshold="8e3")
+    assert (config.k, config.delta, config.threshold) == (2, 0.5, 8e3)
     assert all(type(v) is t for v, t in zip(
-        (config.k, config.delta, config.threshold, config.steps_per_delta),
-        (int, float, float, int)))
+        (config.k, config.delta, config.threshold), (int, float, float)))
     assert config.min_sep == 2.0
 
 
@@ -91,17 +93,10 @@ def test_detector_config_stores_the_checked_steps():
 @pytest.mark.parametrize("bad", [0.0, -0.1, 0.6, np.inf, np.nan, True, np.bool_(True),
                                  0, -1, 2.5, "x"])
 def test_grid_step_rule(entry, bad):
-    with pytest.raises(ValueError, match=r"^steps_per_delta must be (an integer|>= 1), got "):
+    with pytest.raises(ValueError, match=(r"^delta (must be positive and finite, got "
+                                          r"|= .* is not a whole number of knot gaps: "
+                                          r"N is known only at knots 1\.0 apart$)")):
         GRID_STEP_ENTRIES[entry](bad)
-
-
-@pytest.mark.parametrize("bad", ["0", "-1", "2.5", "True", "x"])
-def test_steps_per_delta_flag_rule(tmp_path, capsys, bad):
-    save_event_times(EVENTS, tmp_path / "events.txt")
-    argv = ["detect", "--events", str(tmp_path / "events.txt"), "--k", "2", "--delta", "0.5",
-            "--steps-per-delta", bad, "--out-dir", str(tmp_path / "out")]
-    assert main(argv) == 2
-    assert re.search(r"steps_per_delta must be (an integer|>= 1), got ", capsys.readouterr().err)
 
 
 # k=4, delta=3 on data that end at T = 10: the grid [(k-1)*delta, T - delta]
@@ -138,8 +133,7 @@ def _trace_file(tmp_path):
 def _daily_file(tmp_path):
     days = "".join(f"2021-01-{day:02d},1\n" for day in range(1, 11))
     (tmp_path / "daily.csv").write_text("date,cases\n" + days)
-    return ["--daily-csv", str(tmp_path / "daily.csv"), "--k", "4", "--delta", "3",
-            "--steps-per-delta", "3"]
+    return ["--daily-csv", str(tmp_path / "daily.csv"), "--k", "4", "--delta", "3"]
 
 
 # subcommand -> its arguments, given a directory to write the input in

@@ -102,10 +102,10 @@ def test_cumulative_and_from_binned():
     N = from_binned(s)
     # N is known at the bin edges only; at a right edge the bin is included
     assert N.count_at(0.0) == 0
-    with pytest.raises(ValueError, match=r"^N was not drawn at t = 0\.7$"):
+    with pytest.raises(ValueError, match=r"^N is known only at its knots, not at t = 0\.7$"):
         N.count_at(0.7)
     assert N.count_at(1.0) == 2
-    with pytest.raises(ValueError, match=r"^N was not drawn at t = 2\.5$"):
+    with pytest.raises(ValueError, match=r"^N is known only at its knots, not at t = 2\.5$"):
         N.count_at(2.5)
     assert N.count_at(3.0) == 5
     assert len(N) == 5
@@ -167,7 +167,7 @@ def test_a_binned_read_between_edges_names_t():
     for side in (-1.0, 1.0):  # an ulp either side of each knot reads that knot
         assert np.array_equal(N.count_at(np.nextafter(N.times, side * np.inf)), N.counts)
     for t in (0.25, 0.3 + 1e-9, 2.95):
-        with pytest.raises(ValueError, match=rf"^N was not drawn at t = {t!r}$"):
+        with pytest.raises(ValueError, match=rf"^N is known only at its knots, not at t = {t!r}$"):
             N.count_at([0.1, t])
 
 
