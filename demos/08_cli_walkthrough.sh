@@ -79,6 +79,11 @@ echo "   west row beside it; --region reads east's rows alone --"
 ratejump detect --daily-csv "$out/regions.csv" --region east --k 2 --delta 1 \
     --profile-out region_profile.csv --out region_report.csv --out-dir "$out"
 cmp "$out/profile.csv" "$out/region_profile.csv"
+echo "-- the two-region file with CRLF line ends reads the same --"
+awk '{ printf "%s\r\n", $0 }' "$out/regions.csv" > "$out/regions_crlf.csv"
+ratejump detect --daily-csv "$out/regions_crlf.csv" --region east --k 2 --delta 1 \
+    --profile-out crlf_profile.csv --out crlf_report.csv --out-dir "$out"
+cmp "$out/region_profile.csv" "$out/crlf_profile.csv"
 echo "-- the same series as cumulative totals; --mode cumulative differences them --"
 {
     echo "date,cases"

@@ -13,23 +13,29 @@ surrounding blanks ignored, and other columns are not read.  In
 cumulative mode a total may dip by up to ``CORRECTION_TOLERANCE`` (20%)
 of its running maximum, a reporting correction; a deeper dip is an error.
 
-The loader reads the file once, line by line, and never holds it whole.
+The loader reads the file once and never holds it whole.
 ``load_daily_csv(path, region=...)`` hands ``csv.reader`` only the lines
 that can hold that region's rows.  After the header, a line is left out
 when all three hold: no ``"`` is on it or on any line since the header,
 so it is a whole record and never part of a quoted one; ``region`` is
 not in it, so its region field, stripped, cannot equal ``region``; and
 it has at least as many commas as fields come before the region's, so it
-is not a short row.  Each row parsed has its region field compared
-before anything else in it is read.  From the first quote on every line
-is parsed, straight from the file, so a file quoted throughout gets no
-speedup and loses nothing.
+is not a short row.  The file is read in blocks of 64 KiB, each
+completed to a line end, so at most one block and one line are held at
+a time.  In a block with no quote, no bare CR and no short row, the
+region's lines are found with ``str.find`` and the lines between them
+are only counted; any other block (the last too, if the file does not
+end in a line end) is tested line by line.  Each row parsed has its
+region field compared before anything else in it is read.  From the
+first quote on every line is parsed, straight from the file, so a file
+quoted throughout gets no speedup and loses nothing.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime
+import io
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -38,7 +44,7 @@ from operator import itemgetter
 import numpy as np
 
 from .derivative import DerivativeProfile, _check_order, derivative_profile
-from .process import BinnedSeries, _as_counts, _parse_count, from_binned
+from .process import BinnedSeries, _as_counts, _parse_count, _undecodable_row, from_binned
 
 __all__ = [
     "RegionSeries",
@@ -50,6 +56,11 @@ __all__ = [
 # A cumulative total may dip below its running maximum by this fraction of
 # it (a reporting correction, clamped and recorded) before it is an error.
 CORRECTION_TOLERANCE = 0.2
+
+# ``load_daily_csv(path, region=...)`` reads the file in blocks of this many
+# characters, each completed to a line end
+_BLOCK_CHARS = 1 << 16
+_NOT_COMMA_OR_LF = bytes(sorted(set(range(256)) - set(b",\n")))
 
 
 @dataclass(frozen=True)
@@ -97,41 +108,82 @@ def _column_index(header, wanted: str, path) -> int:
     return hits[0]
 
 
-def _region_lines(lines, region: str, ri: int, hidden: list):
-    """Yield the lines of ``lines`` that can hold a row of ``region``, up to
-    and including the first line with a ``"``; count the others in
-    ``hidden[0]``.
+def _plain_block(body: str, shorts) -> bool:
+    """Whether ``body`` ends in a line end and has no ``"``, no bare CR and
+    no line of fewer than ``len(shorts)`` commas.  The short-line test runs
+    in C: with every byte but comma and line feed deleted and a line feed
+    put in front, a line of j commas shows as ``shorts[j]``, j commas
+    between two line feeds.
+    """
+    if body[-1] != "\n" or '"' in body or body.count("\r") != body.count("\r\n"):
+        return False
+    marks = b"\n" + body.encode().translate(None, _NOT_COMMA_OR_LF)
+    return not any(short in marks for short in shorts)
 
-    Before the first quote every line is a whole record.  One is left out
-    when ``region`` is not in it and it has at least ``ri`` commas: its
-    region field, stripped, cannot equal ``region``, and the row has that
-    field.  The quote may open a field that spans lines, so the caller
-    parses every line after it.  A line left out is not parsed, so, like a
-    row of another region, it raises no error of its own (not even the
+
+def _region_lines(fh, region: str, ri: int, hidden: list):
+    """Yield the lines of ``fh`` that can hold a row of ``region``, up to
+    and including the first line with a ``"``, and then the rest of the
+    block that line is in; count the others in ``hidden[0]``.
+
+    The file is read in blocks of whole lines: ``_BLOCK_CHARS`` characters,
+    then ``fh.readline()`` for the rest of the last one.  Before the first
+    quote every line is a whole record, and one is left out when ``region``
+    is not in it and it has at least ``ri`` commas: its region field,
+    stripped, cannot equal ``region``, and the row has that field.  A block
+    with no ``"``, no bare CR and no line of fewer than ``ri`` commas,
+    ending in a line end, holds only such lines and the lines with
+    ``region`` in them; those are found with ``str.find``, and the lines
+    between them counted with ``str.count``, with no Python step per line
+    left out.  Every other block, and a ``region`` that is empty or holds a
+    line feed, goes through that test line by line.  The quote may open a
+    field that spans lines, so the caller parses every line of the file
+    after the block.  A line left out is not parsed, so, like a row of
+    another region, it raises no error of its own (not even the
     ``csv.Error`` of a field over ``csv.field_size_limit()``).
     """
-    for line in lines:
-        if '"' in line:
-            yield line
-            return
-        if region in line or line.count(",") < ri:
-            yield line
-        else:
-            hidden[0] += 1
+    shorts = [b"\n" + b"," * j + b"\n" for j in range(ri)]
+    findable = region and "\n" not in region
+    while body := fh.read(_BLOCK_CHARS):
+        body += fh.readline()
+        if findable and _plain_block(body, shorts):
+            end = 0  # the end of the last line yielded
+            i = body.find(region)
+            while i >= 0:
+                start = body.rfind("\n", 0, i) + 1
+                hidden[0] += body.count("\n", end, start)
+                end = body.index("\n", i + len(region)) + 1
+                yield body[start:end]
+                i = body.find(region, end)
+            hidden[0] += body.count("\n", end)
+            continue
+        lines = io.StringIO(body, newline="")  # split as ``fh`` splits
+        for line in lines:
+            if '"' in line:
+                yield line
+                yield from lines
+                return
+            if region in line or line.count(",") < ri:
+                yield line
+            else:
+                hidden[0] += 1
 
 
 def _read_rows(path, region):
-    """One read of ``path``, line by line: ``[(date, count, row), ...]``.
+    """One read of ``path``: ``[(date, count, row), ...]``.
 
     ``region`` keeps only that region's rows; with None, the region column
-    is not read.  With a region, the header is parsed alone, and the lines
-    after it pass ``_region_lines`` up to the first ``"`` and come straight
-    from the file after it.  A row parsed has its region field compared,
-    stripped, before anything else in it is read.  Rows are numbered by
-    file line, the header being row 1, so blank and left-out lines count:
-    ``reader.line_num`` (the last line of a record with a quoted line
-    break) plus the lines ``reader`` did not get, read only for rows kept
-    and for errors.
+    is not read and ``reader`` reads the file line by line.  With a
+    region, the header is parsed alone, and the lines after it pass
+    ``_region_lines``, which reads blocks of whole lines and hands on the
+    region's, up to the block of the first ``"``; the lines after that
+    block come straight from the file.  A row parsed has its region field
+    compared, stripped, before anything else in it is read.  Rows are
+    numbered by file line, the header being row 1, so blank and left-out
+    lines count: ``reader.line_num`` (the last line of a record with a
+    quoted line break) plus the lines ``reader`` did not get, read only
+    for rows kept and for errors.  A byte that is not UTF-8 is an error
+    naming its row, found by ``_undecodable_row``.
     """
     rows = []
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -174,6 +226,8 @@ def _read_rows(path, region):
                 rows.append((date, count, rowno))
         except csv.Error as exc:  # such as a field over csv.field_size_limit()
             raise ValueError(f"{path}: row {reader.line_num + hidden[0]}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise _undecodable_row(path, exc) from None
     return rows
 
 

@@ -88,6 +88,23 @@ def _parse_count(text: str) -> int:
     return int(value)
 
 
+def _undecodable_row(path, exc: UnicodeDecodeError) -> ValueError:
+    """The ``<path>: row N: ...`` error of a CSV loader for a byte of
+    ``path`` that is not UTF-8, N being the file line that holds the first.
+
+    ``exc``, raised by a read of a block of the file, says nothing of the
+    line, so the file is decoded again, line by line, on this error path
+    only; the message is the line's own decode error.
+    """
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
+        for rowno, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as line_exc:
+                return ValueError(f"{path}: row {rowno}: {line_exc}")
+    return ValueError(f"{path}: {exc}")
+
+
 @dataclass(frozen=True)
 class EventTimes:
     """A sorted sequence of event timestamps on [0, horizon].
@@ -335,6 +352,8 @@ def load_binned_csv(path) -> BinnedSeries:
                 counts.append(count)
         except csv.Error as exc:  # such as a field over csv.field_size_limit()
             raise ValueError(f"{path}: row {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise _undecodable_row(path, exc) from None
     if not starts:
         raise ValueError(f"{path}: no data rows")
     if len(starts) == 1:

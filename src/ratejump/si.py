@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .derivative import _check_order
-from .process import EventTimes
+from .process import EventTimes, _undecodable_row
 from .seeding import generator
 
 __all__ = [
@@ -516,6 +516,8 @@ def load_trace_csv(path) -> CascadeTrace:
                 rows[v] = t
         except csv.Error as exc:  # such as a field over csv.field_size_limit()
             raise ValueError(f"{path}: row {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise _undecodable_row(path, exc) from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     n = max(rows) + 1

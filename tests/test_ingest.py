@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from ratejump import ingest
 from ratejump.derivative import discrete_derivative
 from ratejump.detector import DetectorConfig, argmax_single, detect
 from ratejump.ingest import (
@@ -125,6 +126,15 @@ def test_byte_order_mark_is_skipped(tmp_path):
     assert load_daily_csv(p).counts.tolist() == [3, 4]
 
 
+def test_byte_order_mark_is_skipped_with_a_region(tmp_path):
+    # the mark is on the region column's name
+    p = tmp_path / "bom.csv"
+    p.write_bytes("region,date,cases\nA,2021-01-01,3\nB,2021-01-01,5\nA,2021-01-02,4\n"
+                  .encode("utf-8-sig"))
+    assert load_daily_csv(p, region="A").counts.tolist() == [3, 4]
+    assert load_daily_csv(p, region="B").counts.tolist() == [5]
+
+
 # longer than csv.field_size_limit(), 131072 characters unless a program raises it
 BIG = "9" * 140_000
 
@@ -139,6 +149,13 @@ def test_field_over_the_size_limit_names_path_and_row(tmp_path, region):
     p = write(tmp_path, f"date,region,cases,{BIG}\n2021-01-01,A,3\n")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: row 1: field larger than "):
         load_daily_csv(p, region=region)
+
+
+def test_field_over_the_size_limit_in_another_regions_row_is_not_parsed(tmp_path):
+    p = write(tmp_path, f"date,region,cases\n2021-01-01,A,3\n2021-01-01,B,{BIG}\n2021-01-02,A,4\n")
+    assert load_daily_csv(p, region="A").counts.tolist() == [3, 4]
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: row 3: field larger than "):
+        load_daily_csv(p)
 
 
 def test_nul_byte_in_a_count_names_row(tmp_path):
@@ -585,14 +602,15 @@ def test_short_rows_of_other_regions_around_the_first_quote(tmp_path, newline, q
     assert load_daily_csv(p, region="A").counts.tolist() == [1, 2]
 
 
-def test_reader_gets_only_the_header_and_the_regions_lines(tmp_path, monkeypatch):
+@pytest.mark.parametrize("newline", LINE_ENDINGS)
+def test_reader_gets_only_the_header_and_the_regions_lines(tmp_path, monkeypatch, newline):
     rng = np.random.default_rng(3)
     base = datetime.date(2021, 1, 1)
     lines = ["date,region,cases"] + [
         f"{base + datetime.timedelta(days=d)},region-{r:02d},{rng.integers(100)}"
         for d in range(30) for r in range(50)
     ]
-    p = write_lines(tmp_path, lines, "\r\n")
+    p = write_lines(tmp_path, lines, newline)
     seen = []
     reader = csv.reader
 
@@ -602,5 +620,107 @@ def test_reader_gets_only_the_header_and_the_regions_lines(tmp_path, monkeypatch
     monkeypatch.setattr(csv, "reader", spy)
     series = load_daily_csv(p, region="region-07")
     mine = [line for line in lines[1:] if ",region-07," in line]
-    assert seen == [line + "\r\n" for line in [lines[0]] + mine]
+    assert seen == [line + newline for line in [lines[0]] + mine]
     assert series.counts.tolist() == [int(line.rsplit(",", 1)[1]) for line in mine]
+
+
+@pytest.mark.parametrize("newline", LINE_ENDINGS)
+def test_byte_that_is_not_utf8_names_its_row(tmp_path, newline):
+    # a Latin-1 "é" in B's row on line 3; the file is decoded whole for
+    # every region, so A's load names it too
+    lines = ["date,region,cases", "2021-01-01,A,3", "2021-01-01,B\xe9,4", "2021-01-02,A,4"]
+    p = tmp_path / "latin1.csv"
+    p.write_bytes("".join(line + newline for line in lines).encode("latin-1"))
+    for region in [None, "A", "B"]:
+        with pytest.raises(ValueError) as info:
+            load_daily_csv(p, region=region)
+        assert str(info.value) == (f"{p}: row 3: 'utf-8' codec can't decode byte 0xe9 "
+                                   "in position 12: invalid continuation byte")
+
+
+# ---------------------------------------------------------------------------
+# the block scan of _region_lines against the one-test-per-line filter
+
+
+def _per_line_region_lines(lines, region, ri, hidden):
+    """The line filter as it was before the block scan, kept as the
+    reference: the lines that can hold ``region``, tested one by one, up to
+    and including the first with a quote; the caller reads on from the file.
+    """
+    for line in lines:
+        if '"' in line:
+            yield line
+            return
+        if region in line or line.count(",") < ri:
+            yield line
+        else:
+            hidden[0] += 1
+
+
+BLOCK_FILES = {
+    **REGION_FILES,
+    # B's rows on lines 3 and 6 lack the cases and the region field
+    "short-rows": ["date,region,cases", "2021-01-01,B,4", "2021-01-02,B", "2021-01-01,A,1",
+                   "2021-01-02,B,5", "2021-01-03", "2021-01-02,A,2"],
+    "short-rows-quoted": ["date,region,cases", "2021-01-01,B,4", "2021-01-02,B", "2021-01-01,A,1",
+                          '2021-01-02,"B",5', "2021-01-03", "2021-01-02,A,2"],
+    # the region is the third field: a row of one comma and a blank line are short
+    "short-rows-third-field": ["date,cases,region", "2021-01-01,4,B", "2021-01-02,5",
+                               "2021-01-01,1,A", "", "2021-01-02,2,A", "2021-01-03,6,B"],
+    "big-field": ["date,region,cases,note", "2021-01-01,A,3,", f"2021-01-01,B,4,{BIG}",
+                  "2021-01-02,A,4,", f"2021-01-02,B,5,x{BIG}"],
+    "byte-order-mark": ["\ufeffregion,date,cases", "A,2021-01-01,3", "B,2021-01-01,5",
+                        "A,2021-01-02,4"],
+    # a bare CR ends A's row on line 2 in a file of other line ends
+    "mixed-line-ends": ["date,region,cases", "2021-01-01,A,3\r2021-01-01,B,5", "2021-01-02,B,6",
+                        "2021-01-02,A,4"],
+}
+BLOCK_REGIONS = ["A", "B", "R1", "R10", "1", "2021-01-0", ",", "", "\n", "nowhere"]
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 64, ingest._BLOCK_CHARS])
+@pytest.mark.parametrize("newline", LINE_ENDINGS)
+def test_block_scan_gives_the_reader_the_per_line_filters_lines(
+        tmp_path, monkeypatch, newline, block):
+    seen = []
+    reader = csv.reader
+
+    def spy(lines, *args, **kwargs):
+        return reader((seen.append(line) or line for line in lines), *args, **kwargs)
+
+    def read(p, region, region_lines):
+        # the lines csv.reader got and the rows, with their row numbers, or the error
+        seen.clear()
+        with monkeypatch.context() as m:
+            m.setattr(ingest, "_region_lines", region_lines)
+            try:
+                rows = ingest._read_rows(p, region)
+            except ValueError as exc:
+                rows = str(exc)
+        return list(seen), rows
+
+    monkeypatch.setattr(csv, "reader", spy)
+    monkeypatch.setattr(ingest, "_BLOCK_CHARS", block)
+    rows = {}
+    for name, lines in BLOCK_FILES.items():
+        text = "".join(line + newline for line in lines)
+        for ends in (text, text[:-len(newline)]):  # the last line with and without its end
+            p = tmp_path / "regions.csv"
+            p.write_bytes(ends.encode())
+            for region in BLOCK_REGIONS:
+                seen_lines, rows[name, region] = read(p, region, ingest._region_lines)
+                assert (seen_lines, rows[name, region]) == read(
+                    p, region, _per_line_region_lines), (name, region)
+                if name in REGION_FILES:
+                    for mode in ("daily", "cumulative"):
+                        assert _outcome(load_daily_csv, p, region=region, mode=mode) == _outcome(
+                            _dictreader_load, p, region=region, mode=mode)
+    # a short row of another region is an error; the big fields are not parsed
+    assert rows["short-rows", "A"] == (f"{p}: row 6: no 'region' field "
+                                       "(the row has 1 of the header's 3 fields)")
+    assert rows["short-rows-third-field", "A"] == (f"{p}: row 3: no 'region' field "
+                                                   "(the row has 2 of the header's 3 fields)")
+    assert rows["big-field", "A"] == [(datetime.date(2021, 1, 1), 3, 2),
+                                      (datetime.date(2021, 1, 2), 4, 4)]
+    assert rows["byte-order-mark", "A"] == [(datetime.date(2021, 1, 1), 3, 2),
+                                            (datetime.date(2021, 1, 2), 4, 4)]

@@ -255,3 +255,11 @@ def test_binned_csv_skips_a_byte_order_mark(tmp_path):
     p = tmp_path / "bom.csv"
     p.write_bytes("bin_start,count\n0.0,3\n1.0,4\n".encode("utf-8-sig"))
     assert load_binned_csv(p).counts.tolist() == [3, 4]
+
+
+def test_binned_csv_names_the_row_of_a_byte_that_is_not_utf8(tmp_path):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"bin_start,count\r\n0.0,3\r\n1.0,4\xe9\r\n")
+    with pytest.raises(ValueError, match=r"latin1\.csv: row 3: 'utf-8' codec can't decode "
+                                         r"byte 0xe9 in position 5: invalid continuation byte$"):
+        load_binned_csv(p)

@@ -744,6 +744,15 @@ def test_trace_csv_skips_a_byte_order_mark(tmp_path):
     assert load_trace_csv(p).times.tolist() == [0.0, 0.5]
 
 
+def test_trace_csv_names_the_row_of_a_byte_that_is_not_utf8(tmp_path):
+    # bare CR line ends: the row is counted as the reader counts lines
+    p = tmp_path / "t.csv"
+    p.write_bytes(b"vertex,time\r0,0.0\r1,0.5\xff\r")
+    with pytest.raises(ValueError, match=r"t\.csv: row 3: 'utf-8' codec can't decode "
+                                         r"byte 0xff in position 5: invalid start byte$"):
+        load_trace_csv(p)
+
+
 def test_trace_csv_errors(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("vertex,time\n0,0.0\n0,1.0\n")
