@@ -19,6 +19,11 @@ ratejump simulate-poisson --rate-preset const-plus-exp \
     --seed 1 --out-dir "$out"
 ratejump detect --events "$out/events.txt" \
     --k 3 --delta 0.3 --threshold 4000 --out-dir "$out"
+echo "-- the events file with a byte-order mark in front reads the same --"
+{ printf '\xef\xbb\xbf'; cat "$out/events.txt"; } > "$out/events_bom.txt"
+ratejump detect --events "$out/events_bom.txt" \
+    --k 3 --delta 0.3 --threshold 4000 --out bom_report.csv --out-dir "$out"
+cmp "$out/report.csv" "$out/bom_report.csv"
 echo "-- without --threshold, detect reports the single best-scoring time --"
 ratejump detect --events "$out/events.txt" \
     --k 3 --delta 0.3 --out argmax.csv --out-dir "$out"

@@ -44,7 +44,7 @@ from operator import itemgetter
 import numpy as np
 
 from .derivative import DerivativeProfile, _check_order, derivative_profile
-from .process import BinnedSeries, _as_counts, _parse_count, _undecodable_row, from_binned
+from .process import BinnedSeries, _as_counts, _input_file, _parse_count, from_binned
 
 __all__ = [
     "RegionSeries",
@@ -182,52 +182,48 @@ def _read_rows(path, region):
     numbered by file line, the header being row 1, so blank and left-out
     lines count: ``reader.line_num`` (the last line of a record with a
     quoted line break) plus the lines ``reader`` did not get, read only
-    for rows kept and for errors.  A byte that is not UTF-8 is an error
-    naming its row, found by ``_undecodable_row``.
+    for rows kept and for errors.  The file is opened by
+    ``process._input_file``, so a leading byte-order mark is skipped and a
+    byte that is not UTF-8 is an error naming its row.
     """
     rows = []
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    hidden = [0]  # file lines before the current one that ``reader`` did not get
+    with _input_file(path, "row", lambda: reader.line_num + hidden[0]) as fh:
         reader = csv.reader(fh)
-        hidden = [0]  # file lines before the current one that ``reader`` did not get
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: empty file")
-            di = _column_index(header, "date", path)
-            ci = _column_index(header, "cases", path)
-            ri = None
-            if region is not None:
-                ri = _column_index(header, "region", path)
-                hidden[0] = reader.line_num
-                reader = csv.reader(itertools.chain(_region_lines(fh, region, ri, hidden), fh))
-            for row in filter(None, reader):
-                try:
-                    if ri is not None and row[ri].strip() != region:
-                        continue
-                    raw_date = row[di].strip()
-                    raw_count = row[ci].strip()
-                except IndexError:
-                    # the first field read, in the order above, that the row lacks
-                    col = next(i for i in (ri, di, ci) if i is not None and i >= len(row))
-                    raise ValueError(
-                        f"{path}: row {reader.line_num + hidden[0]}: no {header[col].strip()!r} "
-                        f"field (the row has {len(row)} of the header's {len(header)} fields)"
-                    ) from None
-                rowno = reader.line_num + hidden[0]
-                try:
-                    date = datetime.date.fromisoformat(raw_date)
-                except ValueError:
-                    raise ValueError(f"{path}: row {rowno}: unparseable date {raw_date!r} "
-                                     "(expected YYYY-MM-DD)") from None
-                try:
-                    count = _parse_count(raw_count)
-                except ValueError as exc:
-                    raise ValueError(f"{path}: row {rowno}: {exc}") from None
-                rows.append((date, count, rowno))
-        except csv.Error as exc:  # such as a field over csv.field_size_limit()
-            raise ValueError(f"{path}: row {reader.line_num + hidden[0]}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise _undecodable_row(path, exc) from None
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        di = _column_index(header, "date", path)
+        ci = _column_index(header, "cases", path)
+        ri = None
+        if region is not None:
+            ri = _column_index(header, "region", path)
+            hidden[0] = reader.line_num
+            reader = csv.reader(itertools.chain(_region_lines(fh, region, ri, hidden), fh))
+        for row in filter(None, reader):
+            try:
+                if ri is not None and row[ri].strip() != region:
+                    continue
+                raw_date = row[di].strip()
+                raw_count = row[ci].strip()
+            except IndexError:
+                # the first field read, in the order above, that the row lacks
+                col = next(i for i in (ri, di, ci) if i is not None and i >= len(row))
+                raise ValueError(
+                    f"{path}: row {reader.line_num + hidden[0]}: no {header[col].strip()!r} "
+                    f"field (the row has {len(row)} of the header's {len(header)} fields)"
+                ) from None
+            rowno = reader.line_num + hidden[0]
+            try:
+                date = datetime.date.fromisoformat(raw_date)
+            except ValueError:
+                raise ValueError(f"{path}: row {rowno}: unparseable date {raw_date!r} "
+                                 "(expected YYYY-MM-DD)") from None
+            try:
+                count = _parse_count(raw_count)
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {rowno}: {exc}") from None
+            rows.append((date, count, rowno))
     return rows
 
 

@@ -106,13 +106,15 @@ RuntimeError naming the cell.
 from __future__ import annotations
 
 import dataclasses
+import io
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .process import EventTimes, SampledCounts
+from .derivative import _check_delta
+from .process import EventTimes, SampledCounts, _input_file, _text_lines
 from .seeding import generator
 
 __all__ = [
@@ -234,8 +236,7 @@ class ExpDecay:
     rate: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.rate) and self.rate > 0):
-            raise ValueError(f"expdecay rate must be positive and finite, got {self.rate}")
+        object.__setattr__(self, "rate", _check_delta(self.rate, "expdecay rate"))
 
     def value(self, u):
         out = _product(u, -self.rate)
@@ -328,8 +329,7 @@ class JumpComponent:
     shape: object
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.amplitude) and self.amplitude > 0):
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
+        object.__setattr__(self, "amplitude", _check_delta(self.amplitude, "amplitude"))
         if not (math.isfinite(self.onset) and self.onset >= 0):
             raise ValueError(f"onset must be >= 0, got {self.onset}")
         if self.onset > 0 and not float(self.shape.value(0.0)) > 0:
@@ -572,8 +572,7 @@ def simulate(spec: RateSpec, horizon: float, seed) -> EventTimes:
     different realization than it did in versions that drew each count
     just before its piece's candidates; the law is the same.
     """
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    horizon = _check_delta(horizon, "horizon")
     pieces = _pieces(spec, horizon)
     rng = generator(seed)
     counts = rng.poisson([envelope * (hi - lo) for lo, hi, _, envelope in pieces])
@@ -586,7 +585,7 @@ def simulate(spec: RateSpec, horizon: float, seed) -> EventTimes:
     if type(rng.bit_generator) in (np.random.PCG64, np.random.PCG64DXSM):
         workers = max(1, min(_cpu_count(), len(pieces), slots[-1] // _BLOCK_CANDIDATES))
     m = _thinned(pieces, counts.tolist(), slots.tolist(), _blocks(slots, workers), rng, out)
-    return EventTimes(times=out[:m], horizon=float(horizon))
+    return EventTimes(times=out[:m], horizon=horizon)
 
 
 def _integrated(spec: RateSpec, t: np.ndarray) -> np.ndarray:
@@ -610,8 +609,7 @@ def draw_counts(spec: RateSpec, times, horizon: float, seed) -> SampledCounts:
     see the module docstring for the rounding tolerance on the cells.
     ``seed`` is taken as by ``simulate``.
     """
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    horizon = _check_delta(horizon, "horizon")
     times = np.asarray(times, dtype=np.float64).ravel()
     if not np.isfinite(times).all():
         raise ValueError(f"times must be finite, got {times[~np.isfinite(times)][0]}")
@@ -683,19 +681,17 @@ def _parse_component(line: str, where: str) -> JumpComponent:
 
 
 def parse_rate_spec(text: str, source: str = "<string>") -> RateSpec:
-    components = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        components.append(_parse_component(line, f"{source}: line {lineno}"))
+    components = [_parse_component(line, f"{source}: line {lineno}")  # split as file lines
+                  for lineno, line in _text_lines(io.StringIO(text, newline=""))]
     if not components:
         raise ValueError(f"{source}: no components")
     return RateSpec(components=tuple(components))
 
 
 def load_rate_spec(path) -> RateSpec:
-    with open(path, "r", encoding="utf-8") as fh:
+    """``parse_rate_spec`` of the file's text; a leading byte-order mark is
+    skipped, and a byte that is not UTF-8 is an error naming its line."""
+    with _input_file(path, "line") as fh:
         return parse_rate_spec(fh.read(), source=str(path))
 
 

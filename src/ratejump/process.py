@@ -9,6 +9,7 @@ function and N(horizon) is the total event count.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass
@@ -88,21 +89,42 @@ def _parse_count(text: str) -> int:
     return int(value)
 
 
-def _undecodable_row(path, exc: UnicodeDecodeError) -> ValueError:
-    """The ``<path>: row N: ...`` error of a CSV loader for a byte of
-    ``path`` that is not UTF-8, N being the file line that holds the first.
+@contextlib.contextmanager
+def _input_file(path, unit: str, line_num=None):
+    """``path`` open for a loader: every input file is read through here.
 
-    ``exc``, raised by a read of a block of the file, says nothing of the
-    line, so the file is decoded again, line by line, on this error path
-    only; the message is the line's own decode error.
+    It is decoded as ``utf-8-sig``, so a leading byte-order mark is
+    skipped, with ``newline=""``, as ``csv`` needs.  A ``csv.Error`` (such
+    as a field over ``csv.field_size_limit()``) becomes ``<path>: row N:
+    ...``, N from the CSV loader's ``line_num()``, which is called on that
+    error path only, so it may read a reader made inside the ``with``.  A
+    byte that is not UTF-8 becomes ``<path>: <unit> N: <the line's own
+    decode error>``, N the file line that holds the first: the error,
+    raised by a read of a block of the file, says nothing of the line, so
+    the file is decoded again, line by line, on this error path only.
     """
-    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
-        for rowno, line in enumerate(fh, 1):
-            try:
-                line.encode("utf-8", "surrogateescape").decode("utf-8")
-            except UnicodeDecodeError as line_exc:
-                return ValueError(f"{path}: row {rowno}: {line_exc}")
-    return ValueError(f"{path}: {exc}")
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            yield fh
+    except csv.Error as exc:
+        raise ValueError(f"{path}: row {line_num()}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
+            for lineno, line in enumerate(fh, 1):
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as line_exc:
+                    raise ValueError(f"{path}: {unit} {lineno}: {line_exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _text_lines(lines):
+    """``(number, line)`` for each line of a text format, stripped, numbered
+    from 1; blank lines and lines starting with ``#`` are left out."""
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 @dataclass(frozen=True)
@@ -280,17 +302,15 @@ def _bin_count(horizon: float, bin_width: float) -> int:
 def load_event_times(path, horizon: "float | None" = None) -> EventTimes:
     """Read event times from a text file: one timestamp per line.
 
-    Blank lines and lines starting with ``#`` are ignored.  Timestamps are
-    sorted on load.  ``horizon`` defaults to the largest timestamp.  A line
-    that is not a finite, non-negative number raises a ValueError naming
-    the file line.
+    Blank lines and lines starting with ``#`` are ignored, and so is a
+    leading byte-order mark.  Timestamps are sorted on load.  ``horizon``
+    defaults to the largest timestamp.  A line that is not a finite,
+    non-negative number, or that holds a byte that is not UTF-8, raises a
+    ValueError naming the file line.
     """
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+    with _input_file(path, "line") as fh:
+        for lineno, line in _text_lines(fh):
             try:
                 value = float(line)
             except ValueError:
@@ -326,34 +346,29 @@ def load_binned_csv(path) -> BinnedSeries:
     starts = []
     counts = []
     lines = []  # the file line of each kept row
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with _input_file(path, "row", lambda: reader.line_num) as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None or [h.strip().lower() for h in header[:2]] != ["bin_start", "count"]:
-                raise ValueError(f"{path}: expected header 'bin_start,count', got {header}")
-            for row in reader:
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                rowno = reader.line_num
-                lines.append(rowno)
-                if len(row) < 2:
-                    raise ValueError(f"{path}: row {rowno}: expected 2 fields, got {len(row)}")
-                try:
-                    starts.append(float(row[0]))
-                except ValueError:
-                    raise ValueError(f"{path}: row {rowno}: bad bin_start {row[0]!r}") from None
-                try:
-                    count = _parse_count(row[1])
-                except ValueError as exc:
-                    raise ValueError(f"{path}: row {rowno}: {exc}") from None
-                if count < 0:
-                    raise ValueError(f"{path}: row {rowno}: negative count {count}")
-                counts.append(count)
-        except csv.Error as exc:  # such as a field over csv.field_size_limit()
-            raise ValueError(f"{path}: row {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise _undecodable_row(path, exc) from None
+        header = next(reader, None)
+        if header is None or [h.strip().lower() for h in header[:2]] != ["bin_start", "count"]:
+            raise ValueError(f"{path}: expected header 'bin_start,count', got {header}")
+        for row in reader:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            rowno = reader.line_num
+            lines.append(rowno)
+            if len(row) < 2:
+                raise ValueError(f"{path}: row {rowno}: expected 2 fields, got {len(row)}")
+            try:
+                starts.append(float(row[0]))
+            except ValueError:
+                raise ValueError(f"{path}: row {rowno}: bad bin_start {row[0]!r}") from None
+            try:
+                count = _parse_count(row[1])
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {rowno}: {exc}") from None
+            if count < 0:
+                raise ValueError(f"{path}: row {rowno}: negative count {count}")
+            counts.append(count)
     if not starts:
         raise ValueError(f"{path}: no data rows")
     if len(starts) == 1:

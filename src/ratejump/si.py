@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .derivative import _check_order
-from .process import EventTimes, _undecodable_row
+from .process import EventTimes, _input_file, _text_lines
 from .seeding import generator
 
 __all__ = [
@@ -447,16 +447,14 @@ def load_edge_list(path) -> Graph:
     """Read an undirected graph from text: one edge ``u v`` per line
     (0-indexed), each edge once, in either orientation.
 
-    Blank lines and ``#`` comments are ignored.  A self-loop or an edge
-    listed twice (in either orientation) is rejected with its line, and the
-    resulting graph must pass the usual validation (connected).
+    Blank lines, ``#`` comments and a leading byte-order mark are ignored.
+    A self-loop, an edge listed twice (in either orientation) or a byte
+    that is not UTF-8 is rejected with its line, and the resulting graph
+    must pass the usual validation (connected).
     """
     first_line = {}  # (min, max) endpoint pair -> line it was first listed on
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+    with _input_file(path, "line") as fh:
+        for lineno, line in _text_lines(fh):
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"{path}: line {lineno}: expected 'u v', got {line!r}")
@@ -487,37 +485,32 @@ def load_trace_csv(path) -> CascadeTrace:
     file line (``reader.line_num``) and the field at fault.
     """
     rows = {}
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with _input_file(path, "row", lambda: reader.line_num) as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None or [h.strip().lower() for h in header[:2]] != ["vertex", "time"]:
-                raise ValueError(f"{path}: expected header 'vertex,time', got {header}")
-            for row in reader:
-                if not row:
-                    continue
-                rowno = reader.line_num
-                if len(row) < 2:
-                    raise ValueError(f"{path}: row {rowno}: expected 'vertex,time', got {row}")
-                try:
-                    v = int(row[0])
-                except ValueError:
-                    raise ValueError(f"{path}: row {rowno}: bad vertex {row[0]!r}") from None
-                try:
-                    t = float(row[1])
-                except ValueError:
-                    raise ValueError(f"{path}: row {rowno}: bad time {row[1]!r}") from None
-                if v < 0:
-                    raise ValueError(f"{path}: row {rowno}: vertex must be >= 0, got {v}")
-                if not (np.isfinite(t) and t >= 0):
-                    raise ValueError(f"{path}: row {rowno}: time must be finite and >= 0, got {t}")
-                if v in rows:
-                    raise ValueError(f"{path}: row {rowno}: duplicate vertex {v}")
-                rows[v] = t
-        except csv.Error as exc:  # such as a field over csv.field_size_limit()
-            raise ValueError(f"{path}: row {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise _undecodable_row(path, exc) from None
+        header = next(reader, None)
+        if header is None or [h.strip().lower() for h in header[:2]] != ["vertex", "time"]:
+            raise ValueError(f"{path}: expected header 'vertex,time', got {header}")
+        for row in reader:
+            if not row:
+                continue
+            rowno = reader.line_num
+            if len(row) < 2:
+                raise ValueError(f"{path}: row {rowno}: expected 'vertex,time', got {row}")
+            try:
+                v = int(row[0])
+            except ValueError:
+                raise ValueError(f"{path}: row {rowno}: bad vertex {row[0]!r}") from None
+            try:
+                t = float(row[1])
+            except ValueError:
+                raise ValueError(f"{path}: row {rowno}: bad time {row[1]!r}") from None
+            if v < 0:
+                raise ValueError(f"{path}: row {rowno}: vertex must be >= 0, got {v}")
+            if not (np.isfinite(t) and t >= 0):
+                raise ValueError(f"{path}: row {rowno}: time must be finite and >= 0, got {t}")
+            if v in rows:
+                raise ValueError(f"{path}: row {rowno}: duplicate vertex {v}")
+            rows[v] = t
     if not rows:
         raise ValueError(f"{path}: no data rows")
     n = max(rows) + 1

@@ -842,6 +842,19 @@ def test_bad_timestamp_names_process_and_line(tmp_path, capsys):
     assert "line 2: timestamp 'nan' is not finite and non-negative" in err
 
 
+def test_byte_that_is_not_utf8_names_process_path_and_line(tmp_path, capsys):
+    events = tmp_path / "events.txt"
+    events.write_bytes("1.0\n# caf\xe9\n2.0\n".encode("latin-1"))
+    code, out, err = run(
+        capsys,
+        "detect", "--events", str(events), "--k", "2", "--delta", "0.3",
+        "--out-dir", str(tmp_path),
+    )
+    assert code == 1
+    assert err.startswith(f"runtime error in process: {events}: line 2: 'utf-8' codec can't "
+                          "decode byte 0xe9 in position ")
+
+
 def test_runtime_error_names_ingest(tmp_path, capsys):
     csv = tmp_path / "daily.csv"
     write_daily_csv(csv, [10, 20, 30])

@@ -4,10 +4,10 @@ The rules on a derivative order k (and on a whole count such as a number
 of trials), a step delta (a whole number of knot gaps where N is known at
 evenly spaced knots) and a window that must hold a grid point live in
 ``ratejump.derivative``; the rule on event counts, for
-arrays and for the count fields of files, lives in ``ratejump.process``.
-Each test below feeds the same bad value to every entry point that takes
-it and expects a ValueError that names the field, index, day, row or
-window.
+arrays and for the count fields of files, and the one way every loader
+reads its file, live in ``ratejump.process``.  Each test below feeds the
+same bad value to every entry point that takes it and expects a
+ValueError that names the field, index, day, row, line or window.
 """
 
 import re
@@ -22,13 +22,16 @@ from ratejump.harness import (ExperimentSpec, SmoothJumpScenario, false_alarm_st
                               heatmap_spec_from_preset, run_heatmap)
 from ratejump.ingest import RegionSeries, analyze_binned, load_daily_csv
 from ratejump.multicascade import CascadeBundle, estimate_high_degree
-from ratejump.poisson import Constant, JumpComponent, RateSpec
+from ratejump.poisson import (Constant, ExpDecay, JumpComponent, RateSpec, draw_counts,
+                              load_rate_spec, simulate)
 from ratejump.process import (BinnedSeries, EventTimes, from_binned, load_binned_csv,
-                              save_event_times)
+                              load_event_times, save_event_times)
 from ratejump.seeding import SimSeed, as_seed
-from ratejump.si import CascadeTrace, build_tree_with_hub, save_trace_csv
+from ratejump.si import (CascadeTrace, build_tree_with_hub, load_edge_list, load_trace_csv,
+                         save_trace_csv)
 
 EVENTS = EventTimes(times=np.linspace(0.5, 9.5, 40), horizon=10.0)
+FLAT = RateSpec(components=(JumpComponent(5.0, 0.0, Constant()),))
 
 # entry point -> (call with the bad value in the order's place, the field it names)
 ORDER_ENTRIES = {
@@ -47,6 +50,11 @@ DELTA_ENTRIES = {
     "DerivativeStencil.of_order": (lambda d: DerivativeStencil.of_order(2, d), r"^delta must"),
     "DetectorConfig.threshold": (lambda d: DetectorConfig(k=2, delta=0.5, threshold=d),
                                  r"^threshold must"),
+    "simulate horizon": (lambda d: simulate(FLAT, d, 0), r"^horizon must"),
+    "draw_counts horizon": (lambda d: draw_counts(FLAT, [0.5], d, 0), r"^horizon must"),
+    "ExpDecay": (lambda d: ExpDecay(rate=d), r"^expdecay rate must"),
+    "JumpComponent": (lambda d: JumpComponent(amplitude=d, onset=0.0, shape=Constant()),
+                      r"^amplitude must"),
 }
 
 # N known at knots a day apart sets a grid of one day: a delta must be a
@@ -89,6 +97,14 @@ def test_detector_config_stores_the_checked_steps():
     assert config.min_sep == 2.0
 
 
+def test_rate_fields_store_the_checked_floats():
+    # as DetectorConfig stores delta: what float() accepts is stored as the float
+    assert ExpDecay(rate="2").rate == 2.0
+    component = JumpComponent(amplitude=np.int64(5), onset=0.0, shape=Constant())
+    assert type(component.amplitude) is float
+    assert simulate(FLAT, "2", 0).horizon == draw_counts(FLAT, [1.0], "2", 0).horizon == 2.0
+
+
 @pytest.mark.parametrize("entry", sorted(GRID_STEP_ENTRIES))
 @pytest.mark.parametrize("bad", [0.0, -0.1, 0.6, np.inf, np.nan, True, np.bool_(True),
                                  0, -1, 2.5, "x"])
@@ -114,8 +130,7 @@ EMPTY_WINDOW_ENTRIES = {
         CascadeBundle(traces=(TRACE_TO_10,)), ARGMAX),
     "estimate_high_degree threshold": lambda: estimate_high_degree(
         CascadeBundle(traces=(TRACE_TO_10,)), THRESHOLD),
-    "false_alarm_study": lambda: false_alarm_study(
-        RateSpec(components=(JumpComponent(5.0, 0.0, Constant()),)), 10.0, THRESHOLD, runs=2),
+    "false_alarm_study": lambda: false_alarm_study(FLAT, 10.0, THRESHOLD, runs=2),
     "analyze_binned": lambda: analyze_binned(np.ones(10, dtype=int), k=4, delta_days=3),
 }
 
@@ -317,3 +332,36 @@ def test_count_rows_load_exactly(tmp_path, loader, raw, count):
 def test_seed_fields_are_checked_by_name(make, field):
     with pytest.raises(ValueError, match=f"^{field} must"):
         make()
+
+
+# loader -> (a good file, with {x} on its line 2, how it numbers lines);
+# ``{x}`` is nothing in the good file and the Latin-1 byte 0xe9 in the bad one
+READERS = {
+    "load_event_times": (load_event_times, "0.5\n0.9{x}\n2.0\n", "line"),
+    "load_binned_csv": (load_binned_csv, "bin_start,count\n0.0,9{x}\n1.0,4\n", "row"),
+    "load_daily_csv": (load_daily_csv, "date,cases\n2021-01-09,9{x}\n2021-01-10,4\n", "row"),
+    "load_daily_csv region": (lambda p: load_daily_csv(p, region="A"),
+                              "date,region,cases\n2021-01-09,A,9{x}\n2021-01-10,A,4\n", "row"),
+    "load_edge_list": (load_edge_list, "0 1\n1 2{x}\n2 0\n", "line"),
+    "load_trace_csv": (load_trace_csv, "vertex,time\n0,0.0{x}\n1,0.9\n", "row"),
+    "load_rate_spec": (load_rate_spec, "A=5 t0=0 shape=constant\n# a comment{x}\n", "line"),
+}
+
+
+def _fields(loaded):
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(loaded).items()}
+
+
+@pytest.mark.parametrize("loader", sorted(READERS))
+def test_every_loader_reads_its_file_one_way(tmp_path, loader):
+    # a leading byte-order mark is skipped, and a byte that is not UTF-8
+    # names its file line, in the word the format numbers lines with
+    load, text, unit = READERS[loader]
+    plain, bom, latin1 = tmp_path / "plain", tmp_path / "bom", tmp_path / "latin1"
+    plain.write_bytes(text.format(x="").encode())
+    bom.write_bytes(text.format(x="").encode("utf-8-sig"))
+    assert _fields(load(bom)) == _fields(load(plain))
+    latin1.write_bytes(text.format(x="\xe9").encode("latin-1"))
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{latin1}: {unit} 2: 'utf-8' codec can't decode byte 0xe9 in position ")):
+        load(latin1)

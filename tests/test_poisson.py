@@ -524,6 +524,11 @@ def test_rate_spec_parse_errors():
     # comments and blank lines are fine
     spec = parse_rate_spec("# c\n\nA=2 t0=0 shape=constant params=\n")
     assert eval_rate(spec, 1.0) == 2.0
+    # lines are numbered as a file splits them: a form feed or a Unicode line
+    # separator is blank space inside a line, not a line end
+    for space in ("\x0c", "\x85", "\u2028"):
+        with pytest.raises(ValueError, match="line 3: could not convert"):
+            parse_rate_spec(f"A=1 t0=0{space} shape=constant\r\n\rA=x t0=0 shape=constant")
 
 
 def test_presets():
