@@ -89,6 +89,11 @@ awk '{ printf "%s\r\n", $0 }' "$out/regions.csv" > "$out/regions_crlf.csv"
 ratejump detect --daily-csv "$out/regions_crlf.csv" --region east --k 2 --delta 1 \
     --profile-out crlf_profile.csv --out crlf_report.csv --out-dir "$out"
 cmp "$out/region_profile.csv" "$out/crlf_profile.csv"
+echo "-- and with bare CR line ends, which --region reads line by line --"
+tr '\n' '\r' < "$out/regions.csv" > "$out/regions_cr.csv"
+ratejump detect --daily-csv "$out/regions_cr.csv" --region east --k 2 --delta 1 \
+    --profile-out cr_profile.csv --out cr_report.csv --out-dir "$out"
+cmp "$out/region_profile.csv" "$out/cr_profile.csv"
 echo "-- the same series as cumulative totals; --mode cumulative differences them --"
 {
     echo "date,cases"

@@ -61,8 +61,8 @@ from .ingest import load_daily_csv
 from .multicascade import CascadeBundle, estimate_high_degree, save_multicascade_report
 from .poisson import (RATE_PRESETS, _cpu_count, load_rate_spec, preset_rate_spec, save_rate_spec,
                       simulate)
-from .process import (BinnedSeries, _bin_count, bin_events, from_binned, load_binned_csv,
-                      load_event_times, save_binned_csv, save_event_times)
+from .process import (_bin_count, bin_events, from_binned, load_binned_csv, load_event_times,
+                      save_binned_csv, save_event_times)
 from .seeding import SimSeed
 from .si import build_tree_with_hub, load_edge_list, load_trace_csv, save_trace_csv, simulate_si
 
@@ -203,7 +203,7 @@ def _load_counting(args):
     args.mode = args.mode or "daily"  # the manifest records what ran
     series = load_daily_csv(_require_file(args.daily_csv), region=args.region, mode=args.mode)
     # day d is the edge d days after the first date: N counts from day 0
-    return from_binned(BinnedSeries(1.0, series.counts)), 0.0, [args.daily_csv], {
+    return series.counting, 0.0, [args.daily_csv], {
         "day0_date": series.start_date,
         "filled_days": len(series.filled_days),
         "clamped_days": len(series.clamped_days),

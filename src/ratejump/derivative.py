@@ -75,15 +75,33 @@ def _check_order(order, name: str = "order", limit: float = MAX_ORDER) -> int:
     return int(order)
 
 
+def _real(value) -> float:
+    """``value`` as a float; NaN for a bool or anything ``float()`` does not
+    read (None, a string such as ``"x"``), so the caller's finite test
+    rejects it."""
+    try:
+        return math.nan if isinstance(value, (bool, np.bool_)) else float(value)
+    except (TypeError, ValueError):
+        return math.nan
+
+
 def _check_delta(delta, name: str = "delta") -> float:
     """``delta`` as a positive, finite float, bools and non-numbers rejected: one check."""
-    try:
-        value = math.nan if isinstance(delta, (bool, np.bool_)) else float(delta)
-    except (TypeError, ValueError):  # None, or a string float() does not read
-        value = math.nan
+    value = _real(delta)
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {delta!r}")
     return value
+
+
+def _check_finite(value, name: str, low: float = -math.inf) -> float:
+    """``value`` as a finite float of at least ``low``, bools and
+    non-numbers rejected: the rule on a rate shape's fields and a jump's
+    onset, as ``_check_delta`` is on a step."""
+    number = _real(value)
+    if not (math.isfinite(number) and number >= low):
+        floor = f" and >= {low:g}" if low > -math.inf else ""
+        raise ValueError(f"{name} must be finite{floor}, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)

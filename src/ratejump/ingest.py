@@ -25,26 +25,33 @@ completed to a line end, so at most one block and one line are held at
 a time.  In a block with no quote, no bare CR and no short row, the
 region's lines are found with ``str.find`` and the lines between them
 are only counted; any other block (the last too, if the file does not
-end in a line end) is tested line by line.  Each row parsed has its
-region field compared before anything else in it is read.  From the
-first quote on every line is parsed, straight from the file, so a file
-quoted throughout gets no speedup and loses nothing.
+end in a line end) is tested line by line.  Whether a block is such a
+block is settled in C with no step per line: a bare CR is looked for
+with one regular-expression search, and only in a block that holds a CR
+at all.  Each row parsed has its region field compared before anything
+else in it is read.  From the first quote on every line is parsed,
+straight from the file, so a file quoted throughout gets no speedup and
+loses nothing.  A ``RegionSeries`` builds its N once, on its first
+read, however many analyses read it.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime
+import functools
 import io
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from operator import itemgetter
 
 import numpy as np
 
 from .derivative import DerivativeProfile, _check_order, derivative_profile
-from .process import BinnedSeries, _as_counts, _input_file, _parse_count, from_binned
+from .process import (BinnedSeries, SampledCounts, _as_counts, _input_file, _parse_count,
+                      from_binned)
 
 __all__ = [
     "RegionSeries",
@@ -61,6 +68,7 @@ CORRECTION_TOLERANCE = 0.2
 # characters, each completed to a line end
 _BLOCK_CHARS = 1 << 16
 _NOT_COMMA_OR_LF = bytes(sorted(set(range(256)) - set(b",\n")))
+_BARE_CR = re.compile(r"\r(?!\n)")
 
 
 @dataclass(frozen=True)
@@ -70,6 +78,8 @@ class RegionSeries:
     ``filled_days`` are day indices that were absent in the input and
     zero-filled; ``clamped_days`` had negative counts (reporting
     corrections) clamped to zero.  Day index 0 is ``start_date``.
+    ``counting`` is the series' N, built once, on its first read; the
+    counts are a read-only copy, so N cannot go stale.
     """
 
     region: str
@@ -82,10 +92,19 @@ class RegionSeries:
         counts = _as_counts(self.counts, "count of day {}")
         if counts.size == 0:
             raise ValueError("counts must be a non-empty one-dimensional array")
+        counts.flags.writeable = False  # a copy, read-only so N, once built, stays its N
         object.__setattr__(self, "counts", counts)
 
     def __len__(self) -> int:
         return int(self.counts.size)
+
+    @functools.cached_property
+    def counting(self) -> SampledCounts:
+        """N known at every day edge, day 0 being N(0) = 0: the counts as
+        bins of one day (``from_binned``).  Built on the first read and kept
+        (not a field: no part of ``repr`` or ``==``), so a series whose
+        total passes 2**63 constructs and fails only when N is read."""
+        return from_binned(BinnedSeries(bin_width=1.0, counts=self.counts))
 
     def date_of(self, day: int) -> "datetime.date | None":
         if self.start_date is None:
@@ -110,12 +129,14 @@ def _column_index(header, wanted: str, path) -> int:
 
 def _plain_block(body: str, shorts) -> bool:
     """Whether ``body`` ends in a line end and has no ``"``, no bare CR and
-    no line of fewer than ``len(shorts)`` commas.  The short-line test runs
-    in C: with every byte but comma and line feed deleted and a line feed
-    put in front, a line of j commas shows as ``shorts[j]``, j commas
-    between two line feeds.
+    no line of fewer than ``len(shorts)`` commas.  Each test runs in C and
+    none steps through the lines: a bare CR, one not followed by a line
+    feed, is looked for by one search for ``\\r(?!\\n)``, run only when the
+    block holds a CR at all (a plain ``in``); with every byte but comma and
+    line feed deleted and a line feed put in front, a line of j commas shows
+    as ``shorts[j]``, j commas between two line feeds.
     """
-    if body[-1] != "\n" or '"' in body or body.count("\r") != body.count("\r\n"):
+    if body[-1] != "\n" or '"' in body or ("\r" in body and _BARE_CR.search(body)):
         return False
     marks = b"\n" + body.encode().translate(None, _NOT_COMMA_OR_LF)
     return not any(short in marks for short in shorts)
@@ -311,18 +332,19 @@ def analyze_binned(series, k: int, delta_days: int = 1) -> BinnedAnalysis:
 
     ``series`` may be a RegionSeries or any 1-d array of daily counts,
     which becomes one; a count that breaks the count rule
-    (``process._as_counts``) is an error naming its day.
-    The profile is evaluated at every integer day edge t in the valid
-    range [(k-1)*delta_days, n_days - delta_days], whose stencil reaches
-    back to day 0, where N(0) = 0 is known; values are exact integers.  A
-    series too short for that range to hold a day is the profile's
-    ValueError naming the window.
+    (``process._as_counts``) is an error naming its day.  N is read off
+    the series (``RegionSeries.counting``), which builds it once, so one
+    series analysed at several orders or steps builds one N.  The profile
+    is evaluated at every integer day edge t in the valid range
+    [(k-1)*delta_days, n_days - delta_days], whose stencil reaches back to
+    day 0, where N(0) = 0 is known; values are exact integers.  A series
+    too short for that range to hold a day is the profile's ValueError
+    naming the window.
     """
     if not isinstance(series, RegionSeries):
         series = RegionSeries(region="", counts=series)
     k = _check_order(k, "k")
     delta_days = _check_order(delta_days, "delta_days", limit=math.inf)
-    counting = from_binned(BinnedSeries(bin_width=1.0, counts=series.counts))
-    profile = derivative_profile(counting, k, float(delta_days))
+    profile = derivative_profile(series.counting, k, float(delta_days))
     return BinnedAnalysis(profile)
 

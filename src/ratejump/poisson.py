@@ -113,7 +113,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivative import _check_delta
+from .derivative import _check_delta, _check_finite
 from .process import EventTimes, SampledCounts, _input_file, _text_lines
 from .seeding import generator
 
@@ -153,11 +153,6 @@ _CERTIFY_DEPTH = 40
 _CERTIFY_WINDOWS = 4096
 
 
-def _require_finite(shape: str, field: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{shape} {field} must be finite, got {value}")
-
-
 def _product(u, factor) -> np.ndarray:
     """factor * u in a new float64 array (0-d for a scalar u), which a
     shape's ``value`` then finishes in place."""
@@ -191,7 +186,8 @@ class Sinusoid:
 
     def __post_init__(self) -> None:
         for field in ("offset", "omega", "phase"):
-            _require_finite("sinusoid", field, getattr(self, field))
+            value = _check_finite(getattr(self, field), f"sinusoid {field}")
+            object.__setattr__(self, field, value)
 
     def value(self, u):
         out = _product(u, self.omega)
@@ -259,11 +255,10 @@ class Polynomial:
     coeffs: tuple
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(
+            _check_finite(c, f"polynomial coefficient {i}") for i, c in enumerate(self.coeffs)))
         if not self.coeffs:
             raise ValueError("polynomial needs at least one coefficient")
-        for i, c in enumerate(self.coeffs):
-            _require_finite("polynomial", f"coefficient {i}", c)
 
     def value(self, u):
         return np.polynomial.polynomial.polyval(
@@ -330,8 +325,7 @@ class JumpComponent:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "amplitude", _check_delta(self.amplitude, "amplitude"))
-        if not (math.isfinite(self.onset) and self.onset >= 0):
-            raise ValueError(f"onset must be >= 0, got {self.onset}")
+        object.__setattr__(self, "onset", _check_finite(self.onset, "jump component onset", 0.0))
         if self.onset > 0 and not float(self.shape.value(0.0)) > 0:
             raise ValueError(
                 f"component with onset {self.onset} > 0 must jump: "

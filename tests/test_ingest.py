@@ -1,11 +1,15 @@
+import copy
 import csv
+import dataclasses
 import datetime
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ratejump import ingest
+from ratejump.cli import main
 from ratejump.derivative import discrete_derivative
 from ratejump.detector import DetectorConfig, argmax_single, detect
 from ratejump.ingest import (
@@ -314,6 +318,45 @@ def test_region_series_validation():
         RegionSeries(region="x", counts=np.array([1, -2]))
     with pytest.raises(ValueError, match="non-empty"):
         RegionSeries(region="x", counts=np.array([], dtype=int))
+
+
+def test_a_series_builds_its_n_once(tmp_path, monkeypatch):
+    p = write(tmp_path, "date,region,cases\n" + "".join(
+        f"2021-01-{d:02d},{r},{d * (r == 'A')}\n" for d in range(1, 21) for r in "AB"))
+    built = []
+    monkeypatch.setattr(ingest, "from_binned",
+                        lambda series: built.append(1) or from_binned(series))
+    series = load_daily_csv(p, region="A")
+    analyses = [analyze_binned(series, k) for k in (1, 2, 3, 4)]
+    assert len(built) == 1
+    assert analyses[0].profile.values.tolist() == list(range(1, 21))  # day t's count, t + 1
+    # detect --daily-csv reads the same N off the series it loaded
+    assert main(["detect", "--daily-csv", str(p), "--region", "A", "--k", "2", "--delta", "1",
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    assert len(built) == 2
+
+
+def test_a_series_n_is_no_field():
+    series = RegionSeries(region="x", counts=np.array([1, 2, 3]))
+    twin = copy.copy(series)  # the same counts array, so == compares by identity
+    assert series.counting.counts.tolist() == [0, 1, 3, 6]
+    assert "counting" not in repr(series) and repr(series) == repr(twin)
+    assert series == twin and "counting" not in vars(twin)
+    assert "counting" not in {f.name for f in dataclasses.fields(RegionSeries)}
+    # a total past 2**63 is read only when N is: the series constructs
+    huge = RegionSeries(region="x", counts=[1, 2**63 - 1])
+    with pytest.raises(ValueError, match="total reaches 2\\*\\*63 at bin 1"):
+        huge.counting
+
+
+def test_a_series_n_cannot_go_stale():
+    given = np.array([1, 2, 3])
+    series = RegionSeries(region="x", counts=given)
+    given[0] = 9  # the series holds its own copy
+    assert series.counting.counts.tolist() == [0, 1, 3, 6]
+    with pytest.raises(ValueError, match="read-only"):
+        series.counts[0] = 0
+    assert analyze_binned(series, 1).profile.values.tolist() == [1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -724,3 +767,23 @@ def test_block_scan_gives_the_reader_the_per_line_filters_lines(
                                       (datetime.date(2021, 1, 2), 4, 4)]
     assert rows["byte-order-mark", "A"] == [(datetime.date(2021, 1, 1), 3, 2),
                                             (datetime.date(2021, 1, 2), 4, 4)]
+
+
+def _two_count_plain_block(body, shorts):
+    """``_plain_block`` as it was, kept as the reference: a bare CR shows as
+    more CRs than CRLFs."""
+    if body[-1] != "\n" or '"' in body or body.count("\r") != body.count("\r\n"):
+        return False
+    marks = b"\n" + body.encode().translate(None, ingest._NOT_COMMA_OR_LF)
+    return not any(short in marks for short in shorts)
+
+
+@given(st.lists(st.tuples(st.text(alphabet='a,\r\n"', max_size=8),
+                          st.sampled_from(["\n", "\r\n", "\r", ""])), min_size=1, max_size=12),
+       st.sampled_from([0, 1, 2]))
+def test_plain_block_keeps_the_two_count_rule(lines, ri):
+    body = "".join(text + end for text, end in lines)
+    if not body:
+        return
+    shorts = [b"\n" + b"," * j + b"\n" for j in range(ri)]  # as _region_lines builds them
+    assert ingest._plain_block(body, shorts) == _two_count_plain_block(body, shorts)

@@ -22,8 +22,8 @@ from ratejump.harness import (ExperimentSpec, SmoothJumpScenario, false_alarm_st
                               heatmap_spec_from_preset, run_heatmap)
 from ratejump.ingest import RegionSeries, analyze_binned, load_daily_csv
 from ratejump.multicascade import CascadeBundle, estimate_high_degree
-from ratejump.poisson import (Constant, ExpDecay, JumpComponent, RateSpec, draw_counts,
-                              load_rate_spec, simulate)
+from ratejump.poisson import (Constant, ExpDecay, JumpComponent, Polynomial, RateSpec, Sinusoid,
+                              draw_counts, load_rate_spec, simulate)
 from ratejump.process import (BinnedSeries, EventTimes, from_binned, load_binned_csv,
                               load_event_times, save_event_times)
 from ratejump.seeding import SimSeed, as_seed
@@ -57,6 +57,20 @@ DELTA_ENTRIES = {
                       r"^amplitude must"),
 }
 
+# entry point -> (call with the bad value in the field's place, the field it names)
+FINITE_ENTRIES = {
+    "JumpComponent onset": (lambda v: JumpComponent(amplitude=1.0, onset=v, shape=Constant()),
+                            r"^jump component onset must be finite and >= 0, got "),
+    "Sinusoid offset": (lambda v: Sinusoid(offset=v, omega=1.0),
+                        r"^sinusoid offset must be finite, got "),
+    "Sinusoid omega": (lambda v: Sinusoid(offset=1.0, omega=v),
+                       r"^sinusoid omega must be finite, got "),
+    "Sinusoid phase": (lambda v: Sinusoid(offset=1.0, omega=1.0, phase=v),
+                       r"^sinusoid phase must be finite, got "),
+    "Polynomial": (lambda v: Polynomial((1.0, v)),
+                   r"^polynomial coefficient 1 must be finite, got "),
+}
+
 # N known at knots a day apart sets a grid of one day: a delta must be a
 # positive whole number of days at every entry point that reads such an N
 # (the DetectorConfig entry is detect's, whose config checks delta first)
@@ -88,6 +102,21 @@ def test_delta_rule(entry, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("entry", sorted(FINITE_ENTRIES))
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, True, np.bool_(False), "abc", None])
+def test_finite_rule(entry, bad):
+    call, field = FINITE_ENTRIES[entry]
+    with pytest.raises(ValueError, match=field + re.escape(repr(bad)) + "$"):
+        call(bad)
+
+
+def test_onset_rule_needs_no_less_than_zero():
+    with pytest.raises(ValueError, match=r"^jump component onset must be finite and >= 0, "
+                                         r"got -0\.5$"):
+        JumpComponent(amplitude=1.0, onset=-0.5, shape=Constant())
+    assert JumpComponent(amplitude=1.0, onset=-0.0, shape=Constant()).onset == 0.0
+
+
 def test_detector_config_stores_the_checked_steps():
     # what float() accepts is stored as the float, so min_sep is a number
     config = DetectorConfig(k=np.int64(2), delta="0.5", threshold="8e3")
@@ -103,6 +132,14 @@ def test_rate_fields_store_the_checked_floats():
     component = JumpComponent(amplitude=np.int64(5), onset=0.0, shape=Constant())
     assert type(component.amplitude) is float
     assert simulate(FLAT, "2", 0).horizon == draw_counts(FLAT, [1.0], "2", 0).horizon == 2.0
+    # the onset and the shapes' fields alike
+    assert JumpComponent(amplitude=1.0, onset="2", shape=Constant()).onset == 2.0
+    sinusoid = Sinusoid(offset="1", omega=np.int64(2), phase=np.float32(0.5))
+    polynomial = Polynomial(coeffs=(np.int64(1), "0.5"))
+    assert (sinusoid.offset, sinusoid.omega, sinusoid.phase, polynomial.coeffs) == (
+        1.0, 2.0, 0.5, (1.0, 0.5))
+    assert all(type(v) is float for v in (sinusoid.offset, sinusoid.omega, sinusoid.phase,
+                                          *polynomial.coeffs))
 
 
 @pytest.mark.parametrize("entry", sorted(GRID_STEP_ENTRIES))

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -82,6 +83,22 @@ def test_event_times_checks_reach_across_chunk_boundaries(at):
     times[at] = np.nan
     with pytest.raises(ValueError, match="finite"):
         EventTimes(times, 1.0)
+
+
+@pytest.mark.parametrize("times, message", [
+    ([np.nan], "event times must all be finite"),
+    ([1.0, np.nan], "event times must all be finite"),
+    ([np.nan, 1.0], "event times must all be finite"),
+    ([-np.inf, 1.0], "event times must all be finite"),
+    ([1.0, np.inf], "event times must all be finite"),
+    ([2.0, 1.0, np.nan], "event times must all be finite"),  # finite is checked first
+    ([2.0, 1.0, 5.0], "event times must be sorted in non-decreasing order"),
+    ([-0.5, 1.0], "event times must lie in [0, 3.0]; got range [-0.5, 1.0]"),
+    ([1.0, 3.5], "event times must lie in [0, 3.0]; got range [1.0, 3.5]"),
+])
+def test_event_times_name_the_first_fault(times, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        EventTimes(np.array(times), 3.0)
 
 
 @given(
