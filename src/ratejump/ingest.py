@@ -50,8 +50,8 @@ from operator import itemgetter
 import numpy as np
 
 from .derivative import DerivativeProfile, _check_order, derivative_profile
-from .process import (BinnedSeries, SampledCounts, _as_counts, _input_file, _parse_count,
-                      from_binned)
+from .process import (BinnedSeries, SampledCounts, _as_counts, _fields_equal, _input_file,
+                      _parse_count, from_binned)
 
 __all__ = [
     "RegionSeries",
@@ -87,6 +87,8 @@ class RegionSeries:
     start_date: "datetime.date | None" = None
     filled_days: tuple = field(default_factory=tuple)
     clamped_days: tuple = field(default_factory=tuple)
+
+    __eq__ = _fields_equal
 
     def __post_init__(self) -> None:
         counts = _as_counts(self.counts, "count of day {}")

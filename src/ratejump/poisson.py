@@ -60,6 +60,22 @@ relative margin ``_SLACK`` (1e-9), which covers last-bit differences between
 the scalar bounds and numpy's vectorised values.  A candidate above the
 envelope is an internal inconsistency and raises RuntimeError.
 
+Rate values.  Thinning spends most of a piece on Lambda at its
+candidates.  Each shape's ``value(u, out=None)`` writes x(u) into ``out``,
+which may be u itself, or into a new array when ``out`` is None.  A
+sinusoid takes sin(theta), theta = omega*u + phase, as 2t / (1 + t*t)
+with t = tan(theta/2), halving being exact above the subnormals: with
+numpy 2.4.6 on an AVX512 Xeon, float64 ``np.sin`` runs libm's scalar loop
+at 9-28 ns a value, while ``np.tan`` is vectorised at 1.6-2.4 ns.  The
+half-angle sine is within 2 ulp of ``np.sin`` (measured over 1e7 points
+at |theta| up to 1e8), a gap ``_SLACK`` covers; the bounds and the
+closed-form integrals keep ``math.sin`` and ``np.sin``.  Each block
+allocates its scratch once, three rows of its largest piece's candidate
+count: the positions, the acceptance uniforms and Lambda.  The first
+component's term is written into the Lambda row; each later one, and any
+onset shift, into the uniforms' row, which is free until the acceptance
+draw, and then added.  So no array is allocated per component per piece.
+
 Non-negativity.  Before anything is drawn, every window is certified: the
 sum of its components' minima must be >= -_SLACK times the sum of their
 maxima.  A window that fails is bisected.  Lambda is sampled at the
@@ -148,24 +164,30 @@ _PIECE_CANDIDATES = 2**15
 # Fewest thinning candidates per block of pieces thinned on a thread of its
 # own: with blocks of 2**15, two threads were slower than one.
 _BLOCK_CANDIDATES = 2**16
+# Values per step of ``Sinusoid.value``'s half-angle division: the whole
+# value of 24,000 points took 122 us at 2**12, 127 us at 2**11 and 150 us
+# at 2**13, on one CPU of an AVX512 Xeon.
+_SINE_CHUNK = 2**12
 # Bisection limits of the non-negativity certificate, per window.
 _CERTIFY_DEPTH = 40
 _CERTIFY_WINDOWS = 4096
 
 
-def _product(u, factor) -> np.ndarray:
-    """factor * u in a new float64 array (0-d for a scalar u), which a
-    shape's ``value`` then finishes in place."""
+def _product(u, factor, out=None) -> np.ndarray:
+    """factor * u in ``out``, or in a new float64 array (0-d for a scalar u)
+    when ``out`` is None, which a shape's ``value`` then finishes in place."""
     u = np.asarray(u, dtype=np.float64)
-    return np.multiply(u, factor, out=np.empty_like(u))
+    return np.multiply(u, factor, out=np.empty_like(u) if out is None else out)
 
 
 @dataclass(frozen=True)
 class Constant:
     """x(u) = 1; the amplitude carries all the scale."""
 
-    def value(self, u):
-        return np.ones_like(np.asarray(u, dtype=np.float64))
+    def value(self, u, out=None):
+        out = np.empty_like(np.asarray(u, dtype=np.float64)) if out is None else out
+        out.fill(1.0)
+        return out
 
     def bounds(self, u0: float, u1: float) -> tuple:
         return 1.0, 1.0
@@ -178,7 +200,14 @@ class Constant:
 
 @dataclass(frozen=True)
 class Sinusoid:
-    """x(u) = offset + sin(omega*u + phase)."""
+    """x(u) = offset + sin(omega*u + phase).
+
+    ``value`` takes sin(theta), theta = omega*u + phase, as 2t / (1 + t*t)
+    with t = tan(theta/2), within 2 ulp of ``np.sin``, since numpy's
+    ``tan`` is vectorised where its ``sin`` may not be (see "Rate values" in
+    the module docstring); ``bounds`` and ``integral`` use ``math.sin`` and
+    ``np.sin``.
+    """
 
     offset: float
     omega: float
@@ -189,10 +218,18 @@ class Sinusoid:
             value = _check_finite(getattr(self, field), f"sinusoid {field}")
             object.__setattr__(self, field, value)
 
-    def value(self, u):
-        out = _product(u, self.omega)
+    def value(self, u, out=None):
+        out = _product(u, self.omega, out)
         out += self.phase
-        np.sin(out, out=out)
+        out *= 0.5  # theta/2, exact above the subnormals
+        np.tan(out, out=out)
+        # 2t / (1 + t*t) as 2 * (t / (1 + t*t)), the same bits; the square
+        # takes a buffer of at most _SINE_CHUNK values, not one of u's size
+        with np.nditer(out, ["external_loop", "buffered", "zerosize_ok"], [["readwrite"]],
+                       buffersize=_SINE_CHUNK) as chunks:
+            for t in chunks:
+                t /= t * t + 1.0
+        out *= 2.0
         out += self.offset
         return out if out.ndim else out[()]
 
@@ -234,8 +271,8 @@ class ExpDecay:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rate", _check_delta(self.rate, "expdecay rate"))
 
-    def value(self, u):
-        out = _product(u, -self.rate)
+    def value(self, u, out=None):
+        out = _product(u, -self.rate, out)
         np.exp(out, out=out)
         return out if out.ndim else out[()]
 
@@ -260,10 +297,19 @@ class Polynomial:
         if not self.coeffs:
             raise ValueError("polynomial needs at least one coefficient")
 
-    def value(self, u):
-        return np.polynomial.polynomial.polyval(
-            np.asarray(u, dtype=np.float64), np.asarray(self.coeffs)
-        )
+    def value(self, u, out=None):
+        """Horner's rule in place, the steps and so the bits of
+        ``np.polynomial.polynomial.polyval``; every step reads u, so an
+        ``out`` that is u itself takes a copy of u first."""
+        u = np.asarray(u, dtype=np.float64)
+        if out is not None and np.may_share_memory(u, out):
+            u = u.copy()
+        out = _product(u, 0.0, out)
+        out += self.coeffs[-1]
+        for c in reversed(self.coeffs[:-1]):
+            out *= u
+            out += c
+        return out if out.ndim else out[()]
 
     def bounds(self, u0: float, u1: float) -> tuple:
         """The extremes of x over the window's ends and the critical points
@@ -434,29 +480,30 @@ def _pieces(spec: RateSpec, horizon: float) -> list:
     return pieces
 
 
-def _scaled_value(comp: JumpComponent, u: np.ndarray) -> np.ndarray:
-    """A * x(u - t0) at candidates u past the onset t0, in the new array
-    the shape's ``value`` returns."""
-    x = comp.shape.value(u - comp.onset if comp.onset else u)
-    x *= comp.amplitude
-    return x
-
-
 def _thinned_piece(on: list, lo: float, hi: float, envelope: float, rng,
-                   u: np.ndarray, v: np.ndarray, out: np.ndarray) -> int:
-    """Thin ``u.size`` candidates on [lo, hi) and write the accepted event
-    times, sorted, to the start of ``out``; return how many were accepted.
-    ``on`` are the components that are on throughout the piece and
-    ``envelope`` bounds their sum.  ``u`` and ``v`` are scratch space of the
-    candidates' size; the draws equal ``rng.uniform(lo, hi)`` and
+                   scratch: np.ndarray, out: np.ndarray) -> int:
+    """Thin ``scratch.shape[1]`` candidates on [lo, hi) and write the
+    accepted event times, sorted, to the start of ``out``; return how many
+    were accepted.  ``on`` are the components that are on throughout the
+    piece and ``envelope`` bounds their sum.  ``scratch`` holds three rows
+    of the candidates' size: the positions u, the acceptance uniforms v and
+    Lambda(u).  The draws equal ``rng.uniform(lo, hi)`` and
     ``rng.uniform(0, envelope)`` bit for bit, since numpy computes those as
     lo + (hi - lo) * d."""
+    u, v, lam = scratch
     rng.random(out=u)
     u *= hi - lo
     u += lo
-    lam = _scaled_value(on[0], u)
-    for comp in on[1:]:
-        lam += _scaled_value(comp, u)
+    for i, comp in enumerate(on):
+        # A * x(u - t0): the first in lam, each later one in v, which is
+        # free until the acceptance draw, and added to lam
+        x = np.subtract(u, comp.onset, out=v) if comp.onset else u
+        x = comp.shape.value(x, out=v if i else lam)
+        x *= comp.amplitude
+        if i:
+            lam += x
+        else:
+            lam = x  # lam itself, unless the shape returned an array of its own
     i = int(np.argmax(lam))
     if lam[i] > envelope:
         raise RuntimeError(
@@ -480,13 +527,13 @@ def _thinned_piece(on: list, lo: float, hi: float, envelope: float, rng,
 def _thinned_block(pieces: list, counts: list, rng, out: np.ndarray) -> int:
     """Thin consecutive ``pieces``, each with its candidate count, from
     ``rng``; write the events to the start of ``out`` in order and return
-    how many there are."""
-    size = max(counts, default=0)
-    u, v = np.empty(size), np.empty(size)
+    how many there are.  The scratch rows of ``_thinned_piece`` are
+    allocated once, at the largest count."""
+    scratch = np.empty((3, max(counts, default=0)))
     m = 0
     for (lo, hi, on, envelope), n in zip(pieces, counts):
         if n:
-            m += _thinned_piece(on, lo, hi, envelope, rng, u[:n], v[:n], out[m:])
+            m += _thinned_piece(on, lo, hi, envelope, rng, scratch[:, :n], out[m:])
     return m
 
 

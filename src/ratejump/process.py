@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -31,6 +32,20 @@ __all__ = [
 
 # Elements per chunk of the checks on ``EventTimes``.
 _CHECK_CHUNK = 2**16
+
+
+def _fields_equal(self, other):
+    """``==`` for the frozen dataclasses that hold arrays: the same class and
+    equal fields, arrays compared by value (``np.array_equal``), where the
+    generated ``__eq__`` asks an array of several elements for one truth
+    value and raises."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for field in dataclasses.fields(self):
+        mine, theirs = getattr(self, field.name), getattr(other, field.name)
+        if not (np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs):
+            return False
+    return True
 
 
 def _count_problem(value) -> "str | None":
@@ -138,6 +153,8 @@ class EventTimes:
     times: np.ndarray
     horizon: float
 
+    __eq__ = _fields_equal
+
     def __post_init__(self) -> None:
         times = np.ascontiguousarray(self.times, dtype=np.float64)
         object.__setattr__(self, "times", times)
@@ -186,6 +203,8 @@ class SampledCounts:
     counts: np.ndarray
     horizon: float
 
+    __eq__ = _fields_equal
+
     def __post_init__(self) -> None:
         times = np.ascontiguousarray(self.times, dtype=np.float64)
         object.__setattr__(self, "times", times)
@@ -228,6 +247,8 @@ class BinnedSeries:
     bin_width: float
     counts: np.ndarray
     start_time: float = 0.0
+
+    __eq__ = _fields_equal
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.bin_width) and self.bin_width > 0):

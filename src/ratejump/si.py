@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .derivative import _check_order
-from .process import EventTimes, _input_file, _text_lines
+from .process import EventTimes, _fields_equal, _input_file, _text_lines
 from .seeding import generator
 
 __all__ = [
@@ -196,6 +196,8 @@ class CascadeTrace:
 
     times: np.ndarray
     source: int
+
+    __eq__ = _fields_equal
 
     def __post_init__(self) -> None:
         times = np.ascontiguousarray(self.times, dtype=np.float64)

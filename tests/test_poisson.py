@@ -155,7 +155,7 @@ def test_simulate_envelope_consistency_guard():
     class LyingShape:
         name = "constant"
 
-        def value(self, u):
+        def value(self, u, out=None):
             return np.ones_like(np.asarray(u, dtype=float)) * 5.0
 
         def bounds(self, u0, u1):
@@ -170,7 +170,7 @@ def test_simulate_negative_rate_guard_never_clamps():
     class LyingShape:
         name = "constant"
 
-        def value(self, u):
+        def value(self, u, out=None):
             return -np.ones_like(np.asarray(u, dtype=float))
 
         def bounds(self, u0, u1):
@@ -438,7 +438,7 @@ class WrongPastFifteen:
 
     name = "constant"
 
-    def value(self, u):
+    def value(self, u, out=None):
         return np.full(np.shape(u), 5.0)
 
     def bounds(self, u0, u1):
@@ -467,12 +467,51 @@ def test_in_place_shape_values_equal_their_formulas_bit_for_bit():
     points = np.random.default_rng(5).uniform(0.0, 20.0, size=100_000)
     for t in (points, 12.25):
         u = np.asarray(t, dtype=np.float64)
-        sin_want = sin.offset + np.sin(sin.omega * u + sin.phase)
+        half_tan = np.tan(0.5 * (sin.omega * u + sin.phase))
+        sin_want = sin.offset + 2.0 * half_tan / (1.0 + half_tan * half_tan)
         exp_want = np.exp(-exp.rate * (u - 9.0))
         assert_bit_identical(sin.value(t), sin_want)
         assert_bit_identical(exp.value(u - 9.0), exp_want)
         rate_want = base * sin_want + np.where(u >= 9.0, jump * exp_want, 0.0)
         assert_bit_identical(eval_rate(spec, t), rate_want if rate_want.ndim else float(rate_want))
+
+
+@pytest.mark.parametrize("scale", [1.0, 20.0, 1e3, 1e5])
+def test_half_angle_sine_is_within_four_ulp_of_numpy_sine(scale):
+    theta = np.random.default_rng(8).uniform(-scale, scale, size=100_000)
+    theta = np.concatenate((theta, np.pi * np.arange(-1000.0, 1001.0)))  # near sin's zeros
+    got = Sinusoid(offset=0.0, omega=1.0).value(theta)
+    want = np.sin(theta)
+    assert (np.abs(got - want) <= 4 * np.spacing(np.abs(want))).all()
+    for point in (0.5, 3.0, -1e5 + 0.25):  # a Python float
+        got, want = Sinusoid(offset=0.0, omega=1.0).value(point), np.sin(point)
+        assert abs(got - want) <= 4 * np.spacing(abs(want))
+
+
+def test_thinning_a_piece_allocates_no_array_per_component():
+    # Lambda's terms are built in the block's scratch rows, so a piece with
+    # four components on peaks no higher than a piece with one, of as many
+    # candidates; a new array for any term would add a candidate-sized one.
+    # An envelope far above Lambda keeps the accepted times, and so the
+    # arrays of the acceptance step, small next to one of Lambda's rows.
+    n = 2**15
+
+    def peak(spec):
+        envelope = 64 * rate_upper_bound(spec, (15.0, 16.0))
+        pieces = [(15.0, 16.0, list(spec.components), envelope)]
+        out = np.empty(n)
+        poisson._thinned_block(pieces, [n], np.random.default_rng(1), out)  # numpy's lazy imports
+        tracemalloc.start()
+        try:
+            poisson._thinned_block(pieces, [n], np.random.default_rng(1), out)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    four = SPECS["stream-jumps"][0]  # a sinusoid from 0 and decays from 4, 9 and 14
+    one = const_spec(1.0)
+    assert len(four.components) == 4
+    assert peak(four) - peak(one) < n * 8 / 2
 
 
 def test_rate_spec_file_round_trip(tmp_path):

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ratejump.ingest import RegionSeries
 from ratejump.process import (
     BinnedSeries,
     EventTimes,
+    SampledCounts,
     bin_events,
     cumulative,
     from_binned,
@@ -17,6 +19,23 @@ from ratejump.process import (
     save_event_times,
 )
 from ratejump.process import _CHECK_CHUNK as CHUNK
+from ratejump.si import CascadeTrace
+
+
+@pytest.mark.parametrize("make, changed_value, changed_array", [
+    (lambda: EventTimes([0.5, 1.0], 2.0), EventTimes([0.5, 1.0], 3.0), EventTimes([0.5, 1.5], 2.0)),
+    (lambda: SampledCounts([0.0, 1.0, 2.0], [0, 1, 3], 2.0),
+     SampledCounts([0.0, 1.0, 3.0], [0, 1, 3], 3.0), SampledCounts([0.0, 1.0, 2.0], [0, 2, 3], 2.0)),
+    (lambda: BinnedSeries(1.0, [1, 2]), BinnedSeries(2.0, [1, 2]), BinnedSeries(1.0, [1, 3])),
+    (lambda: RegionSeries("x", [1, 2]), RegionSeries("y", [1, 2]), RegionSeries("x", [1, 3])),
+    (lambda: CascadeTrace([0.0, 0.0, 2.0], 0), CascadeTrace([0.0, 0.0, 2.0], 1),
+     CascadeTrace([0.0, 0.5, 2.0], 0)),
+], ids=["EventTimes", "SampledCounts", "BinnedSeries", "RegionSeries", "CascadeTrace"])
+def test_equal_values_compare_equal_with_distinct_arrays(make, changed_value, changed_array):
+    one, other = make(), make()
+    assert one == other and not one != other
+    assert one != changed_value and one != changed_array
+    assert one != "not a series"
 
 
 def test_count_at_basics():
