@@ -12,14 +12,14 @@ draw random numbers take ``--seed`` (the two simulators also
 file next to its primary output recording the subcommand, all resolved
 parameters, input and output paths, the tool version, and wall time.
 
-The CLI keeps no rule on a value of its own: each numeric flag is read
-through a library check (``derivative._check_order``, ``_check_delta``
-or ``SimSeed``), and what the flags define (``DetectorConfig``, the
-scenario, the tree) is built before any input is read.  A flag the
-run does not use is a usage error, not ignored: ``--horizon`` with
-``--binned`` or ``--daily-csv`` (binned counts end at their last bin;
-``--horizon`` is for ``--events`` only), ``--region``/``--mode`` without
-``--daily-csv``, ``--base``/``--jump``/``--onset`` with ``--rate-spec``,
+The CLI keeps no rule on a value of its own: each numeric flag, and
+``--source``, is read through a rule of ``ratejump.process`` or ``SimSeed``,
+and what the flags define (``DetectorConfig``, the scenario, the tree) is
+built before any input is read.  A flag the run does not use is a usage
+error, not ignored: ``--horizon`` with ``--binned`` or ``--daily-csv``
+(binned counts end at their last bin; ``--horizon`` is for ``--events``
+only), ``--region``/``--mode`` without ``--daily-csv``,
+``--base``/``--jump``/``--onset`` with ``--rate-spec``,
 ``--height``/``--extra-leaves`` with ``--graph``, the simulation flags of
 ``multicascade`` with ``--trace``, and a scenario flag the scenario or
 preset does not take.  ``multicascade`` takes every default from the
@@ -45,7 +45,6 @@ import time
 import numpy as np
 
 from . import __version__
-from .derivative import MAX_ORDER, _check_delta, _check_order
 from .detector import DetectorConfig, detect, save_profile_csv, save_report_csv
 from .harness import (
     HEATMAP_SCENARIOS,
@@ -61,8 +60,9 @@ from .ingest import load_daily_csv
 from .multicascade import CascadeBundle, estimate_high_degree, save_multicascade_report
 from .poisson import (RATE_PRESETS, _cpu_count, load_rate_spec, preset_rate_spec, save_rate_spec,
                       simulate)
-from .process import (_bin_count, bin_events, from_binned, load_binned_csv, load_event_times,
-                      save_binned_csv, save_event_times)
+from .process import (MAX_ORDER, _bin_count, _check_delta, _check_order, _check_source, bin_events,
+                      from_binned, load_binned_csv, load_event_times, save_binned_csv,
+                      save_event_times)
 from .seeding import SimSeed
 from .si import build_tree_with_hub, load_edge_list, load_trace_csv, save_trace_csv, simulate_si
 
@@ -217,11 +217,6 @@ def _detector_config(args) -> DetectorConfig:
                               threshold=getattr(args, "threshold", None))
 
 
-def _check_source(source, graph) -> None:
-    if not 0 <= source < graph.n:
-        raise UsageError(f"source {source} out of range: graph has {graph.n} vertices")
-
-
 def _tree(args):
     """The tree flags' planted-hub tree, with --source checked on it.  A tree
     flag not given takes its ``_TREE_DEFAULTS`` value, set on ``args`` so the
@@ -231,7 +226,7 @@ def _tree(args):
             setattr(args, name, value)
     with _building():
         graph = build_tree_with_hub(args.height, args.extra_leaves)
-    _check_source(args.source, graph)
+        _check_source(args.source, graph.n)
     return graph
 
 
@@ -310,7 +305,8 @@ def cmd_simulate_si(args):
     if args.graph:
         _reject_unused(args, (), "--graph", flags=tuple(_TREE_DEFAULTS))
         graph = load_edge_list(_require_file(args.graph))
-        _check_source(args.source, graph)
+        with _building():
+            _check_source(args.source, graph.n)
         inputs = [args.graph]
     else:
         graph = _tree(args)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process import SampledCounts
+from .process import MAX_ORDER, SampledCounts, _check_delta, _check_order
 
 __all__ = [
     "MAX_ORDER",
@@ -53,55 +53,9 @@ __all__ = [
     "annihilation_check",
 ]
 
-# Binomial stencil weights grow like 2^order, so the statistical value of
-# going higher vanishes long before numerics do; orders above this are
-# almost certainly a units mistake and are rejected.
-MAX_ORDER = 20
-
 # The grid step of a profile of N with no evenly spaced knots (such as event
 # times): delta / STEPS_PER_DELTA.
 STEPS_PER_DELTA = 10
-
-
-def _check_order(order, name: str = "order", limit: float = MAX_ORDER) -> int:
-    """``order`` as an int in [1, limit], bools rejected: the one check on an
-    order k (and, with no limit, on a whole count such as days), naming ``name``."""
-    if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {order!r}")
-    if order < 1:
-        raise ValueError(f"{name} must be >= 1, got {order}")
-    if order > limit:
-        raise ValueError(f"{name} must be <= {limit}, got {order}")
-    return int(order)
-
-
-def _real(value) -> float:
-    """``value`` as a float; NaN for a bool or anything ``float()`` does not
-    read (None, a string such as ``"x"``), so the caller's finite test
-    rejects it."""
-    try:
-        return math.nan if isinstance(value, (bool, np.bool_)) else float(value)
-    except (TypeError, ValueError):
-        return math.nan
-
-
-def _check_delta(delta, name: str = "delta") -> float:
-    """``delta`` as a positive, finite float, bools and non-numbers rejected: one check."""
-    value = _real(delta)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {delta!r}")
-    return value
-
-
-def _check_finite(value, name: str, low: float = -math.inf) -> float:
-    """``value`` as a finite float of at least ``low``, bools and
-    non-numbers rejected: the rule on a rate shape's fields and a jump's
-    onset, as ``_check_delta`` is on a step."""
-    number = _real(value)
-    if not (math.isfinite(number) and number >= low):
-        floor = f" and >= {low:g}" if low > -math.inf else ""
-        raise ValueError(f"{name} must be finite{floor}, got {value!r}")
-    return number
 
 
 @dataclass(frozen=True)

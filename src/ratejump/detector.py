@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .derivative import DerivativeProfile, _check_delta, _check_order, derivative_profile
+from .derivative import DerivativeProfile, derivative_profile
+from .process import _check_delta, _check_order
 
 __all__ = [
     "DetectorConfig",

@@ -27,13 +27,13 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .derivative import STEPS_PER_DELTA, _as_counting, _check_delta, _check_order, _lattice_plan
+from .derivative import STEPS_PER_DELTA, _as_counting, _lattice_plan
 # argmax_single is not called here; bench/tracing.py wraps harness.argmax_single by name
 from .detector import DetectorConfig, argmax_single, detect
 # simulate is called by this name: bench/tracing.py wraps harness.simulate
 from .poisson import Constant, JumpComponent, RateSpec, draw_counts, preset_rate_spec, simulate
-from .process import EventTimes, SampledCounts
-from .seeding import SimSeed, _check_seed, as_seed
+from .process import EventTimes, SampledCounts, _check_delta, _check_order, _check_seed
+from .seeding import SimSeed, as_seed
 from .si import Graph, build_tree_with_hub, infection_count_process, simulate_si
 
 __all__ = [

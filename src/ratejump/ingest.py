@@ -49,9 +49,9 @@ from operator import itemgetter
 
 import numpy as np
 
-from .derivative import DerivativeProfile, _check_order, derivative_profile
-from .process import (BinnedSeries, SampledCounts, _as_counts, _fields_equal, _input_file,
-                      _parse_count, from_binned)
+from .derivative import DerivativeProfile, derivative_profile
+from .process import (BinnedSeries, SampledCounts, _as_counts, _check_order, _fields_equal,
+                      _input_file, _parse_count, from_binned)
 
 __all__ = [
     "RegionSeries",

@@ -129,8 +129,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivative import _check_delta, _check_finite
-from .process import EventTimes, SampledCounts, _input_file, _text_lines
+from .process import (EventTimes, SampledCounts, _check_delta, _check_finite, _input_file,
+                      _text_lines)
 from .seeding import generator
 
 __all__ = [

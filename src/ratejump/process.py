@@ -4,7 +4,9 @@ from its first edge (``from_binned``), since a bin tells N at its edges.
 
 The package-wide convention is that the counting function N(t) is the
 number of events with timestamp <= t, so N is a right-continuous step
-function and N(horizon) is the total event count.
+function and N(horizon) is the total event count.  This module also holds
+every value and file rule of the package, and imports no other ``ratejump``
+module, so each layer checks its inputs here.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ __all__ = [
 # Elements per chunk of the checks on ``EventTimes``.
 _CHECK_CHUNK = 2**16
 
+# Binomial stencil weights grow like 2^order, so the statistical value of
+# going higher vanishes long before numerics do; orders above this are
+# almost certainly a units mistake and are rejected.
+MAX_ORDER = 20
+
 
 def _fields_equal(self, other):
     """``==`` for the frozen dataclasses that hold arrays: the same class and
@@ -46,6 +53,63 @@ def _fields_equal(self, other):
         if not (np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs):
             return False
     return True
+
+
+def _check_order(order, name: str = "order", limit: float = MAX_ORDER) -> int:
+    """``order`` as an int in [1, limit], bools rejected: the one check on an
+    order k (and, with no limit, on a whole count such as days), naming ``name``."""
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {order!r}")
+    if order < 1:
+        raise ValueError(f"{name} must be >= 1, got {order}")
+    if order > limit:
+        raise ValueError(f"{name} must be <= {limit}, got {order}")
+    return int(order)
+
+
+def _real(value) -> float:
+    """``value`` as a float; NaN for a bool, an int beyond the float range and what
+    ``float()`` does not read (None, ``"x"``), so the caller's finite test rejects it."""
+    try:
+        return math.nan if isinstance(value, (bool, np.bool_)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
+def _check_delta(delta, name: str = "delta") -> float:
+    """``delta`` as a positive, finite float, bools and non-numbers rejected: one check."""
+    value = _real(delta)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {delta!r}")
+    return value
+
+
+def _check_finite(value, name: str, low: float = -math.inf) -> float:
+    """``value`` as a finite float of at least ``low``, bools and
+    non-numbers rejected: the rule on a rate shape's fields and a jump's
+    onset, as ``_check_delta`` is on a step."""
+    number = _real(value)
+    if not (math.isfinite(number) and number >= low):
+        floor = f" and >= {low:g}" if low > -math.inf else ""
+        raise ValueError(f"{name} must be finite{floor}, got {value!r}")
+    return number
+
+
+def _check_seed(value, name: str) -> None:
+    """The one rule on a seed or stream index: a non-negative integer, bools
+    rejected; errors name ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+
+
+def _check_source(source, n: int) -> None:
+    """A cascade's source: a vertex id, an integer in [0, n), bools rejected."""
+    if isinstance(source, bool) or not isinstance(source, (int, np.integer)):
+        raise ValueError(f"source must be an integer vertex id, got {source!r}")
+    if not 0 <= source < n:
+        raise ValueError(f"source {source} out of range for {n} vertices")
 
 
 def _count_problem(value) -> "str | None":
@@ -251,10 +315,8 @@ class BinnedSeries:
     __eq__ = _fields_equal
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.bin_width) and self.bin_width > 0):
-            raise ValueError(f"bin_width must be positive and finite, got {self.bin_width}")
+        object.__setattr__(self, "bin_width", _check_delta(self.bin_width, "bin_width"))
         object.__setattr__(self, "counts", _as_counts(self.counts))
-        object.__setattr__(self, "bin_width", float(self.bin_width))
         object.__setattr__(self, "start_time", float(self.start_time))
 
     def __len__(self) -> int:
@@ -302,13 +364,16 @@ def bin_events(events: EventTimes, bin_width: float) -> BinnedSeries:
 
 
 def _bin_count(horizon: float, bin_width: float) -> int:
-    """The number of bins of ``bin_width`` from 0 that tile [0, horizon].
+    """The number of bins of ``bin_width``, a step (``_check_delta``), that tile [0, horizon].
 
     A binned file states its width only as the gap between bin starts, so
     fewer than two bins is an error naming the width and the horizon; so is
     a width that does not cut the horizon into whole bins, up to rounding,
     since a part bin at the end would read as a fall in the rate.
     """
+    bin_width = _check_delta(bin_width, "bin_width")
+    if not horizon / bin_width < math.inf:  # a subnormal width
+        raise ValueError(f"bin width {bin_width!r} leaves too many bins on horizon {horizon!r}")
     n_bins = round(horizon / bin_width)
     if n_bins < 2 or abs(n_bins * bin_width - horizon) > 1e-12 * max(1.0, horizon):
         what = "fewer than two bins" if n_bins < 2 else "a part bin at its end"

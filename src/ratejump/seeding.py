@@ -14,16 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .process import _check_seed
+
 __all__ = ["SimSeed", "as_seed", "generator"]
-
-
-def _check_seed(value, name: str) -> None:
-    """The one rule on a seed or stream index: a non-negative integer, bools
-    rejected; errors name ``name``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
 
 
 @dataclass(frozen=True)

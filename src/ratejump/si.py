@@ -50,8 +50,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .derivative import _check_order
-from .process import EventTimes, _fields_equal, _input_file, _text_lines
+from .process import (EventTimes, _check_order, _check_source, _fields_equal, _input_file,
+                      _text_lines)
 from .seeding import generator
 
 __all__ = [
@@ -101,7 +101,20 @@ class Graph:
         if u.size:
             if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n:
                 raise ValueError("an edge references a vertex id out of range")
-            _check_edges(n, u, v)
+            loops = np.flatnonzero(u == v)
+            if loops.size:
+                raise ValueError(f"self-loop at vertex {int(u[loops[0]])}")
+            # the edge {u, v} has one int64 key min(u, v) * n + max(u, v) in either
+            # orientation, so an edge listed twice is a key seen twice once sorted
+            key = np.minimum(u, v, dtype=np.int64)
+            key *= n
+            key += np.maximum(u, v, dtype=np.int64)
+            key.sort()
+            twice = np.flatnonzero(key[1:] == key[:-1])
+            if twice.size:
+                low, high = divmod(int(key[twice[0]]), n)
+                raise ValueError(f"parallel edge: edge {{{low}, {high}}} is listed twice")
+            del key
         self.hub = hub
         self._fold_memo = None  # (source, _fold_plan(self, source)) once a tree is folded
         # arc i is u[i] -> v[i] and arc m + i its reverse; ids are in range, so int32 is exact
@@ -146,23 +159,6 @@ def _row_pointers(rows: np.ndarray, n: int) -> np.ndarray:
     return indptr
 
 
-def _check_edges(n: int, u: np.ndarray, v: np.ndarray) -> None:
-    """Reject a self-loop or an edge listed twice, naming it.  The edge
-    {u, v} has one int64 key ``min(u, v) * n + max(u, v)`` in either
-    orientation, so an edge listed twice is a key seen twice once sorted."""
-    loops = np.flatnonzero(u == v)
-    if loops.size:
-        raise ValueError(f"self-loop at vertex {int(u[loops[0]])}")
-    key = np.minimum(u, v, dtype=np.int64)
-    key *= n
-    key += np.maximum(u, v, dtype=np.int64)
-    key.sort()
-    twice = np.flatnonzero(key[1:] == key[:-1])
-    if twice.size:
-        low, high = divmod(int(key[twice[0]]), n)
-        raise ValueError(f"parallel edge: edge {{{low}, {high}}} is listed twice")
-
-
 def _component_count(n: int, u: np.ndarray, v: np.ndarray) -> int:
     """Number of connected components of the graph on 0..n-1 with the
     edges u[i] -- v[i].
@@ -204,8 +200,7 @@ class CascadeTrace:
         object.__setattr__(self, "times", times)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("times must be a non-empty one-dimensional array")
-        if not (0 <= self.source < times.size):
-            raise ValueError(f"source {self.source} out of range for {times.size} vertices")
+        _check_source(self.source, times.size)
         if times[self.source] != 0.0:
             raise ValueError(f"source must be infected at time 0, got {times[self.source]}")
         if not np.all(np.isfinite(times)) or np.any(times < 0):
@@ -247,11 +242,7 @@ def simulate_si(graph: Graph, source: int, seed) -> CascadeTrace:
     ``seed`` may be an integer, a SimSeed, or a numpy Generator; equal
     seeds give identical traces.  Edge clocks are Exponential(1).
     """
-    n = graph.n
-    if isinstance(source, (bool, np.bool_)) or not isinstance(source, (int, np.integer)):
-        raise ValueError(f"source must be an integer vertex id, got {source!r}")
-    if not (0 <= source < n):
-        raise ValueError(f"source {source} out of range for {n} vertices")
+    _check_source(source, graph.n)
     rng = generator(seed)
     weights = rng.exponential(1.0, graph.n_edges)
     return CascadeTrace(times=_first_passage(graph, weights, source), source=source)

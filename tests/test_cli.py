@@ -726,6 +726,12 @@ GRIDS = ["--k-grid", "1", "--delta-grid", "0.3"]
       "--horizon", "100"], 2, "--horizon is for --events only"),
     (["detect", "--binned", "{events}", "--k", "2", "--delta", "0.5", "--horizon", "100"], 2,
      "--horizon is for --events only"),
+    # an int beyond the float range, and a width that leaves more bins than a float counts
+    pytest.param(["detect", "--k", "2", "--delta", "1" + "0" * 400, *DETECT], 2,
+                 "delta must be positive and finite, got 1" + "0" * 400,
+                 id="argv23-2-delta must be positive and finite, got 10**400"),
+    (["simulate-poisson", "--horizon", "1", "--base", "5", "--bin-width", "1e-310"], 2,
+     "bin width 1e-310 leaves too many bins on horizon 1.0"),
 ])
 def test_bad_flag_exit_codes(tmp_path, capsys, argv, code, message):
     events = tmp_path / "events.txt"

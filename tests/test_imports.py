@@ -5,15 +5,25 @@ are not trees, and trees too deep to fold), which imports it on first use,
 so a cascade on a tree loads it neither.  Only a multi-worker heatmap starts
 a process pool.  The check runs in a fresh interpreter, since this test
 session has long since imported both.
+
+The layering of the value rules is read from the source, with no import:
+``ratejump.process`` holds every rule and imports no other ``ratejump``
+module, and the simulators and the CLI take their rules from it, not from
+the estimator, ``ratejump.derivative``.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "ratejump"
+MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 
 CHILD = """
 import json, sys
@@ -63,3 +73,55 @@ def test_import_loads_numpy_random_only_if_numpy_does():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "True"
+
+
+def _tree(module):
+    return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _package_imports(module):
+    """(the ratejump module imported from, the names imported) for each import
+    of the package anywhere in ``module``: ``from .x import a`` and ``from
+    ratejump.x import a`` give ("x", {"a"}); ``from . import x`` gives ("", {"x"})."""
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "ratejump"):
+            source = (node.module or "") if node.level else node.module.partition(".")[2]
+            yield source, {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "ratejump":
+                    yield alias.name.partition(".")[2], set()
+
+
+def _is_rule(name):
+    return name.startswith("_check_") or name == "_real"
+
+
+def test_the_rules_module_imports_no_other_ratejump_module():
+    assert list(_package_imports("process")) == []
+
+
+@pytest.mark.parametrize("module", ["poisson", "si", "seeding", "process"])
+def test_the_simulation_layer_does_not_import_the_estimator(module):
+    for source, names in _package_imports(module):
+        assert source != "derivative" and not (source == "" and "derivative" in names), (
+            f"{module} imports the derivative module")
+
+
+def test_every_rule_is_defined_in_the_rules_module():
+    defined = [(module, node.name) for module in MODULES for node in ast.walk(_tree(module))
+               if isinstance(node, ast.FunctionDef) and _is_rule(node.name)]
+    assert {name for _, name in defined} >= {"_real", "_check_order", "_check_delta",
+                                            "_check_finite", "_check_seed", "_check_source"}
+    assert [(module, name) for module, name in defined if module != "process"] == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_rule_is_imported_from_the_rules_module(module):
+    # the package re-exports the public MAX_ORDER through derivative; the CLI
+    # reads it, as it reads every rule, from process
+    for source, names in _package_imports(module):
+        rules = {name for name in names
+                 if _is_rule(name) or (module, name) == ("cli", "MAX_ORDER")}
+        assert not rules or source == "process", f"{module} imports {sorted(rules)} from .{source}"

@@ -1,13 +1,14 @@
 """Each input rule has one implementation; every entry point gives the same answer.
 
 The rules on a derivative order k (and on a whole count such as a number
-of trials), a step delta (a whole number of knot gaps where N is known at
-evenly spaced knots) and a window that must hold a grid point live in
-``ratejump.derivative``; the rule on event counts, for
-arrays and for the count fields of files, and the one way every loader
-reads its file, live in ``ratejump.process``.  Each test below feeds the
-same bad value to every entry point that takes it and expects a
-ValueError that names the field, index, day, row, line or window.
+of trials), a step delta, a finite field, a seed, a cascade's source and
+event counts, for arrays and for the count fields of files, and the one
+way every loader reads its file, live in ``ratejump.process``; the rules
+that need N, a step that is a whole number of knot gaps where N is known
+at evenly spaced knots and a window that must hold a grid point, live in
+``ratejump.derivative``.  Each test below feeds the same bad value to
+every entry point that takes it and expects a ValueError that names the
+field, index, day, row, line or window.
 """
 
 import re
@@ -24,11 +25,11 @@ from ratejump.ingest import RegionSeries, analyze_binned, load_daily_csv
 from ratejump.multicascade import CascadeBundle, estimate_high_degree
 from ratejump.poisson import (Constant, ExpDecay, JumpComponent, Polynomial, RateSpec, Sinusoid,
                               draw_counts, load_rate_spec, simulate)
-from ratejump.process import (BinnedSeries, EventTimes, from_binned, load_binned_csv,
+from ratejump.process import (BinnedSeries, EventTimes, bin_events, from_binned, load_binned_csv,
                               load_event_times, save_event_times)
 from ratejump.seeding import SimSeed, as_seed
-from ratejump.si import (CascadeTrace, build_tree_with_hub, load_edge_list, load_trace_csv,
-                         save_trace_csv)
+from ratejump.si import (CascadeTrace, Graph, build_tree_with_hub, load_edge_list, load_trace_csv,
+                         save_trace_csv, simulate_si)
 
 EVENTS = EventTimes(times=np.linspace(0.5, 9.5, 40), horizon=10.0)
 FLAT = RateSpec(components=(JumpComponent(5.0, 0.0, Constant()),))
@@ -55,6 +56,8 @@ DELTA_ENTRIES = {
     "ExpDecay": (lambda d: ExpDecay(rate=d), r"^expdecay rate must"),
     "JumpComponent": (lambda d: JumpComponent(amplitude=d, onset=0.0, shape=Constant()),
                       r"^amplitude must"),
+    "BinnedSeries": (lambda d: BinnedSeries(bin_width=d, counts=[1, 2]), r"^bin_width must"),
+    "bin_events": (lambda d: bin_events(EVENTS, d), r"^bin_width must"),
 }
 
 # entry point -> (call with the bad value in the field's place, the field it names)
@@ -92,7 +95,8 @@ def test_order_rule(entry, bad):
 
 @pytest.mark.parametrize("entry", sorted(DELTA_ENTRIES))
 @pytest.mark.parametrize("bad", [0.0, -0.5, np.inf, -np.inf, np.nan, True, np.bool_(True),
-                                 "abc", "0.1:0.5", None])
+                                 "abc", "0.1:0.5", None,
+                                 pytest.param(10**400, id="10**400")])
 def test_delta_rule(entry, bad):
     call, field = DELTA_ENTRIES[entry]
     if bad is None and entry == "DetectorConfig.threshold":
@@ -103,11 +107,31 @@ def test_delta_rule(entry, bad):
 
 
 @pytest.mark.parametrize("entry", sorted(FINITE_ENTRIES))
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, True, np.bool_(False), "abc", None])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, True, np.bool_(False), "abc", None,
+                                 pytest.param(10**400, id="10**400")])
 def test_finite_rule(entry, bad):
     call, field = FINITE_ENTRIES[entry]
     with pytest.raises(ValueError, match=field + re.escape(repr(bad)) + "$"):
         call(bad)
+
+
+# entry point -> a call with the bad value as the source of a cascade on two vertices
+SOURCE_ENTRIES = {
+    "simulate_si": lambda s: simulate_si(Graph(2, [0], [1]), s, 0),
+    "CascadeTrace": lambda s: CascadeTrace(np.array([0.0, 1.0]), s),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SOURCE_ENTRIES))
+@pytest.mark.parametrize("bad,message", [
+    *((bad, f"source must be an integer vertex id, got {bad!r}")
+      for bad in (1.5, 0.0, True, "0", None)),
+    (-1, "source -1 out of range for 2 vertices"),
+    (99, "source 99 out of range for 2 vertices"),
+])
+def test_source_rule(entry, bad, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        SOURCE_ENTRIES[entry](bad)
 
 
 def test_onset_rule_needs_no_less_than_zero():
