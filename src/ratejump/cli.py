@@ -60,9 +60,9 @@ from .ingest import load_daily_csv
 from .multicascade import CascadeBundle, estimate_high_degree, save_multicascade_report
 from .poisson import (RATE_PRESETS, _cpu_count, load_rate_spec, preset_rate_spec, save_rate_spec,
                       simulate)
-from .process import (MAX_ORDER, _bin_count, _check_delta, _check_order, _check_source, bin_events,
-                      from_binned, load_binned_csv, load_event_times, save_binned_csv,
-                      save_event_times)
+from .process import (MAX_ORDER, _bin_count, _check_delta, _check_order, _check_source,
+                      _write_lines, bin_events, from_binned, load_binned_csv, load_event_times,
+                      save_binned_csv, save_event_times)
 from .seeding import SimSeed
 from .si import build_tree_with_hub, load_edge_list, load_trace_csv, save_trace_csv, simulate_si
 
@@ -150,10 +150,11 @@ def _default(value) -> str:
     return "" if value is None else f" (default {value})"
 
 
-def _out_dir(args) -> str:
-    out = getattr(args, "out_dir", None) or os.environ.get("RATEJUMP_OUT") or "."
+def _output(args, name) -> str:
+    """The path of the output ``name`` in the run's output directory, made if missing."""
+    out = args.out_dir or os.environ.get("RATEJUMP_OUT") or "."
     os.makedirs(out, exist_ok=True)
-    return out
+    return os.path.join(out, name)
 
 
 def _require_file(path) -> str:
@@ -165,18 +166,12 @@ def _require_file(path) -> str:
 def _write_manifest(primary_output, subcommand, args, inputs, outputs, wall_time, extra=None):
     path = str(primary_output) + ".manifest"
     skip = {"func", "out_dir", "given"}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"subcommand={subcommand}\n")
-        fh.write(f"version={__version__}\n")
-        fh.write(f"wall_time_s={wall_time:.3f}\n")
-        fh.write(f"inputs={','.join(str(p) for p in inputs)}\n")
-        fh.write(f"outputs={','.join(str(p) for p in outputs)}\n")
-        for key in sorted(vars(args)):
-            if key in skip:
-                continue
-            fh.write(f"param.{key}={getattr(args, key)}\n")
-        for key in sorted(extra or {}):
-            fh.write(f"result.{key}={extra[key]}\n")
+    _write_lines(path, [
+        f"subcommand={subcommand}", f"version={__version__}", f"wall_time_s={wall_time:.3f}",
+        f"inputs={','.join(map(str, inputs))}", f"outputs={','.join(map(str, outputs))}",
+        *(f"param.{key}={getattr(args, key)}" for key in sorted(vars(args)) if key not in skip),
+        *(f"result.{key}={extra[key]}" for key in sorted(extra or {})),
+    ])
     return path
 
 
@@ -285,8 +280,7 @@ def cmd_simulate_poisson(args):
         with _building():
             _bin_count(args.horizon, args.bin_width)
     events = simulate(spec, args.horizon, SimSeed(args.seed, args.stream))
-    out_dir = _out_dir(args)
-    out_events = os.path.join(out_dir, args.out)
+    out_events = _output(args, args.out)
     save_event_times(events, out_events)
     outputs = [out_events]
     spec_out = out_events + ".ratespec"
@@ -312,8 +306,7 @@ def cmd_simulate_si(args):
         graph = _tree(args)
         inputs = []
     trace = simulate_si(graph, args.source, SimSeed(args.seed, args.stream))
-    out_dir = _out_dir(args)
-    out_trace = os.path.join(out_dir, args.out)
+    out_trace = _output(args, args.out)
     save_trace_csv(trace, out_trace)
     extra = {"n_vertices": graph.n}
     if graph.hub is not None:
@@ -329,11 +322,10 @@ def cmd_detect(args):
     counting, start, inputs, notes = _load_counting(args)
     report = detect(counting, config)
     # the report is on N's clock, whose 0 is ``start`` on the input's: each output adds it
-    out_dir = _out_dir(args)
-    outputs = [os.path.join(out_dir, args.out)]
+    outputs = [_output(args, args.out)]
     save_report_csv(report, outputs[0], start)
     if args.profile_out:
-        outputs.append(os.path.join(out_dir, args.profile_out))
+        outputs.append(_output(args, args.profile_out))
         save_profile_csv(report.profile, outputs[1], start)
     for name, value in notes.items():
         _echo(f"{name}={value}")
@@ -370,12 +362,11 @@ def cmd_heatmap(args):
         with _building():
             spec = ExperimentSpec(scenario, args.k_grid, args.delta_grid, args.trials, args.seed)
     result = run_heatmap(spec, workers=args.workers)
-    out_dir = _out_dir(args)
-    out_matrix = os.path.join(out_dir, "heatmap.csv")
+    out_matrix = _output(args, "heatmap.csv")
     save_heatmap_csv(result, out_matrix)
     outputs = [out_matrix]
     if args.long_csv:
-        out_long = os.path.join(out_dir, "heatmap_long.csv")
+        out_long = _output(args, "heatmap_long.csv")
         save_heatmap_long_csv(result, out_long)
         outputs.append(out_long)
     for k, best in result.best_per_order.items():
@@ -408,8 +399,7 @@ def cmd_multicascade(args):
                   for i in range(args.cascades)]
         inputs, hub = [], graph.hub
     report = estimate_high_degree(CascadeBundle(traces=tuple(traces)), config, window=args.window)
-    out_dir = _out_dir(args)
-    out_path = os.path.join(out_dir, args.out)
+    out_path = _output(args, args.out)
     save_multicascade_report(report, out_path)
     shown = sorted(report.vertices)
     _echo(f"estimated high-degree vertices ({len(shown)}): {shown[:10]}"
@@ -429,12 +419,9 @@ def cmd_presets(args):
     lines.append("rate presets (for simulate-poisson --rate-preset):")
     for name in sorted(RATE_PRESETS):
         lines.append(f"  {name}")
-    text = "\n".join(lines)
-    out_dir = _out_dir(args)
-    out_path = os.path.join(out_dir, "presets.txt")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-    _echo(text)
+    out_path = _output(args, "presets.txt")
+    _write_lines(out_path, lines)
+    _echo("\n".join(lines))
     return out_path, [], [out_path], {}
 
 

@@ -13,14 +13,13 @@ data), so the stencil never reaches past the data; there is no override.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .derivative import DerivativeProfile, derivative_profile
-from .process import _check_delta, _check_order
+from .process import _check_delta, _check_order, _write_csv
 
 __all__ = [
     "DetectorConfig",
@@ -220,18 +219,11 @@ def min_order_for(theta: float) -> int:
 def save_report_csv(report: ChangePointReport, path, start: float) -> None:
     """Write the estimates as a ``t_hat,score`` CSV, each time plus
     ``start``: the time of N's 0 on the input's clock."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_hat", "score"])
-        for e in report.estimates:
-            writer.writerow([repr(e.time + start), repr(e.score)])
+    _write_csv(path, ["t_hat", "score"],
+               ([repr(e.time + start), repr(e.score)] for e in report.estimates))
 
 
 def save_profile_csv(profile: DerivativeProfile, path, start: float) -> None:
     """Write the profile as a ``t,value`` CSV, each time plus ``start``: the
     time of N's 0 on the input's clock."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "value"])
-        for t, v in profile.pairs():
-            writer.writerow([repr(t + start), repr(v)])
+    _write_csv(path, ["t", "value"], ([repr(t + start), repr(v)] for t, v in profile.pairs()))

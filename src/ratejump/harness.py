@@ -19,7 +19,6 @@ cascade sets its own horizon; its N is read on the union through ``count_at``.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import warnings
@@ -32,7 +31,8 @@ from .derivative import STEPS_PER_DELTA, _as_counting, _lattice_plan
 from .detector import DetectorConfig, argmax_single, detect
 # simulate is called by this name: bench/tracing.py wraps harness.simulate
 from .poisson import Constant, JumpComponent, RateSpec, draw_counts, preset_rate_spec, simulate
-from .process import EventTimes, SampledCounts, _check_delta, _check_order, _check_seed
+from .process import (EventTimes, SampledCounts, _check_delta, _check_order, _check_seed,
+                      _write_csv)
 from .seeding import SimSeed, as_seed
 from .si import Graph, build_tree_with_hub, infection_count_process, simulate_si
 
@@ -356,27 +356,20 @@ def run_heatmap(spec: ExperimentSpec, workers: int = 1) -> HeatmapResult:
 
 def save_heatmap_csv(result: HeatmapResult, path) -> None:
     """Matrix CSV: '#' metadata lines, then a delta header row and one row per k."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for key, value in sorted(result.metadata.items()):
-            fh.write(f"# {key}={value}\n")
-        k, delta, error = result.argmin
-        fh.write(f"# argmin_k={k} argmin_delta={delta!r} argmin_error={error!r}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["k\\delta"] + [repr(d) for d in result.delta_grid])
-        for k, row in zip(result.k_grid, result.mean_errors):
-            writer.writerow([k] + [repr(float(v)) for v in row])
+    k, delta, error = result.argmin
+    notes = [*(f"{key}={value}" for key, value in sorted(result.metadata.items())),
+             f"argmin_k={k} argmin_delta={delta!r} argmin_error={error!r}"]
+    _write_csv(path, ["k\\delta"] + [repr(d) for d in result.delta_grid],
+               ([k] + [repr(float(v)) for v in row]
+                for k, row in zip(result.k_grid, result.mean_errors)), notes)
 
 
 def save_heatmap_long_csv(result: HeatmapResult, path) -> None:
     """Long-form CSV ``k,delta,trial,error`` with every per-trial error."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "delta", "trial", "error"])
-        n_trials = result.errors.shape[0]
-        for i, k in enumerate(result.k_grid):
-            for j, d in enumerate(result.delta_grid):
-                for t in range(n_trials):
-                    writer.writerow([k, repr(d), t, repr(float(result.errors[t, i, j]))])
+    _write_csv(path, ["k", "delta", "trial", "error"],
+               ([k, repr(d), t, repr(float(result.errors[t, i, j]))]
+                for i, k in enumerate(result.k_grid) for j, d in enumerate(result.delta_grid)
+                for t in range(result.errors.shape[0])))
 
 
 @dataclass(frozen=True)

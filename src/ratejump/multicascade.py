@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import DetectorConfig, detect
+from .process import _write_lines
 from .si import CascadeTrace, infection_count_process
 
 __all__ = [
@@ -112,14 +113,12 @@ def estimate_high_degree(
 
 def save_multicascade_report(report: MulticascadeReport, path) -> None:
     """Write estimated vertex ids (one per line) plus a provenance trailer."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in sorted(report.vertices):
-            fh.write(f"{v}\n")
-        fh.write(f"# n_vertices={len(report.vertices)}\n")
-        fh.write(f"# window={report.window!r}\n")
-        fh.write(f"# k={report.config.k} delta={report.config.delta!r} ")
-        mode = "argmax-single" if report.config.threshold is None else "threshold"
-        fh.write(f"mode={mode}\n")
-        for i, (times, size) in enumerate(zip(report.change_times, report.candidate_sizes)):
-            shown = ",".join(repr(t) for t in times)
-            fh.write(f"# cascade {i}: change_times=[{shown}] candidates={size}\n")
+    mode = "argmax-single" if report.config.threshold is None else "threshold"
+    _write_lines(path, [
+        *sorted(report.vertices),
+        f"# n_vertices={len(report.vertices)}",
+        f"# window={report.window!r}",
+        f"# k={report.config.k} delta={report.config.delta!r} mode={mode}",
+        *(f"# cascade {i}: change_times=[{','.join(map(repr, times))}] candidates={size}"
+          for i, (times, size) in enumerate(zip(report.change_times, report.candidate_sizes))),
+    ])

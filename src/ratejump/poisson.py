@@ -130,7 +130,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .process import (EventTimes, SampledCounts, _check_delta, _check_finite, _input_file,
-                      _text_lines)
+                      _text_lines, _write_lines)
 from .seeding import generator
 
 __all__ = [
@@ -737,8 +737,7 @@ def load_rate_spec(path) -> RateSpec:
 
 
 def save_rate_spec(spec: RateSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_rate_spec(spec))
+    _write_lines(path, format_rate_spec(spec).splitlines())
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ from its first edge (``from_binned``), since a bin tells N at its edges.
 The package-wide convention is that the counting function N(t) is the
 number of events with timestamp <= t, so N is a right-continuous step
 function and N(horizon) is the total event count.  This module also holds
-every value and file rule of the package, and imports no other ``ratejump``
-module, so each layer checks its inputs here.
+every value and file rule of the package, and the one path by which a file
+is read or written, and imports no other ``ratejump`` module.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -195,6 +196,23 @@ def _input_file(path, unit: str, line_num=None):
                 except UnicodeDecodeError as line_exc:
                     raise ValueError(f"{path}: {unit} {lineno}: {line_exc}") from None
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _write_lines(path, lines) -> None:
+    """Write each of ``lines`` and a ``\\n`` to ``path``: every output file is
+    written through here or ``_write_csv``, as UTF-8 with no newline translation."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(f"{line}\n" for line in lines)
+
+
+def _write_csv(path, header, rows, notes=()) -> None:
+    """Write a CSV to ``path``: a ``# note`` line per note, then ``header``
+    and ``rows`` through ``csv.writer``; opened as ``_write_lines`` opens."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(f"# {note}\n" for note in notes)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _text_lines(lines):
@@ -413,10 +431,8 @@ def load_event_times(path, horizon: "float | None" = None) -> EventTimes:
 
 def save_event_times(events: EventTimes, path) -> None:
     """Write event times as one timestamp per line with a comment header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# event times, horizon={float(events.horizon)!r}\n")
-        for t in events.times.tolist():
-            fh.write(f"{t!r}\n")
+    _write_lines(path, itertools.chain([f"# event times, horizon={float(events.horizon)!r}"],
+                                       map(repr, events.times.tolist())))
 
 
 def load_binned_csv(path) -> BinnedSeries:
@@ -477,8 +493,6 @@ def load_binned_csv(path) -> BinnedSeries:
 
 def save_binned_csv(series: BinnedSeries, path) -> None:
     """Write a binned series as CSV with header ``bin_start,count``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_start", "count"])
-        for i, c in enumerate(series.counts):
-            writer.writerow([repr(float(series.start_time + i * series.bin_width)), int(c)])
+    _write_csv(path, ["bin_start", "count"],
+               ([repr(float(series.start_time + i * series.bin_width)), int(c)]
+                for i, c in enumerate(series.counts)))

@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .process import (EventTimes, _check_order, _check_source, _fields_equal, _input_file,
-                      _text_lines)
+                      _text_lines, _write_csv)
 from .seeding import generator
 
 __all__ = [
@@ -515,8 +515,4 @@ def load_trace_csv(path) -> CascadeTrace:
 
 
 def save_trace_csv(trace: CascadeTrace, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vertex", "time"])
-        for v, t in enumerate(trace.times):
-            writer.writerow([v, repr(float(t))])
+    _write_csv(path, ["vertex", "time"], ([v, repr(float(t))] for v, t in enumerate(trace.times)))
