@@ -17,6 +17,10 @@ echo "== simulate a jump process and detect the change =="
 ratejump simulate-poisson --rate-preset const-plus-exp \
     --base 5000 --jump 4000 --onset 6 --horizon 12 \
     --seed 1 --out-dir "$out"
+echo "-- the rate spec saved beside the events, run on the same seed, draws the same events --"
+ratejump simulate-poisson --rate-spec "$out/events.txt.ratespec" --horizon 12 \
+    --seed 1 --out spec_events.txt --out-dir "$out"
+cmp "$out/events.txt" "$out/spec_events.txt"
 ratejump detect --events "$out/events.txt" \
     --k 3 --delta 0.3 --threshold 4000 --out-dir "$out"
 echo "-- the events file with a byte-order mark in front reads the same --"
@@ -43,6 +47,15 @@ echo "== one epidemic cascade, then hub recovery from three cascades =="
 ratejump simulate-si --height 10 --extra-leaves 400 --seed 7 --out-dir "$out"
 ratejump multicascade --height 11 --extra-leaves 800 --cascades 3 \
     --k 2 --delta 0.12 --window 0.05 --seed 5 --out-dir "$out"
+echo "-- the same three cascades, one stream each, read back as traces, give the same report --"
+for stream in 0 1 2; do
+    ratejump simulate-si --height 11 --extra-leaves 800 --seed 5 --stream "$stream" \
+        --out "cascade_$stream.csv" --out-dir "$out"
+done
+ratejump multicascade --trace "$out/cascade_0.csv" --trace "$out/cascade_1.csv" \
+    --trace "$out/cascade_2.csv" --k 2 --delta 0.12 --window 0.05 \
+    --out traces_multicascade.txt --out-dir "$out"
+cmp "$out/multicascade.txt" "$out/traces_multicascade.txt"
 echo
 
 echo "== a cascade on a graph read from an edge-list file =="

@@ -19,7 +19,7 @@ built before any input is read.  A flag the run does not use is a usage
 error, not ignored: ``--horizon`` with ``--binned`` or ``--daily-csv``
 (binned counts end at their last bin; ``--horizon`` is for ``--events``
 only), ``--region``/``--mode`` without ``--daily-csv``,
-``--base``/``--jump``/``--onset`` with ``--rate-spec``,
+``--rate-preset``/``--base``/``--jump``/``--onset`` with ``--rate-spec``,
 ``--height``/``--extra-leaves`` with ``--graph``, the simulation flags of
 ``multicascade`` with ``--trace``, and a scenario flag the scenario or
 preset does not take.  ``multicascade`` takes every default from the
@@ -267,10 +267,11 @@ def _scenario(args):
 
 def cmd_simulate_poisson(args):
     if args.rate_spec:
-        _reject_unused(args, (), "--rate-spec", flags=("base", "jump", "onset"))
+        _reject_unused(args, (), "--rate-spec", flags=("rate_preset", "base", "jump", "onset"))
         spec = load_rate_spec(_require_file(args.rate_spec))
         inputs = [args.rate_spec]
     else:
+        args.rate_preset = args.rate_preset or "sin-plus-exp"  # the manifest records what ran
         overrides = {name: getattr(args, name) for name in ("base", "jump", "onset")
                      if getattr(args, name) is not None}
         with _building():
@@ -508,10 +509,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("simulate-poisson",
                         help="simulate an inhomogeneous Poisson process by thinning")
-    p.add_argument("--rate-preset", default="sin-plus-exp", choices=sorted(RATE_PRESETS),
+    p.add_argument("--rate-preset", default=None, action=_Given, choices=sorted(RATE_PRESETS),
                    help="built-in rate function family (default sin-plus-exp)")
     p.add_argument("--rate-spec", default=None,
-                   help="rate specification file (overrides --rate-preset)")
+                   help="rate specification file, run in place of a preset: not with "
+                        "--rate-preset, --base, --jump or --onset")
     _add_rate_flags(p, ("base", "jump", "onset"), {})
     p.add_argument("--horizon", type=_flag(_check_delta, "horizon"), default=20.0,
                    help="simulation horizon T in time units (default 20)")

@@ -207,9 +207,10 @@ def _write_lines(path, lines) -> None:
 
 def _write_csv(path, header, rows, notes=()) -> None:
     """Write a CSV to ``path``: a ``# note`` line per note, then ``header``
-    and ``rows`` through ``csv.writer``; opened as ``_write_lines`` opens."""
+    and ``rows`` through ``csv.writer``; opened as ``_write_lines`` opens.
+    Every line ends as ``csv.writer`` ends a row, in ``\\r\\n``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(f"# {note}\n" for note in notes)
+        fh.writelines(f"# {note}\r\n" for note in notes)
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -240,11 +241,9 @@ class EventTimes:
     def __post_init__(self) -> None:
         times = np.ascontiguousarray(self.times, dtype=np.float64)
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "horizon", float(self.horizon))
+        object.__setattr__(self, "horizon", _check_finite(self.horizon, "horizon", 0.0))
         if times.ndim != 1:
             raise ValueError("times must be a one-dimensional array")
-        if not np.isfinite(self.horizon) or self.horizon < 0:
-            raise ValueError(f"horizon must be finite and non-negative, got {self.horizon}")
         if times.size:
             # chunk by chunk, so no boolean temporary is the size of the times
             if not all(np.isfinite(times[i:i + _CHECK_CHUNK]).all()
@@ -291,7 +290,7 @@ class SampledCounts:
         times = np.ascontiguousarray(self.times, dtype=np.float64)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "counts", _as_counts(self.counts))
-        object.__setattr__(self, "horizon", float(self.horizon))
+        object.__setattr__(self, "horizon", _check_finite(self.horizon, "horizon", 0.0))
         if times.ndim != 1 or times.shape != self.counts.shape:
             raise ValueError("times and counts must be one-dimensional arrays of one length")
         if not (times.size and times[0] == 0.0 and times[-1] == self.horizon
@@ -335,7 +334,7 @@ class BinnedSeries:
     def __post_init__(self) -> None:
         object.__setattr__(self, "bin_width", _check_delta(self.bin_width, "bin_width"))
         object.__setattr__(self, "counts", _as_counts(self.counts))
-        object.__setattr__(self, "start_time", float(self.start_time))
+        object.__setattr__(self, "start_time", _check_finite(self.start_time, "start_time"))
 
     def __len__(self) -> int:
         return int(self.counts.size)
@@ -387,10 +386,11 @@ def _bin_count(horizon: float, bin_width: float) -> int:
     A binned file states its width only as the gap between bin starts, so
     fewer than two bins is an error naming the width and the horizon; so is
     a width that does not cut the horizon into whole bins, up to rounding,
-    since a part bin at the end would read as a fall in the rate.
+    since a part bin at the end would read as a fall in the rate.  So is a
+    count of bins whose float64 edges numpy could not index in one array.
     """
     bin_width = _check_delta(bin_width, "bin_width")
-    if not horizon / bin_width < math.inf:  # a subnormal width
+    if not horizon / bin_width < np.iinfo(np.intp).max // 8:
         raise ValueError(f"bin width {bin_width!r} leaves too many bins on horizon {horizon!r}")
     n_bins = round(horizon / bin_width)
     if n_bins < 2 or abs(n_bins * bin_width - horizon) > 1e-12 * max(1.0, horizon):

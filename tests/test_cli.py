@@ -69,6 +69,21 @@ def test_simulate_poisson_writes_events_spec_bins_and_manifest(tmp_path, capsys)
     assert "manifest:" in out
 
 
+def test_simulate_poisson_rate_spec_reruns_the_preset_it_saved(tmp_path, capsys):
+    code, _, err = run(capsys, "simulate-poisson", "--horizon", "3", "--base", "200",
+                       "--seed", "4", "--out-dir", str(tmp_path))
+    assert code == 0, err
+    assert "param.rate_preset=sin-plus-exp" in (tmp_path / "events.txt.manifest").read_text()
+    code, _, err = run(capsys, "simulate-poisson", "--rate-spec",
+                       str(tmp_path / "events.txt.ratespec"), "--horizon", "3", "--seed", "4",
+                       "--out", "again.txt", "--out-dir", str(tmp_path))
+    assert code == 0, err
+    assert (tmp_path / "again.txt").read_bytes() == (tmp_path / "events.txt").read_bytes()
+    # the manifest names no preset: none ran
+    manifest = (tmp_path / "again.txt.manifest").read_text().splitlines()
+    assert "param.rate_preset=None" in manifest
+
+
 def test_simulate_poisson_is_deterministic_per_seed(tmp_path, capsys):
     dirs = [tmp_path / "a", tmp_path / "b"]
     for d in dirs:
@@ -338,6 +353,24 @@ def test_heatmap_custom_grids(tmp_path, capsys):
     manifest = (tmp_path / "heatmap.csv.manifest").read_text().splitlines()
     assert "result.failed_cells=0" in manifest
     assert "failed cells: 0" in out
+
+
+def test_every_csv_output_ends_each_line_in_crlf(tmp_path, capsys):
+    # the six CSV writers, '#' note lines too, end every line as csv.writer does
+    for argv in (["simulate-poisson", "--rate-preset", "const-plus-exp", "--base", "300",
+                  "--horizon", "4", "--bin-width", "0.5"],
+                 ["detect", "--events", str(tmp_path / "events.txt"), "--k", "2",
+                  "--delta", "0.5", "--profile-out", "profile.csv"],
+                 ["simulate-si", "--height", "3", "--extra-leaves", "4"],
+                 ["heatmap", "--scenario", "smooth-jump", "--base", "200", "--k-grid", "1,2",
+                  "--delta-grid", "0.2,0.4", "--trials", "2", "--workers", "1", "--long-csv"]):
+        code, _, err = run(capsys, *argv, "--out-dir", str(tmp_path))
+        assert code == 0, err
+    for name in ("events.txt.binned.csv", "report.csv", "profile.csv", "trace.csv",
+                 "heatmap.csv", "heatmap_long.csv"):
+        lines = (tmp_path / name).read_bytes().split(b"\n")
+        assert lines.pop() == b"" and len(lines) > 1, name
+        assert [line for line in lines if not line.endswith(b"\r")] == [], name
 
 
 def test_heatmap_preset_with_small_overrides(tmp_path, capsys):
@@ -732,6 +765,11 @@ GRIDS = ["--k-grid", "1", "--delta-grid", "0.3"]
                  id="argv23-2-delta must be positive and finite, got 10**400"),
     (["simulate-poisson", "--horizon", "1", "--base", "5", "--bin-width", "1e-310"], 2,
      "bin width 1e-310 leaves too many bins on horizon 1.0"),
+    # more bins than numpy can index the edges of, found before the simulation runs
+    (["simulate-poisson", "--horizon", "1", "--base", "5", "--bin-width", "1e-300"], 2,
+     "bin width 1e-300 leaves too many bins on horizon 1.0"),
+    (["simulate-poisson", "--rate-spec", "{events}", "--rate-preset", "const-plus-exp"], 2,
+     "--rate-spec does not use --rate-preset"),
 ])
 def test_bad_flag_exit_codes(tmp_path, capsys, argv, code, message):
     events = tmp_path / "events.txt"

@@ -9,7 +9,7 @@ session has long since imported both.
 The layering of the value rules is read from the source, with no import:
 ``ratejump.process`` holds every rule and imports no other ``ratejump``
 module, and the simulators and the CLI take their rules from it, not from
-the estimator, ``ratejump.derivative``.
+the estimator, ``ratejump.derivative``.  Every file is opened there too.
 """
 
 import ast
@@ -125,3 +125,13 @@ def test_every_rule_is_imported_from_the_rules_module(module):
         rules = {name for name in names
                  if _is_rule(name) or (module, name) == ("cli", "MAX_ORDER")}
         assert not rules or source == "process", f"{module} imports {sorted(rules)} from .{source}"
+
+
+def test_every_file_is_opened_in_the_rules_module():
+    # every loader reads, and every saver writes, through the one reader and
+    # the two writers of process
+    opens = [(module, node.lineno) for module in MODULES for node in ast.walk(_tree(module))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "open"]
+    assert [(module, line) for module, line in opens if module != "process"] == []
+    assert opens, "process opens no file"

@@ -25,8 +25,8 @@ from ratejump.ingest import RegionSeries, analyze_binned, load_daily_csv
 from ratejump.multicascade import CascadeBundle, estimate_high_degree
 from ratejump.poisson import (Constant, ExpDecay, JumpComponent, Polynomial, RateSpec, Sinusoid,
                               draw_counts, load_rate_spec, simulate)
-from ratejump.process import (BinnedSeries, EventTimes, bin_events, from_binned, load_binned_csv,
-                              load_event_times, save_event_times)
+from ratejump.process import (BinnedSeries, EventTimes, SampledCounts, bin_events, from_binned,
+                              load_binned_csv, load_event_times, save_event_times)
 from ratejump.seeding import SimSeed, as_seed
 from ratejump.si import (CascadeTrace, Graph, build_tree_with_hub, load_edge_list, load_trace_csv,
                          save_trace_csv, simulate_si)
@@ -72,6 +72,12 @@ FINITE_ENTRIES = {
                        r"^sinusoid phase must be finite, got "),
     "Polynomial": (lambda v: Polynomial((1.0, v)),
                    r"^polynomial coefficient 1 must be finite, got "),
+    "EventTimes horizon": (lambda v: EventTimes(np.array([0.5]), v),
+                           r"^horizon must be finite and >= 0, got "),
+    "SampledCounts horizon": (lambda v: SampledCounts(np.array([0.0, 1.0]), [0, 1], v),
+                              r"^horizon must be finite and >= 0, got "),
+    "BinnedSeries start_time": (lambda v: BinnedSeries(1.0, [1, 2], start_time=v),
+                                r"^start_time must be finite, got "),
 }
 
 # N known at knots a day apart sets a grid of one day: a delta must be a
