@@ -73,15 +73,6 @@ class UsageError(Exception):
     """Bad invocation detected after argparse (e.g. missing input file)."""
 
 
-class _Given(argparse.Action):
-    """Store a flag's value and add its name to ``args.given``, so a run can
-    tell a flag given on the command line from a default."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
-
-
 def _echo(text) -> None:
     """Print a line of the run's report; a reader that has closed stdout
     does not fail the run."""
@@ -165,7 +156,7 @@ def _require_file(path) -> str:
 
 def _write_manifest(primary_output, subcommand, args, inputs, outputs, wall_time, extra=None):
     path = str(primary_output) + ".manifest"
-    skip = {"func", "out_dir", "given"}
+    skip = {"func", "out_dir"}
     _write_lines(path, [
         f"subcommand={subcommand}", f"version={__version__}", f"wall_time_s={wall_time:.3f}",
         f"inputs={','.join(map(str, inputs))}", f"outputs={','.join(map(str, outputs))}",
@@ -185,8 +176,8 @@ def _load_counting(args):
         raise UsageError("an input is required: --events FILE, --binned FILE or --daily-csv FILE")
     if len(given) > 1:
         raise UsageError(f"give one input, not {' and '.join(given)}")
-    if not args.daily_csv:
-        _reject_unused(args, (), given[0], flags=("region", "mode"))
+    _settle(args, given[0], ("region", "mode") if args.daily_csv else (),
+            {"region": None, "mode": "daily"})
     if not args.events and args.horizon is not None:
         raise UsageError("--horizon is for --events only: binned counts end at their last bin")
     if args.events:
@@ -195,7 +186,6 @@ def _load_counting(args):
     if args.binned:
         series = load_binned_csv(_require_file(args.binned))
         return from_binned(series), series.start_time, [args.binned], {}
-    args.mode = args.mode or "daily"  # the manifest records what ran
     series = load_daily_csv(_require_file(args.daily_csv), region=args.region, mode=args.mode)
     # day d is the edge d days after the first date: N counts from day 0
     return series.counting, 0.0, [args.daily_csv], {
@@ -213,52 +203,52 @@ def _detector_config(args) -> DetectorConfig:
 
 
 def _tree(args):
-    """The tree flags' planted-hub tree, with --source checked on it.  A tree
-    flag not given takes its ``_TREE_DEFAULTS`` value, set on ``args`` so the
-    manifest records what ran."""
-    for name, value in _TREE_DEFAULTS.items():
-        if getattr(args, name) is None:
-            setattr(args, name, value)
+    """The tree flags' planted-hub tree, with --source checked on it."""
     with _building():
         graph = build_tree_with_hub(args.height, args.extra_leaves)
         _check_source(args.source, graph.n)
     return graph
 
 
-# The tree flags' values when not given (multicascade's come from its preset).
+# Each dict maps the flags some run of a subcommand does not read to the
+# value a run that reads one takes when it is not given.
+_RATE_DEFAULTS = {"rate_preset": "sin-plus-exp", "base": None, "jump": None, "onset": None}
 _TREE_DEFAULTS = {"height": 18, "extra_leaves": 8000}
-# The experiment flags' values when not given; a jump not given is
-# 0.8 * base.  A heatmap preset brings its own.
+# (multicascade's from its preset, and --source and --seed 0)
+_SIMULATION_DEFAULTS = {name: PRESETS["multicascade-tree"].params.get(name, 0)
+                        for name in ("cascades", "height", "extra_leaves", "source", "seed")}
+# a jump not given is 0.8 * base; a heatmap preset brings its own values
 _HEATMAP_DEFAULTS = {"scenario": "smooth-jump", "base": 1e4, "horizon": 20.0,
                      **_TREE_DEFAULTS, "trials": 20}
 # the flags that define a scenario
 _SCENARIO_FLAGS = ("scenario", "base", "horizon", "height", "extra_leaves", "jump")
-# the flags only a simulated multicascade run reads
-_SIMULATION_FLAGS = ("cascades", "height", "extra_leaves", "source", "seed")
 
 
-def _reject_unused(args, used, who, flags=_SCENARIO_FLAGS):
-    """A usage error naming each of ``flags`` given that ``who`` does not use."""
-    unused = [name for name in flags if name not in used and name in args.given]
+def _settle(args, who, used, flags):
+    """Settle the run's ``flags`` (name -> default): one given that ``who``
+    does not use is a usage error, and one in ``used`` not given takes its
+    default, set on ``args`` so the manifest records what ran.  Each of
+    ``flags`` defaults to None in the parser, so given means not None."""
+    unused = [name for name in flags if name not in used and getattr(args, name) is not None]
     if unused:
-        flags = ", ".join("--" + name.replace("_", "-") for name in unused)
-        raise UsageError(f"{who} does not use {flags}")
+        raise UsageError(f"{who} does not use "
+                         + ", ".join("--" + name.replace("_", "-") for name in unused))
+    for name in used:
+        if getattr(args, name) is None:
+            setattr(args, name, flags[name])
 
 
 def _scenario(args):
-    """The scenario the experiment flags define.  Each flag it uses, and
-    --trials, takes its ``_HEATMAP_DEFAULTS`` value when not given, and is
-    set on ``args`` so the manifest records what ran; a scenario flag it
-    does not use is a usage error."""
-    args.scenario = args.scenario or _HEATMAP_DEFAULTS["scenario"]
-    cls, _ = HEATMAP_SCENARIOS[args.scenario]
-    used = _scenario_params(cls)
-    _reject_unused(args, ("scenario", *used), f"scenario {args.scenario!r}")
-    for name in (*used, "trials"):
-        if getattr(args, name) is None:
-            setattr(args, name, 0.8 * args.base if name == "jump" else _HEATMAP_DEFAULTS[name])
+    """The scenario the experiment flags define, with each flag it uses and
+    --trials settled from ``_HEATMAP_DEFAULTS``."""
+    name = args.scenario or _HEATMAP_DEFAULTS["scenario"]
+    cls, _ = HEATMAP_SCENARIOS[name]
+    params = _scenario_params(cls)
+    jump = 0.8 * (args.base or _HEATMAP_DEFAULTS["base"])
+    _settle(args, f"scenario {name!r}", ("scenario", *params, "trials"),
+            {**_HEATMAP_DEFAULTS, "jump": jump})
     with _building():
-        return cls(**{name: getattr(args, name) for name in used})
+        return cls(**{param: getattr(args, param) for param in params})
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +256,11 @@ def _scenario(args):
 
 
 def cmd_simulate_poisson(args):
+    _settle(args, "--rate-spec", () if args.rate_spec else _RATE_DEFAULTS, _RATE_DEFAULTS)
     if args.rate_spec:
-        _reject_unused(args, (), "--rate-spec", flags=("rate_preset", "base", "jump", "onset"))
         spec = load_rate_spec(_require_file(args.rate_spec))
         inputs = [args.rate_spec]
     else:
-        args.rate_preset = args.rate_preset or "sin-plus-exp"  # the manifest records what ran
         overrides = {name: getattr(args, name) for name in ("base", "jump", "onset")
                      if getattr(args, name) is not None}
         with _building():
@@ -297,8 +286,8 @@ def cmd_simulate_poisson(args):
 
 
 def cmd_simulate_si(args):
+    _settle(args, "--graph", () if args.graph else _TREE_DEFAULTS, _TREE_DEFAULTS)
     if args.graph:
-        _reject_unused(args, (), "--graph", flags=tuple(_TREE_DEFAULTS))
         graph = load_edge_list(_require_file(args.graph))
         with _building():
             _check_source(args.source, graph.n)
@@ -351,7 +340,7 @@ def cmd_heatmap(args):
         preset = PRESETS[args.preset]
         # the one scenario flag a preset takes: the size of its planted change
         _, own = HEATMAP_SCENARIOS[preset.params["scenario"]]
-        _reject_unused(args, (own,), f"preset {args.preset!r}")
+        _settle(args, f"preset {args.preset!r}", (own,), dict.fromkeys(_SCENARIO_FLAGS))
         with _building():
             spec = heatmap_spec_from_preset(preset, **{own: getattr(args, own)}, trials=args.trials,
                                             base_seed=args.seed, k_grid=args.k_grid,
@@ -388,10 +377,8 @@ def cmd_heatmap(args):
 
 def cmd_multicascade(args):
     config = _detector_config(args)
+    _settle(args, "--trace", () if args.trace else _SIMULATION_DEFAULTS, _SIMULATION_DEFAULTS)
     if args.trace:
-        _reject_unused(args, (), "--trace", flags=_SIMULATION_FLAGS)
-        for name in _SIMULATION_FLAGS:  # the manifest records only what ran
-            setattr(args, name, None)
         traces = [load_trace_csv(_require_file(p)) for p in args.trace]
         inputs, hub = list(args.trace), None
     else:
@@ -433,7 +420,7 @@ def cmd_presets(args):
 def _add_common(sub, *, seed=False, stream=False):
     if seed:
         sub.add_argument("--seed", type=_type(lambda text: SimSeed(_number(text)).seed),
-                         default=0, action=_Given,
+                         default=0,
                          help="base random seed (dimensionless integer, default 0)")
     if stream:
         sub.add_argument("--stream", type=_type(lambda text: SimSeed(0, _number(text)).stream),
@@ -452,7 +439,7 @@ def _add_rate_flags(sub, names, defaults):
     """The rate and time flags ``names``, each with the default ``defaults`` names."""
     for name in names:
         sub.add_argument("--" + name, type=_flag(_check_delta, name), default=None,
-                         action=_Given, help=_RATE_FLAGS[name] + _default(defaults.get(name)))
+                         help=_RATE_FLAGS[name] + _default(defaults.get(name)))
 
 
 def _add_counting_inputs(sub):
@@ -463,9 +450,9 @@ def _add_counting_inputs(sub):
     sub.add_argument("--daily-csv", default=None,
                      help="input daily CSV with date and cases columns; time units are days "
                           "from its first date, day 0")
-    sub.add_argument("--region", default=None, action=_Given,
+    sub.add_argument("--region", default=None,
                      help="read only this region's rows of --daily-csv (needs a region column)")
-    sub.add_argument("--mode", choices=["daily", "cumulative"], default=None, action=_Given,
+    sub.add_argument("--mode", choices=["daily", "cumulative"], default=None,
                      help="whether --daily-csv counts are daily increments or cumulative "
                           "totals (default daily)")
     _add_rate_flags(sub, ("horizon",), {"horizon": "the last event; --events only"})
@@ -486,14 +473,13 @@ def _add_detector_flags(sub, k=None, delta=None):
 
 def _add_tree_flags(sub, defaults, source=True):
     """The planted-hub tree's flags and, with ``source``, --source.  The tree
-    flags default to None; ``_tree`` or ``_scenario`` fills in the
-    ``defaults`` shown in the help."""
-    sub.add_argument("--height", type=_whole("height"), default=None, action=_Given,
+    flags default to None; the run settles the ``defaults`` shown in the help."""
+    sub.add_argument("--height", type=_whole("height"), default=None,
                      help=f"tree height, levels below the root{_default(defaults['height'])}")
-    sub.add_argument("--extra-leaves", type=int, default=None, action=_Given,
+    sub.add_argument("--extra-leaves", type=int, default=None,
                      help=f"leaves attached to the planted hub{_default(defaults['extra_leaves'])}")
     if source:
-        sub.add_argument("--source", type=int, default=0, action=_Given,
+        sub.add_argument("--source", type=int, default=0,
                          help="source vertex id (default 0 = tree root)")
 
 
@@ -504,12 +490,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "higher-order discrete derivatives of the counting process.",
     )
     parser.add_argument("--version", action="version", version=f"ratejump {__version__}")
-    parser.set_defaults(given=frozenset())
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     p = subs.add_parser("simulate-poisson",
                         help="simulate an inhomogeneous Poisson process by thinning")
-    p.add_argument("--rate-preset", default=None, action=_Given, choices=sorted(RATE_PRESETS),
+    p.add_argument("--rate-preset", default=None, choices=sorted(RATE_PRESETS),
                    help="built-in rate function family (default sin-plus-exp)")
     p.add_argument("--rate-spec", default=None,
                    help="rate specification file, run in place of a preset: not with "
@@ -548,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(name for name, preset in PRESETS.items()
                                   if preset.kind == "heatmap"),
                    help="heatmap preset: its scenario, grids and trials (see presets)")
-    p.add_argument("--scenario", default=None, action=_Given, choices=sorted(HEATMAP_SCENARIOS),
+    p.add_argument("--scenario", default=None, choices=sorted(HEATMAP_SCENARIOS),
                    help=f"scenario family{_default(hd['scenario'])}")
     _add_rate_flags(p, ("base", "jump", "horizon"), {"jump": "0.8 B", **hd})
     _add_tree_flags(p, hd, source=False)
@@ -566,20 +551,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_heatmap)
 
-    mc = PRESETS["multicascade-tree"].params  # every default of the subcommand
+    mc = PRESETS["multicascade-tree"].params  # the defaults shown in its help
     p = subs.add_parser("multicascade",
                         help="estimate the high-degree vertex from several cascades")
     p.add_argument("--trace", action="append", default=None,
                    help="cascade trace CSV (repeat per cascade; overrides simulation)")
     _add_tree_flags(p, mc)
-    p.add_argument("--cascades", type=_whole("cascades"), action=_Given,
+    p.add_argument("--cascades", type=_whole("cascades"),
                    help="number of cascades K to simulate" + _default(mc["cascades"]))
     _add_detector_flags(p, k=mc["k"], delta=mc["delta"])
-    p.add_argument("--window", type=_flag(_check_delta, "window"),
+    p.add_argument("--window", type=_flag(_check_delta, "window"), default=mc["window"],
                    help="candidate window w in time units" + _default(mc["window"]))
     p.add_argument("--out", default="multicascade.txt", help="output file name")
     _add_common(p, seed=True)
-    p.set_defaults(func=cmd_multicascade, **mc)
+    # a --trace run reads no simulation flag: each defaults to None
+    p.set_defaults(func=cmd_multicascade, **dict.fromkeys(_SIMULATION_DEFAULTS))
 
     p = subs.add_parser("presets", help="list built-in experiment and rate presets")
     _add_common(p)

@@ -813,10 +813,15 @@ def test_multicascade_trace_names_every_unused_flag(tmp_path, capsys):
     assert "--trace does not use --cascades, --seed" in err
 
 
-def test_multicascade_defaults_are_the_preset():
-    args = build_parser().parse_args(["multicascade"])
+def test_multicascade_defaults_are_the_preset(tmp_path, capsys):
+    # a default run settles every value from the preset, and its manifest records them
+    code, out, err = run(capsys, "multicascade", "--out-dir", str(tmp_path))
+    assert code == 0, err
+    manifest = (tmp_path / "multicascade.txt.manifest").read_text().splitlines()
     params = PRESETS["multicascade-tree"].params
-    assert {name: getattr(args, name) for name in params} == params
+    assert set(params) == {"cascades", "height", "extra_leaves", "k", "delta", "window"}
+    for name, value in params.items():
+        assert f"param.{name}={value}" in manifest
 
 
 def test_heatmap_workers_default_to_the_cpus_this_process_may_run_on(monkeypatch):
