@@ -28,6 +28,12 @@ echo "-- the events file with a byte-order mark in front reads the same --"
 ratejump detect --events "$out/events_bom.txt" \
     --k 3 --delta 0.3 --threshold 4000 --out bom_report.csv --out-dir "$out"
 cmp "$out/report.csv" "$out/bom_report.csv"
+echo "-- an output's name is a file name in --out-dir: one that leaves it exits 2 --"
+code=0
+ratejump detect --events "$out/events.txt" --k 3 --delta 0.3 \
+    --out ../escape.csv --out-dir "$out" || code=$?
+test "$code" -eq 2
+test ! -e "$out/../escape.csv"
 echo "-- without --threshold, detect reports the single best-scoring time --"
 ratejump detect --events "$out/events.txt" \
     --k 3 --delta 0.3 --out argmax.csv --out-dir "$out"

@@ -22,8 +22,15 @@ only), ``--region``/``--mode`` without ``--daily-csv``,
 ``--rate-preset``/``--base``/``--jump``/``--onset`` with ``--rate-spec``,
 ``--height``/``--extra-leaves`` with ``--graph``, the simulation flags of
 ``multicascade`` with ``--trace``, and a scenario flag the scenario or
-preset does not take.  ``multicascade`` takes every default from the
-``multicascade-tree`` preset.  Exit codes: 0 success, 2 usage error (a bad
+preset does not take.  The rule behind this: a flag that some run of its
+subcommand does not read defaults to None in the parser, so given means
+not None, and one function (``_settle``) rejects each such flag a run does
+not read and fills in the default of each it reads but was not given,
+which the manifest then records.  ``multicascade`` takes every default
+from the ``multicascade-tree`` preset.  An output's name (``--out``,
+``--profile-out``) is a file name in ``--out-dir``, with no directory
+part, and ``detect``'s two names differ (neither is the report's
+manifest).  Exit codes: 0 success, 2 usage error (a bad
 or unused flag, a missing input file; the message on stderr names the
 field), 1 runtime failure that depends on the data (the message names the
 module whose call from the subcommand failed), such as a ``detect`` or
@@ -137,6 +144,14 @@ def _delta_grid(text):
     return tuple(_check_delta(d, f"delta_grid[{j}]") for j, d in enumerate(values))
 
 
+@_type
+def _file_name(text):
+    """An output's name: a file name in --out-dir, with no directory part."""
+    if text in ("", ".", "..") or os.path.basename(text) != text:
+        raise ValueError(f"{text!r} is not a file name in --out-dir")
+    return text
+
+
 def _default(value) -> str:
     return "" if value is None else f" (default {value})"
 
@@ -214,7 +229,7 @@ def _tree(args):
 # value a run that reads one takes when it is not given.
 _RATE_DEFAULTS = {"rate_preset": "sin-plus-exp", "base": None, "jump": None, "onset": None}
 _TREE_DEFAULTS = {"height": 18, "extra_leaves": 8000}
-# (multicascade's from its preset, and --source and --seed 0)
+# multicascade's: its preset's values, and 0 for --source and --seed
 _SIMULATION_DEFAULTS = {name: PRESETS["multicascade-tree"].params.get(name, 0)
                         for name in ("cascades", "height", "extra_leaves", "source", "seed")}
 # a jump not given is 0.8 * base; a heatmap preset brings its own values
@@ -270,14 +285,15 @@ def cmd_simulate_poisson(args):
         with _building():
             _bin_count(args.horizon, args.bin_width)
     events = simulate(spec, args.horizon, SimSeed(args.seed, args.stream))
+    # binned before any file is written, so a failure leaves no output behind
+    binned = None if args.bin_width is None else bin_events(events, bin_width=args.bin_width)
     out_events = _output(args, args.out)
     save_event_times(events, out_events)
     outputs = [out_events]
     spec_out = out_events + ".ratespec"
     save_rate_spec(spec, spec_out)
     outputs.append(spec_out)
-    if args.bin_width is not None:
-        binned = bin_events(events, bin_width=args.bin_width)
+    if binned is not None:
         out_binned = out_events + ".binned.csv"
         save_binned_csv(binned, out_binned)
         outputs.append(out_binned)
@@ -308,6 +324,9 @@ def cmd_simulate_si(args):
 
 
 def cmd_detect(args):
+    if args.profile_out in (args.out, args.out + ".manifest"):
+        raise UsageError(f"--profile-out {args.profile_out} would overwrite the report "
+                         f"--out {args.out} or its manifest")
     config = _detector_config(args)
     counting, start, inputs, notes = _load_counting(args)
     report = detect(counting, config)
@@ -504,7 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="simulation horizon T in time units (default 20)")
     p.add_argument("--bin-width", type=_flag(_check_delta, "bin_width"), default=None,
                    help="also write counts binned at this width (time units)")
-    p.add_argument("--out", default="events.txt", help="output event-times file name")
+    p.add_argument("--out", type=_file_name, default="events.txt",
+                   help="output event-times file, a file name in --out-dir")
     _add_common(p, seed=True, stream=True)
     p.set_defaults(func=cmd_simulate_poisson)
 
@@ -512,17 +532,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", default=None,
                    help="edge-list file 'u v' per line, 0-indexed (overrides the tree)")
     _add_tree_flags(p, _TREE_DEFAULTS)
-    p.add_argument("--out", default="trace.csv", help="output trace CSV name")
+    p.add_argument("--out", type=_file_name, default="trace.csv",
+                   help="output trace CSV, a file name in --out-dir")
     _add_common(p, seed=True, stream=True)
     p.set_defaults(func=cmd_simulate_si)
 
     p = subs.add_parser("detect", help="detect change points in a counting process")
     _add_counting_inputs(p)
     _add_detector_flags(p)
-    p.add_argument("--out", default="report.csv", help="output report CSV name")
-    p.add_argument("--profile-out", default=None,
-                   help="also write the derivative profile, on the report's clock, "
-                        "as a t,value CSV of this name")
+    p.add_argument("--out", type=_file_name, default="report.csv",
+                   help="output report CSV, a file name in --out-dir")
+    p.add_argument("--profile-out", type=_file_name, default=None,
+                   help="also write the derivative profile, on the report's clock, as a "
+                        "t,value CSV of this name, a file name in --out-dir other than "
+                        "--out and its manifest")
     _add_common(p)
     p.set_defaults(func=cmd_detect)
 
@@ -562,7 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_detector_flags(p, k=mc["k"], delta=mc["delta"])
     p.add_argument("--window", type=_flag(_check_delta, "window"), default=mc["window"],
                    help="candidate window w in time units" + _default(mc["window"]))
-    p.add_argument("--out", default="multicascade.txt", help="output file name")
+    p.add_argument("--out", type=_file_name, default="multicascade.txt",
+                   help="output file, a file name in --out-dir")
     _add_common(p, seed=True)
     # a --trace run reads no simulation flag: each defaults to None
     p.set_defaults(func=cmd_multicascade, **dict.fromkeys(_SIMULATION_DEFAULTS))

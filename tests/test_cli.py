@@ -770,6 +770,20 @@ GRIDS = ["--k-grid", "1", "--delta-grid", "0.3"]
      "bin width 1e-300 leaves too many bins on horizon 1.0"),
     (["simulate-poisson", "--rate-spec", "{events}", "--rate-preset", "const-plus-exp"], 2,
      "--rate-spec does not use --rate-preset"),
+    # an output's name is a file name in --out-dir
+    (["simulate-si", "--height", "3", "--extra-leaves", "2", "--out", "{events}"], 2,
+     "is not a file name in --out-dir"),
+    (["detect", *DETECT, "--k", "2", "--delta", "0.5", "--out", ""], 2,
+     "argument --out: '' is not a file name in --out-dir"),
+    (["detect", *DETECT, "--k", "2", "--delta", "0.5", "--profile-out", "sub/p.csv"], 2,
+     "argument --profile-out: 'sub/p.csv' is not a file name in --out-dir"),
+    (["detect", *DETECT, "--k", "2", "--delta", "0.5", "--profile-out", "."], 2,
+     "argument --profile-out: '.' is not a file name in --out-dir"),
+    (["multicascade", "--height", "3", "--extra-leaves", "2", "--out", ".."], 2,
+     "argument --out: '..' is not a file name in --out-dir"),
+    # detect's two output names differ
+    (["detect", *DETECT, "--k", "2", "--delta", "0.5", "--profile-out", "report.csv"], 2,
+     "--profile-out report.csv would overwrite the report --out report.csv or its manifest"),
 ])
 def test_bad_flag_exit_codes(tmp_path, capsys, argv, code, message):
     events = tmp_path / "events.txt"
@@ -811,6 +825,67 @@ def test_multicascade_trace_names_every_unused_flag(tmp_path, capsys):
                          "--seed", "4", "--cascades", "9")
     assert code == 2
     assert "--trace does not use --cascades, --seed" in err
+
+
+# each flag at the value its subcommand's runs default to, given on a run that does not
+# read it: given means given, not "differs from the default"
+@pytest.mark.parametrize("argv, message", [
+    *((["multicascade", "--trace", "{file}", flag, value], f"--trace does not use {flag}\n")
+      for flag, value in [("--cascades", "3"), ("--height", "18"), ("--extra-leaves", "8000"),
+                          ("--source", "0"), ("--seed", "0")]),
+    (["simulate-si", "--graph", "{file}", "--height", "18"], "--graph does not use --height\n"),
+    (["heatmap", "--preset", "fig5", "--base", "10000"], "preset 'fig5' does not use --base\n"),
+    (["detect", "--events", "{file}", "--k", "2", "--delta", "0.5", "--mode", "daily"],
+     "--events does not use --mode\n"),
+    (["simulate-poisson", "--rate-spec", "{file}", "--rate-preset", "sin-plus-exp"],
+     "--rate-spec does not use --rate-preset\n"),
+])
+def test_a_flag_at_its_default_value_is_still_rejected(tmp_path, capsys, argv, message):
+    # the flag is refused before the input file, which does not exist, is read
+    argv = [a.format(file=tmp_path / "missing") for a in argv]
+    code, out, err = run(capsys, *argv, "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-poisson", "--horizon", "1", "--base", "5", "--out"],
+    ["simulate-si", "--height", "3", "--extra-leaves", "2", "--out"],
+    ["detect", "--events", "{events}", "--k", "2", "--delta", "0.5", "--out"],
+    ["detect", "--events", "{events}", "--k", "2", "--delta", "0.5", "--profile-out"],
+    ["multicascade", "--height", "3", "--extra-leaves", "2", "--out"],
+])
+def test_an_output_name_cannot_leave_the_out_dir(tmp_path, capsys, argv):
+    events = tmp_path / "events.txt"
+    events.write_text("0.5\n1.0\n1.5\n2.0\n")
+    argv = [a.format(events=events) for a in argv]
+    code, out, err = run(capsys, *argv, "../escape.txt", "--out-dir", str(tmp_path / "d" / "in"))
+    assert code == 2
+    assert "'../escape.txt' is not a file name in --out-dir" in err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("profile_out", ["r.csv", "r.csv.manifest"])
+def test_detect_profile_out_cannot_overwrite_its_own_outputs(tmp_path, capsys, profile_out):
+    events = tmp_path / "events.txt"
+    events.write_text("0.5\n1.0\n1.5\n2.0\n")
+    code, out, err = run(capsys, "detect", "--events", str(events), "--k", "2", "--delta", "0.5",
+                         "--out", "r.csv", "--profile-out", profile_out,
+                         "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert f"--profile-out {profile_out} would overwrite the report --out r.csv" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_poisson_leaves_no_output_when_binning_fails(tmp_path, capsys):
+    # 1e17 bins pass the bin-count limit, but their edges are far beyond the
+    # address space: numpy refuses the array at once
+    code, out, err = run(capsys, "simulate-poisson", "--horizon", "1", "--base", "5",
+                         "--bin-width", "1e-17", "--out-dir", str(tmp_path / "out"))
+    assert code == 1
+    assert "runtime error in process: Unable to allocate" in err
+    assert not list(tmp_path.glob("out/*"))
 
 
 def test_multicascade_defaults_are_the_preset(tmp_path, capsys):
