@@ -30,9 +30,11 @@ which the manifest then records.  ``multicascade`` takes every default
 from the ``multicascade-tree`` preset.  An output's name (``--out``,
 ``--profile-out``) is a file name in ``--out-dir``, with no directory
 part, and ``detect``'s two names differ (neither is the report's
-manifest).  Exit codes: 0 success, 2 usage error (a bad
-or unused flag, a missing input file; the message on stderr names the
-field), 1 runtime failure that depends on the data (the message names the
+manifest).  No output, manifest included, may be an input file of its own
+run: ``_spare_inputs`` refuses that before any work.  Exit codes: 0
+success, 2 usage error (a bad or unused flag, a missing input file, an
+output over an input; the message on stderr names the field or the
+paths), 1 runtime failure that depends on the data (the message names the
 module whose call from the subcommand failed), such as a ``detect`` or
 ``multicascade`` whose window holds no grid point.
 A reader that closes stdout early (``| head``) does not fail a run: the
@@ -156,11 +158,27 @@ def _default(value) -> str:
     return "" if value is None else f" (default {value})"
 
 
+def _out_dir(args) -> str:
+    return args.out_dir or os.environ.get("RATEJUMP_OUT") or "."
+
+
 def _output(args, name) -> str:
     """The path of the output ``name`` in the run's output directory, made if missing."""
-    out = args.out_dir or os.environ.get("RATEJUMP_OUT") or "."
-    os.makedirs(out, exist_ok=True)
-    return os.path.join(out, name)
+    os.makedirs(_out_dir(args), exist_ok=True)
+    return os.path.join(_out_dir(args), name)
+
+
+def _spare_inputs(args, inputs, primary, *others):
+    """Refuse, before any work, a run that would write over one of its
+    ``inputs`` (paths) with its ``primary`` output, that output's manifest,
+    or one of its ``others``, each a name in the output directory; None
+    stands for an input or output the run does not have."""
+    for name in filter(None, (primary, primary + ".manifest", *others)):
+        path = os.path.join(_out_dir(args), name)
+        for source in filter(None, inputs):
+            with contextlib.suppress(OSError):  # a path that does not exist is neither
+                if os.path.samefile(path, source):
+                    raise UsageError(f"the output {path} would overwrite the input {source}")
 
 
 def _require_file(path) -> str:
@@ -272,6 +290,8 @@ def _scenario(args):
 
 def cmd_simulate_poisson(args):
     _settle(args, "--rate-spec", () if args.rate_spec else _RATE_DEFAULTS, _RATE_DEFAULTS)
+    _spare_inputs(args, [args.rate_spec], args.out, args.out + ".ratespec",
+                  None if args.bin_width is None else args.out + ".binned.csv")
     if args.rate_spec:
         spec = load_rate_spec(_require_file(args.rate_spec))
         inputs = [args.rate_spec]
@@ -303,6 +323,7 @@ def cmd_simulate_poisson(args):
 
 def cmd_simulate_si(args):
     _settle(args, "--graph", () if args.graph else _TREE_DEFAULTS, _TREE_DEFAULTS)
+    _spare_inputs(args, [args.graph], args.out)
     if args.graph:
         graph = load_edge_list(_require_file(args.graph))
         with _building():
@@ -327,6 +348,7 @@ def cmd_detect(args):
     if args.profile_out in (args.out, args.out + ".manifest"):
         raise UsageError(f"--profile-out {args.profile_out} would overwrite the report "
                          f"--out {args.out} or its manifest")
+    _spare_inputs(args, [args.events, args.binned, args.daily_csv], args.out, args.profile_out)
     config = _detector_config(args)
     counting, start, inputs, notes = _load_counting(args)
     report = detect(counting, config)
@@ -364,6 +386,11 @@ def cmd_heatmap(args):
             spec = heatmap_spec_from_preset(preset, **{own: getattr(args, own)}, trials=args.trials,
                                             base_seed=args.seed, k_grid=args.k_grid,
                                             delta_grid=args.delta_grid)
+        # the manifest records the values the preset ran with
+        args.scenario = preset.params["scenario"]
+        for name in _scenario_params(type(spec.scenario)):
+            setattr(args, name, getattr(spec.scenario, name))
+        args.k_grid, args.delta_grid, args.trials = spec.k_grid, spec.delta_grid, spec.trials
     else:
         if args.k_grid is None or args.delta_grid is None:
             raise UsageError("without --preset, both --k-grid and --delta-grid are required")
@@ -397,6 +424,7 @@ def cmd_heatmap(args):
 def cmd_multicascade(args):
     config = _detector_config(args)
     _settle(args, "--trace", () if args.trace else _SIMULATION_DEFAULTS, _SIMULATION_DEFAULTS)
+    _spare_inputs(args, args.trace or [], args.out)
     if args.trace:
         traces = [load_trace_csv(_require_file(p)) for p in args.trace]
         inputs, hub = list(args.trace), None

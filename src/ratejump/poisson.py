@@ -1,5 +1,5 @@
 """Inhomogeneous Poisson simulation: event times by thinning, or N at given
-times by one multinomial.
+times by a Poisson split of its total.
 
 A rate function is a sum of onset components
 
@@ -68,13 +68,14 @@ with t = tan(theta/2), halving being exact above the subnormals: with
 numpy 2.4.6 on an AVX512 Xeon, float64 ``np.sin`` runs libm's scalar loop
 at 9-28 ns a value, while ``np.tan`` is vectorised at 1.6-2.4 ns.  The
 half-angle sine is within 2 ulp of ``np.sin`` (measured over 1e7 points
-at |theta| up to 1e8), a gap ``_SLACK`` covers; the bounds and the
-closed-form integrals keep ``math.sin`` and ``np.sin``.  Each block
-allocates its scratch once, three rows of its largest piece's candidate
-count: the positions, the acceptance uniforms and Lambda.  The first
-component's term is written into the Lambda row; each later one, and any
-onset shift, into the uniforms' row, which is free until the acceptance
-draw, and then added.  So no array is allocated per component per piece.
+at |theta| up to 1e8), a gap ``_SLACK`` covers.  The closed-form integral
+of a sinusoid takes its two sines from the same function, ``_sine``; the
+bounds keep ``math.sin``.  Each block allocates its scratch once, three
+rows of its largest piece's candidate count: the positions, the
+acceptance uniforms and Lambda.  The first component's term is written
+into the Lambda row; each later one, and any onset shift, into the
+uniforms' row, which is free until the acceptance draw, and then added.
+So no array is allocated per component per piece.
 
 Non-negativity.  Before anything is drawn, every window is certified: the
 sum of its components' minima must be >= -_SLACK times the sum of their
@@ -106,16 +107,41 @@ Counts at given times.  A caller that reads N only at known times (the
 heatmap harness: the lattice its profiles read) needs no event times.
 ``draw_counts`` certifies the windows as above, then takes the integral of
 Lambda over [0, t] at each time from each shape's closed form
-(``integral``), draws N(horizon) ~ Poisson of the whole integral, and
-spreads it over the cells between consecutive times by one multinomial
-with probabilities proportional to the cells' integrals.  Given
+(``integral``), draws n = N(horizon) ~ Poisson of the whole integral, and
+spreads the n events over the cells between consecutive times.  Given
 N(horizon), a Poisson process's events are independent draws from the
-density Lambda / integral, so this is exact in law.  Two times a few ulps
-apart give a cell whose integral, a difference of two nearly equal
-floats, can come out below zero by rounding (about one ulp of the whole
-integral on the fig2 presets' lattices).  A cell below zero by at most
-``_ROUNDING`` (1e-12) times the whole integral gets zero mass, and so no
-events; a larger negative is an internal inconsistency and raises a
+density Lambda / integral, so the cell counts are Multinomial(n, p), with
+p_i = m_i / sum(m) for the cells' integrals m_i.
+
+The split.  ``_split`` draws that multinomial exactly, but not cell by
+cell: it draws independent Poisson(c * m_i) counts, with
+c = max(0, n - 2 sqrt(n)) / sum(m), draws them all again while their sum s
+exceeds n, and adds the n - s missing events as categorical draws: sorted
+uniforms scaled to sum(m), each placed in a cell by a binary search over
+the cumulative masses, and counted per cell.  Given s, independent
+Poissons are Multinomial(s, p), and an independent Multinomial(n - s, p)
+added to them gives Multinomial(n, p) for every s <= n; so neither the
+redraw rule nor c biases the result, and any c >= 0 would be exact.  The
+2 sqrt(n) margin sets the cost: the Poissons' sum has mean n - 2 sqrt(n)
+and sd about sqrt(n), so about 2% of splits draw again (2.3% at 2e5
+events) and the top-up is about 2 sqrt(n) uniforms.  For n <= 4, c is 0
+and every event comes from the top-up.  With numpy 2.4.6 on one CPU of an
+AVX512 Xeon, the split of the fig2-scaled read grid (23,076 cells, about
+9 events a cell) took 1.6 ms where one ``multinomial`` over the cells
+took 2.4-2.5 ms, and 1.3 ms against 2.0-2.2 ms at fig2-full's 900 events
+a cell (minimum over batches of 20).  A cell with zero mass gets a Poisson
+mean of zero and no top-up uniform, since a uniform falls in cell i only
+when it lies in [m_1 + ... + m_(i-1), m_1 + ... + m_i); one that rounds
+up to sum(m) itself (possible only for a subnormal sum) goes to the last
+cell with mass, not to a trailing cell with none.  How many Poisson
+rounds and uniforms a split draws depends on the draws, so a Generator
+passed in ends at a place that depends on the seed.
+
+Two times a few ulps apart give a cell whose integral, a difference of two
+nearly equal floats, can come out below zero by rounding (about one ulp of
+the whole integral on the fig2 presets' lattices).  A cell below zero by at
+most ``_ROUNDING`` (1e-12) times the whole integral gets zero mass, and so
+no events; a larger negative is an internal inconsistency and raises a
 RuntimeError naming the cell.
 """
 
@@ -180,6 +206,21 @@ def _product(u, factor, out=None) -> np.ndarray:
     return np.multiply(u, factor, out=np.empty_like(u) if out is None else out)
 
 
+def _sine(theta: np.ndarray) -> np.ndarray:
+    """sin(theta) in place, as 2t / (1 + t*t) with t = tan(theta/2): see
+    "Rate values" in the module docstring."""
+    theta *= 0.5  # theta/2, exact above the subnormals
+    np.tan(theta, out=theta)
+    # 2t / (1 + t*t) as 2 * (t / (1 + t*t)), the same bits; the square takes
+    # a buffer of at most _SINE_CHUNK values, not one of theta's size
+    with np.nditer(theta, ["external_loop", "buffered", "zerosize_ok"], [["readwrite"]],
+                   buffersize=_SINE_CHUNK) as chunks:
+        for t in chunks:
+            t /= t * t + 1.0
+    theta *= 2.0
+    return theta
+
+
 @dataclass(frozen=True)
 class Constant:
     """x(u) = 1; the amplitude carries all the scale."""
@@ -202,11 +243,10 @@ class Constant:
 class Sinusoid:
     """x(u) = offset + sin(omega*u + phase).
 
-    ``value`` takes sin(theta), theta = omega*u + phase, as 2t / (1 + t*t)
-    with t = tan(theta/2), within 2 ulp of ``np.sin``, since numpy's
-    ``tan`` is vectorised where its ``sin`` may not be (see "Rate values" in
-    the module docstring); ``bounds`` and ``integral`` use ``math.sin`` and
-    ``np.sin``.
+    ``value`` and ``integral`` share one half-angle sine, ``_sine``: sin(theta)
+    as 2t / (1 + t*t) with t = tan(theta/2), within 2 ulp of ``np.sin``,
+    since numpy's ``tan`` is vectorised where its ``sin`` may not be (see
+    "Rate values" in the module docstring).  ``bounds`` keeps ``math.sin``.
     """
 
     offset: float
@@ -221,15 +261,7 @@ class Sinusoid:
     def value(self, u, out=None):
         out = _product(u, self.omega, out)
         out += self.phase
-        out *= 0.5  # theta/2, exact above the subnormals
-        np.tan(out, out=out)
-        # 2t / (1 + t*t) as 2 * (t / (1 + t*t)), the same bits; the square
-        # takes a buffer of at most _SINE_CHUNK values, not one of u's size
-        with np.nditer(out, ["external_loop", "buffered", "zerosize_ok"], [["readwrite"]],
-                       buffersize=_SINE_CHUNK) as chunks:
-            for t in chunks:
-                t /= t * t + 1.0
-        out *= 2.0
+        _sine(out)
         out += self.offset
         return out if out.ndim else out[()]
 
@@ -252,9 +284,14 @@ class Sinusoid:
         difference written as a product of sines so a small omega*u keeps
         its precision."""
         u = np.asarray(u, dtype=np.float64)
-        half = (0.5 * self.omega) * u
-        out = np.sin(self.phase + half)
-        out *= np.sin(half) * (2.0 / self.omega) if self.omega else u
+        half = _product(u, 0.5 * self.omega)
+        out = _sine(np.add(half, self.phase, out=np.empty_like(half)))
+        if self.omega:
+            _sine(half)
+            half *= 2.0 / self.omega
+            out *= half
+        else:
+            out *= u
         out += self.offset * u
         return out
 
@@ -638,17 +675,47 @@ def _integrated(spec: RateSpec, t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _split(n: int, mass: np.ndarray, rng) -> np.ndarray:
+    """Multinomial(n, mass / sum(mass)) counts over the cells, by the exact
+    Poisson split of the module docstring; ``mass`` (>= 0, with a positive
+    sum) is scaled in place to the cells' Poisson means."""
+    edges = np.cumsum(mass)
+    total = edges[-1]
+    # p_i, then times the mean total: (n - 2 sqrt(n)) / total overflows for a subnormal total
+    mass /= total
+    mass *= max(0.0, n - 2.0 * math.sqrt(n))
+    cells = rng.poisson(mass)
+    s = int(cells.sum())
+    while s > n:
+        cells = rng.poisson(mass)
+        s = int(cells.sum())
+    if s < n:
+        top_up = rng.random(n - s)
+        top_up.sort()
+        top_up *= total
+        hit = np.searchsorted(edges, top_up, side="right")
+        # a uniform that rounds up to the total falls past the last cell: it
+        # goes to the last cell with mass, not to a trailing one with none
+        np.minimum(hit, np.searchsorted(edges, total), out=hit)
+        cells += np.bincount(hit, minlength=mass.size)
+    return cells
+
+
 def draw_counts(spec: RateSpec, times, horizon: float, seed) -> SampledCounts:
     """Draw N of one realization at ``times`` only (each clamped to
     [0, horizon]), plus 0 and the horizon, without drawing event times.
 
     Exact in law: N(horizon) ~ Poisson(Lambda's integral over [0, horizon])
-    is drawn first, then one multinomial spreads those events over the
-    cells between consecutive distinct times, with each cell's share of
-    that integral as its probability.  So N(horizon) does not depend on
-    ``times``.  The rate is certified non-negative as in ``simulate``;
-    see the module docstring for the rounding tolerance on the cells.
-    ``seed`` is taken as by ``simulate``.
+    is the first draw, so it does not depend on ``times``; then those
+    events are spread over the cells between consecutive distinct times as
+    one multinomial, with each cell's share of that integral as its
+    probability, drawn by the exact Poisson split of the module docstring
+    (independent Poissons at a total about 2 sqrt(N) below N(horizon), all
+    drawn again when they overshoot it, and the missing events placed by
+    mass).  A cell with zero mass gets no event.  The rate is certified
+    non-negative as in ``simulate``; see the module docstring for the
+    rounding tolerance on the cells.  ``seed`` is taken as by ``simulate``;
+    a Generator passed in ends at a place that depends on the seed.
     """
     horizon = _check_delta(horizon, "horizon")
     times = np.asarray(times, dtype=np.float64).ravel()
@@ -666,9 +733,11 @@ def draw_counts(spec: RateSpec, times, horizon: float, seed) -> SampledCounts:
                 f"[{grid[i]}, {grid[i + 1]}] is {mass[i]}, below zero by more than rounding")
         mass = np.maximum(mass, 0.0)
     rng = generator(seed)
-    n = rng.poisson(total)
-    cells = rng.multinomial(n, mass / total) if n else np.zeros(mass.size, dtype=np.int64)
-    return SampledCounts(grid, np.concatenate(([0], np.cumsum(cells))), horizon)
+    n = int(rng.poisson(total))
+    cells = _split(n, mass, rng) if n else np.zeros(mass.size, dtype=np.int64)
+    counts = np.zeros(grid.size, dtype=np.int64)
+    np.cumsum(cells, out=counts[1:])
+    return SampledCounts(grid, counts, horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -244,7 +244,8 @@ def simulate_si(graph: Graph, source: int, seed) -> CascadeTrace:
     """
     _check_source(source, graph.n)
     rng = generator(seed)
-    weights = rng.exponential(1.0, graph.n_edges)
+    # the doubles of rng.exponential(1.0, ...), without its scale pass
+    weights = rng.standard_exponential(graph.n_edges)
     return CascadeTrace(times=_first_passage(graph, weights, source), source=source)
 
 

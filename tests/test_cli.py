@@ -19,7 +19,7 @@ from ratejump.harness import PRESETS
 from ratejump.ingest import analyze_binned, load_daily_csv
 from ratejump.process import load_event_times
 from ratejump.seeding import SimSeed
-from ratejump.si import load_edge_list, load_trace_csv, simulate_si
+from ratejump.si import load_edge_list, load_trace_csv, save_trace_csv, simulate_si
 
 
 def run(capsys, *argv):
@@ -701,7 +701,7 @@ def test_heatmap_preset_takes_its_own_change_size(tmp_path, capsys):
     assert "jump=300.0" in (tmp_path / "heatmap.csv").read_text()
     manifest = (tmp_path / "heatmap.csv.manifest").read_text().splitlines()
     assert "param.jump=300.0" in manifest
-    assert "param.base=None" in manifest
+    assert "param.base=10000.0" in manifest  # the preset's, which the run took
 
 
 def test_heatmap_manifest_records_resolved_defaults(tmp_path, capsys):
@@ -876,6 +876,71 @@ def test_detect_profile_out_cannot_overwrite_its_own_outputs(tmp_path, capsys, p
     assert code == 2
     assert f"--profile-out {profile_out} would overwrite the report --out r.csv" in err
     assert not (tmp_path / "out").exists()
+
+
+def write_inputs(d):
+    """One valid input file of each kind in directory ``d``."""
+    (d / "ev.txt").write_text("0.5\n1.0\n1.5\n2.0\n")
+    (d / "ev.txt.ratespec").write_text("A=5.0 t0=0.0 shape=constant params=\n")
+    (d / "g.txt").write_text("0 1\n1 2\n1 3\n")
+    (d / "b.csv").write_text("bin_start,count\n0,1\n1,3\n2,2\n3,5\n")
+    write_daily_csv(d / "r.csv.manifest", [3, 4, 5, 9, 12, 11])
+    for i in (1, 2):
+        save_trace_csv(simulate_si(load_edge_list(d / "g.txt"), 0, SimSeed(i)), d / f"t{i}.csv")
+
+
+@pytest.mark.parametrize("argv, source, output", [
+    (["simulate-poisson", "--rate-spec", "{d}/ev.txt.ratespec", "--out", "ev.txt"],
+     "ev.txt.ratespec", "ev.txt.ratespec"),
+    (["simulate-si", "--graph", "{d}/g.txt", "--out", "g.txt"], "g.txt", "g.txt"),
+    (["detect", "--events", "{d}/ev.txt", "--k", "2", "--delta", "0.5", "--out", "ev.txt"],
+     "ev.txt", "ev.txt"),
+    (["detect", "--binned", "{d}/b.csv", "--k", "1", "--delta", "1", "--profile-out", "b.csv"],
+     "b.csv", "b.csv"),
+    (["detect", "--daily-csv", "{d}/r.csv.manifest", "--k", "1", "--delta", "1",
+      "--out", "r.csv"], "r.csv.manifest", "r.csv.manifest"),
+    (["multicascade", "--trace", "{d}/t1.csv", "--trace", "{d}/t2.csv", "--out", "t2.csv"],
+     "t2.csv", "t2.csv"),
+], ids=["simulate-poisson", "simulate-si", "detect-events", "detect-binned", "detect-daily",
+        "multicascade"])
+def test_an_output_cannot_overwrite_an_input_of_its_run(tmp_path, capsys, argv, source, output):
+    # the run is refused before any work, and every input stays as it was
+    write_inputs(tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    argv = [a.format(d=tmp_path) for a in argv]
+    code, out, err = run(capsys, *argv, "--out-dir", str(tmp_path))
+    assert code == 2
+    assert (f"the output {tmp_path / output} would overwrite the input {tmp_path / source}"
+            in err)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_an_input_elsewhere_of_an_output_name_is_read(tmp_path, capsys):
+    (tmp_path / "in").mkdir()
+    write_inputs(tmp_path / "in")
+    code, out, err = run(capsys, "detect", "--events", str(tmp_path / "in" / "ev.txt"),
+                         "--k", "2", "--delta", "0.5", "--out", "ev.txt",
+                         "--out-dir", str(tmp_path / "out"))
+    assert code == 0, err
+    assert (tmp_path / "out" / "ev.txt").read_text().startswith("t_hat,score")
+
+
+def test_a_heatmap_preset_manifest_records_the_values_it_ran_with(tmp_path, capsys):
+    params = PRESETS["fig2-scaled"].params
+    code, out, err = run(capsys, "heatmap", "--preset", "fig2-scaled", "--trials", "2",
+                         "--workers", "1", "--out-dir", str(tmp_path / "a"))
+    assert code == 0, err
+    manifest = (tmp_path / "a" / "heatmap.csv.manifest").read_text().splitlines()
+    for name in ("scenario", "base", "jump", "horizon", "k_grid", "delta_grid"):
+        assert f"param.{name}={params[name]}" in manifest
+    assert {"param.trials=2", "param.height=None", "param.extra_leaves=None"} <= set(manifest)
+    # without --trials, the preset's own count
+    code, out, err = run(capsys, "heatmap", "--preset", "fig2-scaled", "--k-grid", "1",
+                         "--delta-grid", "0.3", "--workers", "1", "--out-dir", str(tmp_path / "b"))
+    assert code == 0, err
+    manifest = (tmp_path / "b" / "heatmap.csv.manifest").read_text().splitlines()
+    assert {f"param.trials={params['trials']}", "param.k_grid=(1,)",
+            "param.delta_grid=(0.3,)"} <= set(manifest)
 
 
 def test_simulate_poisson_leaves_no_output_when_binning_fails(tmp_path, capsys):

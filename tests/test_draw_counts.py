@@ -7,6 +7,7 @@ Seeds are fixed; a statistic more than 4 sd from its mean, or a p-value
 below 1e-3, fails.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +31,13 @@ from ratejump.poisson import (
     RateSpec,
     Sinusoid,
     _integrated,
+    _split,
     draw_counts,
     eval_rate,
     preset_rate_spec,
 )
 from ratejump.process import SampledCounts
-from ratejump.seeding import SimSeed
+from ratejump.seeding import SimSeed, generator
 
 Z_BOUND = 4.0
 P_FLOOR = 1e-3
@@ -134,6 +136,124 @@ def test_draw_is_seeded_and_its_total_ignores_the_times():
     c = draw_counts(SPEC, np.linspace(0.0, HORIZON, 101), HORIZON, SimSeed(4))
     assert np.array_equal(a.counts, b.counts)
     assert len(a) == len(c) == a.count_at(HORIZON)
+
+
+def test_the_total_is_the_first_poisson_draw_of_the_seed():
+    for r in range(20):
+        counts = draw_counts(SPEC, [1.0, 2.0], HORIZON, SimSeed(9, r))
+        total = _integrated(SPEC, counts.times)[-1]
+        assert len(counts) == generator(SimSeed(9, r)).poisson(total)
+
+
+def multinomial_pvalue(cells, totals, p):
+    """p-value of a chi-square test that each row of ``cells`` (counts over
+    the cells) is Multinomial(its entry of ``totals``, p), summed over the
+    totals; within a total, the outcomes expected fewer than 5 times are
+    pooled into one bin."""
+    positive = np.flatnonzero(p)
+    stat = dof = 0.0
+    for n in np.unique(totals).tolist():
+        rows = cells[totals == n][:, positive].tolist()
+        # every outcome with this total, its expected and its observed count
+        outcomes = np.array([(*x, n - sum(x)) for x in
+                             itertools.product(range(n + 1), repeat=positive.size - 1)
+                             if sum(x) <= n])
+        expected = len(rows) * stats.multinomial.pmf(outcomes, n, p[positive] / p.sum())
+        tally = dict.fromkeys(map(tuple, outcomes.tolist()), 0)
+        for row in rows:
+            tally[tuple(row)] += 1
+        observed = np.array(list(tally.values()))
+        rare = expected < 5
+        observed = np.append(observed[~rare], observed[rare].sum())
+        expected = np.append(expected[~rare], expected[rare].sum())
+        if not rare.any():
+            observed, expected = observed[:-1], expected[:-1]
+        stat += ((observed - expected) ** 2 / expected).sum()
+        dof += observed.size - 1
+    return stats.chi2.sf(stat, dof)
+
+
+# on [0, 1], a rate of 0 until 0.3 and then a constant: four cells at these
+# times, the first with no mass
+STEP_TIMES = [0.3, 0.45, 0.8]
+STEP_MASS = np.array([0.0, 0.15, 0.35, 0.2])
+
+
+@pytest.mark.parametrize("total", [2.0, 20.0])
+def test_counts_given_their_total_are_multinomial(total):
+    # N(1) is the seed's first Poisson draw, then its events are split over
+    # the cells as Multinomial(N(1), mass / total): at a total of 2 most draws
+    # have N(1) < 4, which the split leaves wholly to its top-up, and at 20
+    # N(1) reaches past 30 and about 1 split in 200 draws its Poissons again
+    spec = RateSpec(components=(JumpComponent(total / 0.7, 0.3, Constant()),))
+    runs = 5000
+    cells = np.empty((runs, STEP_MASS.size), dtype=np.int64)
+    totals = np.empty(runs, dtype=np.int64)
+    for r in range(runs):
+        cells[r] = np.diff(draw_counts(spec, STEP_TIMES, 1.0, SimSeed(31, r)).counts)
+        totals[r] = generator(SimSeed(31, r)).poisson(total)
+    assert (cells.sum(axis=1) == totals).all()
+    assert not cells[:, 0].any()
+    assert totals.max() >= (7 if total == 2.0 else 30)
+    p = multinomial_pvalue(cells, totals, STEP_MASS)
+    assert p > P_FLOOR, p
+
+
+class FirstPoissonTooMany:
+    """A generator whose first Poisson draw puts n + 1 events in the last
+    cell, a cell with no mass, so a split must draw its Poissons again."""
+
+    def __init__(self, rng, n):
+        self.rng, self.n, self.first = rng, n, True
+        self.random = rng.random
+
+    def poisson(self, lam):
+        if not self.first:
+            return self.rng.poisson(lam)
+        self.first = False
+        too_many = np.zeros(np.shape(lam), dtype=np.int64)
+        too_many[-1] = self.n + 1
+        return too_many
+
+
+def test_a_split_that_draws_again_keeps_the_multinomial_law():
+    mass = np.array([0.4, 1.3, 0.2, 0.6, 0.0])
+    n, runs = 12, 20_000
+    rng = np.random.default_rng(32)
+    cells = np.stack([_split(n, mass.copy(), FirstPoissonTooMany(rng, n)) for _ in range(runs)])
+    assert (cells.sum(axis=1) == n).all()
+    assert not cells[:, -1].any()
+    p = multinomial_pvalue(cells, np.full(runs, n), mass)
+    assert p > P_FLOOR, p
+
+
+class LargestUniform:
+    """A generator whose Poisson draws are 0 and whose uniforms are the
+    largest double below 1, so every event comes from the top-up."""
+
+    def poisson(self, lam):
+        return np.zeros(np.shape(lam), dtype=np.int64)
+
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0 ** -53)
+
+
+@pytest.mark.parametrize("mass", [
+    [0.0, 1.0, 2.0, 0.0, 0.0],
+    [0.0, 5e-324, 0.0, 0.0],  # a subnormal total: u * total rounds up to it
+], ids=["normal", "subnormal"])
+def test_the_top_up_never_reaches_a_trailing_cell_without_mass(mass):
+    mass = np.array(mass)
+    last = int(np.flatnonzero(mass)[-1])
+    cells = _split(7, mass.copy(), LargestUniform())
+    assert cells.tolist() == [7 if i == last else 0 for i in range(mass.size)]
+
+
+def test_no_event_lands_in_a_cell_without_mass():
+    mass = np.array([0.0, 0.3, 0.0, 0.7, 0.0, 0.0])
+    rng = np.random.default_rng(33)
+    cells = np.stack([_split(n, mass.copy(), rng) for n in range(40) for _ in range(50)])
+    assert cells[:, mass > 0].sum() == 50 * sum(range(40))
 
 
 def test_times_are_clamped_to_the_horizon_and_undrawn_times_are_named():

@@ -187,10 +187,11 @@ def digest(result) -> str:
 
 # digests of run_heatmap at base seed 11 (numpy 2.4.6), as computed when
 # trials read the drawn counts through SampledCounts.count_at: reading them
-# by index must not move a bit
+# by index must not move a bit.  The two Poisson presets' digests are those
+# of counts spread over the cells by the Poisson split of ``draw_counts``
 PINNED_HEATMAPS = {
-    ("fig2-scaled", 4): "4acd0320ca9f7316d048c088079b52f29438cf22032c3f24cdf38bb0a665afdb",
-    ("fig2-full", 3): "619ace5cb2a09f25ebdac541409e54ea4e9be435268d56e473c760f7bf5dd113",
+    ("fig2-scaled", 4): "bd633af4addb3c51cc9d21045e8081f5fb69c46dc0edc8441077f31eca96d16d",
+    ("fig2-full", 3): "4d23609cc96863d5430d68ba7b24d7a6565d0eecfe40af975f154cbdb4b27798",
     ("fig5", 2): "e1ea5787894e037dea843c521adc103aabbed4e9a0d4cd220f1498de3e3e7a9b",
 }
 
@@ -213,12 +214,13 @@ class EventTimesConstNull(ConstNullScenario):
 
 # the two paths under an analysis window, drawn counts and event times: the
 # digest, as above, and the failed cells, as computed when a trial read
-# event times through derivative_profiles(..., window=...)
+# event times through derivative_profiles(..., window=...); the drawn
+# counts' digest is that of the Poisson split, as above
 PINNED_WINDOWED = {
     "drawn counts": (
         ExperimentSpec(ConstNullScenario(), tuple(range(1, 7)),
                        get_preset("fig2-scaled").params["delta_grid"], trials=3, base_seed=11),
-        "b09336dc91e2512f63d37196f7f9668ae3bb7fc30fd8182977580a92741461ce", 0),
+        "7402ee280a566eb02755835508f12bd3471d899b8f9909109b351ee44c20a4e1", 0),
     "event times": (
         ExperimentSpec(EventTimesConstNull(base=2000.0), (1, 2, 3, 4), (0.05, 0.3, 1.1, 6.0),
                        trials=3, base_seed=11),
