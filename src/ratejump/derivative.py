@@ -27,15 +27,24 @@ lag-m difference (Delta_m^l F)[p0], where (Delta_m F)[p] = F[p+m] - F[p]
 and p0 indexes the stencil's first point.  So N is sampled once per
 lattice origin b, and each order comes from the previous one by one more
 difference: b = 0 for orders whose grid starts at (l-1)*delta, and b = the
-window's lower end for the orders a window clips.  A lattice plan, fixed by
-the orders, delta, m, T and window, holds each lattice's read times and
-where each order's grid lies on it; evaluating it turns the samples F into
-every order's values.  ``derivative_profiles`` reads N on the plan with no
-window; the heatmap harness on those of a scenario's analysis window.
+window's lower end for the orders a window clips.
+
+A lattice plan, fixed by the orders, a grid of deltas that share m, T and
+the window, lays the lattices of every delta end to end in one read vector.
+Each (order, delta) cell's grid is one segment of that order's lag
+difference of the whole vector; a difference that straddles two lattices
+lies between segments and no cell reads it.  Evaluating the plan takes each
+order's difference once, over the whole vector.  One segment-wise peak rule
+(``_peaks``: the earliest largest |value| of each segment) then scores every
+cell at once.  ``derivative_profiles`` and ``DerivativeProfile.argmax`` are
+its case of one delta and one segment: N's own grid, with no window.  The
+heatmap harness reads N once on the plan of its whole (k, delta) grid, under
+a scenario's analysis window.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -161,13 +170,38 @@ class DerivativeProfile:
         return zip(self.times.tolist(), self.values.tolist())
 
     def argmax(self) -> int:
-        """Index of the largest |value|, the earliest on ties; ValueError if empty."""
-        return _peak(_nonempty(self).values)
+        """Index of the largest |value|, the earliest on ties (``_peaks`` of
+        one segment); ValueError if empty."""
+        return int(_peaks(_nonempty(self).values, [0], [len(self)])[0])
 
 
-def _peak(values) -> int:
-    """The one argmax rule: the index of the largest |value|, the earliest on ties."""
-    return int(np.argmax(np.abs(values)))
+def _peaks(values, starts, ends) -> np.ndarray:
+    """The one peak rule: for each segment values[starts[c]:ends[c]], the
+    segments nonempty, disjoint and rising, the index in ``values`` of its
+    largest |value|, the earliest on ties (a NaN counts as largest, as in
+    ``np.argmax``).  No entry between segments takes part."""
+    values = np.asarray(values)
+    # 0, each segment's start and end, and the end of ``values``
+    edges = np.empty(2 * len(starts) + 2, dtype=np.intp)
+    edges[0], edges[1:-1:2], edges[2:-1:2], edges[-1] = 0, starts, ends, values.size
+    # a segment's largest |value|, then the gap's after it; an end at the end
+    # of ``values`` is no bound.  Two reductions stand in for |values|, which
+    # would be one more array the size of ``values`` at the peak of memory
+    bounds = edges[1:-1] if edges[-2] < values.size else edges[1:-2]
+    top = np.maximum(np.maximum.reduceat(values, bounds),
+                     -np.minimum.reduceat(values, bounds))[::2]
+    # each segment's largest |value| over it, and NaN, which equals nothing, elsewhere
+    fill = np.full(edges.size - 1, np.nan)
+    fill[1::2] = top
+    spread = np.repeat(fill, edges[1:] - edges[:-1])
+    hit = values == spread
+    hit |= values == np.negative(spread, out=spread)
+    if np.isnan(top).any():
+        # a NaN between segments hits too, but none lies between a segment's
+        # start and the first NaN of its own
+        hit |= np.isnan(values) & np.isnan(spread)
+    hits = np.flatnonzero(hit)
+    return hits[np.searchsorted(hits, starts)]
 
 
 def _empty_window(order: int, delta: float, window: tuple) -> ValueError:
@@ -205,14 +239,14 @@ def derivative_profiles(N, orders, delta: float) -> list:
     fn, T = _as_counting(N)
     lag = _steps_per_delta(N, delta)
     step = delta / lag
-    plan = _lattice_plan(orders, delta, lag, T, None)
+    plan = _lattice_plan(orders, (delta,), lag, T, None)
     try:
-        samples = [fn(times) for times, _ in plan.lattices]
+        samples = plan.read(fn)
     except ValueError as exc:  # N known only at uneven knots, such as drawn times
         raise ValueError(f"{exc}, a time on the grid of step delta / {lag}, "
                          f"delta = {delta!r}") from exc
     return [DerivativeProfile(lo + np.arange(n) * step, values, order, delta, lag, (lo, hi))
-            for (order, lo, hi, n, _), values in zip(plan.grids, plan.evaluate(samples))]
+            for (order, lo, hi, n, _), values in zip(plan.cells, plan.evaluate(samples))]
 
 
 def _grid_size(lo: float, hi: float, step: float) -> int:
@@ -230,65 +264,115 @@ def _grid_size(lo: float, hi: float, step: float) -> int:
 
 @dataclass(frozen=True)
 class _LatticePlan:
-    """Where the profiles of one delta read N, and how the reads become values.
+    """Where the profiles of some orders at some deltas read N, and how the
+    reads become values.
 
-    ``lattices`` holds one (read times, indices of the orders read there) per
-    lattice origin.  ``grids[i]`` is the i-th order's (order, lo, hi, n,
-    offset): value q of its grid lo + q*delta/lag, q < n, is entry offset + q
-    of the order-fold lag difference of its lattice's samples.
+    ``times`` lays every lattice end to end, those of ``deltas[0]`` first:
+    ``edges[b]:edges[b + 1]`` is the b-th.  ``cells[i * len(deltas) + j]`` is
+    the (order, lo, hi, n, start) of the i-th order at ``deltas[j]``: value q
+    of its grid lo + q*deltas[j]/lag, q < n, is entry start + q of the
+    order-fold lag difference of N at all of ``times``, which crosses from
+    one lattice into the next only at entries that no cell reads.  The plan
+    stores nothing per time besides ``times``.
     """
 
-    delta: float
+    deltas: tuple
     lag: int
-    grids: tuple
-    lattices: tuple
+    times: np.ndarray
+    edges: tuple
+    cells: tuple
+
+    def read(self, count_at) -> np.ndarray:
+        """N at ``times``, read by ``count_at`` once per lattice."""
+        return np.concatenate([np.zeros(0)] + [count_at(self.times[a:b])
+                                               for a, b in zip(self.edges, self.edges[1:])])
+
+    def _levels(self, samples):
+        """The l-fold lag difference of ``samples``, N at ``times``, for each
+        l from 1 to the highest order with a grid point."""
+        diff = np.asarray(samples, dtype=np.float64)
+        for _ in range(max((order for order, _, _, n, _ in self.cells if n), default=0)):
+            diff = diff[self.lag:] - diff[:-self.lag]
+            yield diff
 
     def evaluate(self, samples) -> list:
-        """Each order's values, from samples[b] = N at ``lattices[b]``'s times."""
-        values = [np.zeros(0)] * len(self.grids)
-        for (_, members), diff in zip(self.lattices, samples):
-            diff, levels = np.asarray(diff, dtype=np.float64), {}
-            for order in range(1, max(self.grids[i][0] for i in members) + 1):
-                diff = levels[order] = diff[self.lag:] - diff[:-self.lag]
-            for i in members:
-                order, _, _, n, offset = self.grids[i]
-                values[i] = levels[order][offset:offset + n]
-        return values
+        """Each cell's values, in the order of ``cells``, from samples = N at
+        ``times``; a cell with no grid point has none."""
+        levels = list(self._levels(samples))
+        return [levels[order - 1][start:start + n] if n else np.zeros(0)
+                for order, _, _, n, start in self.cells]
 
-    def peak_time(self, i: int, values) -> float:
-        """The grid time of the i-th order's peak in its ``evaluate`` values,
-        by the rule of ``DerivativeProfile.argmax``; ValueError if empty."""
-        order, lo, hi, n, _ = self.grids[i]
-        if not n:
-            raise _empty_window(order, self.delta, (lo, hi))
-        return lo + _peak(values) * (self.delta / self.lag)
+    @functools.cached_property
+    def _peak_layout(self) -> tuple:
+        """For each order l from 1 up: its cells with a grid point, the
+        distinct [start, end) they read, rising, and the segment of each
+        cell; then each cell's lo and deltas[j] / lag."""
+        spans = {}  # order -> start -> (n, the cells that read [start, start + n))
+        for c, (order, _, _, n, start) in enumerate(self.cells):
+            if n:
+                spans.setdefault(order, {}).setdefault(start, (n, []))[1].append(c)
+        levels = []
+        for order in range(1, max(spans, default=0) + 1):
+            rising = sorted(spans.get(order, {}).items())
+            levels.append(tuple(np.array(x, dtype=np.intp) for x in (
+                [c for _, (_, members) in rising for c in members],
+                [start for start, _ in rising],
+                [start + n for start, (n, _) in rising],
+                [s for s, (_, (_, members)) in enumerate(rising) for _ in members])))
+        return (tuple(levels), np.array([cell[1] for cell in self.cells]),
+                np.array([self.deltas[c % len(self.deltas)] / self.lag
+                          for c in range(len(self.cells))]))
+
+    def peak_times(self, samples) -> np.ndarray:
+        """(orders, deltas): the grid time of each cell's peak by ``_peaks``,
+        from samples = N at ``times``; NaN for a cell with no grid point."""
+        levels, lo, step = self._peak_layout
+        times = np.full(len(self.cells), np.nan)
+        for level, (members, starts, ends, segment) in zip(self._levels(samples), levels):
+            if members.size:
+                q = (_peaks(level, starts, ends) - starts)[segment]
+                times[members] = lo[members] + q * step[members]
+        return times.reshape(-1, len(self.deltas))
+
+    def empty_cells(self) -> list:
+        """(i, j) and ``_empty_window``'s error for each cell with no grid point."""
+        return [(divmod(c, len(self.deltas)),
+                 _empty_window(order, self.deltas[c % len(self.deltas)], (lo, hi)))
+                for c, (order, lo, hi, n, _) in enumerate(self.cells) if not n]
 
 
-def _lattice_plan(orders, delta: float, lag: int, T: float, window) -> _LatticePlan:
-    """The plan of checked orders, delta and lag: each grid is its order's
+def _lattice_plan(orders, deltas, lag: int, T: float, window) -> _LatticePlan:
+    """The plan of checked orders, deltas and lag: each grid is its order's
     valid range clipped to ``window`` (None: not clipped), so a lattice time
     leaves [0, T] only by the rounding of p*step, by ulps; it reads N there."""
-    step = delta / lag
     w_lo, w_hi = (-math.inf, math.inf) if window is None else (float(window[0]), float(window[1]))
     if not w_lo <= w_hi:  # NaN fails too
         raise ValueError(f"window must satisfy lo <= hi, got {window}")
-    grids, lattices = [], {}
-    for order in orders:
-        lo, hi = max((order - 1) * delta, w_lo), min(T - delta, w_hi)
-        grids.append((order, lo, hi, _grid_size(lo, hi, step)))
-        if grids[-1][3]:
-            origin = lo if w_lo > (order - 1) * delta else 0.0
-            lattices.setdefault(origin, {})[len(grids) - 1] = grids[-1]
-    read, offsets = [], {}
-    for origin, members in lattices.items():
-        first = {i: round((lo - origin) / step) - (order - 1) * lag
-                 for i, (order, lo, _, _) in members.items()}
-        p_lo = min(first.values())
-        p_hi = max(first[i] + n + order * lag for i, (order, _, _, n) in members.items())
-        read.append((np.clip(origin + np.arange(p_lo, p_hi) * step, 0.0, T), tuple(members)))
-        offsets.update((i, p - p_lo) for i, p in first.items())
-    grids = tuple(grid + (offsets.get(i, 0),) for i, grid in enumerate(grids))
-    return _LatticePlan(delta, lag, grids, tuple(read))
+    by_delta, reads, edges = [], [], [0]
+    for delta in deltas:
+        step = delta / lag
+        grids, lattices = [], {}
+        for i, order in enumerate(orders):
+            lo, hi = max((order - 1) * delta, w_lo), min(T - delta, w_hi)
+            grids.append((order, lo, hi, _grid_size(lo, hi, step)))
+            if grids[-1][3]:
+                origin = lo if w_lo > (order - 1) * delta else 0.0
+                lattices.setdefault(origin, {})[i] = grids[-1]
+        starts = {}
+        for origin, members in lattices.items():
+            first = {i: round((lo - origin) / step) - (order - 1) * lag
+                     for i, (order, lo, _, _) in members.items()}
+            p_lo = min(first.values())
+            p_hi = max(first[i] + n + order * lag for i, (order, _, _, n) in members.items())
+            reads.append(origin + np.arange(p_lo, p_hi) * step)
+            starts.update((i, edges[-1] + p - p_lo) for i, p in first.items())
+            edges.append(edges[-1] + p_hi - p_lo)
+        by_delta.append([grid + (starts.get(i, 0),) for i, grid in enumerate(grids)])
+    times = np.concatenate([np.zeros(0)] + reads)
+    np.clip(times, 0.0, T, out=times)
+    times.setflags(write=False)
+    return _LatticePlan(tuple(deltas), lag, times, tuple(edges),
+                        tuple(row[i] for i in range(len(orders)) for row in by_delta))
 
 
 def annihilation_check(order: int, delta: float, poly_coeffs, t: float) -> float:

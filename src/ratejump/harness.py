@@ -9,12 +9,15 @@ deterministic given the realization, hence results are identical for any
 worker count.  A worker process gets the spec once, when it starts, and keeps
 it (and an SI tree's fold plan) for all its trials, which arrive as indices.
 
-The lattice plan of each delta (see ``ratejump.derivative``) gives the
-times its profiles read N, and a trial reads N once, on their union, then
-each plan's samples by index.  A scenario with a horizon gets that union,
-computed once per grid, before it is realized: the Poisson ones draw N only
-there (``draw_counts``), not the whole event stream by thinning.  An SI
-cascade sets its own horizon; its N is read on the union through ``count_at``.
+One lattice plan covers the whole (k, delta) grid (see
+``ratejump.derivative``): it lays every delta's lattices end to end in one
+read vector.  A trial reads N once, on the sorted union of those times, takes
+the plan's samples from it by one index, and scores every cell in one pass:
+one lag difference per order over the whole vector and one segment-wise peak
+rule.  A scenario with a horizon gets that union, computed once per grid,
+before it is realized: the Poisson ones draw N only there (``draw_counts``),
+not the whole event stream by thinning.  An SI cascade sets its own horizon;
+its N is read on the union through ``count_at``.
 """
 
 from __future__ import annotations
@@ -259,10 +262,10 @@ def _sample_times(spec: ExperimentSpec):
     a scenario with no horizon before it is realized (an SI cascade ends
     when it ends)."""
     horizon = getattr(spec.scenario, "horizon", None)
-    return None if horizon is None else _plans(spec, float(horizon))[0]
+    return None if horizon is None else _spec_read_grid(spec, float(horizon))[0]
 
 
-def _plans(spec: ExperimentSpec, horizon: float) -> tuple:
+def _spec_read_grid(spec: ExperimentSpec, horizon: float) -> tuple:
     """``_read_grid`` of the spec's grid and analysis window on [0, horizon],
     cached only for a scenario with a fixed horizon: a cascade sets its own,
     which no later trial reads again."""
@@ -275,51 +278,39 @@ def _plans(spec: ExperimentSpec, horizon: float) -> tuple:
 
 @functools.lru_cache(maxsize=16)
 def _read_grid(k_grid: tuple, delta_grid: tuple, horizon: float, window) -> tuple:
-    """(grid, plans) for one grid, computed once: ``grid`` is the union of
-    0, the horizon and every time the lattice plans read, and ``plans[j]``
-    is delta_grid[j]'s plan with the index in ``grid`` of each of its
-    lattices' times.  The grid and the indices are read-only, since every
-    trial of the grid shares them."""
-    plans = [_lattice_plan(k_grid, d, STEPS_PER_DELTA, horizon, window) for d in delta_grid]
-    times = [t for plan in plans for t, _ in plan.lattices]
-    reads = np.concatenate(times)
-    grid = np.unique(np.concatenate(([0.0, horizon], reads)))
-    index = np.searchsorted(grid, reads)
-    if not np.array_equal(grid[index], reads):  # N is read only where it is drawn
+    """(grid, plan, index) for one grid, computed once: ``plan`` is the
+    lattice plan of every (k, delta) cell, ``grid`` the union of 0, the
+    horizon and the times it reads, and ``plan.times`` is ``grid[index]``.
+    The grid and the index are read-only, since every trial of the grid
+    shares them."""
+    plan = _lattice_plan(k_grid, delta_grid, STEPS_PER_DELTA, horizon, window)
+    grid = np.unique(np.concatenate(([0.0, horizon], plan.times)))
+    index = np.searchsorted(grid, plan.times)
+    if not np.array_equal(grid[index], plan.times):  # N is read only where it is drawn
         raise RuntimeError("internal consistency failure: a plan time is not on the read grid")
     grid.setflags(write=False)
     index.setflags(write=False)
-    pieces = iter(np.split(index, np.cumsum([t.size for t in times])[:-1]))
-    return grid, tuple((plan, tuple(next(pieces) for _ in plan.lattices)) for plan in plans)
+    return grid, plan, index
 
 
 def _trial_errors(spec: ExperimentSpec, trial: int):
     """Errors of every cell on trial ``trial``'s shared realization, whose N
     is read on the read grid of its horizon (counts drawn there as they are)
-    and each delta's plan samples by index.  A cell whose window holds no
+    and taken by index into the plan's samples.  A cell whose window holds no
     grid point fails alone, and its ValueError is recorded; the run goes on."""
     realization = spec.scenario.realize(SimSeed(spec.base_seed, trial), _sample_times(spec))
     events = realization.events
     count_at, T = _as_counting(events)
-    grid, plans = _plans(spec, T)
+    grid, plan, index = _spec_read_grid(spec, T)
     drawn = isinstance(events, SampledCounts)
     if drawn and not np.array_equal(events.times, grid):
         raise ValueError(f"the realization's counts are drawn at {events.times.size} times "
                          f"that are not the {grid.size} times of the trial's read grid")
     counts = events.counts if drawn else np.asarray(count_at(grid))
-    errors = np.full((len(spec.k_grid), len(spec.delta_grid)), np.nan)
-    failures = {}  # (i, j) -> the ValueError that aborted cell (k_grid[i], delta_grid[j])
-    for j, (plan, index) in enumerate(plans):
-        values = plan.evaluate([counts.take(i) for i in index])
-        for i in range(len(spec.k_grid)):
-            try:
-                errors[i, j] = abs(plan.peak_time(i, values[i]) - realization.truth)
-            except ValueError as exc:
-                failures[i, j] = exc
-    diagnostics = [
-        f"trial {trial} cell (k={spec.k_grid[i]}, delta={spec.delta_grid[j]}): {exc}"
-        for (i, j), exc in sorted(failures.items())
-    ]
+    # float64 here, so that no int64 copy outlives the take
+    errors = np.abs(plan.peak_times(counts.take(index).astype(np.float64)) - realization.truth)
+    diagnostics = [f"trial {trial} cell (k={spec.k_grid[i]}, delta={spec.delta_grid[j]}): {exc}"
+                   for (i, j), exc in plan.empty_cells()]
     return errors, realization.checksum, diagnostics
 
 
@@ -342,7 +333,9 @@ def run_heatmap(spec: ExperimentSpec, workers: int = 1) -> HeatmapResult:
 
         with ProcessPoolExecutor(workers, initializer=_start_worker,
                                  initargs=(spec,)) as pool:
-            per_trial = list(pool.map(_worker_trial_errors, trials))
+            # a task costs the parent a fixed overhead: a few per worker, not one per trial
+            per_trial = list(pool.map(_worker_trial_errors, trials,
+                                      chunksize=max(1, spec.trials // (4 * workers))))
     else:
         per_trial = [_trial_errors(spec, t) for t in trials]
 

@@ -716,13 +716,22 @@ def draw_counts(spec: RateSpec, times, horizon: float, seed) -> SampledCounts:
     non-negative as in ``simulate``; see the module docstring for the
     rounding tolerance on the cells.  ``seed`` is taken as by ``simulate``;
     a Generator passed in ends at a place that depends on the seed.
+
+    ``times`` that already rise strictly from +0.0 to the horizon, such as a
+    heatmap's read grid, are that grid: a copy of them is taken, not sorted
+    again.  Any other ``times`` are sorted and made distinct with 0 and the
+    horizon added.  Both give the same grid and the same draw.
     """
     horizon = _check_delta(horizon, "horizon")
     times = np.asarray(times, dtype=np.float64).ravel()
     if not np.isfinite(times).all():
         raise ValueError(f"times must be finite, got {times[~np.isfinite(times)][0]}")
     _certified_windows(spec, horizon)
-    grid = np.unique(np.concatenate(([0.0, horizon], np.clip(times, 0.0, horizon))))
+    if (times.size and times[0] == 0.0 and not np.signbit(times[0]) and times[-1] == horizon
+            and (times[1:] > times[:-1]).all()):
+        grid = times.copy()  # already the grid np.unique would make
+    else:
+        grid = np.unique(np.concatenate(([0.0, horizon], np.clip(times, 0.0, horizon))))
     integral = _integrated(spec, grid)
     total, mass = integral[-1], np.diff(integral)
     i = int(np.argmin(mass))  # the grid holds 0 and the horizon: one cell at least

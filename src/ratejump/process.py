@@ -225,6 +225,12 @@ def _text_lines(lines):
             yield lineno, line
 
 
+def _pair_chunks(times: np.ndarray):
+    """``times`` in ``_CHECK_CHUNK`` pieces that overlap by one element, so
+    that the pieces' neighbouring pairs are all of the times' pairs."""
+    return (times[i:i + _CHECK_CHUNK + 1] for i in range(0, times.size - 1, _CHECK_CHUNK))
+
+
 @dataclass(frozen=True)
 class EventTimes:
     """A sorted sequence of event timestamps on [0, horizon].
@@ -244,15 +250,17 @@ class EventTimes:
         object.__setattr__(self, "horizon", _check_finite(self.horizon, "horizon", 0.0))
         if times.ndim != 1:
             raise ValueError("times must be a one-dimensional array")
-        if times.size:
-            # chunk by chunk, so no boolean temporary is the size of the times
+        # one pass proves the times finite, sorted and in range: a NaN fails a
+        # pair, or the test of the first or last time.  Chunk by chunk, so no
+        # boolean temporary is the size of the times.  On a failure the three
+        # checks run one by one, so that the message names the first fault.
+        if times.size and not (
+                times[0] >= 0.0 and times[-1] <= self.horizon
+                and all((chunk[1:] >= chunk[:-1]).all() for chunk in _pair_chunks(times))):
             if not all(np.isfinite(times[i:i + _CHECK_CHUNK]).all()
                        for i in range(0, times.size, _CHECK_CHUNK)):
                 raise ValueError("event times must all be finite")
-            # chunks that overlap by one element compare every neighbouring pair
-            chunks = (times[i:i + _CHECK_CHUNK + 1]
-                      for i in range(0, times.size - 1, _CHECK_CHUNK))
-            if any((chunk[1:] < chunk[:-1]).any() for chunk in chunks):
+            if any((chunk[1:] < chunk[:-1]).any() for chunk in _pair_chunks(times)):
                 raise ValueError("event times must be sorted in non-decreasing order")
             if times[0] < 0.0 or times[-1] > self.horizon:
                 raise ValueError(

@@ -8,7 +8,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from ratejump.derivative import (
     MAX_ORDER,
+    STEPS_PER_DELTA,
     DerivativeStencil,
+    _lattice_plan,
+    _peaks,
     annihilation_check,
     derivative_profile,
     derivative_profiles,
@@ -390,3 +393,87 @@ def test_stencil_window_bounds_have_a_relative_slack_of_1e_12(scale):
         discrete_derivative(e, order, delta, lo - 2 * lo_slack)
     with pytest.raises(ValueError, match=r"violates t \+ delta <= horizon"):
         discrete_derivative(e, order, delta, hi + 2 * hi_slack)
+
+
+def reference_peaks(values, starts, ends):
+    """The peak rule segment by segment: np.argmax of each segment's |values|."""
+    return [start + int(np.argmax(np.abs(values[start:end]))) for start, end in zip(starts, ends)]
+
+
+@pytest.mark.parametrize("values, starts, ends, expected", [
+    ([1.0, -3.0, 3.0, 0.0], [0], [4], [1]),  # a tie: the earlier index
+    # the gap [3, 5) holds the largest |value| and the tail another; neither leaks
+    ([1.0, 2.0, -2.0, 99.0, -100.0, 5.0, -5.0, 3.0, 50.0], [0, 5], [3, 8], [1, 5]),
+    ([7.0, -1.0, 1.0, -8.0, 8.0], [1, 3], [3, 5], [1, 3]),  # adjacent, the last at the end
+    ([9.0, 0.0, 0.0, 9.0, 0.0], [1, 4], [3, 5], [1, 4]),  # all-zero segments
+    ([1.0, np.nan, 2.0, np.nan, 5.0, np.nan], [0, 4], [3, 6], [1, 5]),  # a NaN counts as largest
+    ([np.nan, 4.0, -4.0, np.nan], [1], [3], [1]),  # and one between segments takes no part
+])
+def test_peak_rule_is_the_earliest_largest_abs_value_of_each_segment(values, starts, ends,
+                                                                     expected):
+    values = np.array(values)
+    assert _peaks(values, starts, ends).tolist() == expected
+    assert reference_peaks(values, starts, ends) == expected
+
+
+@given(
+    layout=st.lists(st.tuples(st.integers(min_value=0, max_value=4),
+                              st.integers(min_value=1, max_value=8)), min_size=1, max_size=6),
+    tail=st.integers(min_value=0, max_value=3),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_peak_rule_matches_np_argmax_segment_by_segment(layout, tail, data):
+    # (gap, length) pairs lay the segments out; small integers make ties common
+    ends = np.cumsum([gap + length for gap, length in layout])
+    starts = ends - [length for _, length in layout]
+    size = int(ends[-1]) + tail
+    values = np.array(data.draw(st.lists(st.integers(min_value=-4, max_value=4),
+                                         min_size=size, max_size=size)), dtype=np.float64)
+    values[data.draw(st.lists(st.integers(min_value=0, max_value=size - 1), max_size=3))] = np.nan
+    assert _peaks(values, starts, ends).tolist() == reference_peaks(values, starts, ends)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    orders=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
+    deltas=st.lists(st.floats(min_value=0.05, max_value=3.0), min_size=1, max_size=5),
+    window=st.one_of(st.none(), st.tuples(st.floats(min_value=0, max_value=10),
+                                          st.floats(min_value=0, max_value=10))),
+)
+@settings(max_examples=80, deadline=None)
+def test_a_plan_over_a_delta_grid_peaks_as_each_deltas_profiles_do(seed, orders, deltas, window):
+    # every lattice end to end in one read vector, scored at once: each cell
+    # peaks where the one-delta profile of its order peaks, and a cell with
+    # no grid point is NaN
+    window = None if window is None else tuple(sorted(window))
+    rng = np.random.default_rng(seed)
+    e = EventTimes(times=np.sort(rng.uniform(0, 10, 200)), horizon=10.0)
+    plan = _lattice_plan(orders, deltas, STEPS_PER_DELTA, e.horizon, window)
+    peak_times = plan.peak_times(plan.read(e.count_at))
+    assert peak_times.shape == (len(orders), len(deltas))
+    for j, delta in enumerate(deltas):
+        for i, profile in enumerate(windowed_profiles(e, orders, delta, STEPS_PER_DELTA, window)):
+            if len(profile) == 0:
+                assert np.isnan(peak_times[i, j])
+                continue
+            peak = int(np.argmax(np.abs(profile.values)))
+            assert profile.argmax() == peak
+            assert peak_times[i, j] == profile.times[peak]
+
+
+def test_values_between_a_plans_segments_outweigh_every_peak_and_take_no_part():
+    # one order at two deltas: where the first lattice (N near its total)
+    # meets the second (N near 0) the lag difference is about -N(T), far
+    # beyond either cell's peak, which each cell still finds in its own segment
+    rng = np.random.default_rng(6)
+    e = EventTimes(times=np.sort(rng.uniform(0, 10, 500)), horizon=10.0)
+    plan = _lattice_plan([1], [0.2, 0.5], STEPS_PER_DELTA, e.horizon, None)
+    samples = plan.read(e.count_at)
+    level = samples[STEPS_PER_DELTA:] - samples[:-STEPS_PER_DELTA]
+    values = plan.evaluate(samples)
+    assert np.abs(level).max() > max(np.abs(v).max() for v in values)
+    for j, delta in enumerate([0.2, 0.5]):
+        profile = derivative_profile(e, 1, delta)
+        assert np.array_equal(values[j], profile.values)
+        assert plan.peak_times(samples)[0, j] == profile.times[profile.argmax()]

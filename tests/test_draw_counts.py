@@ -266,6 +266,29 @@ def test_times_are_clamped_to_the_horizon_and_undrawn_times_are_named():
         counts.count_at([1.0, 2.0])
 
 
+def test_a_valid_read_grid_draws_as_its_shuffled_duplicated_copy_does():
+    # times rising strictly from 0 to the horizon are the grid itself; any
+    # other times become it through np.unique, and the draw is the same
+    grid = np.concatenate(([0.0], np.sort(np.random.default_rng(4).uniform(0, HORIZON, 300)),
+                           [HORIZON]))
+    messy = np.random.default_rng(5).permutation(np.concatenate((grid[1:-1], grid[10:40])))
+    given = grid.copy()
+    drawn = draw_counts(SPEC, given, HORIZON, SimSeed(8))
+    assert drawn == draw_counts(SPEC, messy, HORIZON, SimSeed(8))
+    assert np.array_equal(drawn.times, grid)
+    # the result holds a copy: the caller's array is theirs to change
+    given[:] = 1.0
+    assert np.array_equal(drawn.times, grid)
+
+
+def test_a_leading_negative_zero_gives_the_grid_np_unique_gives():
+    times = np.array([-0.0, 1.0, 2.5, HORIZON])
+    drawn = draw_counts(SPEC, times, HORIZON, SimSeed(9))
+    expected = np.unique(np.concatenate(([0.0, HORIZON], np.clip(times, 0.0, HORIZON))))
+    assert drawn.times.tobytes() == expected.tobytes()  # the sign of the zero too
+    assert drawn == draw_counts(SPEC, [0.0, 1.0, 2.5, HORIZON], HORIZON, SimSeed(9))
+
+
 def test_draw_certifies_the_rate_first():
     negative = RateSpec(components=(
         JumpComponent(5.0, 0.0, Sinusoid(offset=0.0, omega=1.0, phase=0.5)),))

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from ratejump.derivative import derivative_profiles
 from ratejump.detector import DetectorConfig
 from ratejump.harness import (
     PRESETS,
@@ -86,6 +87,17 @@ def test_heatmap_reproducible_and_worker_independent():
     assert a.checksums == c.checksums
 
 
+def test_heatmap_chunked_pool_map_keeps_trial_order():
+    # 17 trials go to 2 workers in chunks of 2 and to 3 in chunks of 1:
+    # every result is the serial one, trial by trial
+    spec = small_spec(trials=17)
+    serial = run_heatmap(spec, workers=1)
+    for workers in (2, 3):
+        pooled = run_heatmap(spec, workers=workers)
+        assert np.array_equal(pooled.errors, serial.errors)
+        assert pooled.checksums == serial.checksums
+
+
 def test_heatmap_common_random_numbers():
     # the same realization feeds every cell within a trial
     spec = small_spec(trials=3)
@@ -143,41 +155,72 @@ class ClippedLowOrders(SmoothJumpScenario):
     analysis_window = (0.5, 15.0)
 
 
-@pytest.mark.parametrize(
-    "scenario",
-    [
-        SmoothJumpScenario(base=300.0, jump=400.0),
-        ConstNullScenario(base=300.0),
-        ClippedLowOrders(base=300.0, jump=400.0),
-    ],
-    ids=["smooth-jump", "const-null-window", "window-clips-some-orders"],
-)
-def test_trial_errors_match_per_cell_argmax(scenario):
-    # one profile per delta for every order gives the cells one profile per cell gives
-    spec = ExperimentSpec(
-        scenario=scenario,
-        k_grid=tuple(range(1, 7)),
-        delta_grid=(0.05, 0.1, 0.3, 0.7, 1.3, 3.5),
-        trials=1,
-        base_seed=3,
-    )
-    errors, checksum, diagnostics = _trial_errors(spec, 0)
-    realization = scenario.realize(SimSeed(3, 0), _sample_times(spec))
-    assert checksum == realization.checksum
-    expected_failures = []
-    for i, k in enumerate(spec.k_grid):
-        for j, delta in enumerate(spec.delta_grid):
-            try:
-                profile, = windowed_profiles(realization.events, [k], delta, 10,
-                                             scenario.analysis_window)
-                t_hat = profile.times[profile.argmax()]
-            except ValueError as exc:
-                assert np.isnan(errors[i, j])
-                expected_failures.append(f"trial 0 cell (k={k}, delta={delta}): {exc}")
-                continue
-            assert errors[i, j] == abs(t_hat - realization.truth)
-    assert diagnostics == expected_failures
-    assert expected_failures  # k=6 at delta=3.5 leaves no grid point on [0, 20]
+@dataclass(frozen=True)
+class TwoEventTie:
+    """N steps by one event at 3.0 and one at 7.0: the order-1 peaks tie, and
+    the earlier one, before 3.0, is the estimate."""
+
+    horizon: float = 10.0
+    analysis_window = None
+
+    def realize(self, seed, times=None) -> Realization:  # deterministic
+        return Realization(EventTimes(np.array([3.0, 7.0]), self.horizon), 0.0)
+
+
+def trial_spec(scenario):
+    return ExperimentSpec(scenario=scenario, k_grid=tuple(range(1, 7)),
+                          delta_grid=(0.05, 0.1, 0.3, 0.7, 1.3, 3.5), trials=1, base_seed=3)
+
+
+# (spec, whether some cell has no grid point): k=6 at delta=3.5 leaves none on [0, 20]
+TRIAL_SPECS = {
+    "smooth-jump": (trial_spec(SmoothJumpScenario(base=300.0, jump=400.0)), True),
+    # the window (5, 15) clips every order at the small deltas and only some at
+    # 1.3 and 3.5, whose plans read two lattices
+    "const-null-window": (trial_spec(ConstNullScenario(base=300.0)), True),
+    "window-clips-some-orders": (trial_spec(ClippedLowOrders(base=300.0, jump=400.0)), True),
+    "fig2-scaled": (heatmap_spec_from_preset(get_preset("fig2-scaled"), trials=2, base_seed=5),
+                    False),
+    "fig5-style-tree": (heatmap_spec_from_preset(get_preset("fig5"), extra_leaves=300, trials=2,
+                                                 base_seed=5), False),
+    "tie": (ExperimentSpec(TwoEventTie(), (1, 2), (0.5, 1.0), trials=1), False),
+}
+
+
+@pytest.mark.parametrize("name", list(TRIAL_SPECS))
+def test_trial_errors_match_per_cell_argmax(name):
+    # every cell of a trial, scored at once over one plan for the whole grid,
+    # is the argmax of that delta's profiles, whose own argmax is np.argmax's
+    spec, some_empty = TRIAL_SPECS[name]
+    window = spec.scenario.analysis_window
+    failures = 0
+    for trial in range(spec.trials):
+        errors, checksum, diagnostics = _trial_errors(spec, trial)
+        realization = spec.scenario.realize(SimSeed(spec.base_seed, trial), _sample_times(spec))
+        assert checksum == realization.checksum
+        expected = []
+        for i, k in enumerate(spec.k_grid):
+            for j, delta in enumerate(spec.delta_grid):
+                if window is None:
+                    profile = derivative_profiles(realization.events, spec.k_grid, delta)[i]
+                else:
+                    profile, = windowed_profiles(realization.events, [k], delta, 10, window)
+                try:
+                    peak = profile.argmax()
+                except ValueError as exc:
+                    assert np.isnan(errors[i, j])
+                    expected.append(f"trial {trial} cell (k={k}, delta={delta}): {exc}")
+                    continue
+                assert peak == int(np.argmax(np.abs(profile.values)))
+                assert errors[i, j] == abs(profile.times[peak] - realization.truth)
+        assert diagnostics == expected
+        failures += len(expected)
+    assert (failures > 0) == some_empty
+    if name == "const-null-window":
+        _, plan, _ = _read_grid(spec.k_grid, spec.delta_grid, spec.scenario.horizon, window)
+        assert len(plan.edges) - 1 == len(spec.delta_grid) + 2
+    if name == "tie":  # both events give |D| = 1: the estimate is before the first
+        assert (errors[0] < 3.0).all()
 
 
 def digest(result) -> str:

@@ -104,6 +104,29 @@ def test_event_times_checks_reach_across_chunk_boundaries(at):
         EventTimes(times, 1.0)
 
 
+@pytest.mark.parametrize("faults, message", [
+    # a pair across the boundary descends; a NaN two chunks on is named first
+    ({CHUNK: "descent", 2 * CHUNK + 5: np.nan}, "event times must all be finite"),
+    ({CHUNK: "descent"}, "event times must be sorted in non-decreasing order"),
+    ({CHUNK - 1: np.nan}, "event times must all be finite"),
+    ({CHUNK: np.nan}, "event times must all be finite"),
+    ({CHUNK: np.nan, CHUNK + 5: "descent"}, "event times must all be finite"),
+    ({3 * CHUNK - 1: np.nan}, "event times must all be finite"),  # the last time
+])
+def test_event_times_one_pass_names_faults_across_chunk_boundaries(faults, message):
+    times = np.linspace(0.0, 1.0, 3 * CHUNK)
+    for at, fault in faults.items():
+        times[at] = np.nextafter(times[at - 1], 0.0) if fault == "descent" else fault
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        EventTimes(times, 1.0)
+
+
+def test_event_times_accept_equal_times_across_a_chunk_boundary():
+    times = np.linspace(0.0, 1.0, 3 * CHUNK)
+    times[CHUNK] = times[CHUNK - 1]
+    assert len(EventTimes(times, 1.0)) == 3 * CHUNK
+
+
 @pytest.mark.parametrize("times, message", [
     ([np.nan], "event times must all be finite"),
     ([1.0, np.nan], "event times must all be finite"),

@@ -4,9 +4,10 @@ the heatmap harness reads them.
 ``derivative_profiles`` covers each order's whole valid range, on the grid
 N sets.  A lattice plan (``derivative._lattice_plan``) may take any whole
 number of steps per delta and clip its grids to a window; the harness
-evaluates its samples of N with ``plan.evaluate``.  This builds the
-profiles of such a plan, so that tests can check its grids, reads and
-values against ``derivative_profile`` and the pointwise stencil.
+scores its samples of N with ``plan.peak_times``, over every delta at once.
+This builds the profiles of such a plan for one delta, so that tests can
+check its grids, reads and values against ``derivative_profile`` and the
+pointwise stencil.
 """
 
 import numpy as np
@@ -24,8 +25,8 @@ def windowed_profiles(N, orders, delta, steps_per_delta=None, window=None):
         return derivative_profiles(N, orders, delta)
     count_at, T = _as_counting(N)
     m = _steps_per_delta(N, delta) if steps_per_delta is None else steps_per_delta
-    plan = _lattice_plan(orders, delta, m, T, window)
-    values = plan.evaluate([count_at(times) for times, _ in plan.lattices])
+    plan = _lattice_plan(orders, (delta,), m, T, window)
+    values = plan.evaluate(plan.read(count_at))
     step = delta / m
     return [DerivativeProfile(lo + np.arange(n) * step, v, order, delta, m, (lo, hi))
-            for (order, lo, hi, n, _), v in zip(plan.grids, values)]
+            for (order, lo, hi, n, _), v in zip(plan.cells, values)]
