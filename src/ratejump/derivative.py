@@ -24,13 +24,14 @@ Every stencil point of every grid time then lies on one lattice
 b + p*delta/m, and with
 F[p] = N(b + p*delta/m) the order-l value at a grid time is the l-fold
 lag-m difference (Delta_m^l F)[p0], where (Delta_m F)[p] = F[p+m] - F[p]
-and p0 indexes the stencil's first point.  So N is sampled once per
-lattice origin b, and each order comes from the previous one by one more
-difference: b = 0 for orders whose grid starts at (l-1)*delta, and b = the
-window's lower end for the orders a window clips.
+and p0 indexes the stencil's first point.  So each order comes from the
+previous one by one more difference on its lattice: b = 0 for orders whose
+grid starts at (l-1)*delta, and b = the window's lower end for the orders a
+window clips.
 
 A lattice plan, fixed by the orders, a grid of deltas that share m, T and
-the window, lays the lattices of every delta end to end in one read vector.
+the window, lays the lattices of every delta end to end in one read vector,
+and N is read once per plan: one ``count_at`` over that whole vector.
 Each (order, delta) cell's grid is one segment of that order's lag
 difference of the whole vector; a difference that straddles two lattices
 lies between segments and no cell reads it.  Evaluating the plan takes each
@@ -267,8 +268,8 @@ class _LatticePlan:
     """Where the profiles of some orders at some deltas read N, and how the
     reads become values.
 
-    ``times`` lays every lattice end to end, those of ``deltas[0]`` first:
-    ``edges[b]:edges[b + 1]`` is the b-th.  ``cells[i * len(deltas) + j]`` is
+    ``times`` lays every lattice end to end, those of ``deltas[0]`` first,
+    and N is read at all of them at once.  ``cells[i * len(deltas) + j]`` is
     the (order, lo, hi, n, start) of the i-th order at ``deltas[j]``: value q
     of its grid lo + q*deltas[j]/lag, q < n, is entry start + q of the
     order-fold lag difference of N at all of ``times``, which crosses from
@@ -279,13 +280,11 @@ class _LatticePlan:
     deltas: tuple
     lag: int
     times: np.ndarray
-    edges: tuple
     cells: tuple
 
     def read(self, count_at) -> np.ndarray:
-        """N at ``times``, read by ``count_at`` once per lattice."""
-        return np.concatenate([np.zeros(0)] + [count_at(self.times[a:b])
-                                               for a, b in zip(self.edges, self.edges[1:])])
+        """N at ``times`` as float64, read by one ``count_at`` call."""
+        return np.asarray(count_at(self.times), dtype=np.float64)
 
     def _levels(self, samples):
         """The l-fold lag difference of ``samples``, N at ``times``, for each
@@ -348,7 +347,7 @@ def _lattice_plan(orders, deltas, lag: int, T: float, window) -> _LatticePlan:
     w_lo, w_hi = (-math.inf, math.inf) if window is None else (float(window[0]), float(window[1]))
     if not w_lo <= w_hi:  # NaN fails too
         raise ValueError(f"window must satisfy lo <= hi, got {window}")
-    by_delta, reads, edges = [], [], [0]
+    by_delta, reads, size = [], [], 0
     for delta in deltas:
         step = delta / lag
         grids, lattices = [], {}
@@ -365,13 +364,13 @@ def _lattice_plan(orders, deltas, lag: int, T: float, window) -> _LatticePlan:
             p_lo = min(first.values())
             p_hi = max(first[i] + n + order * lag for i, (order, _, _, n) in members.items())
             reads.append(origin + np.arange(p_lo, p_hi) * step)
-            starts.update((i, edges[-1] + p - p_lo) for i, p in first.items())
-            edges.append(edges[-1] + p_hi - p_lo)
+            starts.update((i, size + p - p_lo) for i, p in first.items())
+            size += p_hi - p_lo
         by_delta.append([grid + (starts.get(i, 0),) for i, grid in enumerate(grids)])
     times = np.concatenate([np.zeros(0)] + reads)
     np.clip(times, 0.0, T, out=times)
     times.setflags(write=False)
-    return _LatticePlan(tuple(deltas), lag, times, tuple(edges),
+    return _LatticePlan(tuple(deltas), lag, times,
                         tuple(row[i] for i in range(len(orders)) for row in by_delta))
 
 

@@ -11,13 +11,18 @@ it (and an SI tree's fold plan) for all its trials, which arrive as indices.
 
 One lattice plan covers the whole (k, delta) grid (see
 ``ratejump.derivative``): it lays every delta's lattices end to end in one
-read vector.  A trial reads N once, on the sorted union of those times, takes
-the plan's samples from it by one index, and scores every cell in one pass:
-one lag difference per order over the whole vector and one segment-wise peak
-rule.  A scenario with a horizon gets that union, computed once per grid,
-before it is realized: the Poisson ones draw N only there (``draw_counts``),
-not the whole event stream by thinning.  An SI cascade sets its own horizon;
-its N is read on the union through ``count_at``.
+read vector.  A trial reads N once, by one of two paths, and scores every
+cell in one pass: one lag difference per order over the whole vector and
+one segment-wise peak rule.
+- A scenario with a horizon gets its read grid, the sorted union of 0, the
+  horizon and the plan's times, computed once per grid with the plan,
+  before it is realized.  The Poisson ones draw N only there
+  (``draw_counts``), not the whole event stream by thinning, and the trial
+  takes the plan's samples from those counts by one index.  Counts drawn
+  anywhere else are refused.
+- Event times, those of an SI cascade, which sets its own horizon, or of a
+  scenario that returns them, are read by one ``count_at`` at the times of
+  a plan of their own horizon.
 """
 
 from __future__ import annotations
@@ -256,26 +261,6 @@ class HeatmapResult:
                 for k, row in zip(self.k_grid, self.mean_errors)}
 
 
-def _sample_times(spec: ExperimentSpec):
-    """The sorted distinct times in [0, horizon], 0 and the horizon among
-    them, at which a trial's profiles read N over all the deltas; None for
-    a scenario with no horizon before it is realized (an SI cascade ends
-    when it ends)."""
-    horizon = getattr(spec.scenario, "horizon", None)
-    return None if horizon is None else _spec_read_grid(spec, float(horizon))[0]
-
-
-def _spec_read_grid(spec: ExperimentSpec, horizon: float) -> tuple:
-    """``_read_grid`` of the spec's grid and analysis window on [0, horizon],
-    cached only for a scenario with a fixed horizon: a cascade sets its own,
-    which no later trial reads again."""
-    window = spec.scenario.analysis_window
-    fixed = getattr(spec.scenario, "horizon", None) is not None
-    read_grid = _read_grid if fixed else _read_grid.__wrapped__
-    return read_grid(spec.k_grid, spec.delta_grid, horizon,
-                     None if window is None else tuple(window))
-
-
 @functools.lru_cache(maxsize=16)
 def _read_grid(k_grid: tuple, delta_grid: tuple, horizon: float, window) -> tuple:
     """(grid, plan, index) for one grid, computed once: ``plan`` is the
@@ -295,20 +280,32 @@ def _read_grid(k_grid: tuple, delta_grid: tuple, horizon: float, window) -> tupl
 
 def _trial_errors(spec: ExperimentSpec, trial: int):
     """Errors of every cell on trial ``trial``'s shared realization, whose N
-    is read on the read grid of its horizon (counts drawn there as they are)
-    and taken by index into the plan's samples.  A cell whose window holds no
-    grid point fails alone, and its ValueError is recorded; the run goes on."""
-    realization = spec.scenario.realize(SimSeed(spec.base_seed, trial), _sample_times(spec))
+    is read one of two ways.  A scenario with a horizon is realized on the
+    cached read grid of that horizon: counts drawn there, as they must be,
+    are taken by index into the plan's samples.  Event times, those of a
+    cascade or of a scenario that returns them, are read by ``plan.read``
+    on a plan of their own horizon.  A cell whose window holds no grid
+    point fails alone, and its ValueError is recorded; the run goes on."""
+    window = spec.scenario.analysis_window
+    window = None if window is None else tuple(window)
+    horizon = getattr(spec.scenario, "horizon", None)
+    grid = None  # a cascade sets its own horizon, and has no read grid to be drawn on
+    if horizon is not None:
+        grid, plan, index = _read_grid(spec.k_grid, spec.delta_grid, float(horizon), window)
+    realization = spec.scenario.realize(SimSeed(spec.base_seed, trial), grid)
     events = realization.events
     count_at, T = _as_counting(events)
-    grid, plan, index = _spec_read_grid(spec, T)
-    drawn = isinstance(events, SampledCounts)
-    if drawn and not np.array_equal(events.times, grid):
-        raise ValueError(f"the realization's counts are drawn at {events.times.size} times "
-                         f"that are not the {grid.size} times of the trial's read grid")
-    counts = events.counts if drawn else np.asarray(count_at(grid))
-    # float64 here, so that no int64 copy outlives the take
-    errors = np.abs(plan.peak_times(counts.take(index).astype(np.float64)) - realization.truth)
+    if isinstance(events, SampledCounts):
+        if not np.array_equal(events.times, grid):  # None, no grid, equals no times
+            raise ValueError(f"the realization's counts are drawn at {events.times.size} times "
+                             f"that are not the {0 if grid is None else grid.size} times "
+                             "of the trial's read grid")
+        # float64 here, so that no int64 copy outlives the take
+        samples = events.counts.take(index).astype(np.float64)
+    else:
+        plan = _lattice_plan(spec.k_grid, spec.delta_grid, STEPS_PER_DELTA, T, window)
+        samples = plan.read(count_at)
+    errors = np.abs(plan.peak_times(samples) - realization.truth)
     diagnostics = [f"trial {trial} cell (k={spec.k_grid[i]}, delta={spec.delta_grid[j]}): {exc}"
                    for (i, j), exc in plan.empty_cells()]
     return errors, realization.checksum, diagnostics

@@ -275,21 +275,29 @@ def test_binned_grid_of_whole_bins_reads_every_knot():
             assert np.array_equal(profile.values, D[:len(profile)])
 
 
-def test_profiles_sample_once_per_lattice_origin():
+def test_profiles_read_N_once_per_plan():
+    # with no window, derivative_profiles' own plan; (5, 15) clips every order;
+    # (0.5, 15) clips orders 1-2 only, so their lattice starts at 0.5 and the
+    # others' at 0: two lattices end to end, the second starting below where
+    # the first ended, and still one read, at exactly the plan's times
     rng = np.random.default_rng(2)
     e = EventTimes(times=np.sort(rng.uniform(0, 20, 400)), horizon=20.0)
-    calls = []
+    reads = []
 
     def count_at(t):
-        calls.append(np.shape(t))
+        reads.append(np.array(t))
         return e.count_at(t)
 
     N = SimpleNamespace(count_at=count_at, horizon=e.horizon)
     orders = [1, 2, 3, 4, 5, 6]
-    for window, samplings in ((None, 1), ((5.0, 15.0), 1), ((0.5, 15.0), 2)):
-        calls.clear()
-        windowed_profiles(N, orders, 0.3, window=window)
-        assert len(calls) == samplings  # (0.5, 15) clips orders 1-2 only
+    for window, lattices in ((None, 1), ((5.0, 15.0), 1), ((0.5, 15.0), 2)):
+        plan = _lattice_plan(orders, (0.3,), STEPS_PER_DELTA, e.horizon, window)
+        assert np.count_nonzero(np.diff(plan.times) < 0) + 1 == lattices
+        reads.clear()
+        profiles = (derivative_profiles(N, orders, 0.3) if window is None
+                    else windowed_profiles(N, orders, 0.3, window=window))
+        assert len(reads) == 1 and np.array_equal(reads[0], plan.times)
+        assert all(len(profile) for profile in profiles)
 
 
 def recording(reads, horizon):

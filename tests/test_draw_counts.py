@@ -18,7 +18,7 @@ from ratejump.derivative import derivative_profile
 from ratejump.harness import (
     ExperimentSpec,
     SmoothJumpScenario,
-    _sample_times,
+    _read_grid,
     get_preset,
     heatmap_spec_from_preset,
     run_heatmap,
@@ -304,7 +304,8 @@ def test_ulp_close_times_of_the_paper_scale_lattice_get_no_mass():
     # over such a cell can round below zero, and the cell then draws nothing
     spec = heatmap_spec_from_preset(get_preset("fig2-full"), trials=1)
     rate = preset_rate_spec("sin-plus-exp", base=1e6, jump=4e4, onset=9.3)
-    counts = draw_counts(rate, _sample_times(spec), 20.0, SimSeed(3))
+    grid = _read_grid(spec.k_grid, spec.delta_grid, 20.0, None)[0]
+    counts = draw_counts(rate, grid, 20.0, SimSeed(3))
     mass = np.diff(_integrated(rate, counts.times))
     below = mass < 0
     assert below.any()  # the case occurs on this lattice

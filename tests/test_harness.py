@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from ratejump.derivative import derivative_profiles
+from ratejump.derivative import STEPS_PER_DELTA, _lattice_plan, derivative_profiles
 from ratejump.detector import DetectorConfig
 from ratejump.harness import (
     PRESETS,
@@ -17,7 +17,6 @@ from ratejump.harness import (
     SITreeScenario,
     SmoothJumpScenario,
     _read_grid,
-    _sample_times,
     _trial_errors,
     false_alarm_study,
     get_preset,
@@ -117,7 +116,8 @@ def test_heatmap_common_random_numbers():
     # are drawn only where each grid reads, so the count sums differ
     assert [c[0] for c in result.checksums] == [c[0] for c in result2.checksums]
     for trial in range(3):
-        a, b = (s.scenario.realize(SimSeed(s.base_seed, trial), _sample_times(s))
+        a, b = (s.scenario.realize(SimSeed(s.base_seed, trial),
+                                   _read_grid(s.k_grid, s.delta_grid, s.scenario.horizon, None)[0])
                 for s in (spec, spec2))
         assert a.truth == b.truth
         assert (a.checksum, b.checksum) == (result.checksums[trial], result2.checksums[trial])
@@ -196,7 +196,10 @@ def test_trial_errors_match_per_cell_argmax(name):
     failures = 0
     for trial in range(spec.trials):
         errors, checksum, diagnostics = _trial_errors(spec, trial)
-        realization = spec.scenario.realize(SimSeed(spec.base_seed, trial), _sample_times(spec))
+        horizon = getattr(spec.scenario, "horizon", None)
+        times = (None if horizon is None
+                 else _read_grid(spec.k_grid, spec.delta_grid, horizon, window)[0])
+        realization = spec.scenario.realize(SimSeed(spec.base_seed, trial), times)
         assert checksum == realization.checksum
         expected = []
         for i, k in enumerate(spec.k_grid):
@@ -217,8 +220,9 @@ def test_trial_errors_match_per_cell_argmax(name):
         failures += len(expected)
     assert (failures > 0) == some_empty
     if name == "const-null-window":
+        # each lattice after the first starts below where the one before ended
         _, plan, _ = _read_grid(spec.k_grid, spec.delta_grid, spec.scenario.horizon, window)
-        assert len(plan.edges) - 1 == len(spec.delta_grid) + 2
+        assert np.count_nonzero(np.diff(plan.times) < 0) + 1 == len(spec.delta_grid) + 2
     if name == "tie":  # both events give |D| = 1: the estimate is before the first
         assert (errors[0] < 3.0).all()
 
@@ -279,20 +283,41 @@ def test_windowed_heatmap_matches_its_pinned_digest(path):
 
 
 def test_read_grid_cache_keeps_fixed_horizons_only():
-    # each cascade sets its own horizon, which no later trial reads again
+    # each cascade sets its own horizon, which no later trial reads again;
+    # a trial of a fixed horizon looks its read grid up once
     before = _read_grid.cache_info()
     run_heatmap(heatmap_spec_from_preset(get_preset("fig5"), extra_leaves=50, trials=3))
     assert _read_grid.cache_info() == before
-    run_heatmap(heatmap_spec_from_preset(get_preset("fig2-scaled"), trials=2))
+    trials = 2
+    run_heatmap(heatmap_spec_from_preset(get_preset("fig2-scaled"), trials=trials))
     after = _read_grid.cache_info()
     assert after.misses - before.misses <= 1
-    assert after.hits - before.hits >= 3
+    assert after.hits - before.hits >= trials - 1
+
+
+def test_a_cascade_trial_reads_N_once_at_its_plan_times(monkeypatch):
+    spec = heatmap_spec_from_preset(get_preset("fig5"), extra_leaves=50, trials=1, base_seed=4)
+    calls = []
+    count_at = EventTimes.count_at
+
+    def recording(self, t):
+        calls.append(np.array(t))
+        return count_at(self, t)
+
+    monkeypatch.setattr(EventTimes, "count_at", recording)
+    before = _read_grid.cache_info()
+    _trial_errors(spec, 0)
+    assert _read_grid.cache_info() == before
+    trace = simulate_si(spec.scenario.graph, 0, SimSeed(spec.base_seed, 0).split(0))
+    plan = _lattice_plan(spec.k_grid, spec.delta_grid, STEPS_PER_DELTA, trace.times.max(), None)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], plan.times)
 
 
 @pytest.mark.parametrize("knots", ["every other time", "one time moved"])
 def test_trial_refuses_counts_drawn_off_its_read_grid(monkeypatch, knots):
     spec = small_spec(trials=1)
-    grid = _sample_times(spec)
+    grid = _read_grid(spec.k_grid, spec.delta_grid, spec.scenario.horizon, None)[0]
     if knots == "every other time":
         other = np.append(grid[:-1:2], grid[-1])
     else:
@@ -306,6 +331,25 @@ def test_trial_refuses_counts_drawn_off_its_read_grid(monkeypatch, knots):
     message = (rf"drawn at {other.size} times that are not the {grid.size} times "
                r"of the trial's read grid")
     with pytest.raises(ValueError, match=message):
+        _trial_errors(spec, 0)
+
+
+@dataclass(frozen=True)
+class HorizonlessDrawnCounts:
+    """No horizon before it is realized, so no read grid to draw on, yet it
+    returns drawn counts."""
+
+    analysis_window = None
+
+    def realize(self, seed, times=None) -> Realization:
+        knots = np.linspace(0.0, 10.0, 11)
+        return Realization(SampledCounts(knots, np.arange(knots.size), 10.0), 5.0)
+
+
+def test_trial_refuses_counts_drawn_by_a_scenario_with_no_horizon():
+    spec = ExperimentSpec(HorizonlessDrawnCounts(), (1, 2), (0.5, 1.0), trials=1)
+    with pytest.raises(ValueError, match=r"drawn at 11 times that are not the 0 times "
+                                         r"of the trial's read grid"):
         _trial_errors(spec, 0)
 
 

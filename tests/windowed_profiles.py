@@ -20,7 +20,7 @@ def windowed_profiles(N, orders, delta, steps_per_delta=None, window=None):
     """One profile per entry of ``orders``: ``derivative_profiles`` on N's own
     grid and no window, else the profiles of the lattice plan of
     ``steps_per_delta`` (None: N's own) and ``window`` (None: not clipped),
-    N read once per lattice and evaluated by the plan."""
+    N read once, by ``plan.read``, and evaluated by the plan."""
     if steps_per_delta is None and window is None:
         return derivative_profiles(N, orders, delta)
     count_at, T = _as_counting(N)
