@@ -51,6 +51,16 @@ echo
 
 echo "== one epidemic cascade, then hub recovery from three cascades =="
 ratejump simulate-si --height 10 --extra-leaves 400 --seed 7 --out-dir "$out"
+echo "-- a tree too large for int32 indices (height 40, 8 TiB of arrays) exits 2"
+echo "   at once, naming its height, before any array is made or file written --"
+code=0
+ratejump simulate-si --height 40 --out huge_trace.csv --out-dir "$out" \
+    2> "$out/huge_tree.err" || code=$?
+cat "$out/huge_tree.err"
+test "$code" -eq 2
+grep -q "height 40" "$out/huge_tree.err"
+test ! -e "$out/huge_trace.csv"
+test ! -e "$out/huge_trace.csv.manifest"
 ratejump multicascade --height 11 --extra-leaves 800 --cascades 3 \
     --k 2 --delta 0.12 --window 0.05 --seed 5 --out-dir "$out"
 echo "-- the same three cascades, one stream each, read back as traces, give the same report --"

@@ -6,6 +6,10 @@ collect every vertex infected within a window of any detected time, and
 intersect the per-cascade candidate sets: the hub is infected near a
 detected time in every cascade, while ordinary vertices survive K
 independent intersections only by chance.
+
+The window has no default: the caller passes it (the ``multicascade-tree``
+preset's is 0.04), and one rule reads it, refusing a value that is not a
+positive number, bools included, by name; +inf admits every vertex.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import DetectorConfig, detect
-from .process import _write_lines
+from .process import _check_window, _write_lines
 from .si import CascadeTrace, infection_count_process
 
 __all__ = [
@@ -49,8 +53,7 @@ def candidate_vertices(trace: CascadeTrace, change_times, window: float) -> set:
     ``window=inf`` admits every vertex; an empty ``change_times`` gives an
     empty set.
     """
-    if not (window > 0):
-        raise ValueError(f"window must be positive, got {window}")
+    window = _check_window(window)
     change_times = list(change_times)
     if not change_times:
         return set()
@@ -78,17 +81,16 @@ class MulticascadeReport:
 def estimate_high_degree(
     bundle: CascadeBundle,
     config: DetectorConfig,
-    window: "float | None" = None,
+    window: float,
 ) -> MulticascadeReport:
-    """Detect per cascade, then intersect the candidate vertex sets.
+    """Detect per cascade, then intersect the sets of vertices infected
+    within ``window`` of a detected time (``candidate_vertices``).
 
-    ``window`` defaults to k * delta (the detector's own time resolution).
     The result is a subset of every per-cascade candidate set and can only
     shrink as cascades are added.  A cascade whose window holds no grid
     point is ``detect``'s ValueError.
     """
-    if window is None:
-        window = config.k * config.delta
+    window = _check_window(window)
     surviving = None
     all_times = []
     sizes = []

@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,16 @@ def _check_delta(delta, name: str = "delta") -> float:
     return value
 
 
+def _check_window(window, name: str = "window") -> float:
+    """``window`` as a positive float, +inf included (it admits everything),
+    bools and non-numbers, a numeric string too, rejected: the rule on a
+    candidate window."""
+    value = _real(window) if isinstance(window, numbers.Real) else math.nan
+    if not value > 0:  # NaN fails too
+        raise ValueError(f"{name} must be positive, got {window!r}")
+    return value
+
+
 def _check_finite(value, name: str, low: float = -math.inf) -> float:
     """``value`` as a finite float of at least ``low``, bools and
     non-numbers rejected: the rule on a rate shape's fields and a jump's
@@ -111,6 +122,14 @@ def _check_source(source, n: int) -> None:
         raise ValueError(f"source must be an integer vertex id, got {source!r}")
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range for {n} vertices")
+
+
+def _check_indices(n: int, arcs: int, subject: str = "") -> None:
+    """The one bound on a graph's size, before it is built: its int32 CSR
+    indexes n vertices and the arcs, two per edge, so neither may exceed
+    the int32 maximum.  ``subject`` leads the message."""
+    if max(n, arcs) > np.iinfo(np.int32).max:
+        raise ValueError(f"{subject}{n} vertices and {arcs} arcs do not fit int32 indices")
 
 
 def _count_problem(value) -> "str | None":

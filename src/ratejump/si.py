@@ -34,11 +34,14 @@ remembers that verdict too.  Both read the int32 arc CSR and edge list a
 ``Graph`` builds once, which scipy takes without a copy.
 
 Building a graph from its edges, each listed once (``Graph(n, u, v)``,
-connectivity check included), and folding a tree use numpy alone.  Only
-the Dijkstra search needs scipy (``scipy.sparse`` and ``csgraph``), and it
-imports them on first use: a cascade on a graph that is not a tree, or on
-a tree too deep to fold, loads scipy, and ``import ratejump``, a graph
-build or a tree cascade does not.
+connectivity check included), and folding a tree use numpy alone.  Two
+refusals come before any array of size n: a graph with fewer than n - 1
+edges, which no connected graph has, and a planted-hub tree too large for
+the int32 indices (``build_tree_with_hub``), named by its height and
+extra_leaves.  Only the Dijkstra search needs scipy (``scipy.sparse`` and
+``csgraph``), and it imports them on first use: a cascade on a graph that
+is not a tree, or on a tree too deep to fold, loads scipy, and
+``import ratejump``, a graph build or a tree cascade does not.
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .process import (EventTimes, _check_order, _check_source, _fields_equal, _input_file,
-                      _text_lines, _write_csv)
+from .process import (EventTimes, _check_indices, _check_order, _check_source, _fields_equal,
+                      _input_file, _text_lines, _write_csv)
 from .seeding import generator
 
 __all__ = [
@@ -74,7 +77,8 @@ class Graph:
     ``Graph(n, u, v)`` builds the graph on vertices 0..n-1 with edge i
     between u[i] and v[i], each edge listed once and in either orientation.
     It validates simplicity (no self-loops, no edge listed twice), naming
-    the first edge at fault, and connectivity.  ``hub`` is the planted hub
+    the first edge at fault, and connectivity: fewer than n - 1 edges are
+    refused before any array of size n is built.  ``hub`` is the planted hub
     it was given (``build_tree_with_hub``), else None.
 
     ``indptr``/``indices`` hold each edge {u, v} as the arcs u -> v and
@@ -96,8 +100,7 @@ class Graph:
                              f"got {u.dtype} {u.shape} and {v.dtype} {v.shape}")
         if n == 0:
             raise ValueError("graph must have at least one vertex")
-        if max(n, 2 * u.size) > np.iinfo(np.int32).max:
-            raise ValueError(f"{n} vertices and {2 * u.size} arcs do not fit int32 indices")
+        _check_indices(n, 2 * u.size)
         if u.size:
             if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n:
                 raise ValueError("an edge references a vertex id out of range")
@@ -115,6 +118,13 @@ class Graph:
                 low, high = divmod(int(key[twice[0]]), n)
                 raise ValueError(f"parallel edge: edge {{{low}, {high}}} is listed twice")
             del key
+        if u.size < n - 1:
+            # no such graph is connected: its components are counted before anything
+            # of size n is built, as the isolated vertices and those of the edges' ends
+            ends, pairs = np.unique(np.concatenate((u, v)), return_inverse=True)
+            components = n - ends.size + _component_count(ends.size, pairs[:u.size],
+                                                          pairs[u.size:])
+            raise ValueError(f"graph must be connected; found {components} components")
         self.hub = hub
         self._fold_memo = None  # (source, _fold_plan(self, source)) once a tree is folded
         # arc i is u[i] -> v[i] and arc m + i its reverse; ids are in range, so int32 is exact
@@ -220,6 +230,10 @@ def build_tree_with_hub(height: int, extra_leaves: int) -> Graph:
     (index 2^(height-1) - 1).  The hub's final degree is extra_leaves + 3
     (parent + two subtree children + the new leaves), while every other
     vertex has degree <= 3.
+
+    A tree beyond ``Graph``'s int32 bound is a ValueError naming height and
+    extra_leaves, raised before any array is made: height 29 with 1 extra
+    leaf is the largest that fits.
     """
     height = _check_order(height, "height", limit=math.inf)
     if isinstance(extra_leaves, bool) or not (
@@ -228,6 +242,7 @@ def build_tree_with_hub(height: int, extra_leaves: int) -> Graph:
     n_tree = 2 ** (height + 1) - 1
     hub = 2 ** (height - 1) - 1
     n = n_tree + extra_leaves
+    _check_indices(n, 2 * (n - 1), f"height {height} and extra_leaves {extra_leaves}: ")
     # every vertex but the root hangs off one parent: its heap parent, or the hub
     child = np.arange(1, n, dtype=np.int32)
     parent = np.full(n - 1, hub, dtype=np.int32)

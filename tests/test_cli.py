@@ -1127,3 +1127,14 @@ def test_subcommand_help_exits_zero(capsys):
     assert main(["detect", "--help"]) == 0
     out = capsys.readouterr().out
     assert "--delta" in out and "--threshold" in out
+
+
+@pytest.mark.parametrize("argv", [["simulate-si", "--height", "40"],
+                                  ["heatmap", "--scenario", "si-tree", "--height", "40", *GRIDS]])
+def test_a_tree_beyond_the_int32_bound_exits_2_naming_height_and_writes_nothing(
+        capsys, tmp_path, argv):
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, *argv, "--out-dir", str(out_dir))
+    assert code == 2
+    assert "height 40 and extra_leaves 8000: " in err
+    assert not out_dir.exists()

@@ -194,9 +194,9 @@ EMPTY_WINDOW_ENTRIES = {
     "detect threshold": lambda: detect(EVENTS_TO_10, THRESHOLD),
     "argmax_single": lambda: argmax_single(EVENTS_TO_10, 4, 3.0),
     "estimate_high_degree argmax": lambda: estimate_high_degree(
-        CascadeBundle(traces=(TRACE_TO_10,)), ARGMAX),
+        CascadeBundle(traces=(TRACE_TO_10,)), ARGMAX, window=12.0),
     "estimate_high_degree threshold": lambda: estimate_high_degree(
-        CascadeBundle(traces=(TRACE_TO_10,)), THRESHOLD),
+        CascadeBundle(traces=(TRACE_TO_10,)), THRESHOLD, window=12.0),
     "false_alarm_study": lambda: false_alarm_study(FLAT, 10.0, THRESHOLD, runs=2),
     "analyze_binned": lambda: analyze_binned(np.ones(10, dtype=int), k=4, delta_days=3),
 }

@@ -94,16 +94,18 @@ def test_empty_detection_gives_empty_estimate():
     bundle, _ = synthetic_bundle(seed=8)
     # threshold mode with an absurd threshold: no candidates anywhere
     config = DetectorConfig(k=2, delta=0.2, threshold=1e9)
-    report = estimate_high_degree(bundle, config)
+    report = estimate_high_degree(bundle, config, window=0.4)
     assert report.vertices == frozenset()
     assert all(len(ts) == 0 for ts in report.change_times)
 
 
-def test_default_window_is_k_delta():
+@pytest.mark.parametrize("window", [True, "0.5", 0.0, -1.0, np.nan, None])
+def test_a_window_that_is_not_a_positive_number_is_refused_by_name(window):
     bundle, _ = synthetic_bundle(seed=2)
-    config = DetectorConfig(k=3, delta=0.2)
-    report = estimate_high_degree(bundle, config)
-    assert report.window == pytest.approx(0.6)
+    with pytest.raises(ValueError, match=r"^window must be positive, got "):
+        estimate_high_degree(bundle, DetectorConfig(k=3, delta=0.2), window=window)
+    with pytest.raises(ValueError, match=r"^window must be positive, got "):
+        candidate_vertices(bundle.traces[0], [5.0], window=window)
 
 
 def test_disjoint_candidates_intersect_empty():

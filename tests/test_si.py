@@ -215,6 +215,44 @@ def test_build_tree_validation():
         build_tree_with_hub(3, -1)
 
 
+class Allocated(Exception):
+    """Raised in place of the tree's first array."""
+
+
+def test_a_tree_beyond_the_int32_bound_is_refused_before_any_array(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise Allocated
+
+    monkeypatch.setattr(np, "arange", refuse)
+    monkeypatch.setattr(np, "full", refuse)
+    with pytest.raises(ValueError, match=r"^height 40 and extra_leaves 0: 2199023255551 "
+                                         r"vertices and 4398046511100 arcs"):
+        build_tree_with_hub(40, 0)
+    with pytest.raises(ValueError, match=r"^height 3 and extra_leaves 3000000000: "):
+        build_tree_with_hub(3, 3_000_000_000)
+    # 2**30 vertices and 2**31 - 2 arcs fit; one more leaf does not
+    with pytest.raises(Allocated):
+        build_tree_with_hub(29, 1)
+    with pytest.raises(ValueError, match=r"^height 29 and extra_leaves 2: 1073741825 "
+                                         r"vertices and 2147483648 arcs do not fit int32"):
+        build_tree_with_hub(29, 2)
+
+
+def test_too_few_edges_are_refused_before_anything_of_size_n(tmp_path):
+    # two edges cannot connect 3000001 vertices; counting the components on
+    # the three vertices the edges touch builds nothing that large
+    path = tmp_path / "far.txt"
+    path.write_text("0 1\n0 3000000\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"connected; found 2999999 components$"):
+            load_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 # ---------------------------------------------------------------------------
 # cascade law
 
