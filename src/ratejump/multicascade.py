@@ -59,8 +59,11 @@ def candidate_vertices(trace: CascadeTrace, change_times, window: float) -> set:
         return set()
     times = trace.times
     mask = np.zeros(trace.n, dtype=bool)
+    gap = np.empty(trace.n)  # |times - t|, one buffer for every t
     for t in change_times:
-        mask |= np.abs(times - t) <= window
+        np.subtract(times, t, out=gap)
+        np.abs(gap, out=gap)
+        mask |= gap <= window
     return set(np.flatnonzero(mask).tolist())
 
 
@@ -95,9 +98,8 @@ def estimate_high_degree(
     all_times = []
     sizes = []
     for trace in bundle.traces:
-        counting = infection_count_process(trace)
-        report = detect(counting, config)
-        times_hat = report.times
+        # no name holds a cascade's sorted copy while the next one is sorted
+        times_hat = detect(infection_count_process(trace), config).times
         all_times.append(tuple(times_hat))
         cands = candidate_vertices(trace, times_hat, window)
         sizes.append(len(cands))

@@ -70,16 +70,20 @@ def _check_order(order, name: str = "order", limit: float = MAX_ORDER) -> int:
 
 
 def _real(value) -> float:
-    """``value`` as a float; NaN for a bool, an int beyond the float range and what
-    ``float()`` does not read (None, ``"x"``), so the caller's finite test rejects it."""
+    """``value`` as a float when it is a real number (``numbers.Real``, numpy
+    scalars included); NaN for a bool, an int beyond the float range and what
+    is not a real number (None, ``"0.5"``), so the caller's test rejects it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return math.nan
     try:
-        return math.nan if isinstance(value, (bool, np.bool_)) else float(value)
-    except (TypeError, ValueError, OverflowError):
+        return float(value)
+    except OverflowError:
         return math.nan
 
 
 def _check_delta(delta, name: str = "delta") -> float:
-    """``delta`` as a positive, finite float, bools and non-numbers rejected: one check."""
+    """``delta`` as a positive, finite float, bools and non-numbers (a numeric
+    string too) rejected: one check."""
     value = _real(delta)
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {delta!r}")
@@ -90,7 +94,7 @@ def _check_window(window, name: str = "window") -> float:
     """``window`` as a positive float, +inf included (it admits everything),
     bools and non-numbers, a numeric string too, rejected: the rule on a
     candidate window."""
-    value = _real(window) if isinstance(window, numbers.Real) else math.nan
+    value = _real(window)
     if not value > 0:  # NaN fails too
         raise ValueError(f"{name} must be positive, got {window!r}")
     return value

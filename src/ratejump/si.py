@@ -28,10 +28,16 @@ its levels and the permutations that carry weights to BFS ranks and times
 back depend only on the tree and the source, so the graph keeps them for
 the last source asked: the first cascade from a source pays for the BFS,
 and later cascades on the same graph from that source only fold the
-weights.  A level costs a few numpy calls, so a tree with more levels than
-a measured cut-off (path-like trees) keeps Dijkstra, and the graph
-remembers that verdict too.  Both read the int32 arc CSR and edge list a
-``Graph`` builds once, which scipy takes without a copy.
+weights.  A fold allocates two float64 arrays of n, the times by BFS rank
+and the result, and adds each level into the first in place.  Its gathers
+write into those arrays with ``np.take(..., mode="clip")``, which skips
+numpy's per-call bounds check and the copy that check costs; that is safe
+because the plan's every index was checked once, when the plan was built,
+and an index out of range there is a RuntimeError.  A level costs a few
+numpy calls, so a tree with more levels than a measured cut-off (path-like
+trees) keeps Dijkstra, and the graph remembers that verdict too.  Both
+read the int32 arc CSR and edge list a ``Graph`` builds once, which scipy
+takes without a copy.
 
 Building a graph from its edges, each listed once (``Graph(n, u, v)``,
 connectivity check included), and folding a tree use numpy alone.  Two
@@ -89,7 +95,8 @@ class Graph:
     edge weights are indexed by it.
 
     A graph is not changed after it is built.  ``simulate_si`` keeps on it
-    the tree fold's plan for the last source asked (``_fold_plan``).
+    the tree fold's plan for the last source asked (``_fold_plan``), whose
+    arrays are read-only, in a pickled copy too.
     """
 
     def __init__(self, n: int, u, v, hub: "int | None" = None):
@@ -140,6 +147,14 @@ class Graph:
         components = _component_count(n, self.edge_u, self.edge_v)
         if components != 1:
             raise ValueError(f"graph must be connected; found {components} components")
+
+    def __setstate__(self, state) -> None:
+        # pickle hands arrays back writeable; a kept fold plan, whose indices
+        # were checked once when it was built, stays read-only in the copy
+        self.__dict__.update(state)
+        plan = self._fold_memo and self._fold_memo[1]
+        for array in plan or ():
+            array.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -213,7 +228,8 @@ class CascadeTrace:
         _check_source(self.source, times.size)
         if times[self.source] != 0.0:
             raise ValueError(f"source must be infected at time 0, got {times[self.source]}")
-        if not np.all(np.isfinite(times)) or np.any(times < 0):
+        # two reductions and no temporary of size n; a NaN fails both comparisons
+        if not (times.min() >= 0 and times.max() < math.inf):
             raise ValueError("infection times must be finite and non-negative")
 
     @property
@@ -277,6 +293,7 @@ def _first_passage(graph: Graph, weights: np.ndarray, source: int) -> np.ndarray
     which raises.
     """
     n = graph.n
+    weights = np.asarray(weights, dtype=np.float64)
     plan = _memo_plan(graph, source) if graph.n_edges == n - 1 else None
     if plan is not None:
         times = _tree_fold(plan, weights)
@@ -314,8 +331,10 @@ class _FoldPlan(NamedTuple):
     rank of rank r's BFS parent (the source's is itself), ``edge[r - 1]``
     the index of the edge from rank r's parent to it, and ``level_ends``
     the first rank of each level after the source's, then n.  The fold
-    only gathers through them: ``np.take`` reads int32 indices as they
-    are, where a fancy-index scatter would first copy them to intp.
+    only gathers through them, with ``np.take``, which copies int32 indices
+    to intp for each call; int64 arrays would save those copies but double
+    the plan, which a graph keeps.  ``_fold_plan`` checks that every index
+    is in range before the fold's unchecked gathers read through it.
     """
 
     rank: np.ndarray
@@ -341,7 +360,10 @@ def _fold_plan(graph: Graph, source: int) -> "_FoldPlan | None":
     than a cut-off number of levels to fold.
 
     Before any BFS, a tree with so few leaves that it must have too many
-    levels is ruled out; otherwise the BFS stops at the cut-off.
+    levels is ruled out; otherwise the BFS stops at the cut-off.  The plan
+    is checked once here: a rank, parent or edge index outside its range,
+    or levels that do not rise from rank 1 to n, is a RuntimeError, since
+    the fold's gathers clip rather than check.
     """
     n = graph.n
     max_levels = _FOLD_FREE_LEVELS + n // _FOLD_VERTICES_PER_LEVEL
@@ -354,14 +376,29 @@ def _fold_plan(graph: Graph, source: int) -> "_FoldPlan | None":
     if bfs is None:
         return None
     rank, parent, level_ends = bfs
+    _refuse_stray_indices(rank=rank, parent=parent, bound=n)
     # a tree edge leads from its end of lower rank, the parent, to the other
     child = np.maximum(rank.take(graph.edge_u), rank.take(graph.edge_v))
     edge = np.empty(n - 1, dtype=np.int32)
     edge[child - 1] = np.arange(n - 1, dtype=np.int32)
+    _refuse_stray_indices(edge=edge, bound=n - 1)
+    starts = np.concatenate(([1], level_ends))
+    if starts[-1] != n or np.any(starts[1:] <= starts[:-1]):
+        raise RuntimeError(f"internal consistency failure: the fold plan's levels "
+                           f"do not rise from rank 1 to {n}")
     plan = _FoldPlan(rank, parent, edge, level_ends)
     for array in plan:
         array.flags.writeable = False
     return plan
+
+
+def _refuse_stray_indices(bound: int, **arrays: np.ndarray) -> None:
+    """Refuse a plan array holding an index outside [0, bound): the one
+    check that lets ``_tree_fold`` gather with ``mode="clip"``."""
+    for name, array in arrays.items():
+        if array.size and not (array.min() >= 0 and array.max() < bound):
+            raise RuntimeError(f"internal consistency failure: the fold plan's {name} "
+                               f"holds an index outside [0, {bound})")
 
 
 def _tree_bfs(graph: Graph, source: int, max_levels: int):
@@ -410,15 +447,33 @@ def _tree_fold(plan: _FoldPlan, weights: np.ndarray) -> np.ndarray:
     when it settles the vertex (a relaxation back from a child never wins,
     as d + w >= d for w >= 0).  Folding the BFS levels in order therefore
     gives the same bits as Dijkstra.
+
+    The fold allocates two float64 arrays of n and no other float array:
+    ``ranked`` first holds each rank's edge weight (the source's 0.0 ahead
+    of them), and each level then adds its parents' times to its weights in
+    place, w + t[parent] having the bits of t[parent] + w; the parents'
+    times are gathered into the front of ``times``, which is free until the
+    last gather puts the times back in vertex order.  Every gather writes
+    straight into its ``out`` with ``mode="clip"``: with numpy's default
+    ``mode="raise"`` it would gather into a fresh temporary and copy that
+    into ``out``.  Clipping cannot move a read, since ``_fold_plan`` checked
+    every index of the plan once, when it built it.
     """
-    parent, edge = plan.parent, plan.edge
-    ranked = np.zeros(parent.size)  # times by BFS rank
+    parent = plan.parent
+    n = parent.size
+    if weights.shape != (n - 1,):
+        raise ValueError(f"expected {n - 1} edge weights, got shape {weights.shape}")
+    ranked, times = np.empty(n), np.empty(n)  # times by BFS rank, then by vertex
+    ranked[0] = 0.0
+    np.take(weights, plan.edge, out=ranked[1:], mode="clip")
     start = 1
     for end in plan.level_ends.tolist():
-        np.add(ranked.take(parent[start:end]), weights.take(edge[start - 1:end - 1]),
-               out=ranked[start:end])
+        gathered = times[:end - start]
+        np.take(ranked, parent[start:end], out=gathered, mode="clip")
+        ranked[start:end] += gathered
         start = end
-    return ranked.take(plan.rank)
+    np.take(ranked, plan.rank, out=times, mode="clip")
+    return times
 
 
 def infection_count_process(trace: CascadeTrace) -> EventTimes:

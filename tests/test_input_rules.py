@@ -148,8 +148,8 @@ def test_onset_rule_needs_no_less_than_zero():
 
 
 def test_detector_config_stores_the_checked_steps():
-    # what float() accepts is stored as the float, so min_sep is a number
-    config = DetectorConfig(k=np.int64(2), delta="0.5", threshold="8e3")
+    # a numpy scalar is stored as the float, so min_sep is a number
+    config = DetectorConfig(k=np.int64(2), delta=np.float32(0.5), threshold=np.int64(8000))
     assert (config.k, config.delta, config.threshold) == (2, 0.5, 8e3)
     assert all(type(v) is t for v, t in zip(
         (config.k, config.delta, config.threshold), (int, float, float)))
@@ -157,19 +157,53 @@ def test_detector_config_stores_the_checked_steps():
 
 
 def test_rate_fields_store_the_checked_floats():
-    # as DetectorConfig stores delta: what float() accepts is stored as the float
-    assert ExpDecay(rate="2").rate == 2.0
+    # as DetectorConfig stores delta: a numpy scalar is stored as the float
+    assert ExpDecay(rate=np.int64(2)).rate == 2.0
     component = JumpComponent(amplitude=np.int64(5), onset=0.0, shape=Constant())
     assert type(component.amplitude) is float
-    assert simulate(FLAT, "2", 0).horizon == draw_counts(FLAT, [1.0], "2", 0).horizon == 2.0
+    horizon = np.float32(2.0)
+    assert simulate(FLAT, horizon, 0).horizon == draw_counts(FLAT, [1.0], horizon, 0).horizon
+    assert type(simulate(FLAT, horizon, 0).horizon) is float
     # the onset and the shapes' fields alike
-    assert JumpComponent(amplitude=1.0, onset="2", shape=Constant()).onset == 2.0
-    sinusoid = Sinusoid(offset="1", omega=np.int64(2), phase=np.float32(0.5))
-    polynomial = Polynomial(coeffs=(np.int64(1), "0.5"))
+    assert JumpComponent(amplitude=1.0, onset=np.int64(2), shape=Constant()).onset == 2.0
+    sinusoid = Sinusoid(offset=np.float64(1), omega=np.int64(2), phase=np.float32(0.5))
+    polynomial = Polynomial(coeffs=(np.int64(1), np.float32(0.5)))
     assert (sinusoid.offset, sinusoid.omega, sinusoid.phase, polynomial.coeffs) == (
         1.0, 2.0, 0.5, (1.0, 0.5))
     assert all(type(v) is float for v in (sinusoid.offset, sinusoid.omega, sinusoid.phase,
                                           *polynomial.coeffs))
+
+
+# a numeric string is not a number: every float rule refuses it by its field's name
+NUMERIC_STRINGS = {
+    "detector delta": (lambda: DetectorConfig(k=2, delta="0.5"),
+                       "delta must be positive and finite, got '0.5'"),
+    "detector threshold": (lambda: DetectorConfig(k=2, delta=0.5, threshold="8e3"),
+                           "threshold must be positive and finite, got '8e3'"),
+    "expdecay rate": (lambda: ExpDecay(rate="2"),
+                      "expdecay rate must be positive and finite, got '2'"),
+    "simulate horizon": (lambda: simulate(FLAT, "2", 0),
+                         "horizon must be positive and finite, got '2'"),
+    "draw_counts horizon": (lambda: draw_counts(FLAT, [1.0], "2", 0),
+                            "horizon must be positive and finite, got '2'"),
+    "amplitude": (lambda: JumpComponent("5", 0.0, Constant()),
+                  "amplitude must be positive and finite, got '5'"),
+    "onset": (lambda: JumpComponent(amplitude=1.0, onset="2", shape=Constant()),
+              "jump component onset must be finite and >= 0, got '2'"),
+    "sinusoid offset": (lambda: Sinusoid(offset="1", omega=1.0),
+                        "sinusoid offset must be finite, got '1'"),
+    "polynomial coefficient": (lambda: Polynomial(coeffs=(1.0, "0.5")),
+                               "polynomial coefficient 1 must be finite, got '0.5'"),
+    "event-times horizon": (lambda: EventTimes([0.1], horizon="2"),
+                            "horizon must be finite and >= 0, got '2'"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NUMERIC_STRINGS))
+def test_numeric_strings_are_refused_by_name(entry):
+    build, message = NUMERIC_STRINGS[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 @pytest.mark.parametrize("entry", sorted(GRID_STEP_ENTRIES))

@@ -27,6 +27,22 @@ def test_candidate_vertices_examples():
         candidate_vertices(trace, [5.0], window=0.0)
 
 
+def test_candidate_vertices_match_a_pure_python_scan():
+    # 10k vertices, several change times, and vertices exactly one window
+    # from a change time (every difference below is exact), which count
+    rng = np.random.default_rng(19)
+    times = rng.uniform(0.0, 20.0, 10_000)
+    times[0] = 0.0
+    window, change_times = 0.25, [2.5, 7.0, 7.125, 15.75]
+    times[1:9] = [t + side * window for t in change_times for side in (-1, 1)]
+    trace = make_trace(times)
+    scan = {v for v, time in enumerate(trace.times.tolist())
+            if any(abs(time - t) <= window for t in change_times)}
+    assert set(range(1, 9)) <= scan
+    assert candidate_vertices(trace, change_times, window) == scan
+    assert candidate_vertices(trace, np.asarray(change_times), window) == scan
+
+
 def synthetic_bundle(n_vertices=400, hub=7, hub_time=10.0, n_cascades=3, seed=0):
     """Fabricated traces whose infection rate kinks sharply at the hub time.
 

@@ -321,6 +321,18 @@ def test_simulate_rejects_bad_field(field, kwargs):
         simulate_si(**args)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300],
+                         ids=["nan", "inf", "minus-inf", "minus-tiny"])
+def test_trace_refuses_times_that_are_not_finite_and_non_negative(bad):
+    with pytest.raises(ValueError, match=r"^infection times must be finite and non-negative$"):
+        CascadeTrace(times=np.array([0.0, 1.0, bad, 2.0]), source=0)
+
+
+def test_trace_takes_minus_zero_at_a_vertex_that_is_not_the_source():
+    trace = CascadeTrace(times=np.array([0.0, -0.0, 1.0]), source=0)
+    assert trace.times[1] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # counting process, cut sizes, jumps
 
@@ -572,6 +584,67 @@ def test_pickled_graph_keeps_its_fold_plan(monkeypatch):
     assert bfs == []  # the copy keeps the plan it was pickled with
     assert np.array_equal(again[0], first.times)
     assert np.array_equal(again[1], simulate_si(graph, graph.hub, SimSeed(5, 1)).times)
+
+
+HUB_6_40_VERTICES = 2 ** 7 - 1 + 40  # build_tree_with_hub(6, 40).n
+
+
+@pytest.mark.parametrize("array,bad", [("parent", HUB_6_40_VERTICES),
+                                       ("parent", HUB_6_40_VERTICES + 1), ("rank", -1)])
+def test_a_plan_index_out_of_range_is_refused_not_clipped(monkeypatch, array, bad):
+    # the fold gathers with mode="clip", so the plan is checked once, when it
+    # is built: an index of n or more, or below 0, must raise
+    graph = build_tree_with_hub(6, 40)
+    real = si._tree_bfs
+
+    def stray_bfs(*args):
+        bfs = dict(zip(("rank", "parent", "level_ends"), real(*args)))
+        bfs[array][-1] = bad
+        return tuple(bfs.values())
+
+    monkeypatch.setattr(si, "_tree_bfs", stray_bfs)
+    with pytest.raises(RuntimeError, match=rf"^internal consistency failure: the fold plan's "
+                                           rf"{array} holds an index outside \[0, {graph.n}\)$"):
+        simulate_si(graph, graph.hub, 0)
+
+
+def test_fold_plan_levels_must_end_at_n(monkeypatch):
+    graph = build_tree_with_hub(6, 40)
+    real = si._tree_bfs
+    monkeypatch.setattr(si, "_tree_bfs", lambda *a: (*real(*a)[:2], real(*a)[2][:-1]))
+    with pytest.raises(RuntimeError, match="internal consistency failure: the fold plan's "
+                                           "levels do not rise"):
+        simulate_si(graph, 0, 0)
+
+
+def test_tree_fold_refuses_weights_of_another_length():
+    # a short weight vector would be clipped, not refused, by the gathers
+    graph = build_tree_with_hub(4, 3)
+    for m in (graph.n_edges - 1, graph.n_edges + 1):
+        with pytest.raises(ValueError, match=rf"^expected {graph.n_edges} edge weights"):
+            _first_passage(graph, np.ones(m), 0)
+
+
+def test_first_passage_leaves_its_weights_as_they_are():
+    graph = build_tree_with_hub(6, 40)
+    weights = np.random.default_rng(65).exponential(1.0, graph.n_edges)
+    before = weights.copy()
+    _first_passage(graph, weights, graph.hub)
+    assert np.array_equal(weights, before)
+
+
+def test_a_pickled_fold_plan_stays_read_only():
+    # the fold trusts the plan's indices, checked once when it was built, so
+    # no copy of the graph may hand out a plan that can be written
+    graph = build_tree_with_hub(5, 3)
+    simulate_si(graph, 0, 0)
+    copy = pickle.loads(pickle.dumps(graph))
+    assert [array.flags.writeable for array in copy._fold_memo[1]] == [False] * 4
+    # a graph that keeps Dijkstra's verdict, and one never folded, copy too
+    deep = tree_from_parents(list(range(999)) + list(range(1000)))
+    simulate_si(deep, 0, 0)
+    assert pickle.loads(pickle.dumps(deep))._fold_memo == (0, None)
+    assert pickle.loads(pickle.dumps(triangle()))._fold_memo is None
 
 
 def test_first_passage_zero_weight_bridges():
