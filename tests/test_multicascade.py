@@ -1,6 +1,10 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ratejump import multicascade, si
 from ratejump.detector import DetectorConfig
 from ratejump.multicascade import (
     CascadeBundle,
@@ -27,9 +31,10 @@ def test_candidate_vertices_examples():
         candidate_vertices(trace, [5.0], window=0.0)
 
 
-def test_candidate_vertices_match_a_pure_python_scan():
-    # 10k vertices, several change times, and vertices exactly one window
-    # from a change time (every difference below is exact), which count
+def scan_case():
+    """A 10k-vertex trace, several change times, a window, and the set a
+    pure-Python scan admits, with vertices 1-8 exactly one window from a
+    change time (every difference is exact), which count."""
     rng = np.random.default_rng(19)
     times = rng.uniform(0.0, 20.0, 10_000)
     times[0] = 0.0
@@ -39,8 +44,39 @@ def test_candidate_vertices_match_a_pure_python_scan():
     scan = {v for v, time in enumerate(trace.times.tolist())
             if any(abs(time - t) <= window for t in change_times)}
     assert set(range(1, 9)) <= scan
+    return trace, change_times, window, scan
+
+
+def test_candidate_vertices_match_a_pure_python_scan():
+    trace, change_times, window, scan = scan_case()
     assert candidate_vertices(trace, change_times, window) == scan
     assert candidate_vertices(trace, np.asarray(change_times), window) == scan
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_candidate_vertices_match_the_scan_at_any_chunk_size(monkeypatch, chunk):
+    # 10_000 is a multiple of neither 3 nor 64, so the last chunk is short
+    monkeypatch.setattr(multicascade, "_MASK_CHUNK", chunk)
+    trace, change_times, window, scan = scan_case()
+    assert candidate_vertices(trace, change_times, window) == scan
+    assert candidate_vertices(make_trace([0.0]), [0.5], 0.5) == {0}
+
+
+def test_candidate_vertices_keep_their_peak_memory_down():
+    # the mask (one byte a vertex) and one chunk's float and bool buffers,
+    # beside the returned set: no float array of n
+    trace = si.simulate_si(si.build_tree_with_hub(16, 2000), 0, 3)
+    change_times = np.quantile(trace.times, [0.2, 0.5, 0.8])
+    tracemalloc.start()
+    try:
+        got = candidate_vertices(trace, change_times, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(got) < trace.n // 10
+    bound = (trace.n + 9 * multicascade._MASK_CHUNK
+             + sys.getsizeof(got) + 64 * len(got) + 64 * 1024)
+    assert peak <= bound, f"peak {peak} bytes over the bound {bound}"
 
 
 def synthetic_bundle(n_vertices=400, hub=7, hub_time=10.0, n_cascades=3, seed=0):

@@ -802,6 +802,58 @@ def test_graph_build_keeps_its_peak_memory_down():
     assert peak <= 5 * kept, f"peak {peak} bytes is {peak / kept:.2f}x the {kept} kept"
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+@pytest.mark.parametrize("graph", list(bfs_trees()))
+def test_fold_equals_dijkstra_at_any_gather_chunk(monkeypatch, graph, chunk):
+    # chunk edges land inside levels and inside the edge and rank gathers;
+    # caller weights stay as they are, and simulate_si's, drawn into the
+    # array the times then fill, give the same bits
+    monkeypatch.setattr(si, "_GATHER_CHUNK", chunk)
+    dijkstra_calls = count_calls(monkeypatch, "dijkstra")
+    rng = np.random.default_rng(graph.n + chunk)
+    for source in (0, graph.n - 1, graph.hub or graph.n // 2):
+        weights = weights_with_zeros(rng, graph.n_edges)
+        before = weights.copy()
+        want = np.asarray(reference_times(graph, weights, source))
+        assert _first_passage(graph, weights, source).tobytes() == want.tobytes()
+        assert weights.tobytes() == before.tobytes()
+        seed = SimSeed(chunk, source)
+        weights = generator(seed).standard_exponential(graph.n_edges)
+        want = np.asarray(reference_times(graph, weights, source))
+        assert simulate_si(graph, source, seed).times.tobytes() == want.tobytes()
+    assert dijkstra_calls == []
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_simulate_si_on_a_graph_equals_first_passage_on_its_draws(monkeypatch, chunk):
+    # off the fold, the shared array only holds the weights for Dijkstra
+    monkeypatch.setattr(si, "_GATHER_CHUNK", chunk)
+    graphs = [p.values[0] for p in unsorted_graphs()]
+    for graph in [g for g in graphs if g.n_edges >= g.n]:
+        for source in (0, graph.n - 1):
+            seed = SimSeed(chunk, graph.n_edges)
+            weights = generator(seed).standard_exponential(graph.n_edges)
+            got = simulate_si(graph, source, seed).times
+            assert got.tobytes() == _first_passage(graph, weights, source).tobytes()
+
+
+def test_a_cascade_keeps_its_peak_memory_down():
+    # once the plan is built, a cascade on a tree holds two float64 arrays
+    # of n (the weights, then the times, and the times by BFS rank) and one
+    # chunk of intp indices, beside small objects
+    graph = build_tree_with_hub(16, 2000)
+    simulate_si(graph, graph.hub, 0)
+    tracemalloc.start()
+    try:
+        trace = simulate_si(graph, graph.hub, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 2 * 8 * graph.n + 8 * si._GATHER_CHUNK + 64 * 1024
+    assert peak <= bound, f"peak {peak} bytes over the bound {bound}"
+    assert trace.times.nbytes == 8 * graph.n
+
+
 # ---------------------------------------------------------------------------
 # files
 
