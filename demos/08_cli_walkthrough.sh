@@ -37,6 +37,10 @@ test ! -e "$out/../escape.csv"
 echo "-- without --threshold, detect reports the single best-scoring time --"
 ratejump detect --events "$out/events.txt" \
     --k 3 --delta 0.3 --out argmax.csv --out-dir "$out"
+echo "-- a jump may start the record: --onset 0 is saved as t0=0.0 --"
+ratejump simulate-poisson --rate-preset const-plus-exp --onset 0 --horizon 2 \
+    --seed 1 --out onset0_events.txt --out-dir "$out"
+grep "shape=expdecay" "$out/onset0_events.txt.ratespec" | grep -q " t0=0.0 "
 echo
 
 echo "== the same change seen through bins of 0.5, on the bins' own grid =="
@@ -72,6 +76,9 @@ ratejump multicascade --trace "$out/cascade_0.csv" --trace "$out/cascade_1.csv" 
     --trace "$out/cascade_2.csv" --k 2 --delta 0.12 --window 0.05 \
     --out traces_multicascade.txt --out-dir "$out"
 cmp "$out/multicascade.txt" "$out/traces_multicascade.txt"
+echo "-- an infinite candidate window admits every vertex --"
+ratejump multicascade --height 6 --extra-leaves 20 --cascades 2 --window inf \
+    --seed 5 --out window_inf.txt --out-dir "$out"
 echo
 
 echo "== a cascade on a graph read from an edge-list file =="

@@ -69,9 +69,9 @@ from .ingest import load_daily_csv
 from .multicascade import CascadeBundle, estimate_high_degree, save_multicascade_report
 from .poisson import (RATE_PRESETS, _cpu_count, load_rate_spec, preset_rate_spec, save_rate_spec,
                       simulate)
-from .process import (MAX_ORDER, _bin_count, _check_delta, _check_order, _check_source,
-                      _write_lines, bin_events, from_binned, load_binned_csv, load_event_times,
-                      save_binned_csv, save_event_times)
+from .process import (MAX_ORDER, _bin_count, _check_delta, _check_finite, _check_order,
+                      _check_source, _check_window, _write_lines, bin_events, from_binned,
+                      load_binned_csv, load_event_times, save_binned_csv, save_event_times)
 from .seeding import SimSeed
 from .si import build_tree_with_hub, load_edge_list, load_trace_csv, save_trace_csv, simulate_si
 
@@ -476,17 +476,20 @@ def _add_common(sub, *, seed=False, stream=False):
                      help="output directory (default: $RATEJUMP_OUT or current directory)")
 
 
-_RATE_FLAGS = {"base": "base rate B in events per unit time",
-               "jump": "jump amplitude A in events per unit time",
-               "onset": "jump onset time t0 in time units",
-               "horizon": "horizon T in time units"}
+# each rate and time flag: its help, and the library's rule on its value
+_RATE_FLAGS = {"base": ("base rate B in events per unit time", _flag(_check_delta, "base")),
+               "jump": ("jump amplitude A in events per unit time", _flag(_check_delta, "jump")),
+               "onset": ("jump onset time t0 in time units",
+                         _flag(_check_finite, "onset", low=0.0)),
+               "horizon": ("horizon T in time units", _flag(_check_delta, "horizon"))}
 
 
 def _add_rate_flags(sub, names, defaults):
     """The rate and time flags ``names``, each with the default ``defaults`` names."""
     for name in names:
-        sub.add_argument("--" + name, type=_flag(_check_delta, name), default=None,
-                         help=_RATE_FLAGS[name] + _default(defaults.get(name)))
+        text, parse = _RATE_FLAGS[name]
+        sub.add_argument("--" + name, type=parse, default=None,
+                         help=text + _default(defaults.get(name)))
 
 
 def _add_counting_inputs(sub):
@@ -611,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cascades", type=_whole("cascades"),
                    help="number of cascades K to simulate" + _default(mc["cascades"]))
     _add_detector_flags(p, k=mc["k"], delta=mc["delta"])
-    p.add_argument("--window", type=_flag(_check_delta, "window"), default=mc["window"],
+    p.add_argument("--window", type=_flag(_check_window, "window"), default=mc["window"],
                    help="candidate window w in time units" + _default(mc["window"]))
     p.add_argument("--out", type=_file_name, default="multicascade.txt",
                    help="output file, a file name in --out-dir")

@@ -35,12 +35,13 @@ and N is read once per plan: one ``count_at`` over that whole vector.
 Each (order, delta) cell's grid is one segment of that order's lag
 difference of the whole vector; a difference that straddles two lattices
 lies between segments and no cell reads it.  Evaluating the plan takes each
-order's difference once, over the whole vector.  One segment-wise peak rule
-(``_peaks``: the earliest largest |value| of each segment) then scores every
-cell at once.  ``derivative_profiles`` and ``DerivativeProfile.argmax`` are
-its case of one delta and one segment: N's own grid, with no window.  The
-heatmap harness reads N once on the plan of its whole (k, delta) grid, under
-a scenario's analysis window.
+order's difference once, over the whole vector.  One peak rule (``_peaks``)
+then scores each cell on its own segment: ``np.argmax`` of the segment's
+|value|, the earliest largest, with one |value| array per order.
+``derivative_profiles`` and ``DerivativeProfile.argmax`` are its case of one
+delta and one segment: N's own grid, with no window.  The heatmap harness
+reads N once on the plan of its whole (k, delta) grid, under a scenario's
+analysis window.
 """
 
 from __future__ import annotations
@@ -177,32 +178,13 @@ class DerivativeProfile:
 
 
 def _peaks(values, starts, ends) -> np.ndarray:
-    """The one peak rule: for each segment values[starts[c]:ends[c]], the
-    segments nonempty, disjoint and rising, the index in ``values`` of its
-    largest |value|, the earliest on ties (a NaN counts as largest, as in
-    ``np.argmax``).  No entry between segments takes part."""
-    values = np.asarray(values)
-    # 0, each segment's start and end, and the end of ``values``
-    edges = np.empty(2 * len(starts) + 2, dtype=np.intp)
-    edges[0], edges[1:-1:2], edges[2:-1:2], edges[-1] = 0, starts, ends, values.size
-    # a segment's largest |value|, then the gap's after it; an end at the end
-    # of ``values`` is no bound.  Two reductions stand in for |values|, which
-    # would be one more array the size of ``values`` at the peak of memory
-    bounds = edges[1:-1] if edges[-2] < values.size else edges[1:-2]
-    top = np.maximum(np.maximum.reduceat(values, bounds),
-                     -np.minimum.reduceat(values, bounds))[::2]
-    # each segment's largest |value| over it, and NaN, which equals nothing, elsewhere
-    fill = np.full(edges.size - 1, np.nan)
-    fill[1::2] = top
-    spread = np.repeat(fill, edges[1:] - edges[:-1])
-    hit = values == spread
-    hit |= values == np.negative(spread, out=spread)
-    if np.isnan(top).any():
-        # a NaN between segments hits too, but none lies between a segment's
-        # start and the first NaN of its own
-        hit |= np.isnan(values) & np.isnan(spread)
-    hits = np.flatnonzero(hit)
-    return hits[np.searchsorted(hits, starts)]
+    """The one peak rule: for each segment values[starts[c]:ends[c]], each
+    nonempty, the index in ``values`` of its largest |value|, the earliest on
+    ties (a NaN counts as largest, as in ``np.argmax``).  No entry outside
+    the segments takes part."""
+    magnitude = np.abs(values)
+    return np.fromiter((start + magnitude[start:end].argmax() for start, end in zip(starts, ends)),
+                       dtype=np.intp, count=len(starts))
 
 
 def _empty_window(order: int, delta: float, window: tuple) -> ValueError:
@@ -273,8 +255,10 @@ class _LatticePlan:
     the (order, lo, hi, n, start) of the i-th order at ``deltas[j]``: value q
     of its grid lo + q*deltas[j]/lag, q < n, is entry start + q of the
     order-fold lag difference of N at all of ``times``, which crosses from
-    one lattice into the next only at entries that no cell reads.  The plan
-    stores nothing per time besides ``times``.
+    one lattice into the next only at entries that no cell reads.
+    ``peak_times`` finds each cell's peak in its own [start, start + n) by
+    ``_peaks``, so segments may overlap or repeat.  The plan stores nothing
+    per time besides ``times``.
     """
 
     deltas: tuple
@@ -290,7 +274,7 @@ class _LatticePlan:
         """The l-fold lag difference of ``samples``, N at ``times``, for each
         l from 1 to the highest order with a grid point."""
         diff = np.asarray(samples, dtype=np.float64)
-        for _ in range(max((order for order, _, _, n, _ in self.cells if n), default=0)):
+        for _ in self._segments:
             diff = diff[self.lag:] - diff[:-self.lag]
             yield diff
 
@@ -302,35 +286,29 @@ class _LatticePlan:
                 for order, _, _, n, start in self.cells]
 
     @functools.cached_property
-    def _peak_layout(self) -> tuple:
-        """For each order l from 1 up: its cells with a grid point, the
-        distinct [start, end) they read, rising, and the segment of each
-        cell; then each cell's lo and deltas[j] / lag."""
-        spans = {}  # order -> start -> (n, the cells that read [start, start + n))
-        for c, (order, _, _, n, start) in enumerate(self.cells):
+    def _segments(self) -> list:
+        """For each order l from 1 up to the highest with a grid point, the
+        (cell, start, end, lo, step) of each of its cells with one: the cell's
+        index in ``cells``, its [start, end) in the l-fold lag difference, and
+        its grid's lo and step deltas[j] / lag."""
+        top = max((order for order, _, _, n, _ in self.cells if n), default=0)
+        segments = [[] for _ in range(top)]
+        for c, (order, lo, _, n, start) in enumerate(self.cells):
             if n:
-                spans.setdefault(order, {}).setdefault(start, (n, []))[1].append(c)
-        levels = []
-        for order in range(1, max(spans, default=0) + 1):
-            rising = sorted(spans.get(order, {}).items())
-            levels.append(tuple(np.array(x, dtype=np.intp) for x in (
-                [c for _, (_, members) in rising for c in members],
-                [start for start, _ in rising],
-                [start + n for start, (n, _) in rising],
-                [s for s, (_, (_, members)) in enumerate(rising) for _ in members])))
-        return (tuple(levels), np.array([cell[1] for cell in self.cells]),
-                np.array([self.deltas[c % len(self.deltas)] / self.lag
-                          for c in range(len(self.cells))]))
+                segments[order - 1].append(
+                    (c, start, start + n, lo, self.deltas[c % len(self.deltas)] / self.lag))
+        return segments
 
     def peak_times(self, samples) -> np.ndarray:
         """(orders, deltas): the grid time of each cell's peak by ``_peaks``,
         from samples = N at ``times``; NaN for a cell with no grid point."""
-        levels, lo, step = self._peak_layout
         times = np.full(len(self.cells), np.nan)
-        for level, (members, starts, ends, segment) in zip(self._levels(samples), levels):
-            if members.size:
-                q = (_peaks(level, starts, ends) - starts)[segment]
-                times[members] = lo[members] + q * step[members]
+        for level, segments in zip(self._levels(samples), self._segments):
+            if segments:
+                _, starts, ends, _, _ = zip(*segments)
+                for (c, start, _, lo, step), peak in zip(
+                        segments, _peaks(level, starts, ends).tolist()):
+                    times[c] = lo + (peak - start) * step
         return times.reshape(-1, len(self.deltas))
 
     def empty_cells(self) -> list:

@@ -12,8 +12,8 @@ it (and an SI tree's fold plan) for all its trials, which arrive as indices.
 One lattice plan covers the whole (k, delta) grid (see
 ``ratejump.derivative``): it lays every delta's lattices end to end in one
 read vector.  A trial reads N once, by one of two paths, and scores every
-cell in one pass: one lag difference per order over the whole vector and
-one segment-wise peak rule.
+cell: one lag difference per order over the whole vector, then the one peak
+rule, ``np.argmax`` of |value| over each cell's own segment of it.
 - A scenario with a horizon gets its read grid, the sorted union of 0, the
   horizon and the plan's times, computed once per grid with the plan,
   before it is realized.  The Poisson ones draw N only there

@@ -423,6 +423,28 @@ def test_multicascade_threshold_alone_runs_threshold_mode(tmp_path, capsys):
     assert "param.threshold=5" in (tmp_path / "multicascade.txt.manifest").read_text()
 
 
+def test_simulate_poisson_takes_an_onset_of_zero(tmp_path, capsys):
+    # JumpComponent takes a jump at the start of the record, and so does --onset
+    code, _, err = run(capsys, "simulate-poisson", "--rate-preset", "const-plus-exp",
+                       "--onset", "0", "--horizon", "2", "--out-dir", str(tmp_path))
+    assert code == 0, err
+    jump, = [line for line in (tmp_path / "events.txt.ratespec").read_text().splitlines()
+             if "shape=expdecay" in line]
+    assert " t0=0.0 " in jump
+
+
+def test_multicascade_window_inf_admits_every_vertex(tmp_path, capsys):
+    code, out, err = run(capsys, "multicascade", "--height", "4", "--extra-leaves", "30",
+                         "--cascades", "2", "--window", "inf", "--seed", "1",
+                         "--out-dir", str(tmp_path))
+    assert code == 0, err
+    assert "estimated high-degree vertices (61)" in out
+    vertices = [line for line in (tmp_path / "multicascade.txt").read_text().splitlines()
+                if not line.startswith("#")]
+    assert sorted(map(int, vertices)) == list(range(61))
+    assert "param.window=inf" in (tmp_path / "multicascade.txt.manifest").read_text()
+
+
 def test_multicascade_from_trace_files(tmp_path, capsys):
     traces = []
     for i in range(2):
@@ -577,6 +599,19 @@ def test_negative_delta_is_a_usage_error(capsys):
                          "--k", "2", "--delta", "-1")
     assert code == 2
     assert "delta must be positive" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate-poisson", "--onset", "-1"], "argument --onset: onset must be finite and >= 0"),
+    (["multicascade", "--window", "0"], "argument --window: window must be positive, got 0"),
+    (["multicascade", "--window", "nan"], "argument --window: window must be positive, got nan"),
+])
+def test_onset_and_window_outside_the_librarys_rules_are_usage_errors(tmp_path, capsys, argv,
+                                                                       message):
+    code, out, err = run(capsys, *argv, "--out-dir", str(tmp_path))
+    assert code == 2
+    assert message in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_unknown_flag_is_a_usage_error(capsys):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -404,8 +405,19 @@ def test_stencil_window_bounds_have_a_relative_slack_of_1e_12(scale):
 
 
 def reference_peaks(values, starts, ends):
-    """The peak rule segment by segment: np.argmax of each segment's |values|."""
-    return [start + int(np.argmax(np.abs(values[start:end]))) for start, end in zip(starts, ends)]
+    """The peak rule by a plain scan of each segment: its first NaN, else the
+    first of its largest |value|."""
+    peaks = []
+    for start, end in zip(starts, ends):
+        peak = start
+        for i in range(start, end):
+            if math.isnan(values[i]):
+                peak = i
+                break
+            if abs(values[i]) > abs(values[peak]):
+                peak = i
+        peaks.append(int(peak))
+    return peaks
 
 
 @pytest.mark.parametrize("values, starts, ends, expected", [
@@ -440,6 +452,21 @@ def test_peak_rule_matches_np_argmax_segment_by_segment(layout, tail, data):
                                          min_size=size, max_size=size)), dtype=np.float64)
     values[data.draw(st.lists(st.integers(min_value=0, max_value=size - 1), max_size=3))] = np.nan
     assert _peaks(values, starts, ends).tolist() == reference_peaks(values, starts, ends)
+
+
+def test_peak_rule_traces_no_more_than_one_abs_array():
+    # one |values| array, 8 bytes an entry, and 64 KiB for everything else
+    values = np.random.default_rng(2).standard_normal(100_000)
+    bound = 8 * values.size + 64 * 1024
+    _peaks(values, [0], [values.size])  # numpy's first-call set-up is not the rule's
+    tracemalloc.start()
+    try:
+        peaks = _peaks(values, [0], [values.size])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peaks.tolist() == reference_peaks(values, [0], [values.size])
+    assert peak <= bound
 
 
 @given(

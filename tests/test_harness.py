@@ -167,9 +167,9 @@ class TwoEventTie:
         return Realization(EventTimes(np.array([3.0, 7.0]), self.horizon), 0.0)
 
 
-def trial_spec(scenario):
-    return ExperimentSpec(scenario=scenario, k_grid=tuple(range(1, 7)),
-                          delta_grid=(0.05, 0.1, 0.3, 0.7, 1.3, 3.5), trials=1, base_seed=3)
+def trial_spec(scenario, k_grid=tuple(range(1, 7)), delta_grid=(0.05, 0.1, 0.3, 0.7, 1.3, 3.5)):
+    return ExperimentSpec(scenario=scenario, k_grid=k_grid, delta_grid=delta_grid, trials=1,
+                          base_seed=3)
 
 
 # (spec, whether some cell has no grid point): k=6 at delta=3.5 leaves none on [0, 20]
@@ -184,6 +184,11 @@ TRIAL_SPECS = {
     "fig5-style-tree": (heatmap_spec_from_preset(get_preset("fig5"), extra_leaves=300, trials=2,
                                                  base_seed=5), False),
     "tie": (ExperimentSpec(TwoEventTie(), (1, 2), (0.5, 1.0), trials=1), False),
+    # a repeated order and a repeated delta: their cells read the same segments
+    "repeated-cells": (trial_spec(SmoothJumpScenario(base=300.0, jump=400.0), (2, 4, 2),
+                                  (0.3, 1.3, 0.3)), False),
+    "repeated-cells-window": (trial_spec(ConstNullScenario(base=300.0), (2, 4, 2),
+                                         (0.3, 1.3, 0.3)), False),
 }
 
 
@@ -225,6 +230,8 @@ def test_trial_errors_match_per_cell_argmax(name):
         assert np.count_nonzero(np.diff(plan.times) < 0) + 1 == len(spec.delta_grid) + 2
     if name == "tie":  # both events give |D| = 1: the estimate is before the first
         assert (errors[0] < 3.0).all()
+    if name.startswith("repeated-cells"):  # a repeated row or column repeats its errors
+        assert np.array_equal(errors[0], errors[2]) and np.array_equal(errors[:, 0], errors[:, 2])
 
 
 def digest(result) -> str:
