@@ -14,11 +14,8 @@ __version__ = "0.1.0"
 
 from .derivative import (
     MAX_ORDER,
-    DerivativeStencil,
-    annihilation_check,
     derivative_profile,
     derivative_profiles,
-    discrete_derivative,
 )
 from .detector import (
     ChangePointReport,
@@ -53,11 +50,8 @@ from .si import (
 __all__ = [
     "__version__",
     "MAX_ORDER",
-    "DerivativeStencil",
-    "annihilation_check",
     "derivative_profile",
     "derivative_profiles",
-    "discrete_derivative",
     "ChangePointReport",
     "DetectorConfig",
     "argmax_single",

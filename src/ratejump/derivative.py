@@ -16,18 +16,20 @@ N is an object with a vectorized ``count_at(t)`` and a ``horizon`` T, the
 end of the observed data, read on [0, T] only: EventTimes, or SampledCounts
 (N drawn at chosen times or known at bin edges, and read there only).
 
-A profile evaluates the stencil on a grid of step delta/m, for a whole
-number m of steps per delta that N sets (``_steps_per_delta``): N known at
-evenly spaced knots, such as bin edges, is read at every knot, so m is
-delta over the knot gap; any other N is read m = 10 times per delta.
-Every stencil point of every grid time then lies on one lattice
-b + p*delta/m, and with
+The stencil is evaluated only as a profile, never at one t alone, and its
+weights are never formed: they are what l lag differences add up to.  A
+profile evaluates it on a grid of step delta/m, for a whole number m of
+steps per delta that N sets (``_steps_per_delta``): N known at evenly
+spaced knots, such as bin edges, is read at every knot, so m is delta over
+the knot gap; any other N is read m = 10 times per delta.  Every stencil
+point of every grid time then lies on one lattice b + p*delta/m, and with
 F[p] = N(b + p*delta/m) the order-l value at a grid time is the l-fold
 lag-m difference (Delta_m^l F)[p0], where (Delta_m F)[p] = F[p+m] - F[p]
 and p0 indexes the stencil's first point.  So each order comes from the
 previous one by one more difference on its lattice: b = 0 for orders whose
 grid starts at (l-1)*delta, and b = the window's lower end for the orders a
-window clips.
+window clips.  On integer counts every difference is exact in float64 while
+its values stay below 2**53, so every value is an exact integer.
 
 A lattice plan, fixed by the orders, a grid of deltas that share m, T and
 the window, lays the lattices of every delta end to end in one read vector,
@@ -56,37 +58,14 @@ from .process import MAX_ORDER, SampledCounts, _check_delta, _check_order
 
 __all__ = [
     "MAX_ORDER",
-    "DerivativeStencil",
     "DerivativeProfile",
-    "discrete_derivative",
     "derivative_profile",
     "derivative_profiles",
-    "annihilation_check",
 ]
 
 # The grid step of a profile of N with no evenly spaced knots (such as event
 # times): delta / STEPS_PER_DELTA.
 STEPS_PER_DELTA = 10
-
-
-@dataclass(frozen=True)
-class DerivativeStencil:
-    """The coefficients and sample offsets of one discrete-derivative stencil."""
-
-    order: int
-    delta: float
-    coefficients: tuple
-
-    @classmethod
-    def of_order(cls, order: int, delta: float) -> "DerivativeStencil":
-        order = _check_order(order)
-        delta = _check_delta(delta)
-        coeffs = tuple((-1) ** (order - j) * math.comb(order, j) for j in range(order + 1))
-        return cls(order=order, delta=delta, coefficients=coeffs)
-
-    def offsets(self) -> np.ndarray:
-        """Sample-point offsets relative to t: (j - order + 1) * delta."""
-        return (np.arange(self.order + 1) - self.order + 1) * self.delta
 
 
 def _as_counting(N):
@@ -122,35 +101,6 @@ def _steps_per_delta(N, delta: float) -> int:
         raise ValueError(f"delta = {delta!r} is not a whole number of knot gaps: "
                          f"N is known only at knots {gap!r} apart")
     return m
-
-
-def discrete_derivative(N, order: int, delta: float, t: float) -> float:
-    """Evaluate the order-``order`` discrete derivative of N at time t.
-
-    The stencil touches [t - (order-1)*delta, t + delta], which must lie
-    inside [0, T], T the horizon of N.  Each bound is checked with a slack
-    of 1e-12 relative to max(1, |bound|), since (order-1)*delta and
-    t + delta are float results: a t that a grid reaches by rounding passes,
-    and one beyond the slack raises.  The result is an exact integer
-    whenever N is integer-valued (float64 is exact for counts below 2**53).
-    """
-    stencil = DerivativeStencil.of_order(order, delta)
-    fn, T = _as_counting(N)
-    t = float(t)
-    lo = (order - 1) * delta
-    if t < lo - 1e-12 * max(1.0, abs(lo)):
-        raise ValueError(
-            f"t = {t} violates t >= (order-1)*delta = {lo}: "
-            f"stencil window would start before 0"
-        )
-    if t + delta > T + 1e-12 * max(1.0, abs(T)):
-        raise ValueError(
-            f"t = {t} violates t + delta <= horizon = {T}: "
-            f"stencil window would end at {t + delta}"
-        )
-    pts = t + stencil.offsets()
-    vals = np.asarray(fn(pts), dtype=np.float64)
-    return float(np.dot(stencil.coefficients, vals))
 
 
 @dataclass(frozen=True)
@@ -350,17 +300,3 @@ def _lattice_plan(orders, deltas, lag: int, T: float, window) -> _LatticePlan:
     times.setflags(write=False)
     return _LatticePlan(tuple(deltas), lag, times,
                         tuple(row[i] for i in range(len(orders)) for row in by_delta))
-
-
-def annihilation_check(order: int, delta: float, poly_coeffs, t: float) -> float:
-    """Apply the order-(order+1) stencil to a degree-<=order polynomial.
-
-    ``poly_coeffs`` are ascending-power coefficients.  The return value is
-    exactly zero in exact arithmetic; callers compare against a float
-    tolerance scaled by the largest stencil summand.
-    """
-    order = _check_order(order)  # of_order checks order + 1, which 0 would pass
-    stencil = DerivativeStencil.of_order(order + 1, delta)
-    pts = float(t) + stencil.offsets()
-    vals = np.polynomial.polynomial.polyval(pts, np.asarray(poly_coeffs, dtype=np.float64))
-    return float(np.dot(stencil.coefficients, vals))

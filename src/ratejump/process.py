@@ -295,7 +295,10 @@ class EventTimes:
         return int(self.times.size)
 
     def count_at(self, t):
-        """N(t): number of events with time <= t.  Vectorized over t."""
+        """N(t): number of events with time <= t.  Vectorized over t; a NaN t
+        is a ValueError."""
+        if np.isnan(t).any():
+            raise ValueError("N is not defined at t = nan")
         return np.searchsorted(self.times, t, side="right")
 
 
@@ -334,14 +337,14 @@ class SampledCounts:
         return int(self.counts[-1])
 
     def count_at(self, t):
-        """N(t), vectorized; ValueError at a t off the knots."""
+        """N(t), vectorized; ValueError at a t off the knots, NaN included."""
         t = np.clip(np.asarray(t, dtype=np.float64), 0.0, self.horizon)
         i = np.minimum(np.searchsorted(self.times, t), self.times.size - 1)
         if (self.times[i] != t).any():
             # a t off a knot by rounding alone reads that knot
             before = np.maximum(i - 1, 0)
             near = np.where(t - self.times[before] < self.times[i] - t, before, i)
-            far = np.abs(self.times[near] - t) > 1e-12 * np.maximum(1.0, np.abs(t))
+            far = ~(np.abs(self.times[near] - t) <= 1e-12 * np.maximum(1.0, np.abs(t)))  # NaN too
             if far.any():
                 raise ValueError(
                     f"N is known only at its knots, not at t = {float(t[far].flat[0])!r}")

@@ -10,70 +10,88 @@ from hypothesis import assume, example, given, settings, strategies as st
 from ratejump.derivative import (
     MAX_ORDER,
     STEPS_PER_DELTA,
-    DerivativeStencil,
     _lattice_plan,
     _peaks,
-    annihilation_check,
     derivative_profile,
     derivative_profiles,
-    discrete_derivative,
 )
 from ratejump.process import BinnedSeries, EventTimes, SampledCounts, from_binned
-from windowed_profiles import windowed_profiles
+from windowed_profiles import brute_force, windowed_profiles
 
 
-def brute_force(N, order, delta, t):
-    """Independent reference implementation: literal alternating-binomial sum."""
-    total = 0.0
-    for j in range(order + 1):
-        total += (-1) ** (order - j) * math.comb(order, j) * N(t + (j - order + 1) * delta)
-    return total
+def polynomial(coeffs, horizon):
+    """An N that is the polynomial of ascending ``coeffs`` on [0, horizon]."""
+    return SimpleNamespace(count_at=lambda t: np.polynomial.polynomial.polyval(t, coeffs),
+                           horizon=horizon)
 
 
-def test_stencil_coefficients():
-    assert DerivativeStencil.of_order(1, 1.0).coefficients == (-1, 1)
-    assert DerivativeStencil.of_order(2, 1.0).coefficients == (1, -2, 1)
-    assert DerivativeStencil.of_order(3, 1.0).coefficients == (-1, 3, -3, 1)
-    for order in range(1, MAX_ORDER + 1):
-        s = DerivativeStencil.of_order(order, 0.5)
-        assert sum(s.coefficients) == 0
-        assert s.offsets()[0] == pytest.approx(-(order - 1) * 0.5)
-        assert s.offsets()[-1] == pytest.approx(0.5)
+def value_at(profile, t):
+    """The profile's value at its grid time t (rounded to the nearest step)."""
+    i = round((t - profile.window[0]) * profile.steps_per_delta / profile.delta)
+    assert profile.times[i] == pytest.approx(t)
+    return profile.values[i]
 
 
 def test_order_limits():
-    with pytest.raises(ValueError):
-        DerivativeStencil.of_order(0, 1.0)
-    with pytest.raises(ValueError):
-        DerivativeStencil.of_order(MAX_ORDER + 1, 1.0)
-    with pytest.raises(ValueError):
-        DerivativeStencil.of_order(3, -1.0)
+    e = EventTimes(times=np.array([1.0]), horizon=50.0)
+    with pytest.raises(ValueError, match=r"^order must"):
+        derivative_profile(e, 0, 1.0)
+    with pytest.raises(ValueError, match=r"^order must"):
+        derivative_profile(e, MAX_ORDER + 1, 1.0)
+    with pytest.raises(ValueError, match=r"^delta must"):
+        derivative_profile(e, 3, -1.0)
+    assert len(derivative_profile(e, MAX_ORDER, 1.0)) > 0
 
 
 def test_first_order_is_forward_increment():
     e = EventTimes(times=np.array([1.0, 2.0, 3.0]), horizon=4.0)
+    profile = derivative_profile(e, 1, 1.0)
     for t in (0.5, 1.5, 2.5):
-        assert discrete_derivative(e, 1, 1.0, t) == 1.0
+        assert value_at(profile, t) == 1.0
 
 
 def test_second_order_single_event():
     e = EventTimes(times=np.array([5.0]), horizon=7.0)
     # N(6) - 2 N(5) + N(4) = 1 - 2 + 0
-    assert discrete_derivative(e, 2, 1.0, 5.0) == -1.0
+    assert value_at(derivative_profile(e, 2, 1.0), 5.0) == -1.0
 
 
 def test_constant_counting_gives_zero():
     e = EventTimes(times=np.array([]), horizon=10.0)
     for order in (1, 2, 3, 5):
-        assert discrete_derivative(e, order, 0.5, 5.0) == 0.0
+        assert not derivative_profile(e, order, 0.5).values.any()
 
 
 def test_window_bounds_errors():
-    e = EventTimes(times=np.array([1.0]), horizon=4.0)
-    with pytest.raises(ValueError, match="t \\+ delta <= horizon"):
-        discrete_derivative(e, 1, 1.0, 3.5)
-    with pytest.raises(ValueError, match=r"\(order-1\)\*delta"):
-        discrete_derivative(e, 3, 1.0, 1.5)
+    # each order's grid is all of [(order-1)*delta, T - delta], on event times
+    # and on bins of the grid step, 0.5 / 10, with the events of e at 1.0 and 2.0
+    e = EventTimes(times=np.array([1.0, 2.0]), horizon=3.0)
+    binned = from_binned(BinnedSeries(bin_width=0.05, counts=np.bincount([19, 39], minlength=60)))
+    for N in (e, binned):
+        for order in (1, 2, 3):
+            profile = derivative_profile(N, order, 0.5)
+            assert profile.window == ((order - 1) * 0.5, 2.5)
+            assert profile.times[0] == profile.window[0] and profile.times[-1] == 2.5
+    # a range with no grid time is an error naming it
+    with pytest.raises(ValueError, match=r"^no valid grid points: window \(4\.0, 2\.0\) is empty"
+                                         r" for k=3, delta=2\.0$"):
+        derivative_profile(EventTimes(times=np.array([1.0]), horizon=4.0), 3, 2.0)
+
+
+def test_horizon_beyond_the_horizon_of_N_is_an_error():
+    # N is read up to its own horizon and no further: there is no override
+    e = EventTimes(times=np.array([1.0, 2.0]), horizon=3.0)
+    # bins of the grid step, 0.5 / 10, with the events of e at 1.0 and 2.0
+    binned = from_binned(BinnedSeries(bin_width=0.05, counts=np.bincount([19, 39], minlength=60)))
+    for N in (e, binned):
+        assert derivative_profile(N, 2, 0.5).window == (0.5, 2.5)
+        # a delta whose stencil reaches past T = 3.0 from every grid time
+        with pytest.raises(ValueError, match=r"^no valid grid points: window \(2\.0, 1\.0\) is empty"
+                                             r" for k=2, delta=2\.0$"):
+            derivative_profile(N, 2, 2.0)
+        # a window asked for beyond the horizon is cut at T - delta
+        prof, = windowed_profiles(N, [2], 0.5, 10, (0.0, 10.0))
+        assert prof.window == (0.5, 2.5) and prof.times[-1] == 2.5
 
 
 @given(
@@ -81,57 +99,59 @@ def test_window_bounds_errors():
     st.integers(min_value=1, max_value=6),
     st.floats(min_value=0.1, max_value=2.0, allow_nan=False),
 )
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 def test_matches_brute_force_and_recursion(times, order, delta):
     e = EventTimes(times=np.sort(np.asarray(times)), horizon=60.0)
-    t = (order - 1) * delta + 1.0
-    direct = discrete_derivative(e, order, delta, t)
-    assert direct == pytest.approx(brute_force(lambda s: float(e.count_at(s)), order, delta, t))
-    # one-step recursion: next order = difference of this order at t and t - delta
+    profile = derivative_profile(e, order, delta)
+    # one-step recursion: the next order at t is this order at t less this
+    # order at t - delta, m grid steps earlier, bit for bit: both read N on
+    # the same lattice (the last grid time of either may round past T - delta)
+    m = profile.steps_per_delta
     if order < 6:
-        # the two sides reach the shared sample points t + k*delta through
-        # different float expressions; an event lying exactly on one of those
-        # points can round to opposite sides of the step, so skip such inputs
-        pts = t + np.arange(-(order - 1), 3) * delta
-        if e.times.size:
-            assume(float(np.min(np.abs(e.times[:, None] - pts[None, :]))) > 1e-9)
-        lhs = discrete_derivative(e, order + 1, delta, t + delta)
-        rhs = discrete_derivative(e, order, delta, t + delta) - discrete_derivative(
-            e, order, delta, t
-        )
-        assert lhs == pytest.approx(rhs)
+        higher = derivative_profile(e, order + 1, delta)
+        n = min(len(higher), len(profile) - m)
+        assert n >= len(higher) - 1
+        assert np.array_equal(higher.values[:n], profile.values[m:m + n] - profile.values[:n])
+    # the lattice point p * delta/m and the stencil point t + j*delta are
+    # different float expressions; an event lying exactly on one of them can
+    # round to opposite sides of it, so skip such inputs
+    t = float(profile.times[m])
+    pts = t + np.arange(-(order - 1), 2) * delta
+    if e.times.size:
+        assume(float(np.min(np.abs(e.times[:, None] - pts[None, :]))) > 1e-9)
+    assert profile.values[m] == brute_force(e, order, delta, t)
 
 
 def test_integer_valued_output():
     rng = np.random.default_rng(3)
     e = EventTimes(times=np.sort(rng.uniform(0, 20, 500)), horizon=20.0)
-    v = discrete_derivative(e, 4, 0.7, 5.0)
-    assert v == int(v)
+    values = derivative_profile(e, 4, 0.7).values
+    assert np.array_equal(values, np.round(values)) and np.abs(values).max() > 0
 
 
 @given(
     st.integers(min_value=1, max_value=8),
     st.floats(min_value=0.05, max_value=2.0),
-    st.floats(min_value=0, max_value=10),
 )
-@settings(max_examples=50)
-def test_polynomial_annihilation(order, delta, t):
-    rng = np.random.default_rng(abs(hash((order, round(delta, 6), round(t, 6)))) % 2**32)
-    coeffs = rng.uniform(-100, 100, size=order + 1)  # degree <= order
-    stencil = DerivativeStencil.of_order(order + 1, delta)
-    pts = t + stencil.offsets()
-    vals = np.polynomial.polynomial.polyval(pts, coeffs)
-    scale = np.max(np.abs(np.asarray(stencil.coefficients) * vals))
-    assert abs(annihilation_check(order, delta, coeffs, t)) <= 1e-6 * max(scale, 1e-12)
+@settings(max_examples=50, deadline=None)
+def test_polynomial_annihilation(order, delta):
+    # the order-(order+1) profile of a polynomial of degree <= order is zero
+    # up to the rounding of order+1 differences of its values
+    rng = np.random.default_rng(abs(hash((order, round(delta, 6)))) % 2**32)
+    coeffs = rng.uniform(-100, 100, size=order + 1)
+    N = polynomial(coeffs, (order + 1) * delta + 10.0)
+    profile = derivative_profile(N, order + 1, delta)
+    scale = 2 ** (order + 1) * np.abs(N.count_at(np.linspace(0.0, N.horizon, 1001))).max()
+    assert np.abs(profile.values).max() <= 1e-6 * scale
 
 
 def test_monomial_one_degree_higher():
     # x^(l+1) under the order-(l+1) stencil gives exactly (l+1)! * delta^(l+1)
     for order in (1, 2, 3, 4):
         delta = 0.3
-        coeffs = [0.0] * (order + 1) + [1.0]
-        got = annihilation_check(order, delta, coeffs, t=2.0)
-        assert got == pytest.approx(math.factorial(order + 1) * delta ** (order + 1), rel=1e-9)
+        profile = derivative_profile(polynomial([0.0] * (order + 1) + [1.0], 5.0), order + 1, delta)
+        expected = math.factorial(order + 1) * delta ** (order + 1)
+        assert profile.values == pytest.approx(np.full(len(profile), expected), rel=1e-9)
 
 
 def test_profile_matches_pointwise():
@@ -142,7 +162,7 @@ def test_profile_matches_pointwise():
     assert prof.times[0] == pytest.approx(1.0)  # (order-1)*delta
     assert prof.times[-1] <= 9.5 + 1e-12
     for t, v in list(prof.pairs())[::7]:
-        assert v == pytest.approx(discrete_derivative(e, 3, 0.5, t))
+        assert v == brute_force(e, 3, 0.5, t)
 
 
 def test_profile_window_clipping_and_empty():
@@ -219,7 +239,7 @@ def assert_profiles_match_pointwise(N, orders, delta, steps_per_delta, window):
         single = profile_alone(N, p.order, delta, steps_per_delta, window)
         assert np.array_equal(p.times, single.times)
         assert p.window == single.window
-        reference = [discrete_derivative(N, p.order, delta, t) for t in p.times.tolist()]
+        reference = [brute_force(N, p.order, delta, t) for t in p.times.tolist()]
         assert p.values.tolist() == reference
 
 
@@ -343,21 +363,10 @@ def test_a_window_must_be_ordered(window):
         windowed_profiles(e, [1], 0.5, 10, window)
 
 
-def test_horizon_beyond_the_horizon_of_N_is_an_error():
-    # N is read up to its own horizon and no further: there is no override
-    e = EventTimes(times=np.array([1.0, 2.0]), horizon=3.0)
-    # bins of the grid step, 0.5 / 10, with the events of e at 1.0 and 2.0
-    binned = from_binned(BinnedSeries(bin_width=0.05, counts=np.bincount([19, 39], minlength=60)))
-    for N in (e, binned):
-        with pytest.raises(ValueError, match=r"violates t \+ delta <= horizon = 3\.0"):
-            discrete_derivative(N, 2, 0.5, 2.6)
-        assert derivative_profile(N, 2, 0.5).window == (0.5, 2.5)
-
-
 def test_callable_counting_function():
     # smooth quadratic "counting" function: order 3 annihilates it
     f = SimpleNamespace(count_at=lambda t: np.asarray(t) ** 2, horizon=100.0)
-    assert discrete_derivative(f, 3, 0.5, 4.0) == pytest.approx(0.0, abs=1e-9)
+    assert np.abs(derivative_profile(f, 3, 0.5).values).max() == pytest.approx(0.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("N, name", [
@@ -368,8 +377,7 @@ def test_callable_counting_function():
 def test_n_without_count_at_and_a_horizon_is_a_type_error(N, name):
     # N carries its own horizon: a plain callable has none, so it is refused
     message = rf"^N must expose count_at\(t\) and a horizon, got {name}$"
-    for read in (lambda: discrete_derivative(N, 2, 0.5, 2.0),
-                 lambda: derivative_profile(N, 2, 0.5),
+    for read in (lambda: derivative_profile(N, 2, 0.5),
                  lambda: windowed_profiles(N, [1, 2], 0.5, 10, (1.0, 2.0))):
         with pytest.raises(TypeError, match=message):
             read()
@@ -380,28 +388,10 @@ def test_n_whose_horizon_is_not_finite_and_non_negative_is_a_value_error(horizon
     N = SimpleNamespace(count_at=lambda t: np.zeros(np.shape(t)), horizon=horizon)
     message = "^" + re.escape(
         f"the horizon of N must be finite and non-negative, got {horizon}") + "$"
-    for read in (lambda: discrete_derivative(N, 2, 0.5, 3.0),
-                 lambda: derivative_profile(N, 2, 0.5),
+    for read in (lambda: derivative_profile(N, 2, 0.5),
                  lambda: derivative_profiles(N, [1, 2], 0.5)):
         with pytest.raises(ValueError, match=message):
             read()
-
-
-@pytest.mark.parametrize("scale", [1.0, 100.0])
-def test_stencil_window_bounds_have_a_relative_slack_of_1e_12(scale):
-    # (order-1)*delta and t + delta are float results, so each bound gives
-    # 1e-12 of max(1, |bound|): a t inside that passes, one past it raises
-    e = EventTimes(times=np.array([0.7, 9.7]) * scale, horizon=10 * scale)
-    order, delta = 3, 0.5 * scale
-    lo, hi = (order - 1) * delta, e.horizon - delta
-    lo_slack, hi_slack = 1e-12 * max(1.0, lo), 1e-12 * max(1.0, e.horizon)
-    # N at the stencil points is 0, 0, 1, 1 at lo and 1, 1, 1, 2 at hi
-    assert discrete_derivative(e, order, delta, lo - lo_slack / 2) == -2.0
-    assert discrete_derivative(e, order, delta, hi + hi_slack / 2) == 1.0
-    with pytest.raises(ValueError, match=r"violates t >= \(order-1\)\*delta"):
-        discrete_derivative(e, order, delta, lo - 2 * lo_slack)
-    with pytest.raises(ValueError, match=r"violates t \+ delta <= horizon"):
-        discrete_derivative(e, order, delta, hi + 2 * hi_slack)
 
 
 def reference_peaks(values, starts, ends):

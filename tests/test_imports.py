@@ -10,6 +10,7 @@ The layering of the value rules is read from the source, with no import:
 ``ratejump.process`` holds every rule and imports no other ``ratejump``
 module, and the simulators and the CLI take their rules from it, not from
 the estimator, ``ratejump.derivative``.  Every file is opened there too.
+No module keeps an import it does not use.
 """
 
 import ast
@@ -135,3 +136,51 @@ def test_every_file_is_opened_in_the_rules_module():
              and node.func.id == "open"]
     assert [(module, line) for module, line in opens if module != "process"] == []
     assert opens, "process opens no file"
+
+
+# (module, name) imported at module level and never read there, with the
+# reason it stays
+UNREAD_IMPORTS = {
+    ("harness", "argmax_single"): "bench/tracing.py wraps harness.argmax_single by name",
+}
+
+
+def _module_level_imports(tree):
+    """The name each top-level import statement binds, ``from __future__``
+    aside."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def _used_names(tree):
+    """Every name the module reads, in its code or in a string annotation,
+    and every name its ``__all__`` lists."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for annotation in annotations:
+            if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                used |= _used_names(ast.parse(annotation.value, mode="eval"))
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+def test_every_import_is_used():
+    unread = sorted((module, name) for module in MODULES
+                    for name in set(_module_level_imports(_tree(module)))
+                    - _used_names(_tree(module)))
+    assert [entry for entry in unread if entry not in UNREAD_IMPORTS] == []
+    assert [entry for entry in UNREAD_IMPORTS if entry not in unread] == [], "stale entries"

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from ratejump import ingest
 from ratejump.cli import main
-from ratejump.derivative import discrete_derivative
 from ratejump.detector import DetectorConfig, argmax_single, detect
 from ratejump.ingest import (
     BinnedAnalysis,
@@ -19,6 +18,7 @@ from ratejump.ingest import (
     load_daily_csv,
 )
 from ratejump.process import BinnedSeries, from_binned
+from windowed_profiles import brute_force
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -240,7 +240,7 @@ def test_analyze_matches_derivative_exactly():
         analysis = analyze_binned(counts, k=k, delta_days=dd)
         N = from_binned(BinnedSeries(bin_width=1.0, counts=counts))
         for t, v in analysis.profile.pairs():
-            ref = discrete_derivative(N, k, float(dd), t)
+            ref = brute_force(N, k, float(dd), t)
             assert v == ref
             assert float(v).is_integer()
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from ratejump.cli import main
-from ratejump.derivative import DerivativeStencil, derivative_profile, derivative_profiles
+from ratejump.derivative import derivative_profile, derivative_profiles
 from ratejump.detector import DetectorConfig, argmax_single, detect
 from ratejump.harness import (ExperimentSpec, SmoothJumpScenario, false_alarm_study, get_preset,
                               heatmap_spec_from_preset, run_heatmap)
@@ -40,7 +40,6 @@ ORDER_ENTRIES = {
     "ExperimentSpec": (lambda k: ExperimentSpec(SmoothJumpScenario(), (2, k), (0.5,), 1),
                        r"^k_grid\[1\]"),
     "derivative_profiles": (lambda k: derivative_profiles(EVENTS, [2, k], 0.5), r"^order must"),
-    "DerivativeStencil.of_order": (lambda k: DerivativeStencil.of_order(k, 0.5), r"^order must"),
 }
 
 DELTA_ENTRIES = {
@@ -48,7 +47,6 @@ DELTA_ENTRIES = {
     "ExperimentSpec": (lambda d: ExperimentSpec(SmoothJumpScenario(), (2,), (0.5, d), 1),
                        r"^delta_grid\[1\]"),
     "derivative_profiles": (lambda d: derivative_profiles(EVENTS, [2], d), r"^delta must"),
-    "DerivativeStencil.of_order": (lambda d: DerivativeStencil.of_order(2, d), r"^delta must"),
     "DetectorConfig.threshold": (lambda d: DetectorConfig(k=2, delta=0.5, threshold=d),
                                  r"^threshold must"),
     "simulate horizon": (lambda d: simulate(FLAT, d, 0), r"^horizon must"),

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -228,6 +229,22 @@ def test_a_binned_read_between_edges_names_t():
     for t in (0.25, 0.3 + 1e-9, 2.95):
         with pytest.raises(ValueError, match=rf"^N is known only at its knots, not at t = {t!r}$"):
             N.count_at([0.1, t])
+
+
+def test_a_binned_read_at_nan_names_t():
+    # NaN compares false with every knot, so it once read the last one, N(horizon)
+    N = from_binned(BinnedSeries(1.0, [1, 2, 3, 4]))
+    for t in (math.nan, [1.0, math.nan]):
+        with pytest.raises(ValueError, match=r"^N is known only at its knots, not at t = nan$"):
+            N.count_at(t)
+
+
+def test_an_event_read_at_nan_names_t():
+    # searchsorted puts NaN past every time, so it once read N(horizon)
+    e = EventTimes(np.array([1.0, 2.0, 3.0]), 4.0)
+    for t in (math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError, match=r"^N is not defined at t = nan$"):
+            e.count_at(t)
 
 
 def test_event_file_round_trip(tmp_path):

@@ -29,7 +29,8 @@ ALLOWED = {
     "d_max": "the matched error of a multi-jump estimate; no runner scores multi-jump runs yet",
     "min_order_for": "tuning helper, kept for the order and delta sweep on the roadmap",
     "suggest_delta": "tuning helper, kept for the order and delta sweep on the roadmap",
-    "false_alarm_study": "runs the const-null preset; only the acceptance test runs it so far",
+    "false_alarm_study": "counts threshold-mode alarms on a rate spec with no jump; no "
+                         "subcommand, demo or bench workload calls it yet",
 }
 
 # defaulted parameters passed by calls the name-keyed scan cannot attribute:

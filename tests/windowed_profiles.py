@@ -6,9 +6,11 @@ N sets.  A lattice plan (``derivative._lattice_plan``) may take any whole
 number of steps per delta and clip its grids to a window; the harness
 scores its samples of N with ``plan.peak_times``, over every delta at once.
 This builds the profiles of such a plan for one delta, so that tests can
-check its grids, reads and values against ``derivative_profile`` and the
-pointwise stencil.
+check its grids, reads and values against ``derivative_profile`` and
+``brute_force``, the stencil summed term by term.
 """
+
+import math
 
 import numpy as np
 
@@ -30,3 +32,13 @@ def windowed_profiles(N, orders, delta, steps_per_delta=None, window=None):
     step = delta / m
     return [DerivativeProfile(lo + np.arange(n) * step, v, order, delta, m, (lo, hi))
             for (order, lo, hi, n, _), v in zip(plan.cells, values)]
+
+
+def brute_force(N, order, delta, t):
+    """Independent reference: the literal alternating-binomial sum of N, read
+    by ``count_at`` one stencil point of t at a time."""
+    total = 0.0
+    for j in range(order + 1):
+        total += (-1) ** (order - j) * math.comb(order, j) * float(
+            N.count_at(t + (j - order + 1) * delta))
+    return total
