@@ -12,13 +12,14 @@ draw random numbers take ``--seed`` (the two simulators also
 file next to its primary output recording the subcommand, all resolved
 parameters, input and output paths, the tool version, and wall time.
 
-The CLI keeps no rule on a value of its own: each numeric flag, and
-``--source``, is read through a rule of ``ratejump.process`` or ``SimSeed``,
-and what the flags define (``DetectorConfig``, the scenario, the tree) is
-built before any input is read.  A flag the run does not use is a usage
-error, not ignored: ``--horizon`` with ``--binned`` or ``--daily-csv``
-(binned counts end at their last bin; ``--horizon`` is for ``--events``
-only), ``--region``/``--mode`` without ``--daily-csv``,
+The CLI keeps no rule on a value of its own: each numeric flag is read
+through a rule of ``ratejump.process``, every integer flag (``--source``,
+``--extra-leaves`` and ``--seed`` among them) through its one whole-number
+rule, and what the flags define (``DetectorConfig``, the scenario, the
+tree) is built before any input is read.  A flag the run does not use is a usage error, not ignored:
+``--horizon`` with ``--binned`` or ``--daily-csv`` (binned counts end at
+their last bin; ``--horizon`` is for ``--events`` only),
+``--region``/``--mode`` without ``--daily-csv``,
 ``--rate-preset``/``--base``/``--jump``/``--onset`` with ``--rate-spec``,
 ``--height``/``--extra-leaves`` with ``--graph``, the simulation flags of
 ``multicascade`` with ``--trace``, and a scenario flag the scenario or
@@ -69,9 +70,9 @@ from .ingest import load_daily_csv
 from .multicascade import CascadeBundle, estimate_high_degree, save_multicascade_report
 from .poisson import (RATE_PRESETS, _cpu_count, load_rate_spec, preset_rate_spec, save_rate_spec,
                       simulate)
-from .process import (MAX_ORDER, _bin_count, _check_delta, _check_finite, _check_order,
-                      _check_source, _check_window, _write_lines, bin_events, from_binned,
-                      load_binned_csv, load_event_times, save_binned_csv, save_event_times)
+from .process import (MAX_ORDER, _bin_count, _check_delta, _check_finite, _check_integer,
+                      _check_window, _write_lines, bin_events, from_binned, load_binned_csv,
+                      load_event_times, save_binned_csv, save_event_times)
 from .seeding import SimSeed
 from .si import build_tree_with_hub, load_edge_list, load_trace_csv, save_trace_csv, simulate_si
 
@@ -119,9 +120,9 @@ def _type(parse):
     return convert
 
 
-def _flag(check, name, **limit):
+def _flag(check, name, **bounds):
     """A numeric flag, checked by the library's ``check`` as the field ``name``."""
-    return _type(lambda text: check(_number(text), name, **limit))
+    return _type(lambda text: check(_number(text), name, **bounds))
 
 
 def _flag_list(check, name):
@@ -130,9 +131,9 @@ def _flag_list(check, name):
         check(_number(x), f"{name}[{i}]") for i, x in enumerate(text.split(","))))
 
 
-def _whole(name):
-    """An integer flag >= 1 with no upper limit."""
-    return _flag(_check_order, name, limit=math.inf)
+def _whole(name, low=1):
+    """An integer flag >= ``low`` with no upper limit."""
+    return _flag(_check_integer, name, low=low, high=math.inf)
 
 
 @_type
@@ -142,7 +143,7 @@ def _delta_grid(text):
     if text.count(":") == 2:
         lo, hi, n = (_number(x) for x in text.split(":"))
         values = np.linspace(_check_delta(lo, "delta_grid lo"), _check_delta(hi, "delta_grid hi"),
-                             _check_order(n, "delta_grid n", limit=math.inf)).tolist()
+                             _check_integer(n, "delta_grid n", high=math.inf)).tolist()
     return tuple(_check_delta(d, f"delta_grid[{j}]") for j, d in enumerate(values))
 
 
@@ -239,7 +240,7 @@ def _tree(args):
     """The tree flags' planted-hub tree, with --source checked on it."""
     with _building():
         graph = build_tree_with_hub(args.height, args.extra_leaves)
-        _check_source(args.source, graph.n)
+        _check_integer(args.source, "source", low=0, high=graph.n - 1)
     return graph
 
 
@@ -327,7 +328,7 @@ def cmd_simulate_si(args):
     if args.graph:
         graph = load_edge_list(_require_file(args.graph))
         with _building():
-            _check_source(args.source, graph.n)
+            _check_integer(args.source, "source", low=0, high=graph.n - 1)
         inputs = [args.graph]
     else:
         graph = _tree(args)
@@ -466,12 +467,11 @@ def cmd_presets(args):
 
 def _add_common(sub, *, seed=False, stream=False):
     if seed:
-        sub.add_argument("--seed", type=_type(lambda text: SimSeed(_number(text)).seed),
-                         default=0,
+        sub.add_argument("--seed", type=_whole("seed", low=0), default=0,
                          help="base random seed (dimensionless integer, default 0)")
     if stream:
-        sub.add_argument("--stream", type=_type(lambda text: SimSeed(0, _number(text)).stream),
-                         default=0, help="random stream index for this run (default 0)")
+        sub.add_argument("--stream", type=_whole("stream", low=0), default=0,
+                         help="random stream index for this run (default 0)")
     sub.add_argument("--out-dir", default=None,
                      help="output directory (default: $RATEJUMP_OUT or current directory)")
 
@@ -511,7 +511,7 @@ def _add_counting_inputs(sub):
 def _add_detector_flags(sub, k=None, delta=None):
     """--k, --delta and --threshold; --k and --delta are required where they
     have no default."""
-    sub.add_argument("--k", type=_flag(_check_order, "k"), default=k, required=k is None,
+    sub.add_argument("--k", type=_flag(_check_integer, "k"), default=k, required=k is None,
                      help=f"derivative order, an integer in [1, {MAX_ORDER}]{_default(k)}")
     sub.add_argument("--delta", type=_flag(_check_delta, "delta"), default=delta,
                      required=delta is None,
@@ -526,10 +526,10 @@ def _add_tree_flags(sub, defaults, source=True):
     flags default to None; the run settles the ``defaults`` shown in the help."""
     sub.add_argument("--height", type=_whole("height"), default=None,
                      help=f"tree height, levels below the root{_default(defaults['height'])}")
-    sub.add_argument("--extra-leaves", type=int, default=None,
+    sub.add_argument("--extra-leaves", type=_whole("extra_leaves", low=0), default=None,
                      help=f"leaves attached to the planted hub{_default(defaults['extra_leaves'])}")
     if source:
-        sub.add_argument("--source", type=int, default=0,
+        sub.add_argument("--source", type=_whole("source", low=0), default=0,
                          help="source vertex id (default 0 = tree root)")
 
 
@@ -591,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"scenario family{_default(hd['scenario'])}")
     _add_rate_flags(p, ("base", "jump", "horizon"), {"jump": "0.8 B", **hd})
     _add_tree_flags(p, hd, source=False)
-    p.add_argument("--k-grid", type=_flag_list(_check_order, "k_grid"), default=None,
+    p.add_argument("--k-grid", type=_flag_list(_check_integer, "k_grid"), default=None,
                    help="comma-separated derivative orders, e.g. 1,2,3")
     p.add_argument("--delta-grid", type=_delta_grid, default=None,
                    help="deltas in time units: comma list or lo:hi:n")

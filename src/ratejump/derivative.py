@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process import MAX_ORDER, SampledCounts, _check_delta, _check_order
+from .process import MAX_ORDER, SampledCounts, _check_delta, _check_integer
 
 __all__ = [
     "MAX_ORDER",
@@ -167,7 +167,7 @@ def derivative_profiles(N, orders, delta: float) -> list:
     empty profile, so that it does not cost the other orders theirs; its
     ``argmax`` raises the ValueError that ``derivative_profile`` raises.
     """
-    orders = [_check_order(order) for order in orders]
+    orders = [_check_integer(order, "order") for order in orders]
     delta = _check_delta(delta)
     fn, T = _as_counting(N)
     lag = _steps_per_delta(N, delta)

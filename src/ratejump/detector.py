@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .derivative import DerivativeProfile, derivative_profile
-from .process import _check_delta, _check_order, _write_csv
+from .process import _check_delta, _check_finite, _check_integer, _write_csv
 
 __all__ = [
     "DetectorConfig",
@@ -51,7 +51,7 @@ class DetectorConfig:
 
     def __post_init__(self) -> None:
         # the checked values are stored: a string such as '0.5' becomes 0.5
-        object.__setattr__(self, "k", _check_order(self.k, "k"))
+        object.__setattr__(self, "k", _check_integer(self.k, "k"))
         object.__setattr__(self, "delta", _check_delta(self.delta, "delta"))
         if self.threshold is not None:
             object.__setattr__(self, "threshold", _check_delta(self.threshold, "threshold"))
@@ -181,9 +181,10 @@ def argmax_single(N, k: int, delta: float) -> float:
 
 
 def d_max(estimates, truths) -> float:
-    """Largest |s_(i) - t_(i)| after sorting both sets; 0 when both empty."""
-    s = np.sort(np.asarray(list(estimates), dtype=np.float64))
-    t = np.sort(np.asarray(list(truths), dtype=np.float64))
+    """Largest |s_(i) - t_(i)| after sorting both sets; 0 when both empty.
+    Each entry must be a finite real number (``_check_finite``)."""
+    s, t = (np.sort([_check_finite(x, f"{name}[{i}]") for i, x in enumerate(values)])
+            for name, values in (("estimates", estimates), ("truths", truths)))
     if s.size != t.size:
         raise ValueError(f"size mismatch: {s.size} estimates vs {t.size} truths")
     if s.size == 0:
@@ -195,7 +196,7 @@ def suggest_delta(sample_size: float, order: int) -> float:
     """Step-size heuristic delta = S^(-1/(2*order+1)) for sample size S."""
     if not (sample_size > 1):
         raise ValueError(f"sample_size must exceed 1, got {sample_size}")
-    order = _check_order(order)
+    order = _check_integer(order, "order")
     return float(sample_size) ** (-1.0 / (2 * order + 1))
 
 

@@ -39,8 +39,7 @@ from .derivative import STEPS_PER_DELTA, _as_counting, _lattice_plan
 from .detector import DetectorConfig, argmax_single, detect
 # simulate is called by this name: bench/tracing.py wraps harness.simulate
 from .poisson import Constant, JumpComponent, RateSpec, draw_counts, preset_rate_spec, simulate
-from .process import (EventTimes, SampledCounts, _check_delta, _check_order, _check_seed,
-                      _write_csv)
+from .process import EventTimes, SampledCounts, _check_delta, _check_integer, _write_csv
 from .seeding import SimSeed, as_seed
 from .si import Graph, build_tree_with_hub, infection_count_process, simulate_si
 
@@ -188,15 +187,15 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k_grid", tuple(
-            _check_order(k, f"k_grid[{i}], one of the orders,")
+            _check_integer(k, f"k_grid[{i}], one of the orders,")
             for i, k in enumerate(self.k_grid)))
         object.__setattr__(self, "delta_grid", tuple(
             _check_delta(d, f"delta_grid[{j}], one of the deltas,")
             for j, d in enumerate(self.delta_grid)))
         if not self.k_grid or not self.delta_grid:
             raise ValueError("k_grid and delta_grid must be non-empty")
-        object.__setattr__(self, "trials", _check_order(self.trials, "trials", limit=math.inf))
-        _check_seed(self.base_seed, "base_seed")
+        object.__setattr__(self, "trials", _check_integer(self.trials, "trials", high=math.inf))
+        _check_integer(self.base_seed, "base_seed", low=0, high=math.inf)
 
 
 @dataclass(frozen=True)
@@ -323,7 +322,7 @@ def _worker_trial_errors(trial: int):
 def run_heatmap(spec: ExperimentSpec, workers: int = 1) -> HeatmapResult:
     """Run the full grid here, or on ``min(workers, trials)`` worker processes that
     each get the spec once, when they start; the result is the same for any workers."""
-    workers = min(_check_order(workers, "workers", limit=math.inf), spec.trials)
+    workers = min(_check_integer(workers, "workers", high=math.inf), spec.trials)
     trials = range(spec.trials)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -50,7 +50,7 @@ from operator import itemgetter
 import numpy as np
 
 from .derivative import DerivativeProfile, derivative_profile
-from .process import (BinnedSeries, SampledCounts, _as_counts, _check_order, _fields_equal,
+from .process import (BinnedSeries, SampledCounts, _as_counts, _check_integer, _fields_equal,
                       _input_file, _parse_count, from_binned)
 
 __all__ = [
@@ -345,8 +345,8 @@ def analyze_binned(series, k: int, delta_days: int = 1) -> BinnedAnalysis:
     """
     if not isinstance(series, RegionSeries):
         series = RegionSeries(region="", counts=series)
-    k = _check_order(k, "k")
-    delta_days = _check_order(delta_days, "delta_days", limit=math.inf)
+    k = _check_integer(k, "k")
+    delta_days = _check_integer(delta_days, "delta_days", high=math.inf)
     profile = derivative_profile(series.counting, k, float(delta_days))
     return BinnedAnalysis(profile)
 

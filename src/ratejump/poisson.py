@@ -393,7 +393,6 @@ _SHAPE_NAMES = {
     "constant": Constant,
     "sinusoid": Sinusoid,
     "expdecay": ExpDecay,
-    "exponential-decay": ExpDecay,
     "polynomial": Polynomial,
 }
 
@@ -779,7 +778,7 @@ def _parse_component(line: str, where: str) -> JumpComponent:
     if shape_name not in _SHAPE_NAMES:
         raise ValueError(
             f"{where}: unknown shape {shape_name!r}; "
-            f"expected one of {sorted(set(_SHAPE_NAMES))}"
+            f"expected one of {sorted(_SHAPE_NAMES)}"
         )
     cls = _SHAPE_NAMES[shape_name]
     try:

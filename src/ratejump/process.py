@@ -5,8 +5,10 @@ from its first edge (``from_binned``), since a bin tells N at its edges.
 The package-wide convention is that the counting function N(t) is the
 number of events with timestamp <= t, so N is a right-continuous step
 function and N(horizon) is the total event count.  This module also holds
-every value and file rule of the package, and the one path by which a file
-is read or written, and imports no other ``ratejump`` module.
+every value and file rule of the package, among them the one rule on a
+whole number (``_check_integer``: an order, a count, a seed or a vertex id,
+each with its own bounds), and the one path by which a file is read or
+written, and imports no other ``ratejump`` module.
 """
 
 from __future__ import annotations
@@ -57,16 +59,17 @@ def _fields_equal(self, other):
     return True
 
 
-def _check_order(order, name: str = "order", limit: float = MAX_ORDER) -> int:
-    """``order`` as an int in [1, limit], bools rejected: the one check on an
-    order k (and, with no limit, on a whole count such as days), naming ``name``."""
-    if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {order!r}")
-    if order < 1:
-        raise ValueError(f"{name} must be >= 1, got {order}")
-    if order > limit:
-        raise ValueError(f"{name} must be <= {limit}, got {order}")
-    return int(order)
+def _check_integer(value, name: str, low: int = 1, high: float = MAX_ORDER) -> int:
+    """``value`` as an int in [low, high], bools rejected: the one rule on a
+    whole number (an order k by default; a count, seed, stream or vertex id
+    with its own bounds), naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
+    return int(value)
 
 
 def _real(value) -> float:
@@ -109,23 +112,6 @@ def _check_finite(value, name: str, low: float = -math.inf) -> float:
         floor = f" and >= {low:g}" if low > -math.inf else ""
         raise ValueError(f"{name} must be finite{floor}, got {value!r}")
     return number
-
-
-def _check_seed(value, name: str) -> None:
-    """The one rule on a seed or stream index: a non-negative integer, bools
-    rejected; errors name ``name``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-
-
-def _check_source(source, n: int) -> None:
-    """A cascade's source: a vertex id, an integer in [0, n), bools rejected."""
-    if isinstance(source, bool) or not isinstance(source, (int, np.integer)):
-        raise ValueError(f"source must be an integer vertex id, got {source!r}")
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for {n} vertices")
 
 
 def _check_indices(n: int, arcs: int, subject: str = "") -> None:

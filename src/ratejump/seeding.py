@@ -10,11 +10,12 @@ count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .process import _check_seed
+from .process import _check_integer
 
 __all__ = ["SimSeed", "as_seed", "generator"]
 
@@ -27,16 +28,19 @@ class SimSeed:
     stream: int = 0
 
     def __post_init__(self) -> None:
-        _check_seed(self.seed, "seed")
-        _check_seed(self.stream, "stream")
+        _check_integer(self.seed, "seed", low=0, high=math.inf)
+        _check_integer(self.stream, "stream", low=0, high=math.inf)
 
     def split(self, *path: int) -> np.random.Generator:
         """Return the generator for this stream, refined by an integer path.
 
         ``split()`` with no arguments is the stream's own generator;
         ``split(i, j)`` derives an independent sub-stream.  The mapping is
-        pure: equal inputs give bit-identical generators.
+        pure: equal inputs give bit-identical generators.  Each entry
+        ``path[i]`` is a non-negative integer.
         """
+        for i, step in enumerate(path):
+            _check_integer(step, f"path[{i}]", low=0, high=math.inf)
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream, *path))
         return np.random.Generator(np.random.PCG64(ss))
 

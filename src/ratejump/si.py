@@ -63,8 +63,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .process import (EventTimes, _check_indices, _check_order, _check_source, _fields_equal,
-                      _input_file, _text_lines, _write_csv)
+from .process import (EventTimes, _check_indices, _check_integer, _fields_equal, _input_file,
+                      _text_lines, _write_csv)
 from .seeding import generator
 
 __all__ = [
@@ -89,7 +89,7 @@ class Graph:
     It validates simplicity (no self-loops, no edge listed twice), naming
     the first edge at fault, and connectivity: fewer than n - 1 edges are
     refused before any array of size n is built.  ``hub`` is the planted hub
-    it was given (``build_tree_with_hub``), else None.
+    it was given (``build_tree_with_hub``), a vertex id, else None.
 
     ``indptr``/``indices`` hold each edge {u, v} as the arcs u -> v and
     v -> u; the neighbors of x are ``indices[indptr[x]:indptr[x + 1]]``:
@@ -109,8 +109,7 @@ class Graph:
                 or (u.size and {u.dtype.kind, v.dtype.kind} - set("iu"))):
             raise ValueError(f"u and v must be one-dimensional integer arrays of one length, "
                              f"got {u.dtype} {u.shape} and {v.dtype} {v.shape}")
-        if n == 0:
-            raise ValueError("graph must have at least one vertex")
+        n = _check_integer(n, "n", high=math.inf)
         _check_indices(n, 2 * u.size)
         if u.size:
             if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n:
@@ -136,7 +135,7 @@ class Graph:
             components = n - ends.size + _component_count(ends.size, pairs[:u.size],
                                                           pairs[u.size:])
             raise ValueError(f"graph must be connected; found {components} components")
-        self.hub = hub
+        self.hub = None if hub is None else _check_integer(hub, "hub", low=0, high=n - 1)
         self._fold_memo = None  # (source, _fold_plan(self, source)) once a tree is folded
         # arc i is u[i] -> v[i] and arc m + i its reverse; ids are in range, so int32 is exact
         src = np.concatenate((u, v), dtype=np.int32, casting="unsafe")
@@ -165,8 +164,7 @@ class Graph:
         return self.indptr.size - 1
 
     def neighbors(self, v: int) -> np.ndarray:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for {self.n} vertices")
+        v = _check_integer(v, "vertex", low=0, high=self.n - 1)
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def degree(self, v: int) -> int:
@@ -229,7 +227,7 @@ class CascadeTrace:
         object.__setattr__(self, "times", times)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("times must be a non-empty one-dimensional array")
-        _check_source(self.source, times.size)
+        _check_integer(self.source, "source", low=0, high=times.size - 1)
         if times[self.source] != 0.0:
             raise ValueError(f"source must be infected at time 0, got {times[self.source]}")
         # two reductions and no temporary of size n; a NaN fails both comparisons
@@ -255,10 +253,8 @@ def build_tree_with_hub(height: int, extra_leaves: int) -> Graph:
     extra_leaves, raised before any array is made: height 29 with 1 extra
     leaf is the largest that fits.
     """
-    height = _check_order(height, "height", limit=math.inf)
-    if isinstance(extra_leaves, bool) or not (
-            isinstance(extra_leaves, (int, np.integer)) and extra_leaves >= 0):
-        raise ValueError(f"extra_leaves must be >= 0, got {extra_leaves}")
+    height = _check_integer(height, "height", high=math.inf)
+    extra_leaves = _check_integer(extra_leaves, "extra_leaves", low=0, high=math.inf)
     n_tree = 2 ** (height + 1) - 1
     hub = 2 ** (height - 1) - 1
     n = n_tree + extra_leaves
@@ -283,7 +279,7 @@ def simulate_si(graph: Graph, source: int, seed) -> CascadeTrace:
     cascade holds it and the fold's array of times by BFS rank, and no
     third array of n; Dijkstra returns times of its own.
     """
-    _check_source(source, graph.n)
+    _check_integer(source, "source", low=0, high=graph.n - 1)
     rng = generator(seed)
     buffer = np.empty(max(graph.n, graph.n_edges))
     weights = buffer[:graph.n_edges]
@@ -537,10 +533,10 @@ def jump_at_infection(graph: Graph, infected, v: int) -> int:
 
     Equals degree(v) - 2 * |neighbors of v already infected|.
     """
+    neighbors = graph.neighbors(v).tolist()
     infected = set(infected)
     if v in infected:
         raise ValueError(f"vertex {v} is already infected")
-    neighbors = graph.neighbors(v).tolist()
     overlap = sum(u in infected for u in neighbors)
     if overlap == 0:
         raise ValueError(f"vertex {v} has no infected neighbor, so it cannot be next")

@@ -771,11 +771,12 @@ GRIDS = ["--k-grid", "1", "--delta-grid", "0.3"]
      "base must be positive and finite, got inf"),
     (["simulate-poisson", "--base", "inf"], 2, "base must be positive and finite, got inf"),
     (["simulate-si", "--height", "3", "--extra-leaves", "2", "--source", "99"], 2,
-     "source 99 out of range"),
-    (["simulate-si", "--height", "3", "--source", "-1"], 2, "source -1 out of range"),
+     "source must be <= 16, got 99"),
+    (["simulate-si", "--height", "3", "--source", "-1"], 2,
+     "argument --source: source must be >= 0, got -1"),
     (["simulate-si", "--height", "3", "--extra-leaves", "-2"], 2, "extra_leaves must be >= 0"),
     (["multicascade", "--height", "3", "--extra-leaves", "2", "--source", "99"], 2,
-     "source 99 out of range"),
+     "source must be <= 16, got 99"),
     (["multicascade", "--height", "3", "--extra-leaves", "-2"], 2, "extra_leaves must be >= 0"),
     (["heatmap", "--scenario", "si-tree", "--base", "50", "--jump", "7", *GRIDS], 2,
      "scenario 'si-tree' does not use --base, --jump"),
@@ -819,6 +820,11 @@ GRIDS = ["--k-grid", "1", "--delta-grid", "0.3"]
     # detect's two output names differ
     (["detect", *DETECT, "--k", "2", "--delta", "0.5", "--profile-out", "report.csv"], 2,
      "--profile-out report.csv would overwrite the report --out report.csv or its manifest"),
+    # the integer flags are read by the library's one rule, not argparse's int
+    (["simulate-si", "--height", "3", "--extra-leaves", "2.0"], 2,
+     "argument --extra-leaves: extra_leaves must be an integer, got 2.0"),
+    (["simulate-si", "--height", "3", "--source", "1.5"], 2,
+     "argument --source: source must be an integer, got 1.5"),
 ])
 def test_bad_flag_exit_codes(tmp_path, capsys, argv, code, message):
     events = tmp_path / "events.txt"

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -239,6 +240,15 @@ def test_d_max():
     assert d_max([3.0, 1.0], [1.0, 3.0]) == 0.0  # order-free
     with pytest.raises(ValueError, match="size mismatch"):
         d_max([1.0], [1.0, 2.0])
+    # every entry is a finite real number, named by its position
+    for estimates, truths, message in (
+            ([1.0, np.nan], [1.0, 2.0], "estimates[1] must be finite, got nan"),
+            (["1"], [1], "estimates[0] must be finite, got '1'"),
+            ([True], [1.0], "estimates[0] must be finite, got True"),
+            ([np.inf], [1.0], "estimates[0] must be finite, got inf"),
+            ([1.0], [None], "truths[0] must be finite, got None")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            d_max(estimates, truths)
 
 
 def test_suggest_delta():

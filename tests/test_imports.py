@@ -9,7 +9,8 @@ session has long since imported both.
 The layering of the value rules is read from the source, with no import:
 ``ratejump.process`` holds every rule and imports no other ``ratejump``
 module, and the simulators and the CLI take their rules from it, not from
-the estimator, ``ratejump.derivative``.  Every file is opened there too.
+the estimator, ``ratejump.derivative``.  The one whole-number rule is the
+only integer type test.  Every file is opened there too.
 No module keeps an import it does not use.
 """
 
@@ -113,9 +114,39 @@ def test_the_simulation_layer_does_not_import_the_estimator(module):
 def test_every_rule_is_defined_in_the_rules_module():
     defined = [(module, node.name) for module in MODULES for node in ast.walk(_tree(module))
                if isinstance(node, ast.FunctionDef) and _is_rule(node.name)]
-    assert {name for _, name in defined} >= {"_real", "_check_order", "_check_delta",
-                                            "_check_finite", "_check_seed", "_check_source"}
+    assert {name for _, name in defined} >= {"_real", "_check_integer", "_check_delta",
+                                            "_check_finite"}
     assert [(module, name) for module, name in defined if module != "process"] == []
+
+
+def _integer_tests(module):
+    """(module, function) of each ``isinstance`` test in ``module`` for
+    ``int``, ``np.integer`` or ``numbers.Integral``; None for module level."""
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                and len(node.args) == 2):
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(getattr(kind, "id", getattr(kind, "attr", None)) in {"int", "integer", "Integral"}
+                   for kind in kinds):
+                yield module, where
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, where)
+
+    return list(visit(_tree(module), None))
+
+
+def test_the_whole_number_rule_is_written_once():
+    # every whole number is read through process._check_integer: no other
+    # function tests for an integer type, and no CLI flag is parsed by int or float
+    assert [hit for module in MODULES for hit in _integer_tests(module)] == [
+        ("process", "_check_integer")]
+    plain = [node.lineno for node in ast.walk(_tree("cli"))
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+             for keyword in node.keywords
+             if keyword.arg == "type" and getattr(keyword.value, "id", None) in ("int", "float")]
+    assert plain == [], "cli lines that parse a flag with argparse's int or float"
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -1,12 +1,12 @@
 """Each input rule has one implementation; every entry point gives the same answer.
 
-The rules on a derivative order k (and on a whole count such as a number
-of trials), a step delta, a finite field, a seed, a cascade's source and
-event counts, for arrays and for the count fields of files, and the one
-way every loader reads its file, live in ``ratejump.process``; the rules
-that need N, a step that is a whole number of knot gaps where N is known
-at evenly spaced knots and a window that must hold a grid point, live in
-``ratejump.derivative``.  Each test below feeds the same bad value to
+The rules on a whole number (a derivative order k, a whole count such as
+a number of trials, a seed, a vertex id such as a cascade's source), a
+step delta, a finite field and event counts, for arrays and for the count
+fields of files, and the one way every loader reads its file, live in
+``ratejump.process``; the rules that need N, a step that is a whole
+number of knot gaps where N is known at evenly spaced knots and a window
+that must hold a grid point, live in ``ratejump.derivative``.  Each test below feeds the same bad value to
 every entry point that takes it and expects a ValueError that names the
 field, index, day, row, line or window.
 """
@@ -28,8 +28,8 @@ from ratejump.poisson import (Constant, ExpDecay, JumpComponent, Polynomial, Rat
 from ratejump.process import (BinnedSeries, EventTimes, SampledCounts, bin_events, from_binned,
                               load_binned_csv, load_event_times, save_event_times)
 from ratejump.seeding import SimSeed, as_seed
-from ratejump.si import (CascadeTrace, Graph, build_tree_with_hub, load_edge_list, load_trace_csv,
-                         save_trace_csv, simulate_si)
+from ratejump.si import (CascadeTrace, Graph, build_tree_with_hub, jump_at_infection,
+                         load_edge_list, load_trace_csv, rate_at, save_trace_csv, simulate_si)
 
 EVENTS = EventTimes(times=np.linspace(0.5, 9.5, 40), horizon=10.0)
 FLAT = RateSpec(components=(JumpComponent(5.0, 0.0, Constant()),))
@@ -119,23 +119,28 @@ def test_finite_rule(entry, bad):
         call(bad)
 
 
-# entry point -> a call with the bad value as the source of a cascade on two vertices
-SOURCE_ENTRIES = {
-    "simulate_si": lambda s: simulate_si(Graph(2, [0], [1]), s, 0),
-    "CascadeTrace": lambda s: CascadeTrace(np.array([0.0, 1.0]), s),
+# entry point -> (a call with the bad value as a vertex id on two vertices, the field it names)
+TWO = Graph(2, [0], [1])
+VERTEX_ENTRIES = {
+    "simulate_si": (lambda s: simulate_si(TWO, s, 0), "source"),
+    "CascadeTrace": (lambda s: CascadeTrace(np.array([0.0, 1.0]), s), "source"),
+    "Graph.neighbors": (lambda v: TWO.neighbors(v), "vertex"),
+    "Graph.degree": (lambda v: TWO.degree(v), "vertex"),
+    "jump_at_infection": (lambda v: jump_at_infection(TWO, [0], v), "vertex"),
+    "rate_at": (lambda v: rate_at(TWO, [v]), "vertex"),
 }
 
 
-@pytest.mark.parametrize("entry", sorted(SOURCE_ENTRIES))
-@pytest.mark.parametrize("bad,message", [
-    *((bad, f"source must be an integer vertex id, got {bad!r}")
-      for bad in (1.5, 0.0, True, "0", None)),
-    (-1, "source -1 out of range for 2 vertices"),
-    (99, "source 99 out of range for 2 vertices"),
+@pytest.mark.parametrize("entry", sorted(VERTEX_ENTRIES))
+@pytest.mark.parametrize("bad,problem", [
+    *((bad, f"must be an integer, got {bad!r}") for bad in (1.5, 0.0, True, "0", None)),
+    (-1, "must be >= 0, got -1"),
+    (99, "must be <= 1, got 99"),
 ])
-def test_source_rule(entry, bad, message):
-    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-        SOURCE_ENTRIES[entry](bad)
+def test_source_rule(entry, bad, problem):
+    call, field = VERTEX_ENTRIES[entry]
+    with pytest.raises(ValueError, match="^" + re.escape(f"{field} {problem}") + "$"):
+        call(bad)
 
 
 def test_onset_rule_needs_no_less_than_zero():
@@ -283,9 +288,9 @@ TRIALS_ENTRIES = {
     (True, True, "height must be an integer, got True"),
     (3.0, 2, "height must be an integer, got 3.0"),
     (0, 2, "height must be >= 1, got 0"),
-    (3, True, "extra_leaves must be >= 0, got True"),
-    (3, np.bool_(True), "extra_leaves must be >= 0, got True"),
-    (3, 2.0, "extra_leaves must be >= 0, got 2.0"),
+    (3, True, "extra_leaves must be an integer, got True"),
+    (3, np.bool_(True), f"extra_leaves must be an integer, got {np.bool_(True)!r}"),
+    (3, 2.0, "extra_leaves must be an integer, got 2.0"),
     (3, -1, "extra_leaves must be >= 0, got -1"),
 ])
 def test_tree_rule(height, extra_leaves, message):
@@ -427,9 +432,13 @@ def test_count_rows_load_exactly(tmp_path, loader, raw, count):
     *((lambda bad=bad: run_heatmap(ExperimentSpec(SmoothJumpScenario(), (2,), (0.5,), 1),
                                    workers=bad), "workers")
       for bad in (0, -3, True, 1.5)),
+    (lambda: SimSeed(1).split(1.5), "path[0]"),
+    (lambda: SimSeed(1).split(0, -1), "path[1]"),
+    (lambda: SimSeed(1).split(True), "path[0]"),
+    (lambda: SimSeed(1).split(0, 2, "1"), "path[2]"),
 ])
 def test_seed_fields_are_checked_by_name(make, field):
-    with pytest.raises(ValueError, match=f"^{field} must"):
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} must"):
         make()
 
 

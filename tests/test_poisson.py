@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -535,6 +536,16 @@ def test_rate_spec_file_round_trip(tmp_path):
         "A=4.0 t0=1.0 shape=polynomial params=1.0,-0.5,0.125\n"
     )
     assert parse_rate_spec(format_rate_spec(every)) == every
+
+
+def test_every_shape_reads_back_under_the_name_it_writes():
+    # one name per shape: the spec format's key for each shape is the name
+    # ``format_rate_spec`` writes for it, and the error lists each once
+    assert {name: cls.name for name, cls in poisson._SHAPE_NAMES.items()} == {
+        name: name for name in poisson._SHAPE_NAMES}
+    with pytest.raises(ValueError, match=re.escape(
+            "expected one of ['constant', 'expdecay', 'polynomial', 'sinusoid']")):
+        parse_rate_spec("A=1 t0=0 shape=exponential-decay params=1")
 
 
 def test_rate_spec_parse_errors():

@@ -83,7 +83,7 @@ def test_graph_validation():
         from_adjacency([[1, 1], [0, 0]])
     with pytest.raises(ValueError, match="connected"):
         from_adjacency([[1], [0], [3], [2]])
-    with pytest.raises(ValueError, match="at least one vertex"):
+    with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
         from_adjacency([])
     # edge arrays go through the same checks
     with pytest.raises(ValueError, match="parallel"):
@@ -99,8 +99,18 @@ def test_graph_validation():
             Graph(3, u, v)
     assert Graph(1, [], []).n_edges == 0
     assert list(Graph(3, *np.array([[2, 1], [1, 0]], dtype=np.uint64)).edges()) == [(0, 1), (1, 2)]
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match=r"^vertex must be >= 0, got -1$"):
         triangle().neighbors(-1)
+    for n, message in ((2.5, "n must be an integer, got 2.5"),
+                       (True, "n must be an integer, got True"),
+                       (-1, "n must be >= 1, got -1"),
+                       ("2", "n must be an integer, got '2'")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Graph(n, [0], [1])
+    for hub, message in ((0.0, "hub must be an integer, got 0.0"),
+                         (2, "hub must be <= 1, got 2")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Graph(2, [0], [1], hub=hub)
 
 
 @pytest.mark.parametrize("n,u,v,message", [
