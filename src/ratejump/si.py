@@ -40,8 +40,9 @@ one that stays in cache.  Clipping is safe because the plan's every index
 was checked once, when the plan was built, and an index out of range
 there is a RuntimeError.  A level costs a few numpy calls, so a tree with
 more levels than a measured cut-off (path-like trees) keeps Dijkstra, and
-the graph remembers that verdict too.  Both read the int32 arc CSR and
-edge list a ``Graph`` builds once, which scipy takes without a copy.
+the graph remembers that verdict too.  A ``Graph`` holds one int32 arc
+CSR, built once; the fold plan's build and Dijkstra derive the edge list
+from it (``_edge_ends``), as int32 arrays that scipy takes without a copy.
 
 Building a graph from its edges, each listed once (``Graph(n, u, v)``,
 connectivity check included), and folding a tree use numpy alone.  Two
@@ -91,16 +92,17 @@ class Graph:
     refused before any array of size n is built.  ``hub`` is the planted hub
     it was given (``build_tree_with_hub``), a vertex id, else None.
 
-    ``indptr``/``indices`` hold each edge {u, v} as the arcs u -> v and
-    v -> u; the neighbors of x are ``indices[indptr[x]:indptr[x + 1]]``:
-    first those of the edges given as (x, y), then those of the edges given
-    as (y, x), each in input order.  Edge i is ``edge_u[i] < edge_v[i]``,
-    the i-th arc with u < v in CSR order; ``edges()`` yields this order and
-    edge weights are indexed by it.
+    ``indptr``/``indices``, the graph's one representation, hold each edge
+    {u, v} as the arcs u -> v and v -> u; the neighbors of x are
+    ``indices[indptr[x]:indptr[x + 1]]``: first those of the edges given as
+    (x, y), then those of the edges given as (y, x), each in input order.
+    Edge i is the i-th arc u -> v with u < v in CSR order, and edge weights
+    are indexed by it.  No edge list is stored: ``edges()``, the fold plan's
+    build and Dijkstra derive it from the CSR (``_edge_ends``).
 
-    A graph is not changed after it is built.  ``simulate_si`` keeps on it
-    the tree fold's plan for the last source asked (``_fold_plan``), whose
-    arrays are read-only, in a pickled copy too.
+    A graph is not changed after it is built: its CSR is read-only, and so
+    are the arrays of the tree fold's plan that ``simulate_si`` keeps on it
+    for the last source asked (``_fold_plan``), in a pickled copy too.
     """
 
     def __init__(self, n: int, u, v, hub: "int | None" = None):
@@ -142,21 +144,23 @@ class Graph:
         self.indices = np.concatenate((v, u), dtype=np.int32, casting="unsafe")[
             np.argsort(src, kind="stable")]
         self.indptr = _row_pointers(src, n)
+        components = _component_count(n, src[:u.size], src[u.size:])
         del src
-        tails = np.repeat(np.arange(n, dtype=np.int32), np.diff(self.indptr))
-        upper = np.flatnonzero(tails < self.indices)
-        self.edge_u, self.edge_v = tails[upper], self.indices[upper]
-        del tails, upper
-        components = _component_count(n, self.edge_u, self.edge_v)
         if components != 1:
             raise ValueError(f"graph must be connected; found {components} components")
+        self._freeze()
 
     def __setstate__(self, state) -> None:
-        # pickle hands arrays back writeable; a kept fold plan, whose indices
-        # were checked once when it was built, stays read-only in the copy
+        # pickle hands arrays back writeable; the copy is read-only as the graph was
         self.__dict__.update(state)
+        self._freeze()
+
+    def _freeze(self) -> None:
+        """Make the CSR and a kept fold plan read-only: edge ids are derived
+        from the CSR on every read, and the fold's gathers trust the plan's
+        indices, checked once when it was built."""
         plan = self._fold_memo and self._fold_memo[1]
-        for array in plan or ():
+        for array in (self.indptr, self.indices, *(plan or ())):
             array.flags.writeable = False
 
     @property
@@ -172,11 +176,22 @@ class Graph:
 
     @property
     def n_edges(self) -> int:
-        return self.edge_u.size
+        return self.indices.size // 2
 
     def edges(self):
         """Iterate over each undirected edge once as (u, v), u < v; weights[i] is edge i's."""
-        return zip(self.edge_u.tolist(), self.edge_v.tolist())
+        u, v = _edge_ends(self)
+        return zip(u.tolist(), v.tolist())
+
+
+def _edge_ends(graph: Graph) -> "tuple[np.ndarray, np.ndarray]":
+    """int32 arrays (u, v) of the graph's edges: edge i is the i-th arc
+    u -> v with u < v in CSR order, so u is sorted.  They are derived from
+    the CSR on each call; the graph keeps no edge list."""
+    tails = np.repeat(np.arange(graph.n, dtype=np.int32), np.diff(graph.indptr))
+    # take at flatnonzero's positions: about twice as fast here as a boolean mask
+    upper = np.flatnonzero(tails < graph.indices)
+    return tails.take(upper), graph.indices.take(upper)
 
 
 def _row_pointers(rows: np.ndarray, n: int) -> np.ndarray:
@@ -316,7 +331,8 @@ def _first_passage(graph: Graph, weights: np.ndarray, source: int,
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import dijkstra
 
-        matrix = csr_matrix((weights, graph.edge_v, _row_pointers(graph.edge_u, n)), shape=(n, n))
+        u, v = _edge_ends(graph)
+        matrix = csr_matrix((weights, v, _row_pointers(u, n)), shape=(n, n))
         times = dijkstra(matrix, directed=False, indices=source)
     unreached = int(np.count_nonzero(np.isinf(times)))
     if unreached:
@@ -393,9 +409,13 @@ def _fold_plan(graph: Graph, source: int) -> "_FoldPlan | None":
     rank, parent, level_ends = bfs
     _refuse_stray_indices(rank=rank, parent=parent, bound=n)
     # a tree edge leads from its end of lower rank, the parent, to the other;
-    # a graph's edge ends are in [0, n) and so is rank, checked above
-    child = _gather(rank, graph.edge_u, np.empty(n - 1, dtype=np.int32))
-    np.maximum(child, _gather(rank, graph.edge_v, np.empty(n - 1, dtype=np.int32)), out=child)
+    # a graph's edge ends are in [0, n) and so is rank, checked above.  Each
+    # end is overwritten by its rank: np.take reads an index before it writes
+    # that place, so a gather may write over its own indices
+    child, other = _edge_ends(graph)
+    _gather(rank, child, child)
+    np.maximum(child, _gather(rank, other, other), out=child)
+    del other
     edge = np.empty(n - 1, dtype=np.int32)
     edge[child - 1] = np.arange(n - 1, dtype=np.int32)
     _refuse_stray_indices(edge=edge, bound=n - 1)
@@ -508,7 +528,8 @@ def _gather(source: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarra
     ``mode="raise"`` it would gather into a fresh temporary and copy that
     into ``out``.  Clipping cannot move a read, since every index a caller
     passes was checked to lie in range: ``_fold_plan`` checked the plan's
-    once, when it built it, and ``Graph`` its edge ends.
+    once, when it built it, and ``Graph`` the vertex ids of its read-only
+    CSR, from which the edge ends are derived.
     """
     for start in range(0, index.size, _GATHER_CHUNK):
         stop = start + _GATHER_CHUNK

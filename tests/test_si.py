@@ -24,7 +24,7 @@ from ratejump.si import (
     save_trace_csv,
     simulate_si,
 )
-from ratejump.si import _component_count, _first_passage, _fold_plan
+from ratejump.si import _component_count, _edge_ends, _first_passage, _fold_plan
 from small_graphs import from_adjacency
 
 
@@ -153,7 +153,7 @@ def component_cases():
         ends = label[np.stack((np.arange(2 ** bits - 1), np.arange(1, 2 ** bits)), axis=1)]
         yield pytest.param(2 ** bits, ends.min(axis=1), ends.max(axis=1), id=f"path-{name}")
     g = build_tree_with_hub(8, 60)
-    yield pytest.param(g.n, g.edge_u, g.edge_v, id="planted-hub-tree")
+    yield pytest.param(g.n, *_edge_ends(g), id="planted-hub-tree")
 
 
 @pytest.mark.parametrize("n,u,v", list(component_cases()))
@@ -657,6 +657,20 @@ def test_a_pickled_fold_plan_stays_read_only():
     assert pickle.loads(pickle.dumps(triangle()))._fold_memo is None
 
 
+@pytest.mark.parametrize("copied", [False, True], ids=["built", "pickled"])
+def test_the_csr_is_read_only(copied):
+    # edge ids are derived from the CSR on every read, so writing through
+    # neighbors() must fail rather than change the graph
+    graph = build_tree_with_hub(3, 2)
+    simulate_si(graph, 0, 1)
+    if copied:
+        graph = pickle.loads(pickle.dumps(graph))
+    with pytest.raises(ValueError, match="read-only"):
+        graph.neighbors(1)[0] = 7
+    assert not (graph.indptr.flags.writeable or graph.indices.flags.writeable)
+    assert simulate_si(graph, 1, 1) == simulate_si(build_tree_with_hub(3, 2), 1, 1)
+
+
 def test_first_passage_zero_weight_bridges():
     g = path_graph(4)
     times = _first_passage(g, np.array([0.0, 0.0, 0.5]), 3)
@@ -739,7 +753,8 @@ def scipy_fold_plan(graph, source):
     rank[order] = np.arange(n, dtype=np.int32)
     pred[source] = source
     parent = rank[pred[order]]
-    u, v = graph.edge_u, graph.edge_v
+    # edge i is the i-th arc x -> y with x < y, row by row
+    u, v = np.array([(x, y) for x in range(n) for y in graph.neighbors(x).tolist() if x < y]).T
     edge = np.empty(n - 1, dtype=np.int32)
     edge[rank[np.where(pred[v] == u, v, u)] - 1] = np.arange(n - 1, dtype=np.int32)
     level_ends, start = [], 1
@@ -808,8 +823,19 @@ def test_graph_build_keeps_its_peak_memory_down():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = sum(a.nbytes for a in (graph.indices, graph.indptr, graph.edge_u, graph.edge_v))
+    kept = graph.indices.nbytes + graph.indptr.nbytes
     assert peak <= 5 * kept, f"peak {peak} bytes is {peak / kept:.2f}x the {kept} kept"
+
+
+@pytest.mark.parametrize("graph", [triangle(), build_tree_with_hub(6, 40), Graph(1, [], [])],
+                         ids=["triangle", "hub-6-40", "one-vertex"])
+def test_a_graph_keeps_only_its_csr(graph):
+    # the CSR is the one representation: the edge list is derived where it
+    # is read, so a graph holds 4 * (n + 1 + 2m) bytes of arrays
+    arrays = {name: value for name, value in vars(graph).items()
+              if isinstance(value, np.ndarray)}
+    assert sorted(arrays) == ["indices", "indptr"]
+    assert sum(a.nbytes for a in arrays.values()) == 4 * (graph.n + 1 + 2 * graph.n_edges)
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 64])
