@@ -34,6 +34,14 @@ ratejump detect --events "$out/events.txt" --k 3 --delta 0.3 \
     --out ../escape.csv --out-dir "$out" || code=$?
 test "$code" -eq 2
 test ! -e "$out/../escape.csv"
+echo "-- a bad value exits 1, naming the file, its line and the field --"
+printf '%s\n' 1.0 nan 2.0 > "$out/bad_events.txt"
+code=0
+ratejump detect --events "$out/bad_events.txt" --k 3 --delta 0.3 \
+    --out bad_report.csv --out-dir "$out" 2> "$out/bad_events.err" || code=$?
+cat "$out/bad_events.err"
+test "$code" -eq 1
+grep -q "bad_events.txt: line 2: timestamp must be finite and >= 0, got nan" "$out/bad_events.err"
 echo "-- without --threshold, detect reports the single best-scoring time --"
 ratejump detect --events "$out/events.txt" \
     --k 3 --delta 0.3 --out argmax.csv --out-dir "$out"
@@ -76,6 +84,14 @@ ratejump multicascade --trace "$out/cascade_0.csv" --trace "$out/cascade_1.csv" 
     --trace "$out/cascade_2.csv" --k 2 --delta 0.12 --window 0.05 \
     --out traces_multicascade.txt --out-dir "$out"
 cmp "$out/multicascade.txt" "$out/traces_multicascade.txt"
+echo "-- a trace whose vertex is not a number exits 1, naming the file, its row and the field --"
+printf '%s\n' vertex,time 0,0.0 x,0.5 > "$out/bad_trace.csv"
+code=0
+ratejump multicascade --trace "$out/bad_trace.csv" --k 2 --delta 0.12 --window 0.05 \
+    --out bad_multicascade.txt --out-dir "$out" 2> "$out/bad_trace.err" || code=$?
+cat "$out/bad_trace.err"
+test "$code" -eq 1
+grep -q "bad_trace.csv: row 3: vertex must be an integer, got 'x'" "$out/bad_trace.err"
 echo "-- an infinite candidate window admits every vertex --"
 ratejump multicascade --height 6 --extra-leaves 20 --cascades 2 --window inf \
     --seed 5 --out window_inf.txt --out-dir "$out"

@@ -13,7 +13,8 @@ file next to its primary output recording the subcommand, all resolved
 parameters, input and output paths, the tool version, and wall time.
 
 The CLI keeps no rule on a value of its own: each numeric flag is read
-through a rule of ``ratejump.process``, every integer flag (``--source``,
+from its text by ``process._parse_number``, as a file's field is, and
+checked by a rule of ``ratejump.process``, every integer flag (``--source``,
 ``--extra-leaves`` and ``--seed`` among them) through its one whole-number
 rule, and what the flags define (``DetectorConfig``, the scenario, the
 tree) is built before any input is read.  A flag the run does not use is a usage error, not ignored:
@@ -71,8 +72,8 @@ from .multicascade import CascadeBundle, estimate_high_degree, save_multicascade
 from .poisson import (RATE_PRESETS, _cpu_count, load_rate_spec, preset_rate_spec, save_rate_spec,
                       simulate)
 from .process import (MAX_ORDER, _bin_count, _check_delta, _check_finite, _check_integer,
-                      _check_window, _write_lines, bin_events, from_binned, load_binned_csv,
-                      load_event_times, save_binned_csv, save_event_times)
+                      _check_window, _parse_number, _write_lines, bin_events, from_binned,
+                      load_binned_csv, load_event_times, save_binned_csv, save_event_times)
 from .seeding import SimSeed
 from .si import build_tree_with_hub, load_edge_list, load_trace_csv, save_trace_csv, simulate_si
 
@@ -99,16 +100,6 @@ def _building():
         raise UsageError(str(exc)) from None
 
 
-def _number(text):
-    """``text`` as an int, else a float, else unchanged for a check to reject by name."""
-    for parse in (int, float):
-        try:
-            return parse(text)
-        except ValueError:
-            pass
-    return text
-
-
 def _type(parse):
     """An argparse type: the message of a ValueError from ``parse`` is the usage error."""
     def convert(text):
@@ -122,13 +113,13 @@ def _type(parse):
 
 def _flag(check, name, **bounds):
     """A numeric flag, checked by the library's ``check`` as the field ``name``."""
-    return _type(lambda text: check(_number(text), name, **bounds))
+    return _type(lambda text: check(_parse_number(text), name, **bounds))
 
 
 def _flag_list(check, name):
     """A comma list of numbers, entry i checked by ``check`` as ``name[i]``."""
     return _type(lambda text: tuple(
-        check(_number(x), f"{name}[{i}]") for i, x in enumerate(text.split(","))))
+        check(_parse_number(x), f"{name}[{i}]") for i, x in enumerate(text.split(","))))
 
 
 def _whole(name, low=1):
@@ -139,9 +130,9 @@ def _whole(name, low=1):
 @_type
 def _delta_grid(text):
     """Deltas as a comma list, or lo:hi:n for n evenly spaced values."""
-    values = [_number(x) for x in text.split(",")]
+    values = [_parse_number(x) for x in text.split(",")]
     if text.count(":") == 2:
-        lo, hi, n = (_number(x) for x in text.split(":"))
+        lo, hi, n = (_parse_number(x) for x in text.split(":"))
         values = np.linspace(_check_delta(lo, "delta_grid lo"), _check_delta(hi, "delta_grid hi"),
                              _check_integer(n, "delta_grid n", high=math.inf)).tolist()
     return tuple(_check_delta(d, f"delta_grid[{j}]") for j, d in enumerate(values))

@@ -51,7 +51,7 @@ import numpy as np
 
 from .derivative import DerivativeProfile, derivative_profile
 from .process import (BinnedSeries, SampledCounts, _as_counts, _check_integer, _fields_equal,
-                      _input_file, _parse_count, from_binned)
+                      _file_error, _input_file, _parse_count, from_binned)
 
 __all__ = [
     "RegionSeries",
@@ -114,16 +114,16 @@ class RegionSeries:
         return self.start_date + datetime.timedelta(days=int(day))
 
 
-def _column_index(header, wanted: str, path) -> int:
+def _column_index(header, wanted: str) -> int:
     """The index of the one header field that names ``wanted`` (case and
     surrounding blanks ignored); a missing or repeated column is an error."""
     hits = [i for i, name in enumerate(header) if name.strip().lower() == wanted]
     if not hits:
-        raise ValueError(f"{path}: missing required column {wanted!r} (have {header})")
+        raise ValueError(f"missing required column {wanted!r} (have {header})")
     if len(hits) > 1:
         where = ", ".join(str(i + 1) for i in hits)
         raise ValueError(
-            f"{path}: column {wanted!r} appears {len(hits)} times in the header "
+            f"column {wanted!r} appears {len(hits)} times in the header "
             f"(fields {where}); rename or drop all but one"
         )
     return hits[0]
@@ -206,8 +206,9 @@ def _read_rows(path, region):
     lines count: ``reader.line_num`` (the last line of a record with a
     quoted line break) plus the lines ``reader`` did not get, read only
     for rows kept and for errors.  The file is opened by
-    ``process._input_file``, so a leading byte-order mark is skipped and a
-    byte that is not UTF-8 is an error naming its row.
+    ``process._input_file``, so a leading byte-order mark is skipped and
+    every error raised while rows are read, a byte that is not UTF-8 too,
+    names its row.
     """
     rows = []
     hidden = [0]  # file lines before the current one that ``reader`` did not get
@@ -215,12 +216,12 @@ def _read_rows(path, region):
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise ValueError(f"{path}: empty file")
-        di = _column_index(header, "date", path)
-        ci = _column_index(header, "cases", path)
+            raise ValueError("empty file")
+        di = _column_index(header, "date")
+        ci = _column_index(header, "cases")
         ri = None
         if region is not None:
-            ri = _column_index(header, "region", path)
+            ri = _column_index(header, "region")
             hidden[0] = reader.line_num
             reader = csv.reader(itertools.chain(_region_lines(fh, region, ri, hidden), fh))
         for row in filter(None, reader):
@@ -232,21 +233,14 @@ def _read_rows(path, region):
             except IndexError:
                 # the first field read, in the order above, that the row lacks
                 col = next(i for i in (ri, di, ci) if i is not None and i >= len(row))
-                raise ValueError(
-                    f"{path}: row {reader.line_num + hidden[0]}: no {header[col].strip()!r} "
-                    f"field (the row has {len(row)} of the header's {len(header)} fields)"
-                ) from None
-            rowno = reader.line_num + hidden[0]
+                raise ValueError(f"no {header[col].strip()!r} field (the row has {len(row)} "
+                                 f"of the header's {len(header)} fields)") from None
             try:
                 date = datetime.date.fromisoformat(raw_date)
             except ValueError:
-                raise ValueError(f"{path}: row {rowno}: unparseable date {raw_date!r} "
-                                 "(expected YYYY-MM-DD)") from None
-            try:
-                count = _parse_count(raw_count)
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {rowno}: {exc}") from None
-            rows.append((date, count, rowno))
+                raise ValueError(
+                    f"unparseable date {raw_date!r} (expected YYYY-MM-DD)") from None
+            rows.append((date, _parse_count(raw_count), reader.line_num + hidden[0]))
     return rows
 
 
@@ -257,7 +251,7 @@ def _to_series(path, region: str, rows, mode: str) -> RegionSeries:
     repeats = np.flatnonzero(ordinals[1:] == ordinals[:-1])
     if repeats.size:
         date, _, rowno = rows[repeats[0] + 1]
-        raise ValueError(f"{path}: row {rowno}: duplicate date {date}")
+        raise _file_error(path, "row", rowno, f"duplicate date {date}")
 
     days = ordinals - ordinals[0]
     n_days = int(days[-1]) + 1

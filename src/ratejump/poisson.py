@@ -156,7 +156,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .process import (EventTimes, SampledCounts, _check_delta, _check_finite, _input_file,
-                      _text_lines, _write_lines)
+                      _parse_number, _text_lines, _write_lines)
 from .seeding import generator
 
 __all__ = [
@@ -782,7 +782,7 @@ def _parse_component(line: str, where: str) -> JumpComponent:
         )
     cls = _SHAPE_NAMES[shape_name]
     try:
-        params = [float(p) for p in fields.get("params", "").split(",") if p.strip() != ""]
+        params = [_parse_number(p) for p in fields.get("params", "").split(",") if p.strip() != ""]
         if cls is Polynomial:  # its one field takes every param
             shape = Polynomial(tuple(params))
         else:
@@ -793,7 +793,8 @@ def _parse_component(line: str, where: str) -> JumpComponent:
                 raise ValueError(
                     f"{cls.name} takes " + (f"params={usage}" if names else "no params"))
             shape = cls(*params)
-        return JumpComponent(amplitude=float(fields["A"]), onset=float(fields["t0"]), shape=shape)
+        return JumpComponent(amplitude=_parse_number(fields["A"]),
+                             onset=_parse_number(fields["t0"]), shape=shape)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 

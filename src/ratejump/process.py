@@ -160,22 +160,42 @@ def _as_counts(values, position: str = "counts[{}]") -> np.ndarray:
     return values.astype(np.int64)
 
 
-def _parse_count(text: str) -> int:
-    """A file's count field as an exact int of size below 2**63: ``int``
-    first, so counts above 2**53 are not rounded, then ``float`` for forms
-    like ``100.0``.  Negatives pass; each loader has its own rule for them.
-    """
+def _parse_number(text):
+    """``text`` as an int, else a float, else unchanged, for a rule to reject
+    by name: the one reading of a number from text, a file's field or a CLI
+    flag.  ``int`` is tried where ``float`` reads a whole number or beyond
+    the float range, so a whole number above 2**53 is exact; a fraction, the
+    common case in a file of times, takes one parse and no exception."""
     try:
-        value = int(text)
+        number = float(text)
     except ValueError:
+        return text
+    if number.is_integer() or not math.isfinite(number):
         try:
-            value = float(text)
+            return int(text)
         except ValueError:
-            raise ValueError(f"bad count {text!r}") from None
+            pass
+    return number
+
+
+def _parse_count(text: str) -> int:
+    """A file's count field (``_parse_number``) as an exact int of size
+    below 2**63, forms like ``100.0`` too.  Negatives pass; each loader has
+    its own rule for them.
+    """
+    value = _parse_number(text)
+    if isinstance(value, str):
+        raise ValueError(f"bad count {text!r}")
     problem = _count_problem(abs(value))
     if problem:
         raise ValueError(f"count {text!r} is {problem}")
     return int(value)
+
+
+def _file_error(path, unit: str, line: int, message) -> ValueError:
+    """The one form of an error in an input file: ``<path>: <unit> <line>:
+    <message>``, or ``<path>: <message>`` for line 0, before any is read."""
+    return ValueError(f"{path}: {unit} {line}: {message}" if line else f"{path}: {message}")
 
 
 @contextlib.contextmanager
@@ -183,28 +203,34 @@ def _input_file(path, unit: str, line_num=None):
     """``path`` open for a loader: every input file is read through here.
 
     It is decoded as ``utf-8-sig``, so a leading byte-order mark is
-    skipped, with ``newline=""``, as ``csv`` needs.  A ``csv.Error`` (such
-    as a field over ``csv.field_size_limit()``) becomes ``<path>: row N:
-    ...``, N from the CSV loader's ``line_num()``, which is called on that
-    error path only, so it may read a reader made inside the ``with``.  A
-    byte that is not UTF-8 becomes ``<path>: <unit> N: <the line's own
-    decode error>``, N the file line that holds the first: the error,
-    raised by a read of a block of the file, says nothing of the line, so
-    the file is decoded again, line by line, on this error path only.
+    skipped, with ``newline=""``, as ``csv`` needs.  Given ``line_num``,
+    the number of the file line the loader reads, every error raised while
+    the file is open names that row, so a loader raises bare messages: a
+    ``ValueError`` (a field's rule, naming the field) or a ``csv.Error``
+    (such as a field over ``csv.field_size_limit()``) becomes ``<path>:
+    <unit> N: ...`` (``_file_error``; no N before the first line is read,
+    as in an empty file).  ``line_num`` is called on that error path only,
+    so it may read a reader made inside the ``with``.  A byte that is not
+    UTF-8 becomes ``<path>: <unit> N: <the line's own decode error>``, N
+    the file line that holds the first: the error, raised by a read of a
+    block of the file, says nothing of the line, so the file is decoded
+    again, line by line, on this error path only.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             yield fh
-    except csv.Error as exc:
-        raise ValueError(f"{path}: row {line_num()}: {exc}") from None
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # a ValueError, so tested first
         with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
             for lineno, line in enumerate(fh, 1):
                 try:
                     line.encode("utf-8", "surrogateescape").decode("utf-8")
                 except UnicodeDecodeError as line_exc:
-                    raise ValueError(f"{path}: {unit} {lineno}: {line_exc}") from None
-        raise ValueError(f"{path}: {exc}") from None
+                    raise _file_error(path, unit, lineno, line_exc) from None
+        raise _file_error(path, unit, 0, exc) from None
+    except (csv.Error, ValueError) as exc:
+        if line_num is None:
+            raise
+        raise _file_error(path, unit, line_num(), exc) from None
 
 
 def _write_lines(path, lines) -> None:
@@ -429,20 +455,14 @@ def load_event_times(path, horizon: "float | None" = None) -> EventTimes:
     Blank lines and lines starting with ``#`` are ignored, and so is a
     leading byte-order mark.  Timestamps are sorted on load.  ``horizon``
     defaults to the largest timestamp.  A line that is not a finite,
-    non-negative number, or that holds a byte that is not UTF-8, raises a
-    ValueError naming the file line.
+    non-negative number (``_check_finite``, as the field ``timestamp``), or
+    that holds a byte that is not UTF-8, raises a ValueError naming the file
+    line.
     """
     values = []
-    with _input_file(path, "line") as fh:
+    with _input_file(path, "line", lambda: lineno) as fh:
         for lineno, line in _text_lines(fh):
-            try:
-                value = float(line)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: not a timestamp: {line!r}") from None
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(
-                    f"{path}: line {lineno}: timestamp {line!r} is not finite and non-negative")
-            values.append(value)
+            values.append(_check_finite(_parse_number(line), "timestamp", 0.0))
     times = np.sort(np.asarray(values, dtype=np.float64))
     if horizon is None:
         horizon = float(times[-1]) if times.size else 0.0
@@ -472,25 +492,15 @@ def load_binned_csv(path) -> BinnedSeries:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["bin_start", "count"]:
-            raise ValueError(f"{path}: expected header 'bin_start,count', got {header}")
+            raise ValueError(f"expected header 'bin_start,count', got {header}")
         for row in reader:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            rowno = reader.line_num
-            lines.append(rowno)
+            lines.append(reader.line_num)
             if len(row) < 2:
-                raise ValueError(f"{path}: row {rowno}: expected 2 fields, got {len(row)}")
-            try:
-                starts.append(float(row[0]))
-            except ValueError:
-                raise ValueError(f"{path}: row {rowno}: bad bin_start {row[0]!r}") from None
-            try:
-                count = _parse_count(row[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {rowno}: {exc}") from None
-            if count < 0:
-                raise ValueError(f"{path}: row {rowno}: negative count {count}")
-            counts.append(count)
+                raise ValueError(f"expected 2 fields, got {len(row)}")
+            starts.append(_check_finite(_parse_number(row[0]), "bin_start"))
+            counts.append(_check_integer(_parse_count(row[1]), "count", low=0, high=math.inf))
     if not starts:
         raise ValueError(f"{path}: no data rows")
     if len(starts) == 1:

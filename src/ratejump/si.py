@@ -58,14 +58,15 @@ is not a tree, or on a tree too deep to fold, loads scipy, and
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .process import (EventTimes, _check_indices, _check_integer, _fields_equal, _input_file,
-                      _text_lines, _write_csv)
+from .process import (EventTimes, _check_finite, _check_indices, _check_integer, _fields_equal,
+                      _input_file, _parse_number, _text_lines, _write_csv)
 from .seeding import generator
 
 __all__ = [
@@ -80,6 +81,10 @@ __all__ = [
     "load_trace_csv",
     "save_trace_csv",
 ]
+
+# The largest vertex id that a Graph's int32 CSR indexes (``_check_indices``),
+# so the largest a graph or trace file may name
+_MAX_VERTEX = np.iinfo(np.int32).max - 1
 
 
 class Graph:
@@ -573,29 +578,25 @@ def load_edge_list(path) -> Graph:
     (0-indexed), each edge once, in either orientation.
 
     Blank lines, ``#`` comments and a leading byte-order mark are ignored.
-    A self-loop, an edge listed twice (in either orientation) or a byte
-    that is not UTF-8 is rejected with its line, and the resulting graph
-    must pass the usual validation (connected).
+    Each id is read by the vertex rule (``_check_integer``, in [0,
+    ``_MAX_VERTEX``]).  A bad id, a self-loop, an edge listed twice (in
+    either orientation) or a byte that is not UTF-8 is rejected with its
+    line, and the resulting graph must pass the usual validation
+    (connected).
     """
     first_line = {}  # (min, max) endpoint pair -> line it was first listed on
-    with _input_file(path, "line") as fh:
+    with _input_file(path, "line", lambda: lineno) as fh:
         for lineno, line in _text_lines(fh):
             parts = line.split()
             if len(parts) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 'u v', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: vertex ids must be integers") from None
-            if u < 0 or v < 0:
-                raise ValueError(f"{path}: line {lineno}: vertex ids must be >= 0")
+                raise ValueError(f"expected 'u v', got {line!r}")
+            u, v = (_check_integer(_parse_number(part), "vertex", low=0, high=_MAX_VERTEX)
+                    for part in parts)
             if u == v:
-                raise ValueError(f"{path}: line {lineno}: self-loop at vertex {u}")
+                raise ValueError(f"self-loop at vertex {u}")
             earlier = first_line.setdefault((min(u, v), max(u, v)), lineno)
             if earlier != lineno:
-                raise ValueError(
-                    f"{path}: line {lineno}: edge {u} {v} repeats the edge on line {earlier}"
-                )
+                raise ValueError(f"edge {u} {v} repeats the edge on line {earlier}")
     if not first_line:
         raise ValueError(f"{path}: no edges")
     ends = np.asarray(list(first_line), dtype=np.int64)
@@ -607,40 +608,31 @@ def load_trace_csv(path) -> CascadeTrace:
 
     The source is the vertex with the smallest infection time (0 for any
     trace written by this package).  Errors name the offending row by its
-    file line (``reader.line_num``) and the field at fault.
+    file line (``reader.line_num``) and the field at fault: ``vertex`` by
+    the vertex rule, as in ``load_edge_list``, and ``time``, finite and >= 0.
     """
     rows = {}
     with _input_file(path, "row", lambda: reader.line_num) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["vertex", "time"]:
-            raise ValueError(f"{path}: expected header 'vertex,time', got {header}")
+            raise ValueError(f"expected header 'vertex,time', got {header}")
         for row in reader:
             if not row:
                 continue
-            rowno = reader.line_num
             if len(row) < 2:
-                raise ValueError(f"{path}: row {rowno}: expected 'vertex,time', got {row}")
-            try:
-                v = int(row[0])
-            except ValueError:
-                raise ValueError(f"{path}: row {rowno}: bad vertex {row[0]!r}") from None
-            try:
-                t = float(row[1])
-            except ValueError:
-                raise ValueError(f"{path}: row {rowno}: bad time {row[1]!r}") from None
-            if v < 0:
-                raise ValueError(f"{path}: row {rowno}: vertex must be >= 0, got {v}")
-            if not (np.isfinite(t) and t >= 0):
-                raise ValueError(f"{path}: row {rowno}: time must be finite and >= 0, got {t}")
+                raise ValueError(f"expected 'vertex,time', got {row}")
+            v = _check_integer(_parse_number(row[0]), "vertex", low=0, high=_MAX_VERTEX)
+            t = _check_finite(_parse_number(row[1]), "time", 0.0)
             if v in rows:
-                raise ValueError(f"{path}: row {rowno}: duplicate vertex {v}")
+                raise ValueError(f"duplicate vertex {v}")
             rows[v] = t
     if not rows:
         raise ValueError(f"{path}: no data rows")
     n = max(rows) + 1
-    if set(rows) != set(range(n)):
-        missing = sorted(set(range(n)) - set(rows))[:5]
+    if len(rows) != n:  # the first ids absent, from the gaps between the sorted ids
+        gaps = (range(a + 1, b) for a, b in itertools.pairwise([-1, *sorted(rows)]))
+        missing = list(itertools.islice(itertools.chain.from_iterable(gaps), 5))
         raise ValueError(f"{path}: missing vertices, e.g. {missing}")
     times = np.asarray([rows[v] for v in range(n)])
     return CascadeTrace(times=times, source=int(np.argmin(times)))

@@ -1069,7 +1069,7 @@ def test_bad_timestamp_names_process_and_line(tmp_path, capsys):
     )
     assert code == 1
     assert "runtime error in process" in err
-    assert "line 2: timestamp 'nan' is not finite and non-negative" in err
+    assert "line 2: timestamp must be finite and >= 0, got nan" in err
 
 
 def test_byte_that_is_not_utf8_names_process_path_and_line(tmp_path, capsys):

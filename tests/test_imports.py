@@ -10,7 +10,8 @@ The layering of the value rules is read from the source, with no import:
 ``ratejump.process`` holds every rule and imports no other ``ratejump``
 module, and the simulators and the CLI take their rules from it, not from
 the estimator, ``ratejump.derivative``.  The one whole-number rule is the
-only integer type test.  Every file is opened there too.
+only integer type test, and ``_parse_number`` the only reading of a number
+from text.  Every file is opened there too.
 No module keeps an import it does not use.
 """
 
@@ -147,6 +148,41 @@ def test_the_whole_number_rule_is_written_once():
              for keyword in node.keywords
              if keyword.arg == "type" and getattr(keyword.value, "id", None) in ("int", "float")]
     assert plain == [], "cli lines that parse a flag with argparse's int or float"
+
+
+def _catches_value_error(handler):
+    kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(kind is None or getattr(kind, "id", None) in ("ValueError", "Exception")
+               for kind in kinds)
+
+
+def _number_parses(module):
+    """(module, function) of each ``try`` in ``module`` whose body calls
+    ``int`` or ``float`` and that catches a ValueError (by name, in a tuple,
+    as ``Exception`` or bare); None for module level."""
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Try) and any(map(_catches_value_error, node.handlers)) and any(
+                isinstance(call, ast.Call) and getattr(call.func, "id", None) in ("int", "float")
+                for statement in node.body for call in ast.walk(statement)):
+            yield module, where
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, where)
+
+    return list(visit(_tree(module), None))
+
+
+def test_text_becomes_a_number_in_the_rules_module_only():
+    # a file's field and a CLI flag are read by process._parse_number and then
+    # checked by a rule under their own name: no other module tries int or
+    # float on text, and no other module defines the parser
+    parses = [hit for module in MODULES for hit in _number_parses(module)]
+    assert ("process", "_parse_number") in parses
+    assert [(module, where) for module, where in parses if module != "process"] == []
+    defined = [module for module in MODULES for node in ast.walk(_tree(module))
+               if isinstance(node, ast.FunctionDef) and node.name == "_parse_number"]
+    assert defined == ["process"]
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -385,7 +385,7 @@ def test_count_row_rule(tmp_path, loader, raw, problem):
 
 @pytest.mark.parametrize("load,header,good,bad,problem", [
     (load_daily_csv, "date,cases", "2021-01-01,3", "2021-01-0x,4", "unparseable date '2021-01-0x'"),
-    (load_binned_csv, "bin_start,count", "0.0,3", "x,4", "bad bin_start 'x'"),
+    (load_binned_csv, "bin_start,count", "0.0,3", "x,4", "bin_start must be finite, got 'x'"),
 ], ids=["load_daily_csv", "load_binned_csv"])
 def test_rows_are_numbered_by_file_line(tmp_path, load, header, good, bad, problem):
     # blank lines count: the bad row is line 5 of the file
@@ -442,17 +442,22 @@ def test_seed_fields_are_checked_by_name(make, field):
         make()
 
 
-# loader -> (a good file, with {x} on its line 2, how it numbers lines);
-# ``{x}`` is nothing in the good file and the Latin-1 byte 0xe9 in the bad one
+# loader -> (call, a good file whose line 2 ends in {x}, how it numbers lines,
+# the field {x} extends, an {x} that puts that field out of its range); ``{x}``
+# is nothing in the good file and the Latin-1 byte 0xe9 in the bad one
 READERS = {
-    "load_event_times": (load_event_times, "0.5\n0.9{x}\n2.0\n", "line"),
-    "load_binned_csv": (load_binned_csv, "bin_start,count\n0.0,9{x}\n1.0,4\n", "row"),
-    "load_daily_csv": (load_daily_csv, "date,cases\n2021-01-09,9{x}\n2021-01-10,4\n", "row"),
+    "load_event_times": (load_event_times, "0.5\n0.9{x}\n2.0\n", "line", "timestamp", "e999"),
+    "load_binned_csv": (load_binned_csv, "bin_start,count\n0.0,9{x}\n1.0,4\n", "row", "count",
+                        "0" * 19),
+    "load_daily_csv": (load_daily_csv, "date,cases\n2021-01-09,9{x}\n2021-01-10,4\n", "row",
+                       "count", "0" * 19),
     "load_daily_csv region": (lambda p: load_daily_csv(p, region="A"),
-                              "date,region,cases\n2021-01-09,A,9{x}\n2021-01-10,A,4\n", "row"),
-    "load_edge_list": (load_edge_list, "0 1\n1 2{x}\n2 0\n", "line"),
-    "load_trace_csv": (load_trace_csv, "vertex,time\n0,0.0{x}\n1,0.9\n", "row"),
-    "load_rate_spec": (load_rate_spec, "A=5 t0=0 shape=constant\n# a comment{x}\n", "line"),
+                              "date,region,cases\n2021-01-09,A,9{x}\n2021-01-10,A,4\n", "row",
+                              "count", "0" * 19),
+    "load_edge_list": (load_edge_list, "0 1\n1 2{x}\n2 0\n", "line", "vertex", "0" * 10),
+    "load_trace_csv": (load_trace_csv, "vertex,time\n1,0.9{x}\n0,0.0\n", "row", "time", "e999"),
+    "load_rate_spec": (load_rate_spec, "A=5 t0=0 shape=constant\nA=2{x} t0=0 shape=constant\n",
+                       "line", "amplitude", "e999"),
 }
 
 
@@ -464,7 +469,7 @@ def _fields(loaded):
 def test_every_loader_reads_its_file_one_way(tmp_path, loader):
     # a leading byte-order mark is skipped, and a byte that is not UTF-8
     # names its file line, in the word the format numbers lines with
-    load, text, unit = READERS[loader]
+    load, text, unit, _, _ = READERS[loader]
     plain, bom, latin1 = tmp_path / "plain", tmp_path / "bom", tmp_path / "latin1"
     plain.write_bytes(text.format(x="").encode())
     bom.write_bytes(text.format(x="").encode("utf-8-sig"))
@@ -473,3 +478,25 @@ def test_every_loader_reads_its_file_one_way(tmp_path, loader):
     with pytest.raises(ValueError, match="^" + re.escape(
             f"{latin1}: {unit} 2: 'utf-8' codec can't decode byte 0xe9 in position ")):
         load(latin1)
+
+
+@pytest.mark.parametrize("loader", sorted(READERS))
+@pytest.mark.parametrize("case", ["not-a-number", "out-of-range"])
+def test_every_loader_names_the_line_and_field_of_a_bad_value(tmp_path, loader, case):
+    load, text, unit, field, too_far = READERS[loader]
+    p = tmp_path / "bad"
+    p.write_text(text.format(x="x" if case == "not-a-number" else too_far))
+    with pytest.raises(ValueError, match="^" + re.escape(f"{p}: {unit} 2: ") + rf".*\b{field}\b"):
+        load(p)
+
+
+@pytest.mark.parametrize("loader", sorted(READERS))
+def test_an_empty_file_names_no_line(tmp_path, loader):
+    # no line is read, so an error names the file alone, never line or row 0
+    load, _, unit, _, _ = READERS[loader]
+    p = tmp_path / "empty"
+    p.write_bytes(b"")
+    try:
+        load(p)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{p}: ") and f"{unit} 0" not in str(exc)

@@ -559,8 +559,12 @@ def test_rate_spec_parse_errors():
         parse_rate_spec("A=1 t0=0 shape=sinusoid params=nan,1")
     with pytest.raises(ValueError, match="line 2: polynomial coefficient 1 must be finite"):
         parse_rate_spec("# c\nA=1 t0=0 shape=polynomial params=1,inf")
-    with pytest.raises(ValueError, match="line 1: could not convert"):
+    with pytest.raises(ValueError, match="line 1: polynomial coefficient 1 must be finite, "
+                                         "got 'x'$"):
         parse_rate_spec("A=1 t0=0 shape=polynomial params=1,x")
+    with pytest.raises(ValueError, match="line 1: jump component onset must be finite and "
+                                         ">= 0, got 'x'$"):
+        parse_rate_spec("A=1 t0=x shape=constant")
     # a wrong number of params names the line, the shape and its parameters
     with pytest.raises(ValueError, match=r"line 1: constant .*takes no params"):
         parse_rate_spec("A=1 t0=0 shape=constant params=1")
@@ -577,7 +581,8 @@ def test_rate_spec_parse_errors():
     # lines are numbered as a file splits them: a form feed or a Unicode line
     # separator is blank space inside a line, not a line end
     for space in ("\x0c", "\x85", "\u2028"):
-        with pytest.raises(ValueError, match="line 3: could not convert"):
+        with pytest.raises(ValueError, match="line 3: amplitude must be positive and finite, "
+                                             "got 'x'$"):
             parse_rate_spec(f"A=1 t0=0{space} shape=constant\r\n\rA=x t0=0 shape=constant")
 
 

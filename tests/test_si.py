@@ -926,6 +926,17 @@ def test_edge_list_names_line_of_bad_edge(tmp_path, text, message):
         load_edge_list(p)
 
 
+@pytest.mark.parametrize("big", [2**31 - 1, 2**63, 10**30], ids=["2**31-1", "2**63", "10**30"])
+def test_edge_list_names_the_line_of_an_id_no_graph_indexes(tmp_path, big):
+    # a Graph's int32 CSR indexes ids up to 2**31 - 2: a larger one is the
+    # vertex rule's error on its line, not numpy's OverflowError or the Graph's
+    p = tmp_path / "g.txt"
+    p.write_text(f"0 1\n1 {big}\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{p}: line 2: vertex must be <= 2147483646, got {big}") + "$"):
+        load_edge_list(p)
+
+
 def test_trace_csv_round_trip(tmp_path):
     g = path_graph(4)
     trace = simulate_si(g, 1, SimSeed(0, 0))
@@ -941,6 +952,25 @@ def test_trace_csv_skips_a_byte_order_mark(tmp_path):
     p = tmp_path / "bom.csv"
     p.write_bytes("vertex,time\n0,0.0\n1,0.5\n".encode("utf-8-sig"))
     assert load_trace_csv(p).times.tolist() == [0.0, 0.5]
+
+
+def test_missing_vertices_cost_the_rows_not_the_largest_id(tmp_path):
+    # two rows naming vertices 0 and 2,000,000: the ids missing are found
+    # from the sorted ids, with nothing of size 2,000,000 built
+    p = tmp_path / "t.csv"
+    p.write_text("vertex,time\n0,0.0\n2000000,1.0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError,
+                           match=r"t\.csv: missing vertices, e\.g\. \[1, 2, 3, 4, 5\]$"):
+            load_trace_csv(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    p.write_text("vertex,time\n3,0.5\n0,0.0\n5,1.0\n")
+    with pytest.raises(ValueError, match=r"missing vertices, e\.g\. \[1, 2, 4\]$"):
+        load_trace_csv(p)
 
 
 def test_trace_csv_names_the_row_of_a_byte_that_is_not_utf8(tmp_path):
@@ -967,11 +997,11 @@ def test_trace_csv_errors(tmp_path):
     ("1,nan", "row 3: time must be finite and >= 0, got nan"),
     ("1,inf", "row 3: time must be finite and >= 0, got inf"),
     ("1,-0.5", "row 3: time must be finite and >= 0, got -0.5"),
-    ("1,bad", "row 3: bad time 'bad'"),
-    ("x,0.5", "row 3: bad vertex 'x'"),
+    ("1,bad", "row 3: time must be finite and >= 0, got 'bad'"),
+    ("x,0.5", "row 3: vertex must be an integer, got 'x'"),
     ("1", "row 3: expected 'vertex,time'"),
     # a quoted line break: the row spans file lines 3 and 4, and is named by its last
-    ('"1\n",bad', "row 4: bad time 'bad'"),
+    ('"1\n",bad', "row 4: time must be finite and >= 0, got 'bad'"),
     # longer than csv.field_size_limit(), 131072 characters by default
     ("1," + "9" * 140_000, "row 3: field larger than field limit"),
 ], ids=["negative-vertex", "nan-time", "inf-time", "negative-time", "bad-time", "bad-vertex",
