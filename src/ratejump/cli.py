@@ -576,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
                                         "with each order's best delta")
     p.add_argument("--preset", default=None,
                    choices=sorted(name for name, preset in PRESETS.items()
-                                  if preset.kind == "heatmap"),
+                                  if "scenario" in preset.params),
                    help="heatmap preset: its scenario, grids and trials (see presets)")
     p.add_argument("--scenario", default=None, choices=sorted(HEATMAP_SCENARIOS),
                    help=f"scenario family{_default(hd['scenario'])}")

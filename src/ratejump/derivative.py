@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process import MAX_ORDER, SampledCounts, _check_delta, _check_integer
+from .process import MAX_ORDER, SampledCounts, _check_delta, _check_integer, _check_interval
 
 __all__ = [
     "MAX_ORDER",
@@ -272,9 +272,7 @@ def _lattice_plan(orders, deltas, lag: int, T: float, window) -> _LatticePlan:
     """The plan of checked orders, deltas and lag: each grid is its order's
     valid range clipped to ``window`` (None: not clipped), so a lattice time
     leaves [0, T] only by the rounding of p*step, by ulps; it reads N there."""
-    w_lo, w_hi = (-math.inf, math.inf) if window is None else (float(window[0]), float(window[1]))
-    if not w_lo <= w_hi:  # NaN fails too
-        raise ValueError(f"window must satisfy lo <= hi, got {window}")
+    w_lo, w_hi = (-math.inf, math.inf) if window is None else _check_interval(window)
     by_delta, reads, size = [], [], 0
     for delta in deltas:
         step = delta / lag

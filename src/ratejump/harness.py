@@ -82,58 +82,64 @@ class Realization:
         return (len(self.events), float(drawn.sum()))
 
 
+class _PoissonScenario:
+    """A Poisson heatmap scenario: a rate with one onset, drawn on a horizon.
+
+    The contract every heatmap scenario keeps: ``realize(seed, times)``
+    returns a ``Realization`` that depends on the seed alone, and
+    ``analysis_window`` is None or the (lo, hi) that every cell's profile is
+    cut to.  Here the truth is the onset, uniform on [onset_low, onset_high]
+    from the stream ``seed.split(1)``, and N comes from ``seed.split(0)``:
+    drawn at ``times`` only, or, with ``times=None``, as the whole event
+    stream by thinning.  A subclass gives its fields, ``horizon`` among
+    them, its ``analysis_window`` and ``_rate(onset)``, the rate spec of one
+    realization.
+    """
+
+    onset_low = 5.0
+    onset_high = 15.0
+
+    def realize(self, seed, times=None) -> Realization:
+        seed = as_seed(seed)
+        truth = float(seed.split(1).uniform(self.onset_low, self.onset_high))
+        spec = self._rate(truth)
+        if times is None:
+            return Realization(simulate(spec, self.horizon, seed.split(0)), truth)
+        return Realization(draw_counts(spec, times, self.horizon, seed.split(0)), truth)
+
+
 @dataclass(frozen=True)
-class SmoothJumpScenario:
-    """Poisson process: smooth sinusoidal base plus an exponentially decaying
-    jump of size ``jump`` at a uniform-random onset (the ``sin-plus-exp``
-    rate preset).  The onset is uniform on [onset_low, onset_high]."""
+class SmoothJumpScenario(_PoissonScenario):
+    """Smooth sinusoidal base plus an exponentially decaying jump of size
+    ``jump`` at the onset (the ``sin-plus-exp`` rate preset)."""
 
     base: float = 1e4
     jump: float = 8e3
     horizon: float = 20.0
 
-    onset_low = 5.0
-    onset_high = 15.0
     analysis_window = None
 
-    def realize(self, seed, times=None) -> Realization:
-        seed = as_seed(seed)
-        truth = float(seed.split(1).uniform(self.onset_low, self.onset_high))
-        spec = preset_rate_spec("sin-plus-exp", base=self.base, jump=self.jump, onset=truth)
-        return Realization(_poisson_counts(spec, self.horizon, seed, times), truth)
+    def _rate(self, onset: float) -> RateSpec:
+        return preset_rate_spec("sin-plus-exp", base=self.base, jump=self.jump, onset=onset)
 
 
 @dataclass(frozen=True)
-class ConstNullScenario:
-    """Constant-rate Poisson process with no jump.
+class ConstNullScenario(_PoissonScenario):
+    """Constant rate with no jump.
 
-    The "truth" is still drawn uniform on [onset_low, onset_high] so the
-    error of an estimator that cannot possibly find anything is well
-    defined; analysis is restricted to that interval, hence the mean error
-    of a noise-driven argmax approaches span/3.
+    The "truth" is still drawn as the onset, so the error of an estimator
+    that cannot possibly find anything is well defined; analysis is
+    restricted to [onset_low, onset_high], hence the mean error of a
+    noise-driven argmax approaches span/3.
     """
 
     base: float = 1e4
     horizon: float = 20.0
 
-    onset_low = 5.0
-    onset_high = 15.0
-    analysis_window = (onset_low, onset_high)
+    analysis_window = (_PoissonScenario.onset_low, _PoissonScenario.onset_high)
 
-    def realize(self, seed, times=None) -> Realization:
-        seed = as_seed(seed)
-        truth = float(seed.split(1).uniform(self.onset_low, self.onset_high))
-        spec = RateSpec(components=(JumpComponent(self.base, 0.0, Constant()),))
-        return Realization(_poisson_counts(spec, self.horizon, seed, times), truth)
-
-
-def _poisson_counts(spec: RateSpec, horizon: float, seed: SimSeed, times):
-    """N of a Poisson scenario's realization from the stream ``seed.split(0)``:
-    drawn at ``times`` only, or, with ``times=None``, as the whole event
-    stream by thinning."""
-    if times is None:
-        return simulate(spec, horizon, seed.split(0))
-    return draw_counts(spec, times, horizon, seed.split(0))
+    def _rate(self, onset: float) -> RateSpec:
+        return RateSpec(components=(JumpComponent(self.base, 0.0, Constant()),))
 
 
 @dataclass(frozen=True)
@@ -396,16 +402,17 @@ def false_alarm_study(
 
 @dataclass(frozen=True)
 class Preset:
-    """A named, reproducible parameter bundle for the CLI and the demos."""
+    """A named, reproducible parameter bundle.  One whose params name a
+    ``scenario`` is a heatmap preset, which ``heatmap --preset`` runs; any
+    other is read by its name where it is used."""
 
     name: str
-    kind: str  # heatmap | false-alarm | poisson-demo | cascade-demo | multicascade | series-demo
     summary: str
     params: dict
 
     def describe(self) -> str:
         shown = " ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        return f"{self.name} [{self.kind}] {self.summary} ({shown})"
+        return f"{self.name} {self.summary} ({shown})"
 
 
 def _linspace(lo: float, hi: float, n: int) -> tuple:
@@ -415,13 +422,11 @@ def _linspace(lo: float, hi: float, n: int) -> tuple:
 PRESETS = {
     "fig1": Preset(
         name="fig1",
-        kind="poisson-demo",
         summary="single sinusoid+jump realization for eyeballing the derivative profile",
         params={"base": 1e6, "jump": 4e4, "onset": 9.0, "horizon": 20.0, "k": 3, "delta": 0.1},
     ),
     "fig2-scaled": Preset(
         name="fig2-scaled",
-        kind="heatmap",
         summary="smooth+jump error heatmap at 1e4 base rate (jump preserves A/sqrt(B))",
         params={
             "scenario": "smooth-jump",
@@ -435,7 +440,6 @@ PRESETS = {
     ),
     "fig2-full": Preset(
         name="fig2-full",
-        kind="heatmap",
         summary="smooth+jump heatmap at the full 1e6 base rate (~2e7 events a trial, "
                 "drawn as counts on the lattice)",
         params={
@@ -448,15 +452,8 @@ PRESETS = {
             "trials": 100,
         },
     ),
-    "fig4": Preset(
-        name="fig4",
-        kind="cascade-demo",
-        summary="one planted-hub tree cascade and its count derivative near the hub time",
-        params={"height": 18, "extra_leaves": 3000, "k": 2, "delta": 0.3},
-    ),
     "fig5": Preset(
         name="fig5",
-        kind="heatmap",
         summary="planted-hub tree error heatmap over (k, delta)",
         params={
             "scenario": "si-tree",
@@ -467,15 +464,8 @@ PRESETS = {
             "trials": 20,
         },
     ),
-    "const-null": Preset(
-        name="const-null",
-        kind="false-alarm",
-        summary="constant-rate process, threshold detector: expect no alarms",
-        params={"base": 1e4, "horizon": 20.0, "threshold": 8e3, "k": 4, "delta": 0.24, "runs": 100},
-    ),
     "multicascade-tree": Preset(
         name="multicascade-tree",
-        kind="multicascade",
         summary="intersect per-cascade candidates to pin the planted hub",
         # calibrated on the benchmark tree: over 20 repetitions on each of
         # two disjoint seed batches (SimSeed bases 777 and 4242) the hub was
@@ -491,12 +481,6 @@ PRESETS = {
             "window": 0.04,
         },
     ),
-    "sd-covid-style": Preset(
-        name="sd-covid-style",
-        kind="series-demo",
-        summary="synthetic daily-count series with a reporting spike, analyzed at delta = 1 day",
-        params={"days": 90, "base_per_day": 100.0, "spike": 400, "spike_day": 40, "k": 2, "delta_days": 1},
-    ),
 }
 
 
@@ -507,15 +491,16 @@ def get_preset(name: str) -> Preset:
 
 
 def heatmap_spec_from_preset(preset: Preset, **overrides) -> ExperimentSpec:
-    """Build the ExperimentSpec for a heatmap-kind preset.
+    """Build the ExperimentSpec for a heatmap preset, one whose params name a
+    scenario.
 
     Recognized overrides: trials, base_seed, k_grid, delta_grid, and the
     parameter that sizes the preset scenario's planted change (jump or
     extra_leaves; see ``HEATMAP_SCENARIOS``).  Others raise; None means
     not given.
     """
-    if preset.kind != "heatmap":
-        raise ValueError(f"preset {preset.name!r} is {preset.kind}, not a heatmap")
+    if "scenario" not in preset.params:
+        raise ValueError(f"preset {preset.name!r} names no scenario: it is not a heatmap")
     params = dict(preset.params)
     cls, change = HEATMAP_SCENARIOS[params["scenario"]]
     overrides = {k: v for k, v in overrides.items() if v is not None}

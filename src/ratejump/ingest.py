@@ -50,8 +50,8 @@ from operator import itemgetter
 import numpy as np
 
 from .derivative import DerivativeProfile, derivative_profile
-from .process import (BinnedSeries, SampledCounts, _as_counts, _check_integer, _fields_equal,
-                      _file_error, _input_file, _parse_count, from_binned)
+from .process import (BinnedSeries, SampledCounts, _as_counts, _blank_row, _check_integer,
+                      _fields_equal, _file_error, _input_file, _parse_count, from_binned)
 
 __all__ = [
     "RegionSeries",
@@ -224,7 +224,7 @@ def _read_rows(path, region):
             ri = _column_index(header, "region")
             hidden[0] = reader.line_num
             reader = csv.reader(itertools.chain(_region_lines(fh, region, ri, hidden), fh))
-        for row in filter(None, reader):
+        for row in itertools.filterfalse(_blank_row, reader):
             try:
                 if ri is not None and row[ri].strip() != region:
                     continue

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import DetectorConfig, detect
-from .process import _check_window, _write_lines
+from .process import _check_finite, _check_window, _write_lines
 from .si import CascadeTrace, infection_count_process
 
 __all__ = [
@@ -52,12 +52,13 @@ def candidate_vertices(trace: CascadeTrace, change_times, window: float) -> set:
     those with ``|times - t| <= window`` for some t.
 
     ``window=inf`` admits every vertex; an empty ``change_times`` gives an
-    empty set.  The mask of candidates, one byte a vertex, is built a chunk
+    empty set, and one that is not finite is an error naming
+    ``change_times[i]``.  The mask of candidates, one byte a vertex, is built a chunk
     of ``_MASK_CHUNK`` vertices at a time, every change time tested against
     a chunk while it is in cache, so no float array of n is made.
     """
     window = _check_window(window)
-    change_times = list(change_times)
+    change_times = [_check_finite(t, f"change_times[{i}]") for i, t in enumerate(change_times)]
     if not change_times:
         return set()
     times = trace.times

@@ -11,6 +11,10 @@ decay, or polynomial.
 Windows.  ``simulate`` cuts [0, horizon] at every integer and at every
 onset, so on each window [a, b) every component is either on throughout or
 off throughout, and Lambda is the sum of the on components' smooth shapes.
+The cuts at integers keep each window short, because the non-negativity
+certificate (below) lets Lambda dip to -_SLACK times the window's own
+maximum: on one window of [0, 20) a quadratic rate near 1e6 at the ends
+would let a dip of -1e-4 at 10.02 pass inside a tolerance of about 1e-3.
 One pass, before the first draw, certifies each window (below) and splits
 it: a window whose envelope M expects M*(b - a) thinning candidates is cut
 into ceil(M*(b - a) / 2**15) equal pieces.  The split depends only on the
@@ -155,8 +159,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process import (EventTimes, SampledCounts, _check_delta, _check_finite, _input_file,
-                      _parse_number, _text_lines, _write_lines)
+from .process import (EventTimes, SampledCounts, _check_delta, _check_finite, _check_interval,
+                      _input_file, _parse_number, _text_lines, _write_lines)
 from .seeding import generator
 
 __all__ = [
@@ -426,8 +430,16 @@ class RateSpec:
 
 
 def eval_rate(spec: RateSpec, t):
-    """Lambda(t), vectorized; right-continuous at onsets (t == onset is in)."""
+    """Lambda(t), vectorized; right-continuous at onsets (t == onset is in).
+    A time that is not finite is an error naming it: ``t``, or ``t[i]`` in
+    an array, by flat index."""
+    if not isinstance(t, np.ndarray) and np.ndim(t) == 0:
+        t = _check_finite(t, "t")
     t = np.asarray(t, dtype=np.float64)
+    finite = np.isfinite(t)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        _check_finite(float(t.flat[i]), f"t[{i}]" if t.ndim else "t")
     out = np.zeros_like(t)
     for comp in spec.components:
         active = t >= comp.onset
@@ -457,9 +469,7 @@ def rate_upper_bound(spec: RateSpec, window: tuple) -> float:
     supremum itself for a single component; ``simulate`` pads it by the
     relative margin ``_SLACK`` to get its thinning envelope.
     """
-    a, b = float(window[0]), float(window[1])
-    if b < a:
-        raise ValueError(f"window must satisfy a <= b, got {window}")
+    a, b = _check_interval(window)
     # the components on somewhere in [a, b), or at the point a == b
     return _bounds([c for c in spec.components if c.onset < b or c.onset == a == b], a, b)[1]
 

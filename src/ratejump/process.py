@@ -114,6 +114,16 @@ def _check_finite(value, name: str, low: float = -math.inf) -> float:
     return number
 
 
+def _check_interval(window) -> tuple:
+    """``window`` as a (lo, hi) pair of finite floats with lo <= hi, bools,
+    non-numbers and a sequence of other length rejected: the rule on an
+    interval, a window, naming it."""
+    lo, hi = (_real(end) for end in window) if len(window) == 2 else (math.nan, math.nan)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"window must satisfy lo <= hi with both finite, got {window}")
+    return lo, hi
+
+
 def _check_indices(n: int, arcs: int, subject: str = "") -> None:
     """The one bound on a graph's size, before it is built: its int32 CSR
     indexes n vertices and the arcs, two per edge, so neither may exceed
@@ -258,6 +268,13 @@ def _text_lines(lines):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield lineno, line
+
+
+def _blank_row(row) -> bool:
+    """Whether a CSV row is empty or one field of blanks, a line that holds
+    nothing: every CSV loader skips it, as ``_text_lines`` skips a blank
+    line, and numbers its other rows by file line all the same."""
+    return not row or (len(row) == 1 and not row[0].strip())
 
 
 def _pair_chunks(times: np.ndarray):
@@ -493,9 +510,7 @@ def load_binned_csv(path) -> BinnedSeries:
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["bin_start", "count"]:
             raise ValueError(f"expected header 'bin_start,count', got {header}")
-        for row in reader:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
+        for row in itertools.filterfalse(_blank_row, reader):
             lines.append(reader.line_num)
             if len(row) < 2:
                 raise ValueError(f"expected 2 fields, got {len(row)}")

@@ -57,6 +57,7 @@ is not a tree, or on a tree too deep to fold, loads scipy, and
 
 from __future__ import annotations
 
+import array
 import csv
 import itertools
 import math
@@ -65,8 +66,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .process import (EventTimes, _check_finite, _check_indices, _check_integer, _fields_equal,
-                      _input_file, _parse_number, _text_lines, _write_csv)
+from .process import (EventTimes, _blank_row, _check_finite, _check_indices, _check_integer,
+                      _fields_equal, _file_error, _input_file, _parse_number, _text_lines,
+                      _write_csv)
 from .seeding import generator
 
 __all__ = [
@@ -582,9 +584,12 @@ def load_edge_list(path) -> Graph:
     ``_MAX_VERTEX``]).  A bad id, a self-loop, an edge listed twice (in
     either orientation) or a byte that is not UTF-8 is rejected with its
     line, and the resulting graph must pass the usual validation
-    (connected).
+    (connected).  The ids and each edge's line are held in integer arrays,
+    not one object per edge; a repeat is looked for once every line is
+    read, so a bad line after it is the error reported, and the first
+    repeat in the file is named with the line of the edge it repeats.
     """
-    first_line = {}  # (min, max) endpoint pair -> line it was first listed on
+    given, lines = array.array("q"), array.array("q")  # each edge's u, v as listed; its line
     with _input_file(path, "line", lambda: lineno) as fh:
         for lineno, line in _text_lines(fh):
             parts = line.split()
@@ -594,13 +599,29 @@ def load_edge_list(path) -> Graph:
                     for part in parts)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            earlier = first_line.setdefault((min(u, v), max(u, v)), lineno)
-            if earlier != lineno:
-                raise ValueError(f"edge {u} {v} repeats the edge on line {earlier}")
-    if not first_line:
+            given.extend((u, v))
+            lines.append(lineno)
+    if not lines:
         raise ValueError(f"{path}: no edges")
-    ends = np.asarray(list(first_line), dtype=np.int64)
-    return Graph(int(ends.max()) + 1, ends[:, 0], ends[:, 1])
+    ends = np.frombuffer(given, dtype=np.int64).reshape(-1, 2)
+    low, high = ends.min(axis=1), ends.max(axis=1)
+    n = int(high.max()) + 1
+    # an edge listed twice, in either orientation, is a key seen twice once
+    # sorted, as in Graph; the stable sort keeps each key's listings in file order
+    key = low * n + high
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    again = np.flatnonzero(key[1:] == key[:-1]) + 1  # sorted positions of later listings
+    if again.size:
+        i = again[np.argmin(order[again])]  # the first repeat in the file
+        first = order[np.searchsorted(key, key[i])]
+        u, v = ends[order[i]].tolist()
+        raise _file_error(path, "line", lines[order[i]],
+                          f"edge {u} {v} repeats the edge on line {lines[first]}")
+    del ends, given, lines, order, key, again
+    # ids are at most _MAX_VERTEX, so int32 is exact; the int64 ends go first
+    low, high = low.astype(np.int32), high.astype(np.int32)
+    return Graph(n, low, high)
 
 
 def load_trace_csv(path) -> CascadeTrace:
@@ -617,9 +638,7 @@ def load_trace_csv(path) -> CascadeTrace:
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["vertex", "time"]:
             raise ValueError(f"expected header 'vertex,time', got {header}")
-        for row in reader:
-            if not row:
-                continue
+        for row in itertools.filterfalse(_blank_row, reader):
             if len(row) < 2:
                 raise ValueError(f"expected 'vertex,time', got {row}")
             v = _check_integer(_parse_number(row[0]), "vertex", low=0, high=_MAX_VERTEX)

@@ -576,8 +576,7 @@ def test_detect_daily_csv_on_a_grid_step_of_part_days_names_the_step(tmp_path, c
 def test_presets_lists_every_figure(tmp_path, capsys):
     code, out, err = run(capsys, "presets", "--out-dir", str(tmp_path))
     assert code == 0, err
-    for name in ["fig1", "fig2-scaled", "fig2-full", "fig4", "fig5",
-                  "sd-covid-style", "const-null", "multicascade-tree"]:
+    for name in ["fig1", "fig2-scaled", "fig2-full", "fig5", "multicascade-tree"]:
         assert name in out
     assert "sin-plus-exp" in out
     assert (tmp_path / "presets.txt").exists()

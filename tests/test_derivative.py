@@ -359,7 +359,7 @@ def test_every_grid_is_all_of_its_window_and_reads_only_the_horizon(
 @pytest.mark.parametrize("window", [(3.0, 2.0), (math.nan, 5.0), (2.0, math.nan)])
 def test_a_window_must_be_ordered(window):
     e = EventTimes(times=np.array([1.0, 2.0]), horizon=10.0)
-    with pytest.raises(ValueError, match=r"^window must satisfy lo <= hi, got \("):
+    with pytest.raises(ValueError, match=r"^window must satisfy lo <= hi with both finite, got \("):
         windowed_profiles(e, [1], 0.5, 10, window)
 
 

@@ -469,17 +469,8 @@ def test_spec_validation():
 
 
 def test_presets_registry():
-    expected = {
-        "fig1",
-        "fig2-scaled",
-        "fig2-full",
-        "fig4",
-        "fig5",
-        "const-null",
-        "multicascade-tree",
-        "sd-covid-style",
-    }
-    assert expected <= set(PRESETS)
+    expected = {"fig1", "fig2-scaled", "fig2-full", "fig5", "multicascade-tree"}
+    assert expected == set(PRESETS)
     for name in expected:
         assert isinstance(get_preset(name), Preset)
         assert get_preset(name).describe()

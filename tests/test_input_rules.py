@@ -17,14 +17,14 @@ import numpy as np
 import pytest
 
 from ratejump.cli import main
-from ratejump.derivative import derivative_profile, derivative_profiles
+from ratejump.derivative import _lattice_plan, derivative_profile, derivative_profiles
 from ratejump.detector import DetectorConfig, argmax_single, detect
 from ratejump.harness import (ExperimentSpec, SmoothJumpScenario, false_alarm_study, get_preset,
                               heatmap_spec_from_preset, run_heatmap)
 from ratejump.ingest import RegionSeries, analyze_binned, load_daily_csv
-from ratejump.multicascade import CascadeBundle, estimate_high_degree
+from ratejump.multicascade import CascadeBundle, candidate_vertices, estimate_high_degree
 from ratejump.poisson import (Constant, ExpDecay, JumpComponent, Polynomial, RateSpec, Sinusoid,
-                              draw_counts, load_rate_spec, simulate)
+                              draw_counts, eval_rate, load_rate_spec, rate_upper_bound, simulate)
 from ratejump.process import (BinnedSeries, EventTimes, SampledCounts, bin_events, from_binned,
                               load_binned_csv, load_event_times, save_event_times)
 from ratejump.seeding import SimSeed, as_seed
@@ -33,6 +33,7 @@ from ratejump.si import (CascadeTrace, Graph, build_tree_with_hub, jump_at_infec
 
 EVENTS = EventTimes(times=np.linspace(0.5, 9.5, 40), horizon=10.0)
 FLAT = RateSpec(components=(JumpComponent(5.0, 0.0, Constant()),))
+TRACE = CascadeTrace(times=np.array([0.0, 0.5, 1.0]), source=0)
 
 # entry point -> (call with the bad value in the order's place, the field it names)
 ORDER_ENTRIES = {
@@ -76,6 +77,9 @@ FINITE_ENTRIES = {
                               r"^horizon must be finite and >= 0, got "),
     "BinnedSeries start_time": (lambda v: BinnedSeries(1.0, [1, 2], start_time=v),
                                 r"^start_time must be finite, got "),
+    "eval_rate t": (lambda v: eval_rate(FLAT, v), r"^t must be finite, got "),
+    "candidate_vertices change time": (lambda v: candidate_vertices(TRACE, [0.5, v], 0.5),
+                                       r"^change_times\[1\] must be finite, got "),
 }
 
 # N known at knots a day apart sets a grid of one day: a delta must be a
@@ -117,6 +121,35 @@ def test_finite_rule(entry, bad):
     call, field = FINITE_ENTRIES[entry]
     with pytest.raises(ValueError, match=field + re.escape(repr(bad)) + "$"):
         call(bad)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_finite_rule_names_the_time_in_an_array(bad):
+    with pytest.raises(ValueError, match=re.escape(f"t[1] must be finite, got {bad!r}") + "$"):
+        eval_rate(FLAT, np.array([0.5, bad, 1.0]))
+    with pytest.raises(ValueError, match=re.escape(f"t[3] must be finite, got {bad!r}") + "$"):
+        eval_rate(FLAT, np.array([[0.5, 1.0], [2.0, bad]]))
+
+
+# entry point -> a call with the bad window in the interval's place
+INTERVAL_ENTRIES = {
+    "rate_upper_bound": lambda w: rate_upper_bound(FLAT, w),
+    "_lattice_plan": lambda w: _lattice_plan([1], [0.5], 10, 10.0, w),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INTERVAL_ENTRIES))
+@pytest.mark.parametrize("bad", [(3.0, 2.0), (np.nan, 1.0), (0.0, np.nan), (0.0, np.inf),
+                                 (-np.inf, 1.0), (True, 2.0), ("0", 1.0), (None, 1.0),
+                                 (0.0, 1.0, 2.0), (1.0,)])
+def test_interval_rule(entry, bad):
+    with pytest.raises(ValueError, match=re.escape(
+            f"window must satisfy lo <= hi with both finite, got {bad}") + "$"):
+        INTERVAL_ENTRIES[entry](bad)
+
+
+def test_interval_rule_takes_a_point():
+    assert rate_upper_bound(FLAT, (2.0, 2.0)) == 5.0
 
 
 # entry point -> (a call with the bad value as a vertex id on two vertices, the field it names)
@@ -199,6 +232,9 @@ NUMERIC_STRINGS = {
                                "polynomial coefficient 1 must be finite, got '0.5'"),
     "event-times horizon": (lambda: EventTimes([0.1], horizon="2"),
                             "horizon must be finite and >= 0, got '2'"),
+    "eval_rate t": (lambda: eval_rate(FLAT, "0.5"), "t must be finite, got '0.5'"),
+    "change time": (lambda: candidate_vertices(TRACE, ["1.0"], 0.5),
+                    "change_times[0] must be finite, got '1.0'"),
 }
 
 
@@ -488,6 +524,21 @@ def test_every_loader_names_the_line_and_field_of_a_bad_value(tmp_path, loader, 
     p.write_text(text.format(x="x" if case == "not-a-number" else too_far))
     with pytest.raises(ValueError, match="^" + re.escape(f"{p}: {unit} 2: ") + rf".*\b{field}\b"):
         load(p)
+
+
+@pytest.mark.parametrize("loader", sorted(READERS))
+def test_every_loader_skips_a_line_of_blanks(tmp_path, loader):
+    # a line of blanks after the first holds nothing, and the lines after
+    # it keep their file numbers: the value of line 2 moves to line 3
+    load, text, unit, field, _ = READERS[loader]
+    first, rest = text.split("\n", 1)
+    plain, blanks, bad = tmp_path / "plain", tmp_path / "blanks", tmp_path / "bad"
+    plain.write_text(text.format(x=""))
+    blanks.write_text(f"{first}\n   \n{rest}".format(x=""))
+    assert _fields(load(blanks)) == _fields(load(plain))
+    bad.write_text(f"{first}\n   \n{rest}".format(x="x"))
+    with pytest.raises(ValueError, match="^" + re.escape(f"{bad}: {unit} 3: ") + rf".*\b{field}\b"):
+        load(bad)
 
 
 @pytest.mark.parametrize("loader", sorted(READERS))

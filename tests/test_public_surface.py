@@ -8,7 +8,9 @@ use is a name to delete, not to export.  Likewise each defaulted parameter
 of a public callable outside ``ALLOWED`` must be passed, by keyword or by
 position, by some call there, or be listed in ``PASSED_INDIRECTLY`` with
 the call site that passes it: an option that only the tests set is an
-option to delete.
+option to delete.  A preset, too, must have a runner: its params name a
+heatmap scenario, which ``heatmap --preset`` runs, or the sources look it
+up by its name.
 """
 
 import ast
@@ -19,6 +21,7 @@ import pathlib
 import pkgutil
 
 import ratejump
+from ratejump.harness import HEATMAP_SCENARIOS, PRESETS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = ("src/ratejump", "demos", "bench")
@@ -162,3 +165,30 @@ def _unpassed() -> list:
 def test_every_defaulted_parameter_is_passed_outside_the_tests():
     unpassed = sorted(set(_unpassed()) - set(PASSED_INDIRECTLY))
     assert not unpassed, f"defaulted parameters no call outside the tests passes: {unpassed}"
+
+
+def _presets_looked_up() -> set:
+    """The names in ``get_preset("name")`` calls and ``PRESETS["name"]``
+    subscripts across the sources."""
+    looked_up = set()
+    for node in (node for module in _modules() for node in ast.walk(module)):
+        if isinstance(node, ast.Call) and _func_name(node.func) == "get_preset" and node.args:
+            key = node.args[0]
+        elif isinstance(node, ast.Subscript) and _func_name(node.value) == "PRESETS":
+            key = node.slice
+        else:
+            continue
+        if isinstance(key, ast.Constant):
+            looked_up.add(key.value)
+    return looked_up
+
+
+def test_every_preset_has_a_runner():
+    looked_up = _presets_looked_up()
+    # the sources' lookups this check exists for, so a parser that finds
+    # nothing fails
+    assert {"fig1", "fig2-scaled", "multicascade-tree"} <= looked_up
+    idle = sorted(name for name, preset in PRESETS.items()
+                  if preset.params.get("scenario") not in HEATMAP_SCENARIOS
+                  and name not in looked_up)
+    assert not idle, f"presets that no heatmap runs and no source looks up: {idle}"

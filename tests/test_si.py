@@ -904,6 +904,24 @@ def test_edge_list_round_trip(tmp_path):
     assert sorted(back.edges()) == sorted(g.edges())
 
 
+def test_edge_list_load_keeps_its_peak_memory_down(tmp_path):
+    # the ids and lines in integer arrays and one sort key per edge, then the
+    # Graph's own build: at most 100 bytes an edge, where a dict with a
+    # tuple key per edge held about 240
+    g = build_tree_with_hub(14, 1000)
+    path = tmp_path / "graph.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in g.edges()))
+    tracemalloc.start()
+    try:
+        back = load_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.n_edges == g.n_edges > 30_000
+    assert list(back.edges()) == list(g.edges())
+    assert peak <= 100 * g.n_edges, f"peak {peak} bytes for {g.n_edges} edges"
+
+
 def test_edge_list_errors(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("0 1\n1 2 3\n")
@@ -918,7 +936,8 @@ def test_edge_list_errors(tmp_path):
     ("0 1\n# comment\n1 1\n", "line 3: self-loop at vertex 1"),
     ("0 1\n1 2\n0 1\n", "line 3: edge 0 1 repeats the edge on line 1"),
     ("0 1\n1 2\n\n1 0\n", "line 4: edge 1 0 repeats the edge on line 1"),
-], ids=["self-loop", "repeat", "reversed-repeat"])
+    ("1 2\n2 3\n0 1\n3 2\n2 1\n", "line 4: edge 3 2 repeats the edge on line 2"),
+], ids=["self-loop", "repeat", "reversed-repeat", "first-repeat-in-the-file"])
 def test_edge_list_names_line_of_bad_edge(tmp_path, text, message):
     p = tmp_path / "g.txt"
     p.write_text(text)
