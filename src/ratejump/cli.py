@@ -61,6 +61,8 @@ from .harness import (
     HEATMAP_SCENARIOS,
     PRESETS,
     ExperimentSpec,
+    SITreeScenario,
+    SmoothJumpScenario,
     _scenario_params,
     heatmap_spec_from_preset,
     run_heatmap,
@@ -130,12 +132,12 @@ def _whole(name, low=1):
 @_type
 def _delta_grid(text):
     """Deltas as a comma list, or lo:hi:n for n evenly spaced values."""
-    values = [_parse_number(x) for x in text.split(",")]
-    if text.count(":") == 2:
+    if text.count(":") == 2:  # lo and hi positive and finite, so every delta between is
         lo, hi, n = (_parse_number(x) for x in text.split(":"))
-        values = np.linspace(_check_delta(lo, "delta_grid lo"), _check_delta(hi, "delta_grid hi"),
-                             _check_integer(n, "delta_grid n", high=math.inf)).tolist()
-    return tuple(_check_delta(d, f"delta_grid[{j}]") for j, d in enumerate(values))
+        lo, hi = _check_delta(lo, "delta_grid lo"), _check_delta(hi, "delta_grid hi")
+        return tuple(np.linspace(lo, hi, _check_integer(n, "delta_grid n", high=math.inf)).tolist())
+    return tuple(_check_delta(_parse_number(x), f"delta_grid[{j}]")
+                 for j, x in enumerate(text.split(",")))
 
 
 @_type
@@ -238,12 +240,13 @@ def _tree(args):
 # Each dict maps the flags some run of a subcommand does not read to the
 # value a run that reads one takes when it is not given.
 _RATE_DEFAULTS = {"rate_preset": "sin-plus-exp", "base": None, "jump": None, "onset": None}
-_TREE_DEFAULTS = {"height": 18, "extra_leaves": 8000}
+_TREE_DEFAULTS = _scenario_params(SITreeScenario)
 # multicascade's: its preset's values, and 0 for --source and --seed
 _SIMULATION_DEFAULTS = {name: PRESETS["multicascade-tree"].params.get(name, 0)
                         for name in ("cascades", "height", "extra_leaves", "source", "seed")}
-# a jump not given is 0.8 * base; a heatmap preset brings its own values
-_HEATMAP_DEFAULTS = {"scenario": "smooth-jump", "base": 1e4, "horizon": 20.0,
+# the scenarios' own defaults, but a jump not given is 0.8 * base; a heatmap
+# preset brings its own values
+_HEATMAP_DEFAULTS = {"scenario": "smooth-jump", **_scenario_params(SmoothJumpScenario),
                      **_TREE_DEFAULTS, "trials": 20}
 # the flags that define a scenario
 _SCENARIO_FLAGS = ("scenario", "base", "horizon", "height", "extra_leaves", "jump")
@@ -580,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="heatmap preset: its scenario, grids and trials (see presets)")
     p.add_argument("--scenario", default=None, choices=sorted(HEATMAP_SCENARIOS),
                    help=f"scenario family{_default(hd['scenario'])}")
-    _add_rate_flags(p, ("base", "jump", "horizon"), {"jump": "0.8 B", **hd})
+    _add_rate_flags(p, ("base", "jump", "horizon"), {**hd, "jump": "0.8 B"})
     _add_tree_flags(p, hd, source=False)
     p.add_argument("--k-grid", type=_flag_list(_check_integer, "k_grid"), default=None,
                    help="comma-separated derivative orders, e.g. 1,2,3")

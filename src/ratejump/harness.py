@@ -93,11 +93,17 @@ class _PoissonScenario:
     drawn at ``times`` only, or, with ``times=None``, as the whole event
     stream by thinning.  A subclass gives its fields, ``horizon`` among
     them, its ``analysis_window`` and ``_rate(onset)``, the rate spec of one
-    realization.
+    realization.  Every field is a rate or a time, so each is checked by
+    the rule on a step under its own name when the scenario is made, and
+    stored as that float.
     """
 
     onset_low = 5.0
     onset_high = 15.0
+
+    def __post_init__(self) -> None:
+        for name in _scenario_params(type(self)):
+            object.__setattr__(self, name, _check_delta(getattr(self, name), name))
 
     def realize(self, seed, times=None) -> Realization:
         seed = as_seed(seed)
@@ -176,9 +182,10 @@ HEATMAP_SCENARIOS = {
 }
 
 
-def _scenario_params(cls) -> tuple:
-    """Every parameter a heatmap scenario class takes: its init fields."""
-    return tuple(f.name for f in fields(cls) if f.init)
+def _scenario_params(cls) -> dict:
+    """Every parameter a heatmap scenario class takes, its init fields, with
+    its default: the one statement of the defaults, the CLI's too."""
+    return {f.name: f.default for f in fields(cls) if f.init}
 
 
 @dataclass(frozen=True)

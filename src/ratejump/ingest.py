@@ -51,7 +51,8 @@ import numpy as np
 
 from .derivative import DerivativeProfile, derivative_profile
 from .process import (BinnedSeries, SampledCounts, _as_counts, _blank_row, _check_integer,
-                      _fields_equal, _file_error, _input_file, _parse_count, from_binned)
+                      _fields_equal, _file_error, _first_repeat, _input_file, _parse_count,
+                      from_binned)
 
 __all__ = [
     "RegionSeries",
@@ -248,9 +249,9 @@ def _to_series(path, region: str, rows, mode: str) -> RegionSeries:
     """Turn one region's parsed rows into a gap-free ``RegionSeries``."""
     rows.sort(key=itemgetter(0))  # stable: rows of one date stay in file order
     ordinals = np.fromiter((r[0].toordinal() for r in rows), np.int64, len(rows))
-    repeats = np.flatnonzero(ordinals[1:] == ordinals[:-1])
-    if repeats.size:
-        date, _, rowno = rows[repeats[0] + 1]
+    # in date order, so the repeat named is the earliest date's second row in the file
+    if repeat := _first_repeat(ordinals):
+        date, _, rowno = rows[repeat[0]]
         raise _file_error(path, "row", rowno, f"duplicate date {date}")
 
     days = ordinals - ordinals[0]

@@ -432,14 +432,14 @@ class RateSpec:
 def eval_rate(spec: RateSpec, t):
     """Lambda(t), vectorized; right-continuous at onsets (t == onset is in).
     A time that is not finite is an error naming it: ``t``, or ``t[i]`` in
-    an array, by flat index."""
-    if not isinstance(t, np.ndarray) and np.ndim(t) == 0:
-        t = _check_finite(t, "t")
+    an array, by flat index.  Unless t is a numeric array of finite times,
+    each entry goes through the finite rule, as a scalar does, so a bool or
+    a numeric string in a list is refused, not read as a number."""
+    if not (isinstance(t, np.ndarray) and t.dtype.kind in "iuf" and np.isfinite(t).all()):
+        given = np.asarray(t, dtype=object)
+        t = np.reshape([_check_finite(value, f"t[{i}]" if given.ndim else "t")
+                        for i, value in enumerate(given.flat)], given.shape)
     t = np.asarray(t, dtype=np.float64)
-    finite = np.isfinite(t)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        _check_finite(float(t.flat[i]), f"t[{i}]" if t.ndim else "t")
     out = np.zeros_like(t)
     for comp in spec.components:
         active = t >= comp.onset
@@ -832,34 +832,25 @@ def save_rate_spec(spec: RateSpec, path) -> None:
 # presets
 
 
-def _sin_plus_exp(base: float = 1e6, jump: float = 4e4, onset: float = 9.0) -> RateSpec:
-    """Lambda(t) = base*(1 + sin t) + jump * exp(-(t - onset)) * 1(t >= onset)."""
-    return RateSpec(
-        components=(
-            JumpComponent(amplitude=base, onset=0.0, shape=Sinusoid(offset=1.0, omega=1.0)),
-            JumpComponent(amplitude=jump, onset=onset, shape=ExpDecay(rate=1.0)),
-        )
-    )
-
-
-def _const_plus_exp(base: float = 1e4, jump: float = 8e3, onset: float = 1.0) -> RateSpec:
-    """Lambda(t) = base + jump * exp(-(t - onset)) * 1(t >= onset)."""
-    return RateSpec(
-        components=(
-            JumpComponent(amplitude=base, onset=0.0, shape=Constant()),
-            JumpComponent(amplitude=jump, onset=onset, shape=ExpDecay(rate=1.0)),
-        )
-    )
-
-
+# Each rate preset is base * shape(t) + jump * exp(-(t - onset)) for t >= onset:
+# its base shape, and the defaults of base, jump and onset
 RATE_PRESETS = {
-    "sin-plus-exp": _sin_plus_exp,
-    "const-plus-exp": _const_plus_exp,
+    "sin-plus-exp": (Sinusoid(offset=1.0, omega=1.0), {"base": 1e6, "jump": 4e4, "onset": 9.0}),
+    "const-plus-exp": (Constant(), {"base": 1e4, "jump": 8e3, "onset": 1.0}),
 }
 
 
 def preset_rate_spec(name: str, **overrides) -> RateSpec:
-    """Build a named rate preset; keyword overrides adjust its parameters."""
+    """Build a named rate preset; keyword overrides adjust its parameters.
+    An unknown name, or a parameter the preset does not take, is a
+    ValueError naming what it has."""
     if name not in RATE_PRESETS:
         raise ValueError(f"unknown rate preset {name!r}; have {sorted(RATE_PRESETS)}")
-    return RATE_PRESETS[name](**overrides)
+    shape, defaults = RATE_PRESETS[name]
+    unknown = sorted(set(overrides) - set(defaults))
+    if unknown:
+        raise ValueError(f"rate preset {name!r} takes {', '.join(defaults)}, "
+                         f"not {', '.join(unknown)}")
+    params = {**defaults, **overrides}
+    return RateSpec(components=(JumpComponent(params["base"], 0.0, shape),
+                                JumpComponent(params["jump"], params["onset"], ExpDecay(rate=1.0))))

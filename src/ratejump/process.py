@@ -4,11 +4,53 @@ from its first edge (``from_binned``), since a bin tells N at its edges.
 
 The package-wide convention is that the counting function N(t) is the
 number of events with timestamp <= t, so N is a right-continuous step
-function and N(horizon) is the total event count.  This module also holds
-every value and file rule of the package, among them the one rule on a
-whole number (``_check_integer``: an order, a count, a seed or a vertex id,
-each with its own bounds), and the one path by which a file is read or
-written, and imports no other ``ratejump`` module.
+function and N(horizon) is the total event count.
+
+This module also holds every value and file rule of the package, and the
+one path by which a file is read or written.  It imports no other
+``ratejump`` module, so the simulators and the CLI check their inputs
+without importing the estimator.  Each rule names the field it checks:
+
+- ``_check_integer``, the one rule on a whole number (bools, floats and
+  strings refused): an order k in [1, ``MAX_ORDER``]; a count such as days
+  or trials >= 1, with no upper limit; a seed, a stream, a ``SimSeed.split``
+  path entry, a base seed and a tree's ``extra_leaves`` >= 0; a ``Graph``'s
+  n >= 1; a vertex id (a cascade's source, a ``Graph``'s hub, the vertex of
+  ``Graph.neighbors`` and ``degree``, so of ``rate_at`` and
+  ``jump_at_infection``) in [0, n - 1].
+- ``_check_delta``, a step: positive and finite.  Bools, non-numbers,
+  numeric strings such as ``"0.5"`` and ints beyond the float range are
+  refused (``_real``); numpy scalars are numbers.  A detector's delta and
+  threshold, a heatmap's deltas, a Poisson scenario's fields, a horizon, an
+  amplitude, an ``expdecay`` rate, a bin width and the CLI's step flags
+  follow it.
+- ``_check_finite``, its sibling for a finite field: an onset, the
+  ``sinusoid`` fields, the ``polynomial`` coefficients, the horizon of
+  ``EventTimes`` and ``SampledCounts`` (also >= 0), a ``BinnedSeries``'
+  start time, each of ``d_max``'s estimates and truths, ``eval_rate``'s
+  ``t`` (an array's entry as ``t[i]``) and ``candidate_vertices``' change
+  times.
+- ``_check_interval``, two finite ends with lo <= hi: a lattice plan's
+  analysis window and ``rate_upper_bound``'s window.
+- ``_check_window``, a candidate window, positive with +inf included:
+  ``candidate_vertices`` and ``estimate_high_degree``.
+- ``_as_counts``, event counts: whole numbers in [0, 2**63), taken exactly,
+  for arrays (``BinnedSeries``, ``RegionSeries``, ``analyze_binned``) and,
+  through ``_parse_count``, for the count fields of both CSV loaders.
+- ``_first_repeat``, the one search for a repeated key: an edge listed
+  twice, a trace's vertex, a daily CSV's date.
+
+Every loader, here and in ``ingest``, ``si`` and ``poisson``, opens its
+file through ``_input_file`` and reads each field by ``_parse_number``, as
+the CLI reads its flags, then checks it under its own name: a timestamp
+and a trace's time finite and >= 0, a bin start finite, a binned count an
+integer >= 0, a vertex id of an edge list or a trace in [0, 2**31 - 2], the
+ids a ``Graph``'s int32 CSR indexes, and a rate spec's ``A``, ``t0`` and
+``params`` by the rules of ``JumpComponent`` and the shapes, its parser
+naming its own ``line N``.  Every output file, here and in ``si``,
+``detector``, ``harness``, ``multicascade``, ``poisson`` and the CLI, is
+written through ``_write_lines`` or ``_write_csv``, as UTF-8 with no
+newline translation, so a file reads the same on every platform.
 """
 
 from __future__ import annotations
@@ -130,6 +172,25 @@ def _check_indices(n: int, arcs: int, subject: str = "") -> None:
     the int32 maximum.  ``subject`` leads the message."""
     if max(n, arcs) > np.iinfo(np.int32).max:
         raise ValueError(f"{subject}{n} vertices and {arcs} arcs do not fit int32 indices")
+
+
+def _first_repeat(keys) -> "tuple[int, int] | None":
+    """``(i, j)``: i the first position of ``keys``, in the order given,
+    whose key an earlier position holds, and j the first position holding
+    it; None when no key repeats.  The one search for a repeat: an edge
+    listed twice, a vertex or a date.
+
+    A sorted copy of the keys tells whether any repeats, so an answer of
+    None costs one sort; only then does a stable argsort, which keeps each
+    key's positions in order, say which.
+    """
+    ordered = np.sort(keys)
+    same = ordered[1:] == ordered[:-1]
+    if not same.any():
+        return None
+    order = np.argsort(keys, kind="stable")  # ordered is keys[order]
+    i = int(order[np.flatnonzero(same) + 1].min())
+    return i, int(order[np.searchsorted(ordered, keys[i])])
 
 
 def _count_problem(value) -> "str | None":

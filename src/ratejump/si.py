@@ -17,7 +17,7 @@ and by memorylessness its remaining wait at that moment is again
 Exponential and independent of the past, just like a weight drawn in
 advance.  So the infection time of v is the minimum over paths of the
 summed weights, which Dijkstra computes.  The i-th weight belongs to the
-i-th edge of ``Graph.edges()``.
+i-th edge of ``_edge_ends``.
 
 On a tree (a connected graph with n - 1 edges) there is one path to each
 vertex, so its time is its BFS parent's time plus the weight of the edge
@@ -35,12 +35,13 @@ which each level adds its parents' times in place.  Every gather through
 the plan's int32 indices goes through ``_gather``, which writes into its
 ``out`` with ``np.take(..., mode="clip")`` a chunk of indices at a time:
 clipping skips numpy's per-call bounds check and the copy that check
-costs, and a chunk bounds the intp copy numpy makes of int32 indices to
-one that stays in cache.  Clipping is safe because the plan's every index
-was checked once, when the plan was built, and an index out of range
-there is a RuntimeError.  A level costs a few numpy calls, so a tree with
-more levels than a measured cut-off (path-like trees) keeps Dijkstra, and
-the graph remembers that verdict too.  A ``Graph`` holds one int32 arc
+costs, and a chunk of 2**16 indices (``_GATHER_CHUNK``) bounds the intp
+copy numpy makes of int32 indices to 512 KB, which stays in cache.
+Clipping is safe because the plan's every index was checked once, when
+the plan was built, and an index out of range there is a RuntimeError.
+A level costs a few numpy calls, so a tree with more levels than a
+measured cut-off (path-like trees) keeps Dijkstra, and the graph
+remembers that verdict too.  A ``Graph`` holds one int32 arc
 CSR, built once; the fold plan's build and Dijkstra derive the edge list
 from it (``_edge_ends``), as int32 arrays that scipy takes without a copy.
 
@@ -67,8 +68,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .process import (EventTimes, _blank_row, _check_finite, _check_indices, _check_integer,
-                      _fields_equal, _file_error, _input_file, _parse_number, _text_lines,
-                      _write_csv)
+                      _fields_equal, _file_error, _first_repeat, _input_file, _parse_number,
+                      _text_lines, _write_csv)
 from .seeding import generator
 
 __all__ = [
@@ -95,17 +96,17 @@ class Graph:
     ``Graph(n, u, v)`` builds the graph on vertices 0..n-1 with edge i
     between u[i] and v[i], each edge listed once and in either orientation.
     It validates simplicity (no self-loops, no edge listed twice), naming
-    the first edge at fault, and connectivity: fewer than n - 1 edges are
-    refused before any array of size n is built.  ``hub`` is the planted hub
-    it was given (``build_tree_with_hub``), a vertex id, else None.
+    the first edge at fault in input order (``_repeated_edge``), and
+    connectivity: fewer than n - 1 edges are refused before any array of
+    size n is built.  ``hub`` is the planted hub it was given
+    (``build_tree_with_hub``), a vertex id, else None.
 
     ``indptr``/``indices``, the graph's one representation, hold each edge
     {u, v} as the arcs u -> v and v -> u; the neighbors of x are
     ``indices[indptr[x]:indptr[x + 1]]``: first those of the edges given as
     (x, y), then those of the edges given as (y, x), each in input order.
-    Edge i is the i-th arc u -> v with u < v in CSR order, and edge weights
-    are indexed by it.  No edge list is stored: ``edges()``, the fold plan's
-    build and Dijkstra derive it from the CSR (``_edge_ends``).
+    No edge list is stored: the fold plan's build and Dijkstra derive it
+    from the CSR, and ``_edge_ends`` alone states its order.
 
     A graph is not changed after it is built: its CSR is read-only, and so
     are the arrays of the tree fold's plan that ``simulate_si`` keeps on it
@@ -126,17 +127,9 @@ class Graph:
             loops = np.flatnonzero(u == v)
             if loops.size:
                 raise ValueError(f"self-loop at vertex {int(u[loops[0]])}")
-            # the edge {u, v} has one int64 key min(u, v) * n + max(u, v) in either
-            # orientation, so an edge listed twice is a key seen twice once sorted
-            key = np.minimum(u, v, dtype=np.int64)
-            key *= n
-            key += np.maximum(u, v, dtype=np.int64)
-            key.sort()
-            twice = np.flatnonzero(key[1:] == key[:-1])
-            if twice.size:
-                low, high = divmod(int(key[twice[0]]), n)
+            if repeat := _repeated_edge(u, v, n):
+                low, high = sorted((int(u[repeat[0]]), int(v[repeat[0]])))
                 raise ValueError(f"parallel edge: edge {{{low}, {high}}} is listed twice")
-            del key
         if u.size < n - 1:
             # no such graph is connected: its components are counted before anything
             # of size n is built, as the isolated vertices and those of the edges' ends
@@ -185,16 +178,21 @@ class Graph:
     def n_edges(self) -> int:
         return self.indices.size // 2
 
-    def edges(self):
-        """Iterate over each undirected edge once as (u, v), u < v; weights[i] is edge i's."""
-        u, v = _edge_ends(self)
-        return zip(u.tolist(), v.tolist())
+
+def _repeated_edge(u, v, n: int) -> "tuple[int, int] | None":
+    """``_first_repeat`` of the edges u[i] -- v[i] on n vertices: edge {u, v}
+    has the one int64 key min(u, v) * n + max(u, v) in either orientation."""
+    key = np.minimum(u, v, dtype=np.int64)
+    key *= n
+    key += np.maximum(u, v, dtype=np.int64)
+    return _first_repeat(key)
 
 
 def _edge_ends(graph: Graph) -> "tuple[np.ndarray, np.ndarray]":
     """int32 arrays (u, v) of the graph's edges: edge i is the i-th arc
-    u -> v with u < v in CSR order, so u is sorted.  They are derived from
-    the CSR on each call; the graph keeps no edge list."""
+    u -> v with u < v in CSR order, so u is sorted, and edge weights are
+    indexed by it.  They are derived from the CSR on each call; the graph
+    keeps no edge list."""
     tails = np.repeat(np.arange(graph.n, dtype=np.int32), np.diff(graph.indptr))
     # take at flatnonzero's positions: about twice as fast here as a boolean mask
     upper = np.flatnonzero(tails < graph.indices)
@@ -313,7 +311,7 @@ def simulate_si(graph: Graph, source: int, seed) -> CascadeTrace:
 def _first_passage(graph: Graph, weights: np.ndarray, source: int,
                    buffer: "np.ndarray | None" = None) -> np.ndarray:
     """Shortest-path distances from ``source`` when the i-th edge of
-    ``graph.edges()`` has length ``weights[i]``.
+    ``_edge_ends(graph)`` has length ``weights[i]``.
 
     Trees with few enough BFS levels go to ``_tree_fold``.  Deeper trees
     and every other graph go to Dijkstra, the one search that imports
@@ -604,23 +602,15 @@ def load_edge_list(path) -> Graph:
     if not lines:
         raise ValueError(f"{path}: no edges")
     ends = np.frombuffer(given, dtype=np.int64).reshape(-1, 2)
-    low, high = ends.min(axis=1), ends.max(axis=1)
-    n = int(high.max()) + 1
-    # an edge listed twice, in either orientation, is a key seen twice once
-    # sorted, as in Graph; the stable sort keeps each key's listings in file order
-    key = low * n + high
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    again = np.flatnonzero(key[1:] == key[:-1]) + 1  # sorted positions of later listings
-    if again.size:
-        i = again[np.argmin(order[again])]  # the first repeat in the file
-        first = order[np.searchsorted(key, key[i])]
-        u, v = ends[order[i]].tolist()
-        raise _file_error(path, "line", lines[order[i]],
-                          f"edge {u} {v} repeats the edge on line {lines[first]}")
-    del ends, given, lines, order, key, again
-    # ids are at most _MAX_VERTEX, so int32 is exact; the int64 ends go first
-    low, high = low.astype(np.int32), high.astype(np.int32)
+    n = int(ends.max()) + 1
+    if repeat := _repeated_edge(ends[:, 0], ends[:, 1], n):
+        i, j = repeat
+        raise _file_error(path, "line", lines[i],
+                          f"edge {ends[i, 0]} {ends[i, 1]} repeats the edge on line {lines[j]}")
+    # ids are at most _MAX_VERTEX, so int32 is exact
+    low = np.minimum(ends[:, 0], ends[:, 1], dtype=np.int32, casting="unsafe")
+    high = np.maximum(ends[:, 0], ends[:, 1], dtype=np.int32, casting="unsafe")
+    del ends, given, lines
     return Graph(n, low, high)
 
 
@@ -631,8 +621,13 @@ def load_trace_csv(path) -> CascadeTrace:
     trace written by this package).  Errors name the offending row by its
     file line (``reader.line_num``) and the field at fault: ``vertex`` by
     the vertex rule, as in ``load_edge_list``, and ``time``, finite and >= 0.
+    The ids, times and row numbers are held in arrays, as ``load_edge_list``
+    holds its edges, and a repeated vertex is looked for once every row is
+    read, so a bad row after it is the error reported.  The missing ids are
+    found from the sorted ids, so a trace that skips most ids costs its rows,
+    not its largest id.
     """
-    rows = {}
+    ids, times, rows = array.array("q"), array.array("d"), array.array("q")
     with _input_file(path, "row", lambda: reader.line_num) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -641,20 +636,24 @@ def load_trace_csv(path) -> CascadeTrace:
         for row in itertools.filterfalse(_blank_row, reader):
             if len(row) < 2:
                 raise ValueError(f"expected 'vertex,time', got {row}")
-            v = _check_integer(_parse_number(row[0]), "vertex", low=0, high=_MAX_VERTEX)
-            t = _check_finite(_parse_number(row[1]), "time", 0.0)
-            if v in rows:
-                raise ValueError(f"duplicate vertex {v}")
-            rows[v] = t
+            ids.append(_check_integer(_parse_number(row[0]), "vertex", low=0, high=_MAX_VERTEX))
+            times.append(_check_finite(_parse_number(row[1]), "time", 0.0))
+            rows.append(reader.line_num)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    n = max(rows) + 1
-    if len(rows) != n:  # the first ids absent, from the gaps between the sorted ids
-        gaps = (range(a + 1, b) for a, b in itertools.pairwise([-1, *sorted(rows)]))
+    vertex = np.frombuffer(ids, dtype=np.int64)
+    if repeat := _first_repeat(vertex):
+        raise _file_error(path, "row", rows[repeat[0]], f"duplicate vertex {vertex[repeat[0]]}")
+    n = int(vertex.max()) + 1
+    if vertex.size != n:  # the first ids absent, from the gaps between the sorted ids
+        present = itertools.chain([-1], np.sort(vertex).tolist())
+        gaps = (range(a + 1, b) for a, b in itertools.pairwise(present))
         missing = list(itertools.islice(itertools.chain.from_iterable(gaps), 5))
         raise ValueError(f"{path}: missing vertices, e.g. {missing}")
-    times = np.asarray([rows[v] for v in range(n)])
-    return CascadeTrace(times=times, source=int(np.argmin(times)))
+    # the ids are distinct and n of them, so they place every time once
+    placed = np.empty(n)
+    placed[vertex] = np.frombuffer(times, dtype=np.float64)
+    return CascadeTrace(times=placed, source=int(np.argmin(placed)))
 
 
 def save_trace_csv(trace: CascadeTrace, path) -> None:

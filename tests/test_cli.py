@@ -835,6 +835,35 @@ def test_bad_flag_exit_codes(tmp_path, capsys, argv, code, message):
     assert not list(tmp_path.glob("out/*.manifest"))
 
 
+def test_delta_grid_spans_lo_to_hi():
+    # lo:hi:n is n evenly spaced deltas, both ends included; a comma list is
+    # taken as it is
+    def deltas(text):
+        return build_parser().parse_args(["heatmap", "--k-grid", "1", "--delta-grid", text]
+                                         ).delta_grid
+
+    assert deltas("0.05:2:6") == tuple(np.linspace(0.05, 2.0, 6).tolist())
+    assert deltas("0.05:2:6")[::5] == (0.05, 2.0)
+    assert deltas("0.5:0.5:1") == (0.5,)
+    assert deltas("0.1,0.3") == (0.1, 0.3)
+
+
+@pytest.mark.parametrize("grid,message", [
+    ("0:2:6", "delta_grid lo must be positive and finite, got 0"),
+    ("0.1,0.2:2:6", "delta_grid lo must be positive and finite, got '0.1,0.2'"),
+    ("0.1:inf:6", "delta_grid hi must be positive and finite, got inf"),
+    ("0.1:x:6", "delta_grid hi must be positive and finite, got 'x'"),
+    ("0.1:2:0", "delta_grid n must be >= 1, got 0"),
+    ("0.1:2:2.5", "delta_grid n must be an integer, got 2.5"),
+], ids=["lo-zero", "lo-a-list", "hi-inf", "hi-text", "n-zero", "n-fraction"])
+def test_delta_grid_names_a_bad_lo_hi_or_n(tmp_path, capsys, grid, message):
+    code, out, err = run(capsys, "heatmap", "--k-grid", "1", "--delta-grid", grid,
+                         "--out-dir", str(tmp_path))
+    assert code == 2
+    assert f"argument --delta-grid: {message}\n" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_events_horizon_extends_the_event_file(tmp_path, capsys):
     events = tmp_path / "events.txt"
     events.write_text("0.5\n1.0\n1.5\n2.0\n")

@@ -10,8 +10,9 @@ The layering of the value rules is read from the source, with no import:
 ``ratejump.process`` holds every rule and imports no other ``ratejump``
 module, and the simulators and the CLI take their rules from it, not from
 the estimator, ``ratejump.derivative``.  The one whole-number rule is the
-only integer type test, and ``_parse_number`` the only reading of a number
-from text.  Every file is opened there too.
+only integer type test, ``_parse_number`` the only reading of a number
+from text, and ``_first_repeat`` the only search for a repeated key.  Every
+file is opened there too.
 No module keeps an import it does not use.
 """
 
@@ -203,6 +204,38 @@ def test_every_file_is_opened_in_the_rules_module():
              and node.func.id == "open"]
     assert [(module, line) for module, line in opens if module != "process"] == []
     assert opens, "process opens no file"
+
+
+def _slice_ends(node):
+    """``(lower, upper)`` of a subscript ``x[lower:upper]`` with constant or
+    absent ends, else None."""
+    def end(value):
+        if isinstance(value, ast.UnaryOp) and isinstance(value.op, ast.USub):
+            return -getattr(value.operand, "value", 0)
+        return getattr(value, "value", value)
+
+    if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice):
+        return end(node.slice.lower), end(node.slice.upper)
+    return None
+
+
+def test_one_function_searches_for_a_repeat():
+    # an edge listed twice, a repeated trace vertex and a repeated date are all
+    # found by process._first_repeat: it alone compares sorted keys with their
+    # neighbours, x[1:] == x[:-1]
+    def visit(module, node, where):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        if (isinstance(node, ast.Compare) and len(node.ops) == 1
+                and isinstance(node.ops[0], ast.Eq)
+                and {_slice_ends(node.left), _slice_ends(node.comparators[0])}
+                == {(1, None), (None, -1)}):
+            yield module, where
+        for child in ast.iter_child_nodes(node):
+            yield from visit(module, child, where)
+
+    searches = [hit for module in MODULES for hit in visit(module, _tree(module), None)]
+    assert set(searches) == {("process", "_first_repeat")}
 
 
 # (module, name) imported at module level and never read there, with the

@@ -19,8 +19,8 @@ import pytest
 from ratejump.cli import main
 from ratejump.derivative import _lattice_plan, derivative_profile, derivative_profiles
 from ratejump.detector import DetectorConfig, argmax_single, detect
-from ratejump.harness import (ExperimentSpec, SmoothJumpScenario, false_alarm_study, get_preset,
-                              heatmap_spec_from_preset, run_heatmap)
+from ratejump.harness import (ConstNullScenario, ExperimentSpec, SmoothJumpScenario,
+                              false_alarm_study, get_preset, heatmap_spec_from_preset, run_heatmap)
 from ratejump.ingest import RegionSeries, analyze_binned, load_daily_csv
 from ratejump.multicascade import CascadeBundle, candidate_vertices, estimate_high_degree
 from ratejump.poisson import (Constant, ExpDecay, JumpComponent, Polynomial, RateSpec, Sinusoid,
@@ -57,6 +57,11 @@ DELTA_ENTRIES = {
                       r"^amplitude must"),
     "BinnedSeries": (lambda d: BinnedSeries(bin_width=d, counts=[1, 2]), r"^bin_width must"),
     "bin_events": (lambda d: bin_events(EVENTS, d), r"^bin_width must"),
+    "SmoothJumpScenario base": (lambda d: SmoothJumpScenario(base=d), r"^base must"),
+    "SmoothJumpScenario jump": (lambda d: SmoothJumpScenario(jump=d), r"^jump must"),
+    "SmoothJumpScenario horizon": (lambda d: SmoothJumpScenario(horizon=d), r"^horizon must"),
+    "ConstNullScenario base": (lambda d: ConstNullScenario(base=d), r"^base must"),
+    "ConstNullScenario horizon": (lambda d: ConstNullScenario(horizon=d), r"^horizon must"),
 }
 
 # entry point -> (call with the bad value in the field's place, the field it names)
@@ -78,6 +83,8 @@ FINITE_ENTRIES = {
     "BinnedSeries start_time": (lambda v: BinnedSeries(1.0, [1, 2], start_time=v),
                                 r"^start_time must be finite, got "),
     "eval_rate t": (lambda v: eval_rate(FLAT, v), r"^t must be finite, got "),
+    "eval_rate t in a list": (lambda v: eval_rate(FLAT, [0.5, v]),
+                              r"^t\[1\] must be finite, got "),
     "candidate_vertices change time": (lambda v: candidate_vertices(TRACE, [0.5, v], 0.5),
                                        r"^change_times\[1\] must be finite, got "),
 }
@@ -233,6 +240,10 @@ NUMERIC_STRINGS = {
     "event-times horizon": (lambda: EventTimes([0.1], horizon="2"),
                             "horizon must be finite and >= 0, got '2'"),
     "eval_rate t": (lambda: eval_rate(FLAT, "0.5"), "t must be finite, got '0.5'"),
+    "eval_rate t in an array": (lambda: eval_rate(FLAT, np.array([0.5, "1.0"], dtype=object)),
+                                "t[1] must be finite, got '1.0'"),
+    "eval_rate t in a string array": (lambda: eval_rate(FLAT, np.array(["1.0"])),
+                                      "t[0] must be finite, got '1.0'"),
     "change time": (lambda: candidate_vertices(TRACE, ["1.0"], 0.5),
                     "change_times[0] must be finite, got '1.0'"),
 }

@@ -594,3 +594,6 @@ def test_presets():
     assert eval_rate(spec, 1.0) == pytest.approx(110.0)
     with pytest.raises(ValueError, match="unknown rate preset"):
         preset_rate_spec("nope")
+    with pytest.raises(ValueError, match=r"^rate preset 'sin-plus-exp' takes base, jump, onset, "
+                                         r"not horizon$"):
+        preset_rate_spec("sin-plus-exp", horizon=3)

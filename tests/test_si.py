@@ -25,7 +25,7 @@ from ratejump.si import (
     simulate_si,
 )
 from ratejump.si import _component_count, _edge_ends, _first_passage, _fold_plan
-from small_graphs import from_adjacency
+from small_graphs import edge_list, from_adjacency
 
 
 def path_graph(n):
@@ -98,7 +98,7 @@ def test_graph_validation():
         with pytest.raises(ValueError, match="one-dimensional integer arrays of one length"):
             Graph(3, u, v)
     assert Graph(1, [], []).n_edges == 0
-    assert list(Graph(3, *np.array([[2, 1], [1, 0]], dtype=np.uint64)).edges()) == [(0, 1), (1, 2)]
+    assert edge_list(Graph(3, *np.array([[2, 1], [1, 0]], dtype=np.uint64))) == [(0, 1), (1, 2)]
     with pytest.raises(ValueError, match=r"^vertex must be >= 0, got -1$"):
         triangle().neighbors(-1)
     for n, message in ((2.5, "n must be an integer, got 2.5"),
@@ -124,12 +124,19 @@ def test_graph_errors_name_the_arc(n, u, v, message):
         Graph(n, u, v)
 
 
+def test_graph_names_the_first_repeat_in_input_order():
+    # {2, 3} repeats at position 2 and {0, 1} at position 3: the first repeat
+    # in the order given is named, not the smallest repeated edge
+    with pytest.raises(ValueError, match=r"^parallel edge: edge \{2, 3\} is listed twice$"):
+        Graph(4, [2, 0, 2, 0, 1], [3, 1, 3, 1, 2])
+
+
 def test_neighbor_order_follows_the_input():
     # a row lists the edges given from its vertex, then those given to it,
-    # each in input order; edges() takes each row's larger neighbors
+    # each in input order; the edge list takes each row's larger neighbors
     g = Graph(4, [1, 0, 1, 3], [2, 1, 3, 0])
     assert [g.neighbors(x).tolist() for x in range(4)] == [[1, 3], [2, 3, 0], [1], [0, 1]]
-    assert list(g.edges()) == [(0, 1), (0, 3), (1, 2), (1, 3)]
+    assert edge_list(g) == [(0, 1), (0, 3), (1, 2), (1, 3)]
 
 
 def component_cases():
@@ -215,7 +222,7 @@ def test_build_tree_matches_loop_build(height, extra_leaves):
     ref, hub = loop_built_tree(height, extra_leaves)
     assert g.hub == hub
     assert g.n == ref.n
-    assert sorted(g.edges()) == sorted(ref.edges())
+    assert sorted(edge_list(g)) == sorted(edge_list(ref))
 
 
 def test_build_tree_validation():
@@ -477,7 +484,7 @@ def test_first_passage_matches_reference_dijkstra():
     rng = np.random.default_rng(31)
     for trial in range(40):
         g = random_connected_graph(rng, int(rng.integers(2, 12)))
-        edges = list(g.edges())
+        edges = edge_list(g)
         weights = rng.exponential(1.0, len(edges))
         weights[rng.random(len(edges)) < 0.3] = 0.0
         source = int(rng.integers(0, g.n))
@@ -494,7 +501,7 @@ def weights_with_zeros(rng, m):
 
 
 def reference_times(graph, weights, source):
-    edges = list(graph.edges())
+    edges = edge_list(graph)
     return first_passage_times(graph.n, edges, dict(zip(edges, weights.tolist())), source)
 
 
@@ -715,9 +722,9 @@ def unsorted_graphs():
 
 @pytest.mark.parametrize("graph", list(unsorted_graphs()))
 def test_weight_i_belongs_to_edge_i(monkeypatch, graph):
-    # the i-th weight is the length of the i-th edge of edges(), on the fold
+    # the i-th weight is the length of the i-th edge of _edge_ends, on the fold
     # path (trees) and the Dijkstra path (every other graph) alike
-    edges = list(graph.edges())
+    edges = edge_list(graph)
     assert edges != sorted(edges)  # a mix-up with sorted order would show
     is_tree = graph.n_edges == graph.n - 1
     calls = count_calls(monkeypatch, "dijkstra")
@@ -860,6 +867,29 @@ def test_fold_equals_dijkstra_at_any_gather_chunk(monkeypatch, graph, chunk):
     assert dijkstra_calls == []
 
 
+def test_fold_and_simulate_si_equal_dijkstra_on_the_benchmark_tree():
+    # the other fold tests take trees of up to 5k vertices; cascades on the
+    # 532k-vertex planted-hub tree (levels of 262k vertices) go through the
+    # fold's chunked out= gathers, several chunks a level, and scipy's
+    # Dijkstra on the same edge weights must give the same bits: once on
+    # caller weights, once through simulate_si, whose times overwrite its
+    # weights; the graph keeps its int32 CSR alone, and scipy reads the edge
+    # ends derived from it
+    graph = build_tree_with_hub(18, 8000)
+    kept = sum(a.nbytes for a in vars(graph).values() if isinstance(a, np.ndarray))
+    assert kept == 4 * (graph.n + 1 + 2 * (graph.n - 1)), f"the graph keeps {kept} bytes of arrays"
+    weights = np.random.default_rng(43).standard_exponential(graph.n_edges)
+    assert _fold_plan(graph, graph.hub) is not None, "the tree should fold"
+    got = _first_passage(graph, weights, graph.hub)
+    matrix = csr_matrix((weights, _edge_ends(graph)), shape=(graph.n, graph.n))
+    want = csgraph.dijkstra(matrix, directed=False, indices=graph.hub)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), "fold != Dijkstra"
+    assert np.random.default_rng(43).standard_exponential(graph.n_edges).tobytes() == \
+        weights.tobytes(), "the fold wrote the weights it was given"
+    got = simulate_si(graph, graph.hub, np.random.default_rng(43)).times
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), "simulate_si != Dijkstra"
+
+
 @pytest.mark.parametrize("chunk", [1, 3, 64])
 def test_simulate_si_on_a_graph_equals_first_passage_on_its_draws(monkeypatch, chunk):
     # off the fold, the shared array only holds the weights for Dijkstra
@@ -898,10 +928,10 @@ def test_edge_list_round_trip(tmp_path):
     g = build_tree_with_hub(3, 4)
     path = tmp_path / "graph.txt"
     path.write_text(f"# undirected edge list, {g.n} vertices\n"
-                    + "".join(f"{u} {v}\n" for u, v in g.edges()))
+                    + "".join(f"{u} {v}\n" for u, v in edge_list(g)))
     back = load_edge_list(path)
     assert back.n == g.n
-    assert sorted(back.edges()) == sorted(g.edges())
+    assert sorted(edge_list(back)) == sorted(edge_list(g))
 
 
 def test_edge_list_load_keeps_its_peak_memory_down(tmp_path):
@@ -910,7 +940,7 @@ def test_edge_list_load_keeps_its_peak_memory_down(tmp_path):
     # tuple key per edge held about 240
     g = build_tree_with_hub(14, 1000)
     path = tmp_path / "graph.txt"
-    path.write_text("".join(f"{u} {v}\n" for u, v in g.edges()))
+    path.write_text("".join(f"{u} {v}\n" for u, v in edge_list(g)))
     tracemalloc.start()
     try:
         back = load_edge_list(path)
@@ -918,8 +948,25 @@ def test_edge_list_load_keeps_its_peak_memory_down(tmp_path):
     finally:
         tracemalloc.stop()
     assert back.n_edges == g.n_edges > 30_000
-    assert list(back.edges()) == list(g.edges())
+    assert edge_list(back) == edge_list(g)
     assert peak <= 100 * g.n_edges, f"peak {peak} bytes for {g.n_edges} edges"
+
+
+def test_trace_load_keeps_its_peak_memory_down(tmp_path):
+    # the ids, times and row numbers in arrays, then a sorted copy of the ids
+    # and the trace's own times: at most 64 bytes a row, where a dict entry
+    # per row held about 108
+    trace = simulate_si(build_tree_with_hub(14, 1000), 0, SimSeed(0, 0))
+    path = tmp_path / "trace.csv"
+    save_trace_csv(trace, path)
+    tracemalloc.start()
+    try:
+        back = load_trace_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == trace and trace.n > 30_000
+    assert peak <= 64 * trace.n, f"peak {peak} bytes for {trace.n} rows"
 
 
 def test_edge_list_errors(tmp_path):
@@ -1008,6 +1055,19 @@ def test_trace_csv_errors(tmp_path):
         load_trace_csv(p)
     p.write_text("vertex,time\n0,0.0\n2,1.0\n")
     with pytest.raises(ValueError, match="missing"):
+        load_trace_csv(p)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("0,0.0\n1,0.5\n0,1.0\n", "row 4: duplicate vertex 0"),
+    ("1,0.5\n0,0.0\n2,1.0\n1,0.7\n0,0.2\n", "row 5: duplicate vertex 1"),
+    # a repeat is looked for once every row is read
+    ("0,0.0\n0,1.0\n1,bad\n", "row 4: time must be finite and >= 0, got 'bad'"),
+], ids=["repeat", "first-repeat-in-the-file", "bad-row-after-a-repeat"])
+def test_trace_csv_names_the_row_of_a_repeated_vertex(tmp_path, text, message):
+    p = tmp_path / "t.csv"
+    p.write_text("vertex,time\n" + text)
+    with pytest.raises(ValueError, match=re.escape(f"{p}: {message}") + "$"):
         load_trace_csv(p)
 
 
