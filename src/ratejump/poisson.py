@@ -8,6 +8,17 @@ A rate function is a sum of onset components
 where each shape x_i is one of: constant 1, offset sinusoid, exponential
 decay, or polynomial.
 
+Specs.  An amplitude, an ``expdecay`` rate and a horizon follow the rule
+on a step delta (positive and finite), and an onset (finite, >= 0), the
+``sinusoid`` fields and the ``polynomial`` coefficients (finite) its
+sibling, both rules of ``ratejump.process``: a bool, or anything that is
+not a real number, a numeric string too, is a ValueError naming the shape
+and field, and the float is stored.  The text format holds one component
+a line, ``A=<amplitude> t0=<onset> shape=<name> params=<p1>,<p2>,...``,
+and reads each shape's arity from its fields; ``load_rate_spec`` reads
+its file as every loader of ``ratejump.process`` does.  ``RATE_PRESETS``
+holds the named specs of ``preset_rate_spec``.
+
 Windows.  ``simulate`` cuts [0, horizon] at every integer and at every
 onset, so on each window [a, b) every component is either on throughout or
 off throughout, and Lambda is the sum of the on components' smooth shapes.
@@ -79,7 +90,20 @@ rows of its largest piece's candidate count: the positions, the
 acceptance uniforms and Lambda.  The first component's term is written
 into the Lambda row; each later one, and any onset shift, into the
 uniforms' row, which is free until the acceptance draw, and then added.
-So no array is allocated per component per piece.
+A sinusoid's 1 + t*t, the one more row its sine needs, lives in the
+piece's own output slots, ``out[:n]`` for n candidates, which are free
+until the piece writes its accepted times there.  So no array is
+allocated per component per piece, and the sine of a piece is three
+full-length numpy calls.  Short calls cost the threads of the blocks
+their overlap, since each hands the GIL on.  With numpy 2.4.6 on two
+shared CPUs of an AVX512 Xeon, the benchmark's stream-jumps op
+(``simulate`` and ``detect`` of a 5.6e6-event stream) took a median of
+0.197 s at the benchmark's reference speed with the 1 + t*t in steps of
+4,096 values, 18 calls of a few microseconds a piece, and 0.179 s in one
+step (10 alternating pairs); on one CPU (``taskset -c 0``) it took 0.254
+and 0.256 s.  Outside thinning (``eval_rate``, and ``integral`` in
+``draw_counts``) the sine takes 1 + t*t in steps of a buffer of at most
+``_SINE_CHUNK`` values, so its temporary stays bounded.
 
 Non-negativity.  Before anything is drawn, every window is certified: the
 sum of its components' minima must be >= -_SLACK times the sum of their
@@ -194,7 +218,8 @@ _PIECE_CANDIDATES = 2**15
 # Fewest thinning candidates per block of pieces thinned on a thread of its
 # own: with blocks of 2**15, two threads were slower than one.
 _BLOCK_CANDIDATES = 2**16
-# Values per step of ``Sinusoid.value``'s half-angle division: the whole
+# Values per step of the half-angle sine's 1 + t*t outside thinning (a
+# thinning piece steps once, in its output slots: see "Rate values"): the
 # value of 24,000 points took 122 us at 2**12, 127 us at 2**11 and 150 us
 # at 2**13, on one CPU of an AVX512 Xeon.
 _SINE_CHUNK = 2**12
@@ -210,19 +235,36 @@ def _product(u, factor, out=None) -> np.ndarray:
     return np.multiply(u, factor, out=np.empty_like(u) if out is None else out)
 
 
-def _sine(theta: np.ndarray) -> np.ndarray:
+def _sine(theta: np.ndarray, buffer: np.ndarray) -> np.ndarray:
     """sin(theta) in place, as 2t / (1 + t*t) with t = tan(theta/2): see
-    "Rate values" in the module docstring."""
+    "Rate values" in the module docstring.  1 + t*t is written to
+    ``buffer``, a float64 array apart from theta, in steps of its length."""
     theta *= 0.5  # theta/2, exact above the subnormals
     np.tan(theta, out=theta)
-    # 2t / (1 + t*t) as 2 * (t / (1 + t*t)), the same bits; the square takes
-    # a buffer of at most _SINE_CHUNK values, not one of theta's size
-    with np.nditer(theta, ["external_loop", "buffered", "zerosize_ok"], [["readwrite"]],
-                   buffersize=_SINE_CHUNK) as chunks:
-        for t in chunks:
-            t /= t * t + 1.0
+    for line in _lines(theta):
+        for i in range(0, line.size, buffer.size):
+            t = line[i:i + buffer.size]
+            square = np.multiply(t, t, out=buffer[:t.size])
+            square += 1.0
+            t /= square  # 2t / (1 + t*t) as 2 * (t / (1 + t*t)), the same bits
     theta *= 2.0
     return theta
+
+
+def _lines(a: np.ndarray) -> list:
+    """One-dimensional views that together cover ``a``: ``a`` itself
+    flattened when that takes no copy, else the lines of each of its rows,
+    so that an ``out`` of any layout is written in place."""
+    try:
+        return [np.reshape(a, -1, copy=False)]
+    except ValueError:
+        return [line for row in a for line in _lines(row)]
+
+
+def _sine_buffer(size: int) -> np.ndarray:
+    """A buffer for ``_sine`` of ``size`` values: at most ``_SINE_CHUNK``,
+    and at least one."""
+    return np.empty(min(max(size, 1), _SINE_CHUNK))
 
 
 @dataclass(frozen=True)
@@ -262,10 +304,14 @@ class Sinusoid:
             value = _check_finite(getattr(self, field), f"sinusoid {field}")
             object.__setattr__(self, field, value)
 
-    def value(self, u, out=None):
+    def value(self, u, out=None, buffer=None):
+        """x(u) in ``out``, as every shape's ``value``.  ``buffer``, a
+        float64 array apart from u and ``out``, takes the sine's 1 + t*t in
+        steps of its length; when it is None, a buffer of at most
+        ``_SINE_CHUNK`` values does."""
         out = _product(u, self.omega, out)
         out += self.phase
-        _sine(out)
+        _sine(out, _sine_buffer(out.size) if buffer is None else buffer)
         out += self.offset
         return out if out.ndim else out[()]
 
@@ -289,9 +335,10 @@ class Sinusoid:
         its precision."""
         u = np.asarray(u, dtype=np.float64)
         half = _product(u, 0.5 * self.omega)
-        out = _sine(np.add(half, self.phase, out=np.empty_like(half)))
+        buffer = _sine_buffer(half.size)
+        out = _sine(np.add(half, self.phase, out=np.empty_like(half)), buffer)
         if self.omega:
-            _sine(half)
+            _sine(half, buffer)
             half *= 2.0 / self.omega
             out *= half
         else:
@@ -533,9 +580,10 @@ def _thinned_piece(on: list, lo: float, hi: float, envelope: float, rng,
     were accepted.  ``on`` are the components that are on throughout the
     piece and ``envelope`` bounds their sum.  ``scratch`` holds three rows
     of the candidates' size: the positions u, the acceptance uniforms v and
-    Lambda(u).  The draws equal ``rng.uniform(lo, hi)`` and
-    ``rng.uniform(0, envelope)`` bit for bit, since numpy computes those as
-    lo + (hi - lo) * d."""
+    Lambda(u).  ``out`` has a slot for every candidate, and its first ones
+    hold a sinusoid's 1 + t*t until the accepted times go there.  The
+    draws equal ``rng.uniform(lo, hi)`` and ``rng.uniform(0, envelope)``
+    bit for bit, since numpy computes those as lo + (hi - lo) * d."""
     u, v, lam = scratch
     rng.random(out=u)
     u *= hi - lo
@@ -544,7 +592,8 @@ def _thinned_piece(on: list, lo: float, hi: float, envelope: float, rng,
         # A * x(u - t0): the first in lam, each later one in v, which is
         # free until the acceptance draw, and added to lam
         x = np.subtract(u, comp.onset, out=v) if comp.onset else u
-        x = comp.shape.value(x, out=v if i else lam)
+        sine = {"buffer": out[:u.size]} if isinstance(comp.shape, Sinusoid) else {}
+        x = comp.shape.value(x, out=v if i else lam, **sine)
         x *= comp.amplitude
         if i:
             lam += x

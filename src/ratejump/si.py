@@ -129,7 +129,8 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {int(u[loops[0]])}")
             if repeat := _repeated_edge(u, v, n):
                 low, high = sorted((int(u[repeat[0]]), int(v[repeat[0]])))
-                raise ValueError(f"parallel edge: edge {{{low}, {high}}} is listed twice")
+                raise _RepeatedEdge(repeat,
+                                    f"parallel edge: edge {{{low}, {high}}} is listed twice")
         if u.size < n - 1:
             # no such graph is connected: its components are counted before anything
             # of size n is built, as the isolated vertices and those of the edges' ends
@@ -177,6 +178,16 @@ class Graph:
     @property
     def n_edges(self) -> int:
         return self.indices.size // 2
+
+
+class _RepeatedEdge(ValueError):
+    """``Graph``'s error for an edge listed twice; ``positions`` is the
+    (i, j) of ``_repeated_edge``, so that ``load_edge_list`` names the
+    repeat by its file lines with no search of its own."""
+
+    def __init__(self, positions: "tuple[int, int]", message: str):
+        super().__init__(message)
+        self.positions = positions
 
 
 def _repeated_edge(u, v, n: int) -> "tuple[int, int] | None":
@@ -573,6 +584,18 @@ def jump_at_infection(graph: Graph, infected, v: int) -> int:
 # file formats
 
 
+def _edge(line: str) -> "tuple[int, int]":
+    """The ends of an edge-list line ``u v``, each by the vertex rule."""
+    parts = line.split()
+    if len(parts) != 2:
+        raise ValueError(f"expected 'u v', got {line!r}")
+    u, v = (_check_integer(_parse_number(part), "vertex", low=0, high=_MAX_VERTEX)
+            for part in parts)
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u}")
+    return u, v
+
+
 def load_edge_list(path) -> Graph:
     """Read an undirected graph from text: one edge ``u v`` per line
     (0-indexed), each edge once, in either orientation.
@@ -582,36 +605,33 @@ def load_edge_list(path) -> Graph:
     ``_MAX_VERTEX``]).  A bad id, a self-loop, an edge listed twice (in
     either orientation) or a byte that is not UTF-8 is rejected with its
     line, and the resulting graph must pass the usual validation
-    (connected).  The ids and each edge's line are held in integer arrays,
-    not one object per edge; a repeat is looked for once every line is
-    read, so a bad line after it is the error reported, and the first
-    repeat in the file is named with the line of the edge it repeats.
+    (connected).  The ids are held in one integer array, not one object
+    per edge.  A repeat is looked for once every line is read, by
+    ``Graph``'s own check, so a bad line after it is the error reported;
+    the first repeat in the file is named with the line of the edge it
+    repeats, which the file is read again for, on that error path only.
     """
-    given, lines = array.array("q"), array.array("q")  # each edge's u, v as listed; its line
+    given = array.array("q")  # each edge's u, v as listed
     with _input_file(path, "line", lambda: lineno) as fh:
         for lineno, line in _text_lines(fh):
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"expected 'u v', got {line!r}")
-            u, v = (_check_integer(_parse_number(part), "vertex", low=0, high=_MAX_VERTEX)
-                    for part in parts)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            given.extend((u, v))
-            lines.append(lineno)
-    if not lines:
+            given.extend(_edge(line))
+    if not given:
         raise ValueError(f"{path}: no edges")
     ends = np.frombuffer(given, dtype=np.int64).reshape(-1, 2)
-    n = int(ends.max()) + 1
-    if repeat := _repeated_edge(ends[:, 0], ends[:, 1], n):
-        i, j = repeat
-        raise _file_error(path, "line", lines[i],
-                          f"edge {ends[i, 0]} {ends[i, 1]} repeats the edge on line {lines[j]}")
     # ids are at most _MAX_VERTEX, so int32 is exact
     low = np.minimum(ends[:, 0], ends[:, 1], dtype=np.int32, casting="unsafe")
     high = np.maximum(ends[:, 0], ends[:, 1], dtype=np.int32, casting="unsafe")
-    del ends, given, lines
-    return Graph(n, low, high)
+    del ends, given
+    try:
+        return Graph(int(high.max()) + 1, low, high)
+    except _RepeatedEdge as exc:
+        i, j = exc.positions  # edge i repeats edge j < i, counted in file order
+        with _input_file(path, "line") as fh:
+            listed = [entry for k, entry in zip(range(i + 1), _text_lines(fh)) if k in (i, j)]
+        (first, _), (lineno, line) = listed
+        u, v = _edge(line)
+        raise _file_error(path, "line", lineno,
+                          f"edge {u} {v} repeats the edge on line {first}") from None
 
 
 def load_trace_csv(path) -> CascadeTrace:

@@ -9,7 +9,13 @@ float64, and each invariant holds bit for bit:
 - superposition: adding a polynomial count sum c_i * C(p, i), i <= l - 1 and
   c_i >= 0 (a non-decreasing integer count), leaves every value unchanged;
 - leading term: adding c * C(p, l) shifts every value by exactly c * m**l;
-- scaling: 2**j * N scales every value by 2**j and keeps the argmax.
+- scaling: 2**j * N scales every value by 2**j and keeps the argmax;
+- translation: prepending s whole deltas of zero counts to an N that
+  starts flat shifts every value, and the argmax of a nonzero peak, by
+  s * m grid points;
+- time scaling: a knot gap and a delta both scaled by 2**j keep every
+  value and every grid index, since a power of two scales each time
+  exactly and the profile reads N at the same knots.
 """
 
 import math
@@ -90,3 +96,38 @@ def test_scaling_the_count_by_a_power_of_two_scales_every_value_and_keeps_the_ar
                                 order, float(m))
     assert np.array_equal(scaled.values, profile.values * 2 ** j)
     assert scaled.argmax() == profile.argmax()
+
+
+@given(case=counts_on_knots(), shift=st.integers(min_value=1, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_prepending_whole_deltas_of_zero_counts_shifts_every_value_and_the_argmax(case, shift):
+    order, m, N = case
+    # N itself starts with order * m empty bins, so every value the new
+    # knots add reads only zeros
+    bins = np.diff(N.counts)
+    flat = from_binned(BinnedSeries(bin_width=1.0, counts=np.concatenate(
+        (np.zeros(order * m, dtype=np.int64), bins))))
+    moved = from_binned(BinnedSeries(bin_width=1.0, counts=np.concatenate(
+        (np.zeros((order + shift) * m, dtype=np.int64), bins))))
+    profile = derivative_profile(flat, order, float(m))
+    shifted = derivative_profile(moved, order, float(m))
+    assert np.array_equal(shifted.values[shift * m:], profile.values)
+    assert np.array_equal(shifted.times[shift * m:], profile.times + shift * m)
+    assert not shifted.values[:shift * m].any()
+    if profile.values.any():
+        assert shifted.argmax() == profile.argmax() + shift * m
+    else:
+        assert shifted.argmax() == profile.argmax() == 0
+
+
+@given(case=counts_on_knots(), j=st.integers(min_value=-3, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_scaling_the_knot_gap_and_delta_by_a_power_of_two_keeps_every_value(case, j):
+    order, m, N = case
+    scale = 2.0 ** j
+    scaled = from_binned(BinnedSeries(bin_width=scale, counts=np.diff(N.counts)))
+    profile = derivative_profile(N, order, float(m))
+    stretched = derivative_profile(scaled, order, m * scale)
+    assert np.array_equal(stretched.values, profile.values)
+    assert np.array_equal(stretched.times, profile.times * scale)
+    assert stretched.argmax() == profile.argmax()

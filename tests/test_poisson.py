@@ -489,6 +489,72 @@ def test_half_angle_sine_is_within_four_ulp_of_numpy_sine(scale):
         assert abs(got - want) <= 4 * np.spacing(abs(want))
 
 
+def half_angle_sine(theta):
+    """The half-angle sine in whole-array steps, with no buffer."""
+    t = np.tan(0.5 * theta)
+    return 2.0 * (t / (t * t + 1.0))
+
+
+@pytest.mark.parametrize("steps", [1, 4095, 4096, 4097, 2**15 + 3, None])
+def test_the_sine_takes_the_same_bits_in_steps_of_any_buffer(steps):
+    # None: one buffer of the whole array, as a thinning piece passes
+    theta = np.random.default_rng(52).uniform(-1.0, 1.0, size=50_000)
+    theta *= 10.0 ** np.random.default_rng(53).uniform(0.0, 8.0, size=theta.size)
+    theta[:5] = 0.0, np.pi, -np.pi, 1e8, -1e8
+    buffer = np.empty(theta.size if steps is None else steps)
+    assert_bit_identical(poisson._sine(theta.copy(), buffer), half_angle_sine(theta))
+    # a 0-d theta, as JumpComponent's value(0.0) gives it, and a strided
+    # 2-d one, each written in place
+    point = np.array(theta[3])
+    assert poisson._sine(point, buffer) is point and point == half_angle_sine(theta[3])
+    grid = np.zeros((100, 1000))
+    view = grid[::2, ::2]
+    view[...] = theta[:25_000].reshape(50, 500)
+    poisson._sine(view, buffer)
+    assert np.array_equal(grid[::2, ::2], half_angle_sine(theta[:25_000]).reshape(50, 500))
+    assert not grid[1::2].any() and not grid[:, 1::2].any()
+
+
+# a decay from 0, then a sinusoid from 3.5: the sinusoid's term is not the
+# first, and its input is the onset-shifted row
+LATE_SINUSOID = RateSpec((JumpComponent(1e4, 0.0, ExpDecay(rate=0.1)),
+                          JumpComponent(3e4, 3.5, Sinusoid(offset=1.2, omega=2.0, phase=0.3))))
+
+
+def test_a_late_sinusoid_thins_to_the_same_bits_on_any_number_of_cpus(monkeypatch):
+    realizations = []
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(poisson, "_cpu_count", lambda: cpus)
+        realizations.append(simulate(LATE_SINUSOID, 8.0, SimSeed(52, 0)))
+    assert len(realizations[0]) > 2e5
+    assert all(digest(r) == digest(realizations[0]) for r in realizations[1:])
+    # the events follow Lambda: a chi-square over unit bins against its integrals
+    counts = np.histogram(realizations[0].times, bins=np.arange(9.0))[0]
+    means = np.diff(poisson._integrated(LATE_SINUSOID, np.arange(9.0)))
+    assert stats.chisquare(counts, means * counts.sum() / means.sum()).pvalue > 1e-3
+
+
+def thinning_peak(spec, n):
+    """tracemalloc's peak while thinning one piece [15, 16) of ``spec`` with n
+    candidates, under an envelope 64 times Lambda's bound there."""
+    envelope = 64 * rate_upper_bound(spec, (15.0, 16.0))
+    pieces = [(15.0, 16.0, list(spec.components), envelope)]
+    out = np.empty(n)
+    poisson._thinned_block(pieces, [n], np.random.default_rng(1), out)  # numpy's lazy imports
+    tracemalloc.start()
+    try:
+        poisson._thinned_block(pieces, [n], np.random.default_rng(1), out)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_late_sinusoid_allocates_no_array_in_a_piece():
+    # its 1 + t*t goes to the piece's output slots, as a first one's does
+    n = 2**15
+    assert thinning_peak(LATE_SINUSOID, n) - thinning_peak(const_spec(1.0), n) < n * 8 / 2
+
+
 def test_thinning_a_piece_allocates_no_array_per_component():
     # Lambda's terms are built in the block's scratch rows, so a piece with
     # four components on peaks no higher than a piece with one, of as many

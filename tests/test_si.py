@@ -992,6 +992,18 @@ def test_edge_list_names_line_of_bad_edge(tmp_path, text, message):
         load_edge_list(p)
 
 
+def test_edge_list_load_searches_for_a_repeat_once(tmp_path, monkeypatch):
+    # the Graph's own check is the one search: the loader names a repeat's
+    # lines from the positions that check found, and runs none of its own
+    calls = []
+    search = si._first_repeat
+    monkeypatch.setattr(si, "_first_repeat", lambda keys: calls.append(keys.size) or search(keys))
+    p = tmp_path / "g.txt"
+    p.write_text("1 2\n2 3\n0 1\n")
+    assert load_edge_list(p).n_edges == 3
+    assert calls == [3]
+
+
 @pytest.mark.parametrize("big", [2**31 - 1, 2**63, 10**30], ids=["2**31-1", "2**63", "10**30"])
 def test_edge_list_names_the_line_of_an_id_no_graph_indexes(tmp_path, big):
     # a Graph's int32 CSR indexes ids up to 2**31 - 2: a larger one is the
