@@ -98,12 +98,13 @@ full-length numpy calls.  Short calls cost the threads of the blocks
 their overlap, since each hands the GIL on.  With numpy 2.4.6 on two
 shared CPUs of an AVX512 Xeon, the benchmark's stream-jumps op
 (``simulate`` and ``detect`` of a 5.6e6-event stream) took a median of
-0.197 s at the benchmark's reference speed with the 1 + t*t in steps of
-4,096 values, 18 calls of a few microseconds a piece, and 0.179 s in one
-step (10 alternating pairs); on one CPU (``taskset -c 0``) it took 0.254
-and 0.256 s.  Outside thinning (``eval_rate``, and ``integral`` in
-``draw_counts``) the sine takes 1 + t*t in steps of a buffer of at most
-``_SINE_CHUNK`` values, so its temporary stays bounded.
+0.1875 s at the benchmark's reference speed with the 1 + t*t in steps of
+4,096 values, 18 calls of a few microseconds a piece, and 0.1789 s in one
+step (10 pairs, the first side alternating; one step was faster in 8);
+on one CPU (``taskset -c 0``) it took 0.254 and 0.256 s.  Outside
+thinning (``eval_rate``, and ``integral`` in ``draw_counts``) the sine
+takes 1 + t*t in steps of a buffer of at most ``_SINE_CHUNK`` values, so
+its temporary stays bounded.
 
 Non-negativity.  Before anything is drawn, every window is certified: the
 sum of its components' minima must be >= -_SLACK times the sum of their
@@ -253,12 +254,12 @@ def _sine(theta: np.ndarray, buffer: np.ndarray) -> np.ndarray:
 
 def _lines(a: np.ndarray) -> list:
     """One-dimensional views that together cover ``a``: ``a`` itself
-    flattened when that takes no copy, else the lines of each of its rows,
-    so that an ``out`` of any layout is written in place."""
-    try:
-        return [np.reshape(a, -1, copy=False)]
-    except ValueError:
-        return [line for row in a for line in _lines(row)]
+    flattened when it has at most one axis or is C-contiguous, a view in
+    both cases, else the lines of each of its rows, so that an ``out`` of
+    any layout is written in place."""
+    if a.ndim <= 1 or a.flags.c_contiguous:
+        return [a.reshape(-1)]
+    return [line for row in a for line in _lines(row)]
 
 
 def _sine_buffer(size: int) -> np.ndarray:

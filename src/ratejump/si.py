@@ -605,33 +605,33 @@ def load_edge_list(path) -> Graph:
     ``_MAX_VERTEX``]).  A bad id, a self-loop, an edge listed twice (in
     either orientation) or a byte that is not UTF-8 is rejected with its
     line, and the resulting graph must pass the usual validation
-    (connected).  The ids are held in one integer array, not one object
-    per edge.  A repeat is looked for once every line is read, by
-    ``Graph``'s own check, so a bad line after it is the error reported;
-    the first repeat in the file is named with the line of the edge it
-    repeats, which the file is read again for, on that error path only.
+    (connected).  The ids and each edge's line are held in integer arrays,
+    not one object per edge, and only the ends' order and the line are kept
+    while the graph is built.  A repeat is looked for once every line is
+    read, by ``Graph``'s own check, so a bad line after it is the error
+    reported; the first repeat in the file is named with the line of the
+    edge it repeats.
     """
-    given = array.array("q")  # each edge's u, v as listed
+    given, lines = array.array("q"), array.array("q")  # each edge's u, v as listed; its line
     with _input_file(path, "line", lambda: lineno) as fh:
         for lineno, line in _text_lines(fh):
             given.extend(_edge(line))
-    if not given:
+            lines.append(lineno)
+    if not lines:
         raise ValueError(f"{path}: no edges")
     ends = np.frombuffer(given, dtype=np.int64).reshape(-1, 2)
     # ids are at most _MAX_VERTEX, so int32 is exact
     low = np.minimum(ends[:, 0], ends[:, 1], dtype=np.int32, casting="unsafe")
     high = np.maximum(ends[:, 0], ends[:, 1], dtype=np.int32, casting="unsafe")
+    flipped = ends[:, 0] > ends[:, 1]  # listed as ``high low``: names a repeat as listed
     del ends, given
     try:
         return Graph(int(high.max()) + 1, low, high)
     except _RepeatedEdge as exc:
         i, j = exc.positions  # edge i repeats edge j < i, counted in file order
-        with _input_file(path, "line") as fh:
-            listed = [entry for k, entry in zip(range(i + 1), _text_lines(fh)) if k in (i, j)]
-        (first, _), (lineno, line) = listed
-        u, v = _edge(line)
-        raise _file_error(path, "line", lineno,
-                          f"edge {u} {v} repeats the edge on line {first}") from None
+        u, v = (high[i], low[i]) if flipped[i] else (low[i], high[i])
+        raise _file_error(path, "line", lines[i],
+                          f"edge {u} {v} repeats the edge on line {lines[j]}") from None
 
 
 def load_trace_csv(path) -> CascadeTrace:

@@ -550,9 +550,12 @@ def thinning_peak(spec, n):
 
 
 def test_a_late_sinusoid_allocates_no_array_in_a_piece():
-    # its 1 + t*t goes to the piece's output slots, as a first one's does
+    # its 1 + t*t goes to the piece's output slots, as a first one's does: the
+    # piece peaks within a quarter of a _SINE_CHUNK buffer of a one-component
+    # piece, where a sine in steps of its own buffer would add a whole one
     n = 2**15
-    assert thinning_peak(LATE_SINUSOID, n) - thinning_peak(const_spec(1.0), n) < n * 8 / 2
+    assert (thinning_peak(LATE_SINUSOID, n) - thinning_peak(const_spec(1.0), n)
+            < poisson._SINE_CHUNK * 8 / 4)
 
 
 def test_thinning_a_piece_allocates_no_array_per_component():

@@ -1004,6 +1004,19 @@ def test_edge_list_load_searches_for_a_repeat_once(tmp_path, monkeypatch):
     assert calls == [3]
 
 
+def test_edge_list_names_a_repeat_with_one_read_of_the_file(tmp_path, monkeypatch):
+    # a FIFO or /dev/stdin cannot be read twice: the repeat's lines come from
+    # what the one read kept
+    opened = []
+    open_file = si._input_file
+    monkeypatch.setattr(si, "_input_file", lambda *args: opened.append(args[0]) or open_file(*args))
+    p = tmp_path / "g.txt"
+    p.write_text("1 2\n\n2 3\n3 2\n")
+    with pytest.raises(ValueError, match=r"line 4: edge 3 2 repeats the edge on line 3$"):
+        load_edge_list(p)
+    assert opened == [p]
+
+
 @pytest.mark.parametrize("big", [2**31 - 1, 2**63, 10**30], ids=["2**31-1", "2**63", "10**30"])
 def test_edge_list_names_the_line_of_an_id_no_graph_indexes(tmp_path, big):
     # a Graph's int32 CSR indexes ids up to 2**31 - 2: a larger one is the
