@@ -248,8 +248,13 @@ _SIMULATION_DEFAULTS = {name: PRESETS["multicascade-tree"].params.get(name, 0)
 # preset brings its own values
 _HEATMAP_DEFAULTS = {"scenario": "smooth-jump", **_scenario_params(SmoothJumpScenario),
                      **_TREE_DEFAULTS, "trials": 20}
-# the flags that define a scenario
-_SCENARIO_FLAGS = ("scenario", "base", "horizon", "height", "extra_leaves", "jump")
+# the flags that define a scenario: --scenario, each scenario's fields
+# other than its change size, then the change sizes, which a preset takes
+_SCENARIO_FLAGS = tuple(dict.fromkeys(
+    ["scenario"]
+    + [name for cls, own in HEATMAP_SCENARIOS.values() for name in _scenario_params(cls)
+       if name != own]
+    + [own for _, own in HEATMAP_SCENARIOS.values() if own]))
 
 
 def _settle(args, who, used, flags):

@@ -44,6 +44,20 @@ then scores each cell on its own segment: ``np.argmax`` of the segment's
 delta and one segment: N's own grid, with no window.  The heatmap harness
 reads N once on the plan of its whole (k, delta) grid, under a scenario's
 analysis window.
+
+Rules.  ``derivative_profiles(N, orders, delta)`` is the one code path
+that computes D_l N, and ``derivative_profile(N, order, delta)`` its
+one-order view.  An order and a step are checked by the rules of
+``ratejump.process``, whose ``MAX_ORDER`` (20) this module re-exports.  An
+N without ``count_at`` or a horizon is a TypeError naming its type.  A
+delta that is not a whole number of knot gaps is a ValueError naming delta
+and the gap, raised before N is read; a grid time that N refuses, such as
+one off unevenly drawn knots, is a ValueError naming it, delta and m.  A
+window that holds no grid point has one ValueError, naming k, delta and
+the window (``_empty_window``): ``derivative_profile`` raises it at once,
+``argmax`` raises it on an empty profile of ``derivative_profiles``, and
+the harness records it as the heatmap's failed cell, so every estimator
+raises it.
 """
 
 from __future__ import annotations

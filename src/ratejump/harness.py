@@ -13,16 +13,38 @@ One lattice plan covers the whole (k, delta) grid (see
 ``ratejump.derivative``): it lays every delta's lattices end to end in one
 read vector.  A trial reads N once, by one of two paths, and scores every
 cell: one lag difference per order over the whole vector, then the one peak
-rule, ``np.argmax`` of |value| over each cell's own segment of it.
+rule, ``np.argmax`` of |value| over each cell's own segment of it, the
+earliest largest.
 - A scenario with a horizon gets its read grid, the sorted union of 0, the
-  horizon and the plan's times, computed once per grid with the plan,
-  before it is realized.  The Poisson ones draw N only there
-  (``draw_counts``), not the whole event stream by thinning, and the trial
-  takes the plan's samples from those counts by one index.  Counts drawn
-  anywhere else are refused.
+  horizon and the plan's times, computed once per grid with the plan and
+  the index of every plan time in it, before it is realized.  The Poisson
+  ones draw N only there (``draw_counts``), not the whole event stream by
+  thinning, and the trial takes the plan's samples from those counts by
+  one index.  Counts drawn anywhere else, or by a scenario with no
+  horizon, are refused.
 - Event times, those of an SI cascade, which sets its own horizon, or of a
   scenario that returns them, are read by one ``count_at`` at the times of
-  a plan of their own horizon.
+  a plan of their own horizon, which is not cached.
+
+Scenarios.  A scenario's parameters are its dataclass init fields, and
+``realize(seed, times)`` returns a ``Realization(events, truth)``, whose
+checksum is derived from its events.  The two Poisson scenarios share one
+``realize`` on a private base class and differ only in their fields, their
+analysis window and the rate of one onset; they draw the onset uniform on
+the base class's fixed ``onset_low``, ``onset_high`` = 5, 15, and thin the
+whole stream when ``times`` is None.  The SI one, a cascade from the
+tree's root, ignores the times.
+
+Runs.  ``run_heatmap`` runs here, or, when ``min(workers, trials)`` is more
+than 1, on that many processes, which take the trials in chunks of
+``max(1, trials // (4 * workers))``.  Its ``HeatmapResult(spec, errors,
+checksums, diagnostics)`` derives its grids, counts, mean errors, argmin
+and CSV metadata from its spec and errors; ``best_per_order`` gives each
+order's best delta, or None where every cell failed.
+``false_alarm_study`` counts the alarms of threshold-mode detection on
+runs of a rate with no jump.  Each preset either names a heatmap
+``scenario``, which ``heatmap --preset`` runs, or is looked up by name
+where it is used.
 """
 
 from __future__ import annotations

@@ -85,11 +85,13 @@ at 9-28 ns a value, while ``np.tan`` is vectorised at 1.6-2.4 ns.  The
 half-angle sine is within 2 ulp of ``np.sin`` (measured over 1e7 points
 at |theta| up to 1e8), a gap ``_SLACK`` covers.  The closed-form integral
 of a sinusoid takes its two sines from the same function, ``_sine``; the
-bounds keep ``math.sin``.  Each block allocates its scratch once, three
-rows of its largest piece's candidate count: the positions, the
-acceptance uniforms and Lambda.  The first component's term is written
-into the Lambda row; each later one, and any onset shift, into the
-uniforms' row, which is free until the acceptance draw, and then added.
+bounds keep ``math.sin``.  ``_sine`` has one rule: it writes 1 + t*t into
+the array of theta's shape that its caller passes, or into one new array
+when none is, in three full-length numpy calls.  Each block allocates its
+scratch once, three rows of its largest piece's candidate count: the
+positions, the acceptance uniforms and Lambda.  The first component's term
+is written into the Lambda row; each later one, and any onset shift, into
+the uniforms' row, which is free until the acceptance draw, and then added.
 A sinusoid's 1 + t*t, the one more row its sine needs, lives in the
 piece's own output slots, ``out[:n]`` for n candidates, which are free
 until the piece writes its accepted times there.  So no array is
@@ -101,10 +103,7 @@ shared CPUs of an AVX512 Xeon, the benchmark's stream-jumps op
 0.1875 s at the benchmark's reference speed with the 1 + t*t in steps of
 4,096 values, 18 calls of a few microseconds a piece, and 0.1789 s in one
 step (10 pairs, the first side alternating; one step was faster in 8);
-on one CPU (``taskset -c 0``) it took 0.254 and 0.256 s.  Outside
-thinning (``eval_rate``, and ``integral`` in ``draw_counts``) the sine
-takes 1 + t*t in steps of a buffer of at most ``_SINE_CHUNK`` values, so
-its temporary stays bounded.
+on one CPU (``taskset -c 0``) it took 0.254 and 0.256 s.
 
 Non-negativity.  Before anything is drawn, every window is certified: the
 sum of its components' minima must be >= -_SLACK times the sum of their
@@ -219,11 +218,6 @@ _PIECE_CANDIDATES = 2**15
 # Fewest thinning candidates per block of pieces thinned on a thread of its
 # own: with blocks of 2**15, two threads were slower than one.
 _BLOCK_CANDIDATES = 2**16
-# Values per step of the half-angle sine's 1 + t*t outside thinning (a
-# thinning piece steps once, in its output slots: see "Rate values"): the
-# value of 24,000 points took 122 us at 2**12, 127 us at 2**11 and 150 us
-# at 2**13, on one CPU of an AVX512 Xeon.
-_SINE_CHUNK = 2**12
 # Bisection limits of the non-negativity certificate, per window.
 _CERTIFY_DEPTH = 40
 _CERTIFY_WINDOWS = 4096
@@ -236,36 +230,18 @@ def _product(u, factor, out=None) -> np.ndarray:
     return np.multiply(u, factor, out=np.empty_like(u) if out is None else out)
 
 
-def _sine(theta: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+def _sine(theta: np.ndarray, buffer=None) -> np.ndarray:
     """sin(theta) in place, as 2t / (1 + t*t) with t = tan(theta/2): see
     "Rate values" in the module docstring.  1 + t*t is written to
-    ``buffer``, a float64 array apart from theta, in steps of its length."""
+    ``buffer``, a float64 array of theta's shape apart from it, or to a new
+    array when ``buffer`` is None."""
     theta *= 0.5  # theta/2, exact above the subnormals
     np.tan(theta, out=theta)
-    for line in _lines(theta):
-        for i in range(0, line.size, buffer.size):
-            t = line[i:i + buffer.size]
-            square = np.multiply(t, t, out=buffer[:t.size])
-            square += 1.0
-            t /= square  # 2t / (1 + t*t) as 2 * (t / (1 + t*t)), the same bits
+    square = np.multiply(theta, theta, out=buffer)
+    square += 1.0
+    theta /= square  # 2t / (1 + t*t) as 2 * (t / (1 + t*t)), the same bits
     theta *= 2.0
     return theta
-
-
-def _lines(a: np.ndarray) -> list:
-    """One-dimensional views that together cover ``a``: ``a`` itself
-    flattened when it has at most one axis or is C-contiguous, a view in
-    both cases, else the lines of each of its rows, so that an ``out`` of
-    any layout is written in place."""
-    if a.ndim <= 1 or a.flags.c_contiguous:
-        return [a.reshape(-1)]
-    return [line for row in a for line in _lines(row)]
-
-
-def _sine_buffer(size: int) -> np.ndarray:
-    """A buffer for ``_sine`` of ``size`` values: at most ``_SINE_CHUNK``,
-    and at least one."""
-    return np.empty(min(max(size, 1), _SINE_CHUNK))
 
 
 @dataclass(frozen=True)
@@ -306,13 +282,12 @@ class Sinusoid:
             object.__setattr__(self, field, value)
 
     def value(self, u, out=None, buffer=None):
-        """x(u) in ``out``, as every shape's ``value``.  ``buffer``, a
-        float64 array apart from u and ``out``, takes the sine's 1 + t*t in
-        steps of its length; when it is None, a buffer of at most
-        ``_SINE_CHUNK`` values does."""
+        """x(u) in ``out``, as every shape's ``value``.  The sine's 1 + t*t
+        is written to ``buffer``, a float64 array of u's shape apart from u
+        and ``out``, or to a new array when ``buffer`` is None."""
         out = _product(u, self.omega, out)
         out += self.phase
-        _sine(out, _sine_buffer(out.size) if buffer is None else buffer)
+        _sine(out, buffer)
         out += self.offset
         return out if out.ndim else out[()]
 
@@ -336,10 +311,10 @@ class Sinusoid:
         its precision."""
         u = np.asarray(u, dtype=np.float64)
         half = _product(u, 0.5 * self.omega)
-        buffer = _sine_buffer(half.size)
-        out = _sine(np.add(half, self.phase, out=np.empty_like(half)), buffer)
+        square = np.empty_like(half)  # both sines' 1 + t*t
+        out = _sine(np.add(half, self.phase, out=np.empty_like(half)), square)
         if self.omega:
-            _sine(half, buffer)
+            _sine(half, square)
             half *= 2.0 / self.omega
             out *= half
         else:
@@ -492,8 +467,10 @@ def eval_rate(spec: RateSpec, t):
     for comp in spec.components:
         active = t >= comp.onset
         if np.any(active):
-            u = t[active] - comp.onset
-            out[active] += comp.amplitude * comp.shape.value(u)
+            u = t[active] - comp.onset  # its own copy, which the shape's value overwrites
+            u = comp.shape.value(u, out=u)
+            u *= comp.amplitude
+            out[active] += u
     return out if out.ndim else float(out)
 
 
@@ -727,11 +704,16 @@ def simulate(spec: RateSpec, horizon: float, seed) -> EventTimes:
 
 def _integrated(spec: RateSpec, t: np.ndarray) -> np.ndarray:
     """The integral of Lambda over [0, t] at each entry of ``t``, from each
-    shape's closed form."""
-    out = np.zeros_like(t)
+    shape's closed form, summed in the first component's own integral."""
+    out = None
     for comp in spec.components:
-        out += comp.amplitude * comp.shape.integral(np.maximum(t - comp.onset, 0.0))
-    return out
+        term = comp.shape.integral(np.maximum(t - comp.onset, 0.0))
+        term *= comp.amplitude
+        if out is None:
+            out = term
+        else:
+            out += term
+    return np.zeros_like(t) if out is None else out
 
 
 def _split(n: int, mass: np.ndarray, rng) -> np.ndarray:

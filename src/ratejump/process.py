@@ -284,24 +284,28 @@ def _input_file(path, unit: str, line_num=None):
     so it may read a reader made inside the ``with``.  A byte that is not
     UTF-8 becomes ``<path>: <unit> N: <the line's own decode error>``, N
     the file line that holds the first: the error, raised by a read of a
-    block of the file, says nothing of the line, so the file is decoded
-    again, line by line, on this error path only.
+    block of the file, says nothing of the line, so the open file is read
+    again from its start, line by line, on this error path only.  A file
+    that cannot seek back, such as a FIFO, is not opened again: its error
+    is ``<path>: <decode error>``, with no line.
     """
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        try:
             yield fh
-    except UnicodeDecodeError as exc:  # a ValueError, so tested first
-        with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
-            for lineno, line in enumerate(fh, 1):
-                try:
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
-                except UnicodeDecodeError as line_exc:
-                    raise _file_error(path, unit, lineno, line_exc) from None
-        raise _file_error(path, unit, 0, exc) from None
-    except (csv.Error, ValueError) as exc:
-        if line_num is None:
-            raise
-        raise _file_error(path, unit, line_num(), exc) from None
+        except UnicodeDecodeError as exc:  # a ValueError, so tested first
+            if fh.seekable():
+                fh.reconfigure(errors="surrogateescape")
+                fh.seek(0)  # with a new decoder, which skips a byte-order mark again
+                for lineno, line in enumerate(fh, 1):
+                    try:
+                        line.encode("utf-8", "surrogateescape").decode("utf-8")
+                    except UnicodeDecodeError as line_exc:
+                        raise _file_error(path, unit, lineno, line_exc) from None
+            raise _file_error(path, unit, 0, exc) from None
+        except (csv.Error, ValueError) as exc:
+            if line_num is None:
+                raise
+            raise _file_error(path, unit, line_num(), exc) from None
 
 
 def _write_lines(path, lines) -> None:

@@ -15,7 +15,7 @@ import pytest
 
 from ratejump.cli import build_parser, main
 from ratejump.detector import argmax_single
-from ratejump.harness import PRESETS
+from ratejump.harness import HEATMAP_SCENARIOS, PRESETS, _scenario_params
 from ratejump.ingest import analyze_binned, load_daily_csv
 from ratejump.process import load_event_times
 from ratejump.seeding import SimSeed
@@ -723,6 +723,20 @@ def test_heatmap_preset_names_every_unused_flag(capsys):
     code, out, err = run(capsys, "heatmap", "--preset", "fig5", "--jump", "3", "--height", "4")
     assert code == 2
     assert "does not use --height, --jump" in err
+
+
+def test_heatmap_preset_refuses_every_scenario_field_but_its_change_size(capsys):
+    # every field of every scenario, so a new scenario's field cannot be
+    # missing from the flags a preset refuses
+    heatmaps = [name for name, preset in PRESETS.items() if "scenario" in preset.params]
+    assert heatmaps
+    for name in heatmaps:
+        _, own = HEATMAP_SCENARIOS[PRESETS[name].params["scenario"]]
+        for cls, _ in HEATMAP_SCENARIOS.values():
+            for field in _scenario_params(cls).keys() - {own}:
+                flag = "--" + field.replace("_", "-")
+                code, out, err = run(capsys, "heatmap", "--preset", name, flag, "3")
+                assert code == 2 and f"does not use {flag}\n" in err, (name, flag, err)
 
 
 def test_heatmap_preset_takes_its_own_change_size(tmp_path, capsys):

@@ -326,6 +326,23 @@ def test_simulate_peak_memory_is_one_output_array():
     assert peak < 1.5 * events.times.nbytes
 
 
+def test_eval_rate_peaks_below_three_and_a_half_arrays_of_its_times():
+    # each component's value overwrites its own copy of its times, and its
+    # amplitude scales that copy in place: the output, the copy, a mask of
+    # the times it is on and one more array (the sine's 1 + t*t, or numpy's
+    # copy of out[active] while the term is added) peak at 3.125 arrays
+    spec = preset_rate_spec("sin-plus-exp", base=1e4, jump=8e3, onset=9.0)  # fig2-scaled's
+    t = np.linspace(0.0, 20.0, 10**6)
+    eval_rate(spec, t)  # numpy's lazy imports
+    tracemalloc.start()
+    try:
+        eval_rate(spec, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * t.nbytes
+
+
 SPECS = {
     # the benchmark's stream-jumps rate, about 5.6e6 events on [0, 20]
     "stream-jumps": (RateSpec(
@@ -495,24 +512,29 @@ def half_angle_sine(theta):
     return 2.0 * (t / (t * t + 1.0))
 
 
-@pytest.mark.parametrize("steps", [1, 4095, 4096, 4097, 2**15 + 3, None])
-def test_the_sine_takes_the_same_bits_in_steps_of_any_buffer(steps):
-    # None: one buffer of the whole array, as a thinning piece passes
+@pytest.mark.parametrize("buffer", [None, "like-theta"])
+def test_the_sine_takes_the_same_bits_in_steps_of_any_buffer(buffer):
+    # None: a new array takes 1 + t*t; else one of theta's shape does, as a
+    # thinning piece passes its output slots
+    def sine(theta):
+        assert poisson._sine(theta, None if buffer is None else np.empty(theta.shape)) is theta
+        return theta
+
     theta = np.random.default_rng(52).uniform(-1.0, 1.0, size=50_000)
     theta *= 10.0 ** np.random.default_rng(53).uniform(0.0, 8.0, size=theta.size)
     theta[:5] = 0.0, np.pi, -np.pi, 1e8, -1e8
-    buffer = np.empty(theta.size if steps is None else steps)
-    assert_bit_identical(poisson._sine(theta.copy(), buffer), half_angle_sine(theta))
-    # a 0-d theta, as JumpComponent's value(0.0) gives it, and a strided
-    # 2-d one, each written in place
-    point = np.array(theta[3])
-    assert poisson._sine(point, buffer) is point and point == half_angle_sine(theta[3])
+    assert_bit_identical(sine(theta.copy()), half_angle_sine(theta))
+    # a 0-d theta, as JumpComponent's value(0.0) gives it, a strided 2-d
+    # one and a Fortran-ordered one, each written in place
+    assert sine(np.array(theta[3])) == half_angle_sine(theta[3])
+    want = half_angle_sine(theta[:25_000]).reshape(50, 500)
     grid = np.zeros((100, 1000))
-    view = grid[::2, ::2]
-    view[...] = theta[:25_000].reshape(50, 500)
-    poisson._sine(view, buffer)
-    assert np.array_equal(grid[::2, ::2], half_angle_sine(theta[:25_000]).reshape(50, 500))
+    grid[::2, ::2] = theta[:25_000].reshape(50, 500)
+    sine(grid[::2, ::2])
+    assert np.array_equal(grid[::2, ::2], want)
     assert not grid[1::2].any() and not grid[:, 1::2].any()
+    fortran = np.asfortranarray(theta[:25_000].reshape(50, 500))
+    assert np.array_equal(sine(fortran), want) and fortran.flags.f_contiguous
 
 
 # a decay from 0, then a sinusoid from 3.5: the sinusoid's term is not the
@@ -551,11 +573,10 @@ def thinning_peak(spec, n):
 
 def test_a_late_sinusoid_allocates_no_array_in_a_piece():
     # its 1 + t*t goes to the piece's output slots, as a first one's does: the
-    # piece peaks within a quarter of a _SINE_CHUNK buffer of a one-component
-    # piece, where a sine in steps of its own buffer would add a whole one
+    # piece peaks within 8 KB of a one-component piece, where a sine with a
+    # new array for it would add one of n values
     n = 2**15
-    assert (thinning_peak(LATE_SINUSOID, n) - thinning_peak(const_spec(1.0), n)
-            < poisson._SINE_CHUNK * 8 / 4)
+    assert thinning_peak(LATE_SINUSOID, n) - thinning_peak(const_spec(1.0), n) < 8192
 
 
 def test_thinning_a_piece_allocates_no_array_per_component():

@@ -1,6 +1,10 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,3 +343,27 @@ def test_binned_csv_names_the_row_of_a_byte_that_is_not_utf8(tmp_path):
     with pytest.raises(ValueError, match=r"latin1\.csv: row 3: 'utf-8' codec can't decode "
                                          r"byte 0xe9 in position 5: invalid continuation byte$"):
         load_binned_csv(p)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="os.mkfifo is missing on this platform")
+def test_a_fifo_with_a_byte_that_is_not_utf8_fails_without_waiting(tmp_path):
+    # a FIFO cannot seek back to its start, so its error names no line;
+    # opening it again would wait for a writer, or for more bytes, forever.
+    # The load runs in a child, so that a wait fails the test by a timeout
+    fifo = tmp_path / "times.fifo"
+    os.mkfifo(fifo)
+    load = ("import sys\nfrom ratejump.process import load_event_times\n"
+            "try:\n    load_event_times(sys.argv[1])\nexcept ValueError as exc:\n    print(exc)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    writer = os.open(fifo, os.O_RDWR)  # a write end that needs no reader to open
+    try:
+        os.write(writer, b"1.0\n2.0\n\xff\xfe3.0\n")
+        child = subprocess.run([sys.executable, "-c", load, str(fifo)], env=env,
+                               capture_output=True, text=True, timeout=10)
+    except subprocess.TimeoutExpired:
+        pytest.fail("load_event_times waited on the FIFO")
+    finally:
+        os.close(writer)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == (f"{fifo}: 'utf-8' codec can't decode byte 0xff in position 8: "
+                            "invalid start byte\n")
